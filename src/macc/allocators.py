@@ -80,17 +80,14 @@ def solve_hcmm_lambda(profile, tol=1.0e-12):
 def hcmm_alloc(p, profiles):
     """HCMM loads: l_i = ceil(p / (h lambda_i)), capped at p.
 
-    h = sum_i beta_i / (1 + beta_i lambda_i).  The ceiling keeps the sum at
-    or above p; should rounding ever break that, the largest load is bumped.
-    Returns an HcmmSolution (the LoadAllocation is in .loads).
+    h = sum_i beta_i / (1 + beta_i lambda_i).  Each term of h is below
+    1 / lambda_i, so sum_i p / (h lambda_i) > p and the ceilings (or a load
+    capped at p) cover p.  Returns an HcmmSolution (the LoadAllocation is
+    in .loads).
     """
     lam = [solve_hcmm_lambda(prof) for prof in profiles]
     h = sum(prof.beta / (1.0 + prof.beta * l) for prof, l in zip(profiles, lam))
     loads = [min(int(math.ceil(p / (h * l))), int(p)) for l in lam]
-    while sum(loads) < p:  # unreachable in practice, see ceiling above
-        loads[loads.index(max(loads))] = min(max(loads) + 1, int(p))
-        if all(l == p for l in loads):
-            break
     return HcmmSolution(lam=tuple(lam), h=h, loads=tuple(loads))
 
 

@@ -87,20 +87,20 @@ class StragglerPlan:
 
 
 def signal_power(d, omega, cfg):
-    """Received power S (W) at distance d (m) with dB noise omega.
+    """Received power S (W) at distance d (m) with dB noise omega; elementwise on arrays.
 
     S_d = sd_offset - 20 log10(max(d, min_distance)) + omega  (dBm)
     S = 10^((S_d - 30) / 10)                                  (W)
     """
-    d = max(float(d), cfg.min_distance_m)
-    s_dbm = cfg.sd_offset_dbm - cfg.path_loss_db_per_decade * math.log10(d) + omega
-    return 10.0 ** ((s_dbm - 30.0) / 10.0)
+    d = np.maximum(d, cfg.min_distance_m)
+    s_dbw = cfg.sd_offset_dbm - 30.0 + omega - cfg.path_loss_db_per_decade * np.log10(d)
+    return 10.0 ** (s_dbw / 10.0)
 
 
 def channel_capacity(d, omega, cfg):
-    """Shannon capacity C = W log2(1 + S / Noise) in bits/s."""
+    """Shannon capacity C = W log2(1 + S / Noise) in bits/s; elementwise on arrays."""
     s = signal_power(d, omega, cfg)
-    return cfg.bandwidth_hz * math.log2(1.0 + s / cfg.noise_power_w)
+    return cfg.bandwidth_hz * np.log2(1.0 + s / cfg.noise_power_w)
 
 
 def comm_time(rows, cols, d, rng, cfg):

@@ -15,6 +15,8 @@ formats floats with repr(), so a rerun with the same config and seed is
 byte-identical.
 """
 
+import math
+
 import numpy as np
 
 from . import marl
@@ -39,16 +41,32 @@ def make_allocator(scheme, scenario, agents=None):
         loads = uniform_alloc(p, n).loads
         return lambda world, j: loads
     if scheme == "load-balanced":
-        return lambda world, j: load_balanced_alloc(
-            p, [prof for _, prof in world.workers]
-        ).loads
+        return _per_profiles(lambda profiles: load_balanced_alloc(p, profiles).loads)
     if scheme == "hcmm":
-        return lambda world, j: hcmm_alloc(p, [prof for _, prof in world.workers]).loads
+        return _per_profiles(lambda profiles: hcmm_alloc(p, profiles).loads)
     if scheme == "marl":
         if agents is None:
             raise ValueError("the marl scheme needs trained agents (checkpoint)")
         return marl.policy_allocator(agents, scenario)
     raise ValueError(f"unknown scheme '{scheme}' (have {', '.join(SCHEMES)})")
+
+
+def _per_profiles(loads_of):
+    """Allocator whose loads depend only on the workers' compute profiles.
+
+    The profiles stay fixed for a whole episode, so loads_of runs again only
+    when they change: once per episode instead of once per task.
+    """
+    seen, loads = None, None
+
+    def allocator(world, j):
+        nonlocal seen, loads
+        profiles = tuple(prof for _, prof in world.workers)
+        if profiles != seen:
+            seen, loads = profiles, loads_of(list(profiles))
+        return loads
+
+    return allocator
 
 
 def default_batch_size(scheme, scenario):
@@ -83,13 +101,37 @@ def total_times(records):
     return np.array([r.total_time for r in records])
 
 
+# two-sided 95% Student-t critical values t_{0.975, df} for df = 1..30
+_T975 = (
+    12.706205, 4.3026527, 3.1824463, 2.7764451, 2.5705818,
+    2.4469119, 2.3646243, 2.3060041, 2.2621572, 2.2281389,
+    2.2009852, 2.1788128, 2.1603687, 2.1447867, 2.1314495,
+    2.1199053, 2.1098156, 2.1009220, 2.0930241, 2.0859634,
+    2.0796138, 2.0738731, 2.0686576, 2.0638986, 2.0595386,
+    2.0555294, 2.0518305, 2.0484071, 2.0452296, 2.0422725,
+)
+# beyond df = 30, (df, t) anchors interpolated linearly in 1 / df
+_T975_TAIL = ((30, 2.0422725), (40, 2.0210754), (60, 2.0002978), (120, 1.9799304),
+              (math.inf, 1.9599640))
+
+
+def _t_quantile_975(df):
+    """Two-sided 95% Student-t critical value at df >= 1 degrees of freedom."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    for (lo, t_lo), (hi, t_hi) in zip(_T975_TAIL, _T975_TAIL[1:]):
+        if df <= hi:
+            return t_lo + (1 / lo - 1 / df) / (1 / lo - 1 / hi) * (t_hi - t_lo)
+
+
 def summarize(records):
-    """(mean, sample std, 95% normal-approximation halfwidth) of total times."""
+    """(mean, sample std, 95% Student-t halfwidth) of total times."""
     t = total_times(records)
     mean = float(t.mean())
-    std = float(t.std(ddof=1)) if len(t) > 1 else 0.0
-    half = 1.96 * std / float(np.sqrt(len(t))) if len(t) > 1 else 0.0
-    return mean, std, half
+    if len(t) < 2:
+        return mean, 0.0, 0.0
+    std = float(t.std(ddof=1))
+    return mean, std, _t_quantile_975(len(t) - 1) * std / float(np.sqrt(len(t)))
 
 
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):

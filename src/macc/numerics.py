@@ -118,13 +118,24 @@ class RngStream:
     never on how many draws were consumed.
     """
 
-    __slots__ = ("seed", "stream", "gen")
+    __slots__ = ("seed", "stream", "_gen")
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        key = (self.stream << 64) | self.seed
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = None
+
+    @property
+    def gen(self):
+        """The stream's numpy Generator, built on first use.
+
+        Building one costs more than deriving a substream, and many streams
+        (an episode's, a task's) only ever derive substreams.
+        """
+        if self._gen is None:
+            key = (self.stream << 64) | self.seed
+            self._gen = np.random.Generator(np.random.Philox(key=key))
+        return self._gen
 
     def substream(self, *tokens):
         if not tokens:

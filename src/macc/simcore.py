@@ -16,7 +16,6 @@ since task j+1 is dispatched only once task j completed.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,9 @@ from .envmodels import (
     channel_capacity,
 )
 from .numerics import mat_vec
+
+
+MAX_PASSES = 32  # fixed-point passes of run_task before the sequential finish
 
 
 class DegenerateTaskError(ValueError):
@@ -96,12 +98,27 @@ class EpisodeRecord:
         return sum(1 for t in self.tasks if not t.feasible)
 
 
+def _send_time(rows, d, omega, cfg):
+    """Time to send `rows` result elements over a link of length d (m); elementwise."""
+    return rows * cfg.bits_per_element / channel_capacity(d, omega, cfg)
+
+
 def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, encoded=None):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     batch_size None means one batch per worker (no batching).  encoded, when
     given, carries the materialized A_hat so the received rows are decoded
     and the result stored on the record (verification mode).
+
+    The loaded workers' batches sit in a padded (workers x batches) layout,
+    and compute finish times are a cumulative sum along it.  The link
+    recurrence begin_k = max(cpu_k, arrival_{k-1}),
+    arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
+    the send times tau frozen, the arrivals are the max-plus scan
+    S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
+    at the new begins until no begin moves.  Pass n is exact for the first
+    n batches of every worker, so after MAX_PASSES a worker whose begins
+    still move finishes with the plain sequential recurrence.
     """
     loads = tuple(int(l) for l in alloc.loads)
     n = len(loads)
@@ -115,80 +132,91 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     if all(l == 0 for l in loads):
         raise DegenerateTaskError("all-zero allocation: no worker receives any rows")
 
-    m = len(x)
-    u_bits = cfg.bits_per_element
-    sigma = cfg.noise_std_db
-    min_d = cfg.min_distance_m
-    mx, my = world.master.position
-    mvx, mvy = world.master.velocity
-
-    receipts = []  # (arrival, worker, batch index, rows, first row index)
-    for i, load in enumerate(loads):
-        if load == 0:
-            continue
-        kin, prof = world.workers[i]
-        plan = plan_batches(load, load if batch_size is None else min(batch_size, load))
+    active = [i for i, l in enumerate(loads) if l > 0]
+    plans = [
+        plan_batches(loads[i], loads[i] if batch_size is None else min(batch_size, loads[i]))
+        for i in active
+    ]
+    width = max(plan.count for plan in plans)
+    sizes = np.zeros((len(active), width), dtype=np.int64)
+    omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
+    us = np.zeros((len(active), width))
+    (mx, my), (mvx, mvy) = world.master.position, world.master.velocity
+    params = []
+    for r, (i, plan) in enumerate(zip(active, plans)):
         nb = plan.count
+        sizes[r, :nb] = plan.batch_size
+        sizes[r, nb - 1] = plan.sizes[-1]
         wrng = rng.substream("worker", i)
-        if sigma > 0:
-            omegas = wrng.gen.normal(0.0, sigma, nb + 1)
-        else:
-            omegas = np.zeros(nb + 1)
-        us = wrng.gen.random(nb)
+        if cfg.noise_std_db > 0:
+            omega[r, : nb + 1] = wrng.gen.normal(0.0, cfg.noise_std_db, nb + 1)
+        wrng.gen.random(out=us[r, :nb])
+        kin, prof = world.workers[i]
+        slow = 1.0 + straggler.slowdown_factor if straggler.enabled and straggler.victim == i else 1.0
+        params.append((
+            kin.position[0] - mx, kin.position[1] - my,
+            kin.velocity[0] - mvx, kin.velocity[1] - mvy,
+            prof.alpha * slow, slow / prof.beta,
+        ))
+    # position and velocity relative to the master; compute profile scaled by the slowdown
+    rx, ry, rvx, rvy, alpha, inv_beta = np.array(params).T[:, :, None]
+    valid = sizes > 0
 
-        px, py = kin.position
-        vx, vy = kin.velocity
-        d0 = max(math.hypot(px - mx, py - my), min_d)
-        bc = m * u_bits / channel_capacity(d0, omegas[0], cfg)
+    bc = _send_time(len(x), np.hypot(rx, ry), omega[:, :1], cfg)
+    cpu = (sizes * (alpha - inv_beta * np.log1p(-us))).cumsum(axis=1) + bc
 
-        slow = 1.0
-        if straggler.enabled and straggler.victim == i:
-            slow = 1.0 + straggler.slowdown_factor
-        alpha, beta = prof.alpha, prof.beta
-
-        t_cpu = bc
-        link_free = bc
-        row_offset = i * p
-        for k in range(nb):
-            rows = plan.sizes[k]
-            t_cpu += (alpha * rows - (rows / beta) * math.log1p(-us[k])) * slow
-            begin = t_cpu if t_cpu > link_free else link_free
-            dx = (px + vx * begin) - (mx + mvx * begin)
-            dy = (py + vy * begin) - (my + mvy * begin)
-            d = max(math.hypot(dx, dy), min_d)
-            arrival = begin + rows * u_bits / channel_capacity(d, omegas[k + 1], cfg)
-            link_free = arrival
-            receipts.append((arrival, i, k, rows, row_offset))
-            row_offset += rows
-
-    receipts.sort(key=lambda r: (r[0], r[1], r[2]))
-    total_rows = sum(loads)
-    feasible = total_rows >= p
-    if feasible:
-        cum = 0
-        for cut, (arrival, _, _, rows, _) in enumerate(receipts):
-            cum += rows
-            if cum >= p:
-                t_done = arrival
-                received = cum
-                kept = receipts[: cut + 1]
-                break
+    tx = omega[:, 1:]
+    begin = cpu
+    for done in range(1, MAX_PASSES + 1):
+        tau = _send_time(sizes, np.hypot(rx + rvx * begin, ry + rvy * begin), tx, cfg)
+        if done >= width:  # pass n starts from begins that are final for n batches
+            break
+        # the max-plus scan, in place: S_k + max_{j<=k} (cpu_j - S_{j-1})
+        arrival = tau.cumsum(axis=1)
+        gap = arrival - tau
+        np.subtract(cpu, gap, out=gap)
+        arrival += np.maximum.accumulate(gap, axis=1, out=gap)
+        # a batch begins once computed and once its predecessor has arrived
+        settled = cpu.copy()
+        np.maximum(cpu[:, 1:], arrival[:, :-1], out=settled[:, 1:])
+        moved = (settled != begin) & valid
+        if not moved.any():
+            break
+        begin = settled
     else:
-        t_done = receipts[-1][0]
-        received = total_rows
-        kept = receipts
+        # a worker's begins up to its first moved one are final
+        for r in np.flatnonzero(moved.any(axis=1)):
+            for j in range(int(moved[r].argmax()), plans[r].count):
+                start = max(cpu[r, j], begin[r, j - 1] + tau[r, j - 1])
+                d = np.hypot(rx[r, 0] + rvx[r, 0] * start, ry[r, 0] + rvy[r, 0] * start)
+                begin[r, j] = start
+                tau[r, j] = _send_time(sizes[r, j], d, tx[r, j], cfg)
+    # padded slots never arrive; a stable sort of the worker-major layout
+    # breaks arrival ties by (worker, batch)
+    arrival = np.where(valid, begin + tau, np.inf).ravel()
+    order = arrival.argsort(kind="stable")
+    received = sizes.ravel()[order].cumsum()
+    # up to the first arrival that reaches p rows; an infeasible task keeps every batch
+    kept = order[: min(int(received.searchsorted(p)) + 1, sum(plan.count for plan in plans))]
+    workers = np.array(active)[kept // width]
+    rows = sizes.ravel()[kept]
+    receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival[kept].tolist()))
+    t_done = receipt_log[-1][2]
+    feasible = sum(loads) >= p
 
     decoded = None
     if encoded is not None and feasible:
-        idx = np.concatenate([np.arange(r0, r0 + rows) for _, _, _, rows, r0 in kept])
+        bsize = np.array([plan.batch_size for plan in plans])
+        first = workers * p + (kept % width) * bsize[kept // width]
+        idx = np.concatenate([np.arange(r0, r0 + c) for r0, c in zip(first, rows)])
         decoded = decode(enc.g[idx, :], mat_vec(encoded.a_hat[idx, :], x))
 
     record = TaskRecord(
         index=index,
         dispatch_time=world.clock,
         t_complete=t_done,
-        receipt_log=tuple((i, rows, arrival) for arrival, i, _, rows, _ in kept),
-        rows_received_at_completion=received,
+        receipt_log=receipt_log,
+        rows_received_at_completion=int(received[len(kept) - 1]),
         feasible=feasible,
         loads=loads,
         decoded=decoded,

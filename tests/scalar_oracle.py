@@ -1,0 +1,89 @@
+"""The scalar batch-by-batch engine, kept as the reference for simcore.run_task.
+
+It walks every worker's batches in a Python loop, evaluating the link at
+each transmission's begin time, then sorts every receipt by (arrival,
+worker, batch).  It draws the same random numbers as run_task and returns
+the TaskRecord fields that depend on timing; the differential tests in
+test_engine.py compare the two.
+"""
+
+import math
+
+from macc.coding import plan_batches
+from macc.envmodels import channel_capacity
+from macc.simcore import TaskRecord
+
+
+def run_task_scalar(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0):
+    loads = tuple(int(l) for l in alloc.loads)
+    p = enc.p
+    m = len(x)
+    u_bits = cfg.bits_per_element
+    sigma = cfg.noise_std_db
+    min_d = cfg.min_distance_m
+    mx, my = world.master.position
+    mvx, mvy = world.master.velocity
+
+    receipts = []  # (arrival, worker, batch index, rows)
+    for i, load in enumerate(loads):
+        if load == 0:
+            continue
+        kin, prof = world.workers[i]
+        plan = plan_batches(load, load if batch_size is None else min(batch_size, load))
+        nb = plan.count
+        wrng = rng.substream("worker", i)
+        if sigma > 0:
+            omegas = wrng.gen.normal(0.0, sigma, nb + 1)
+        else:
+            omegas = [0.0] * (nb + 1)
+        us = wrng.gen.random(nb)
+
+        px, py = kin.position
+        vx, vy = kin.velocity
+        d0 = max(math.hypot(px - mx, py - my), min_d)
+        bc = m * u_bits / channel_capacity(d0, omegas[0], cfg)
+
+        slow = 1.0
+        if straggler.enabled and straggler.victim == i:
+            slow = 1.0 + straggler.slowdown_factor
+        alpha, beta = prof.alpha, prof.beta
+
+        t_cpu = bc
+        link_free = bc
+        for k in range(nb):
+            rows = plan.sizes[k]
+            t_cpu += (alpha * rows - (rows / beta) * math.log1p(-us[k])) * slow
+            begin = t_cpu if t_cpu > link_free else link_free
+            dx = (px + vx * begin) - (mx + mvx * begin)
+            dy = (py + vy * begin) - (my + mvy * begin)
+            d = max(math.hypot(dx, dy), min_d)
+            arrival = begin + rows * u_bits / channel_capacity(d, omegas[k + 1], cfg)
+            link_free = arrival
+            receipts.append((arrival, i, k, rows))
+
+    receipts.sort(key=lambda r: (r[0], r[1], r[2]))
+    total_rows = sum(loads)
+    feasible = total_rows >= p
+    if feasible:
+        cum = 0
+        for cut, (arrival, _, _, rows) in enumerate(receipts):
+            cum += rows
+            if cum >= p:
+                t_done = arrival
+                received = cum
+                kept = receipts[: cut + 1]
+                break
+    else:
+        t_done = receipts[-1][0]
+        received = total_rows
+        kept = receipts
+
+    return TaskRecord(
+        index=index,
+        dispatch_time=world.clock,
+        t_complete=float(t_done),
+        receipt_log=tuple((i, rows, float(arrival)) for arrival, i, _, rows in kept),
+        rows_received_at_completion=received,
+        feasible=feasible,
+        loads=loads,
+    )

@@ -1,0 +1,252 @@
+"""The vectorized fixed-point engine against the scalar oracle, plus properties.
+
+run_task solves each worker's link recurrence as a fixed point over a
+padded (workers x batches) layout; scalar_oracle.run_task_scalar walks the
+same recurrence batch by batch.  Both draw the same random numbers, so
+they agree up to floating-point rounding: completion times to 1e-12
+relative, and rows, feasibility and kept receipts exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macc import simcore
+from macc.coding import generate_encoding_matrix
+from macc.config import ScenarioConfig
+from macc.envmodels import (
+    CommConfig,
+    ComputeProfile,
+    KinematicState,
+    StragglerPlan,
+    channel_capacity,
+)
+from macc.numerics import RngStream
+from macc.simcore import LoadAllocation, WorldState, run_task, sample_world
+
+from scalar_oracle import run_task_scalar
+
+RTOL = 1.0e-12
+
+
+def run_both(world, loads, p, m, batch_size, straggler, cfg, seed):
+    enc = generate_encoding_matrix(p, len(loads), RngStream(seed), materialize=False)
+    args = (world, LoadAllocation(tuple(loads)), batch_size, enc, np.zeros(m), straggler)
+    got, _ = run_task(*args, RngStream(seed).substream("task"), cfg)
+    want = run_task_scalar(*args, RngStream(seed).substream("task"), cfg)
+    return got, want
+
+
+def assert_matches_oracle(got, want):
+    assert got.t_complete == pytest.approx(want.t_complete, rel=RTOL, abs=0.0)
+    assert got.feasible == want.feasible
+    assert got.rows_received_at_completion == want.rows_received_at_completion
+    assert [r[:2] for r in got.receipt_log] == [r[:2] for r in want.receipt_log]
+    np.testing.assert_allclose(
+        [r[2] for r in got.receipt_log], [r[2] for r in want.receipt_log], rtol=RTOL, atol=0.0
+    )
+
+
+def random_loads(seed, n, p):
+    """Feasible, infeasible, or with an idle worker, by seed; never all zero."""
+    gen = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 1:  # infeasible: the loads cannot reach p
+        loads = gen.integers(0, p // (n + 1) + 1, n)
+    else:
+        loads = gen.integers(0, p + 1, n)
+        if kind == 2:
+            loads[gen.integers(n)] = 0
+    if not loads.any():
+        loads[0] = 1
+    return [int(l) for l in loads]
+
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("batch", ["one", "quarter", "single"])
+    @pytest.mark.parametrize("straggling", [False, True])
+    @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
+    def test_random_worlds(self, seed, batch, straggling, noise_std_db):
+        n = 2 + seed % 4
+        scenario = ScenarioConfig(n_workers=n, p_rows=120, m_cols=80,
+                                  beta_range=(1.0e3, 1.0e5))
+        cfg = CommConfig(noise_std_db=noise_std_db)
+        world, _, victim = sample_world(scenario, RngStream(seed).substream("env"))
+        b = {"one": 1, "quarter": scenario.p_rows // 4, "single": None}[batch]
+        plan = StragglerPlan(enabled=straggling, victim=victim)
+        loads = random_loads(seed, n, scenario.p_rows)
+        got, want = run_both(world, loads, scenario.p_rows, scenario.m_cols, b, plan, cfg, seed)
+        assert got.feasible == (sum(loads) >= scenario.p_rows)
+        assert_matches_oracle(got, want)
+
+    def test_identical_workers_tie_by_worker_then_batch(self):
+        # noiseless, tail-free and co-located: every batch of the four
+        # workers arrives at the same instant as its peers
+        kin = KinematicState(position=(3.0, 4.0), velocity=(1.0, -1.0))
+        world = WorldState(
+            master=KinematicState(position=(0.0, 0.0), velocity=(0.0, 0.0)),
+            workers=((kin, ComputeProfile(alpha=1.0e-4, beta=math.inf)),) * 4,
+        )
+        got, want = run_both(world, [12] * 4, 40, 5, 1, StragglerPlan(),
+                             CommConfig(noise_std_db=0.0), 0)
+        assert [w for w, _, _ in got.receipt_log] == [0, 1, 2, 3] * 10
+        assert_matches_oracle(got, want)
+
+    def test_zero_load_workers_and_infeasible_total(self):
+        world, _, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(5).substream("env"))
+        got, want = run_both(world, [0, 30, 0, 40], 200, 50, 7, StragglerPlan(), CommConfig(), 5)
+        assert not got.feasible and got.rows_received_at_completion == 70
+        assert {w for w, _, _ in got.receipt_log} == {1, 3}
+        assert_matches_oracle(got, want)
+
+
+def close_pass_world():
+    """A worker that sweeps through the master at 20 m/s, 0.3 m off its path.
+
+    Its distance falls below min_distance_m while it streams, so the clamp
+    is active, and the send times change fastest there.
+    """
+    master = KinematicState(position=(0.0, 0.0), velocity=(0.0, 0.0))
+    workers = (
+        (KinematicState(position=(-3.0, 0.3), velocity=(20.0, 0.0)),
+         ComputeProfile(alpha=1.0e-5, beta=1.0e5)),
+        (KinematicState(position=(40.0, -30.0), velocity=(-2.0, 1.0)),
+         ComputeProfile(alpha=2.0e-5, beta=5.0e4)),
+    )
+    return WorldState(master=master, workers=workers)
+
+
+class TestSequentialFinish:
+    def test_close_pass_matches_oracle(self):
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+                             CommConfig(), 3)
+        assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_unconverged_workers_finish_sequentially(self, monkeypatch, passes):
+        scalar_calls = []
+        vector_capacity = simcore.channel_capacity
+
+        def counting(d, omega, cfg):
+            if np.ndim(d) == 0:
+                scalar_calls.append(d)
+            return vector_capacity(d, omega, cfg)
+
+        monkeypatch.setattr(simcore, "MAX_PASSES", passes)
+        monkeypatch.setattr(simcore, "channel_capacity", counting)
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+                             CommConfig(), 3)
+        assert scalar_calls, "the capped fixed point should leave batches to the sequential finish"
+        assert min(scalar_calls) < CommConfig().min_distance_m  # the clamp was active there
+        assert_matches_oracle(got, want)
+
+
+# ---------------------------------------------------------------- properties
+
+coords = st.floats(-100.0, 100.0)
+speeds = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def tasks(draw, max_workers=4):
+    n = draw(st.integers(1, max_workers))
+    p = draw(st.integers(1, 60))
+    loads = draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
+    if not any(loads):
+        loads[draw(st.integers(0, n - 1))] = draw(st.integers(1, p))
+    workers = tuple(
+        (KinematicState(position=(draw(coords), draw(coords)),
+                        velocity=(draw(speeds), draw(speeds))),
+         ComputeProfile(alpha=1.0 / beta, beta=beta))
+        for beta in draw(st.lists(st.floats(1.0e3, 1.0e5), min_size=n, max_size=n))
+    )
+    master = KinematicState(position=(draw(coords), draw(coords)),
+                            velocity=(draw(speeds), draw(speeds)))
+    return dict(
+        world=WorldState(master=master, workers=workers),
+        loads=loads,
+        p=p,
+        m=draw(st.integers(1, 50)),
+        batch_size=draw(st.one_of(st.none(), st.integers(1, p))),
+        straggler=StragglerPlan(enabled=draw(st.booleans()), victim=draw(st.integers(0, n - 1))),
+        cfg=CommConfig(noise_std_db=draw(st.sampled_from([0.0, 1.0, 4.0]))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def simulate(task, p=None):
+    p = task["p"] if p is None else p
+    enc = generate_encoding_matrix(p, len(task["loads"]), RngStream(0), materialize=False)
+    rec, _ = run_task(task["world"], LoadAllocation(tuple(task["loads"])), task["batch_size"],
+                      enc, np.zeros(task["m"]), task["straggler"],
+                      RngStream(task["seed"]).substream("task"), task["cfg"])
+    return rec
+
+
+def all_receipts(task):
+    """Every receipt of the task: with p above the total load, nothing completes early."""
+    return simulate(task, p=sum(task["loads"]) + 1).receipt_log
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tasks())
+    def test_each_workers_arrivals_strictly_increase(self, task):
+        log = all_receipts(task)
+        assert sum(rows for _, rows, _ in log) == sum(task["loads"])
+        for i in set(w for w, _, _ in log):
+            times = [t for w, _, t in log if w == i]
+            assert all(a < b for a, b in zip(times, times[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tasks())
+    def test_completion_is_first_arrival_reaching_p(self, task):
+        log = all_receipts(task)
+        assert log == tuple(sorted(log, key=lambda r: (r[2], r[0])))
+        cum = np.cumsum([rows for _, rows, _ in log])
+        rec = simulate(task)
+        if rec.feasible:
+            cut = int(np.searchsorted(cum, task["p"])) + 1
+            assert rec.receipt_log == log[:cut]
+        else:
+            assert rec.receipt_log == log
+        assert rec.t_complete == rec.receipt_log[-1][2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(tasks())
+    def test_kept_rows_are_the_rows_received(self, task):
+        rec = simulate(task)
+        kept = sum(rows for _, rows, _ in rec.receipt_log)
+        assert kept == rec.rows_received_at_completion
+        assert rec.feasible == (sum(task["loads"]) >= task["p"])
+        if rec.feasible:
+            assert kept >= task["p"]
+        else:
+            assert kept == sum(task["loads"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(tasks(max_workers=1))
+    def test_single_worker_single_batch_closed_form(self, task):
+        task["batch_size"] = None
+        task["loads"] = [max(task["loads"][0], 1)]
+        (kin, prof), = task["world"].workers
+        master, cfg, l = task["world"].master, task["cfg"], task["loads"][0]
+        wrng = RngStream(task["seed"]).substream("task").substream("worker", 0)
+        omega = wrng.gen.normal(0.0, cfg.noise_std_db, 2) if cfg.noise_std_db > 0 else [0.0, 0.0]
+        u = wrng.gen.random(1)[0]
+        slow = 1.0 + task["straggler"].slowdown_factor if task["straggler"].enabled else 1.0
+
+        def distance_at(t):
+            dx = (kin.position[0] + kin.velocity[0] * t) - (master.position[0] + master.velocity[0] * t)
+            dy = (kin.position[1] + kin.velocity[1] * t) - (master.position[1] + master.velocity[1] * t)
+            return math.hypot(dx, dy)
+
+        broadcast = task["m"] * cfg.bits_per_element / channel_capacity(distance_at(0.0), omega[0], cfg)
+        compute = (prof.alpha * l - (l / prof.beta) * math.log1p(-u)) * slow
+        begin = broadcast + compute
+        expected = begin + l * cfg.bits_per_element / channel_capacity(distance_at(begin), omega[1], cfg)
+        assert simulate(task).t_complete == pytest.approx(expected, rel=RTOL, abs=0.0)

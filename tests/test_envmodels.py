@@ -53,6 +53,17 @@ class TestChannelCapacity:
         cfg = CommConfig(noise_power_w=10.0 ** (-2.4))
         assert abs(channel_capacity(1.0, 0.0, cfg) - cfg.bandwidth_hz) < 1e-6
 
+    def test_elementwise_on_arrays(self):
+        d = np.array([[0.2, 1.0, 7.5], [30.0, 99.0, 250.0]])
+        omega = np.array([[0.0, -1.5, 2.0], [0.7, 0.0, -3.0]])
+        caps = channel_capacity(d, omega, CFG)
+        assert caps.shape == d.shape
+        for (i, j), c in np.ndenumerate(caps):
+            assert c == channel_capacity(float(d[i, j]), float(omega[i, j]), CFG)
+        # one omega broadcast over several distances, as for a column of batches
+        np.testing.assert_array_equal(channel_capacity(d, omega[:, :1], CFG),
+                                      channel_capacity(d, np.repeat(omega[:, :1], 3, axis=1), CFG))
+
 
 class TestCommTime:
     def test_single_element_at_one_meter(self):

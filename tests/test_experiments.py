@@ -3,6 +3,7 @@ import pytest
 
 from macc import experiments
 from macc.config import ScenarioConfig
+from macc.envmodels import ComputeProfile
 from macc.experiments import (
     METRICS_COLUMNS,
     compare_schemes,
@@ -37,6 +38,19 @@ class TestAllocatorFactory:
     def test_marl_needs_agents(self):
         with pytest.raises(ValueError):
             make_allocator("marl", TINY)
+
+    @pytest.mark.parametrize("scheme, name", [("hcmm", "hcmm_alloc"),
+                                              ("load-balanced", "load_balanced_alloc")])
+    def test_profile_based_loads_computed_once_per_episode(self, monkeypatch, scheme, name):
+        calls = []
+        solve = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda p, profiles: calls.append(1) or solve(p, profiles))
+        records = evaluate_scheme(TINY, scheme, 3, seed=3)
+        assert len(calls) == 3  # one per episode, not one per task
+        for rec in records:
+            profiles = [ComputeProfile(alpha=1.0 / b, beta=b) for b in rec.betas]
+            want = solve(TINY.p_rows, profiles).loads
+            assert all(task.loads == want for task in rec.tasks)
 
 
 class TestEvaluateScheme:
@@ -84,7 +98,18 @@ class TestSummaries:
         mean, std, half = summarize(records)
         assert mean == pytest.approx(t.mean())
         assert std == pytest.approx(t.std(ddof=1))
-        assert half == pytest.approx(1.96 * t.std(ddof=1) / np.sqrt(5))
+        # Student-t critical value at 4 degrees of freedom
+        assert half == pytest.approx(2.7764451 * t.std(ddof=1) / np.sqrt(5))
+
+    def test_halfwidth_uses_student_t_at_twenty_episodes(self):
+        records = evaluate_scheme(TINY, "uniform", 20, seed=8)
+        _, std, half = summarize(records)
+        assert half == pytest.approx(2.0930241 * std / np.sqrt(20))
+
+    @pytest.mark.parametrize("df, want", [(31, 2.0395), (50, 2.0086), (100, 1.9840),
+                                          (1000, 1.9623)])
+    def test_t_quantile_between_table_anchors(self, df, want):
+        assert experiments._t_quantile_975(df) == pytest.approx(want, abs=2e-4)
 
     def test_single_record_has_zero_spread(self):
         records = evaluate_scheme(TINY, "uniform", 1, seed=8)
