@@ -17,10 +17,8 @@ from macc.envmodels import (
     CommConfig,
     ComputeProfile,
     StragglerPlan,
-    apply_straggler,
     channel_capacity,
-    comm_time,
-    comp_time_sample,
+    comp_time,
 )
 from macc.numerics import RngStream
 
@@ -36,8 +34,10 @@ for d in (1, 2, 5, 10, 50, 100):
     t = 200 * cfg.bits_per_element / c
     print(f"{d:>5} m   {c:>11.0f} b/s   {t * 1e3:8.2f} ms")
 
-# shadowing makes each transmission's rate a draw, not a constant
-times = [comm_time(200, 1, 10.0, rng.substream("tx", k), cfg) for k in range(2000)]
+# shadowing makes each transmission's rate a draw, not a constant:
+# omega ~ N(0, sigma^2) dB once per transmission
+omega = rng.substream("tx").gen.normal(0.0, cfg.noise_std_db, 2000)
+times = 200 * cfg.bits_per_element / channel_capacity(10.0, omega, cfg)
 print(f"\n200 rows at 10 m with shadowing: mean {np.mean(times) * 1e3:.2f} ms, "
       f"spread {np.std(times) * 1e3:.2f} ms")
 
@@ -46,8 +46,8 @@ print(f"\n200 rows at 10 m with shadowing: mean {np.mean(times) * 1e3:.2f} ms, "
 # ----------------------------------------------------------------------
 profile = ComputeProfile(alpha=1e-4, beta=1e4)
 load = 100
-draws = np.array([comp_time_sample(load, profile, rng.substream("cpu", k))
-                  for k in range(20000)])
+u = rng.substream("cpu").gen.random(20000)  # U ~ Uniform[0, 1), one per draw
+draws = comp_time(load, u, profile.alpha, profile.beta)
 floor = profile.alpha * load
 mean_expect = floor + load / profile.beta
 print(f"\n{load} rows on (alpha {profile.alpha}, beta {profile.beta:.0f}):")
@@ -63,5 +63,5 @@ print(f"  P(t <= mean) = {np.mean(draws <= mean_expect):.3f} "
 plan = StragglerPlan(enabled=True, victim=0, slowdown_factor=10.0)
 t = draws[0]
 print(f"\nsampled computation {t * 1e3:.2f} ms -> "
-      f"victim pays {apply_straggler(t, 0, plan) * 1e3:.2f} ms, "
-      f"others still {apply_straggler(t, 1, plan) * 1e3:.2f} ms")
+      f"victim pays {t * plan.time_factor(0) * 1e3:.2f} ms, "
+      f"others still {t * plan.time_factor(1) * 1e3:.2f} ms")

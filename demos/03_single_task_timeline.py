@@ -70,7 +70,7 @@ for b in (1, 5, 15, 30, None):
 ep = run_episode(
     ScenarioConfig(name="demo", n_workers=3, p_rows=60, m_cols=40, k_tasks=4,
                    beta_range=(5e3, 1e4), batch_size=10),
-    lambda world, j: (30, 30, 30),
+    lambda world, states: (30, 30, 30),
     RngStream(42),
 )
 print(f"\n4-task episode: total {ep.total_time * 1e3:.1f} ms, "

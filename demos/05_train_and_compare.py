@@ -6,8 +6,8 @@ Each worker is an agent choosing its own load from local geometry; a
 centralized critic per agent scores the joint choice with the shared
 reward -T_j - 200 * 1[sum l < p].  This script trains at desk scale,
 then runs the paired comparison that the `macc compare` command
-automates.  Roughly half a minute end to end; the full-size runs behind
-the CLI use the same code paths.
+automates.  About 15 s end to end on a 2-CPU VM; the full-size runs
+behind the CLI use the same code paths.
 """
 
 import numpy as np
@@ -39,7 +39,6 @@ print(f"first 10% of iterations: {first:.2f}   final 10%: {final:.2f}")
 # ----------------------------------------------------------------------
 # 2. What did the actors learn to request?
 # ----------------------------------------------------------------------
-allocator = marl.policy_allocator(agents, scenario)
 records = experiments.evaluate_scheme(
     scenario, "marl", 5, seed=42, agents=agents, straggler=True
 )

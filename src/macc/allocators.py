@@ -1,10 +1,11 @@
-"""Baseline load allocation schemes and the trained-policy adapter.
+"""Baseline load allocation schemes.
 
 Three baselines: uniform (equal split of exactly p rows), load-balanced
 (split of exactly p rows proportional to beta / (alpha beta + 1)), and HCMM
 (per-worker loads p / (h lambda_i) with redundancy, lambda_i solving
-e^(beta lambda) = e^(alpha beta) (beta lambda + 1)).  The policy adapter
-turns trained actor outputs in [0, 1] into integer loads.
+e^(beta lambda) = e^(alpha beta) (beta lambda + 1)).  The trained policy's
+allocator is marl.policy_allocator; simcore.run_episode turns every
+allocator's output into integer loads.
 """
 
 import math
@@ -90,19 +91,3 @@ def hcmm_alloc(p, profiles):
     loads = [min(int(math.ceil(p / (h * l))), int(p)) for l in lam]
     return HcmmSolution(lam=tuple(lam), h=h, loads=tuple(loads))
 
-
-def policy_alloc(actors, joint_state, p):
-    """Turn per-agent actor outputs in [0, 1] into integer loads in [0, p].
-
-    actors is one callable per worker mapping its (normalized) state vector
-    to a scalar action; loads are round(p * action) clamped to [0, p].
-    """
-    if len(actors) != len(joint_state):
-        raise ValueError(
-            f"have {len(actors)} actors but {len(joint_state)} agent states"
-        )
-    loads = []
-    for actor, s in zip(actors, joint_state):
-        a = float(actor(s))
-        loads.append(int(min(max(round(p * a), 0), p)))
-    return LoadAllocation(tuple(loads))

@@ -5,7 +5,7 @@ matrix.  Any p rows of G are full rank with probability 1, so the product
 A x is recoverable by least squares from any p encoded result rows,
 whichever workers they came from.
 
-One G of q_max = N p rows is generated per run; worker i owns the block of
+One G of N p rows is generated per run; worker i owns the block of
 rows [i p, (i+1) p) and a load of l rows means the first l rows of that
 block.  This fixed superset is equivalent to re-encoding with q = sum(l)
 rows per task and avoids repeating the encoding cost.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, least_squares_solve, mat_vec
+from .numerics import as_matrix, as_vector, least_squares_solve
 
 
 class InsufficientRowsError(ValueError):
@@ -26,21 +26,13 @@ class InsufficientRowsError(ValueError):
 class EncodingMatrix:
     """Encoding matrix handle.
 
-    g is the (q_max, p) Gaussian matrix, or None when the run only needs
+    g is the (N p, p) Gaussian matrix, or None when the run only needs
     event timing and never touches the numerics (see generate_encoding_matrix).
     """
 
     g: object
     p: int
     n_workers: int
-
-    @property
-    def block_size(self):
-        return self.p
-
-    @property
-    def q_max(self):
-        return self.n_workers * self.p
 
 
 @dataclass(frozen=True)
@@ -92,19 +84,6 @@ def encode(enc, a):
     return EncodedTaskMatrix(a_hat=enc.g @ a, enc=enc, a=a)
 
 
-def worker_rows(enc, worker_id, load):
-    """Row indices of A_hat assigned to a worker: the first `load` rows of its block."""
-    if not 0 <= worker_id < enc.n_workers:
-        raise ValueError(f"worker_id {worker_id} out of range [0, {enc.n_workers})")
-    load = int(load)
-    if load < 0:
-        raise ValueError(f"negative load: {load}")
-    if load > enc.block_size:
-        raise ValueError(f"load {load} exceeds the per-worker block of {enc.block_size} rows")
-    start = worker_id * enc.p
-    return range(start, start + load)
-
-
 def plan_batches(load, batch_size):
     """Partition a load of l rows into w = ceil(l / b) batches.
 
@@ -135,22 +114,3 @@ def decode(g_received, y_received):
         raise InsufficientRowsError(f"received {q} rows, need at least {p} to decode")
     return least_squares_solve(g_received, y_received)
 
-
-def decode_from_receipts(encoded, x, receipts, p):
-    """Materialized end-to-end check: encoded rows -> worker results -> decode.
-
-    receipts is an iterable of (worker_id, row_indices) in arrival order.
-    Takes the first rows reaching a cumulative count of p and decodes them.
-    Used by verification-mode tests; the timing engine never calls this.
-    """
-    x = as_vector(x)
-    rows = []
-    for _, idx in receipts:
-        rows.extend(idx)
-        if len(rows) >= p:
-            break
-    if len(rows) < p:
-        raise InsufficientRowsError(f"received {len(rows)} rows, need at least {p} to decode")
-    g_sub = encoded.enc.g[rows, :]
-    y_sub = mat_vec(encoded.a_hat[rows, :], x)
-    return decode(g_sub, y_sub)

@@ -39,7 +39,6 @@ class ScenarioConfig:
     pos_range: tuple = (-100.0, 100.0)
     vel_range: tuple = (-10.0, 10.0)
     beta_range: tuple = (5.0e3, 1.0e4)
-    alpha_rule: str = "inverse_beta"
     comm: CommConfig = field(default_factory=CommConfig)
     straggler_enabled: bool = False
     straggler_slowdown: float = 10.0
@@ -56,8 +55,6 @@ class ScenarioConfig:
                 raise ConfigError(f"scenario.{key}_range: min {rng[0]} exceeds max {rng[1]}")
         if self.beta_range[0] <= 0:
             raise ConfigError(f"scenario.beta_min: must be positive, got {self.beta_range[0]}")
-        if self.alpha_rule != "inverse_beta":
-            raise ConfigError(f"scenario.alpha_rule: unknown rule '{self.alpha_rule}'")
         if self.batch_size < 1:
             raise ConfigError(f"scenario.batch_size: must be >= 1, got {self.batch_size}")
         if self.straggler_slowdown < 1:
@@ -133,7 +130,6 @@ _SCENARIO_KEYS = {
     "vel_max": float,
     "beta_min": float,
     "beta_max": float,
-    "alpha_rule": str,
     "batch_size": int,
     "seed": int,
 }

@@ -12,6 +12,11 @@ additionally sleeps for slowdown_factor times its computation time, so its
 total is (1 + slowdown_factor) times the sampled value.
 
 Nodes move with constant velocity: p(t') = p(t) + v (t' - t).
+
+These are the only copies of the models: simcore.run_task calls
+channel_capacity and comp_time on whole arrays of batches,
+StragglerPlan.time_factor per worker, and advance to move the world.  The agents' state and the
+shared reward are built in simcore, next to the engine.
 """
 
 import math
@@ -85,6 +90,12 @@ class StragglerPlan:
         if self.slowdown_factor < 1:
             raise ValueError(f"slowdown factor must be >= 1, got {self.slowdown_factor}")
 
+    def time_factor(self, worker):
+        """Computation-time multiple of a worker: 1 + slowdown_factor for the victim."""
+        if self.enabled and worker == self.victim:
+            return 1.0 + self.slowdown_factor
+        return 1.0
+
 
 def signal_power(d, omega, cfg):
     """Received power S (W) at distance d (m) with dB noise omega; elementwise on arrays.
@@ -103,30 +114,14 @@ def channel_capacity(d, omega, cfg):
     return cfg.bandwidth_hz * np.log2(1.0 + s / cfg.noise_power_w)
 
 
-def comm_time(rows, cols, d, rng, cfg):
-    """Transmission time of a (rows x cols) payload over the link at distance d.
+def comp_time(rows, u, alpha, beta, slowdown=1.0):
+    """Shifted-exponential computation time of `rows` rows; elementwise on arrays.
 
-    Draws the dB noise omega once for this transmission, then
-    rows * cols * u / C(d, omega).
+    t = slowdown (alpha l - (l / beta) ln(1 - U)) for U ~ Uniform[0, 1),
+    computed as l (slowdown alpha - (slowdown / beta) ln(1 - U)); always
+    >= slowdown alpha l, and zero for zero rows.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"payload dimensions must be >= 1, got ({rows}, {cols})")
-    omega = 0.0
-    if cfg.noise_std_db > 0:
-        omega = rng.gen.normal(0.0, cfg.noise_std_db)
-    return rows * cols * cfg.bits_per_element / channel_capacity(d, omega, cfg)
-
-
-def comp_time_sample(load, profile, rng):
-    """Shifted-exponential computation time for `load` rows.
-
-    t = alpha l - (l / beta) ln(1 - U), U ~ Uniform[0, 1); always >= alpha l.
-    """
-    load = int(load)
-    if load < 1:
-        raise ValueError(f"load must be >= 1, got {load}")
-    u = rng.gen.random()
-    return profile.alpha * load - (load / profile.beta) * math.log1p(-u)
+    return rows * (alpha * slowdown - slowdown / beta * np.log1p(-u))
 
 
 def advance(k, dt):
@@ -138,17 +133,8 @@ def advance(k, dt):
     return KinematicState(position=(px + vx * dt, py + vy * dt), velocity=k.velocity)
 
 
-def apply_straggler(t_comp, worker_id, plan):
-    """Add the victim's sleep: t * (1 + slowdown_factor) if worker_id straggles."""
-    if t_comp < 0:
-        raise ValueError(f"negative computation time: {t_comp}")
-    if plan.enabled and worker_id == plan.victim:
-        return t_comp * (1.0 + plan.slowdown_factor)
-    return t_comp
-
-
-def distance(a, b, min_distance=0.0):
+def distance(a, b):
     """Euclidean distance between two kinematic states' positions."""
     dx = a.position[0] - b.position[0]
     dy = a.position[1] - b.position[1]
-    return max(math.hypot(dx, dy), min_distance)
+    return math.hypot(dx, dy)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
-from .config import config_digest
+from .config import ConfigError, config_digest
 from .numerics import RngStream
 from .simcore import episode_to_json, run_episode
 
@@ -39,7 +39,7 @@ def make_allocator(scheme, scenario, agents=None):
     n = scenario.n_workers
     if scheme == "uniform":
         loads = uniform_alloc(p, n).loads
-        return lambda world, j: loads
+        return lambda world, states: loads
     if scheme == "load-balanced":
         return _per_profiles(lambda profiles: load_balanced_alloc(p, profiles).loads)
     if scheme == "hcmm":
@@ -47,6 +47,14 @@ def make_allocator(scheme, scenario, agents=None):
     if scheme == "marl":
         if agents is None:
             raise ValueError("the marl scheme needs trained agents (checkpoint)")
+        if len(agents) != n:
+            raise ConfigError(f"checkpoint has {len(agents)} agents, scenario has {n} workers")
+        for a in agents:
+            if a.actor.dims[0] != marl.state_dim(n):
+                raise ConfigError(
+                    f"checkpoint actors take states of width {a.actor.dims[0]}, "
+                    f"scenario with {n} workers has width {marl.state_dim(n)}"
+                )
         return marl.policy_allocator(agents, scenario)
     raise ValueError(f"unknown scheme '{scheme}' (have {', '.join(SCHEMES)})")
 
@@ -59,7 +67,7 @@ def _per_profiles(loads_of):
     """
     seen, loads = None, None
 
-    def allocator(world, j):
+    def allocator(world, states):
         nonlocal seen, loads
         profiles = tuple(prof for _, prof in world.workers)
         if profiles != seen:

@@ -1,11 +1,10 @@
-"""MARL formulation (states, rewards) and the MADDPG trainer.
+"""MADDPG trainer for the load-allocation MDP of simcore.run_episode.
 
-Each worker is an agent. Its state is [d_i, d_-i, v_i, v_-i, v_m]
-(dimension 3N+2): own distance to the master, the other workers'
-distances, own velocity, the others' velocities, and the master's
-velocity.  The action is the load l_i in [0, p], handled internally in
-normalized [0, 1] form.  All agents share one reward
-r = -T_j - c 1[sum(l) < p].
+Each worker is an agent. simcore.build_state gives its raw state
+[d_i, d_-i, v_i, v_-i, v_m] (dimension 3N+2) and simcore.reward the
+shared reward r = -T_j - c 1[sum(l) < p]; this module scales the states
+for the networks and learns the actions.  The action is the load l_i in
+[0, p], handled internally in normalized [0, 1] form.
 
 Training follows MADDPG: per agent an actor, a centralized critic over the
 joint state and action, and Polyak-averaged target copies of both.
@@ -22,30 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .envmodels import distance
 from .nets import Mlp, make_optimizer
+from .simcore import build_state  # noqa: F401  perfbench/tracer.py times it as marl.build_state
 
 HIDDEN = (64, 64, 64)
 
 
 def state_dim(n_workers):
     return 3 * n_workers + 2
-
-
-def build_state(world, agent):
-    """Raw (unnormalized) state vector of one agent, dimension 3N+2."""
-    n = world.n_workers
-    if not 0 <= agent < n:
-        raise ValueError(f"agent index {agent} out of range [0, {n})")
-    dists = [distance(k, world.master) for k, _ in world.workers]
-    s = [dists[agent]]
-    s.extend(dists[i] for i in range(n) if i != agent)
-    s.extend(world.workers[agent][0].velocity)
-    for i in range(n):
-        if i != agent:
-            s.extend(world.workers[i][0].velocity)
-    s.extend(world.master.velocity)
-    return np.array(s)
 
 
 def state_scales(scenario):
@@ -63,22 +46,6 @@ def normalize_states(states, n_workers, scales):
     out[..., :n_workers] /= d_scale
     out[..., n_workers:] /= v_scale
     return out
-
-
-def reward(t_complete, alloc, p, c=200.0, boundary="lt"):
-    """Shared reward -T_j - c when the allocation misses the decodability bar.
-
-    boundary "lt" penalizes sum(l) < p (the constraint-consistent reading);
-    "le" penalizes sum(l) <= p (the literal formula).
-    """
-    total = alloc.total if hasattr(alloc, "total") else int(sum(alloc))
-    if boundary == "lt":
-        short = total < p
-    elif boundary == "le":
-        short = total <= p
-    else:
-        raise ValueError(f"boundary must be 'lt' or 'le', got '{boundary}'")
-    return -float(t_complete) - (float(c) if short else 0.0)
 
 
 @dataclass
@@ -110,11 +77,6 @@ def make_agents(n_workers, rng, lr=0.01, optimizer="adam", hidden=HIDDEN):
             )
         )
     return agents
-
-
-def actor_forward(nets, s):
-    """Deterministic policy output in (0, 1)."""
-    return nets.actor.forward(s)
 
 
 def _critic_input(states, actions):
@@ -229,32 +191,24 @@ class ReplayBuffer:
         }
 
 
-def make_policy(agents, scenario):
-    """Actor callables over normalized states, ready for policy_alloc."""
-    return [
-        (lambda s, _a=nets.actor: float(_a.forward(s)[0]))
-        for nets in agents
-    ]
-
-
 def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
-    """Allocator closure for run_episode: states -> actor loads.
+    """Allocator closure for run_episode: raw joint states -> raw loads p a_i.
 
     With noise_rng set, exploration noise is added to each pre-scaling
-    action and the result clipped back to [0, 1].
+    action and the result clipped back to [0, 1].  run_episode rounds the
+    loads to integers.
     """
     scales = state_scales(scenario)
     n = scenario.n_workers
     p = scenario.p_rows
 
-    def allocate(world, task_index):
-        raw = np.stack([build_state(world, i) for i in range(n)])
-        norm = normalize_states(raw, n, scales)
+    def allocate(world, states):
+        norm = normalize_states(states, n, scales)
         acts = np.array([float(agents[i].actor.forward(norm[i])[0]) for i in range(n)])
         if noise_rng is not None and noise_std > 0:
             acts = acts + noise_rng.gen.normal(0.0, noise_std, n)
             acts = np.clip(acts, 0.0, 1.0)
-        return [int(round(p * a)) for a in acts]
+        return p * acts
 
     return allocate
 

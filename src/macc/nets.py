@@ -142,7 +142,6 @@ class Sgd:
 
     def __init__(self, params, lr):
         self.lr = lr
-        self._n = len(params)
 
     def step(self, params, grads):
         for p, g in zip(params, grads):

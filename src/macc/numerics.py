@@ -148,22 +148,3 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
-
-def sample_uniform(lo, hi, rng, size=None):
-    """Uniform draw(s) from [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-    if lo == hi:
-        return float(lo) if size is None else np.full(size, float(lo))
-    out = rng.gen.uniform(lo, hi, size=size)
-    return float(out) if size is None else out
-
-
-def sample_gaussian(mean, std, rng, size=None):
-    """Gaussian draw(s) with the given mean and standard deviation."""
-    if std < 0:
-        raise ValueError(f"negative standard deviation: {std}")
-    if std == 0:
-        return float(mean) if size is None else np.full(size, float(mean))
-    out = rng.gen.normal(mean, std, size=size)
-    return float(out) if size is None else out

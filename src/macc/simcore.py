@@ -1,4 +1,5 @@
-"""Discrete-event engine for the master/worker batch-processing protocol.
+"""Discrete-event engine for the master/worker batch-processing protocol,
+and the MDP step built on it.
 
 One task: the master broadcasts x to every loaded worker over dedicated
 links, each worker computes its assigned encoded rows batch by batch
@@ -8,15 +9,21 @@ and the link is free of the previous result; the link distance is evaluated
 at that instant, with all nodes drifting at constant velocity.  The master
 counts received rows and the task completes at the arrival that first
 reaches p cumulative rows; results still in flight are ignored
-(acknowledgment semantics).
+(acknowledgment semantics).  The link, compute and straggler models are
+envmodels' functions, called on whole arrays of batches.
 
 All times inside a TaskRecord are measured from the task dispatch; the
 world clock accumulates completion times across the K tasks of an episode,
 since task j+1 is dispatched only once task j completed.
+
+An episode is the MDP the allocators act in: before each task run_episode
+builds the joint state (build_state), asks the allocator for loads, rounds
+and clamps them to integers, runs the task and scores it (reward).
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +34,8 @@ from .envmodels import (
     StragglerPlan,
     advance,
     channel_capacity,
+    comp_time,
+    distance,
 )
 from .numerics import mat_vec
 
@@ -85,7 +94,7 @@ class TaskRecord:
 @dataclass(frozen=True)
 class EpisodeRecord:
     tasks: tuple
-    states: tuple                  # per task: (N, 3N+2) raw state matrix
+    states: tuple                  # per task: (N, 3N+2) raw joint state, see build_state
     actions: tuple                 # per task: loads
     rewards: tuple                 # per task scalar (identical across agents)
     total_time: float
@@ -152,18 +161,17 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
             omega[r, : nb + 1] = wrng.gen.normal(0.0, cfg.noise_std_db, nb + 1)
         wrng.gen.random(out=us[r, :nb])
         kin, prof = world.workers[i]
-        slow = 1.0 + straggler.slowdown_factor if straggler.enabled and straggler.victim == i else 1.0
         params.append((
             kin.position[0] - mx, kin.position[1] - my,
             kin.velocity[0] - mvx, kin.velocity[1] - mvy,
-            prof.alpha * slow, slow / prof.beta,
+            prof.alpha, prof.beta, straggler.time_factor(i),
         ))
-    # position and velocity relative to the master; compute profile scaled by the slowdown
-    rx, ry, rvx, rvy, alpha, inv_beta = np.array(params).T[:, :, None]
+    # position and velocity relative to the master, compute profile and slowdown
+    rx, ry, rvx, rvy, alpha, beta, slow = np.array(params).T[:, :, None]
     valid = sizes > 0
 
     bc = _send_time(len(x), np.hypot(rx, ry), omega[:, :1], cfg)
-    cpu = (sizes * (alpha - inv_beta * np.log1p(-us))).cumsum(axis=1) + bc
+    cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
 
     tx = omega[:, 1:]
     begin = cpu
@@ -260,6 +268,39 @@ def sample_world(scenario, rng):
     return WorldState(master=master, workers=workers, clock=0.0), tuple(betas), victim
 
 
+def build_state(world):
+    """Raw joint state of the N agents, one row each: shape (N, 3N+2).
+
+    Row i is agent i's [d_i, d_-i, v_i, v_-i, v_m]: its own distance to the
+    master, the other workers' distances, its own velocity, the others'
+    velocities (the others in worker order) and the master's velocity.
+    """
+    n = world.n_workers
+    order = [[i, *range(i), *range(i + 1, n)] for i in range(n)]
+    dists = np.array([distance(k, world.master) for k, _ in world.workers])
+    vels = np.array([k.velocity for k, _ in world.workers])
+    states = np.empty((n, 3 * n + 2))
+    states[:, :n] = dists[order]
+    states[:, n:-2] = vels[order].reshape(n, 2 * n)
+    states[:, -2:] = world.master.velocity
+    return states
+
+
+def reward(t_complete, alloc, p, c=200.0, boundary="lt"):
+    """Shared reward -T_j - c when the allocation misses the decodability bar.
+
+    boundary "lt" penalizes sum(l) < p (the constraint-consistent reading);
+    "le" penalizes sum(l) <= p (the literal formula).
+    """
+    if boundary == "lt":
+        short = alloc.total < p
+    elif boundary == "le":
+        short = alloc.total <= p
+    else:
+        raise ValueError(f"boundary must be 'lt' or 'le', got '{boundary}'")
+    return -float(t_complete) - (float(c) if short else 0.0)
+
+
 def run_episode(
     scenario,
     allocator,
@@ -272,13 +313,13 @@ def run_episode(
 ):
     """Run K sequential tasks under one sampled environment.
 
-    allocator is a callable (world, task_index) -> iterable of N loads;
-    out-of-range loads are clamped to [0, p] and flagged.  batch_size is
-    the scenario's unless overridden here (None = single batch per worker).
-    Same (scenario, allocator, rng) reproduces the record bit for bit.
+    allocator is a callable (world, states) -> iterable of N raw loads,
+    where states is build_state(world).  Each load is rounded to the nearest
+    integer; out-of-range loads are clamped to [0, p] and flagged, and a
+    non-finite one raises ValueError.  batch_size is the scenario's unless
+    overridden here (None = single batch per worker).  Same (scenario,
+    allocator, rng) reproduces the record bit for bit.
     """
-    from . import marl  # deferred: marl trains on top of this module
-
     if straggler_enabled is None:
         straggler_enabled = scenario.straggler_enabled
     if batch_size == "scenario":
@@ -301,15 +342,13 @@ def run_episode(
 
     tasks, states_all, actions, rewards = [], [], [], []
     for j in range(scenario.k_tasks):
-        states = np.stack([marl.build_state(world, i) for i in range(scenario.n_workers)])
-        raw = allocator(world, j)
-        loads, clamped = [], False
-        for v in raw:
-            li = int(round(v))
-            if li < 0 or li > p:
-                clamped = True
-                li = min(max(li, 0), p)
-            loads.append(li)
+        states = build_state(world)
+        raw = list(allocator(world, states))
+        if not all(map(math.isfinite, raw)):
+            raise ValueError(f"task {j}: allocator returned non-finite loads {list(map(float, raw))}")
+        rounded = [int(round(v)) for v in raw]  # int loads pass through as the same objects
+        loads = [min(max(l, 0), p) for l in rounded]
+        clamped = loads != rounded
         alloc = LoadAllocation(tuple(loads))
 
         if materialize:
@@ -323,13 +362,7 @@ def run_episode(
                 rng.substream("task", j), scenario.comm, index=j, encoded=encoded,
             )
             if clamped:
-                rec = TaskRecord(
-                    index=rec.index, dispatch_time=rec.dispatch_time,
-                    t_complete=rec.t_complete, receipt_log=rec.receipt_log,
-                    rows_received_at_completion=rec.rows_received_at_completion,
-                    feasible=rec.feasible, loads=rec.loads, clamped=True,
-                    decoded=rec.decoded,
-                )
+                rec = replace(rec, clamped=True)
         except DegenerateTaskError:
             # nothing dispatched: the task takes no time and completes nothing
             rec = TaskRecord(
@@ -338,7 +371,7 @@ def run_episode(
                 feasible=False, loads=alloc.loads, clamped=clamped,
             )
 
-        r = marl.reward(rec.t_complete, alloc, p, c=penalty, boundary=penalty_boundary)
+        r = reward(rec.t_complete, alloc, p, c=penalty, boundary=penalty_boundary)
         tasks.append(rec)
         states_all.append(states)
         actions.append(alloc.loads)

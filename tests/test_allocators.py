@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from macc.allocators import (
     hcmm_alloc,
     load_balanced_alloc,
-    policy_alloc,
     solve_hcmm_lambda,
     uniform_alloc,
 )
@@ -143,19 +141,3 @@ class TestHcmmAlloc:
         profiles = [ComputeProfile(alpha=1e-4, beta=1e4)]
         sol = hcmm_alloc(500, profiles)
         assert sol.loads == (500,)
-
-
-class TestPolicyAlloc:
-    def test_rounding_and_clamping(self):
-        actors = [lambda s: 0.5, lambda s: 1.2, lambda s: -0.1]
-        alloc = policy_alloc(actors, [np.zeros(3)] * 3, 100)
-        assert alloc.loads == (50, 100, 0)
-
-    def test_state_routed_to_matching_actor(self):
-        actors = [lambda s: float(s[0]), lambda s: float(s[0])]
-        alloc = policy_alloc(actors, [np.array([0.25]), np.array([0.75])], 100)
-        assert alloc.loads == (25, 75)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            policy_alloc([lambda s: 0.5], [np.zeros(3)] * 2, 100)

@@ -130,6 +130,17 @@ class TestEvaluateCommand:
         assert code == 0
         assert (tmp_path / "ev" / "metrics.csv").exists()
 
+    def test_marl_checkpoint_for_another_worker_count(self, ini, tmp_path, capsys):
+        out = tmp_path / "train"
+        main(["train", "--config", ini, "--out", str(out)])
+        desk = tmp_path / "desk.ini"
+        desk.write_text("[scenario]\npreset = desk\n")
+        code = main(["evaluate", "--config", str(desk), "--scheme", "marl",
+                     "--episodes", "1", "--checkpoint", str(out / "checkpoint.json"),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 1
+        assert "checkpoint has 2 agents, scenario has 4 workers" in capsys.readouterr().err
+
     def test_unknown_scheme_fails_cleanly(self, ini, tmp_path, capsys):
         code = main(["evaluate", "--config", ini, "--scheme", "greedy",
                      "--out", str(tmp_path / "x")])

@@ -6,11 +6,9 @@ from macc.coding import (
     EncodingMatrix,
     InsufficientRowsError,
     decode,
-    decode_from_receipts,
     encode,
     generate_encoding_matrix,
     plan_batches,
-    worker_rows,
 )
 from macc.numerics import RngStream, mat_vec
 
@@ -43,8 +41,7 @@ class TestGenerateEncodingMatrix:
     def test_timing_only_handle(self):
         enc = generate_encoding_matrix(1000, 5, RngStream(0), materialize=False)
         assert enc.g is None
-        assert enc.q_max == 5000
-        assert enc.block_size == 1000
+        assert (enc.p, enc.n_workers) == (1000, 5)
 
 
 class TestEncode:
@@ -78,33 +75,6 @@ class TestEncode:
         enc = generate_encoding_matrix(3, 2, RngStream(0))
         with pytest.raises(ValueError):
             encode(enc, np.ones((4, 2)))
-
-
-class TestWorkerRows:
-    def test_first_block_prefix(self):
-        enc = generate_encoding_matrix(4, 3, RngStream(0), materialize=False)
-        assert list(worker_rows(enc, 0, 2)) == [0, 1]
-
-    def test_offset_block(self):
-        enc = generate_encoding_matrix(4, 3, RngStream(0), materialize=False)
-        assert list(worker_rows(enc, 2, 3)) == [8, 9, 10]
-
-    def test_zero_load_empty(self):
-        enc = generate_encoding_matrix(4, 3, RngStream(0), materialize=False)
-        assert list(worker_rows(enc, 1, 0)) == []
-
-    def test_load_beyond_block_rejected(self):
-        enc = generate_encoding_matrix(4, 3, RngStream(0), materialize=False)
-        with pytest.raises(ValueError):
-            worker_rows(enc, 0, 5)
-
-    def test_blocks_disjoint(self):
-        enc = generate_encoding_matrix(7, 4, RngStream(0), materialize=False)
-        seen = set()
-        for i in range(4):
-            rows = set(worker_rows(enc, i, 7))
-            assert not rows & seen
-            seen |= rows
 
 
 class TestPlanBatches:
@@ -193,21 +163,10 @@ class TestRoundTrip:
                 loads = gen.integers(0, p + 1, n)
                 if loads.sum() >= p:
                     break
-            order = gen.permutation(n)
-            receipts = [
-                (int(i), list(worker_rows(enc, int(i), int(loads[i]))))
-                for i in order
-            ]
-            out = decode_from_receipts(encoded, x, receipts, p)
+            # worker i's load is the first loads[i] rows of its block [i p, (i+1) p);
+            # receipts in a random worker order, decoded from the first p rows
+            rows = [i * p + k for i in gen.permutation(n) for k in range(loads[i])][:p]
+            out = decode(enc.g[rows, :], mat_vec(encoded.a_hat[rows, :], x))
             truth = mat_vec(a, x)
             rel = np.linalg.norm(out - truth) / np.linalg.norm(truth)
             assert rel < 1e-8, f"trial {trial}: relative error {rel}"
-
-    def test_short_receipts_rejected(self):
-        rng = RngStream(6)
-        enc = generate_encoding_matrix(4, 2, rng)
-        gen = np.random.default_rng(6)
-        a = gen.normal(0, 1, (4, 2))
-        encoded = encode(enc, a)
-        with pytest.raises(InsufficientRowsError):
-            decode_from_receipts(encoded, np.ones(2), [(0, [0, 1])], 4)

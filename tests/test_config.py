@@ -30,7 +30,6 @@ class TestPresets:
             assert s.pos_range == (-100.0, 100.0)
             assert s.vel_range == (-10.0, 10.0)
             assert s.beta_range == (1.0e4, 1.0e5)
-            assert s.alpha_rule == "inverse_beta"
 
     def test_desk_preset_is_small(self):
         desk = preset_scenario("desk")

@@ -9,14 +9,13 @@ from macc.envmodels import (
     KinematicState,
     StragglerPlan,
     advance,
-    apply_straggler,
     channel_capacity,
-    comm_time,
-    comp_time_sample,
+    comp_time,
     distance,
     signal_power,
 )
 from macc.numerics import RngStream
+from macc.simcore import _send_time
 
 CFG = CommConfig()
 
@@ -66,66 +65,54 @@ class TestChannelCapacity:
 
 
 class TestCommTime:
+    # the engine's send time rows * u / C(d, omega)
     def test_single_element_at_one_meter(self):
-        cfg = CommConfig(noise_std_db=0.0)
-        t = comm_time(1, 1, 1.0, RngStream(0), cfg)
+        t = _send_time(1, 1.0, 0.0, CFG)
         assert abs(t - ONE_ELEMENT_D1) / ONE_ELEMENT_D1 < 1e-12
 
     def test_linear_in_payload(self):
-        cfg = CommConfig(noise_std_db=0.0)
-        t1 = comm_time(10, 1, 5.0, RngStream(0), cfg)
-        t2 = comm_time(20, 1, 5.0, RngStream(0), cfg)
+        t1 = _send_time(10, 5.0, 0.0, CFG)
+        t2 = _send_time(20, 5.0, 0.0, CFG)
         assert abs(t2 - 2.0 * t1) < 1e-15
 
-    def test_deterministic_without_noise(self):
-        cfg = CommConfig(noise_std_db=0.0)
-        rng = RngStream(1)
-        draws = {comm_time(3, 2, 7.0, rng, cfg) for _ in range(5)}
-        assert len(draws) == 1
-
     def test_increasing_in_distance(self):
-        cfg = CommConfig(noise_std_db=0.0)
-        times = [comm_time(5, 1, d, RngStream(0), cfg) for d in (1, 2, 5, 10, 50, 100)]
+        times = [_send_time(5, d, 0.0, CFG) for d in (1, 2, 5, 10, 50, 100)]
         assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_rejects_empty_payload(self):
-        with pytest.raises(ValueError):
-            comm_time(0, 1, 1.0, RngStream(0), CFG)
 
 
 class TestCompTime:
     def test_never_below_shift_floor(self):
-        prof = ComputeProfile(alpha=1e-4, beta=1e4)
-        rng = RngStream(2)
-        for _ in range(200):
-            assert comp_time_sample(100, prof, rng) >= 1e-4 * 100
+        u = RngStream(2).gen.random(200)
+        assert np.all(comp_time(100, u, 1e-4, 1e4) >= 1e-4 * 100)
 
     def test_empirical_mean(self):
-        prof = ComputeProfile(alpha=1e-4, beta=1e4)
-        rng = RngStream(3)
         n = 100_000
-        draws = np.array([comp_time_sample(100, prof, rng) for _ in range(n)])
+        draws = comp_time(100, RngStream(3).gen.random(n), 1e-4, 1e4)
         expected = 1e-4 * 100 + 100 / 1e4
         se = (100 / 1e4) / math.sqrt(n)
         assert abs(draws.mean() - expected) < 3 * se
 
     def test_cdf_at_mean(self):
-        prof = ComputeProfile(alpha=1e-4, beta=1e4)
-        rng = RngStream(4)
         n = 100_000
-        draws = np.array([comp_time_sample(100, prof, rng) for _ in range(n)])
+        draws = comp_time(100, RngStream(4).gen.random(n), 1e-4, 1e4)
         frac = np.mean(draws <= 0.02)
         assert abs(frac - (1.0 - math.exp(-1.0))) < 0.01
 
     def test_huge_beta_nearly_deterministic(self):
-        prof = ComputeProfile(alpha=1e-3, beta=1e9)
-        rng = RngStream(5)
-        draws = [comp_time_sample(100, prof, rng) for _ in range(100)]
-        assert all(abs(t - 0.1) < 1e-5 for t in draws)
+        draws = comp_time(100, RngStream(5).gen.random(100), 1e-3, 1e9)
+        assert np.all(np.abs(draws - 0.1) < 1e-5)
 
-    def test_rejects_zero_load(self):
-        with pytest.raises(ValueError):
-            comp_time_sample(0, ComputeProfile(alpha=1e-4, beta=1e4), RngStream(0))
+    def test_elementwise_with_zero_rows_taking_no_time(self):
+        rows = np.array([[3, 2, 0], [1, 0, 0]])
+        u = np.array([[0.1, 0.5, 0.9], [0.3, 0.2, 0.7]])
+        alpha = np.array([[1e-3], [2e-3]])
+        beta = np.array([[1e3], [5e2]])
+        t = comp_time(rows, u, alpha, beta, np.array([[1.0], [11.0]]))
+        for (i, j), v in np.ndenumerate(t):
+            slow = 11.0 if i == 1 else 1.0
+            want = slow * (alpha[i, 0] * rows[i, j] - rows[i, j] / beta[i, 0] * math.log1p(-u[i, j]))
+            assert v == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert t[0, 2] == 0.0 and t[1, 1] == 0.0
 
 
 class TestKinematics:
@@ -158,15 +145,15 @@ class TestKinematics:
 class TestStraggler:
     def test_disabled_identity(self):
         plan = StragglerPlan(enabled=False, victim=0, slowdown_factor=10.0)
-        assert apply_straggler(2.0, 0, plan) == 2.0
+        assert 2.0 * plan.time_factor(0) == 2.0
 
     def test_victim_sleeps_ten_times(self):
         plan = StragglerPlan(enabled=True, victim=1, slowdown_factor=10.0)
-        assert apply_straggler(2.0, 1, plan) == 22.0
+        assert 2.0 * plan.time_factor(1) == 22.0
 
     def test_non_victim_unchanged(self):
         plan = StragglerPlan(enabled=True, victim=1, slowdown_factor=10.0)
-        assert apply_straggler(2.0, 0, plan) == 2.0
+        assert 2.0 * plan.time_factor(0) == 2.0
 
     def test_rejects_sub_unit_slowdown(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from macc import experiments
-from macc.config import ScenarioConfig
+from macc import experiments, marl
+from macc.config import ConfigError, ScenarioConfig
 from macc.envmodels import ComputeProfile
+from macc.numerics import RngStream
 from macc.experiments import (
     METRICS_COLUMNS,
     compare_schemes,
@@ -38,6 +39,14 @@ class TestAllocatorFactory:
     def test_marl_needs_agents(self):
         with pytest.raises(ValueError):
             make_allocator("marl", TINY)
+
+    def test_marl_rejects_agents_for_another_worker_count(self):
+        agents = marl.make_agents(3, RngStream(0), hidden=(4,))
+        with pytest.raises(ConfigError, match="checkpoint has 3 agents, scenario has 2 workers"):
+            make_allocator("marl", TINY, agents=agents)
+        # right agent count, actors built for N = 3 (width 11, not 8)
+        with pytest.raises(ConfigError, match="width 11, scenario with 2 workers has width 8"):
+            make_allocator("marl", TINY, agents=agents[:2])
 
     @pytest.mark.parametrize("scheme, name", [("hcmm", "hcmm_alloc"),
                                               ("load-balanced", "load_balanced_alloc")])

@@ -10,7 +10,6 @@ from macc.envmodels import ComputeProfile, KinematicState
 from macc.marl import (
     ReplayBuffer,
     actor_update,
-    build_state,
     critic_forward,
     critic_update,
     load_checkpoint,
@@ -18,7 +17,6 @@ from macc.marl import (
     normalize_states,
     policy_allocator,
     polyak_update,
-    reward,
     save_checkpoint,
     state_dim,
     state_scales,
@@ -26,7 +24,7 @@ from macc.marl import (
     train,
 )
 from macc.numerics import RngStream
-from macc.simcore import WorldState, sample_world
+from macc.simcore import WorldState, build_state, sample_world
 
 TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
@@ -42,18 +40,6 @@ def two_worker_world():
 
 
 class TestStates:
-    def test_layout_own_entries_first(self):
-        world = two_worker_world()
-        s0 = build_state(world, 0)
-        s1 = build_state(world, 1)
-        np.testing.assert_allclose(s0, [5.0, 10.0, 1.0, 2.0, -1.0, 0.0, 0.5, -0.5])
-        np.testing.assert_allclose(s1, [10.0, 5.0, -1.0, 0.0, 1.0, 2.0, 0.5, -0.5])
-        assert len(s0) == state_dim(2)
-
-    def test_agent_index_checked(self):
-        with pytest.raises(ValueError):
-            build_state(two_worker_world(), 2)
-
     def test_scales_from_ranges(self):
         d_scale, v_scale = state_scales(TINY)
         assert d_scale == pytest.approx(100.0 * math.sqrt(2.0))
@@ -61,30 +47,11 @@ class TestStates:
 
     def test_normalization_splits_columns(self):
         world = two_worker_world()
-        raw = np.stack([build_state(world, i) for i in range(2)])
+        raw = build_state(world)
         norm = normalize_states(raw, 2, (2.0, 4.0))
         np.testing.assert_allclose(norm[0, :2], raw[0, :2] / 2.0)
         np.testing.assert_allclose(norm[0, 2:], raw[0, 2:] / 4.0)
         assert raw[0, 0] == 5.0  # input untouched
-
-
-class TestReward:
-    def test_feasible_is_negative_time(self):
-        assert reward(3.5, [4, 4], 8) == -3.5
-
-    def test_short_allocation_penalized(self):
-        assert reward(3.5, [4, 3], 8) == -203.5
-
-    def test_boundary_lt_spares_exact_cover(self):
-        assert reward(1.0, [4, 4], 8, boundary="lt") == -1.0
-        assert reward(1.0, [4, 4], 8, boundary="le") == -201.0
-
-    def test_custom_penalty(self):
-        assert reward(1.0, [0, 0], 8, c=7.0) == -8.0
-
-    def test_bad_boundary(self):
-        with pytest.raises(ValueError):
-            reward(1.0, [4, 4], 8, boundary="leq")
 
 
 class TestAgents:
@@ -320,23 +287,34 @@ class TestPolicyAllocator:
     def test_deterministic_without_noise(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
+        states = build_state(world)
         allocate = policy_allocator(agents, TINY)
-        first = allocate(world, 0)
-        second = allocate(world, 0)
-        assert first == second
+        first = allocate(world, states)
+        second = allocate(world, states)
+        np.testing.assert_array_equal(first, second)
         assert all(0 <= l <= TINY.p_rows for l in first)
 
     def test_noise_perturbs_and_stays_in_range(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
-        clean = policy_allocator(agents, TINY)(world, 0)
+        states = build_state(world)
+        clean = policy_allocator(agents, TINY)(world, states)
         noisy_alloc = policy_allocator(agents, TINY, noise_rng=RngStream(11),
                                        noise_std=3.0)
-        noisy = noisy_alloc(world, 0)
-        assert noisy != clean
+        noisy = noisy_alloc(world, states)
+        assert not np.array_equal(noisy, clean)
         for _ in range(20):
-            loads = noisy_alloc(world, 0)
+            loads = noisy_alloc(world, states)
             assert all(0 <= l <= TINY.p_rows for l in loads)
+
+    def test_each_agent_reads_its_own_state_row(self):
+        agents = make_agents(2, RngStream(9), hidden=(4,))
+        world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
+        states = build_state(world)
+        loads = policy_allocator(agents, TINY)(world, states)
+        norm = normalize_states(states, 2, state_scales(TINY))
+        for i in range(2):
+            assert loads[i] == TINY.p_rows * agents[i].actor.forward(norm[i])[0]
 
 
 SHORT_TRAIN = TrainConfig(max_iterations=3, episodes_per_iteration=2,

@@ -6,8 +6,6 @@ from macc.numerics import (
     SingularSystemError,
     least_squares_solve,
     mat_vec,
-    sample_gaussian,
-    sample_uniform,
 )
 
 
@@ -79,37 +77,6 @@ class TestLeastSquares:
         with pytest.raises(SingularSystemError) as err:
             least_squares_solve(g, np.ones(4))
         assert err.value.condition > 1e12
-
-
-class TestSamplers:
-    def test_uniform_degenerate_range(self):
-        assert sample_uniform(5.0, 5.0, RngStream(0)) == 5.0
-
-    def test_uniform_bounds(self):
-        rng = RngStream(1)
-        draws = sample_uniform(-10.0, 10.0, rng, size=1000)
-        assert np.all(draws >= -10.0) and np.all(draws <= 10.0)
-
-    def test_uniform_mean_lln(self):
-        draws = sample_uniform(0.0, 1.0, RngStream(2), size=100_000)
-        se = (1.0 / np.sqrt(12.0)) / np.sqrt(100_000)
-        assert abs(draws.mean() - 0.5) < 3 * se
-
-    def test_uniform_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            sample_uniform(1.0, 0.0, RngStream(0))
-
-    def test_gaussian_zero_std(self):
-        assert sample_gaussian(3.0, 0.0, RngStream(0)) == 3.0
-
-    def test_gaussian_moments(self):
-        draws = sample_gaussian(0.0, 1.0, RngStream(3), size=100_000)
-        assert abs(draws.mean()) < 0.01
-        assert abs(draws.std() - 1.0) < 0.02
-
-    def test_gaussian_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(0.0, -1.0, RngStream(0))
 
 
 class TestRngStream:

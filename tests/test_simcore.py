@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from macc import experiments, marl, simcore
 from macc.coding import generate_encoding_matrix
 from macc.config import ScenarioConfig
 from macc.envmodels import (
@@ -20,7 +21,9 @@ from macc.simcore import (
     LoadAllocation,
     TaskRecord,
     WorldState,
+    build_state,
     episode_to_json,
+    reward,
     rows_received_curve,
     run_episode,
     run_task,
@@ -237,7 +240,7 @@ TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
 
 
-def full_loads(world, j):
+def full_loads(world, states):
     return (8, 8)
 
 
@@ -260,6 +263,50 @@ class TestSampleWorld:
         assert b1 == b2 and v1 == v2
         assert w1.master == w2.master
         assert w1.workers == w2.workers
+
+
+class TestStates:
+    def test_layout_own_entries_first(self):
+        world = make_world(
+            [((3.0, 4.0), (1.0, 2.0), 1e-3, 1e3), ((6.0, 8.0), (-1.0, 0.0), 1e-3, 1e3)],
+            master_vel=(0.5, -0.5),
+        )
+        np.testing.assert_allclose(build_state(world), [
+            [5.0, 10.0, 1.0, 2.0, -1.0, 0.0, 0.5, -0.5],
+            [10.0, 5.0, -1.0, 0.0, 1.0, 2.0, 0.5, -0.5],
+        ])
+
+    def test_rows_list_own_worker_then_the_others_in_order(self):
+        world, _, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
+        states = build_state(world)
+        assert states.shape == (5, 17)
+        master = world.master
+        for i in range(5):
+            others = [j for j in range(5) if j != i]
+            kin = [world.workers[j][0] for j in [i] + others]
+            want = [math.hypot(k.position[0] - master.position[0],
+                               k.position[1] - master.position[1]) for k in kin]
+            want += [v for k in kin for v in k.velocity] + list(master.velocity)
+            assert states[i].tolist() == want
+
+
+class TestReward:
+    def test_feasible_is_negative_time(self):
+        assert reward(3.5, LoadAllocation((4, 4)), 8) == -3.5
+
+    def test_short_allocation_penalized(self):
+        assert reward(3.5, LoadAllocation((4, 3)), 8) == -203.5
+
+    def test_boundary_lt_spares_exact_cover(self):
+        assert reward(1.0, LoadAllocation((4, 4)), 8, boundary="lt") == -1.0
+        assert reward(1.0, LoadAllocation((4, 4)), 8, boundary="le") == -201.0
+
+    def test_custom_penalty(self):
+        assert reward(1.0, LoadAllocation((0, 0)), 8, c=7.0) == -8.0
+
+    def test_bad_boundary(self):
+        with pytest.raises(ValueError):
+            reward(1.0, LoadAllocation((4, 4)), 8, boundary="leq")
 
 
 class TestRunEpisode:
@@ -287,28 +334,57 @@ class TestRunEpisode:
         assert on.total_time > off.total_time
 
     def test_out_of_range_loads_clamped_and_flagged(self):
-        ep = run_episode(TINY, lambda w, j: (9, -1), RngStream(4))
+        ep = run_episode(TINY, lambda w, s: (9, -1), RngStream(4))
         assert ep.tasks[0].clamped
         assert ep.tasks[0].loads == (8, 0)
         assert ep.tasks[0].feasible
 
+    def test_raw_loads_rounded_to_nearest(self):
+        ep = run_episode(TINY, lambda w, s: (3.4999, 4.5), RngStream(4))
+        assert ep.tasks[0].loads == (3, 4)  # halves round to even
+        assert not ep.tasks[0].clamped
+
+    def test_non_finite_load_names_task_and_values(self):
+        def allocator(world, states):
+            return (4.0, math.nan) if world.clock > 0 else (4.0, 4.0)
+
+        with pytest.raises(ValueError, match=r"task 1: .*non-finite.*\[4\.0, nan\]"):
+            run_episode(TINY, allocator, RngStream(4))
+
+    def test_states_built_once_per_task_for_marl(self, monkeypatch):
+        calls = []
+
+        def counted(world):
+            calls.append(world.clock)
+            return build_state(world)
+
+        monkeypatch.setattr(simcore, "build_state", counted)
+        monkeypatch.setattr(marl, "build_state", counted)
+        agents = marl.make_agents(2, RngStream(9), hidden=(4,))
+        allocator = experiments.make_allocator("marl", TINY, agents=agents)
+        ep = run_episode(TINY, allocator, RngStream(4))
+        assert len(calls) == TINY.k_tasks
+        for states, clock, task in zip(ep.states, calls, ep.tasks):
+            assert clock == task.dispatch_time
+            assert states.shape == (2, marl.state_dim(2))
+
     def test_all_zero_allocation_counts_penalty_only(self):
-        ep = run_episode(TINY, lambda w, j: (0, 0), RngStream(4))
+        ep = run_episode(TINY, lambda w, s: (0, 0), RngStream(4))
         assert ep.total_time == 0.0
         assert ep.infeasible_count == 2
         assert ep.rewards == (-200.0, -200.0)
         assert ep.tasks[0].receipt_log == ()
 
     def test_infeasible_allocation_penalized_on_top_of_time(self):
-        ep = run_episode(TINY, lambda w, j: (4, 3), RngStream(4))
+        ep = run_episode(TINY, lambda w, s: (4, 3), RngStream(4))
         assert not ep.tasks[0].feasible
         t0 = ep.tasks[0].t_complete
         assert t0 > 0
         assert ep.rewards[0] == -t0 - 200.0
 
     def test_boundary_rule_le_penalizes_exact_cover(self):
-        lt = run_episode(TINY, lambda w, j: (4, 4), RngStream(4), penalty_boundary="lt")
-        le = run_episode(TINY, lambda w, j: (4, 4), RngStream(4), penalty_boundary="le")
+        lt = run_episode(TINY, lambda w, s: (4, 4), RngStream(4), penalty_boundary="lt")
+        le = run_episode(TINY, lambda w, s: (4, 4), RngStream(4), penalty_boundary="le")
         assert lt.rewards[0] == -lt.tasks[0].t_complete
         assert le.rewards[0] == -le.tasks[0].t_complete - 200.0
         assert lt.tasks[0].t_complete == le.tasks[0].t_complete
