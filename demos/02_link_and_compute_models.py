@@ -13,13 +13,7 @@ import math
 
 import numpy as np
 
-from macc.envmodels import (
-    CommConfig,
-    ComputeProfile,
-    StragglerPlan,
-    channel_capacity,
-    comp_time,
-)
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, comp_time
 from macc.numerics import RngStream
 
 cfg = CommConfig()
@@ -44,13 +38,13 @@ print(f"\n200 rows at 10 m with shadowing: mean {np.mean(times) * 1e3:.2f} ms, "
 # ----------------------------------------------------------------------
 # 2. Computation: floor alpha*l, exponential tail l/beta
 # ----------------------------------------------------------------------
-profile = ComputeProfile(alpha=1e-4, beta=1e4)
+alpha, beta = 1e-4, 1e4
 load = 100
 u = rng.substream("cpu").gen.random(20000)  # U ~ Uniform[0, 1), one per draw
-draws = comp_time(load, u, profile.alpha, profile.beta)
-floor = profile.alpha * load
-mean_expect = floor + load / profile.beta
-print(f"\n{load} rows on (alpha {profile.alpha}, beta {profile.beta:.0f}):")
+draws = comp_time(load, u, alpha, beta)
+floor = alpha * load
+mean_expect = floor + load / beta
+print(f"\n{load} rows on (alpha {alpha}, beta {beta:.0f}):")
 print(f"  floor {floor * 1e3:.1f} ms, expected mean {mean_expect * 1e3:.1f} ms, "
       f"empirical {draws.mean() * 1e3:.2f} ms")
 print(f"  min draw {draws.min() * 1e3:.2f} ms (never below the floor)")

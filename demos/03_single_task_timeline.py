@@ -26,10 +26,11 @@ from macc.simcore import (
 scenario = ScenarioConfig(name="demo", n_workers=3, p_rows=60, m_cols=40,
                           k_tasks=1, beta_range=(5e3, 1e4))
 rng = RngStream(42)
-world, betas, victim = sample_world(scenario, rng.substream("env"))
+world, victim = sample_world(scenario, rng.substream("env"))
+# world.pos row 0 is the master, row i + 1 worker i
 print("workers:", "  ".join(
-    f"{i}: beta {prof.beta:.0f} at {kin.position[0]:.0f},{kin.position[1]:.0f} m"
-    for i, (kin, prof) in enumerate(world.workers)))
+    f"{i}: beta {beta:.0f} at {x:.0f},{y:.0f} m"
+    for i, (beta, (x, y)) in enumerate(zip(world.beta, world.pos[1:]))))
 
 # ----------------------------------------------------------------------
 # 1. Run one task with redundancy and batching

@@ -12,7 +12,6 @@ import numpy as np
 
 from macc.allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from macc.config import preset_scenario
-from macc.envmodels import ComputeProfile
 from macc import experiments
 
 # ----------------------------------------------------------------------
@@ -20,11 +19,11 @@ from macc import experiments
 # ----------------------------------------------------------------------
 p = 6000
 betas = (1e4, 2e4, 4e4)
-profiles = [ComputeProfile(alpha=1.0 / b, beta=b) for b in betas]
+alphas = [1.0 / b for b in betas]
 
 uni = uniform_alloc(p, 3)
-bal = load_balanced_alloc(p, profiles)
-hc = hcmm_alloc(p, profiles)
+bal = load_balanced_alloc(p, alphas, betas)
+hc = hcmm_alloc(p, alphas, betas)
 
 print(f"p = {p}, betas = {betas}")
 print(f"uniform        {uni.loads}  (sum {uni.total})")

@@ -32,13 +32,15 @@ def uniform_alloc(p, n_workers):
     return LoadAllocation(loads)
 
 
-def load_balanced_alloc(p, profiles):
+def load_balanced_alloc(p, alpha, beta):
     """Split exactly p rows proportionally to w_i = beta_i / (alpha_i beta_i + 1).
 
+    alpha and beta are the workers' compute profiles (sequences or arrays).
     Real-valued shares are rounded by largest remainder so the sum stays
     exactly p.
     """
-    w = np.array([prof.beta / (prof.alpha * prof.beta + 1.0) for prof in profiles])
+    beta = np.asarray(beta)
+    w = beta / (np.asarray(alpha) * beta + 1.0)
     shares = p * w / w.sum()
     loads = np.floor(shares).astype(int)
     short = int(p - loads.sum())
@@ -48,14 +50,16 @@ def load_balanced_alloc(p, profiles):
     return LoadAllocation(tuple(int(l) for l in loads))
 
 
-def solve_hcmm_lambda(profile, tol=1.0e-12):
+def solve_hcmm_lambda(alpha, beta, tol=1.0e-12):
     """Positive solution lambda of e^(beta lambda) = e^(alpha beta) (beta lambda + 1).
+
+    alpha and beta are one worker's compute profile, as plain numbers.
 
     Solved by bisection in the substituted variable z = beta lambda on
     g(z) = z - alpha beta - ln(1 + z), which is negative at 0+ and grows
     without bound; the bracket is doubled until g flips sign.
     """
-    ab = profile.alpha * profile.beta
+    ab = alpha * beta
 
     def g(z):
         return z - ab - math.log1p(z)
@@ -70,24 +74,25 @@ def solve_hcmm_lambda(profile, tol=1.0e-12):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if abs(gm) <= tol:
-            return mid / profile.beta
+            return mid / beta
         if gm < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) / profile.beta
+    return 0.5 * (lo + hi) / beta
 
 
-def hcmm_alloc(p, profiles):
+def hcmm_alloc(p, alpha, beta):
     """HCMM loads: l_i = ceil(p / (h lambda_i)), capped at p.
 
+    alpha and beta are the workers' compute profiles (sequences or arrays).
     h = sum_i beta_i / (1 + beta_i lambda_i).  Each term of h is below
     1 / lambda_i, so sum_i p / (h lambda_i) > p and the ceilings (or a load
     capped at p) cover p.  Returns an HcmmSolution (the LoadAllocation is
     in .loads).
     """
-    lam = [solve_hcmm_lambda(prof) for prof in profiles]
-    h = sum(prof.beta / (1.0 + prof.beta * l) for prof, l in zip(profiles, lam))
+    lam = [solve_hcmm_lambda(a, b) for a, b in zip(alpha, beta)]
+    h = sum(b / (1.0 + b * l) for b, l in zip(beta, lam))
     loads = [min(int(math.ceil(p / (h * l))), int(p)) for l in lam]
     return HcmmSolution(lam=tuple(lam), h=h, loads=tuple(loads))
 

@@ -109,7 +109,7 @@ def cmd_evaluate(args):
     summary = os.path.join(args.out, "summary.csv")
     jsonl = os.path.join(args.out, "episodes.jsonl")
     experiments.write_metrics_csv(metrics, scenario, args.scheme, seed, records, digest)
-    experiments.write_summary_csv(summary, scenario, args.scheme, seed, records, digest)
+    experiments.write_comparison_csv(summary, scenario, seed, {args.scheme: records}, digest)
     experiments.write_episodes_jsonl(jsonl, records)
     mean, std, _ = experiments.summarize(records)
     print(f"{args.scheme}: mean total time {mean:.4f} s (std {std:.4f}) over {args.episodes} episodes")

@@ -20,7 +20,8 @@ Unknown keys are rejected with their full path (e.g. "scenario.p_row").
 
 import configparser
 import hashlib
-from dataclasses import dataclass, field, asdict, replace
+import math
+from dataclasses import dataclass, field, fields, asdict, replace
 
 from .envmodels import CommConfig
 
@@ -51,8 +52,13 @@ class ScenarioConfig:
         if self.p_rows < 1 or self.m_cols < 1 or self.k_tasks < 1:
             raise ConfigError("scenario: p_rows, m_cols and k_tasks must be >= 1")
         for key, rng in (("pos", self.pos_range), ("vel", self.vel_range), ("beta", self.beta_range)):
+            for end, bound in zip(("min", "max"), rng):
+                if not math.isfinite(bound):
+                    raise ConfigError(f"scenario.{key}_{end}: must be finite, got {bound}")
             if rng[0] > rng[1]:
                 raise ConfigError(f"scenario.{key}_range: min {rng[0]} exceeds max {rng[1]}")
+            if not math.isfinite(rng[1] - rng[0]):
+                raise ConfigError(f"scenario.{key}_range: width of [{rng[0]}, {rng[1]}] overflows")
         if self.beta_range[0] <= 0:
             raise ConfigError(f"scenario.beta_min: must be positive, got {self.beta_range[0]}")
         if self.batch_size < 1:
@@ -134,36 +140,15 @@ _SCENARIO_KEYS = {
     "seed": int,
 }
 
-_COMM_KEYS = {
-    "bandwidth_hz": float,
-    "noise_power_w": float,
-    "sd_offset_dbm": float,
-    "path_loss_db_per_decade": float,
-    "noise_std_db": float,
-    "bits_per_element": float,
-    "min_distance_m": float,
-}
+# each key parses to the type of its field's default
+_COMM_KEYS = {f.name: type(f.default) for f in fields(CommConfig)}
 
 _STRAGGLER_KEYS = {
     "enabled": bool,
     "slowdown_factor": float,
 }
 
-_TRAIN_KEYS = {
-    "gamma": float,
-    "learning_rate": float,
-    "tau": float,
-    "penalty": float,
-    "penalty_boundary": str,
-    "minibatch": int,
-    "replay_capacity": int,
-    "episodes_per_iteration": int,
-    "max_iterations": int,
-    "warmup_iterations": int,
-    "noise_start": float,
-    "noise_end": float,
-    "optimizer": str,
-}
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 _CORE_KEYS = ("n_workers", "p_rows", "m_cols", "k_tasks")
 
@@ -230,35 +215,27 @@ def load_config(path):
             "scenario: set 'preset' or give the full core keys; missing "
             + ", ".join(f"scenario.{k}" for k in missing)
         )
-    base = dict(PRESETS[preset]) if preset in PRESETS else None
-    if preset is not None and base is None:
-        raise ConfigError(f"scenario.preset: unknown preset '{preset}' (have {sorted(PRESETS)})")
-    fields = base if base is not None else {}
+    base = ScenarioConfig() if preset is None else preset_scenario(preset)
 
     for lo_key, hi_key, field_name in (
         ("pos_min", "pos_max", "pos_range"),
         ("vel_min", "vel_max", "vel_range"),
         ("beta_min", "beta_max", "beta_range"),
     ):
-        default = fields.get(field_name, getattr(ScenarioConfig(), field_name))
-        lo = sc.pop(lo_key, default[0])
-        hi = sc.pop(hi_key, default[1])
-        fields[field_name] = (lo, hi)
-    fields.update(sc)
+        default = getattr(base, field_name)
+        sc[field_name] = (sc.pop(lo_key, default[0]), sc.pop(hi_key, default[1]))
 
     if comm:
         try:
-            fields["comm"] = CommConfig(**comm)
+            sc["comm"] = CommConfig(**comm)
         except ValueError as err:
             raise ConfigError(f"comm: {err}") from None
     if "enabled" in strag:
-        fields["straggler_enabled"] = strag["enabled"]
+        sc["straggler_enabled"] = strag["enabled"]
     if "slowdown_factor" in strag:
-        fields["straggler_slowdown"] = strag["slowdown_factor"]
+        sc["straggler_slowdown"] = strag["slowdown_factor"]
 
-    scenario_cfg = ScenarioConfig(**fields)
-    train_cfg = TrainConfig(**train)
-    return scenario_cfg, train_cfg
+    return replace(base, **sc), TrainConfig(**train)
 
 
 def config_digest(scenario, train=None):

@@ -13,13 +13,15 @@ total is (1 + slowdown_factor) times the sampled value.
 
 Nodes move with constant velocity: p(t') = p(t) + v (t' - t).
 
+Every function works on plain numbers and on numpy arrays; the world is
+held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
 channel_capacity and comp_time on whole arrays of batches,
-StragglerPlan.time_factor per worker, and advance to move the world.  The agents' state and the
-shared reward are built in simcore, next to the engine.
+StragglerPlan.time_factor per worker, and advance once per task to move
+all nodes.  The agents' state and the shared reward are built in simcore,
+next to the engine.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,32 +48,6 @@ class CommConfig:
             raise ValueError(f"bits per element must be positive, got {self.bits_per_element}")
         if self.min_distance_m <= 0:
             raise ValueError(f"min distance must be positive, got {self.min_distance_m}")
-
-
-@dataclass(frozen=True)
-class ComputeProfile:
-    """Shifted-exponential parameters: alpha (s per row), beta (straggling)."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError(f"alpha and beta must be positive, got ({self.alpha}, {self.beta})")
-
-
-@dataclass(frozen=True)
-class KinematicState:
-    """Planar position (m) and constant velocity (m/s)."""
-
-    position: tuple
-    velocity: tuple
-
-    def __post_init__(self):
-        if len(self.position) != 2 or len(self.velocity) != 2:
-            raise ValueError("position and velocity must be planar (2 components)")
-        if not all(math.isfinite(c) for c in (*self.position, *self.velocity)):
-            raise ValueError("kinematic state has non-finite components")
 
 
 @dataclass(frozen=True)
@@ -124,17 +100,8 @@ def comp_time(rows, u, alpha, beta, slowdown=1.0):
     return rows * (alpha * slowdown - slowdown / beta * np.log1p(-u))
 
 
-def advance(k, dt):
-    """Constant-velocity drift: position += velocity * dt."""
+def advance(pos, vel, dt):
+    """Constant-velocity drift of every node: pos + vel * dt, as a new array."""
     if dt < 0:
         raise ValueError(f"negative time step: {dt}")
-    px, py = k.position
-    vx, vy = k.velocity
-    return KinematicState(position=(px + vx * dt, py + vy * dt), velocity=k.velocity)
-
-
-def distance(a, b):
-    """Euclidean distance between two kinematic states' positions."""
-    dx = a.position[0] - b.position[0]
-    dy = a.position[1] - b.position[1]
-    return math.hypot(dx, dy)
+    return pos + vel * dt

@@ -34,16 +34,16 @@ METRICS_COLUMNS = (
 
 
 def make_allocator(scheme, scenario, agents=None):
-    """Allocator callable for run_episode; reads profiles off the world."""
+    """Allocator callable for run_episode; baselines read the profiles off the world."""
     p = scenario.p_rows
     n = scenario.n_workers
     if scheme == "uniform":
         loads = uniform_alloc(p, n).loads
         return lambda world, states: loads
     if scheme == "load-balanced":
-        return _per_profiles(lambda profiles: load_balanced_alloc(p, profiles).loads)
+        return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta).loads)
     if scheme == "hcmm":
-        return _per_profiles(lambda profiles: hcmm_alloc(p, profiles).loads)
+        return _per_profiles(lambda alpha, beta: hcmm_alloc(p, alpha, beta).loads)
     if scheme == "marl":
         if agents is None:
             raise ValueError("the marl scheme needs trained agents (checkpoint)")
@@ -62,16 +62,17 @@ def make_allocator(scheme, scenario, agents=None):
 def _per_profiles(loads_of):
     """Allocator whose loads depend only on the workers' compute profiles.
 
-    The profiles stay fixed for a whole episode, so loads_of runs again only
-    when they change: once per episode instead of once per task.
+    run_task carries the world's alpha and beta arrays over unchanged, so
+    they are the same objects for a whole episode; loads_of(alpha, beta)
+    runs again only when they are replaced: once per episode instead of
+    once per task.
     """
-    seen, loads = None, None
+    seen, loads = (None, None), None
 
     def allocator(world, states):
         nonlocal seen, loads
-        profiles = tuple(prof for _, prof in world.workers)
-        if profiles != seen:
-            seen, loads = profiles, loads_of(list(profiles))
+        if seen[0] is not world.alpha or seen[1] is not world.beta:
+            seen, loads = (world.alpha, world.beta), loads_of(world.alpha, world.beta)
         return loads
 
     return allocator
@@ -196,14 +197,6 @@ def metrics_rows(scenario, scheme, seed, records):
 
 def write_metrics_csv(path, scenario, scheme, seed, records, digest):
     write_csv(path, METRICS_COLUMNS, metrics_rows(scenario, scheme, seed, records), digest, seed)
-
-
-def write_summary_csv(path, scenario, scheme, seed, records, digest):
-    mean, std, half = summarize(records)
-    header = ("scenario", "scheme", "seed", "episodes",
-              "mean_total_time_s", "std_total_time_s", "ci95_halfwidth_s")
-    rows = [(scenario.name, scheme, seed, len(records), mean, std, half)]
-    write_csv(path, header, rows, digest, seed)
 
 
 def write_comparison_csv(path, scenario, seed, results, digest):

@@ -44,10 +44,6 @@ class Mlp:
     def in_dim(self):
         return self.dims[0]
 
-    @property
-    def out_dim(self):
-        return self.dims[-1]
-
     def params(self):
         """Flat list of parameter arrays, weights and biases interleaved."""
         out = []

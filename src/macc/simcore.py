@@ -12,9 +12,12 @@ reaches p cumulative rows; results still in flight are ignored
 (acknowledgment semantics).  The link, compute and straggler models are
 envmodels' functions, called on whole arrays of batches.
 
+The world (WorldState) is held as arrays: node positions and velocities
+with the master in row 0, the workers' compute profiles, and the clock.
 All times inside a TaskRecord are measured from the task dispatch; the
 world clock accumulates completion times across the K tasks of an episode,
-since task j+1 is dispatched only once task j completed.
+since task j+1 is dispatched only once task j completed, and run_task
+moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
 builds the joint state (build_state), asks the allocator for loads, rounds
@@ -28,15 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding import generate_encoding_matrix, encode, plan_batches, decode
-from .envmodels import (
-    ComputeProfile,
-    KinematicState,
-    StragglerPlan,
-    advance,
-    channel_capacity,
-    comp_time,
-    distance,
-)
+from .envmodels import StragglerPlan, advance, channel_capacity, comp_time
 from .numerics import mat_vec
 
 
@@ -47,17 +42,25 @@ class DegenerateTaskError(ValueError):
     """An all-zero allocation dispatches no work at all."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldState:
-    """Master and worker kinematics plus compute profiles at a clock time."""
+    """Node kinematics and worker compute profiles at a clock time, as arrays.
 
-    master: object
-    workers: tuple  # of (KinematicState, ComputeProfile)
+    pos and vel (m, m/s) have shape (N+1, 2): row 0 is the master, row i+1
+    worker i.  alpha (s per row) and beta (straggling), shape (N,), are the
+    workers' shifted-exponential parameters.  run_task returns a new world
+    and never writes into these arrays.
+    """
+
+    pos: np.ndarray
+    vel: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
     clock: float = 0.0
 
     @property
     def n_workers(self):
-        return len(self.workers)
+        return len(self.beta)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,6 @@ class LoadAllocation:
     @property
     def total(self):
         return int(sum(self.loads))
-
-    def is_feasible(self, p):
-        return self.total >= p
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,6 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     sizes = np.zeros((len(active), width), dtype=np.int64)
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
-    (mx, my), (mvx, mvy) = world.master.position, world.master.velocity
-    params = []
     for r, (i, plan) in enumerate(zip(active, plans)):
         nb = plan.count
         sizes[r, :nb] = plan.batch_size
@@ -160,14 +158,12 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
         if cfg.noise_std_db > 0:
             omega[r, : nb + 1] = wrng.gen.normal(0.0, cfg.noise_std_db, nb + 1)
         wrng.gen.random(out=us[r, :nb])
-        kin, prof = world.workers[i]
-        params.append((
-            kin.position[0] - mx, kin.position[1] - my,
-            kin.velocity[0] - mvx, kin.velocity[1] - mvy,
-            prof.alpha, prof.beta, straggler.time_factor(i),
-        ))
+    act = np.array(active)
     # position and velocity relative to the master, compute profile and slowdown
-    rx, ry, rvx, rvy, alpha, beta, slow = np.array(params).T[:, :, None]
+    rx, ry = (world.pos[1:] - world.pos[0]).take(act, axis=0).T[:, :, None]
+    rvx, rvy = (world.vel[1:] - world.vel[0]).take(act, axis=0).T[:, :, None]
+    alpha, beta = world.alpha.take(act)[:, None], world.beta.take(act)[:, None]
+    slow = np.array([straggler.time_factor(i) for i in active])[:, None]
     valid = sizes > 0
 
     bc = _send_time(len(x), np.hypot(rx, ry), omega[:, :1], cfg)
@@ -206,7 +202,7 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     received = sizes.ravel()[order].cumsum()
     # up to the first arrival that reaches p rows; an infeasible task keeps every batch
     kept = order[: min(int(received.searchsorted(p)) + 1, sum(plan.count for plan in plans))]
-    workers = np.array(active)[kept // width]
+    workers = act[kept // width]
     rows = sizes.ravel()[kept]
     receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival[kept].tolist()))
     t_done = receipt_log[-1][2]
@@ -229,12 +225,9 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
         loads=loads,
         decoded=decoded,
     )
-    new_world = WorldState(
-        master=advance(world.master, t_done),
-        workers=tuple((advance(k, t_done), prof) for k, prof in world.workers),
-        clock=world.clock + t_done,
+    return record, replace(
+        world, pos=advance(world.pos, world.vel, t_done), clock=world.clock + t_done
     )
-    return record, new_world
 
 
 def rows_received_curve(rec):
@@ -247,25 +240,17 @@ def rows_received_curve(rec):
 def sample_world(scenario, rng):
     """Draw the initial world for an episode from the scenario ranges.
 
-    Returns (WorldState, betas, victim).  The straggler victim index is
-    always drawn, so the environment is identical with and without
-    straggler injection (paired comparisons).
+    Returns (WorldState, victim), with alpha = 1 / beta for every worker.
+    The straggler victim index is always drawn, so the environment is
+    identical with and without straggler injection (paired comparisons).
     """
     n = scenario.n_workers
     gen = rng.gen
-    betas = gen.uniform(scenario.beta_range[0], scenario.beta_range[1], n)
+    beta = gen.uniform(scenario.beta_range[0], scenario.beta_range[1], n)
     pos = gen.uniform(scenario.pos_range[0], scenario.pos_range[1], (n + 1, 2))
     vel = gen.uniform(scenario.vel_range[0], scenario.vel_range[1], (n + 1, 2))
     victim = int(gen.integers(n))
-    master = KinematicState(position=tuple(pos[0]), velocity=tuple(vel[0]))
-    workers = tuple(
-        (
-            KinematicState(position=tuple(pos[i + 1]), velocity=tuple(vel[i + 1])),
-            ComputeProfile(alpha=1.0 / betas[i], beta=float(betas[i])),
-        )
-        for i in range(n)
-    )
-    return WorldState(master=master, workers=workers, clock=0.0), tuple(betas), victim
+    return WorldState(pos=pos, vel=vel, alpha=1.0 / beta, beta=beta), victim
 
 
 def build_state(world):
@@ -274,15 +259,16 @@ def build_state(world):
     Row i is agent i's [d_i, d_-i, v_i, v_-i, v_m]: its own distance to the
     master, the other workers' distances, its own velocity, the others'
     velocities (the others in worker order) and the master's velocity.
+    Distances use math.hypot: np.hypot differs from it in the last bit on
+    some inputs, which would change the recorded states.
     """
     n = world.n_workers
     order = [[i, *range(i), *range(i + 1, n)] for i in range(n)]
-    dists = np.array([distance(k, world.master) for k, _ in world.workers])
-    vels = np.array([k.velocity for k, _ in world.workers])
+    dists = np.array([math.hypot(dx, dy) for dx, dy in (world.pos[1:] - world.pos[0]).tolist()])
     states = np.empty((n, 3 * n + 2))
     states[:, :n] = dists[order]
-    states[:, n:-2] = vels[order].reshape(n, 2 * n)
-    states[:, -2:] = world.master.velocity
+    states[:, n:-2] = world.vel[1:][order].reshape(n, 2 * n)
+    states[:, -2:] = world.vel[0]
     return states
 
 
@@ -326,7 +312,7 @@ def run_episode(
         batch_size = scenario.batch_size
 
     p = scenario.p_rows
-    world, betas, victim = sample_world(scenario, rng.substream("env"))
+    world, victim = sample_world(scenario, rng.substream("env"))
     plan = StragglerPlan(
         enabled=straggler_enabled,
         victim=victim,
@@ -383,7 +369,7 @@ def run_episode(
         actions=tuple(actions),
         rewards=tuple(rewards),
         total_time=float(sum(t.t_complete for t in tasks)),
-        betas=betas,
+        betas=tuple(world.beta),
         victim=victim,
         straggler_enabled=straggler_enabled,
     )

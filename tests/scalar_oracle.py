@@ -21,14 +21,13 @@ def run_task_scalar(world, alloc, batch_size, enc, x, straggler, rng, cfg, index
     u_bits = cfg.bits_per_element
     sigma = cfg.noise_std_db
     min_d = cfg.min_distance_m
-    mx, my = world.master.position
-    mvx, mvy = world.master.velocity
+    (mx, my), *positions = world.pos.tolist()
+    (mvx, mvy), *velocities = world.vel.tolist()
 
     receipts = []  # (arrival, worker, batch index, rows)
     for i, load in enumerate(loads):
         if load == 0:
             continue
-        kin, prof = world.workers[i]
         plan = plan_batches(load, load if batch_size is None else min(batch_size, load))
         nb = plan.count
         wrng = rng.substream("worker", i)
@@ -38,15 +37,15 @@ def run_task_scalar(world, alloc, batch_size, enc, x, straggler, rng, cfg, index
             omegas = [0.0] * (nb + 1)
         us = wrng.gen.random(nb)
 
-        px, py = kin.position
-        vx, vy = kin.velocity
+        px, py = positions[i]
+        vx, vy = velocities[i]
         d0 = max(math.hypot(px - mx, py - my), min_d)
         bc = m * u_bits / channel_capacity(d0, omegas[0], cfg)
 
         slow = 1.0
         if straggler.enabled and straggler.victim == i:
             slow = 1.0 + straggler.slowdown_factor
-        alpha, beta = prof.alpha, prof.beta
+        alpha, beta = float(world.alpha[i]), float(world.beta[i])
 
         t_cpu = bc
         link_free = bc

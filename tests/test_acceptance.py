@@ -20,7 +20,7 @@ from macc.allocators import solve_hcmm_lambda
 from macc.cli import main as cli_main
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import TrainConfig, preset_scenario
-from macc.envmodels import CommConfig, ComputeProfile, channel_capacity, comp_time
+from macc.envmodels import CommConfig, channel_capacity, comp_time
 from macc.marl import critic_forward, make_agents
 from macc.nets import Mlp
 from macc.numerics import RngStream, mat_vec
@@ -76,7 +76,7 @@ def criterion_02_hcmm_solver():
     worst_eq = 0.0
     for _ in range(100):
         beta = float(gen.uniform(1.0e4, 1.0e5))
-        lam = solve_hcmm_lambda(ComputeProfile(alpha=1.0 / beta, beta=beta))
+        lam = solve_hcmm_lambda(1.0 / beta, beta)
         z = beta * lam
         # defining equation in log form: z = alpha beta + ln(1 + z)
         rel = abs(z - 1.0 - math.log1p(z)) / z
@@ -92,9 +92,8 @@ def criterion_02_hcmm_solver():
 def criterion_03_shifted_exponential_sampler():
     start = time.perf_counter()
     rng = RngStream(1003)
-    profile = ComputeProfile(alpha=1.0e-4, beta=1.0e4)
     n = 100_000
-    draws = comp_time(100, rng.gen.random(n), profile.alpha, profile.beta)
+    draws = comp_time(100, rng.gen.random(n), 1.0e-4, 1.0e4)
     expected = 1.0e-4 * 100 + 100 / 1.0e4  # alpha l + l / beta = 0.02
     se = (100 / 1.0e4) / math.sqrt(n)
     assert abs(draws.mean() - expected) < 3 * se, (

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from macc.allocators import (
@@ -8,7 +9,6 @@ from macc.allocators import (
     solve_hcmm_lambda,
     uniform_alloc,
 )
-from macc.envmodels import ComputeProfile
 from macc.numerics import RngStream
 
 # root of z - 1 - ln(1 + z) = 0, i.e. lambda beta at alpha beta = 1,
@@ -39,25 +39,16 @@ class TestUniform:
 
 class TestLoadBalanced:
     def test_identical_workers_match_uniform(self):
-        profiles = [ComputeProfile(alpha=1e-4, beta=1e4)] * 4
-        assert load_balanced_alloc(100, profiles).loads == (25, 25, 25, 25)
+        assert load_balanced_alloc(100, [1e-4] * 4, [1e4] * 4).loads == (25, 25, 25, 25)
 
     def test_proportional_to_speed(self):
         # w = beta / (alpha beta + 1); alpha = 1/beta gives w = beta / 2
-        profiles = [
-            ComputeProfile(alpha=1e-3, beta=1e3),
-            ComputeProfile(alpha=1e-4, beta=1e4),
-        ]
-        loads = load_balanced_alloc(110, profiles).loads
+        loads = load_balanced_alloc(110, [1e-3, 1e-4], [1e3, 1e4]).loads
         assert loads == (10, 100)
 
     def test_largest_remainder_rounding(self):
         # shares 33.33.. / 66.66..: the bigger remainder gets the spare row
-        profiles = [
-            ComputeProfile(alpha=1e-3, beta=1e3),
-            ComputeProfile(alpha=5e-4, beta=2e3),
-        ]
-        loads = load_balanced_alloc(100, profiles).loads
+        loads = load_balanced_alloc(100, [1e-3, 5e-4], [1e3, 2e3]).loads
         assert sum(loads) == 100
         assert loads == (33, 67)
 
@@ -66,26 +57,23 @@ class TestLoadBalanced:
         for _ in range(50):
             n = int(rng.gen.integers(1, 7))
             betas = rng.gen.uniform(1e3, 1e5, n)
-            profiles = [ComputeProfile(alpha=1.0 / b, beta=b) for b in betas]
             p = int(rng.gen.integers(1, 5000))
-            alloc = load_balanced_alloc(p, profiles)
+            alloc = load_balanced_alloc(p, 1.0 / betas, betas)
             assert alloc.total == p
             assert all(l >= 0 for l in alloc.loads)
 
 
 class TestHcmmLambda:
     def test_alpha_beta_one_root(self):
-        prof = ComputeProfile(alpha=1e-4, beta=1e4)
-        lam = solve_hcmm_lambda(prof)
-        assert lam * prof.beta == pytest.approx(Z_STAR_AB1, rel=1e-10)
+        lam = solve_hcmm_lambda(1e-4, 1e4)
+        assert lam * 1e4 == pytest.approx(Z_STAR_AB1, rel=1e-10)
 
     def test_root_satisfies_original_equation(self):
         rng = RngStream(6)
         for _ in range(30):
             beta = float(rng.gen.uniform(1e3, 1e5))
             alpha = float(rng.gen.uniform(0.2, 3.0)) / beta
-            prof = ComputeProfile(alpha=alpha, beta=beta)
-            lam = solve_hcmm_lambda(prof)
+            lam = solve_hcmm_lambda(alpha, beta)
             assert lam > 0
             # e^(beta lam) = e^(alpha beta) (beta lam + 1)
             lhs = beta * lam
@@ -94,12 +82,12 @@ class TestHcmmLambda:
 
     def test_scale_invariance_in_beta(self):
         # z = beta lambda depends only on alpha beta
-        a = solve_hcmm_lambda(ComputeProfile(alpha=2e-4, beta=1e4))
-        b = solve_hcmm_lambda(ComputeProfile(alpha=2e-5, beta=1e5))
+        a = solve_hcmm_lambda(2e-4, 1e4)
+        b = solve_hcmm_lambda(2e-5, 1e5)
         assert a * 1e4 == pytest.approx(b * 1e5, rel=1e-9)
 
     def test_small_alpha_beta_root_stays_positive(self):
-        lam = solve_hcmm_lambda(ComputeProfile(alpha=1e-9, beta=1e4))
+        lam = solve_hcmm_lambda(1e-9, 1e4)
         assert lam > 0
 
 
@@ -108,12 +96,7 @@ class TestHcmmAlloc:
         # alpha_i = 1/beta_i with betas (1e4, 2e4, 4e4) at p = 6000:
         # identical z* = 2.14619..., h and the ceil loads frozen from an
         # independent evaluation of the formulas
-        profiles = [
-            ComputeProfile(alpha=1e-4, beta=1e4),
-            ComputeProfile(alpha=5e-5, beta=2e4),
-            ComputeProfile(alpha=2.5e-5, beta=4e4),
-        ]
-        sol = hcmm_alloc(6000, profiles)
+        sol = hcmm_alloc(6000, [1e-4, 5e-5, 2.5e-5], [1e4, 2e4, 4e4])
         assert sol.h == pytest.approx(22249.11030295609, rel=1e-10)
         assert sol.loads == (1257, 2514, 5027)
 
@@ -122,22 +105,22 @@ class TestHcmmAlloc:
         for _ in range(40):
             n = int(rng.gen.integers(2, 7))
             betas = rng.gen.uniform(1e4, 1e5, n)
-            profiles = [ComputeProfile(alpha=1.0 / b, beta=b) for b in betas]
             p = int(rng.gen.integers(100, 8000))
-            sol = hcmm_alloc(p, profiles)
+            sol = hcmm_alloc(p, 1.0 / betas, betas)
             assert sum(sol.loads) >= p
             assert all(0 < l <= p for l in sol.loads)
 
     def test_faster_worker_gets_more(self):
-        profiles = [
-            ComputeProfile(alpha=1e-4, beta=1e4),
-            ComputeProfile(alpha=2.5e-5, beta=4e4),
-        ]
-        sol = hcmm_alloc(1000, profiles)
+        sol = hcmm_alloc(1000, [1e-4, 2.5e-5], [1e4, 4e4])
         assert sol.loads[1] > sol.loads[0]
 
     def test_cap_at_p(self):
         # one worker so slow its share rounds above p on the fast one
-        profiles = [ComputeProfile(alpha=1e-4, beta=1e4)]
-        sol = hcmm_alloc(500, profiles)
+        sol = hcmm_alloc(500, [1e-4], [1e4])
         assert sol.loads == (500,)
+
+    def test_arrays_and_sequences_agree(self):
+        alpha, beta = [1e-4, 5e-5, 2.5e-5], [1e4, 2e4, 4e4]
+        arrays = np.array(alpha), np.array(beta)
+        assert hcmm_alloc(6000, *arrays) == hcmm_alloc(6000, alpha, beta)
+        assert load_balanced_alloc(99, *arrays) == load_balanced_alloc(99, alpha, beta)

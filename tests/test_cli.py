@@ -92,6 +92,15 @@ class TestEvaluateCommand:
         for name in ("metrics.csv", "summary.csv", "episodes.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_summary_is_the_comparison_row(self, ini, tmp_path):
+        main(["evaluate", "--config", ini, "--scheme", "load-balanced",
+              "--episodes", "3", "--out", str(tmp_path / "ev")])
+        main(["compare", "--config", ini, "--episodes", "3", "--out", str(tmp_path / "cmp")])
+        comparison = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+        rows = [line for line in comparison[2:] if line.split(",")[1] == "load-balanced"]
+        want = "\n".join(comparison[:2] + rows) + "\n"
+        assert (tmp_path / "ev" / "summary.csv").read_bytes() == want.encode("utf-8")
+
     def test_seed_override_changes_results(self, ini, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -183,3 +192,11 @@ class TestErrors:
                      "--scheme", "uniform"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_range_bound(self, tmp_path, capsys):
+        path = tmp_path / "inf.ini"
+        path.write_text("[scenario]\npreset = desk\npos_max = inf\n")
+        code = main(["evaluate", "--config", str(path), "--scheme", "uniform",
+                     "--episodes", "1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "error: scenario.pos_max: must be finite, got inf" in capsys.readouterr().err

@@ -153,6 +153,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScenarioConfig(p_rows=0)
 
+    def test_scenario_beta_positive(self):
+        with pytest.raises(ConfigError, match=r"scenario\.beta_min: must be positive"):
+            ScenarioConfig(beta_range=(0.0, 10.0))
+
+    @pytest.mark.parametrize("key, value", [
+        ("pos_max", "inf"), ("vel_min", "-inf"), ("beta_max", "nan"), ("pos_min", "nan"),
+    ])
+    def test_non_finite_range_bound_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=rf"^scenario\.{key}: must be finite, got {value}$"):
+            load_config(write(tmp_path, f"[scenario]\npreset = desk\n{key} = {value}\n"))
+
+    @pytest.mark.parametrize("key", ["pos", "vel"])
+    def test_overflowing_range_width_named(self, tmp_path, key):
+        text = f"[scenario]\npreset = desk\n{key}_min = -1e308\n{key}_max = 1e308\n"
+        with pytest.raises(ConfigError, match=rf"^scenario\.{key}_range: width .* overflows$"):
+            load_config(write(tmp_path, text))
+
 
 class TestDigest:
     def test_stable(self):

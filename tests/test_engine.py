@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 from macc import simcore
 from macc.coding import generate_encoding_matrix
 from macc.config import ScenarioConfig
-from macc.envmodels import (
-    CommConfig,
-    ComputeProfile,
-    KinematicState,
-    StragglerPlan,
-    channel_capacity,
-)
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
 from macc.numerics import RngStream
 from macc.simcore import LoadAllocation, WorldState, run_task, sample_world
 
@@ -75,7 +69,7 @@ class TestAgainstScalarOracle:
         scenario = ScenarioConfig(n_workers=n, p_rows=120, m_cols=80,
                                   beta_range=(1.0e3, 1.0e5))
         cfg = CommConfig(noise_std_db=noise_std_db)
-        world, _, victim = sample_world(scenario, RngStream(seed).substream("env"))
+        world, victim = sample_world(scenario, RngStream(seed).substream("env"))
         b = {"one": 1, "quarter": scenario.p_rows // 4, "single": None}[batch]
         plan = StragglerPlan(enabled=straggling, victim=victim)
         loads = random_loads(seed, n, scenario.p_rows)
@@ -86,10 +80,11 @@ class TestAgainstScalarOracle:
     def test_identical_workers_tie_by_worker_then_batch(self):
         # noiseless, tail-free and co-located: every batch of the four
         # workers arrives at the same instant as its peers
-        kin = KinematicState(position=(3.0, 4.0), velocity=(1.0, -1.0))
         world = WorldState(
-            master=KinematicState(position=(0.0, 0.0), velocity=(0.0, 0.0)),
-            workers=((kin, ComputeProfile(alpha=1.0e-4, beta=math.inf)),) * 4,
+            pos=np.array([[0.0, 0.0]] + [[3.0, 4.0]] * 4),
+            vel=np.array([[0.0, 0.0]] + [[1.0, -1.0]] * 4),
+            alpha=np.full(4, 1.0e-4),
+            beta=np.full(4, math.inf),
         )
         got, want = run_both(world, [12] * 4, 40, 5, 1, StragglerPlan(),
                              CommConfig(noise_std_db=0.0), 0)
@@ -97,7 +92,7 @@ class TestAgainstScalarOracle:
         assert_matches_oracle(got, want)
 
     def test_zero_load_workers_and_infeasible_total(self):
-        world, _, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(5).substream("env"))
+        world, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(5).substream("env"))
         got, want = run_both(world, [0, 30, 0, 40], 200, 50, 7, StragglerPlan(), CommConfig(), 5)
         assert not got.feasible and got.rows_received_at_completion == 70
         assert {w for w, _, _ in got.receipt_log} == {1, 3}
@@ -110,14 +105,12 @@ def close_pass_world():
     Its distance falls below min_distance_m while it streams, so the clamp
     is active, and the send times change fastest there.
     """
-    master = KinematicState(position=(0.0, 0.0), velocity=(0.0, 0.0))
-    workers = (
-        (KinematicState(position=(-3.0, 0.3), velocity=(20.0, 0.0)),
-         ComputeProfile(alpha=1.0e-5, beta=1.0e5)),
-        (KinematicState(position=(40.0, -30.0), velocity=(-2.0, 1.0)),
-         ComputeProfile(alpha=2.0e-5, beta=5.0e4)),
+    return WorldState(
+        pos=np.array([[0.0, 0.0], [-3.0, 0.3], [40.0, -30.0]]),
+        vel=np.array([[0.0, 0.0], [20.0, 0.0], [-2.0, 1.0]]),
+        alpha=np.array([1.0e-5, 2.0e-5]),
+        beta=np.array([1.0e5, 5.0e4]),
     )
-    return WorldState(master=master, workers=workers)
 
 
 class TestSequentialFinish:
@@ -158,16 +151,11 @@ def tasks(draw, max_workers=4):
     loads = draw(st.lists(st.integers(0, p), min_size=n, max_size=n))
     if not any(loads):
         loads[draw(st.integers(0, n - 1))] = draw(st.integers(1, p))
-    workers = tuple(
-        (KinematicState(position=(draw(coords), draw(coords)),
-                        velocity=(draw(speeds), draw(speeds))),
-         ComputeProfile(alpha=1.0 / beta, beta=beta))
-        for beta in draw(st.lists(st.floats(1.0e3, 1.0e5), min_size=n, max_size=n))
-    )
-    master = KinematicState(position=(draw(coords), draw(coords)),
-                            velocity=(draw(speeds), draw(speeds)))
+    beta = np.array(draw(st.lists(st.floats(1.0e3, 1.0e5), min_size=n, max_size=n)))
+    # one row per node, the master first: x, y, vx, vy
+    kin = np.array([[draw(coords), draw(coords), draw(speeds), draw(speeds)] for _ in range(n + 1)])
     return dict(
-        world=WorldState(master=master, workers=workers),
+        world=WorldState(pos=kin[:, :2], vel=kin[:, 2:], alpha=1.0 / beta, beta=beta),
         loads=loads,
         p=p,
         m=draw(st.integers(1, 50)),
@@ -233,20 +221,18 @@ class TestProperties:
     def test_single_worker_single_batch_closed_form(self, task):
         task["batch_size"] = None
         task["loads"] = [max(task["loads"][0], 1)]
-        (kin, prof), = task["world"].workers
-        master, cfg, l = task["world"].master, task["cfg"], task["loads"][0]
+        world, cfg, l = task["world"], task["cfg"], task["loads"][0]
         wrng = RngStream(task["seed"]).substream("task").substream("worker", 0)
         omega = wrng.gen.normal(0.0, cfg.noise_std_db, 2) if cfg.noise_std_db > 0 else [0.0, 0.0]
         u = wrng.gen.random(1)[0]
         slow = 1.0 + task["straggler"].slowdown_factor if task["straggler"].enabled else 1.0
 
         def distance_at(t):
-            dx = (kin.position[0] + kin.velocity[0] * t) - (master.position[0] + master.velocity[0] * t)
-            dy = (kin.position[1] + kin.velocity[1] * t) - (master.position[1] + master.velocity[1] * t)
-            return math.hypot(dx, dy)
+            (mx, my), (wx, wy) = (world.pos + world.vel * t).tolist()
+            return math.hypot(wx - mx, wy - my)
 
         broadcast = task["m"] * cfg.bits_per_element / channel_capacity(distance_at(0.0), omega[0], cfg)
-        compute = (prof.alpha * l - (l / prof.beta) * math.log1p(-u)) * slow
+        compute = (world.alpha[0] * l - (l / world.beta[0]) * math.log1p(-u)) * slow
         begin = broadcast + compute
         expected = begin + l * cfg.bits_per_element / channel_capacity(distance_at(begin), omega[1], cfg)
         assert simulate(task).t_complete == pytest.approx(expected, rel=RTOL, abs=0.0)

@@ -5,13 +5,10 @@ import pytest
 
 from macc.envmodels import (
     CommConfig,
-    ComputeProfile,
-    KinematicState,
     StragglerPlan,
     advance,
     channel_capacity,
     comp_time,
-    distance,
     signal_power,
 )
 from macc.numerics import RngStream
@@ -117,29 +114,21 @@ class TestCompTime:
 
 class TestKinematics:
     def test_static_node(self):
-        k = KinematicState(position=(2.0, 3.0), velocity=(0.0, 0.0))
-        assert advance(k, 10.0).position == (2.0, 3.0)
+        pos = np.array([[2.0, 3.0]])
+        assert advance(pos, np.zeros((1, 2)), 10.0).tolist() == [[2.0, 3.0]]
 
     def test_hand_drift(self):
-        k = KinematicState(position=(0.0, 0.0), velocity=(3.0, 4.0))
-        assert advance(k, 2.0).position == (6.0, 8.0)
+        pos = np.array([[0.0, 0.0], [1.0, 1.0]])
+        vel = np.array([[3.0, 4.0], [-1.0, 0.5]])
+        assert advance(pos, vel, 2.0).tolist() == [[6.0, 8.0], [-1.0, 2.0]]
 
     def test_flow_composition(self):
-        k = KinematicState(position=(1.0, -1.0), velocity=(0.5, 2.0))
-        a = advance(advance(k, 1.5), 2.5)
-        b = advance(k, 4.0)
-        assert np.allclose(a.position, b.position)
-        assert a.velocity == b.velocity
+        pos, vel = np.array([[1.0, -1.0]]), np.array([[0.5, 2.0]])
+        np.testing.assert_allclose(advance(advance(pos, vel, 1.5), vel, 2.5), advance(pos, vel, 4.0))
 
     def test_rejects_negative_dt(self):
-        k = KinematicState(position=(0.0, 0.0), velocity=(1.0, 1.0))
         with pytest.raises(ValueError):
-            advance(k, -0.1)
-
-    def test_distance(self):
-        a = KinematicState(position=(0.0, 0.0), velocity=(0.0, 0.0))
-        b = KinematicState(position=(3.0, 4.0), velocity=(0.0, 0.0))
-        assert distance(a, b) == 5.0
+            advance(np.zeros((1, 2)), np.ones((1, 2)), -0.1)
 
 
 class TestStraggler:
@@ -168,9 +157,3 @@ class TestConfigValidation:
             CommConfig(noise_power_w=-1.0)
         with pytest.raises(ValueError):
             CommConfig(min_distance_m=0.0)
-
-    def test_rejects_bad_profile(self):
-        with pytest.raises(ValueError):
-            ComputeProfile(alpha=0.0, beta=1e4)
-        with pytest.raises(ValueError):
-            ComputeProfile(alpha=1e-4, beta=0.0)

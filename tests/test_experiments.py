@@ -3,7 +3,6 @@ import pytest
 
 from macc import experiments, marl
 from macc.config import ConfigError, ScenarioConfig
-from macc.envmodels import ComputeProfile
 from macc.numerics import RngStream
 from macc.experiments import (
     METRICS_COLUMNS,
@@ -53,12 +52,13 @@ class TestAllocatorFactory:
     def test_profile_based_loads_computed_once_per_episode(self, monkeypatch, scheme, name):
         calls = []
         solve = getattr(experiments, name)
-        monkeypatch.setattr(experiments, name, lambda p, profiles: calls.append(1) or solve(p, profiles))
+        monkeypatch.setattr(experiments, name,
+                            lambda p, alpha, beta: calls.append(1) or solve(p, alpha, beta))
         records = evaluate_scheme(TINY, scheme, 3, seed=3)
         assert len(calls) == 3  # one per episode, not one per task
         for rec in records:
-            profiles = [ComputeProfile(alpha=1.0 / b, beta=b) for b in rec.betas]
-            want = solve(TINY.p_rows, profiles).loads
+            betas = np.array(rec.betas)
+            want = solve(TINY.p_rows, 1.0 / betas, betas).loads
             assert all(task.loads == want for task in rec.tasks)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from macc import marl
 from macc.config import ScenarioConfig, TrainConfig
-from macc.envmodels import ComputeProfile, KinematicState
 from macc.marl import (
     ReplayBuffer,
     actor_update,
@@ -31,12 +30,12 @@ TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
 
 
 def two_worker_world():
-    master = KinematicState(position=(0.0, 0.0), velocity=(0.5, -0.5))
-    w0 = (KinematicState(position=(3.0, 4.0), velocity=(1.0, 2.0)),
-          ComputeProfile(alpha=1e-3, beta=1e3))
-    w1 = (KinematicState(position=(6.0, 8.0), velocity=(-1.0, 0.0)),
-          ComputeProfile(alpha=1e-3, beta=1e3))
-    return WorldState(master=master, workers=(w0, w1), clock=0.0)
+    return WorldState(
+        pos=np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]),
+        vel=np.array([[0.5, -0.5], [1.0, 2.0], [-1.0, 0.0]]),
+        alpha=np.full(2, 1e-3),
+        beta=np.full(2, 1e3),
+    )
 
 
 class TestStates:
@@ -286,7 +285,7 @@ class TestReplayBuffer:
 class TestPolicyAllocator:
     def test_deterministic_without_noise(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
-        world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
+        world, _ = sample_world(TINY, RngStream(10).substream("env"))
         states = build_state(world)
         allocate = policy_allocator(agents, TINY)
         first = allocate(world, states)
@@ -296,7 +295,7 @@ class TestPolicyAllocator:
 
     def test_noise_perturbs_and_stays_in_range(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
-        world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
+        world, _ = sample_world(TINY, RngStream(10).substream("env"))
         states = build_state(world)
         clean = policy_allocator(agents, TINY)(world, states)
         noisy_alloc = policy_allocator(agents, TINY, noise_rng=RngStream(11),
@@ -309,7 +308,7 @@ class TestPolicyAllocator:
 
     def test_each_agent_reads_its_own_state_row(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
-        world, _, _ = sample_world(TINY, RngStream(10).substream("env"))
+        world, _ = sample_world(TINY, RngStream(10).substream("env"))
         states = build_state(world)
         loads = policy_allocator(agents, TINY)(world, states)
         norm = normalize_states(states, 2, state_scales(TINY))

@@ -7,13 +7,7 @@ import pytest
 from macc import experiments, marl, simcore
 from macc.coding import generate_encoding_matrix
 from macc.config import ScenarioConfig
-from macc.envmodels import (
-    CommConfig,
-    ComputeProfile,
-    KinematicState,
-    StragglerPlan,
-    channel_capacity,
-)
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
 from macc.numerics import RngStream
 from macc.simcore import (
     DegenerateTaskError,
@@ -41,14 +35,17 @@ def send_per_row(d):
 
 def make_world(workers, master_pos=(0.0, 0.0), master_vel=(0.0, 0.0)):
     """workers: list of (pos, vel, alpha, beta)."""
+    pos, vel, alpha, beta = zip(*workers)
     return WorldState(
-        master=KinematicState(position=master_pos, velocity=master_vel),
-        workers=tuple(
-            (KinematicState(position=pos, velocity=vel), ComputeProfile(alpha=a, beta=b))
-            for pos, vel, a, b in workers
-        ),
-        clock=0.0,
+        pos=np.array([master_pos, *pos], dtype=float),
+        vel=np.array([master_vel, *vel], dtype=float),
+        alpha=np.array(alpha, dtype=float),
+        beta=np.array(beta, dtype=float),
     )
+
+
+def world_arrays(world):
+    return [world.pos, world.vel, world.alpha, world.beta]
 
 
 def run_deterministic(world, loads, p, m, batch_size, straggler=NO_STRAG, seed=0):
@@ -64,8 +61,6 @@ class TestLoadAllocation:
     def test_total_and_feasibility(self):
         a = LoadAllocation((3, 0, 7))
         assert a.total == 10
-        assert a.is_feasible(10)
-        assert not a.is_feasible(11)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -218,12 +213,21 @@ class TestWorldAdvance:
         world = make_world([((1.0, 0.0), (2.0, -1.0), 1.0, math.inf)])
         rec, after = run_deterministic(world, [10], p=10, m=5, batch_size=None)
         t = rec.t_complete
-        kin, prof = after.workers[0]
         assert after.clock == t
-        assert kin.position == (1.0 + 2.0 * t, -1.0 * t)
-        assert kin.velocity == (2.0, -1.0)
-        assert after.master.position == (0.0, 0.0)
-        assert prof is world.workers[0][1]
+        assert after.pos.tolist() == [[0.0, 0.0], [1.0 + 2.0 * t, -1.0 * t]]
+        assert after.vel.tolist() == [[0.0, 0.0], [2.0, -1.0]]
+        assert after.alpha is world.alpha and after.beta is world.beta
+
+    def test_input_world_left_unchanged(self):
+        world = make_world([
+            ((5.0, 1.0), (0.5, -0.2), 1e-4, 1e4),
+            ((-8.0, 3.0), (1.0, 0.1), 2e-4, 5e3),
+        ], master_vel=(0.3, 0.4))
+        before = [a.copy() for a in world_arrays(world)]
+        _, after = run_deterministic(world, [7, 6], p=10, m=5, batch_size=3, seed=21)
+        for a, b in zip(world_arrays(world), before):
+            np.testing.assert_array_equal(a, b)
+        assert world.clock == 0.0 and after.pos is not world.pos
 
     def test_repeat_run_is_bitwise_identical(self):
         world = make_world([
@@ -246,23 +250,22 @@ def full_loads(world, states):
 
 class TestSampleWorld:
     def test_draws_respect_ranges(self):
-        world, betas, victim = sample_world(TINY, RngStream(11).substream("env"))
+        world, victim = sample_world(TINY, RngStream(11).substream("env"))
         assert world.n_workers == 2
         assert 0 <= victim < 2
-        for b in betas:
-            assert 1.0e3 <= b <= 2.0e3
-        for kin, prof in world.workers:
-            assert all(-100.0 <= c <= 100.0 for c in kin.position)
-            assert all(-10.0 <= c <= 10.0 for c in kin.velocity)
-        alphas = [prof.alpha for _, prof in world.workers]
-        assert alphas == [1.0 / b for b in betas]
+        assert world.pos.shape == world.vel.shape == (3, 2)
+        assert ((1.0e3 <= world.beta) & (world.beta <= 2.0e3)).all()
+        assert (np.abs(world.pos) <= 100.0).all()
+        assert (np.abs(world.vel) <= 10.0).all()
+        assert world.alpha.tolist() == [1.0 / b for b in world.beta]
+        assert world.clock == 0.0
 
     def test_same_stream_same_world(self):
-        w1, b1, v1 = sample_world(TINY, RngStream(11).substream("env"))
-        w2, b2, v2 = sample_world(TINY, RngStream(11).substream("env"))
-        assert b1 == b2 and v1 == v2
-        assert w1.master == w2.master
-        assert w1.workers == w2.workers
+        w1, v1 = sample_world(TINY, RngStream(11).substream("env"))
+        w2, v2 = sample_world(TINY, RngStream(11).substream("env"))
+        assert v1 == v2
+        for a, b in zip(world_arrays(w1), world_arrays(w2)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStates:
@@ -277,16 +280,15 @@ class TestStates:
         ])
 
     def test_rows_list_own_worker_then_the_others_in_order(self):
-        world, _, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
+        world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
         states = build_state(world)
         assert states.shape == (5, 17)
-        master = world.master
+        (mx, my), *pos = world.pos.tolist()
+        master_vel, *vel = world.vel.tolist()
         for i in range(5):
-            others = [j for j in range(5) if j != i]
-            kin = [world.workers[j][0] for j in [i] + others]
-            want = [math.hypot(k.position[0] - master.position[0],
-                               k.position[1] - master.position[1]) for k in kin]
-            want += [v for k in kin for v in k.velocity] + list(master.velocity)
+            rows = [i] + [j for j in range(5) if j != i]
+            want = [math.hypot(pos[j][0] - mx, pos[j][1] - my) for j in rows]
+            want += [v for j in rows for v in vel[j]] + master_vel
             assert states[i].tolist() == want
 
 
@@ -367,6 +369,19 @@ class TestRunEpisode:
         for states, clock, task in zip(ep.states, calls, ep.tasks):
             assert clock == task.dispatch_time
             assert states.shape == (2, marl.state_dim(2))
+
+    def test_worlds_left_unchanged(self):
+        seen = []
+
+        def allocator(world, states):
+            seen.append((world, [a.copy() for a in world_arrays(world)]))
+            return (5, 4)
+
+        ep = run_episode(TINY, allocator, RngStream(4))
+        assert [w.clock for w, _ in seen] == [t.dispatch_time for t in ep.tasks]
+        for world, before in seen:
+            for a, b in zip(world_arrays(world), before):
+                np.testing.assert_array_equal(a, b)
 
     def test_all_zero_allocation_counts_penalty_only(self):
         ep = run_episode(TINY, lambda w, s: (0, 0), RngStream(4))
