@@ -22,21 +22,21 @@ p, m, n_workers = 20, 12, 3
 a = rng.substream("a").gen.standard_normal((p, m))
 x = rng.substream("x").gen.standard_normal(m)
 
-enc = generate_encoding_matrix(p, n_workers, rng.substream("code"))
-task = encode(enc, a)
-print(f"A is {p} x {m}; G is {enc.g.shape[0]} x {enc.g.shape[1]} "
+g = generate_encoding_matrix(p, n_workers, rng.substream("code"))
+a_hat = encode(g, a)
+print(f"A is {p} x {m}; G is {g.shape[0]} x {g.shape[1]} "
       f"({n_workers} workers, one p-row block each)")
 
 # ----------------------------------------------------------------------
 # 2. Scatter the rows and take whichever p arrive first
 # ----------------------------------------------------------------------
 # every worker computes its whole block here; arrival order is random
-order = rng.substream("arrivals").gen.permutation(enc.g.shape[0])
+order = rng.substream("arrivals").gen.permutation(g.shape[0])
 first_p = order[:p]
 print(f"first {p} arrivals come from rows {sorted(first_p.tolist())[:8]} ...")
 
-y = mat_vec(task.a_hat[first_p, :], x)   # what the workers send back
-recovered = decode(enc.g[first_p, :], y)
+y = mat_vec(a_hat[first_p, :], x)   # what the workers send back
+recovered = decode(g[first_p, :], y)
 truth = mat_vec(a, x)
 err = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)
 print(f"relative recovery error from the first {p} rows: {err:.2e}")
@@ -45,12 +45,12 @@ print(f"relative recovery error from the first {p} rows: {err:.2e}")
 # 3. More rows only help; fewer rows are refused
 # ----------------------------------------------------------------------
 extra = order[: p + 7]
-recovered = decode(enc.g[extra, :], mat_vec(task.a_hat[extra, :], x))
+recovered = decode(g[extra, :], mat_vec(a_hat[extra, :], x))
 err = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)
 print(f"with {p + 7} rows (overdetermined): {err:.2e}")
 
 try:
-    decode(enc.g[order[: p - 1], :], mat_vec(task.a_hat[order[: p - 1], :], x))
+    decode(g[order[: p - 1], :], mat_vec(a_hat[order[: p - 1], :], x))
 except InsufficientRowsError as e:
     print(f"with {p - 1} rows: refused ({e})")
 
@@ -63,6 +63,6 @@ for load in (7, 13, 20):
     if len(idx) < p:
         print(f"load {load} per worker: {len(idx)} rows, not decodable")
         continue
-    rec = decode(enc.g[idx, :], mat_vec(task.a_hat[idx, :], x))
+    rec = decode(g[idx, :], mat_vec(a_hat[idx, :], x))
     err = np.linalg.norm(rec - truth) / np.linalg.norm(truth)
     print(f"load {load} per worker ({len(idx)} rows): error {err:.2e}")

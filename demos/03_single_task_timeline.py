@@ -9,19 +9,10 @@ rows; everything still in flight is discarded.  Small batches overlap
 computation with transmission, one big batch serializes them.
 """
 
-import numpy as np
-
-from macc.coding import generate_encoding_matrix
 from macc.config import ScenarioConfig
 from macc.envmodels import StragglerPlan
 from macc.numerics import RngStream
-from macc.simcore import (
-    LoadAllocation,
-    rows_received_curve,
-    run_episode,
-    run_task,
-    sample_world,
-)
+from macc.simcore import rows_received_curve, run_episode, run_task, sample_world
 
 scenario = ScenarioConfig(name="demo", n_workers=3, p_rows=60, m_cols=40,
                           k_tasks=1, beta_range=(5e3, 1e4))
@@ -35,13 +26,13 @@ print("workers:", "  ".join(
 # ----------------------------------------------------------------------
 # 1. Run one task with redundancy and batching
 # ----------------------------------------------------------------------
-enc = generate_encoding_matrix(scenario.p_rows, 3, rng.substream("code"),
-                               materialize=False)
-loads = LoadAllocation((30, 30, 30))  # 90 rows assigned, only 60 needed
-x = np.zeros(scenario.m_cols)
+# the engine times rows, never their values: it needs the loads, p and
+# the payload length m
+p, m = scenario.p_rows, scenario.m_cols
+loads = (30, 30, 30)  # 90 rows assigned, only 60 needed
 no_straggler = StragglerPlan(enabled=False)
 
-rec, _ = run_task(world, loads, 10, enc, x, no_straggler,
+rec, _ = run_task(world, loads, 10, p, m, no_straggler,
                   rng.substream("task"), scenario.comm)
 
 print(f"\nbatches of 10, loads {rec.loads}: done at {rec.t_complete * 1e3:.1f} ms "
@@ -59,7 +50,7 @@ print("cumulative rows at each arrival:", rows.tolist())
 # ----------------------------------------------------------------------
 print("\nsame task, other batch sizes:")
 for b in (1, 5, 15, 30, None):
-    rec_b, _ = run_task(world, loads, b, enc, x, no_straggler,
+    rec_b, _ = run_task(world, loads, b, p, m, no_straggler,
                         rng.substream("task"), scenario.comm)
     label = "single" if b is None else f"b={b}"
     print(f"  {label:>7}: {rec_b.t_complete * 1e3:7.1f} ms "

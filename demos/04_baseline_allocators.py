@@ -26,8 +26,8 @@ bal = load_balanced_alloc(p, alphas, betas)
 hc = hcmm_alloc(p, alphas, betas)
 
 print(f"p = {p}, betas = {betas}")
-print(f"uniform        {uni.loads}  (sum {uni.total})")
-print(f"load-balanced  {bal.loads}  (sum {bal.total})")
+print(f"uniform        {uni}  (sum {sum(uni)})")
+print(f"load-balanced  {bal}  (sum {sum(bal)})")
 print(f"hcmm           {hc.loads}  (sum {sum(hc.loads)}, "
       f"{sum(hc.loads) - p} redundant rows)")
 print(f"hcmm internals: beta*lambda = {hc.lam[0] * betas[0]:.6f} "

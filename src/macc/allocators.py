@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simcore import LoadAllocation
-
 
 @dataclass(frozen=True)
 class HcmmSolution:
@@ -24,12 +22,11 @@ class HcmmSolution:
 
 
 def uniform_alloc(p, n_workers):
-    """Split exactly p rows as evenly as possible (first p mod N get one extra)."""
+    """Split exactly p rows as evenly as possible (first p mod N get one extra); a tuple."""
     if n_workers < 1:
         raise ValueError(f"need at least one worker, got {n_workers}")
     base, extra = divmod(int(p), int(n_workers))
-    loads = tuple(base + 1 if i < extra else base for i in range(n_workers))
-    return LoadAllocation(loads)
+    return tuple(base + 1 if i < extra else base for i in range(n_workers))
 
 
 def load_balanced_alloc(p, alpha, beta):
@@ -37,7 +34,7 @@ def load_balanced_alloc(p, alpha, beta):
 
     alpha and beta are the workers' compute profiles (sequences or arrays).
     Real-valued shares are rounded by largest remainder so the sum stays
-    exactly p.
+    exactly p.  Returns the loads as a tuple of ints.
     """
     beta = np.asarray(beta)
     w = beta / (np.asarray(alpha) * beta + 1.0)
@@ -47,7 +44,7 @@ def load_balanced_alloc(p, alpha, beta):
     order = np.argsort(-(shares - loads), kind="stable")
     for i in order[:short]:
         loads[i] += 1
-    return LoadAllocation(tuple(int(l) for l in loads))
+    return tuple(int(l) for l in loads)
 
 
 def solve_hcmm_lambda(alpha, beta, tol=1.0e-12):
@@ -88,8 +85,8 @@ def hcmm_alloc(p, alpha, beta):
     alpha and beta are the workers' compute profiles (sequences or arrays).
     h = sum_i beta_i / (1 + beta_i lambda_i).  Each term of h is below
     1 / lambda_i, so sum_i p / (h lambda_i) > p and the ceilings (or a load
-    capped at p) cover p.  Returns an HcmmSolution (the LoadAllocation is
-    in .loads).
+    capped at p) cover p.  Returns an HcmmSolution; the loads are in
+    .loads.
     """
     lam = [solve_hcmm_lambda(a, b) for a, b in zip(alpha, beta)]
     h = sum(b / (1.0 + b * l) for b, l in zip(beta, lam))

@@ -9,39 +9,21 @@ One G of N p rows is generated per run; worker i owns the block of
 rows [i p, (i+1) p) and a load of l rows means the first l rows of that
 block.  This fixed superset is equivalent to re-encoding with q = sum(l)
 rows per task and avoids repeating the encoding cost.
+
+The engine (simcore.run_task) needs only p, the payload length m and the
+loads: it simulates when rows arrive, never their values, so it draws no
+G.  plan_batches is the one function it calls here.  Which rows a receipt
+carries follows from the block layout above: worker i's k-th receipt
+continues its block where the previous one stopped.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .numerics import as_matrix, as_vector, least_squares_solve
 
 
 class InsufficientRowsError(ValueError):
     """Fewer than p encoded rows received: the task result is undecodable."""
-
-
-@dataclass(frozen=True)
-class EncodingMatrix:
-    """Encoding matrix handle.
-
-    g is the (N p, p) Gaussian matrix, or None when the run only needs
-    event timing and never touches the numerics (see generate_encoding_matrix).
-    """
-
-    g: object
-    p: int
-    n_workers: int
-
-
-@dataclass(frozen=True)
-class EncodedTaskMatrix:
-    """A_hat = G A together with its provenance."""
-
-    a_hat: np.ndarray
-    enc: EncodingMatrix
-    a: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,31 +39,21 @@ class BatchPlan:
         return len(self.sizes)
 
 
-def generate_encoding_matrix(p, n_workers, rng, materialize=True):
-    """Draw the (N p, p) i.i.d. standard Gaussian encoding matrix.
-
-    With materialize=False only the handle is built (g is None); timing-only
-    simulations track row counts and never multiply, which matters at full
-    scale where G would hold N p^2 doubles.
-    """
+def generate_encoding_matrix(p, n_workers, rng):
+    """Draw the (N p, p) i.i.d. standard Gaussian encoding matrix G."""
     p = int(p)
     n_workers = int(n_workers)
     if p < 1 or n_workers < 1:
         raise ValueError(f"dimensions must be positive, got p={p}, n_workers={n_workers}")
-    g = None
-    if materialize:
-        g = rng.gen.standard_normal((n_workers * p, p))
-    return EncodingMatrix(g=g, p=p, n_workers=n_workers)
+    return rng.gen.standard_normal((n_workers * p, p))
 
 
-def encode(enc, a):
-    """A_hat = G A."""
-    if enc.g is None:
-        raise ValueError("encoding matrix was generated with materialize=False")
+def encode(g, a):
+    """A_hat = G A, for the encoding matrix g of generate_encoding_matrix."""
     a = as_matrix(a)
-    if a.shape[0] != enc.p:
-        raise ValueError(f"dimension mismatch: A has {a.shape[0]} rows, code expects {enc.p}")
-    return EncodedTaskMatrix(a_hat=enc.g @ a, enc=enc, a=a)
+    if a.shape[0] != g.shape[1]:
+        raise ValueError(f"dimension mismatch: A has {a.shape[0]} rows, code expects {g.shape[1]}")
+    return g @ a
 
 
 def plan_batches(load, batch_size):

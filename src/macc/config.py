@@ -23,11 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
 
-from .envmodels import CommConfig
-
-
-class ConfigError(ValueError):
-    pass
+from .envmodels import CommConfig, ConfigError, check_slowdown
 
 
 @dataclass(frozen=True)
@@ -63,8 +59,7 @@ class ScenarioConfig:
             raise ConfigError(f"scenario.beta_min: must be positive, got {self.beta_range[0]}")
         if self.batch_size < 1:
             raise ConfigError(f"scenario.batch_size: must be >= 1, got {self.batch_size}")
-        if self.straggler_slowdown < 1:
-            raise ConfigError(f"straggler.slowdown_factor: must be >= 1, got {self.straggler_slowdown}")
+        check_slowdown(self.straggler_slowdown)
         if self.seed < 0:
             raise ConfigError(f"scenario.seed: must be non-negative, got {self.seed}")
 
@@ -226,10 +221,7 @@ def load_config(path):
         sc[field_name] = (sc.pop(lo_key, default[0]), sc.pop(hi_key, default[1]))
 
     if comm:
-        try:
-            sc["comm"] = CommConfig(**comm)
-        except ValueError as err:
-            raise ConfigError(f"comm: {err}") from None
+        sc["comm"] = CommConfig(**comm)
     if "enabled" in strag:
         sc["straggler_enabled"] = strag["enabled"]
     if "slowdown_factor" in strag:

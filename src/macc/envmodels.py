@@ -22,9 +22,14 @@ all nodes.  The agents' state and the shared reward are built in simcore,
 next to the engine.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A configuration value is out of range; the message names its INI key."""
 
 
 @dataclass(frozen=True)
@@ -38,16 +43,15 @@ class CommConfig:
     min_distance_m: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.noise_power_w <= 0:
-            raise ValueError(f"noise power must be positive, got {self.noise_power_w}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"comm.{f.name}: must be finite, got {value}")
+        for key in ("bandwidth_hz", "noise_power_w", "bits_per_element", "min_distance_m"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"comm.{key}: must be positive, got {getattr(self, key)}")
         if self.noise_std_db < 0:
-            raise ValueError(f"noise std must be non-negative, got {self.noise_std_db}")
-        if self.bits_per_element <= 0:
-            raise ValueError(f"bits per element must be positive, got {self.bits_per_element}")
-        if self.min_distance_m <= 0:
-            raise ValueError(f"min distance must be positive, got {self.min_distance_m}")
+            raise ConfigError(f"comm.noise_std_db: must be non-negative, got {self.noise_std_db}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,21 @@ class StragglerPlan:
     slowdown_factor: float = 10.0
 
     def __post_init__(self):
-        if self.slowdown_factor < 1:
-            raise ValueError(f"slowdown factor must be >= 1, got {self.slowdown_factor}")
+        check_slowdown(self.slowdown_factor)
 
     def time_factor(self, worker):
         """Computation-time multiple of a worker: 1 + slowdown_factor for the victim."""
         if self.enabled and worker == self.victim:
             return 1.0 + self.slowdown_factor
         return 1.0
+
+
+def check_slowdown(factor):
+    """Reject a straggler slowdown factor that is not a finite number >= 1."""
+    if not math.isfinite(factor):
+        raise ConfigError(f"straggler.slowdown_factor: must be finite, got {factor}")
+    if factor < 1:
+        raise ConfigError(f"straggler.slowdown_factor: must be >= 1, got {factor}")
 
 
 def signal_power(d, omega, cfg):

@@ -38,10 +38,10 @@ def make_allocator(scheme, scenario, agents=None):
     p = scenario.p_rows
     n = scenario.n_workers
     if scheme == "uniform":
-        loads = uniform_alloc(p, n).loads
+        loads = uniform_alloc(p, n)
         return lambda world, states: loads
     if scheme == "load-balanced":
-        return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta).loads)
+        return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta))
     if scheme == "hcmm":
         return _per_profiles(lambda alpha, beta: hcmm_alloc(p, alpha, beta).loads)
     if scheme == "marl":

@@ -1,16 +1,19 @@
 """Discrete-event engine for the master/worker batch-processing protocol,
 and the MDP step built on it.
 
-One task: the master broadcasts x to every loaded worker over dedicated
-links, each worker computes its assigned encoded rows batch by batch
-(CPU never idles between batches), and streams each finished batch back
-over its link.  A batch transmission begins when both the batch is computed
-and the link is free of the previous result; the link distance is evaluated
-at that instant, with all nodes drifting at constant velocity.  The master
-counts received rows and the task completes at the arrival that first
-reaches p cumulative rows; results still in flight are ignored
+One task: the master broadcasts the payload x (m elements) to every loaded
+worker over dedicated links, each worker computes its assigned encoded rows
+batch by batch (CPU never idles between batches), and streams each finished
+batch back over its link.  A batch transmission begins when both the batch
+is computed and the link is free of the previous result; the link distance
+is evaluated at that instant, with all nodes drifting at constant velocity.
+The master counts received rows and the task completes at the arrival that
+first reaches p cumulative rows; results still in flight are ignored
 (acknowledgment semantics).  The link, compute and straggler models are
-envmodels' functions, called on whole arrays of batches.
+envmodels' functions, called on whole arrays of batches.  The engine takes
+plain numbers: integer loads, p and m.  It tracks when rows arrive, never
+their values, so no encoding matrix or payload is drawn; the receipt log
+names, per worker, how many rows of its coding block arrived and when.
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -30,9 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coding import generate_encoding_matrix, encode, plan_batches, decode
+from .coding import plan_batches
 from .envmodels import StragglerPlan, advance, channel_capacity, comp_time
-from .numerics import mat_vec
 
 
 MAX_PASSES = 32  # fixed-point passes of run_task before the sequential finish
@@ -64,21 +66,6 @@ class WorldState:
 
 
 @dataclass(frozen=True)
-class LoadAllocation:
-    loads: tuple
-
-    def __post_init__(self):
-        if len(self.loads) < 1:
-            raise ValueError("allocation must cover at least one worker")
-        if any(int(l) != l or l < 0 for l in self.loads):
-            raise ValueError(f"loads must be non-negative integers, got {self.loads}")
-
-    @property
-    def total(self):
-        return int(sum(self.loads))
-
-
-@dataclass(frozen=True)
 class TaskRecord:
     index: int
     dispatch_time: float
@@ -88,7 +75,6 @@ class TaskRecord:
     feasible: bool
     loads: tuple
     clamped: bool = False
-    decoded: object = None         # recovered A x in verification mode
 
 
 @dataclass(frozen=True)
@@ -112,12 +98,12 @@ def _send_time(rows, d, omega, cfg):
     return rows * cfg.bits_per_element / channel_capacity(d, omega, cfg)
 
 
-def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, encoded=None):
+def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
-    batch_size None means one batch per worker (no batching).  encoded, when
-    given, carries the materialized A_hat so the received rows are decoded
-    and the result stored on the record (verification mode).
+    loads holds one non-negative integer per worker, each at most p, the
+    rows needed to decode; m is the length of the broadcast payload.
+    batch_size None means one batch per worker (no batching).
 
     The loaded workers' batches sit in a padded (workers x batches) layout,
     and compute finish times are a cumulative sum along it.  The link
@@ -129,13 +115,12 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     n batches of every worker, so after MAX_PASSES a worker whose begins
     still move finishes with the plain sequential recurrence.
     """
-    loads = tuple(int(l) for l in alloc.loads)
-    n = len(loads)
-    if n != world.n_workers or n != enc.n_workers:
-        raise ValueError(
-            f"allocation covers {n} workers, world has {world.n_workers}, code has {enc.n_workers}"
-        )
-    p = enc.p
+    loads = tuple(loads)
+    if len(loads) != world.n_workers:
+        raise ValueError(f"allocation covers {len(loads)} workers, world has {world.n_workers}")
+    if any(not float(l).is_integer() or l < 0 for l in loads):
+        raise ValueError(f"loads must be non-negative integers, got {loads}")
+    loads = tuple(map(int, loads))
     if any(l > p for l in loads):
         raise ValueError(f"loads may not exceed p={p}, got {loads}")
     if all(l == 0 for l in loads):
@@ -166,7 +151,7 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     slow = np.array([straggler.time_factor(i) for i in active])[:, None]
     valid = sizes > 0
 
-    bc = _send_time(len(x), np.hypot(rx, ry), omega[:, :1], cfg)
+    bc = _send_time(m, np.hypot(rx, ry), omega[:, :1], cfg)
     cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
 
     tx = omega[:, 1:]
@@ -206,14 +191,6 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
     rows = sizes.ravel()[kept]
     receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival[kept].tolist()))
     t_done = receipt_log[-1][2]
-    feasible = sum(loads) >= p
-
-    decoded = None
-    if encoded is not None and feasible:
-        bsize = np.array([plan.batch_size for plan in plans])
-        first = workers * p + (kept % width) * bsize[kept // width]
-        idx = np.concatenate([np.arange(r0, r0 + c) for r0, c in zip(first, rows)])
-        decoded = decode(enc.g[idx, :], mat_vec(encoded.a_hat[idx, :], x))
 
     record = TaskRecord(
         index=index,
@@ -221,9 +198,8 @@ def run_task(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0, enc
         t_complete=t_done,
         receipt_log=receipt_log,
         rows_received_at_completion=int(received[len(kept) - 1]),
-        feasible=feasible,
+        feasible=sum(loads) >= p,
         loads=loads,
-        decoded=decoded,
     )
     return record, replace(
         world, pos=advance(world.pos, world.vel, t_done), clock=world.clock + t_done
@@ -272,16 +248,16 @@ def build_state(world):
     return states
 
 
-def reward(t_complete, alloc, p, c=200.0, boundary="lt"):
+def reward(t_complete, loads, p, c=200.0, boundary="lt"):
     """Shared reward -T_j - c when the allocation misses the decodability bar.
 
     boundary "lt" penalizes sum(l) < p (the constraint-consistent reading);
     "le" penalizes sum(l) <= p (the literal formula).
     """
     if boundary == "lt":
-        short = alloc.total < p
+        short = sum(loads) < p
     elif boundary == "le":
-        short = alloc.total <= p
+        short = sum(loads) <= p
     else:
         raise ValueError(f"boundary must be 'lt' or 'le', got '{boundary}'")
     return -float(t_complete) - (float(c) if short else 0.0)
@@ -295,7 +271,6 @@ def run_episode(
     batch_size="scenario",
     penalty=200.0,
     penalty_boundary="lt",
-    materialize=False,
 ):
     """Run K sequential tasks under one sampled environment.
 
@@ -318,13 +293,6 @@ def run_episode(
         victim=victim,
         slowdown_factor=scenario.straggler_slowdown,
     )
-    enc = generate_encoding_matrix(
-        p, scenario.n_workers, rng.substream("code"), materialize=materialize
-    )
-    encoded = None
-    if materialize:
-        a = rng.substream("taskmatrix").gen.standard_normal((p, scenario.m_cols))
-        encoded = encode(enc, a)
 
     tasks, states_all, actions, rewards = [], [], [], []
     for j in range(scenario.k_tasks):
@@ -332,20 +300,14 @@ def run_episode(
         raw = list(allocator(world, states))
         if not all(map(math.isfinite, raw)):
             raise ValueError(f"task {j}: allocator returned non-finite loads {list(map(float, raw))}")
-        rounded = [int(round(v)) for v in raw]  # int loads pass through as the same objects
-        loads = [min(max(l, 0), p) for l in rounded]
+        rounded = tuple(int(round(v)) for v in raw)  # int loads pass through as the same objects
+        loads = tuple(min(max(l, 0), p) for l in rounded)
         clamped = loads != rounded
-        alloc = LoadAllocation(tuple(loads))
-
-        if materialize:
-            x = rng.substream("payload", j).gen.standard_normal(scenario.m_cols)
-        else:
-            x = np.zeros(scenario.m_cols)  # payload values never affect timing
 
         try:
             rec, world = run_task(
-                world, alloc, batch_size, enc, x, plan,
-                rng.substream("task", j), scenario.comm, index=j, encoded=encoded,
+                world, loads, batch_size, p, scenario.m_cols, plan,
+                rng.substream("task", j), scenario.comm, index=j,
             )
             if clamped:
                 rec = replace(rec, clamped=True)
@@ -354,13 +316,13 @@ def run_episode(
             rec = TaskRecord(
                 index=j, dispatch_time=world.clock, t_complete=0.0,
                 receipt_log=(), rows_received_at_completion=0,
-                feasible=False, loads=alloc.loads, clamped=clamped,
+                feasible=False, loads=loads, clamped=clamped,
             )
 
-        r = reward(rec.t_complete, alloc, p, c=penalty, boundary=penalty_boundary)
+        r = reward(rec.t_complete, loads, p, c=penalty, boundary=penalty_boundary)
         tasks.append(rec)
         states_all.append(states)
-        actions.append(alloc.loads)
+        actions.append(loads)
         rewards.append(r)
 
     return EpisodeRecord(

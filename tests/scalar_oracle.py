@@ -14,10 +14,8 @@ from macc.envmodels import channel_capacity
 from macc.simcore import TaskRecord
 
 
-def run_task_scalar(world, alloc, batch_size, enc, x, straggler, rng, cfg, index=0):
-    loads = tuple(int(l) for l in alloc.loads)
-    p = enc.p
-    m = len(x)
+def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
+    loads = tuple(int(l) for l in loads)
     u_bits = cfg.bits_per_element
     sigma = cfg.noise_std_db
     min_d = cfg.min_distance_m

@@ -44,10 +44,10 @@ def criterion_01_coded_round_trip():
         p = int(gen.integers(2, 51))
         m = int(gen.integers(1, 101))
         n = int(gen.integers(1, 6))
-        enc = generate_encoding_matrix(p, n, rng.substream("code", case))
+        g = generate_encoding_matrix(p, n, rng.substream("code", case))
         a = gen.standard_normal((p, m))
         x = gen.standard_normal(m)
-        encoded = encode(enc, a)
+        a_hat = encode(g, a)
 
         loads = gen.integers(0, p + 1, n)
         if loads.sum() < p:
@@ -59,7 +59,7 @@ def criterion_01_coded_round_trip():
         extra = int(gen.integers(0, min(5, len(order) - p) + 1))
         idx = order[: p + extra]
 
-        recovered = decode(enc.g[idx, :], mat_vec(encoded.a_hat[idx, :], x))
+        recovered = decode(g[idx, :], mat_vec(a_hat[idx, :], x))
         truth = mat_vec(a, x)
         rel = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)
         worst = max(worst, rel)

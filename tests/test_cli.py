@@ -200,3 +200,14 @@ class TestErrors:
                      "--episodes", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error: scenario.pos_max: must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("comm", "noise_std_db"), ("straggler", "slowdown_factor"),
+    ])
+    def test_nan_config_value(self, tmp_path, capsys, section, key):
+        path = tmp_path / "nan.ini"
+        path.write_text(f"[scenario]\npreset = desk\n[{section}]\n{key} = nan\n")
+        code = main(["evaluate", "--config", str(path), "--scheme", "hcmm",
+                     "--episodes", "1", "--straggler", "on", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: {section}.{key}: must be finite, got nan" in capsys.readouterr().err

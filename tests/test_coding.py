@@ -3,7 +3,6 @@ import pytest
 
 from macc.coding import (
     BatchPlan,
-    EncodingMatrix,
     InsufficientRowsError,
     decode,
     encode,
@@ -15,22 +14,22 @@ from macc.numerics import RngStream, mat_vec
 
 class TestGenerateEncodingMatrix:
     def test_smallest_case(self):
-        enc = generate_encoding_matrix(1, 1, RngStream(0))
-        assert enc.g.shape == (1, 1)
-        assert enc.g[0, 0] != 0.0
+        g = generate_encoding_matrix(1, 1, RngStream(0))
+        assert g.shape == (1, 1)
+        assert g[0, 0] != 0.0
 
     def test_any_p_rows_full_rank(self):
-        enc = generate_encoding_matrix(4, 3, RngStream(1))
-        assert enc.g.shape == (12, 4)
+        g = generate_encoding_matrix(4, 3, RngStream(1))
+        assert g.shape == (12, 4)
         gen = np.random.default_rng(0)
         for _ in range(100):
             rows = gen.choice(12, size=4, replace=False)
-            assert np.linalg.matrix_rank(enc.g[rows, :]) == 4
+            assert np.linalg.matrix_rank(g[rows, :]) == 4
 
     def test_same_seed_identical(self):
         a = generate_encoding_matrix(5, 2, RngStream(7))
         b = generate_encoding_matrix(5, 2, RngStream(7))
-        assert np.array_equal(a.g, b.g)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -38,32 +37,24 @@ class TestGenerateEncodingMatrix:
         with pytest.raises(ValueError):
             generate_encoding_matrix(3, 0, RngStream(0))
 
-    def test_timing_only_handle(self):
-        enc = generate_encoding_matrix(1000, 5, RngStream(0), materialize=False)
-        assert enc.g is None
-        assert (enc.p, enc.n_workers) == (1000, 5)
-
 
 class TestEncode:
     def test_replication_code(self):
         a = np.arange(6.0).reshape(3, 2)
-        enc = EncodingMatrix(g=np.vstack([np.eye(3), np.eye(3)]), p=3, n_workers=2)
-        out = encode(enc, a)
-        assert np.array_equal(out.a_hat, np.vstack([a, a]))
+        out = encode(np.vstack([np.eye(3), np.eye(3)]), a)
+        assert np.array_equal(out, np.vstack([a, a]))
 
     def test_zero_row_annihilates(self):
         g = np.ones((2, 2))
         g[1, :] = 0.0
-        enc = EncodingMatrix(g=g, p=2, n_workers=1)
-        out = encode(enc, np.ones((2, 3)))
-        assert np.array_equal(out.a_hat[1], np.zeros(3))
+        out = encode(g, np.ones((2, 3)))
+        assert np.array_equal(out[1], np.zeros(3))
 
     def test_matches_triple_loop(self):
         gen = np.random.default_rng(3)
         g = gen.normal(0, 1, (6, 3))
         a = gen.normal(0, 1, (3, 2))
-        enc = EncodingMatrix(g=g, p=3, n_workers=2)
-        out = encode(enc, a).a_hat
+        out = encode(g, a)
         slow = np.zeros((6, 2))
         for i in range(6):
             for j in range(2):
@@ -72,9 +63,9 @@ class TestEncode:
         assert np.max(np.abs(out - slow)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        enc = generate_encoding_matrix(3, 2, RngStream(0))
+        g = generate_encoding_matrix(3, 2, RngStream(0))
         with pytest.raises(ValueError):
-            encode(enc, np.ones((4, 2)))
+            encode(g, np.ones((4, 2)))
 
 
 class TestPlanBatches:
@@ -117,27 +108,27 @@ class TestDecode:
 
     def test_three_rows_from_two_workers(self):
         rng = RngStream(4)
-        enc = generate_encoding_matrix(3, 2, rng)
+        g = generate_encoding_matrix(3, 2, rng)
         gen = np.random.default_rng(4)
         a = gen.normal(0, 1, (3, 5))
         x = gen.normal(0, 1, 5)
-        encoded = encode(enc, a)
+        a_hat = encode(g, a)
         rows = [0, 1, 3]  # two rows of worker 0, one of worker 1
-        y = mat_vec(encoded.a_hat[rows, :], x)
-        out = decode(enc.g[rows, :], y)
+        y = mat_vec(a_hat[rows, :], x)
+        out = decode(g[rows, :], y)
         truth = mat_vec(a, x)
         assert np.linalg.norm(out - truth) / np.linalg.norm(truth) < 1e-9
 
     def test_redundant_rows_consistent(self):
         rng = RngStream(5)
-        enc = generate_encoding_matrix(4, 2, rng)
+        g = generate_encoding_matrix(4, 2, rng)
         gen = np.random.default_rng(5)
         a = gen.normal(0, 1, (4, 3))
         x = gen.normal(0, 1, 3)
-        encoded = encode(enc, a)
+        a_hat = encode(g, a)
         rows = [0, 1, 2, 3, 4, 5]  # q = p + 2
-        y = mat_vec(encoded.a_hat[rows, :], x)
-        out = decode(enc.g[rows, :], y)
+        y = mat_vec(a_hat[rows, :], x)
+        out = decode(g[rows, :], y)
         truth = mat_vec(a, x)
         assert np.linalg.norm(out - truth) / np.linalg.norm(truth) < 1e-9
 
@@ -154,10 +145,10 @@ class TestRoundTrip:
             m = int(gen.integers(1, 101))
             n = int(gen.integers(1, 6))
             rng = RngStream(1000 + trial)
-            enc = generate_encoding_matrix(p, n, rng)
+            g = generate_encoding_matrix(p, n, rng)
             a = gen.normal(0, 1, (p, m))
             x = gen.normal(0, 1, m)
-            encoded = encode(enc, a)
+            a_hat = encode(g, a)
             # random feasible allocation
             while True:
                 loads = gen.integers(0, p + 1, n)
@@ -166,7 +157,7 @@ class TestRoundTrip:
             # worker i's load is the first loads[i] rows of its block [i p, (i+1) p);
             # receipts in a random worker order, decoded from the first p rows
             rows = [i * p + k for i in gen.permutation(n) for k in range(loads[i])][:p]
-            out = decode(enc.g[rows, :], mat_vec(encoded.a_hat[rows, :], x))
+            out = decode(g[rows, :], mat_vec(a_hat[rows, :], x))
             truth = mat_vec(a, x)
             rel = np.linalg.norm(out - truth) / np.linalg.norm(truth)
             assert rel < 1e-8, f"trial {trial}: relative error {rel}"

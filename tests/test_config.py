@@ -164,6 +164,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^scenario\.{key}: must be finite, got {value}$"):
             load_config(write(tmp_path, f"[scenario]\npreset = desk\n{key} = {value}\n"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_std_db", "nan"), ("bandwidth_hz", "inf"), ("sd_offset_dbm", "nan"),
+        ("noise_power_w", "inf"), ("path_loss_db_per_decade", "-inf"), ("min_distance_m", "nan"),
+        ("bits_per_element", "nan"),
+    ])
+    def test_non_finite_comm_value_named(self, tmp_path, key, value):
+        text = f"[scenario]\npreset = desk\n[comm]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"^comm\.{key}: must be finite, got {value}$"):
+            load_config(write(tmp_path, text))
+
+    def test_non_positive_comm_value_named(self, tmp_path):
+        text = "[scenario]\npreset = desk\n[comm]\nbandwidth_hz = 0\n"
+        with pytest.raises(ConfigError, match=r"^comm\.bandwidth_hz: must be positive, got 0.0$"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_slowdown_named(self, tmp_path, value):
+        text = f"[scenario]\npreset = desk\n[straggler]\nenabled = true\nslowdown_factor = {value}\n"
+        want = rf"^straggler\.slowdown_factor: must be finite, got {value}$"
+        with pytest.raises(ConfigError, match=want):
+            load_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match=want):
+            ScenarioConfig(straggler_slowdown=float(value))
+
     @pytest.mark.parametrize("key", ["pos", "vel"])
     def test_overflowing_range_width_named(self, tmp_path, key):
         text = f"[scenario]\npreset = desk\n{key}_min = -1e308\n{key}_max = 1e308\n"

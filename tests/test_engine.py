@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import simcore
-from macc.coding import generate_encoding_matrix
 from macc.config import ScenarioConfig
 from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
 from macc.numerics import RngStream
-from macc.simcore import LoadAllocation, WorldState, run_task, sample_world
+from macc.simcore import WorldState, run_task, sample_world
 
 from scalar_oracle import run_task_scalar
 
@@ -27,8 +26,7 @@ RTOL = 1.0e-12
 
 
 def run_both(world, loads, p, m, batch_size, straggler, cfg, seed):
-    enc = generate_encoding_matrix(p, len(loads), RngStream(seed), materialize=False)
-    args = (world, LoadAllocation(tuple(loads)), batch_size, enc, np.zeros(m), straggler)
+    args = (world, loads, batch_size, p, m, straggler)
     got, _ = run_task(*args, RngStream(seed).substream("task"), cfg)
     want = run_task_scalar(*args, RngStream(seed).substream("task"), cfg)
     return got, want
@@ -168,10 +166,8 @@ def tasks(draw, max_workers=4):
 
 def simulate(task, p=None):
     p = task["p"] if p is None else p
-    enc = generate_encoding_matrix(p, len(task["loads"]), RngStream(0), materialize=False)
-    rec, _ = run_task(task["world"], LoadAllocation(tuple(task["loads"])), task["batch_size"],
-                      enc, np.zeros(task["m"]), task["straggler"],
-                      RngStream(task["seed"]).substream("task"), task["cfg"])
+    rec, _ = run_task(task["world"], task["loads"], task["batch_size"], p, task["m"],
+                      task["straggler"], RngStream(task["seed"]).substream("task"), task["cfg"])
     return rec
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from macc.envmodels import (
     CommConfig,
+    ConfigError,
     StragglerPlan,
     advance,
     channel_capacity,
@@ -147,6 +148,11 @@ class TestStraggler:
     def test_rejects_sub_unit_slowdown(self):
         with pytest.raises(ValueError):
             StragglerPlan(enabled=True, victim=0, slowdown_factor=0.5)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_rejects_non_finite_slowdown(self, factor):
+        with pytest.raises(ConfigError, match=r"^straggler\.slowdown_factor: must be finite"):
+            StragglerPlan(enabled=True, victim=0, slowdown_factor=factor)
 
 
 class TestConfigValidation:

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from macc import experiments, marl, simcore
-from macc.coding import generate_encoding_matrix
+from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import ScenarioConfig
 from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
 from macc.numerics import RngStream
 from macc.simcore import (
     DegenerateTaskError,
     EpisodeRecord,
-    LoadAllocation,
     TaskRecord,
     WorldState,
     build_state,
@@ -49,30 +48,43 @@ def world_arrays(world):
 
 
 def run_deterministic(world, loads, p, m, batch_size, straggler=NO_STRAG, seed=0):
-    enc = generate_encoding_matrix(p, len(loads), RngStream(seed).substream("code"),
-                                   materialize=False)
     return run_task(
-        world, LoadAllocation(tuple(loads)), batch_size, enc, np.zeros(m),
-        straggler, RngStream(seed).substream("task"), NOISELESS,
+        world, loads, batch_size, p, m, straggler, RngStream(seed).substream("task"), NOISELESS,
     )
 
 
 class TestLoadAllocation:
+    """The loads run_task accepts: one non-negative integer per worker."""
+
     def test_total_and_feasibility(self):
-        a = LoadAllocation((3, 0, 7))
-        assert a.total == 10
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 3)
+        rec, _ = run_deterministic(world, (3, 0, 7), p=10, m=5, batch_size=None)
+        assert rec.loads == (3, 0, 7)
+        assert rec.feasible and rec.rows_received_at_completion == 10
+        rec, _ = run_deterministic(world, (3, 0, 6), p=10, m=5, batch_size=None)
+        assert not rec.feasible and rec.rows_received_at_completion == 9
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LoadAllocation((3, -1))
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            run_deterministic(world, (3, -1), p=10, m=5, batch_size=None)
 
-    def test_fractional_rejected(self):
-        with pytest.raises(ValueError):
-            LoadAllocation((2.5,))
+    @pytest.mark.parametrize("load", [2.5, math.nan, math.inf])
+    def test_fractional_rejected(self, load):
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
+        with pytest.raises(ValueError, match="non-negative integers"):
+            run_deterministic(world, (load,), p=10, m=5, batch_size=None)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            LoadAllocation(())
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
+        with pytest.raises(ValueError, match="covers 0 workers"):
+            run_deterministic(world, (), p=10, m=5, batch_size=None)
+
+    def test_integral_floats_accepted_as_ints(self):
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
+        rec, _ = run_deterministic(world, (4.0, np.int64(6)), p=10, m=5, batch_size=None)
+        assert rec.loads == (4, 6)
+        assert all(type(l) is int for l in rec.loads)
 
 
 class TestSingleWorkerClosedForm:
@@ -182,10 +194,8 @@ class TestCompletionRule:
 class TestRunTaskValidation:
     def test_allocation_length_mismatch(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
-        enc = generate_encoding_matrix(10, 1, RngStream(0), materialize=False)
         with pytest.raises(ValueError):
-            run_task(world, LoadAllocation((5, 5)), None, enc, np.zeros(5),
-                     NO_STRAG, RngStream(0), NOISELESS)
+            run_deterministic(world, [5, 5], p=10, m=5, batch_size=None)
 
     def test_load_above_p_rejected(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
@@ -294,21 +304,21 @@ class TestStates:
 
 class TestReward:
     def test_feasible_is_negative_time(self):
-        assert reward(3.5, LoadAllocation((4, 4)), 8) == -3.5
+        assert reward(3.5, (4, 4), 8) == -3.5
 
     def test_short_allocation_penalized(self):
-        assert reward(3.5, LoadAllocation((4, 3)), 8) == -203.5
+        assert reward(3.5, (4, 3), 8) == -203.5
 
     def test_boundary_lt_spares_exact_cover(self):
-        assert reward(1.0, LoadAllocation((4, 4)), 8, boundary="lt") == -1.0
-        assert reward(1.0, LoadAllocation((4, 4)), 8, boundary="le") == -201.0
+        assert reward(1.0, (4, 4), 8, boundary="lt") == -1.0
+        assert reward(1.0, (4, 4), 8, boundary="le") == -201.0
 
     def test_custom_penalty(self):
-        assert reward(1.0, LoadAllocation((0, 0)), 8, c=7.0) == -8.0
+        assert reward(1.0, (0, 0), 8, c=7.0) == -8.0
 
     def test_bad_boundary(self):
         with pytest.raises(ValueError):
-            reward(1.0, LoadAllocation((4, 4)), 8, boundary="leq")
+            reward(1.0, (4, 4), 8, boundary="leq")
 
 
 class TestRunEpisode:
@@ -410,14 +420,37 @@ class TestRunEpisode:
         assert a.total_time == b.total_time
         assert a.rewards == b.rewards
 
-    def test_materialized_episode_decodes_every_task(self):
-        ep = run_episode(TINY, full_loads, RngStream(4), materialize=True)
-        rng = RngStream(4)
-        a = rng.substream("taskmatrix").gen.standard_normal((8, 6))
-        for j, task in enumerate(ep.tasks):
-            x = rng.substream("payload", j).gen.standard_normal(6)
-            assert task.decoded is not None
-            np.testing.assert_allclose(task.decoded, a @ x, rtol=1e-8, atol=1e-9)
+    @pytest.mark.parametrize("straggler", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 10, None])  # 1, p / 4 and one batch
+    def test_receipts_decode_every_feasible_task(self, batch_size, straggler):
+        """The receipt log names coded rows from which A x is recovered.
+
+        Worker i's load is the first l_i rows of its block [i p, (i+1) p) of
+        G, and its k-th receipt continues the block where receipt k-1
+        stopped.  The last task is infeasible and is skipped.
+        """
+        scenario = ScenarioConfig(name="coded", n_workers=3, p_rows=40, m_cols=7, k_tasks=5,
+                                  beta_range=(1.0e3, 2.0e3), comm=CommConfig(noise_std_db=4.0))
+        p, n = scenario.p_rows, scenario.n_workers
+        plans = iter([(40, 40, 40), (20, 15, 10), (30, 0, 25), (13, 14, 13), (10, 10, 10)])
+        ep = run_episode(scenario, lambda world, states: next(plans), RngStream(6),
+                         straggler_enabled=straggler, batch_size=batch_size)
+        gen = np.random.default_rng(6)
+        g = generate_encoding_matrix(p, n, RngStream(6))
+        a = gen.standard_normal((p, scenario.m_cols))
+        a_hat = encode(g, a)
+        assert [t.feasible for t in ep.tasks] == [True] * 4 + [False]
+        for task in ep.tasks[:4]:
+            x = gen.standard_normal(scenario.m_cols)
+            next_row = [i * p for i in range(n)]
+            idx = []
+            for worker, rows, _ in task.receipt_log:
+                idx.extend(range(next_row[worker], next_row[worker] + rows))
+                next_row[worker] += rows
+            assert all(next_row[i] <= i * p + task.loads[i] for i in range(n))
+            assert len(idx) == task.rows_received_at_completion >= p
+            np.testing.assert_allclose(decode(g[idx, :], a_hat[idx, :] @ x), a @ x,
+                                       rtol=1e-8, atol=1e-9)
 
     def test_json_line_round_trips(self):
         ep = run_episode(TINY, full_loads, RngStream(4))
