@@ -28,15 +28,11 @@ class InsufficientRowsError(ValueError):
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """Split of a load of l rows into ceil(l / b) batches of at most b rows."""
+    """Split of a load into count batches: count - 1 of batch_size rows, then last."""
 
-    load: int
+    count: int
     batch_size: int
-    sizes: tuple
-
-    @property
-    def count(self):
-        return len(self.sizes)
+    last: int
 
 
 def generate_encoding_matrix(p, n_workers, rng):
@@ -67,9 +63,7 @@ def plan_batches(load, batch_size):
     if load < 1 or batch_size < 1:
         raise ValueError(f"load and batch size must be >= 1, got ({load}, {batch_size})")
     w = -(-load // batch_size)
-    sizes = [batch_size] * (w - 1)
-    sizes.append(load - (w - 1) * batch_size)
-    return BatchPlan(load=load, batch_size=batch_size, sizes=tuple(sizes))
+    return BatchPlan(count=w, batch_size=batch_size, last=load - (w - 1) * batch_size)
 
 
 def decode(g_received, y_received):

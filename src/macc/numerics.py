@@ -6,6 +6,7 @@ splittable RngStream that gives each stochastic event in the simulator its
 own reproducible substream.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -102,6 +103,30 @@ def _token_to_u64(token):
     raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
 
 
+@functools.cache
+def _philox_key():
+    """The type that hands Philox its two key words as they are.
+
+    Philox(key=...) builds and discards a SeedSequence drawn from OS entropy,
+    which costs more than the rest of the construction; Philox(seed=...)
+    with an ISeedSequence takes its key from generate_state(2, np.uint64).
+    The type is built on first use: importing numpy.random takes ~10 ms,
+    which importing macc should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, *words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.array(self.words, dtype=np.uint64)
+
+    return PhiloxKey
+
+
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
@@ -130,11 +155,13 @@ class RngStream:
         """The stream's numpy Generator, built on first use.
 
         Building one costs more than deriving a substream, and many streams
-        (an episode's, a task's) only ever derive substreams.
+        (an episode's, a task's) only ever derive substreams.  The Philox key
+        is the words (seed, stream), the same state as
+        Philox(key=(stream << 64) | seed), and no OS entropy is read.
         """
         if self._gen is None:
-            key = (self.stream << 64) | self.seed
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            key = _philox_key()(self.seed, self.stream)
+            self._gen = np.random.Generator(np.random.Philox(key))
         return self._gen
 
     def substream(self, *tokens):

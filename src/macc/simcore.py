@@ -98,6 +98,70 @@ def _send_time(rows, d, omega, cfg):
     return rows * cfg.bits_per_element / channel_capacity(d, omega, cfg)
 
 
+def _scan(cpu, tau):
+    """Arrivals and the begins they imply, with the send times tau frozen.
+
+    The arrivals are the max-plus scan S_k + max_{j<=k} (cpu_j - S_{j-1}),
+    S = cumsum(tau), computed in place.  Column k depends only on columns
+    up to k, so the scan of a leading slice is that slice of the full scan.
+    """
+    arrival = tau.cumsum(axis=1)
+    gap = arrival - tau
+    np.subtract(cpu, gap, out=gap)
+    arrival += np.fmax.accumulate(gap, axis=1, out=gap)
+    # a batch begins once computed and once its predecessor has arrived
+    settled = cpu.copy()
+    np.maximum(cpu[:, 1:], arrival[:, :-1], out=settled[:, 1:])
+    return arrival, settled
+
+
+def _guess_cols(arrival, sizes, valid, p):
+    """Columns to solve first, from pass 1's arrivals of a feasible task.
+
+    The most valid slots any worker delivers by the time the received rows
+    first reach p, times 1.02, plus 4.
+    """
+    arrival = np.where(valid, arrival, np.inf)
+    order = arrival.argsort(axis=None, kind="stable")  # rows are sorted runs
+    t_first = arrival.flat[order[sizes.ravel()[order].cumsum().searchsorted(p)]]
+    return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
+
+
+def _fixed_point(cpu, tau, settled, sizes, valid, tx, counts, rel, cfg):
+    """Passes 2.. of the link fixed point; returns the final (begin, tau).
+
+    Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
+    arrays may be leading column slices of the full layout: every pass is
+    exact on them.  Pass n is exact for the first n batches of every
+    worker, so after MAX_PASSES a worker whose begins still move finishes
+    with the plain sequential recurrence.
+    """
+    rx, ry, rvx, rvy = rel
+    cols = cpu.shape[1]
+    begin = cpu
+    for done in range(2, MAX_PASSES + 2):
+        moved = (settled != begin) & valid
+        if not moved.any():
+            return begin, tau
+        begin = settled
+        if done > MAX_PASSES:
+            break
+        tau = _send_time(sizes, np.hypot(rx + rvx * begin, ry + rvy * begin), tx, cfg)
+        if done >= cols:  # pass n starts from begins that are final for n batches
+            return begin, tau
+        settled = _scan(cpu, tau)[1]
+    # pass 1's arrays may be views that a wider retry reads again
+    begin, tau = begin.copy(), tau.copy()
+    # a worker's begins up to its first moved one are final
+    for r in np.flatnonzero(moved.any(axis=1)):
+        for j in range(int(moved[r].argmax()), min(counts[r], cols)):
+            start = max(cpu[r, j], begin[r, j - 1] + tau[r, j - 1])
+            d = np.hypot(rx[r, 0] + rvx[r, 0] * start, ry[r, 0] + rvy[r, 0] * start)
+            begin[r, j] = start
+            tau[r, j] = _send_time(sizes[r, j], d, tx[r, j], cfg)
+    return begin, tau
+
+
 def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
@@ -111,9 +175,19 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
     the send times tau frozen, the arrivals are the max-plus scan
     S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
-    at the new begins until no begin moves.  Pass n is exact for the first
-    n batches of every worker, so after MAX_PASSES a worker whose begins
-    still move finishes with the plain sequential recurrence.
+    at the new begins until no begin moves (see _fixed_point).
+
+    Only arrivals up to completion enter the record, so a feasible task is
+    solved on the leading columns alone.  Pass 1 evaluates the link at the
+    compute finish times over the full width; the columns kept are the
+    most slots a worker delivers by pass 1's completion, plus a margin.
+    Column k depends only on columns up to k, so the truncated solve is
+    exact, bit for bit, on its columns.  Its completion T' stands when
+    every worker with unsolved batches has its last solved arrival at or
+    after T': each worker's arrivals strictly increase, so none of its
+    unsolved batches arrives by T'.  Otherwise the width doubles and the
+    solve repeats.  An infeasible task keeps every batch and is solved in
+    full.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:
@@ -125,20 +199,22 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         raise ValueError(f"loads may not exceed p={p}, got {loads}")
     if all(l == 0 for l in loads):
         raise DegenerateTaskError("all-zero allocation: no worker receives any rows")
+    feasible = sum(loads) >= p
 
     active = [i for i, l in enumerate(loads) if l > 0]
     plans = [
         plan_batches(loads[i], loads[i] if batch_size is None else min(batch_size, loads[i]))
         for i in active
     ]
-    width = max(plan.count for plan in plans)
+    counts = np.array([plan.count for plan in plans])
+    width = int(counts.max())
     sizes = np.zeros((len(active), width), dtype=np.int64)
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
     for r, (i, plan) in enumerate(zip(active, plans)):
         nb = plan.count
         sizes[r, :nb] = plan.batch_size
-        sizes[r, nb - 1] = plan.sizes[-1]
+        sizes[r, nb - 1] = plan.last
         wrng = rng.substream("worker", i)
         if cfg.noise_std_db > 0:
             omega[r, : nb + 1] = wrng.gen.normal(0.0, cfg.noise_std_db, nb + 1)
@@ -154,42 +230,40 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     bc = _send_time(m, np.hypot(rx, ry), omega[:, :1], cfg)
     cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
 
+    # pass 1, over the full width
     tx = omega[:, 1:]
-    begin = cpu
-    for done in range(1, MAX_PASSES + 1):
-        tau = _send_time(sizes, np.hypot(rx + rvx * begin, ry + rvy * begin), tx, cfg)
-        if done >= width:  # pass n starts from begins that are final for n batches
+    tau = _send_time(sizes, np.hypot(rx + rvx * cpu, ry + rvy * cpu), tx, cfg)
+    settled, cols = cpu, width  # one batch per worker: pass 1 is final
+    if width > 1:
+        arrival, settled = _scan(cpu, tau)
+        if feasible:
+            cols = min(_guess_cols(arrival, sizes, valid, p), width)
+    while True:
+        cut = np.s_[:, :cols]
+        begin, tau_cut = _fixed_point(
+            cpu[cut], tau[cut], settled[cut], sizes[cut], valid[cut], tx[cut],
+            counts, (rx, ry, rvx, rvy), cfg,
+        )
+        # padded slots never arrive; a stable sort of the worker-major layout
+        # breaks arrival ties by (worker, batch)
+        arrival = np.where(valid[cut], begin + tau_cut, np.inf)
+        order = arrival.argsort(axis=None, kind="stable")
+        flat_sizes = sizes[cut].ravel()
+        received = flat_sizes[order].cumsum()
+        # up to the first arrival that reaches p rows
+        n_kept = int(received.searchsorted(p)) + 1
+        if cols == width:
+            n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
             break
-        # the max-plus scan, in place: S_k + max_{j<=k} (cpu_j - S_{j-1})
-        arrival = tau.cumsum(axis=1)
-        gap = arrival - tau
-        np.subtract(cpu, gap, out=gap)
-        arrival += np.maximum.accumulate(gap, axis=1, out=gap)
-        # a batch begins once computed and once its predecessor has arrived
-        settled = cpu.copy()
-        np.maximum(cpu[:, 1:], arrival[:, :-1], out=settled[:, 1:])
-        moved = (settled != begin) & valid
-        if not moved.any():
+        if n_kept <= order.size and (
+            arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
+        ).all():
             break
-        begin = settled
-    else:
-        # a worker's begins up to its first moved one are final
-        for r in np.flatnonzero(moved.any(axis=1)):
-            for j in range(int(moved[r].argmax()), plans[r].count):
-                start = max(cpu[r, j], begin[r, j - 1] + tau[r, j - 1])
-                d = np.hypot(rx[r, 0] + rvx[r, 0] * start, ry[r, 0] + rvy[r, 0] * start)
-                begin[r, j] = start
-                tau[r, j] = _send_time(sizes[r, j], d, tx[r, j], cfg)
-    # padded slots never arrive; a stable sort of the worker-major layout
-    # breaks arrival ties by (worker, batch)
-    arrival = np.where(valid, begin + tau, np.inf).ravel()
-    order = arrival.argsort(kind="stable")
-    received = sizes.ravel()[order].cumsum()
-    # up to the first arrival that reaches p rows; an infeasible task keeps every batch
-    kept = order[: min(int(received.searchsorted(p)) + 1, sum(plan.count for plan in plans))]
-    workers = act[kept // width]
-    rows = sizes.ravel()[kept]
-    receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival[kept].tolist()))
+        cols = min(2 * cols, width)
+    kept = order[:n_kept]
+    workers = act[kept // cols]
+    rows = flat_sizes[kept]
+    receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival.ravel()[kept].tolist()))
     t_done = receipt_log[-1][2]
 
     record = TaskRecord(
@@ -197,8 +271,8 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         dispatch_time=world.clock,
         t_complete=t_done,
         receipt_log=receipt_log,
-        rows_received_at_completion=int(received[len(kept) - 1]),
-        feasible=sum(loads) >= p,
+        rows_received_at_completion=int(received[n_kept - 1]),
+        feasible=feasible,
         loads=loads,
     )
     return record, replace(

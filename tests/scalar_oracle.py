@@ -48,7 +48,7 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
         t_cpu = bc
         link_free = bc
         for k in range(nb):
-            rows = plan.sizes[k]
+            rows = plan.batch_size if k < nb - 1 else plan.last
             t_cpu += (alpha * rows - (rows / beta) * math.log1p(-us[k])) * slow
             begin = t_cpu if t_cpu > link_free else link_free
             dx = (px + vx * begin) - (mx + mvx * begin)

@@ -71,14 +71,14 @@ class TestEncode:
 class TestPlanBatches:
     def test_last_batch_remainder(self):
         plan = plan_batches(10, 3)
-        assert plan.count == 4
-        assert plan.sizes == (3, 3, 3, 1)
+        assert (plan.count, plan.batch_size, plan.last) == (4, 3, 1)
 
     def test_single_batch(self):
-        assert plan_batches(6, 6).sizes == (6,)
+        assert plan_batches(6, 6) == BatchPlan(count=1, batch_size=6, last=6)
 
     def test_batch_larger_than_load(self):
-        assert plan_batches(1, 100).sizes == (1,)
+        plan = plan_batches(1, 100)
+        assert (plan.count, plan.last) == (1, 1)
 
     def test_sizes_sum_and_bound(self):
         gen = np.random.default_rng(11)
@@ -86,8 +86,9 @@ class TestPlanBatches:
             load = int(gen.integers(1, 500))
             b = int(gen.integers(1, 60))
             plan = plan_batches(load, b)
-            assert sum(plan.sizes) == load
-            assert max(plan.sizes) <= b
+            assert (plan.count - 1) * plan.batch_size + plan.last == load
+            assert 1 <= plan.last <= b
+            assert plan.batch_size == b
             assert plan.count == -(-load // b)
 
     def test_rejects_non_positive(self):

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import simcore
-from macc.config import ScenarioConfig
+from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
+from macc.experiments import evaluate_scheme
 from macc.numerics import RngStream
 from macc.simcore import WorldState, run_task, sample_world
 
@@ -97,6 +98,21 @@ class TestAgainstScalarOracle:
         assert_matches_oracle(got, want)
 
 
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """The distances of the link evaluations run_task makes one batch at a time."""
+    calls = []
+    vector_capacity = simcore.channel_capacity
+
+    def counting(d, omega, cfg):
+        if np.ndim(d) == 0:
+            calls.append(d)
+        return vector_capacity(d, omega, cfg)
+
+    monkeypatch.setattr(simcore, "channel_capacity", counting)
+    return calls
+
+
 def close_pass_world():
     """A worker that sweeps through the master at 20 m/s, 0.3 m off its path.
 
@@ -118,21 +134,91 @@ class TestSequentialFinish:
         assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("passes", [1, 2, 3])
-    def test_unconverged_workers_finish_sequentially(self, monkeypatch, passes):
-        scalar_calls = []
-        vector_capacity = simcore.channel_capacity
-
-        def counting(d, omega, cfg):
-            if np.ndim(d) == 0:
-                scalar_calls.append(d)
-            return vector_capacity(d, omega, cfg)
-
+    def test_unconverged_workers_finish_sequentially(self, monkeypatch, scalar_calls, passes):
         monkeypatch.setattr(simcore, "MAX_PASSES", passes)
-        monkeypatch.setattr(simcore, "channel_capacity", counting)
         got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
                              CommConfig(), 3)
         assert scalar_calls, "the capped fixed point should leave batches to the sequential finish"
         assert min(scalar_calls) < CommConfig().min_distance_m  # the clamp was active there
+        assert_matches_oracle(got, want)
+
+
+@pytest.fixture
+def solved_widths(monkeypatch):
+    """The column count of each link solve run_task makes, in order."""
+    widths = []
+    solve = simcore._fixed_point
+
+    def recording(cpu, *args):
+        widths.append(cpu.shape[1])
+        return solve(cpu, *args)
+
+    monkeypatch.setattr(simcore, "_fixed_point", recording)
+    return widths
+
+
+def closing_world():
+    """Worker 1 closes on the master at 3000 m/s from 3 km, beside a static worker 0.
+
+    Pass 1 evaluates worker 1's link at its compute finish times, when it is
+    still far, so it overstates the send times of its later batches and the
+    first guess is short of the batches it really delivers by completion.
+    """
+    return WorldState(
+        pos=np.array([[0.0, 0.0], [3000.0, 0.0], [3000.0, 1.0]]),
+        vel=np.array([[0.0, 0.0], [0.0, 0.0], [-3000.0, 0.0]]),
+        alpha=np.full(2, 1.0e-6),
+        beta=np.full(2, 1.0e6),
+    )
+
+
+class TestTruncatedSolve:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_column_guess_widens_to_the_oracle(self, monkeypatch, solved_widths, seed):
+        monkeypatch.setattr(simcore, "_guess_cols", lambda *args: 1)
+        world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(seed).substream("env"))
+        got, want = run_both(world, [90, 70, 60], 120, 50, 1, StragglerPlan(), CommConfig(), seed)
+        assert solved_widths[:3] == [1, 2, 4] and solved_widths[-1] < 90
+        assert_matches_oracle(got, want)
+
+    def test_closing_worker_outruns_the_first_guess(self, solved_widths):
+        got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, StragglerPlan(),
+                             CommConfig(), 3)
+        delivered = sum(1 for w, _, _ in got.receipt_log if w == 1)
+        assert len(solved_widths) == 2 and solved_widths[0] < delivered <= solved_widths[1]
+        assert_matches_oracle(got, want)
+
+    def test_infeasible_task_keeps_every_batch(self, solved_widths):
+        world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(2).substream("env"))
+        got, want = run_both(world, [40, 25, 0], 120, 50, 1, StragglerPlan(), CommConfig(), 2)
+        assert solved_widths == [40]
+        assert not got.feasible and len(got.receipt_log) == 65
+        assert_matches_oracle(got, want)
+
+    def test_link_work_at_paper_scale(self, monkeypatch):
+        # solving every batch evaluated the link at 2,808,105 distances here
+        evaluated = []
+        capacity = simcore.channel_capacity
+
+        def counting(d, omega, cfg):
+            evaluated.append(np.size(d))
+            return capacity(d, omega, cfg)
+
+        monkeypatch.setattr(simcore, "channel_capacity", counting)
+        (rec,) = evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, 0, batch_size=1)
+        assert sum(evaluated) <= 0.8 * 2_808_105
+        assert rec.total_time == 217.6616366530215
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_sequential_finish_on_a_truncated_width(
+        self, monkeypatch, solved_widths, scalar_calls, passes
+    ):
+        monkeypatch.setattr(simcore, "MAX_PASSES", passes)
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+                             CommConfig(), 3)
+        (cols,) = solved_widths
+        # worker 0 finishes up to the solved width only, worker 1 its 500 batches
+        assert cols < 2000 and 0 < len(scalar_calls) <= cols + 500
         assert_matches_oracle(got, want)
 
 

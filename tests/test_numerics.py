@@ -85,6 +85,22 @@ class TestRngStream:
         b = RngStream(42, 7).gen.random(16)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (42, 7), (2**63, 12345)],
+    )
+    def test_generator_matches_philox_key(self, seed, stream):
+        got = RngStream(seed, stream).gen
+        want = np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
+        got_state, want_state = got.bit_generator.state, want.bit_generator.state
+        for name in ("counter", "key"):
+            assert np.array_equal(got_state["state"][name], want_state["state"][name])
+        assert np.array_equal(got_state["buffer"], want_state["buffer"])
+        assert got_state["buffer_pos"] == want_state["buffer_pos"]
+        assert np.array_equal(got.normal(0.0, 2.0, 5), want.normal(0.0, 2.0, 5))
+        assert np.array_equal(got.random(5), want.random(5))
+        assert np.array_equal(got.integers(0, 2**40, 5), want.integers(0, 2**40, 5))
+
     def test_different_seeds_differ(self):
         a = RngStream(1).gen.random(8)
         b = RngStream(2).gen.random(8)
