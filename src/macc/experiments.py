@@ -88,6 +88,8 @@ def evaluate_scheme(
     agents=None, straggler=None, batch_size="default",
 ):
     """Run paired-seed episodes under one scheme; returns EpisodeRecords."""
+    if episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
     if batch_size == "default":
         batch_size = default_batch_size(scheme, scenario)
     allocator = make_allocator(scheme, scenario, agents=agents)
@@ -147,6 +149,7 @@ def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=No
     """Evaluate several schemes against identical per-episode environments."""
     if len(schemes) < 2:
         raise ValueError("compare needs at least two schemes")
+    _reject_duplicates("schemes", schemes)
     return {
         scheme: evaluate_scheme(
             scenario, scheme, episodes, seed, agents=agents, straggler=straggler
@@ -159,6 +162,7 @@ def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None, stra
     """Evaluate one scheme at several batch sizes with paired seeds."""
     if any(b < 1 for b in batch_sizes):
         raise ValueError(f"batch sizes must be >= 1, got {batch_sizes}")
+    _reject_duplicates("batch sizes", [int(b) for b in batch_sizes])
     out = {}
     for b in batch_sizes:
         out[int(b)] = evaluate_scheme(
@@ -166,6 +170,12 @@ def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None, stra
             agents=agents, straggler=straggler, batch_size=int(b),
         )
     return out
+
+
+def _reject_duplicates(what, values):
+    """Each value names one output row; a repeat would be run twice and written once."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"duplicate {what} in {list(values)}")
 
 
 def _fmt(value):

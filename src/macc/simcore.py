@@ -14,6 +14,9 @@ envmodels' functions, called on whole arrays of batches.  The engine takes
 plain numbers: integer loads, p and m.  It tracks when rows arrive, never
 their values, so no encoding matrix or payload is drawn; the receipt log
 names, per worker, how many rows of its coding block arrived and when.
+A ReceiptLog holds it as three read-only arrays (worker, rows, arrival),
+since a paper-scale task keeps thousands of receipts; read as a sequence
+it yields plain (int, int, float) triples.
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -29,6 +32,8 @@ and clamps them to integers, runs the task and scores it (reward).
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,12 +70,57 @@ class WorldState:
         return len(self.beta)
 
 
+class ReceiptLog(Sequence):
+    """Receipts of one task in completion order, held as three arrays.
+
+    workers and rows are int64, arrivals float64 (seconds since dispatch),
+    all read-only.  The log takes over the arrays it is given, without a
+    copy, and marks them read-only in place: a view per array would cost
+    more than the tuples it replaces on the few-receipt tasks of a
+    baseline.  As a sequence it reads like a tuple of (worker, rows,
+    arrival) triples of Python numbers: an index gives one triple, a slice
+    another ReceiptLog, and it equals any sequence of the same triples.
+    """
+
+    __slots__ = ("workers", "rows", "arrivals")
+
+    def __init__(self, workers=(), rows=(), arrivals=()):
+        self.workers = np.asarray(workers, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.arrivals = np.asarray(arrivals, dtype=np.float64)
+        for a in (self.workers, self.rows, self.arrivals):
+            a.setflags(write=False)  # about half the cost of assigning flags.writeable
+
+    def __len__(self):
+        return len(self.arrivals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ReceiptLog(self.workers[i], self.rows[i], self.arrivals[i])
+        i = operator.index(i)
+        return int(self.workers[i]), int(self.rows[i]), float(self.arrivals[i])
+
+    def __iter__(self):
+        return zip(self.workers.tolist(), self.rows.tolist(), self.arrivals.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
+
+    def __hash__(self):  # equal to its tuple of triples, so hashed alike; keeps TaskRecord hashable
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ReceiptLog({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class TaskRecord:
     index: int
     dispatch_time: float
     t_complete: float              # T_j, seconds since dispatch
-    receipt_log: tuple             # (worker, rows, arrival) in completion order
+    receipt_log: ReceiptLog        # (worker, rows, arrival) in completion order
     rows_received_at_completion: int
     feasible: bool
     loads: tuple
@@ -261,10 +311,8 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
             break
         cols = min(2 * cols, width)
     kept = order[:n_kept]
-    workers = act[kept // cols]
-    rows = flat_sizes[kept]
-    receipt_log = tuple(zip(workers.tolist(), rows.tolist(), arrival.ravel()[kept].tolist()))
-    t_done = receipt_log[-1][2]
+    receipt_log = ReceiptLog(act[kept // cols], flat_sizes[kept], arrival.ravel()[kept])
+    t_done = float(receipt_log.arrivals[-1])
 
     record = TaskRecord(
         index=index,
@@ -282,9 +330,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
 
 def rows_received_curve(rec):
     """Cumulative received rows R_j(t) as step samples (times, rows)."""
-    times = np.array([a for _, _, a in rec.receipt_log])
-    rows = np.cumsum([r for _, r, _ in rec.receipt_log])
-    return times, rows
+    return rec.receipt_log.arrivals, np.cumsum(rec.receipt_log.rows)
 
 
 def sample_world(scenario, rng):
@@ -389,7 +435,7 @@ def run_episode(
             # nothing dispatched: the task takes no time and completes nothing
             rec = TaskRecord(
                 index=j, dispatch_time=world.clock, t_complete=0.0,
-                receipt_log=(), rows_received_at_completion=0,
+                receipt_log=ReceiptLog(), rows_received_at_completion=0,
                 feasible=False, loads=loads, clamped=clamped,
             )
 

@@ -156,6 +156,19 @@ class TestEvaluateCommand:
         assert code == 1
         assert "unknown scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep-batch"])
+    @pytest.mark.parametrize("episodes", ["0", "-2"])
+    def test_episode_count_below_one_fails_cleanly(self, ini, tmp_path, capsys, command, episodes):
+        out = tmp_path / "x"
+        code = main([command, "--config", ini, "--scheme",
+                     "uniform,hcmm" if command == "compare" else "uniform",
+                     "--episodes", episodes, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"episodes must be >= 1, got {episodes}" in err
+        assert "Mean of empty slice" not in err
+        assert list(out.iterdir()) == []
+
 
 class TestCompareCommand:
     def test_default_three_schemes(self, ini, tmp_path, capsys):
@@ -168,6 +181,14 @@ class TestCompareCommand:
         assert plotdata[1] == "scheme,mean_total_time_s"
         assert len(plotdata) == 2 + 3
         assert capsys.readouterr().out.count("+-") == 3
+
+    def test_duplicate_scheme_fails_cleanly(self, ini, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config", ini, "--scheme", "hcmm,uniform,hcmm",
+                     "--episodes", "2", "--out", str(out)])
+        assert code == 1
+        assert "duplicate schemes" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
 
 class TestSweepCommand:
@@ -184,6 +205,14 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "sw")])
         assert code == 1
         assert "batch-sizes" in capsys.readouterr().err
+
+    def test_duplicate_batch_size_fails_cleanly(self, ini, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(["sweep-batch", "--config", ini, "--scheme", "uniform",
+                     "--episodes", "2", "--batch-sizes", "1,1", "--out", str(out)])
+        assert code == 1
+        assert "duplicate batch sizes" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
 
 class TestErrors:

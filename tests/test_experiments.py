@@ -143,6 +143,10 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_schemes(TINY, ["uniform"], 2, seed=1)
 
+    def test_duplicate_schemes_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate schemes"):
+            compare_schemes(TINY, ["hcmm", "hcmm"], 2, seed=1)
+
     def test_results_keyed_by_scheme(self):
         results = compare_schemes(TINY, ["uniform", "hcmm"], 3, seed=1)
         assert set(results) == {"uniform", "hcmm"}
@@ -167,6 +171,10 @@ class TestSweep:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             sweep_batch(TINY, "uniform", [0, 4], 2, seed=4)
+
+    def test_duplicate_batch_sizes_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate batch sizes"):
+            sweep_batch(TINY, "uniform", [4, 1, 4], 2, seed=4)
 
 
 class TestCsvOutput:

@@ -1,17 +1,21 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from macc import experiments, marl, simcore
+from macc.allocators import hcmm_alloc
 from macc.coding import decode, encode, generate_encoding_matrix
-from macc.config import ScenarioConfig
+from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
 from macc.numerics import RngStream
 from macc.simcore import (
     DegenerateTaskError,
     EpisodeRecord,
+    ReceiptLog,
     TaskRecord,
     WorldState,
     build_state,
@@ -189,6 +193,103 @@ class TestCompletionRule:
         assert list(rows) == [4, 8, 10]
         assert np.all(np.diff(times) > 0)
         assert times[-1] == rec.t_complete
+
+
+class TestReceiptLog:
+    """The record's receipts: three read-only arrays that read as a tuple of triples."""
+
+    @staticmethod
+    def noisy_task():
+        world = make_world([((1.0, 0.0), (0.5, 0.0), 1e-3, 1e3),
+                            ((3.0, 4.0), (0.0, -1.0), 2e-3, 2e3)])
+        rec, _ = run_task(world, (9, 7), 2, 12, 5, NO_STRAG, RngStream(3).substream("task"),
+                          CommConfig(noise_std_db=4.0))
+        return rec.receipt_log
+
+    def test_arrays_and_python_triples(self):
+        log = self.noisy_task()
+        assert (log.workers.dtype, log.rows.dtype, log.arrivals.dtype) == (
+            np.int64, np.int64, np.float64)
+        assert len(log) == len(log.workers) == len(log.rows) == len(log.arrivals) >= 6
+        for i, triple in enumerate(log):
+            assert type(triple) is tuple
+            assert [type(v) for v in triple] == [int, int, float]
+            assert triple == log[i] == (log.workers[i], log.rows[i], log.arrivals[i])
+        assert np.all(np.diff(log.arrivals) >= 0)
+
+    def test_negative_and_slice_indexing(self):
+        log = self.noisy_task()
+        triples = tuple(log)
+        assert log[-1] == triples[-1] and log[-len(log)] == triples[0]
+        assert log[np.int64(1)] == triples[1]
+        with pytest.raises(IndexError):
+            log[len(log)]
+        for cut in (np.s_[-1:], np.s_[1:4], np.s_[::2], np.s_[5:2]):
+            part = log[cut]
+            assert type(part) is ReceiptLog
+            assert tuple(part) == triples[cut]
+
+    def test_equality_by_value(self):
+        log = self.noisy_task()
+        triples = tuple(log)
+        assert log == triples and triples == log
+        assert log == [list(t) for t in triples]
+        assert log == self.noisy_task() == ReceiptLog(*map(list, zip(*triples)))
+        assert log != triples[:-1] and log[:-1] != log
+        changed = (*triples[:-1], (triples[-1][0], triples[-1][1], triples[-1][2] * 2))
+        assert log != changed
+        assert hash(log) == hash(triples)
+
+    def test_empty_log_of_a_degenerate_task(self):
+        log = run_episode(TINY, lambda w, s: (0, 0), RngStream(4)).tasks[0].receipt_log
+        assert type(log) is ReceiptLog
+        assert not log and len(log) == 0
+        assert log == () and log == ReceiptLog()
+        assert list(log) == [] and log[-1:] == ()
+
+    def test_arrays_are_read_only(self):
+        log = self.noisy_task()
+        for a in (log.workers, log.rows, log.arrivals, log[1:].arrivals):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_rows_received_curve_unchanged(self):
+        log = self.noisy_task()
+        rec = TaskRecord(index=0, dispatch_time=0.0, t_complete=log[-1][2], receipt_log=log,
+                         rows_received_at_completion=int(log.rows.sum()), feasible=True,
+                         loads=(9, 7))
+        times, rows = rows_received_curve(rec)
+        np.testing.assert_array_equal(times, np.array([a for _, _, a in log]))
+        np.testing.assert_array_equal(rows, np.cumsum([r for _, r, _ in log]))
+        assert rows[-1] == rec.rows_received_at_completion >= 12
+
+    def test_memory_per_receipt_is_three_array_elements(self):
+        """A paper-scale task keeps thousands of receipts without one object each.
+
+        One tuple of a Python int and float per receipt costs ~90 bytes or
+        more; the arrays cost 24, plus the record's fixed overhead.
+        """
+        scenario = preset_scenario("scenario1", seed=0)
+        world, victim = sample_world(scenario, RngStream(0).substream("env"))
+        loads = hcmm_alloc(scenario.p_rows, world.alpha, world.beta).loads
+        plan = StragglerPlan(enabled=False, victim=victim)
+
+        def task():
+            return run_task(world, loads, 1, scenario.p_rows, scenario.m_cols, plan,
+                            RngStream(0).substream("task", 0), scenario.comm)
+
+        task()  # first-call caches are not the record's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec, _ = task()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rec.receipt_log) > 1000
+        assert retained / len(rec.receipt_log) < 40
 
 
 class TestRunTaskValidation:
