@@ -77,19 +77,19 @@ def _setup(args):
     return scenario, train_cfg, seed
 
 
-def _load_agents_if_needed(schemes, args):
+def _load_agents_if_needed(schemes, args, scenario):
     if "marl" not in schemes:
         return None
     if args.checkpoint is None:
         raise ConfigError("the marl scheme requires --checkpoint")
-    return marl.load_checkpoint(args.checkpoint)
+    return marl.load_checkpoint(args.checkpoint, scenario)
 
 
 def cmd_train(args):
     scenario, train_cfg, seed = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
     agents, curve = marl.train(scenario, train_cfg, RngStream(seed))
-    ckpt = os.path.join(args.out, "checkpoint.json")
+    ckpt = os.path.join(args.out, "checkpoint.bin")
     curve_path = os.path.join(args.out, "learning_curve.csv")
     marl.save_checkpoint(ckpt, agents, scenario)
     experiments.write_curve_csv(curve_path, curve, digest, seed)
@@ -100,7 +100,7 @@ def cmd_train(args):
 def cmd_evaluate(args):
     scenario, _, seed = _setup(args)
     digest = experiments.run_digest(scenario)
-    agents = _load_agents_if_needed([args.scheme], args)
+    agents = _load_agents_if_needed([args.scheme], args, scenario)
     records = experiments.evaluate_scheme(
         scenario, args.scheme, args.episodes, seed,
         agents=agents, straggler=args.straggler,
@@ -120,7 +120,7 @@ def cmd_compare(args):
     scenario, _, seed = _setup(args)
     digest = experiments.run_digest(scenario)
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    agents = _load_agents_if_needed(schemes, args)
+    agents = _load_agents_if_needed(schemes, args, scenario)
     results = experiments.compare_schemes(
         scenario, schemes, args.episodes, seed,
         agents=agents, straggler=args.straggler,
@@ -144,7 +144,7 @@ def cmd_sweep_batch(args):
         raise ConfigError(f"--batch-sizes must be integers, got '{args.batch_sizes}'") from None
     if not batch_sizes:
         raise ConfigError("--batch-sizes is empty")
-    agents = _load_agents_if_needed([args.scheme], args)
+    agents = _load_agents_if_needed([args.scheme], args, scenario)
     sweep = experiments.sweep_batch(
         scenario, args.scheme, batch_sizes, args.episodes, seed,
         agents=agents, straggler=args.straggler,

@@ -95,6 +95,9 @@ class TrainConfig:
             raise ConfigError(f"train.learning_rate: must be positive, got {self.learning_rate}")
         if self.minibatch < 1 or self.replay_capacity < 1:
             raise ConfigError("train: minibatch and replay_capacity must be >= 1")
+        if self.replay_capacity < self.minibatch:
+            raise ConfigError(f"train.replay_capacity ({self.replay_capacity}) is below train.minibatch "
+                              f"({self.minibatch}): the replay buffer never fills one minibatch")
         if self.episodes_per_iteration < 1 or self.max_iterations < 0:
             raise ConfigError("train: episodes_per_iteration >= 1 and max_iterations >= 0 required")
         if self.warmup_iterations < 0:

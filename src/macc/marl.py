@@ -12,6 +12,10 @@ Critics descend the TD error against r + gamma Q'(s', pi'(s')); actors
 ascend the critic through the chain rule.  Exploration adds Gaussian noise
 to the pre-scaling action, with the noise level decaying linearly over
 training.
+
+A checkpoint file is one JSON header line (format, n_workers, p_rows and
+each network's dims and out_act) followed by every parameter as
+little-endian float64, network by network in NETS and params() order.
 """
 
 import json
@@ -21,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
+from .config import ConfigError
 from .nets import Mlp, make_optimizer
 from .simcore import build_state  # noqa: F401  perfbench/tracer.py times it as marl.build_state
 
 HIDDEN = (64, 64, 64)
+CHECKPOINT_FORMAT = "macc-checkpoint-2"
+NETS = ("actor", "critic", "target_actor", "target_critic")  # AgentNets' networks, in order
 
 
 def state_dim(n_workers):
@@ -80,18 +87,11 @@ def make_agents(n_workers, rng, lr=0.01, optimizer="adam", hidden=HIDDEN):
 
 
 def _critic_input(states, actions):
+    """Critic rows [s_1 .. s_N, a_1 .. a_N] from (B, N, D) states and (B, N) actions."""
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
-    if states.ndim == 2:  # single joint sample (N, D)
-        return np.concatenate([states.reshape(-1), actions])
     flat = states.reshape(states.shape[0], -1)
     return np.concatenate([flat, actions], axis=1)
-
-
-def critic_forward(nets, states, actions):
-    """Q(s, a) over the joint state and normalized joint action."""
-    out = nets.critic.forward(_critic_input(states, actions))
-    return out[..., 0]
 
 
 def td_target(agents, i, batch, gamma):
@@ -204,7 +204,7 @@ def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
 
     def allocate(world, states):
         norm = normalize_states(states, n, scales)
-        acts = np.array([float(agents[i].actor.forward(norm[i])[0]) for i in range(n)])
+        acts = np.array([float(agents[i].actor.forward(norm[i:i + 1])[0, 0]) for i in range(n)])
         if noise_rng is not None and noise_std > 0:
             acts = acts + noise_rng.gen.normal(0.0, noise_std, n)
             acts = np.clip(acts, 0.0, 1.0)
@@ -287,66 +287,52 @@ def train(scenario, cfg, rng, progress=None):
     return agents, curve
 
 
-def _mlp_to_dict(mlp):
-    return {
-        "dims": list(mlp.dims),
-        "out_act": mlp.out_act,
-        "weights": [w.tolist() for w in mlp.weights],
-        "biases": [b.tolist() for b in mlp.biases],
-    }
-
-
-def _mlp_from_dict(d):
-    mlp = object.__new__(Mlp)
-    mlp.dims = [int(v) for v in d["dims"]]
-    mlp.out_act = d["out_act"]
-    mlp.weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
-    mlp.biases = [np.array(b, dtype=np.float64) for b in d["biases"]]
-    return mlp
-
-
 def save_checkpoint(path, agents, scenario):
-    """Write all four networks of every agent as a versioned JSON container.
-
-    Optimizer state is not persisted; a resumed run restarts its moments.
-    """
-    payload = {
-        "format": "macc-checkpoint-1",
+    """Write every agent's networks, without optimizer state, as one checkpoint file."""
+    nets = [getattr(a, k) for a in agents for k in NETS]
+    header = {
+        "format": CHECKPOINT_FORMAT,
         "n_workers": len(agents),
-        "scenario": scenario.name,
         "p_rows": scenario.p_rows,
-        "agents": [
-            {
-                "actor": _mlp_to_dict(a.actor),
-                "critic": _mlp_to_dict(a.critic),
-                "target_actor": _mlp_to_dict(a.target_actor),
-                "target_critic": _mlp_to_dict(a.target_critic),
-            }
-            for a in agents
-        ],
+        "nets": [{"dims": net.dims, "out_act": net.out_act} for net in nets],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for net in nets:
+            for arr in net.params():
+                fh.write(arr.astype("<f8").tobytes())
 
 
-def load_checkpoint(path, lr=0.01, optimizer="adam"):
-    """Rebuild AgentNets from a checkpoint file."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "macc-checkpoint-1":
-        raise ValueError(f"unrecognized checkpoint format in {path}")
-    agents = []
-    for blob in payload["agents"]:
-        actor = _mlp_from_dict(blob["actor"])
-        critic = _mlp_from_dict(blob["critic"])
-        agents.append(
-            AgentNets(
-                actor=actor,
-                critic=critic,
-                target_actor=_mlp_from_dict(blob["target_actor"]),
-                target_critic=_mlp_from_dict(blob["target_critic"]),
-                actor_opt=make_optimizer(optimizer, actor.params(), lr),
-                critic_opt=make_optimizer(optimizer, critic.params(), lr),
-            )
-        )
-    return agents
+def load_checkpoint(path, scenario=None):
+    """Rebuild AgentNets, without optimizers, from a checkpoint file.
+
+    Raises ConfigError naming the cause for another format, a malformed
+    header or a parameter block of another length than the header's
+    networks take, and, with a scenario given, for another n_workers or p_rows.
+    """
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    try:
+        header = json.loads(head)
+        if header["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"its format is {header['format']!r}")
+        n, p = int(header["n_workers"]), int(header["p_rows"])
+        specs = [(net["dims"], net["out_act"]) for net in header["nets"]]
+        if len(specs) != len(NETS) * n:
+            raise ValueError(f"the header lists {len(specs)} networks for {n} workers")
+        shapes = [[s for a, b in zip(d[:-1], d[1:]) for s in ((a, b), (b,))] for d, _ in specs]
+        sizes = [math.prod(s) for net in shapes for s in net]
+        if len(body) != 8 * sum(sizes):
+            cause = "truncated" if len(body) < 8 * sum(sizes) else "trailing bytes"
+            raise ValueError(f"{cause}: the header's networks take {8 * sum(sizes)} bytes "
+                             f"of parameters, the file holds {len(body)}")
+        arrays = iter(np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes)[:-1]))
+        nets = [Mlp.from_params(dims, out_act, [next(arrays).reshape(s) for s in net_shapes])
+                for (dims, out_act), net_shapes in zip(specs, shapes)]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: not a valid {CHECKPOINT_FORMAT} file: {err}") from None
+    if scenario is not None and n != scenario.n_workers:
+        raise ConfigError(f"checkpoint has {n} agents, scenario has {scenario.n_workers} workers")
+    if scenario is not None and p != scenario.p_rows:
+        raise ConfigError(f"checkpoint was trained at p_rows = {p}, scenario has p_rows = {scenario.p_rows}")
+    return [AgentNets(*nets[k:k + len(NETS)], None, None) for k in range(0, len(nets), len(NETS))]

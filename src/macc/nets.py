@@ -4,6 +4,8 @@ Everything the trainer needs and nothing more: four dense layers (three
 hidden ReLU layers of 64 units by default), sigmoid or linear output,
 uniform initialization in [-1/sqrt(fan_in), +1/sqrt(fan_in)], and exact
 analytic gradients (checked against finite differences in the tests).
+Inputs are 2-D, one row per sample.  Clones and checkpoint loading build
+networks from given arrays through Mlp.from_params.
 """
 
 import numpy as np
@@ -18,6 +20,15 @@ def _sigmoid(z):
     return out
 
 
+def _check_layers(dims, out_act):
+    if out_act not in ("sigmoid", "linear"):
+        raise ValueError(f"unknown output activation '{out_act}'")
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"layer dimensions must be positive, got {dims}")
+    return dims
+
+
 class Mlp:
     """Dense network: len(hidden) ReLU layers plus one output layer.
 
@@ -26,12 +37,7 @@ class Mlp:
     """
 
     def __init__(self, in_dim, hidden, out_dim, out_act, rng):
-        if out_act not in ("sigmoid", "linear"):
-            raise ValueError(f"unknown output activation '{out_act}'")
-        dims = [int(in_dim), *[int(h) for h in hidden], int(out_dim)]
-        if any(d < 1 for d in dims):
-            raise ValueError(f"layer dimensions must be positive, got {dims}")
-        self.dims = dims
+        self.dims = dims = _check_layers([in_dim, *hidden, out_dim], out_act)
         self.out_act = out_act
         self.weights = []
         self.biases = []
@@ -40,9 +46,15 @@ class Mlp:
             self.weights.append(rng.gen.uniform(-bound, bound, (fan_in, fan_out)))
             self.biases.append(rng.gen.uniform(-bound, bound, fan_out))
 
-    @property
-    def in_dim(self):
-        return self.dims[0]
+    @classmethod
+    def from_params(cls, dims, out_act, params):
+        """Network with the given dims and out_act holding copies of params (params() order)."""
+        net = object.__new__(cls)
+        net.dims = _check_layers(dims, out_act)
+        net.out_act = out_act
+        net.weights = [np.array(w, dtype=np.float64) for w in params[0::2]]
+        net.biases = [np.array(b, dtype=np.float64) for b in params[1::2]]
+        return net
 
     def params(self):
         """Flat list of parameter arrays, weights and biases interleaved."""
@@ -52,34 +64,23 @@ class Mlp:
             out.append(b)
         return out
 
-    def set_params(self, params):
-        for i in range(len(self.weights)):
-            self.weights[i] = params[2 * i].copy()
-            self.biases[i] = params[2 * i + 1].copy()
-
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"expected input of width {self.in_dim}, got shape {x.shape}")
-        return x, squeeze
-
     def forward(self, x):
         y, _ = self.forward_cache(x)
         return y
 
     def forward_cache(self, x):
-        """Forward pass keeping activations for backward().
+        """Forward pass over a (rows, in_dim) input, keeping activations for backward().
 
-        Returns (output, cache); a 1-d input yields a 1-d output.
+        Returns (output, cache): the output has shape (rows, out_dim), and
+        the cache is (each layer's input, the output).
         """
-        x, squeeze = self._check_input(x)
-        acts = [x]
-        h = x
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != self.dims[0]:
+            raise ValueError(f"expected input of shape (rows, {self.dims[0]}), got {h.shape}")
+        ins = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            ins.append(h)
             z = h @ w + b
             if i < last:
                 h = np.maximum(z, 0.0)
@@ -87,50 +88,38 @@ class Mlp:
                 h = _sigmoid(z)
             else:
                 h = z
-            acts.append(h)
-        out = acts[-1][0] if squeeze else acts[-1]
-        return out, (acts, squeeze)
+        return h, (ins, h)
 
     def backward(self, cache, grad_out):
-        """Backprop grad_out (d loss / d output) through the cached pass.
+        """Backprop grad_out (d loss / d output) through the cache of forward_cache.
 
         Returns (param_grads, grad_input) with param_grads matching
         params() order.
         """
-        acts, squeeze = cache
+        ins, y = cache
         g = np.asarray(grad_out, dtype=np.float64)
-        if squeeze:
-            g = g[None, :] if g.ndim == 1 else g.reshape(1, -1)
-        if g.shape != acts[-1].shape:
-            raise ValueError(f"gradient shape {g.shape} does not match output {acts[-1].shape}")
+        if g.shape != y.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match output {y.shape}")
 
         if self.out_act == "sigmoid":
-            y = acts[-1]
             g = g * y * (1.0 - y)
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            h_in = acts[i]
-            w_grads[i] = h_in.T @ g
+            w_grads[i] = ins[i].T @ g
             b_grads[i] = g.sum(axis=0)
             g = g @ self.weights[i].T
             if i > 0:
-                g = g * (acts[i] > 0.0)
+                g = g * (ins[i] > 0.0)
         grads = []
         for wg, bg in zip(w_grads, b_grads):
             grads.append(wg)
             grads.append(bg)
-        grad_in = g[0] if squeeze else g
-        return grads, grad_in
+        return grads, g
 
     def clone(self):
         """Deep copy with identical parameters (used for target networks)."""
-        twin = object.__new__(Mlp)
-        twin.dims = list(self.dims)
-        twin.out_act = self.out_act
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
-        return twin
+        return Mlp.from_params(self.dims, self.out_act, self.params())
 
 
 class Sgd:

@@ -21,7 +21,7 @@ from macc.cli import main as cli_main
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import TrainConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, comp_time
-from macc.marl import critic_forward, make_agents
+from macc.marl import _critic_input, make_agents
 from macc.nets import Mlp
 from macc.numerics import RngStream, mat_vec
 
@@ -170,13 +170,14 @@ def criterion_05_gradient_fidelity():
         before = [q.copy() for q in nets.actor.params()]
         marl.actor_update(agents, 0, batch)
         analytic = [after - b for after, b in zip(nets.actor.params(), before)]
-        nets.actor.set_params(before)
+        for arr, b in zip(nets.actor.params(), before):
+            arr[...] = b
 
         def objective():
             a0 = nets.actor.forward(batch["states"][:, 0, :])[:, 0]
             acts = batch["actions"].copy()
             acts[:, 0] = a0
-            return float(np.mean(critic_forward(nets, batch["states"], acts)))
+            return float(np.mean(nets.critic.forward(_critic_input(batch["states"], acts))))
 
         _fd_check(nets.actor.params(), analytic, objective)
 

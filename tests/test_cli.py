@@ -59,7 +59,7 @@ class TestTrainCommand:
     def test_writes_checkpoint_and_curve(self, ini, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["train", "--config", ini, "--out", str(out)]) == 0
-        ckpt = out / "checkpoint.json"
+        ckpt = out / "checkpoint.bin"
         curve = out / "learning_curve.csv"
         assert ckpt.exists() and curve.exists()
         agents = load_checkpoint(str(ckpt))
@@ -67,6 +67,15 @@ class TestTrainCommand:
         lines = curve.read_text().splitlines()
         assert len(lines) == 2 + 2  # metadata, header, one row per iteration
         assert "trained 2 iterations" in capsys.readouterr().out
+
+    def test_replay_below_minibatch_rejected(self, tmp_path, capsys):
+        path = tmp_path / "small.ini"
+        path.write_text(TINY_INI + "replay_capacity = 3\n")
+        out = tmp_path / "results"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "train.replay_capacity (3) is below train.minibatch (4)" in err
+        assert not (out / "checkpoint.bin").exists()
 
 
 class TestEvaluateCommand:
@@ -134,7 +143,7 @@ class TestEvaluateCommand:
         out = tmp_path / "train"
         main(["train", "--config", ini, "--out", str(out)])
         code = main(["evaluate", "--config", ini, "--scheme", "marl",
-                     "--episodes", "2", "--checkpoint", str(out / "checkpoint.json"),
+                     "--episodes", "2", "--checkpoint", str(out / "checkpoint.bin"),
                      "--out", str(tmp_path / "ev")])
         assert code == 0
         assert (tmp_path / "ev" / "metrics.csv").exists()
@@ -145,10 +154,23 @@ class TestEvaluateCommand:
         desk = tmp_path / "desk.ini"
         desk.write_text("[scenario]\npreset = desk\n")
         code = main(["evaluate", "--config", str(desk), "--scheme", "marl",
-                     "--episodes", "1", "--checkpoint", str(out / "checkpoint.json"),
+                     "--episodes", "1", "--checkpoint", str(out / "checkpoint.bin"),
                      "--out", str(tmp_path / "ev")])
         assert code == 1
         assert "checkpoint has 2 agents, scenario has 4 workers" in capsys.readouterr().err
+
+    def test_marl_checkpoint_for_another_p(self, ini, tmp_path, capsys):
+        out = tmp_path / "train"
+        main(["train", "--config", ini, "--out", str(out)])
+        other = tmp_path / "other.ini"
+        other.write_text(TINY_INI.replace("p_rows = 8", "p_rows = 6"))
+        code = main(["evaluate", "--config", str(other), "--scheme", "marl",
+                     "--episodes", "1", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--out", str(tmp_path / "ev")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "checkpoint was trained at p_rows = 8, scenario has p_rows = 6" in err
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
 
     def test_unknown_scheme_fails_cleanly(self, ini, tmp_path, capsys):
         code = main(["evaluate", "--config", ini, "--scheme", "greedy",

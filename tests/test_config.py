@@ -140,6 +140,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             TrainConfig(tau=0.0)
 
+    def test_replay_capacity_holds_a_minibatch(self):
+        with pytest.raises(ConfigError, match=r"train\.replay_capacity \(32\) is below "
+                                              r"train\.minibatch \(64\)"):
+            TrainConfig(minibatch=64, replay_capacity=32)
+        assert TrainConfig(minibatch=64, replay_capacity=64).replay_capacity == 64
+
     def test_penalty_boundary_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(penalty_boundary="lte")

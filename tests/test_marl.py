@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from macc import marl
-from macc.config import ScenarioConfig, TrainConfig
+from macc.config import ConfigError, ScenarioConfig, TrainConfig
 from macc.marl import (
+    NETS,
     ReplayBuffer,
+    _critic_input,
     actor_update,
-    critic_forward,
     critic_update,
     load_checkpoint,
     make_agents,
@@ -77,25 +79,26 @@ class TestAgents:
         assert not np.array_equal(a[0].actor.weights[0], a[1].actor.weights[0])
         np.testing.assert_array_equal(a[1].critic.weights[0], b[1].critic.weights[0])
 
-    def test_critic_forward_single_matches_batch(self):
-        agents = make_agents(2, RngStream(1), hidden=(4,))
-        states = RngStream(2).gen.normal(0, 1, (5, 2, state_dim(2)))
-        actions = RngStream(3).gen.random((5, 2))
-        batch_q = critic_forward(agents[0], states, actions)
-        singles = [float(critic_forward(agents[0], states[k], actions[k])) for k in range(5)]
-        np.testing.assert_allclose(batch_q, singles, rtol=1e-14)
+
+def assign(mlp, values):
+    """Overwrite every parameter array of mlp in place, in params() order."""
+    for arr, value in zip(mlp.params(), values):
+        arr[...] = value
 
 
-def sum_critic(nets):
-    """Overwrite the critic so Q(x) exactly equals sum(x)."""
-    in_dim = nets.critic.in_dim
-    nets.critic.set_params([np.ones((in_dim, 1)), np.array([100.0]),
-                            np.array([[1.0]]), np.array([-100.0])])
+def q_values(nets, states, actions):
+    """Q(s, a) of one agent's critic over a batch of joint states and actions."""
+    return nets.critic.forward(_critic_input(states, actions))[:, 0]
+
+
+def sum_critic(mlp):
+    """Overwrite a one-hidden-unit critic so Q(x) exactly equals sum(x) (for sum(x) > -100)."""
+    assign(mlp, (1.0, 100.0, 1.0, -100.0))
 
 
 def constant_half_actor(mlp):
     """Zero every layer: ReLU(0) hidden, sigmoid(0) = 0.5 out."""
-    mlp.set_params([np.zeros_like(q) for q in mlp.params()])
+    assign(mlp, [0.0] * len(mlp.params()))
 
 
 def make_batch(n, sdim, size, seed):
@@ -114,9 +117,7 @@ class TestTdTarget:
         agents = make_agents(2, RngStream(0), hidden=(1,))
         for nets in agents:
             constant_half_actor(nets.target_actor)
-        target = agents[0]
-        target.target_critic.set_params([np.ones((18, 1)), np.array([100.0]),
-                                         np.array([[1.0]]), np.array([-100.0])])
+        sum_critic(agents[0].target_critic)
         batch = {
             "next_states": np.ones((2, 2, 8)),
             "rewards": np.array([1.0, 2.0]),
@@ -145,7 +146,7 @@ class TestCriticUpdate:
         agents = make_agents(2, RngStream(1), hidden=(4,))
         batch = make_batch(2, 8, 8, seed=10)
         y = td_target(agents, 0, batch, gamma=0.95)
-        q = critic_forward(agents[0], batch["states"], batch["actions"])
+        q = q_values(agents[0], batch["states"], batch["actions"])
         expected = float(np.mean((q - y) ** 2))
         assert critic_update(agents, 0, batch, gamma=0.95) == expected
 
@@ -161,8 +162,7 @@ class TestCriticUpdate:
 class TestActorUpdate:
     def test_flat_critic_leaves_actor_unchanged(self):
         agents = make_agents(2, RngStream(2), hidden=(4,), optimizer="sgd")
-        zero = [np.zeros_like(q) for q in agents[0].critic.params()]
-        agents[0].critic.set_params(zero)
+        assign(agents[0].critic, [0.0] * len(agents[0].critic.params()))
         before = [q.copy() for q in agents[0].actor.params()]
         actor_update(agents, 0, make_batch(2, 8, 6, seed=12))
         for b, a in zip(before, agents[0].actor.params()):
@@ -173,8 +173,7 @@ class TestActorUpdate:
         agents = make_agents(2, RngStream(3), hidden=(1,), optimizer="sgd", lr=0.5)
         w0 = np.zeros((18, 1))
         w0[16, 0] = 1.0  # the a_0 column of the critic input
-        agents[0].critic.set_params([w0, np.array([100.0]),
-                                     np.array([[1.0]]), np.array([-100.0])])
+        assign(agents[0].critic, (w0, 100.0, 1.0, -100.0))
         batch = make_batch(2, 8, 12, seed=13)
         s0 = batch["states"][:, 0, :]
         before = agents[0].actor.forward(s0).mean()
@@ -193,11 +192,11 @@ class TestActorUpdate:
             a0 = nets.actor.forward(batch["states"][:, 0, :])[:, 0]
             actions = batch["actions"].copy()
             actions[:, 0] = a0
-            return float(np.mean(critic_forward(nets, batch["states"], actions)))
+            return float(np.mean(q_values(nets, batch["states"], actions)))
 
         actor_update(agents, 0, batch)
         analytic = [after - b for after, b in zip(nets.actor.params(), start)]
-        nets.actor.set_params(start)
+        assign(nets.actor, start)
 
         eps = 1e-6
         for arr, g in zip(nets.actor.params(), analytic):
@@ -313,7 +312,7 @@ class TestPolicyAllocator:
         loads = policy_allocator(agents, TINY)(world, states)
         norm = normalize_states(states, 2, state_scales(TINY))
         for i in range(2):
-            assert loads[i] == TINY.p_rows * agents[i].actor.forward(norm[i])[0]
+            assert loads[i] == TINY.p_rows * agents[i].actor.forward(norm[i:i + 1])[0, 0]
 
 
 SHORT_TRAIN = TrainConfig(max_iterations=3, episodes_per_iteration=2,
@@ -356,22 +355,89 @@ class TestTrain:
         assert [it for it, _ in seen] == [0, 1, 2]
 
 
+def rewrite_header(path, **changes):
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header.update(changes)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
+    @pytest.fixture
+    def saved(self, tmp_path):
         agents, _ = train(TINY, SHORT_TRAIN, RngStream(16))
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, agents, TINY)
-        loaded = load_checkpoint(path)
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(str(path), agents, TINY)
+        return agents, path
+
+    def test_round_trip(self, saved):
+        agents, path = saved
+        loaded = load_checkpoint(str(path))
         assert len(loaded) == 2
-        x = RngStream(17).gen.normal(0, 1, state_dim(2))
+        x = RngStream(17).gen.normal(0, 1, (1, state_dim(2)))
         for a, b in zip(agents, loaded):
             np.testing.assert_array_equal(a.actor.forward(x), b.actor.forward(x))
-            for name in ("actor", "critic", "target_actor", "target_critic"):
+            for name in NETS:
+                assert getattr(a, name).dims == getattr(b, name).dims
+                assert getattr(a, name).out_act == getattr(b, name).out_act
                 for pa, pb in zip(getattr(a, name).params(), getattr(b, name).params()):
+                    assert pb.dtype == np.float64 and pb.flags.writeable
                     np.testing.assert_array_equal(pa, pb)
+
+    def test_layout_is_header_line_then_raw_float64(self, saved):
+        agents, path = saved
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert header["format"] == "macc-checkpoint-2"
+        assert (header["n_workers"], header["p_rows"]) == (2, TINY.p_rows)
+        nets = [getattr(a, k) for a in agents for k in NETS]
+        assert header["nets"] == [{"dims": n.dims, "out_act": n.out_act} for n in nets]
+        assert body == b"".join(q.astype("<f8").tobytes() for n in nets for q in n.params())
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "other", "agents": []}))
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
+
+    def test_json_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "macc-checkpoint-1", "n_workers": 2,
+                                    "p_rows": 8, "agents": []}))
+        with pytest.raises(ConfigError, match="not a valid macc-checkpoint-2 file: "
+                                              "its format is 'macc-checkpoint-1'"):
+            load_checkpoint(str(path))
+
+    def test_truncated_rejected(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, saved):
+        _, path = saved
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ConfigError, match="trailing bytes"):
+            load_checkpoint(str(path))
+
+    def test_worker_count_mismatch_in_header_rejected(self, saved):
+        _, path = saved
+        rewrite_header(path, n_workers=3)
+        with pytest.raises(ConfigError, match="lists 8 networks for 3 workers"):
+            load_checkpoint(str(path))
+
+    def test_parameter_count_mismatch_in_header_rejected(self, saved):
+        _, path = saved
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        header["nets"][0]["dims"][1] += 1
+        rewrite_header(path, nets=header["nets"])
+        with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_scenario_mismatch_rejected(self, saved):
+        _, path = saved
+        load_checkpoint(str(path), TINY)
+        with pytest.raises(ConfigError, match="trained at p_rows = 8, scenario has p_rows = 9"):
+            load_checkpoint(str(path), dataclasses.replace(TINY, p_rows=9))
+        with pytest.raises(ConfigError, match="checkpoint has 2 agents, scenario has 3 workers"):
+            load_checkpoint(str(path), dataclasses.replace(TINY, n_workers=3))

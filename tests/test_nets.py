@@ -66,30 +66,30 @@ class TestForward:
         assert y.shape == (40, 2)
         assert np.all((y > 0) & (y < 1))
 
-    def test_one_dim_input_squeezed(self):
-        net = small_net("linear")
-        y = net.forward(np.zeros(3))
-        assert y.shape == (2,)
-
     def test_batch_matches_single(self):
         net = small_net("sigmoid")
         x = RngStream(4).gen.normal(0, 1, (6, 3))
         batch = net.forward(x)
-        singles = np.stack([net.forward(row) for row in x])
+        singles = np.vstack([net.forward(x[k:k + 1]) for k in range(6)])
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
     def test_width_mismatch(self):
         net = small_net("linear")
         with pytest.raises(ValueError):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
+
+    def test_one_dim_input_rejected(self):
+        net = small_net("linear")
+        with pytest.raises(ValueError, match=r"expected input of shape \(rows, 3\)"):
+            net.forward(np.zeros(3))
 
     def test_hand_computed_tiny_linear_net(self):
         net = Mlp(1, (1,), 1, "linear", RngStream(0))
-        net.set_params([np.array([[2.0]]), np.array([-1.0]),
-                        np.array([[3.0]]), np.array([0.5])])
+        for arr, value in zip(net.params(), (2.0, -1.0, 3.0, 0.5)):
+            arr[...] = value
         # relu(2x - 1) * 3 + 0.5
-        assert net.forward(np.array([2.0]))[0] == pytest.approx(9.5)
-        assert net.forward(np.array([0.0]))[0] == pytest.approx(0.5)
+        assert net.forward(np.array([[2.0]]))[0, 0] == pytest.approx(9.5)
+        assert net.forward(np.array([[0.0]]))[0, 0] == pytest.approx(0.5)
 
     def test_stable_sigmoid_extremes(self):
         z = np.array([-1e3, 0.0, 1e3])
@@ -116,17 +116,17 @@ class TestBackward:
     @pytest.mark.parametrize("out_act", ["linear", "sigmoid"])
     def test_input_grad_matches_finite_differences(self, out_act):
         net = small_net(out_act, seed=14)
-        x = RngStream(15).gen.normal(0, 1, 3)
-        w = np.array([0.7, -1.3])
+        x = RngStream(15).gen.normal(0, 1, (1, 3))
+        w = np.array([[0.7, -1.3]])
 
         y, cache = net.forward_cache(x)
         _, grad_in = net.backward(cache, w)
         eps = 1e-6
-        numeric = np.zeros(3)
+        numeric = np.zeros((1, 3))
         for i in range(3):
-            up = x.copy(); up[i] += eps
-            down = x.copy(); down[i] -= eps
-            numeric[i] = (float(net.forward(up) @ w) - float(net.forward(down) @ w)) / (2 * eps)
+            up = x.copy(); up[0, i] += eps
+            down = x.copy(); down[0, i] -= eps
+            numeric[0, i] = (np.sum(net.forward(up) * w) - np.sum(net.forward(down) * w)) / (2 * eps)
         np.testing.assert_allclose(grad_in, numeric, rtol=1e-4, atol=1e-8)
 
     def test_gradient_shape_mismatch(self):
@@ -140,10 +140,27 @@ class TestClone:
     def test_clone_is_equal_but_independent(self):
         net = small_net("sigmoid", seed=20)
         twin = net.clone()
-        x = np.ones(3)
+        x = np.ones((1, 3))
         np.testing.assert_array_equal(net.forward(x), twin.forward(x))
         twin.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != twin.weights[0][0, 0]
+
+    def test_from_params_copies_to_writable_float64(self):
+        net = small_net("linear", seed=22)
+        source = [q.astype(np.float32) for q in net.params()]
+        for q in source:
+            q.flags.writeable = False
+        built = Mlp.from_params(net.dims, "linear", source)
+        assert built.dims == net.dims and built.out_act == "linear"
+        for b, q in zip(built.params(), source):
+            assert b.dtype == np.float64 and b.flags.writeable
+            np.testing.assert_array_equal(b, q)
+
+    def test_from_params_checks_layers(self):
+        with pytest.raises(ValueError, match="unknown output activation"):
+            Mlp.from_params([3, 1], "tanh", [np.zeros((3, 1)), np.zeros(1)])
+        with pytest.raises(ValueError, match="must be positive"):
+            Mlp.from_params([3, 0, 1], "linear", [])
 
 
 class TestOptimizers:
