@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, comp_time
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, comp_time, link_gain
 from macc.numerics import RngStream
 
 cfg = CommConfig()
@@ -24,14 +24,14 @@ rng = RngStream(7)
 # ----------------------------------------------------------------------
 print("distance   capacity        one 200x1 result")
 for d in (1, 2, 5, 10, 50, 100):
-    c = channel_capacity(d, 0.0, cfg)
+    c = channel_capacity(d * d, link_gain(0.0, cfg), cfg)  # the link takes squared distance
     t = 200 * cfg.bits_per_element / c
     print(f"{d:>5} m   {c:>11.0f} b/s   {t * 1e3:8.2f} ms")
 
 # shadowing makes each transmission's rate a draw, not a constant:
 # omega ~ N(0, sigma^2) dB once per transmission
 omega = rng.substream("tx").gen.normal(0.0, cfg.noise_std_db, 2000)
-times = 200 * cfg.bits_per_element / channel_capacity(10.0, omega, cfg)
+times = 200 * cfg.bits_per_element / channel_capacity(10.0**2, link_gain(omega, cfg), cfg)
 print(f"\n200 rows at 10 m with shadowing: mean {np.mean(times) * 1e3:.2f} ms, "
       f"spread {np.std(times) * 1e3:.2f} ms")
 

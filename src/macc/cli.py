@@ -1,17 +1,19 @@
 """Command line entry points: train, evaluate, compare, sweep-batch.
 
-    macc train --config run.ini --out results/
+    macc train --config run.ini --out results/ [--progress]
     macc evaluate --config run.ini --scheme hcmm --episodes 20 --out results/
     macc compare --config run.ini --scheme uniform,load-balanced,hcmm --out results/
     macc sweep-batch --config run.ini --scheme hcmm --batch-sizes 1,50,200 --out results/
 
 Every command is a pure function of (config file, seed): reruns produce
-byte-identical outputs.
+byte-identical outputs.  train --progress adds one line per iteration on
+stderr (iteration, mean reward, elapsed seconds) and changes nothing else.
 """
 
 import argparse
 import os
 import sys
+import time
 
 from . import experiments, marl
 from .config import ConfigError, load_config
@@ -44,6 +46,8 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train the MARL allocator")
     add_common(p_train)
+    p_train.add_argument("--progress", action="store_true",
+                         help="print each iteration's mean reward and elapsed time to stderr")
 
     p_eval = sub.add_parser("evaluate", help="evaluate one allocation scheme")
     add_common(p_eval)
@@ -88,7 +92,15 @@ def _load_agents_if_needed(schemes, args, scenario):
 def cmd_train(args):
     scenario, train_cfg, seed = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
-    agents, curve = marl.train(scenario, train_cfg, RngStream(seed))
+    progress = None
+    if args.progress:
+        start = time.perf_counter()
+
+        def progress(it, mean_reward):
+            print(f"iteration {it + 1}/{train_cfg.max_iterations}: mean reward {mean_reward:.4f}, "
+                  f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
+
+    agents, curve = marl.train(scenario, train_cfg, RngStream(seed), progress=progress)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     curve_path = os.path.join(args.out, "learning_curve.csv")
     marl.save_checkpoint(ckpt, agents, scenario)

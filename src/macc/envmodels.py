@@ -5,6 +5,11 @@ log-distance received power S_d = sd_offset - 20 log10(d) + omega (dBm),
 omega ~ N(0, sigma^2) drawn once per transmission.  The transmitter
 constants (power, wavelength, 4 pi term, antenna gains) are folded into
 sd_offset, so the default sd_offset = 6 gives S_d = 6 - 20 log10(d).
+The link is evaluated in two parts, equal to that formula in exact
+arithmetic: link_gain(omega), the SNR at 1 m, once per transmission, and
+channel_capacity(d2, gain) from the squared distance d2, as
+S / Noise = gain * d2^(-path_loss / 20), with no square root, log10 or
+power of ten per evaluation.
 
 Computation of l rows takes t = alpha l - (l / beta) ln(1 - U), a shifted
 exponential with floor alpha l and tail rate beta / l.  A straggling worker
@@ -16,10 +21,10 @@ Nodes move with constant velocity: p(t') = p(t) + v (t' - t).
 Every function works on plain numbers and on numpy arrays; the world is
 held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
-channel_capacity and comp_time on whole arrays of batches,
-StragglerPlan.time_factor per worker, and advance once per task to move
-all nodes.  The agents' state and the shared reward are built in simcore,
-next to the engine.
+link_gain once per task, channel_capacity and comp_time on whole arrays
+of batches, StragglerPlan.time_factor per worker, and advance once per
+task to move all nodes.  The agents' state and the shared reward are
+built in simcore, next to the engine.
 """
 
 import math
@@ -84,21 +89,29 @@ def check_slowdown(factor):
         raise ConfigError(f"straggler.slowdown_factor: must be >= 1, got {factor}")
 
 
-def signal_power(d, omega, cfg):
-    """Received power S (W) at distance d (m) with dB noise omega; elementwise on arrays.
+def link_gain(omega, cfg):
+    """SNR at 1 m of a transmission with dB shadowing omega; elementwise on arrays.
 
-    S_d = sd_offset - 20 log10(max(d, min_distance)) + omega  (dBm)
-    S = 10^((S_d - 30) / 10)                                  (W)
+    10^((sd_offset - 30 + omega) / 10) / Noise: the received power at 1 m
+    in W over the noise power.  It is fixed for the whole transmission, so
+    the engine computes it once per task.
     """
-    d = np.maximum(d, cfg.min_distance_m)
-    s_dbw = cfg.sd_offset_dbm - 30.0 + omega - cfg.path_loss_db_per_decade * np.log10(d)
-    return 10.0 ** (s_dbw / 10.0)
+    return 10.0 ** ((cfg.sd_offset_dbm - 30.0 + omega) / 10.0) / cfg.noise_power_w
 
 
-def channel_capacity(d, omega, cfg):
-    """Shannon capacity C = W log2(1 + S / Noise) in bits/s; elementwise on arrays."""
-    s = signal_power(d, omega, cfg)
-    return cfg.bandwidth_hz * np.log2(1.0 + s / cfg.noise_power_w)
+def channel_capacity(d2, gain, cfg):
+    """Shannon capacity C = W log2(1 + S / Noise) in bits/s; elementwise on arrays.
+
+    d2 is the squared distance (m^2), gain the transmission's link_gain.
+    S / Noise = gain * max(d, min_distance)^(-path_loss / 10), taken from
+    d2 as max(d2, min_distance^2)^(-path_loss / 20): at the default 20 dB
+    per decade a reciprocal, with no square root or logarithm.
+    """
+    snr = gain * np.maximum(d2, cfg.min_distance_m**2) ** (-cfg.path_loss_db_per_decade / 20.0)
+    snr += 1.0
+    cap = np.log2(snr)
+    cap *= cfg.bandwidth_hz
+    return cap
 
 
 def comp_time(rows, u, alpha, beta, slowdown=1.0):

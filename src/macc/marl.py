@@ -221,7 +221,8 @@ def train(scenario, cfg, rng, progress=None):
     an independent mini-batch and apply critic_update, actor_update and
     polyak_update.  The curve holds one mean total episode reward per
     iteration (rewards are shared, so averaging over agents is the
-    identity).
+    identity).  A TD loss or mean Q that is not finite raises ValueError
+    naming the iteration and the agent: the networks have diverged.
 
     Actors stay frozen for the first cfg.warmup_iterations iterations while
     the critics learn the feasibility cliff.  The reward has a local
@@ -275,9 +276,13 @@ def train(scenario, cfg, rng, progress=None):
         if buffer.size >= cfg.minibatch:
             for i in range(n):
                 batch = buffer.sample(cfg.minibatch, rng.substream("batch", it, i))
-                critic_update(agents, i, batch, cfg.gamma)
+                loss = critic_update(agents, i, batch, cfg.gamma)
+                if not math.isfinite(loss):
+                    raise ValueError(f"iteration {it}, agent {i}: critic TD loss is {loss}")
                 if it >= cfg.warmup_iterations:
-                    actor_update(agents, i, batch)
+                    q = actor_update(agents, i, batch)
+                    if not math.isfinite(q):
+                        raise ValueError(f"iteration {it}, agent {i}: actor mean Q is {q}")
             for i in range(n):
                 polyak_update(agents[i], cfg.tau)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding import plan_batches
-from .envmodels import StragglerPlan, advance, channel_capacity, comp_time
+from .envmodels import StragglerPlan, advance, channel_capacity, comp_time, link_gain
 
 
 MAX_PASSES = 32  # fixed-point passes of run_task before the sequential finish
@@ -143,9 +143,23 @@ class EpisodeRecord:
         return sum(1 for t in self.tasks if not t.feasible)
 
 
-def _send_time(rows, d, omega, cfg):
-    """Time to send `rows` result elements over a link of length d (m); elementwise."""
-    return rows * cfg.bits_per_element / channel_capacity(d, omega, cfg)
+def _send_time(bits, t, rel, gain, cfg):
+    """Time to send `bits` over each worker's link from time t on; elementwise.
+
+    rel = (rx, ry, rvx, rvy) is each worker's position and velocity
+    relative to the master, so the link spans the squared distance
+    (rx + rvx t)^2 + (ry + rvy t)^2 when the transmission begins; gain is
+    the transmission's link_gain.
+    """
+    rx, ry, rvx, rvy = rel
+    dx = rvx * t
+    dx += rx
+    dx *= dx
+    dy = rvy * t
+    dy += ry
+    dy *= dy
+    dx += dy
+    return bits / channel_capacity(dx, gain, cfg)
 
 
 def _scan(cpu, tau):
@@ -177,7 +191,7 @@ def _guess_cols(arrival, sizes, valid, p):
     return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
 
 
-def _fixed_point(cpu, tau, settled, sizes, valid, tx, counts, rel, cfg):
+def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, rel, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
     Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
@@ -186,7 +200,6 @@ def _fixed_point(cpu, tau, settled, sizes, valid, tx, counts, rel, cfg):
     worker, so after MAX_PASSES a worker whose begins still move finishes
     with the plain sequential recurrence.
     """
-    rx, ry, rvx, rvy = rel
     cols = cpu.shape[1]
     begin = cpu
     for done in range(2, MAX_PASSES + 2):
@@ -196,7 +209,7 @@ def _fixed_point(cpu, tau, settled, sizes, valid, tx, counts, rel, cfg):
         begin = settled
         if done > MAX_PASSES:
             break
-        tau = _send_time(sizes, np.hypot(rx + rvx * begin, ry + rvy * begin), tx, cfg)
+        tau = _send_time(bits, begin, rel, gain, cfg)
         if done >= cols:  # pass n starts from begins that are final for n batches
             return begin, tau
         settled = _scan(cpu, tau)[1]
@@ -204,11 +217,11 @@ def _fixed_point(cpu, tau, settled, sizes, valid, tx, counts, rel, cfg):
     begin, tau = begin.copy(), tau.copy()
     # a worker's begins up to its first moved one are final
     for r in np.flatnonzero(moved.any(axis=1)):
+        rel_r = tuple(a[r, 0] for a in rel)
         for j in range(int(moved[r].argmax()), min(counts[r], cols)):
             start = max(cpu[r, j], begin[r, j - 1] + tau[r, j - 1])
-            d = np.hypot(rx[r, 0] + rvx[r, 0] * start, ry[r, 0] + rvy[r, 0] * start)
             begin[r, j] = start
-            tau[r, j] = _send_time(sizes[r, j], d, tx[r, j], cfg)
+            tau[r, j] = _send_time(bits[r, j], start, rel_r, gain[r, j], cfg)
     return begin, tau
 
 
@@ -225,7 +238,9 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
     the send times tau frozen, the arrivals are the max-plus scan
     S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
-    at the new begins until no begin moves (see _fixed_point).
+    at the new begins until no begin moves (see _fixed_point).  Each
+    transmission's link_gain is computed once, so a pass evaluates the
+    link from the squared distances at the begins alone.
 
     Only arrivals up to completion enter the record, so a feasible task is
     solved on the leading columns alone.  Pass 1 evaluates the link at the
@@ -273,16 +288,19 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     # position and velocity relative to the master, compute profile and slowdown
     rx, ry = (world.pos[1:] - world.pos[0]).take(act, axis=0).T[:, :, None]
     rvx, rvy = (world.vel[1:] - world.vel[0]).take(act, axis=0).T[:, :, None]
+    rel = (rx, ry, rvx, rvy)
     alpha, beta = world.alpha.take(act)[:, None], world.beta.take(act)[:, None]
     slow = np.array([straggler.time_factor(i) for i in active])[:, None]
     valid = sizes > 0
+    bits = sizes * cfg.bits_per_element
+    gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
-    bc = _send_time(m, np.hypot(rx, ry), omega[:, :1], cfg)
+    bc = m * cfg.bits_per_element / channel_capacity(rx * rx + ry * ry, gain[:, :1], cfg)
     cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
 
     # pass 1, over the full width
-    tx = omega[:, 1:]
-    tau = _send_time(sizes, np.hypot(rx + rvx * cpu, ry + rvy * cpu), tx, cfg)
+    gain = gain[:, 1:]  # the batches' transmissions
+    tau = _send_time(bits, cpu, rel, gain, cfg)
     settled, cols = cpu, width  # one batch per worker: pass 1 is final
     if width > 1:
         arrival, settled = _scan(cpu, tau)
@@ -291,8 +309,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     while True:
         cut = np.s_[:, :cols]
         begin, tau_cut = _fixed_point(
-            cpu[cut], tau[cut], settled[cut], sizes[cut], valid[cut], tx[cut],
-            counts, (rx, ry, rvx, rvy), cfg,
+            cpu[cut], tau[cut], settled[cut], bits[cut], valid[cut], gain[cut], counts, rel, cfg
         )
         # padded slots never arrive; a stable sort of the worker-major layout
         # breaks arrival ties by (worker, batch)

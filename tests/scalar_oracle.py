@@ -4,14 +4,20 @@ It walks every worker's batches in a Python loop, evaluating the link at
 each transmission's begin time, then sorts every receipt by (arrival,
 worker, batch).  It draws the same random numbers as run_task and returns
 the TaskRecord fields that depend on timing; the differential tests in
-test_engine.py compare the two.
+test_engine.py compare the two.  It keeps its own copy of the paper's
+link formula in dBm, so they check envmodels' link end to end as well.
 """
 
 import math
 
 from macc.coding import plan_batches
-from macc.envmodels import channel_capacity
 from macc.simcore import TaskRecord
+
+
+def capacity(d, omega, cfg):
+    """C = W log2(1 + S / Noise) with S_d = sd_offset - PL log10(d) + omega (dBm), d >= min_d."""
+    s_dbw = cfg.sd_offset_dbm - 30.0 + omega - cfg.path_loss_db_per_decade * math.log10(d)
+    return cfg.bandwidth_hz * math.log2(1.0 + 10.0 ** (s_dbw / 10.0) / cfg.noise_power_w)
 
 
 def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
@@ -38,7 +44,7 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
         px, py = positions[i]
         vx, vy = velocities[i]
         d0 = max(math.hypot(px - mx, py - my), min_d)
-        bc = m * u_bits / channel_capacity(d0, omegas[0], cfg)
+        bc = m * u_bits / capacity(d0, omegas[0], cfg)
 
         slow = 1.0
         if straggler.enabled and straggler.victim == i:
@@ -54,7 +60,7 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
             dx = (px + vx * begin) - (mx + mvx * begin)
             dy = (py + vy * begin) - (my + mvy * begin)
             d = max(math.hypot(dx, dy), min_d)
-            arrival = begin + rows * u_bits / channel_capacity(d, omegas[k + 1], cfg)
+            arrival = begin + rows * u_bits / capacity(d, omegas[k + 1], cfg)
             link_free = arrival
             receipts.append((arrival, i, k, rows))
 

@@ -20,7 +20,7 @@ from macc.allocators import solve_hcmm_lambda
 from macc.cli import main as cli_main
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import TrainConfig, preset_scenario
-from macc.envmodels import CommConfig, channel_capacity, comp_time
+from macc.envmodels import CommConfig, channel_capacity, comp_time, link_gain
 from macc.marl import _critic_input, make_agents
 from macc.nets import Mlp
 from macc.numerics import RngStream, mat_vec
@@ -110,7 +110,8 @@ def criterion_03_shifted_exponential_sampler():
 def criterion_04_channel_model():
     start = time.perf_counter()
     cfg = CommConfig()
-    caps = [channel_capacity(d, 0.0, cfg) for d in (1, 2, 5, 10, 50, 100)]
+    gain = link_gain(0.0, cfg)
+    caps = [channel_capacity(d * d, gain, cfg) for d in (1, 2, 5, 10, 50, 100)]
     assert all(a > b for a, b in zip(caps, caps[1:])), f"not decreasing: {caps}"
     rel = abs(caps[0] - HAND_CAPACITY_D1) / HAND_CAPACITY_D1
     assert rel < 1e-9, f"d=1 capacity {caps[0]} vs hand value (rel {rel:.2e})"

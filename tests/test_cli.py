@@ -68,6 +68,20 @@ class TestTrainCommand:
         assert len(lines) == 2 + 2  # metadata, header, one row per iteration
         assert "trained 2 iterations" in capsys.readouterr().out
 
+    def test_progress_goes_to_stderr_only(self, ini, tmp_path, capsys):
+        plain, shown = tmp_path / "plain", tmp_path / "shown"
+        assert main(["train", "--config", ini, "--out", str(plain)]) == 0
+        quiet = capsys.readouterr()
+        assert main(["train", "--config", ini, "--out", str(shown), "--progress"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out.replace(str(shown), str(plain)) == quiet.out and quiet.err == ""
+        lines = loud.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["iteration 1/2", "iteration 2/2"]
+        assert all(line.endswith(" s") and "mean reward -" in line for line in lines)
+        assert sorted(p.name for p in shown.iterdir()) == sorted(p.name for p in plain.iterdir())
+        for path in plain.iterdir():
+            assert (shown / path.name).read_bytes() == path.read_bytes()
+
     def test_replay_below_minibatch_rejected(self, tmp_path, capsys):
         path = tmp_path / "small.ini"
         path.write_text(TINY_INI + "replay_capacity = 3\n")

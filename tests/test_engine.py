@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from macc import simcore
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
+from macc.envmodels import CommConfig, StragglerPlan
 from macc.experiments import evaluate_scheme
 from macc.numerics import RngStream
 from macc.simcore import WorldState, run_task, sample_world
 
-from scalar_oracle import run_task_scalar
+from scalar_oracle import capacity, run_task_scalar
 
 RTOL = 1.0e-12
 
@@ -100,14 +100,14 @@ class TestAgainstScalarOracle:
 
 @pytest.fixture
 def scalar_calls(monkeypatch):
-    """The distances of the link evaluations run_task makes one batch at a time."""
+    """The squared distances of the link evaluations run_task makes one batch at a time."""
     calls = []
     vector_capacity = simcore.channel_capacity
 
-    def counting(d, omega, cfg):
-        if np.ndim(d) == 0:
-            calls.append(d)
-        return vector_capacity(d, omega, cfg)
+    def counting(d2, gain, cfg):
+        if np.ndim(d2) == 0:
+            calls.append(d2)
+        return vector_capacity(d2, gain, cfg)
 
     monkeypatch.setattr(simcore, "channel_capacity", counting)
     return calls
@@ -139,7 +139,7 @@ class TestSequentialFinish:
         got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
                              CommConfig(), 3)
         assert scalar_calls, "the capped fixed point should leave batches to the sequential finish"
-        assert min(scalar_calls) < CommConfig().min_distance_m  # the clamp was active there
+        assert min(scalar_calls) < CommConfig().min_distance_m ** 2  # the clamp was active there
         assert_matches_oracle(got, want)
 
 
@@ -198,11 +198,11 @@ class TestTruncatedSolve:
     def test_link_work_at_paper_scale(self, monkeypatch):
         # solving every batch evaluated the link at 2,808,105 distances here
         evaluated = []
-        capacity = simcore.channel_capacity
+        vector_capacity = simcore.channel_capacity
 
-        def counting(d, omega, cfg):
-            evaluated.append(np.size(d))
-            return capacity(d, omega, cfg)
+        def counting(d2, gain, cfg):
+            evaluated.append(np.size(d2))
+            return vector_capacity(d2, gain, cfg)
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
         (rec,) = evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, 0, batch_size=1)
@@ -311,10 +311,10 @@ class TestProperties:
 
         def distance_at(t):
             (mx, my), (wx, wy) = (world.pos + world.vel * t).tolist()
-            return math.hypot(wx - mx, wy - my)
+            return max(math.hypot(wx - mx, wy - my), cfg.min_distance_m)
 
-        broadcast = task["m"] * cfg.bits_per_element / channel_capacity(distance_at(0.0), omega[0], cfg)
+        broadcast = task["m"] * cfg.bits_per_element / capacity(distance_at(0.0), omega[0], cfg)
         compute = (world.alpha[0] * l - (l / world.beta[0]) * math.log1p(-u)) * slow
         begin = broadcast + compute
-        expected = begin + l * cfg.bits_per_element / channel_capacity(distance_at(begin), omega[1], cfg)
+        expected = begin + l * cfg.bits_per_element / capacity(distance_at(begin), omega[1], cfg)
         assert simulate(task).t_complete == pytest.approx(expected, rel=RTOL, abs=0.0)

@@ -10,7 +10,7 @@ from macc.envmodels import (
     advance,
     channel_capacity,
     comp_time,
-    signal_power,
+    link_gain,
 )
 from macc.numerics import RngStream
 from macc.simcore import _send_time
@@ -22,60 +22,107 @@ CAPACITY_D1 = 317530.0618756737
 ONE_ELEMENT_D1 = 2.0155571923473085e-4
 
 
+def dbm_capacity(d, omega, cfg):
+    """The paper's link in dBm: S_d = sd_offset - PL log10(max(d, min_d)) + omega."""
+    s_dbm = cfg.sd_offset_dbm - cfg.path_loss_db_per_decade * math.log10(max(d, cfg.min_distance_m))
+    s_w = 10.0 ** ((s_dbm + omega - 30.0) / 10.0)
+    return cfg.bandwidth_hz * math.log2(1.0 + s_w / cfg.noise_power_w)
+
+
+def snr(d, omega, cfg=CFG):
+    """S / Noise at distance d (m), read back from the capacity."""
+    return 2.0 ** (channel_capacity(d * d, link_gain(omega, cfg), cfg) / cfg.bandwidth_hz) - 1.0
+
+
 class TestSignalPower:
+    """Received power S over the noise, as link_gain and channel_capacity give it."""
+
     def test_one_meter(self):
-        s = signal_power(1.0, 0.0, CFG)
-        assert abs(s - 10.0 ** (-2.4)) < 1e-18
+        assert link_gain(0.0, CFG) == pytest.approx(10.0 ** (-2.4) / 1.1e-12, rel=1e-14)
 
     def test_twenty_db_per_decade(self):
-        assert abs(signal_power(10.0, 0.0, CFG) / signal_power(1.0, 0.0, CFG) - 0.01) < 1e-12
+        assert snr(10.0, 0.0) / snr(1.0, 0.0) == pytest.approx(0.01, rel=1e-12)
 
     def test_ten_db_noise_is_factor_ten(self):
-        assert abs(signal_power(3.0, 10.0, CFG) / signal_power(3.0, 0.0, CFG) - 10.0) < 1e-9
+        assert link_gain(10.0, CFG) / link_gain(0.0, CFG) == pytest.approx(10.0, rel=1e-12)
 
     def test_clamped_below_min_distance(self):
-        assert signal_power(0.001, 0.0, CFG) == signal_power(1.0, 0.0, CFG)
+        gain = link_gain(0.0, CFG)
+        assert channel_capacity(0.001**2, gain, CFG) == channel_capacity(1.0, gain, CFG)
+
+    def test_elementwise_on_arrays(self):
+        omega = np.array([[0.0, -1.5], [2.0, 0.7]])
+        gains = link_gain(omega, CFG)
+        assert gains.shape == omega.shape
+        for (i, j), g in np.ndenumerate(gains):  # numpy's and Python's pow may differ in the last bit
+            assert g == pytest.approx(link_gain(float(omega[i, j]), CFG), rel=1e-15, abs=0.0)
 
 
 class TestChannelCapacity:
     def test_hand_computed_value(self):
-        c = channel_capacity(1.0, 0.0, CFG)
+        c = channel_capacity(1.0, link_gain(0.0, CFG), CFG)
         assert abs(c - CAPACITY_D1) / CAPACITY_D1 < 1e-12
 
+    @pytest.mark.parametrize("path_loss", [20.0, 35.0])
+    @pytest.mark.parametrize("omega", [-3.0, 0.0, 2.5])
+    @pytest.mark.parametrize("min_distance", [1.0, 2.0])
+    def test_matches_the_dbm_formula(self, path_loss, omega, min_distance):
+        cfg = CommConfig(path_loss_db_per_decade=path_loss, min_distance_m=min_distance)
+        gain = link_gain(omega, cfg)
+        for d in (0.001, 0.5, 1.0, 1.7, 2.0, 7.5, 99.0, 250.0, 3000.0):
+            want = dbm_capacity(d, omega, cfg)
+            assert channel_capacity(d * d, gain, cfg) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_strictly_decreasing_in_distance(self):
-        caps = [channel_capacity(d, 0.0, CFG) for d in (1, 2, 5, 10, 50, 100)]
+        gain = link_gain(0.0, CFG)
+        caps = [channel_capacity(d * d, gain, CFG) for d in (1, 2, 5, 10, 50, 100)]
         assert all(a > b for a, b in zip(caps, caps[1:]))
 
     def test_unit_snr_gives_bandwidth(self):
         cfg = CommConfig(noise_power_w=10.0 ** (-2.4))
-        assert abs(channel_capacity(1.0, 0.0, cfg) - cfg.bandwidth_hz) < 1e-6
+        assert abs(channel_capacity(1.0, link_gain(0.0, cfg), cfg) - cfg.bandwidth_hz) < 1e-6
 
     def test_elementwise_on_arrays(self):
-        d = np.array([[0.2, 1.0, 7.5], [30.0, 99.0, 250.0]])
-        omega = np.array([[0.0, -1.5, 2.0], [0.7, 0.0, -3.0]])
-        caps = channel_capacity(d, omega, CFG)
-        assert caps.shape == d.shape
+        d2 = np.array([[0.2, 1.0, 7.5], [30.0, 99.0, 250.0]]) ** 2
+        gain = link_gain(np.array([[0.0, -1.5, 2.0], [0.7, 0.0, -3.0]]), CFG)
+        caps = channel_capacity(d2, gain, CFG)
+        assert caps.shape == d2.shape
         for (i, j), c in np.ndenumerate(caps):
-            assert c == channel_capacity(float(d[i, j]), float(omega[i, j]), CFG)
-        # one omega broadcast over several distances, as for a column of batches
-        np.testing.assert_array_equal(channel_capacity(d, omega[:, :1], CFG),
-                                      channel_capacity(d, np.repeat(omega[:, :1], 3, axis=1), CFG))
+            assert c == channel_capacity(float(d2[i, j]), float(gain[i, j]), CFG)
+        # one gain broadcast over several distances, and one distance over several gains
+        np.testing.assert_array_equal(channel_capacity(d2, gain[:, :1], CFG),
+                                      channel_capacity(d2, np.repeat(gain[:, :1], 3, axis=1), CFG))
+        np.testing.assert_array_equal(channel_capacity(d2[:, :1], gain, CFG),
+                                      channel_capacity(np.repeat(d2[:, :1], 3, axis=1), gain, CFG))
+
+
+def static_link(d):
+    """A worker d metres from the master, both at rest."""
+    return (d, 0.0, 0.0, 0.0)
 
 
 class TestCommTime:
-    # the engine's send time rows * u / C(d, omega)
+    # the engine's send time bits / C(d^2, gain)
     def test_single_element_at_one_meter(self):
-        t = _send_time(1, 1.0, 0.0, CFG)
+        t = _send_time(CFG.bits_per_element, 0.0, static_link(1.0), link_gain(0.0, CFG), CFG)
         assert abs(t - ONE_ELEMENT_D1) / ONE_ELEMENT_D1 < 1e-12
 
     def test_linear_in_payload(self):
-        t1 = _send_time(10, 5.0, 0.0, CFG)
-        t2 = _send_time(20, 5.0, 0.0, CFG)
+        gain = link_gain(0.0, CFG)
+        t1 = _send_time(10 * CFG.bits_per_element, 0.0, static_link(5.0), gain, CFG)
+        t2 = _send_time(20 * CFG.bits_per_element, 0.0, static_link(5.0), gain, CFG)
         assert abs(t2 - 2.0 * t1) < 1e-15
 
     def test_increasing_in_distance(self):
-        times = [_send_time(5, d, 0.0, CFG) for d in (1, 2, 5, 10, 50, 100)]
+        gain = link_gain(0.0, CFG)
+        times = [_send_time(320.0, 0.0, static_link(d), gain, CFG) for d in (1, 2, 5, 10, 50, 100)]
         assert all(a < b for a, b in zip(times, times[1:]))
+
+    def test_distance_at_the_begin_time(self):
+        # a worker leaving the master at (3, 4) m/s is 5 m away after 1 s
+        gain = link_gain(0.0, CFG)
+        drifting = _send_time(320.0, 1.0, (0.0, 0.0, 3.0, 4.0), gain, CFG)
+        assert drifting == _send_time(320.0, 0.0, (3.0, 4.0, 0.0, 0.0), gain, CFG)
 
 
 class TestCompTime:

@@ -355,6 +355,25 @@ class TestTrain:
         assert [it for it, _ in seen] == [0, 1, 2]
 
 
+    @pytest.mark.parametrize("update", ["critic", "actor"])
+    def test_non_finite_update_names_iteration_and_agent(self, monkeypatch, update):
+        make = marl.make_agents
+
+        def nan_critic(*args, **kwargs):
+            agents = make(*args, **kwargs)
+            agents[1].critic.params()[0][0, 0] = math.nan
+            return agents
+
+        if update == "critic":
+            monkeypatch.setattr(marl, "make_agents", nan_critic)
+            want = r"^iteration 0, agent 1: critic TD loss is nan$"
+        else:  # a finite critic, so only the actor's Q is forced off
+            monkeypatch.setattr(marl, "actor_update", lambda *args: math.inf)
+            want = r"^iteration 1, agent 0: actor mean Q is inf$"
+        with pytest.raises(ValueError, match=want):
+            train(TINY, SHORT_TRAIN, RngStream(16))
+
+
 def rewrite_header(path, **changes):
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)

@@ -10,7 +10,7 @@ from macc import experiments, marl, simcore
 from macc.allocators import hcmm_alloc
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, link_gain
 from macc.numerics import RngStream
 from macc.simcore import (
     DegenerateTaskError,
@@ -33,7 +33,7 @@ NO_STRAG = StragglerPlan(enabled=False)
 
 def send_per_row(d):
     # one encoded result row is a single 64-bit element
-    return NOISELESS.bits_per_element / channel_capacity(d, 0.0, NOISELESS)
+    return NOISELESS.bits_per_element / channel_capacity(d * d, link_gain(0.0, NOISELESS), NOISELESS)
 
 
 def make_world(workers, master_pos=(0.0, 0.0), master_vel=(0.0, 0.0)):
@@ -480,6 +480,21 @@ class TestRunEpisode:
         for states, clock, task in zip(ep.states, calls, ep.tasks):
             assert clock == task.dispatch_time
             assert states.shape == (2, marl.state_dim(2))
+
+    def test_link_reached_through_a_positional_wrapper(self, monkeypatch):
+        # perfbench's tracer replaces simcore.channel_capacity with traced(*args)
+        plain = run_episode(TINY, full_loads, RngStream(4))
+        calls = []
+        capacity = simcore.channel_capacity
+
+        def positional(*args):
+            calls.append(len(args))
+            return capacity(*args)
+
+        monkeypatch.setattr(simcore, "channel_capacity", positional)
+        wrapped = run_episode(TINY, full_loads, RngStream(4))
+        assert calls and set(calls) == {3}
+        assert wrapped.tasks == plain.tasks
 
     def test_worlds_left_unchanged(self):
         seen = []
