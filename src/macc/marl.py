@@ -221,8 +221,9 @@ def train(scenario, cfg, rng, progress=None):
     an independent mini-batch and apply critic_update, actor_update and
     polyak_update.  The curve holds one mean total episode reward per
     iteration (rewards are shared, so averaging over agents is the
-    identity).  A TD loss or mean Q that is not finite raises ValueError
-    naming the iteration and the agent: the networks have diverged.
+    identity).  A TD loss, mean Q or actor output that is not finite raises
+    ValueError naming the iteration and the agent (and the task, for an
+    actor output): the networks have diverged.
 
     Actors stay frozen for the first cfg.warmup_iterations iterations while
     the critics learn the feasibility cliff.  The reward has a local
@@ -256,13 +257,18 @@ def train(scenario, cfg, rng, progress=None):
             allocator = policy_allocator(
                 agents, scenario, noise_rng=rng.substream("noise", g), noise_std=noise_std
             )
-            rec = simcore.run_episode(
-                scenario,
-                allocator,
-                rng.substream("episode", g),
-                penalty=cfg.penalty,
-                penalty_boundary=cfg.penalty_boundary,
-            )
+            try:
+                rec = simcore.run_episode(
+                    scenario,
+                    allocator,
+                    rng.substream("episode", g),
+                    penalty=cfg.penalty,
+                    penalty_boundary=cfg.penalty_boundary,
+                )
+            except simcore.NonFiniteLoadError as err:
+                # a load is p clip(actor output + noise), so only a NaN output is not finite
+                raise ValueError(f"iteration {it}, task {err.task}, agent {err.worker}: "
+                                 f"actor output is {err.loads[err.worker]}") from err
             k = scenario.k_tasks
             norm_states = normalize_states(np.stack(rec.states), n, scales)
             norm_actions = np.array(rec.actions, dtype=np.float64) / scenario.p_rows

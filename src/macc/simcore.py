@@ -18,6 +18,12 @@ A ReceiptLog holds it as three read-only arrays (worker, rows, arrival),
 since a paper-scale task keeps thousands of receipts; read as a sequence
 it yields plain (int, int, float) triples.
 
+Each loaded worker i draws its noise from the task's substream
+("worker", i): first the shadowing of its broadcast and of each batch's
+transmission (when noise_std_db > 0), then one compute uniform per batch.
+It makes all its draws at once, so it draws through RngStream.fresh_gen,
+the one re-keyed generator, rather than building a generator of its own.
+
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
 All times inside a TaskRecord are measured from the task dispatch; the
@@ -47,6 +53,20 @@ MAX_PASSES = 32  # fixed-point passes of run_task before the sequential finish
 
 class DegenerateTaskError(ValueError):
     """An all-zero allocation dispatches no work at all."""
+
+
+class NonFiniteLoadError(ValueError):
+    """An allocator returned a load that is not finite.
+
+    Names the task, the raw loads as floats, and worker, the first worker
+    whose load is not finite.
+    """
+
+    def __init__(self, task, loads):
+        self.task = task
+        self.loads = [float(v) for v in loads]
+        self.worker = next(i for i, v in enumerate(self.loads) if not math.isfinite(v))
+        super().__init__(f"task {task}: allocator returned non-finite loads {self.loads}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,14 +296,15 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     sizes = np.zeros((len(active), width), dtype=np.int64)
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
+    workers = rng.substream("worker")
     for r, (i, plan) in enumerate(zip(active, plans)):
         nb = plan.count
         sizes[r, :nb] = plan.batch_size
         sizes[r, nb - 1] = plan.last
-        wrng = rng.substream("worker", i)
+        gen = workers.substream(i).fresh_gen()  # the stream rng.substream("worker", i)
         if cfg.noise_std_db > 0:
-            omega[r, : nb + 1] = wrng.gen.normal(0.0, cfg.noise_std_db, nb + 1)
-        wrng.gen.random(out=us[r, :nb])
+            omega[r, : nb + 1] = gen.normal(0.0, cfg.noise_std_db, nb + 1)
+        gen.random(out=us[r, :nb])
     act = np.array(active)
     # position and velocity relative to the master, compute profile and slowdown
     rx, ry = (world.pos[1:] - world.pos[0]).take(act, axis=0).T[:, :, None]
@@ -414,9 +435,9 @@ def run_episode(
     allocator is a callable (world, states) -> iterable of N raw loads,
     where states is build_state(world).  Each load is rounded to the nearest
     integer; out-of-range loads are clamped to [0, p] and flagged, and a
-    non-finite one raises ValueError.  batch_size is the scenario's unless
-    overridden here (None = single batch per worker).  Same (scenario,
-    allocator, rng) reproduces the record bit for bit.
+    non-finite one raises NonFiniteLoadError.  batch_size is the scenario's
+    unless overridden here (None = single batch per worker).  Same
+    (scenario, allocator, rng) reproduces the record bit for bit.
     """
     if straggler_enabled is None:
         straggler_enabled = scenario.straggler_enabled
@@ -436,7 +457,7 @@ def run_episode(
         states = build_state(world)
         raw = list(allocator(world, states))
         if not all(map(math.isfinite, raw)):
-            raise ValueError(f"task {j}: allocator returned non-finite loads {list(map(float, raw))}")
+            raise NonFiniteLoadError(j, raw)
         rounded = tuple(int(round(v)) for v in raw)  # int loads pass through as the same objects
         loads = tuple(min(max(l, 0), p) for l in rounded)
         clamped = loads != rounded

@@ -373,6 +373,18 @@ class TestTrain:
         with pytest.raises(ValueError, match=want):
             train(TINY, SHORT_TRAIN, RngStream(16))
 
+    def test_non_finite_actor_output_names_iteration_task_and_agent(self, monkeypatch):
+        make = marl.make_agents
+
+        def nan_actor(*args, **kwargs):
+            agents = make(*args, **kwargs)
+            agents[1].actor.params()[0][0, 0] = math.nan
+            return agents
+
+        monkeypatch.setattr(marl, "make_agents", nan_actor)
+        with pytest.raises(ValueError, match=r"^iteration 0, task 0, agent 1: actor output is nan$"):
+            train(TINY, SHORT_TRAIN, RngStream(16))
+
 
 def rewrite_header(path, **changes):
     head, _, body = path.read_bytes().partition(b"\n")

@@ -79,16 +79,16 @@ class TestLeastSquares:
         assert err.value.condition > 1e12
 
 
+SEED_STREAMS = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (42, 7), (2**63, 12345)]
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         a = RngStream(42, 7).gen.random(16)
         b = RngStream(42, 7).gen.random(16)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "seed, stream",
-        [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (42, 7), (2**63, 12345)],
-    )
+    @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
     def test_generator_matches_philox_key(self, seed, stream):
         got = RngStream(seed, stream).gen
         want = np.random.Generator(np.random.Philox(key=(stream << 64) | seed))
@@ -100,6 +100,27 @@ class TestRngStream:
         assert np.array_equal(got.normal(0.0, 2.0, 5), want.normal(0.0, 2.0, 5))
         assert np.array_equal(got.random(5), want.random(5))
         assert np.array_equal(got.integers(0, 2**40, 5), want.integers(0, 2**40, 5))
+
+    @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
+    def test_fresh_gen_draws_like_gen(self, seed, stream):
+        got = RngStream(seed, stream).fresh_gen()
+        want = RngStream(seed, stream).gen
+        assert np.array_equal(got.normal(0.0, 2.0, 5), want.normal(0.0, 2.0, 5))
+        assert np.array_equal(got.random(5), want.random(5))
+        assert np.array_equal(got.integers(0, 1000, 5, dtype=np.int32),
+                              want.integers(0, 1000, 5, dtype=np.int32))
+
+    def test_fresh_gen_drops_a_half_used_word(self):
+        left = RngStream(5, 6).fresh_gen()
+        left.integers(0, 1000, 3, dtype=np.int32)  # an odd number of 32-bit draws
+        assert left.bit_generator.state["has_uint32"] == 1
+        got = RngStream(42, 7).fresh_gen()
+        assert got is left  # one generator, re-keyed
+        assert got.bit_generator.state["has_uint32"] == 0
+        want = RngStream(42, 7).gen
+        assert np.array_equal(got.integers(0, 1000, 5, dtype=np.int32),
+                              want.integers(0, 1000, 5, dtype=np.int32))
+        assert np.array_equal(got.random(5), want.random(5))
 
     def test_different_seeds_differ(self):
         a = RngStream(1).gen.random(8)

@@ -351,6 +351,22 @@ class TestWorldAdvance:
         assert a.receipt_log == b.receipt_log
 
 
+class TestWorkerNoise:
+    def test_task_builds_no_generator_after_warm_up(self, monkeypatch):
+        world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
+
+        def task(j):
+            run_task(world, [4] * 5, None, 12, 6, NO_STRAG, RngStream(3).substream("task", j),
+                     CommConfig())
+
+        task(0)  # builds the one re-keyed generator
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *args: built.append(args) or philox(*args))
+        task(1)
+        assert built == []
+
+
 TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
 
@@ -461,8 +477,9 @@ class TestRunEpisode:
         def allocator(world, states):
             return (4.0, math.nan) if world.clock > 0 else (4.0, 4.0)
 
-        with pytest.raises(ValueError, match=r"task 1: .*non-finite.*\[4\.0, nan\]"):
+        with pytest.raises(ValueError, match=r"task 1: .*non-finite.*\[4\.0, nan\]") as err:
             run_episode(TINY, allocator, RngStream(4))
+        assert (err.value.task, err.value.worker) == (1, 1)
 
     def test_states_built_once_per_task_for_marl(self, monkeypatch):
         calls = []
