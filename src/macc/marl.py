@@ -9,13 +9,19 @@ for the networks and learns the actions.  The action is the load l_i in
 Training follows MADDPG: per agent an actor, a centralized critic over the
 joint state and action, and Polyak-averaged target copies of both.
 Critics descend the TD error against r + gamma Q'(s', pi'(s')); actors
-ascend the critic through the chain rule.  Exploration adds Gaussian noise
-to the pre-scaling action, with the noise level decaying linearly over
-training.
+ascend the critic through the chain rule, which needs only the critic's
+input gradient (Mlp.input_grad) and the actor's parameter gradient
+(Mlp.backward).  Optimizer steps and Polyak averaging act on each
+network's flat parameter vector.  Exploration adds Gaussian noise to the
+pre-scaling action, with the noise level decaying linearly over training.
+Each actor reads only its own state, so the policy allocator evaluates all
+N actors in one stacked pass per task, on copies of their parameters taken
+when the allocator is built (once per episode in train).
 
 A checkpoint file is one JSON header line (format, n_workers, p_rows and
-each network's dims and out_act) followed by every parameter as
-little-endian float64, network by network in NETS and params() order.
+each network's dims and out_act) followed by each network's parameter
+vector as little-endian float64, network by network in NETS order.  Every
+agent's networks share agent 0's dims and out_act.
 """
 
 import json
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import simcore
 from .config import ConfigError
-from .nets import Mlp, make_optimizer
+from .nets import Mlp, make_optimizer, param_count
 from .simcore import build_state  # noqa: F401  perfbench/tracer.py times it as marl.build_state
 
 HIDDEN = (64, 64, 64)
@@ -79,8 +85,8 @@ def make_agents(n_workers, rng, lr=0.01, optimizer="adam", hidden=HIDDEN):
                 critic=critic,
                 target_actor=actor.clone(),
                 target_critic=critic.clone(),
-                actor_opt=make_optimizer(optimizer, actor.params(), lr),
-                critic_opt=make_optimizer(optimizer, critic.params(), lr),
+                actor_opt=make_optimizer(optimizer, actor.flat, lr),
+                critic_opt=make_optimizer(optimizer, critic.flat, lr),
             )
         )
     return agents
@@ -113,8 +119,7 @@ def critic_update(agents, i, batch, gamma):
     err = q[:, 0] - y
     loss = float(np.mean(err * err))
     grad_q = (2.0 / err.shape[0]) * err[:, None]
-    grads, _ = nets.critic.backward(cache, grad_q)
-    nets.critic_opt.step(nets.critic.params(), grads)
+    nets.critic_opt.step(nets.critic.flat, nets.critic.backward(cache, grad_q))
     return loss
 
 
@@ -132,11 +137,10 @@ def actor_update(agents, i, batch):
     x = _critic_input(batch["states"], actions)
     q, q_cache = nets.critic.forward_cache(x)
     n_batch = q.shape[0]
-    _, grad_x = nets.critic.backward(q_cache, np.full((n_batch, 1), 1.0 / n_batch))
+    grad_x = nets.critic.input_grad(q_cache, np.full((n_batch, 1), 1.0 / n_batch))
     sdim = batch["states"].shape[1] * batch["states"].shape[2]
     grad_a = grad_x[:, sdim + i]
-    grads, _ = nets.actor.backward(a_cache, grad_a[:, None])
-    nets.actor_opt.step(nets.actor.params(), [-g for g in grads])
+    nets.actor_opt.step(nets.actor.flat, -nets.actor.backward(a_cache, grad_a[:, None]))
     return float(q.mean())
 
 
@@ -148,9 +152,8 @@ def polyak_update(nets, tau):
         (nets.target_actor, nets.actor),
         (nets.target_critic, nets.critic),
     ):
-        for tp, pp in zip(target.params(), primary.params()):
-            tp *= tau
-            tp += (1.0 - tau) * pp
+        target.flat *= tau
+        target.flat += (1.0 - tau) * primary.flat
 
 
 class ReplayBuffer:
@@ -194,17 +197,21 @@ class ReplayBuffer:
 def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
     """Allocator closure for run_episode: raw joint states -> raw loads p a_i.
 
-    With noise_rng set, exploration noise is added to each pre-scaling
-    action and the result clipped back to [0, 1].  run_episode rounds the
-    loads to integers.
+    The closure evaluates the actors as they were when it was built: it
+    stacks copies of their parameters once (Mlp.stack) and makes one pass
+    over all agents per task, each agent reading its own state row.  Build
+    a new allocator after the actors change.  With noise_rng set,
+    exploration noise is added to each pre-scaling action and the result
+    clipped back to [0, 1].  run_episode rounds the loads to integers.
     """
     scales = state_scales(scenario)
     n = scenario.n_workers
     p = scenario.p_rows
+    actors = Mlp.stack([a.actor for a in agents])
 
     def allocate(world, states):
         norm = normalize_states(states, n, scales)
-        acts = np.array([float(agents[i].actor.forward(norm[i:i + 1])[0, 0]) for i in range(n)])
+        acts = actors.forward(norm[:, None, :])[:, 0, 0]
         if noise_rng is not None and noise_std > 0:
             acts = acts + noise_rng.gen.normal(0.0, noise_std, n)
             acts = np.clip(acts, 0.0, 1.0)
@@ -310,16 +317,17 @@ def save_checkpoint(path, agents, scenario):
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
         for net in nets:
-            for arr in net.params():
-                fh.write(arr.astype("<f8").tobytes())
+            fh.write(net.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, scenario=None):
     """Rebuild AgentNets, without optimizers, from a checkpoint file.
 
     Raises ConfigError naming the cause for another format, a malformed
-    header or a parameter block of another length than the header's
-    networks take, and, with a scenario given, for another n_workers or p_rows.
+    header, agents whose networks differ in dims or out_act from agent 0's
+    (the policy evaluates all actors in one stacked pass) or a parameter
+    block of another length than the header's networks take, and, with a
+    scenario given, for another n_workers or p_rows.
     """
     with open(path, "rb") as fh:
         head, _, body = fh.read().partition(b"\n")
@@ -331,15 +339,20 @@ def load_checkpoint(path, scenario=None):
         specs = [(net["dims"], net["out_act"]) for net in header["nets"]]
         if len(specs) != len(NETS) * n:
             raise ValueError(f"the header lists {len(specs)} networks for {n} workers")
-        shapes = [[s for a, b in zip(d[:-1], d[1:]) for s in ((a, b), (b,))] for d, _ in specs]
-        sizes = [math.prod(s) for net in shapes for s in net]
+        sizes = [param_count(dims) for dims, _ in specs]
         if len(body) != 8 * sum(sizes):
             cause = "truncated" if len(body) < 8 * sum(sizes) else "trailing bytes"
             raise ValueError(f"{cause}: the header's networks take {8 * sum(sizes)} bytes "
                              f"of parameters, the file holds {len(body)}")
-        arrays = iter(np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes)[:-1]))
-        nets = [Mlp.from_params(dims, out_act, [next(arrays).reshape(s) for s in net_shapes])
-                for (dims, out_act), net_shapes in zip(specs, shapes)]
+        for k, (dims, out_act) in enumerate(specs):
+            agent, j = divmod(k, len(NETS))
+            if (dims, out_act) != specs[j]:
+                raise ValueError(f"agent {agent}'s {NETS[j]} has dims {dims} and out_act "
+                                 f"{out_act!r}, agent 0's has dims {specs[j][0]} and out_act "
+                                 f"{specs[j][1]!r}")
+        blocks = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes)[:-1])
+        nets = [Mlp.from_params(dims, out_act, [block])
+                for (dims, out_act), block in zip(specs, blocks)]
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: not a valid {CHECKPOINT_FORMAT} file: {err}") from None
     if scenario is not None and n != scenario.n_workers:

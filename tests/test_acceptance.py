@@ -151,8 +151,8 @@ def criterion_05_gradient_fidelity():
         y = gen.normal(0, 1, 4)
 
         q, cache = net.forward_cache(x)
-        grads, _ = net.backward(cache, (2.0 / 4) * (q[:, 0] - y)[:, None])
-        _fd_check(net.params(), grads,
+        grads = net.backward(cache, (2.0 / 4) * (q[:, 0] - y)[:, None])
+        _fd_check([net.flat], [grads],
                   lambda: float(np.mean((net.forward(x)[:, 0] - y) ** 2)))
 
     # ten actor objectives differentiated through the frozen critic

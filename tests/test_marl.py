@@ -314,6 +314,16 @@ class TestPolicyAllocator:
         for i in range(2):
             assert loads[i] == TINY.p_rows * agents[i].actor.forward(norm[i:i + 1])[0, 0]
 
+    def test_evaluates_the_actors_as_built(self):
+        agents = make_agents(2, RngStream(9), hidden=(4,))
+        world, _ = sample_world(TINY, RngStream(10).substream("env"))
+        states = build_state(world)
+        allocate = policy_allocator(agents, TINY)
+        before = allocate(world, states)
+        agents[0].actor.biases[-1][0] += 5.0
+        np.testing.assert_array_equal(allocate(world, states), before)
+        assert policy_allocator(agents, TINY)(world, states)[0] > before[0]
+
 
 SHORT_TRAIN = TrainConfig(max_iterations=3, episodes_per_iteration=2,
                           minibatch=4, warmup_iterations=1, replay_capacity=64)
@@ -463,6 +473,16 @@ class TestCheckpoint:
         header["nets"][0]["dims"][1] += 1
         rewrite_header(path, nets=header["nets"])
         with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_agents_with_other_layers_rejected(self, tmp_path):
+        wide = make_agents(2, RngStream(18), hidden=(64, 64, 64))
+        narrow = make_agents(2, RngStream(19), hidden=(32,))
+        path = tmp_path / "spliced.bin"
+        save_checkpoint(str(path), [wide[0], narrow[1]], TINY)
+        want = (r"not a valid macc-checkpoint-2 file: agent 1's actor has dims \[8, 32, 1\] "
+                r"and out_act 'sigmoid', agent 0's has dims \[8, 64, 64, 64, 1\]")
+        with pytest.raises(ConfigError, match=want):
             load_checkpoint(str(path))
 
     def test_scenario_mismatch_rejected(self, saved):

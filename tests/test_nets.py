@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from macc.nets import Adam, Mlp, Sgd, _sigmoid, make_optimizer
+from macc.nets import Adam, Mlp, Sgd, _sigmoid, make_optimizer, param_count
 from macc.numerics import RngStream
 
 
@@ -58,6 +58,53 @@ class TestConstruction:
             Mlp(3, (0,), 1, "linear", RngStream(0))
 
 
+class TestFlatLayout:
+    def test_params_are_views_in_order(self):
+        net = small_net("linear", seed=23)
+        assert net.flat.shape == (param_count(net.dims),) == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
+        np.testing.assert_array_equal(net.flat, np.concatenate([q.ravel() for q in net.params()]))
+        net.weights[1][2, 3] = 7.0
+        net.biases[2][1] = -7.0
+        assert net.flat[3 * 5 + 5 + 2 * 4 + 3] == 7.0
+        assert net.flat[-1] == -7.0
+
+    def test_from_params_takes_the_vector(self):
+        net = small_net("sigmoid", seed=24)
+        built = Mlp.from_params(net.dims, "sigmoid", [net.flat])
+        np.testing.assert_array_equal(built.flat, net.flat)
+        assert not np.shares_memory(built.flat, net.flat)
+        with pytest.raises(ValueError, match=r"take 54 parameters, got 53"):
+            Mlp.from_params(net.dims, "sigmoid", [net.flat[:-1]])
+
+
+class TestStack:
+    def test_shapes(self):
+        stacked = Mlp.stack([small_net("sigmoid", seed=s) for s in range(3)])
+        assert stacked.flat.shape == (3, 54)
+        assert [w.shape for w in stacked.weights] == [(3, 3, 5), (3, 5, 4), (3, 4, 2)]
+        assert stacked.forward(np.zeros((3, 6, 3))).shape == (3, 6, 2)
+
+    def test_input_shape_checked(self):
+        stacked = Mlp.stack([small_net("sigmoid", seed=s) for s in range(3)])
+        with pytest.raises(ValueError, match=r"expected input of shape \(3, rows, 3\), got \(2, 1, 3\)"):
+            stacked.forward(np.zeros((2, 1, 3)))
+        with pytest.raises(ValueError, match=r"got \(3, 3\)"):
+            stacked.forward(np.zeros((3, 3)))
+
+    def test_copies_parameters(self):
+        nets = [small_net("sigmoid", seed=s) for s in range(3)]
+        stacked = Mlp.stack(nets)
+        before = stacked.forward(np.ones((3, 1, 3)))
+        nets[0].flat += 1.0
+        np.testing.assert_array_equal(stacked.forward(np.ones((3, 1, 3))), before)
+
+    def test_layers_must_match(self):
+        with pytest.raises(ValueError, match=r"net 1 has layers \[3, 4, 2\] \(sigmoid\), net 0 has \[3, 5, 4, 2\]"):
+            Mlp.stack([small_net("sigmoid"), small_net("sigmoid", hidden=(4,))])
+        with pytest.raises(ValueError, match=r"net 1 has layers .* \(linear\)"):
+            Mlp.stack([small_net("sigmoid"), small_net("linear")])
+
+
 class TestForward:
     def test_sigmoid_output_in_unit_interval(self):
         net = small_net("sigmoid")
@@ -108,10 +155,10 @@ class TestBackward:
             return float(np.sum((y - target) ** 2))
 
         y, cache = net.forward_cache(x)
-        analytic, _ = net.backward(cache, 2.0 * (y - target))
-        numeric = numeric_param_grads(net, x, loss)
-        for a, n in zip(analytic, numeric):
-            np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
+        analytic = net.backward(cache, 2.0 * (y - target))
+        numeric = np.concatenate([g.ravel() for g in numeric_param_grads(net, x, loss)])
+        assert analytic.shape == net.flat.shape
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("out_act", ["linear", "sigmoid"])
     def test_input_grad_matches_finite_differences(self, out_act):
@@ -120,7 +167,7 @@ class TestBackward:
         w = np.array([[0.7, -1.3]])
 
         y, cache = net.forward_cache(x)
-        _, grad_in = net.backward(cache, w)
+        grad_in = net.input_grad(cache, w)
         eps = 1e-6
         numeric = np.zeros((1, 3))
         for i in range(3):
@@ -134,6 +181,8 @@ class TestBackward:
         _, cache = net.forward_cache(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             net.backward(cache, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            net.input_grad(cache, np.zeros((3, 2)))
 
 
 class TestClone:
@@ -165,33 +214,32 @@ class TestClone:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        p = [np.array([1.0, 2.0])]
-        Sgd(p, lr=0.1).step(p, [np.array([10.0, -10.0])])
-        np.testing.assert_allclose(p[0], [0.0, 3.0])
+        p = np.array([1.0, 2.0])
+        Sgd(p, lr=0.1).step(p, np.array([10.0, -10.0]))
+        np.testing.assert_allclose(p, [0.0, 3.0])
 
     def test_adam_first_step_is_lr_sized(self):
         # bias correction makes the first update lr * sign(g) (up to eps)
-        p = [np.array([1.0, 1.0])]
-        Adam(p, lr=0.01).step(p, [np.array([3.0, -0.5])])
-        np.testing.assert_allclose(p[0], [1.0 - 0.01, 1.0 + 0.01], rtol=1e-6)
+        p = np.array([1.0, 1.0])
+        Adam(p, lr=0.01).step(p, np.array([3.0, -0.5]))
+        np.testing.assert_allclose(p, [1.0 - 0.01, 1.0 + 0.01], rtol=1e-6)
 
     def test_adam_converges_on_quadratic(self):
-        p = [np.array([5.0])]
+        p = np.array([5.0])
         opt = Adam(p, lr=0.05)
         for _ in range(2000):
-            opt.step(p, [2.0 * p[0]])
-        assert abs(p[0][0]) < 1e-3
+            opt.step(p, 2.0 * p)
+        assert abs(p[0]) < 1e-3
 
     def test_adam_updates_in_place(self):
         net = small_net("linear", seed=21)
-        params = net.params()
-        opt = Adam(params, lr=0.1)
+        opt = Adam(net.flat, lr=0.1)
         before = net.weights[0].copy()
-        opt.step(params, [np.ones_like(q) for q in params])
+        opt.step(net.flat, np.ones_like(net.flat))
         assert not np.array_equal(net.weights[0], before)
 
     def test_factory(self):
-        p = [np.zeros(2)]
+        p = np.zeros(2)
         assert isinstance(make_optimizer("adam", p, 0.1), Adam)
         assert isinstance(make_optimizer("sgd", p, 0.1), Sgd)
         with pytest.raises(ValueError):
