@@ -81,6 +81,10 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def __post_init__(self):
+        for key in ("learning_rate", "penalty", "noise_start", "noise_end"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"train.{key}: must be finite, got {value}")
         if not 0 < self.gamma < 1:
             raise ConfigError(f"train.gamma: must be in (0, 1), got {self.gamma}")
         if not 0 < self.tau < 1:

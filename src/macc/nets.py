@@ -146,9 +146,10 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             ins.append(h)
-            z = h @ w + b[..., None, :]
+            z = h @ w
+            z += b[..., None, :]
             if i < last:
-                h = np.maximum(z, 0.0)
+                h = np.maximum(z, 0.0, out=z)
             elif self.out_act == "sigmoid":
                 h = _sigmoid(z)
             else:
@@ -178,7 +179,7 @@ class Mlp:
             g.sum(axis=-2, out=views[2 * i + 1])
             if i > 0:
                 g = g @ _mT(self.weights[i])
-                g = g * (ins[i] > 0.0)
+                np.multiply(g, ins[i] > 0.0, out=g)
         return grads
 
     def input_grad(self, cache, grad_out):
@@ -188,7 +189,7 @@ class Mlp:
         for i in range(len(self.weights) - 1, -1, -1):
             g = g @ _mT(self.weights[i])
             if i > 0:
-                g = g * (ins[i] > 0.0)
+                np.multiply(g, ins[i] > 0.0, out=g)
         return g
 
     def clone(self):

@@ -12,6 +12,11 @@ process-wide Generator re-keyed to the start of the stream at a fifth of
 the cost, for a stream that makes all its draws before any other stream
 draws (a worker's noise in one task).  Philox is counter-based, so both
 give the same draws.
+
+A substream folds its tokens into the stream id one by one.  A plain int
+token is taken as it is, modulo 2^64; a str token is its 8-byte blake2b
+digest, computed once per distinct string and then cached, since the
+engine derives substreams from the same few names on every task.
 """
 
 import functools
@@ -100,14 +105,21 @@ def _splitmix64(x):
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=256)
+def _str_to_u64(token):
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
 def _token_to_u64(token):
+    if type(token) is int:  # the common case; a bool is an int subclass and falls through
+        return token & _MASK64
+    if isinstance(token, str):
+        return _str_to_u64(token)
     if isinstance(token, (bool, float)):
         raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
     if isinstance(token, (int, np.integer)):
         return int(token) & _MASK64
-    if isinstance(token, str):
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
     raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
 
 

@@ -24,6 +24,13 @@ transmission (when noise_std_db > 0), then one compute uniform per batch.
 It makes all its draws at once, so it draws through RngStream.fresh_gen,
 the one re-keyed generator, rather than building a generator of its own.
 
+A task whose workers each send one batch (every baseline in compare) is
+the degenerate case of the batch layout: a batch's link is free as soon as
+it is computed, so the first evaluation of the link gives the arrivals and
+run_task skips the fixed point.  On these few-element arrays the fixed
+cost per call dominates, so run_task also builds the next world directly
+and build_state keeps its gather index per N.
+
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
 All times inside a TaskRecord are measured from the task dispatch; the
@@ -36,6 +43,7 @@ builds the joint state (build_state), asks the allocator for loads, rounds
 and clamps them to integers, runs the task and scores it (reward).
 """
 
+import functools
 import json
 import math
 import operator
@@ -211,6 +219,18 @@ def _guess_cols(arrival, sizes, valid, p):
     return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
 
 
+def _reach(arrival, sizes, p):
+    """Slots in arrival order, their cumulative rows, and how many it takes to reach p.
+
+    A stable sort of the worker-major layout breaks arrival ties by
+    (worker, batch).  The count runs up to the first arrival that brings
+    the received rows to p, and is one past the last slot when none does.
+    """
+    order = arrival.argsort(axis=None, kind="stable")
+    received = sizes.ravel()[order].cumsum()
+    return order, received, int(received.searchsorted(p)) + 1
+
+
 def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, rel, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
@@ -273,6 +293,11 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     unsolved batches arrives by T'.  Otherwise the width doubles and the
     solve repeats.  An infeasible task keeps every batch and is solved in
     full.
+
+    When every loaded worker sends its load as one batch (batch_size None,
+    or at least every load), each batch begins once computed, so pass 1 is
+    exact: the arrivals are cpu + tau, sorted as above, with no fixed point,
+    padding or widening.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:
@@ -291,16 +316,19 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         plan_batches(loads[i], loads[i] if batch_size is None else min(batch_size, loads[i]))
         for i in active
     ]
-    counts = np.array([plan.count for plan in plans])
-    width = int(counts.max())
+    counts = [plan.count for plan in plans]
+    width = max(counts)
     sizes = np.zeros((len(active), width), dtype=np.int64)
+    if width == 1:  # each worker's one batch is its whole load
+        sizes[:, 0] = [loads[i] for i in active]
+    else:
+        for r, plan in enumerate(plans):
+            sizes[r, : plan.count] = plan.batch_size
+            sizes[r, plan.count - 1] = plan.last
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
     workers = rng.substream("worker")
-    for r, (i, plan) in enumerate(zip(active, plans)):
-        nb = plan.count
-        sizes[r, :nb] = plan.batch_size
-        sizes[r, nb - 1] = plan.last
+    for r, (i, nb) in enumerate(zip(active, counts)):
         gen = workers.substream(i).fresh_gen()  # the stream rng.substream("worker", i)
         if cfg.noise_std_db > 0:
             omega[r, : nb + 1] = gen.normal(0.0, cfg.noise_std_db, nb + 1)
@@ -312,7 +340,6 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     rel = (rx, ry, rvx, rvy)
     alpha, beta = world.alpha.take(act)[:, None], world.beta.take(act)[:, None]
     slow = np.array([straggler.time_factor(i) for i in active])[:, None]
-    valid = sizes > 0
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
@@ -322,34 +349,32 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     # pass 1, over the full width
     gain = gain[:, 1:]  # the batches' transmissions
     tau = _send_time(bits, cpu, rel, gain, cfg)
-    settled, cols = cpu, width  # one batch per worker: pass 1 is final
-    if width > 1:
+    if width == 1:  # one batch per worker: each begins once computed, so pass 1 is exact
+        cols, arrival = 1, cpu + tau
+        order, received, n_kept = _reach(arrival, sizes, p)
+        n_kept = min(n_kept, len(active))  # an infeasible task keeps every batch
+    else:
+        counts = np.array(counts)
+        valid = sizes > 0
         arrival, settled = _scan(cpu, tau)
-        if feasible:
-            cols = min(_guess_cols(arrival, sizes, valid, p), width)
-    while True:
-        cut = np.s_[:, :cols]
-        begin, tau_cut = _fixed_point(
-            cpu[cut], tau[cut], settled[cut], bits[cut], valid[cut], gain[cut], counts, rel, cfg
-        )
-        # padded slots never arrive; a stable sort of the worker-major layout
-        # breaks arrival ties by (worker, batch)
-        arrival = np.where(valid[cut], begin + tau_cut, np.inf)
-        order = arrival.argsort(axis=None, kind="stable")
-        flat_sizes = sizes[cut].ravel()
-        received = flat_sizes[order].cumsum()
-        # up to the first arrival that reaches p rows
-        n_kept = int(received.searchsorted(p)) + 1
-        if cols == width:
-            n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
-            break
-        if n_kept <= order.size and (
-            arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
-        ).all():
-            break
-        cols = min(2 * cols, width)
+        cols = min(_guess_cols(arrival, sizes, valid, p), width) if feasible else width
+        while True:
+            cut = np.s_[:, :cols]
+            begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
+                                          valid[cut], gain[cut], counts, rel, cfg)
+            arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
+            order, received, n_kept = _reach(arrival, sizes[cut], p)
+            if cols == width:
+                n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
+                break
+            if n_kept <= order.size and (
+                arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
+            ).all():
+                break
+            cols = min(2 * cols, width)
     kept = order[:n_kept]
-    receipt_log = ReceiptLog(act[kept // cols], flat_sizes[kept], arrival.ravel()[kept])
+    rows = sizes[:, :cols].ravel()[kept]
+    receipt_log = ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept])
     t_done = float(receipt_log.arrivals[-1])
 
     record = TaskRecord(
@@ -361,9 +386,9 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         feasible=feasible,
         loads=loads,
     )
-    return record, replace(
-        world, pos=advance(world.pos, world.vel, t_done), clock=world.clock + t_done
-    )
+    # built directly: dataclasses.replace costs twice as much
+    pos = advance(world.pos, world.vel, t_done)
+    return record, WorldState(pos, world.vel, world.alpha, world.beta, world.clock + t_done)
 
 
 def rows_received_curve(rec):
@@ -387,6 +412,14 @@ def sample_world(scenario, rng):
     return WorldState(pos=pos, vel=vel, alpha=1.0 / beta, beta=beta), victim
 
 
+@functools.lru_cache(maxsize=16)
+def _state_order(n):
+    """build_state's (N, N) gather index: row i is i, then the other workers in order."""
+    order = np.array([[i, *range(i), *range(i + 1, n)] for i in range(n)])
+    order.setflags(write=False)
+    return order
+
+
 def build_state(world):
     """Raw joint state of the N agents, one row each: shape (N, 3N+2).
 
@@ -397,7 +430,7 @@ def build_state(world):
     some inputs, which would change the recorded states.
     """
     n = world.n_workers
-    order = [[i, *range(i), *range(i + 1, n)] for i in range(n)]
+    order = _state_order(n)
     dists = np.array([math.hypot(dx, dy) for dx, dy in (world.pos[1:] - world.pos[0]).tolist()])
     states = np.empty((n, 3 * n + 2))
     states[:, :n] = dists[order]

@@ -266,6 +266,13 @@ class TestErrors:
         assert code == 1
         assert "error: scenario.pos_max: must be finite, got inf" in capsys.readouterr().err
 
+    def test_nan_noise_start_fails_training(self, tmp_path, capsys):
+        # nan > 0 is false, so training would silently run without exploration noise
+        path = tmp_path / "nan.ini"
+        path.write_text("[scenario]\npreset = desk\n[train]\nnoise_start = nan\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert "error: train.noise_start: must be finite, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key", [
         ("comm", "noise_std_db"), ("straggler", "slowdown_factor"),
     ])

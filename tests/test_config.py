@@ -186,6 +186,13 @@ class TestValidation:
             load_config(write(tmp_path, text))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["learning_rate", "penalty", "noise_start", "noise_end"])
+    def test_non_finite_train_value_named(self, tmp_path, key, value):
+        text = f"[scenario]\npreset = desk\n[train]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"^train\.{key}: must be finite, got {value}$"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_slowdown_named(self, tmp_path, value):
         text = f"[scenario]\npreset = desk\n[straggler]\nenabled = true\nslowdown_factor = {value}\n"
         want = rf"^straggler\.slowdown_factor: must be finite, got {value}$"

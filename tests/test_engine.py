@@ -92,10 +92,29 @@ class TestAgainstScalarOracle:
 
     def test_zero_load_workers_and_infeasible_total(self):
         world, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(5).substream("env"))
-        got, want = run_both(world, [0, 30, 0, 40], 200, 50, 7, StragglerPlan(), CommConfig(), 5)
-        assert not got.feasible and got.rows_received_at_completion == 70
-        assert {w for w, _, _ in got.receipt_log} == {1, 3}
-        assert_matches_oracle(got, want)
+        # batches of 7 rows, then one batch per worker; an infeasible task keeps every batch
+        for batch_size, batches in ((7, 5 + 6), (None, 2)):
+            got, want = run_both(world, [0, 30, 0, 40], 200, 50, batch_size, StragglerPlan(),
+                                 CommConfig(), 5)
+            assert not got.feasible and got.rows_received_at_completion == 70
+            assert len(got.receipt_log) == batches
+            assert {w for w, _, _ in got.receipt_log} == {1, 3}
+            assert_matches_oracle(got, want)
+
+    def test_one_batch_tasks_skip_the_fixed_point(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("a one-batch task entered the batch solve")
+
+        monkeypatch.setattr(simcore, "_scan", unused)
+        monkeypatch.setattr(simcore, "_fixed_point", unused)
+        world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
+        plan = StragglerPlan(enabled=True, victim=victim)
+        # feasible, infeasible, and a batch size no load exceeds
+        for loads, p, batch_size in (([50, 60, 0, 70], 120, None), ([10, 0, 0, 20], 200, None),
+                                     ([50, 60, 0, 70], 120, 70)):
+            got, want = run_both(world, loads, p, 50, batch_size, plan, CommConfig(), 3)
+            assert len(got.receipt_log) <= 3
+            assert_matches_oracle(got, want)
 
 
 @pytest.fixture

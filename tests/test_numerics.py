@@ -82,6 +82,23 @@ class TestLeastSquares:
 SEED_STREAMS = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (42, 7), (2**63, 12345)]
 
 
+# RngStream(12345, 6).substream(*tokens).stream, recorded before str digests were cached
+PINNED_SUBSTREAMS = [
+    (("worker",), 17068923001171963445),
+    (("task",), 13493094811021954034),
+    (("",), 14347371813274811528),
+    (("é",), 15192072551294015452),
+    ((0,), 13647215125184110592),
+    ((7,), 10451216379200822465),
+    ((-1,), 7790691224305936752),
+    ((2**64 + 5,), 2092789425003139053),
+    ((np.int64(7),), 10451216379200822465),
+    ((np.int64(-3),), 1635312068028924514),
+    ((np.uint8(200),), 7764880849542401124),
+    (("task", 7, "worker", 3), 13387058899231560345),
+]
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         a = RngStream(42, 7).gen.random(16)
@@ -144,9 +161,21 @@ class TestRngStream:
         streams = {root.substream("task", j).stream for j in range(100)}
         assert len(streams) == 100
 
+    @pytest.mark.parametrize("tokens, stream", PINNED_SUBSTREAMS)
+    def test_substream_ids_pinned(self, tokens, stream):
+        root = RngStream(12345, 6)
+        assert root.substream(*tokens).stream == stream
+        assert root.substream(*tokens).stream == stream  # again, from the cached digests
+
     def test_substream_rejects_float_tokens(self):
         with pytest.raises(TypeError):
             RngStream(0).substream(1.5)
+
+    @pytest.mark.parametrize("token", [True, False, np.True_])
+    def test_substream_rejects_bool_tokens(self, token):
+        # a bool is an int subclass, but would make True and 1 the same token
+        with pytest.raises(TypeError, match="substream tokens must be int or str"):
+            RngStream(0).substream("task", token)
 
     def test_substream_requires_tokens(self):
         with pytest.raises(ValueError):
