@@ -75,6 +75,8 @@ def build_parser():
 
 
 def _setup(args):
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     scenario, train_cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     os.makedirs(args.out, exist_ok=True)

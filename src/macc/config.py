@@ -155,13 +155,11 @@ _TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 _CORE_KEYS = ("n_workers", "p_rows", "m_cols", "k_tasks")
 
 
-def _parse_bool(raw, path):
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{path}: expected a boolean, got '{raw}'")
+def _parse_bool(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got '{raw}'") from None
 
 
 def _parse_section(parser, section, schema):
@@ -175,7 +173,7 @@ def _parse_section(parser, section, schema):
         typ = schema[key]
         try:
             if typ is bool:
-                out[key] = _parse_bool(raw, path)
+                out[key] = _parse_bool(raw)
             elif typ is int:
                 out[key] = int(raw)
             elif typ is float:

@@ -278,7 +278,7 @@ def train(scenario, cfg, rng, progress=None):
                                  f"actor output is {err.loads[err.worker]}") from err
             k = scenario.k_tasks
             norm_states = normalize_states(np.stack(rec.states), n, scales)
-            norm_actions = np.array(rec.actions, dtype=np.float64) / scenario.p_rows
+            norm_actions = np.array([t.loads for t in rec.tasks], dtype=np.float64) / scenario.p_rows
             for j in range(k):
                 done = j == k - 1
                 s_next = norm_states[j + 1] if not done else np.zeros_like(norm_states[j])

@@ -8,10 +8,9 @@ own reproducible substream.
 A stream draws through RngStream.gen, a Generator of its own that keeps
 its place while other streams draw (an episode's environment and
 exploration noise, replay batches), or through RngStream.fresh_gen, one
-process-wide Generator re-keyed to the start of the stream at a fifth of
-the cost, for a stream that makes all its draws before any other stream
-draws (a worker's noise in one task).  Philox is counter-based, so both
-give the same draws.
+process-wide Generator re-keyed to the start of the stream, for a stream
+that makes all its draws before any other stream draws (a worker's noise
+in one task).  Philox is counter-based, so both give the same draws.
 
 A substream folds its tokens into the stream id one by one.  A plain int
 token is taken as it is, modulo 2^64; a str token is its 8-byte blake2b
@@ -25,6 +24,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INT_TOKENS = (int, np.integer)  # a bool is an int too, and is refused
 
 
 class SingularSystemError(ValueError):
@@ -112,45 +112,17 @@ def _str_to_u64(token):
 
 
 def _token_to_u64(token):
-    if type(token) is int:  # the common case; a bool is an int subclass and falls through
-        return token & _MASK64
+    if type(token) is not bool and isinstance(token, _INT_TOKENS):
+        return int(token) & _MASK64
     if isinstance(token, str):
         return _str_to_u64(token)
-    if isinstance(token, (bool, float)):
-        raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
-    if isinstance(token, (int, np.integer)):
-        return int(token) & _MASK64
     raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
-
-
-@functools.cache
-def _philox_key():
-    """The type that hands Philox its two key words as they are.
-
-    Philox(key=...) builds and discards a SeedSequence drawn from OS entropy,
-    which costs more than the rest of the construction; Philox(seed=...)
-    with an ISeedSequence takes its key from generate_state(2, np.uint64).
-    The type is built on first use: importing numpy.random takes ~10 ms,
-    which importing macc should not pay.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("words",)
-
-        def __init__(self, *words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.array(self.words, dtype=np.uint64)
-
-    return PhiloxKey
 
 
 @functools.cache
 def _shared_gen():
     """The one Generator that RngStream.fresh_gen re-keys, built on first use."""
-    return np.random.Generator(np.random.Philox(_philox_key()(0, 0)))
+    return np.random.Generator(np.random.Philox(0))
 
 
 class RngStream:
@@ -184,14 +156,12 @@ class RngStream:
     def gen(self):
         """The stream's numpy Generator, built on first use.
 
-        Building one costs more than deriving a substream, and many streams
-        (an episode's, a task's) only ever derive substreams.  The Philox key
-        is the words (seed, stream), the same state as
-        Philox(key=(stream << 64) | seed), and no OS entropy is read.
+        Many streams (an episode's, a task's) only ever derive substreams.
+        The Philox key is the words (seed, stream).
         """
         if self._gen is None:
-            key = _philox_key()(self.seed, self.stream)
-            self._gen = np.random.Generator(np.random.Philox(key))
+            key = (self.stream << 64) | self.seed
+            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
     def fresh_gen(self):
@@ -199,9 +169,8 @@ class RngStream:
 
         Every call returns the same process-wide Generator, its Philox state
         assigned anew: key (seed, stream), zero counter, empty buffer.  Its
-        draws equal those of a fresh ``gen``.  A call costs ~0.7 us against
-        ~3.5 us to build a generator, but the next ``fresh_gen()`` call, on
-        any stream, moves the Generator elsewhere.
+        draws equal those of a fresh ``gen``, but the next ``fresh_gen()``
+        call, on any stream, moves the Generator elsewhere.
         """
         gen = _shared_gen()
         gen.bit_generator.state = {

@@ -159,7 +159,6 @@ class TaskRecord:
 class EpisodeRecord:
     tasks: tuple
     states: tuple                  # per task: (N, 3N+2) raw joint state, see build_state
-    actions: tuple                 # per task: loads
     rewards: tuple                 # per task scalar (identical across agents)
     total_time: float
     betas: tuple
@@ -485,7 +484,7 @@ def run_episode(
         slowdown_factor=scenario.straggler_slowdown,
     )
 
-    tasks, states_all, actions, rewards = [], [], [], []
+    tasks, states_all, rewards = [], [], []
     for j in range(scenario.k_tasks):
         states = build_state(world)
         raw = list(allocator(world, states))
@@ -513,13 +512,11 @@ def run_episode(
         r = reward(rec.t_complete, loads, p, c=penalty, boundary=penalty_boundary)
         tasks.append(rec)
         states_all.append(states)
-        actions.append(loads)
         rewards.append(r)
 
     return EpisodeRecord(
         tasks=tuple(tasks),
         states=tuple(states_all),
-        actions=tuple(actions),
         rewards=tuple(rewards),
         total_time=float(sum(t.t_complete for t in tasks)),
         betas=tuple(world.beta),

@@ -266,6 +266,16 @@ class TestErrors:
         assert code == 1
         assert "error: scenario.pos_max: must be finite, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare", "sweep-batch"])
+    def test_negative_seed_fails_cleanly(self, ini, tmp_path, capsys, command):
+        # -1 would otherwise wrap to seed 2**64 - 1, which scenario.seed = -1 rejects
+        out = tmp_path / "x"
+        scheme = ["--scheme", "uniform"] if command == "evaluate" else []
+        code = main([command, "--config", ini, *scheme, "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert "error: --seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_noise_start_fails_training(self, tmp_path, capsys):
         # nan > 0 is false, so training would silently run without exploration noise
         path = tmp_path / "nan.ini"

@@ -117,7 +117,13 @@ class TestLoadConfig:
     def test_bad_bool_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, "[scenario]\npreset = desk\n[straggler]\nenabled = maybe\n"))
-        assert "straggler.enabled" in str(err.value)
+        assert str(err.value) == "straggler.enabled: expected a boolean, got 'maybe'"
+
+    @pytest.mark.parametrize("raw, want", [("yes", True), ("off", False), ("On", True), ("NO", False)])
+    def test_bool_words_accepted(self, tmp_path, raw, want):
+        text = f"[scenario]\npreset = desk\n[straggler]\nenabled = {raw}\n"
+        scenario, _ = load_config(write(tmp_path, text))
+        assert scenario.straggler_enabled is want
 
     def test_bad_number_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:

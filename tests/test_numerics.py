@@ -99,6 +99,42 @@ PINNED_SUBSTREAMS = [
 ]
 
 
+# First random(3), normal(0, 2, 3) and integers(0, 2**40, 3) of RngStream(seed, stream).gen,
+# recorded while gen still keyed Philox through an ISeedSequence subclass
+PINNED_DRAWS = {
+    (0, 0): (
+        ["0x1.7a5d3204726c0p-7", "0x1.eeb1585ce5460p-3", "0x1.c8667a55d9028p-4"],
+        ["0x1.346e5e799d961p+1", "-0x1.40566d93c8100p-4", "-0x1.09f1537b13e67p+0"],
+        [1040736456126, 1084191303527, 279081054455],
+    ),
+    (2**64 - 1, 2**64 - 1): (
+        ["0x1.b51b3039c7c2ep-2", "0x1.249d42d27f351p-1", "0x1.fb86be0331922p-1"],
+        ["0x1.0c37e0127e2a9p+1", "-0x1.7fb7a5a9d0a95p-1", "-0x1.45b4a6cdf3c3ap-2"],
+        [49038933141, 636110759378, 131531891194],
+    ),
+    (0, 2**64 - 1): (
+        ["0x1.cb59c228b8cfcp-2", "0x1.9b6fae109d4aep-1", "0x1.ebfb0efbeb3dep-2"],
+        ["-0x1.2f7015789a470p+1", "-0x1.5761333cc28b0p-1", "0x1.1ea0816602b4cp+2"],
+        [652426747782, 106527214126, 305729279778],
+    ),
+    (2**64 - 1, 0): (
+        ["0x1.e1290e2c6ef2cp-3", "0x1.6f435abb5c260p-1", "0x1.a50baba7f4bfap-2"],
+        ["0x1.41ecaa3154b2dp+2", "-0x1.eb269dd169fcfp+0", "0x1.6c3e206113ec3p-1"],
+        [572169890328, 336637554414, 61282914805],
+    ),
+    (42, 7): (
+        ["0x1.4c80c9e69d097p-1", "0x1.c50f2b350cd41p-1", "0x1.1b8303e01372dp-1"],
+        ["0x1.8bac4ce9cb355p+0", "0x1.2ae1f163744c7p+0", "-0x1.07a6a4107b294p+0"],
+        [132475389016, 286050960191, 240607193322],
+    ),
+    (2**63, 12345): (
+        ["0x1.91850e461e13cp-2", "0x1.3984e32223edep-2", "0x1.8089e69da3535p-1"],
+        ["0x1.33764f35cb615p+1", "0x1.23ac012fbcae1p+0", "0x1.9fbd033a0d82ep+1"],
+        [705837738766, 424768216547, 870658697870],
+    ),
+}
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         a = RngStream(42, 7).gen.random(16)
@@ -117,6 +153,14 @@ class TestRngStream:
         assert np.array_equal(got.normal(0.0, 2.0, 5), want.normal(0.0, 2.0, 5))
         assert np.array_equal(got.random(5), want.random(5))
         assert np.array_equal(got.integers(0, 2**40, 5), want.integers(0, 2**40, 5))
+
+    @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
+    def test_generator_draws_pinned(self, seed, stream):
+        gen = RngStream(seed, stream).gen
+        uniform, normal, ints = PINNED_DRAWS[(seed, stream)]
+        assert [float(v).hex() for v in gen.random(3)] == uniform
+        assert [float(v).hex() for v in gen.normal(0, 2, 3)] == normal
+        assert [int(v) for v in gen.integers(0, 2**40, 3)] == ints
 
     @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
     def test_fresh_gen_draws_like_gen(self, seed, stream):

@@ -450,7 +450,7 @@ class TestRunEpisode:
         ep = run_episode(TINY, full_loads, RngStream(4))
         assert len(ep.tasks) == 2
         assert ep.states[0].shape == (2, 3 * 2 + 2)
-        assert ep.actions == ((8, 8), (8, 8))
+        assert [t.loads for t in ep.tasks] == [(8, 8), (8, 8)]
         assert ep.infeasible_count == 0
         assert ep.total_time == sum(t.t_complete for t in ep.tasks)
         assert [t.dispatch_time for t in ep.tasks] == [0.0, ep.tasks[0].t_complete]
