@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import experiments, marl
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seed, load_config
 from .numerics import RngStream
 
 
@@ -75,8 +75,8 @@ def build_parser():
 
 
 def _setup(args):
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+    if args.seed is not None:
+        check_seed("--seed", args.seed)
     scenario, train_cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
     os.makedirs(args.out, exist_ok=True)

@@ -60,8 +60,15 @@ class ScenarioConfig:
         if self.batch_size < 1:
             raise ConfigError(f"scenario.batch_size: must be >= 1, got {self.batch_size}")
         check_slowdown(self.straggler_slowdown)
-        if self.seed < 0:
-            raise ConfigError(f"scenario.seed: must be non-negative, got {self.seed}")
+        check_seed("scenario.seed", self.seed)
+
+
+def check_seed(key, seed):
+    """Reject a seed outside [0, 2^64 - 1]: RngStream would wrap it to another seed."""
+    if seed < 0:
+        raise ConfigError(f"{key}: must be non-negative, got {seed}")
+    if seed > 2**64 - 1:
+        raise ConfigError(f"{key}: must be at most 2^64 - 1, got {seed}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ exploration noise, replay batches), or through RngStream.fresh_gen, one
 process-wide Generator re-keyed to the start of the stream, for a stream
 that makes all its draws before any other stream draws (a worker's noise
 in one task).  Philox is counter-based, so both give the same draws.
+fresh_gen(*tokens) re-keys to the start of substream(*tokens) without
+building that RngStream, as the engine does once per loaded worker.
 
-A substream folds its tokens into the stream id one by one.  A plain int
+A substream folds its tokens into the stream id one by one, left to
+right, so substream(a).substream(b) is substream(a, b).  A plain int
 token is taken as it is, modulo 2^64; a str token is its 8-byte blake2b
 digest, computed once per distinct string and then cached, since the
 engine derives substreams from the same few names on every task.
@@ -119,6 +122,13 @@ def _token_to_u64(token):
     raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
 
 
+def _fold(stream, tokens):
+    """The stream id of substream(*tokens): each token folded in, left to right."""
+    for token in tokens:
+        stream = _splitmix64(stream ^ _token_to_u64(token))
+    return stream
+
+
 @functools.cache
 def _shared_gen():
     """The one Generator that RngStream.fresh_gen re-keys, built on first use."""
@@ -164,18 +174,20 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def fresh_gen(self):
-        """A Generator at the start of this stream, valid until the next call.
+    def fresh_gen(self, *tokens):
+        """A Generator at the start of substream(*tokens), valid until the next call.
 
-        Every call returns the same process-wide Generator, its Philox state
+        With no tokens the stream is this one.  The tokens fold into the
+        stream id as in ``substream``, but no RngStream is built.  Every
+        call returns the same process-wide Generator, its Philox state
         assigned anew: key (seed, stream), zero counter, empty buffer.  Its
-        draws equal those of a fresh ``gen``, but the next ``fresh_gen()``
-        call, on any stream, moves the Generator elsewhere.
+        draws equal those of a fresh ``gen`` of that stream, but the next
+        ``fresh_gen`` call, on any stream, moves the Generator elsewhere.
         """
         gen = _shared_gen()
         gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, self.stream)},
+            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, _fold(self.stream, tokens))},
             "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -186,10 +198,7 @@ class RngStream:
     def substream(self, *tokens):
         if not tokens:
             raise ValueError("substream requires at least one token")
-        s = self.stream
-        for token in tokens:
-            s = _splitmix64(s ^ _token_to_u64(token))
-        return RngStream(self.seed, s)
+        return RngStream(self.seed, _fold(self.stream, tokens))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -21,15 +21,17 @@ it yields plain (int, int, float) triples.
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws at once, so it draws through RngStream.fresh_gen,
-the one re-keyed generator, rather than building a generator of its own.
+It makes all its draws at once, so it draws through fresh_gen(i) of the
+task's one "worker" substream, which re-keys the shared generator and
+builds no RngStream or generator per worker.
 
 A task whose workers each send one batch (every baseline in compare) is
-the degenerate case of the batch layout: a batch's link is free as soon as
-it is computed, so the first evaluation of the link gives the arrivals and
-run_task skips the fixed point.  On these few-element arrays the fixed
-cost per call dominates, so run_task also builds the next world directly
-and build_state keeps its gather index per N.
+the degenerate case of the batch layout: its one column is the loads, with
+no plan_batches call, and a batch's link is free as soon as it is computed,
+so the first evaluation of the link gives the arrivals and run_task skips
+the fixed point.  On these few-element arrays the fixed cost per call
+dominates, so run_task also builds the next world directly and
+build_state keeps its gather index per N.
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -294,9 +296,16 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     full.
 
     When every loaded worker sends its load as one batch (batch_size None,
-    or at least every load), each batch begins once computed, so pass 1 is
-    exact: the arrivals are cpu + tau, sorted as above, with no fixed point,
-    padding or widening.
+    or at least the largest load), the layout is one column of the loads,
+    built with no plan_batches call, and each batch begins once computed,
+    so pass 1 is exact: the arrivals are cpu + tau, sorted as above, with
+    no fixed point, padding or widening.
+
+    Worker i's noise, the stream rng.substream("worker", i), is drawn
+    through fresh_gen(i) of one "worker" substream per task.  The shadowing
+    is drawn as standard normals and scaled by noise_std_db once: normal(0,
+    s) gives 0.0 + s z, which differs from s z only in a zero's sign, and
+    link_gain adds a nonzero constant to it.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:
@@ -304,40 +313,44 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     if any(not float(l).is_integer() or l < 0 for l in loads):
         raise ValueError(f"loads must be non-negative integers, got {loads}")
     loads = tuple(map(int, loads))
-    if any(l > p for l in loads):
+    top = max(loads)
+    if top > p:
         raise ValueError(f"loads may not exceed p={p}, got {loads}")
-    if all(l == 0 for l in loads):
+    if top == 0:
         raise DegenerateTaskError("all-zero allocation: no worker receives any rows")
     feasible = sum(loads) >= p
 
     active = [i for i, l in enumerate(loads) if l > 0]
-    plans = [
-        plan_batches(loads[i], loads[i] if batch_size is None else min(batch_size, loads[i]))
-        for i in active
-    ]
-    counts = [plan.count for plan in plans]
-    width = max(counts)
-    sizes = np.zeros((len(active), width), dtype=np.int64)
-    if width == 1:  # each worker's one batch is its whole load
-        sizes[:, 0] = [loads[i] for i in active]
+    act = np.array(active)
+    col = act[:, None]  # a fancy index of one row per loaded worker
+    if batch_size is None or batch_size >= top:  # each worker's one batch is its whole load
+        counts = [1] * len(active)
+        width = 1
+        sizes = np.array(loads)[col]
     else:
+        plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
+        counts = [plan.count for plan in plans]
+        width = max(counts)
+        sizes = np.zeros((len(active), width), dtype=np.int64)
         for r, plan in enumerate(plans):
             sizes[r, : plan.count] = plan.batch_size
             sizes[r, plan.count - 1] = plan.last
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
+    noisy = cfg.noise_std_db > 0
     workers = rng.substream("worker")
     for r, (i, nb) in enumerate(zip(active, counts)):
-        gen = workers.substream(i).fresh_gen()  # the stream rng.substream("worker", i)
-        if cfg.noise_std_db > 0:
-            omega[r, : nb + 1] = gen.normal(0.0, cfg.noise_std_db, nb + 1)
+        gen = workers.fresh_gen(i)  # the stream rng.substream("worker", i)
+        if noisy:
+            gen.standard_normal(out=omega[r, : nb + 1])
         gen.random(out=us[r, :nb])
-    act = np.array(active)
+    if noisy:
+        omega *= cfg.noise_std_db
     # position and velocity relative to the master, compute profile and slowdown
     rx, ry = (world.pos[1:] - world.pos[0]).take(act, axis=0).T[:, :, None]
     rvx, rvy = (world.vel[1:] - world.vel[0]).take(act, axis=0).T[:, :, None]
     rel = (rx, ry, rvx, rvy)
-    alpha, beta = world.alpha.take(act)[:, None], world.beta.take(act)[:, None]
+    alpha, beta = world.alpha[col], world.beta[col]
     slow = np.array([straggler.time_factor(i) for i in active])[:, None]
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
@@ -485,19 +498,21 @@ def run_episode(
     )
 
     tasks, states_all, rewards = [], [], []
+    task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
         states = build_state(world)
         raw = list(allocator(world, states))
         if not all(map(math.isfinite, raw)):
             raise NonFiniteLoadError(j, raw)
-        rounded = tuple(int(round(v)) for v in raw)  # int loads pass through as the same objects
-        loads = tuple(min(max(l, 0), p) for l in rounded)
-        clamped = loads != rounded
+        loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
+        clamped = not all(0 <= l <= p for l in loads)
+        if clamped:
+            loads = tuple(min(max(l, 0), p) for l in loads)
 
         try:
             rec, world = run_task(
                 world, loads, batch_size, p, scenario.m_cols, plan,
-                rng.substream("task", j), scenario.comm, index=j,
+                task_rng.substream(j), scenario.comm, index=j,
             )
             if clamped:
                 rec = replace(rec, clamped=True)

@@ -276,6 +276,24 @@ class TestErrors:
         assert "error: --seed: must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare", "sweep-batch"])
+    def test_seed_above_64_bits_fails_cleanly(self, ini, tmp_path, capsys, command):
+        # 2**64 would otherwise wrap to seed 0 while the CSVs record 2**64
+        out = tmp_path / "x"
+        scheme = ["--scheme", "uniform"] if command == "evaluate" else []
+        code = main([command, "--config", ini, *scheme, "--seed", str(2**64), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: --seed: must be at most 2^64 - 1, got {2**64}" in err
+        assert not out.exists()
+
+    def test_largest_64_bit_seed_runs(self, ini, tmp_path):
+        out = tmp_path / "x"
+        code = main(["evaluate", "--config", ini, "--scheme", "uniform", "--episodes", "1",
+                     "--seed", str(2**64 - 1), "--out", str(out)])
+        assert code == 0
+        assert (out / "metrics.csv").exists()
+
     def test_nan_noise_start_fails_training(self, tmp_path, capsys):
         # nan > 0 is false, so training would silently run without exploration noise
         path = tmp_path / "nan.ini"

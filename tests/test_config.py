@@ -207,6 +207,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match=want):
             ScenarioConfig(straggler_slowdown=float(value))
 
+    def test_seed_above_64_bits_named(self, tmp_path):
+        text = f"[scenario]\npreset = desk\nseed = {2**64}\n"
+        with pytest.raises(ConfigError, match=rf"^scenario\.seed: must be at most 2\^64 - 1, got {2**64}$"):
+            load_config(write(tmp_path, text))
+
+    def test_largest_64_bit_seed_accepted(self, tmp_path):
+        text = f"[scenario]\npreset = desk\nseed = {2**64 - 1}\n"
+        assert load_config(write(tmp_path, text))[0].seed == 2**64 - 1
+
     @pytest.mark.parametrize("key", ["pos", "vel"])
     def test_overflowing_range_width_named(self, tmp_path, key):
         text = f"[scenario]\npreset = desk\n{key}_min = -1e308\n{key}_max = 1e308\n"

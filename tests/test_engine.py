@@ -7,6 +7,7 @@ they agree up to floating-point rounding: completion times to 1e-12
 relative, and rows, feasibility and kept receipts exactly.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -115,6 +116,76 @@ class TestAgainstScalarOracle:
             got, want = run_both(world, loads, p, 50, batch_size, plan, CommConfig(), 3)
             assert len(got.receipt_log) <= 3
             assert_matches_oracle(got, want)
+
+    def test_one_batch_tasks_plan_no_batches_and_derive_one_substream(self, monkeypatch):
+        calls = {"plan_batches": 0, "substream": 0}
+        plan_batches, substream = simcore.plan_batches, RngStream.substream
+
+        def counted_plan(*args):
+            calls["plan_batches"] += 1
+            return plan_batches(*args)
+
+        def counted_substream(self, *tokens):
+            calls["substream"] += 1
+            return substream(self, *tokens)
+
+        world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
+        task_rng = RngStream(3).substream("task")
+        monkeypatch.setattr(simcore, "plan_batches", counted_plan)
+        monkeypatch.setattr(RngStream, "substream", counted_substream)
+        for loads, batch_size in (([50, 60, 0, 70], None), ([50, 60, 0, 70], 70)):
+            calls.update(plan_batches=0, substream=0)
+            run_task(world, loads, batch_size, 120, 50, StragglerPlan(enabled=True, victim=victim),
+                     task_rng, CommConfig())
+            assert calls["plan_batches"] == 0
+            assert calls["substream"] <= 1
+
+
+# (loads, batch_size, straggler on, noise_std_db) -> (t_complete.hex(), receipts, digest),
+# recorded before one-batch tasks built their layout from the loads; see TestPinnedOutputs
+PINNED_TASKS = {
+    "one batch, every worker loaded": (([60, 50, 70, 40], None, False, 1.0),
+                                       ("0x1.00fddfa07b149p-3", 4, "225f7abe5e5deefb")),
+    "one batch, a zero-load worker": (([80, 0, 70, 60], None, False, 1.0),
+                                      ("0x1.1b4c5d8dbe353p-3", 3, "c5fdc37dfecefa35")),
+    "one batch, infeasible": (([30, 0, 40, 20], None, False, 1.0),
+                              ("0x1.ab0fe86a5bf20p-4", 3, "3dcc2383a5c0b7ef")),
+    "batch size 1": (([60, 50, 70, 40], 1, False, 1.0),
+                     ("0x1.86492fd3d2a58p-4", 200, "605a282b7301dadc")),
+    "partial last batch": (([60, 50, 70, 40], 7, False, 1.0),
+                           ("0x1.9c8f9211e8649p-4", 30, "c8a632b0a0541eb9")),
+    "straggler victim loaded": (([60, 50, 70, 40], 10, True, 1.0),
+                                ("0x1.28d65217b0207p-3", 20, "3e174a44cc1478fa")),
+    "noiseless": (([60, 50, 70, 40], 5, False, 0.0),
+                  ("0x1.8c1dc3cf46849p-4", 40, "52a9327afbcfbe99")),
+}
+
+
+class TestPinnedOutputs:
+    """run_task's outputs bit for bit on the desk preset: a change to the engine's
+    layout, draws or gathers must leave every task time, receipt and next world
+    exactly as recorded.  The digest is the first 16 hex digits of the sha256 of
+    the receipt log's workers, rows and arrivals and the next world's pos, in
+    that order, as int64 and float64 bytes."""
+
+    @pytest.mark.parametrize("case", PINNED_TASKS)
+    def test_task_matches_recorded_outputs(self, case):
+        (loads, batch_size, straggling, noise_std_db), (t_hex, receipts, digest) = PINNED_TASKS[case]
+        scenario = preset_scenario("desk")
+        world, victim = sample_world(scenario, RngStream(8).substream("env"))
+        assert victim == 1  # the straggler case slows a loaded worker
+        rec, nxt = run_task(world, loads, batch_size, scenario.p_rows, scenario.m_cols,
+                            StragglerPlan(enabled=straggling, victim=victim),
+                            RngStream(8).substream("task", 3), CommConfig(noise_std_db=noise_std_db))
+        log = rec.receipt_log
+        assert rec.t_complete.hex() == t_hex
+        assert len(log) == receipts
+        h = hashlib.sha256()
+        for a, dtype in ((log.workers, np.int64), (log.rows, np.int64),
+                         (log.arrivals, np.float64), (nxt.pos, np.float64)):
+            assert a.dtype == dtype
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 @pytest.fixture

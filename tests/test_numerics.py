@@ -171,6 +171,16 @@ class TestRngStream:
         assert np.array_equal(got.integers(0, 1000, 5, dtype=np.int32),
                               want.integers(0, 1000, 5, dtype=np.int32))
 
+    @pytest.mark.parametrize("tokens", [(3,), ("worker",), ("task", 7, "worker", 3), (2**64 + 5, "é")])
+    @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
+    def test_fresh_gen_of_tokens_draws_like_the_substream(self, seed, stream, tokens):
+        want = RngStream(seed, stream).substream(*tokens).fresh_gen()
+        want = want.standard_normal(5), want.random(5), want.integers(0, 2**40, 5)
+        got = RngStream(seed, stream).fresh_gen(*tokens)
+        got = got.standard_normal(5), got.random(5), got.integers(0, 2**40, 5)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_fresh_gen_drops_a_half_used_word(self):
         left = RngStream(5, 6).fresh_gen()
         left.integers(0, 1000, 3, dtype=np.int32)  # an odd number of 32-bit draws
