@@ -39,7 +39,7 @@ def make_allocator(scheme, scenario, agents=None):
     n = scenario.n_workers
     if scheme == "uniform":
         loads = uniform_alloc(p, n)
-        return lambda world, states: loads
+        return _per_profiles(lambda alpha, beta: loads)
     if scheme == "load-balanced":
         return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta))
     if scheme == "hcmm":
@@ -65,7 +65,8 @@ def _per_profiles(loads_of):
     run_task carries the world's alpha and beta arrays over unchanged, so
     they are the same objects for a whole episode; loads_of(alpha, beta)
     runs again only when they are replaced: once per episode instead of
-    once per task.
+    once per task.  The allocator is marked reads_states = False, so
+    run_episode passes states=None and records no states.
     """
     seen, loads = (None, None), None
 
@@ -75,6 +76,7 @@ def _per_profiles(loads_of):
             seen, loads = (world.alpha, world.beta), loads_of(world.alpha, world.beta)
         return loads
 
+    allocator.reads_states = False
     return allocator
 
 

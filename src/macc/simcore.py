@@ -41,8 +41,9 @@ since task j+1 is dispatched only once task j completed, and run_task
 moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
-builds the joint state (build_state), asks the allocator for loads, rounds
-and clamps them to integers, runs the task and scores it (reward).
+builds the joint state (build_state) when the allocator reads it, asks the
+allocator for loads, rounds and clamps them to integers, runs the task and
+scores it (reward).
 """
 
 import functools
@@ -160,7 +161,8 @@ class TaskRecord:
 @dataclass(frozen=True)
 class EpisodeRecord:
     tasks: tuple
-    states: tuple                  # per task: (N, 3N+2) raw joint state, see build_state
+    states: tuple                  # per task: (N, 3N+2) raw joint state, see build_state;
+                                   # () when the allocator does not read states
     rewards: tuple                 # per task scalar (identical across agents)
     total_time: float
     betas: tuple
@@ -355,7 +357,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
-    bc = m * cfg.bits_per_element / channel_capacity(rx * rx + ry * ry, gain[:, :1], cfg)
+    bc = _send_time(m * cfg.bits_per_element, 0.0, rel, gain[:, :1], cfg)
     cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
 
     # pass 1, over the full width
@@ -478,7 +480,10 @@ def run_episode(
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
-    where states is build_state(world).  Each load is rounded to the nearest
+    where states is build_state(world).  An allocator whose attribute
+    reads_states is False (the baselines of experiments.make_allocator) gets
+    states=None instead, no state is built, and the record's states is ();
+    any other allocator reads states.  Each load is rounded to the nearest
     integer; out-of-range loads are clamped to [0, p] and flagged, and a
     non-finite one raises NonFiniteLoadError.  batch_size is the scenario's
     unless overridden here (None = single batch per worker).  Same
@@ -498,9 +503,13 @@ def run_episode(
     )
 
     tasks, states_all, rewards = [], [], []
+    reads_states = getattr(allocator, "reads_states", True)
+    states = None
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
-        states = build_state(world)
+        if reads_states:
+            states = build_state(world)
+            states_all.append(states)
         raw = list(allocator(world, states))
         if not all(map(math.isfinite, raw)):
             raise NonFiniteLoadError(j, raw)
@@ -526,7 +535,6 @@ def run_episode(
 
         r = reward(rec.t_complete, loads, p, c=penalty, boundary=penalty_boundary)
         tasks.append(rec)
-        states_all.append(states)
         rewards.append(r)
 
     return EpisodeRecord(

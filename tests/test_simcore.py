@@ -498,6 +498,39 @@ class TestRunEpisode:
             assert clock == task.dispatch_time
             assert states.shape == (2, marl.state_dim(2))
 
+    @pytest.mark.parametrize("batch_size", [None, "scenario"])
+    @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])
+    def test_baselines_build_no_states_and_run_as_a_plain_callable(self, scheme, batch_size):
+        scenario = preset_scenario("desk")
+        blind = experiments.make_allocator(scheme, scenario)
+        assert blind.reads_states is False
+        ep = run_episode(scenario, blind, RngStream(11), straggler_enabled=True,
+                         batch_size=batch_size)
+        assert ep.states == ()
+        inner = experiments.make_allocator(scheme, scenario)
+        ref = run_episode(scenario, lambda w, s: inner(w, s), RngStream(11),
+                          straggler_enabled=True, batch_size=batch_size)
+        assert len(ref.states) == scenario.k_tasks
+        assert ep.tasks == ref.tasks
+        assert ep.rewards == ref.rewards
+        assert ep.total_time == ref.total_time
+
+    def test_policy_episode_records_the_state_of_each_dispatch_world(self):
+        scenario = preset_scenario("desk")
+        agents = marl.make_agents(scenario.n_workers, RngStream(9), hidden=(4,))
+        policy = marl.policy_allocator(agents, scenario)
+        assert not hasattr(policy, "reads_states")
+        ep = run_episode(scenario, policy, RngStream(11))
+        worlds = []
+        inner = marl.policy_allocator(agents, scenario)
+        ref = run_episode(scenario, lambda w, s: (worlds.append(w), inner(w, s))[1],
+                          RngStream(11))
+        assert ep.tasks == ref.tasks
+        assert len(ep.states) == len(worlds) == scenario.k_tasks
+        for states, world, task in zip(ep.states, worlds, ep.tasks):
+            assert world.clock == task.dispatch_time
+            assert np.array_equal(states, build_state(world))
+
     def test_link_reached_through_a_positional_wrapper(self, monkeypatch):
         # perfbench's tracer replaces simcore.channel_capacity with traced(*args)
         plain = run_episode(TINY, full_loads, RngStream(4))
