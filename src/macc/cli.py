@@ -74,25 +74,25 @@ def build_parser():
     return parser
 
 
-def _setup(args):
+def _setup(args, schemes=()):
+    """Check the seed, load the config and any marl checkpoint, then create --out.
+
+    Each command checks its own arguments first, so a bad one leaves no
+    output directory behind.
+    """
     if args.seed is not None:
         check_seed("--seed", args.seed)
+    if "marl" in schemes and args.checkpoint is None:
+        raise ConfigError("the marl scheme requires --checkpoint")
     scenario, train_cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
+    agents = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
     os.makedirs(args.out, exist_ok=True)
-    return scenario, train_cfg, seed
-
-
-def _load_agents_if_needed(schemes, args, scenario):
-    if "marl" not in schemes:
-        return None
-    if args.checkpoint is None:
-        raise ConfigError("the marl scheme requires --checkpoint")
-    return marl.load_checkpoint(args.checkpoint, scenario)
+    return scenario, train_cfg, seed, agents
 
 
 def cmd_train(args):
-    scenario, train_cfg, seed = _setup(args)
+    scenario, train_cfg, seed, _ = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
     progress = None
     if args.progress:
@@ -112,9 +112,10 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    scenario, _, seed = _setup(args)
+    experiments.check_scheme(args.scheme)
+    experiments.check_episodes(args.episodes)
+    scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
-    agents = _load_agents_if_needed([args.scheme], args, scenario)
     records = experiments.evaluate_scheme(
         scenario, args.scheme, args.episodes, seed,
         agents=agents, straggler=args.straggler,
@@ -131,10 +132,11 @@ def cmd_evaluate(args):
 
 
 def cmd_compare(args):
-    scenario, _, seed = _setup(args)
-    digest = experiments.run_digest(scenario)
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    agents = _load_agents_if_needed(schemes, args, scenario)
+    experiments.check_schemes(schemes)
+    experiments.check_episodes(args.episodes)
+    scenario, _, seed, agents = _setup(args, schemes)
+    digest = experiments.run_digest(scenario)
     results = experiments.compare_schemes(
         scenario, schemes, args.episodes, seed,
         agents=agents, straggler=args.straggler,
@@ -150,15 +152,17 @@ def cmd_compare(args):
 
 
 def cmd_sweep_batch(args):
-    scenario, _, seed = _setup(args)
-    digest = experiments.run_digest(scenario)
     try:
         batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b.strip()]
     except ValueError:
         raise ConfigError(f"--batch-sizes must be integers, got '{args.batch_sizes}'") from None
     if not batch_sizes:
         raise ConfigError("--batch-sizes is empty")
-    agents = _load_agents_if_needed([args.scheme], args, scenario)
+    experiments.check_batch_sizes(batch_sizes)
+    experiments.check_scheme(args.scheme)
+    experiments.check_episodes(args.episodes)
+    scenario, _, seed, agents = _setup(args, [args.scheme])
+    digest = experiments.run_digest(scenario)
     sweep = experiments.sweep_batch(
         scenario, args.scheme, batch_sizes, args.episodes, seed,
         agents=agents, straggler=args.straggler,

@@ -22,9 +22,9 @@ Every function works on plain numbers and on numpy arrays; the world is
 held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
 link_gain once per task, channel_capacity and comp_time on whole arrays
-of batches, StragglerPlan.time_factor per worker, and advance once per
-task to move all nodes.  The agents' state and the shared reward are
-built in simcore, next to the engine.
+of batches, StragglerPlan.time_factors on the loaded workers, and
+advance once per task to move all nodes.  The agents' state and the
+shared reward are built in simcore, next to the engine.
 """
 
 import math
@@ -79,6 +79,10 @@ class StragglerPlan:
         if self.enabled and worker == self.victim:
             return 1.0 + self.slowdown_factor
         return 1.0
+
+    def time_factors(self, workers):
+        """time_factor of each worker in the integer array workers, as a float array."""
+        return np.where(workers == self.victim, self.time_factor(self.victim), 1.0)
 
 
 def check_slowdown(factor):

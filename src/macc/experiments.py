@@ -33,8 +33,37 @@ METRICS_COLUMNS = (
 )
 
 
+def check_scheme(scheme):
+    """Reject a scheme name that is not one of SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme '{scheme}' (have {', '.join(SCHEMES)})")
+
+
+def check_episodes(episodes):
+    """Reject an episode count below one."""
+    if episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
+
+
+def check_schemes(schemes):
+    """Reject a comparison of fewer than two schemes, or of a repeated or unknown one."""
+    if len(schemes) < 2:
+        raise ValueError("compare needs at least two schemes")
+    _reject_duplicates("schemes", schemes)
+    for scheme in schemes:
+        check_scheme(scheme)
+
+
+def check_batch_sizes(batch_sizes):
+    """Reject a batch size below one, or a repeated one."""
+    if any(b < 1 for b in batch_sizes):
+        raise ValueError(f"batch sizes must be >= 1, got {batch_sizes}")
+    _reject_duplicates("batch sizes", [int(b) for b in batch_sizes])
+
+
 def make_allocator(scheme, scenario, agents=None):
     """Allocator callable for run_episode; baselines read the profiles off the world."""
+    check_scheme(scheme)
     p = scenario.p_rows
     n = scenario.n_workers
     if scheme == "uniform":
@@ -44,19 +73,18 @@ def make_allocator(scheme, scenario, agents=None):
         return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta))
     if scheme == "hcmm":
         return _per_profiles(lambda alpha, beta: hcmm_alloc(p, alpha, beta).loads)
-    if scheme == "marl":
-        if agents is None:
-            raise ValueError("the marl scheme needs trained agents (checkpoint)")
-        if len(agents) != n:
-            raise ConfigError(f"checkpoint has {len(agents)} agents, scenario has {n} workers")
-        for a in agents:
-            if a.actor.dims[0] != marl.state_dim(n):
-                raise ConfigError(
-                    f"checkpoint actors take states of width {a.actor.dims[0]}, "
-                    f"scenario with {n} workers has width {marl.state_dim(n)}"
-                )
-        return marl.policy_allocator(agents, scenario)
-    raise ValueError(f"unknown scheme '{scheme}' (have {', '.join(SCHEMES)})")
+    # marl
+    if agents is None:
+        raise ValueError("the marl scheme needs trained agents (checkpoint)")
+    if len(agents) != n:
+        raise ConfigError(f"checkpoint has {len(agents)} agents, scenario has {n} workers")
+    for a in agents:
+        if a.actor.dims[0] != marl.state_dim(n):
+            raise ConfigError(
+                f"checkpoint actors take states of width {a.actor.dims[0]}, "
+                f"scenario with {n} workers has width {marl.state_dim(n)}"
+            )
+    return marl.policy_allocator(agents, scenario)
 
 
 def _per_profiles(loads_of):
@@ -90,8 +118,7 @@ def evaluate_scheme(
     agents=None, straggler=None, batch_size="default",
 ):
     """Run paired-seed episodes under one scheme; returns EpisodeRecords."""
-    if episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
+    check_episodes(episodes)
     if batch_size == "default":
         batch_size = default_batch_size(scheme, scenario)
     allocator = make_allocator(scheme, scenario, agents=agents)
@@ -149,9 +176,7 @@ def summarize(records):
 
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):
     """Evaluate several schemes against identical per-episode environments."""
-    if len(schemes) < 2:
-        raise ValueError("compare needs at least two schemes")
-    _reject_duplicates("schemes", schemes)
+    check_schemes(schemes)
     return {
         scheme: evaluate_scheme(
             scenario, scheme, episodes, seed, agents=agents, straggler=straggler
@@ -162,9 +187,7 @@ def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=No
 
 def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None, straggler=None):
     """Evaluate one scheme at several batch sizes with paired seeds."""
-    if any(b < 1 for b in batch_sizes):
-        raise ValueError(f"batch sizes must be >= 1, got {batch_sizes}")
-    _reject_duplicates("batch sizes", [int(b) for b in batch_sizes])
+    check_batch_sizes(batch_sizes)
     out = {}
     for b in batch_sizes:
         out[int(b)] = evaluate_scheme(

@@ -6,7 +6,10 @@ worker over dedicated links, each worker computes its assigned encoded rows
 batch by batch (CPU never idles between batches), and streams each finished
 batch back over its link.  A batch transmission begins when both the batch
 is computed and the link is free of the previous result; the link distance
-is evaluated at that instant, with all nodes drifting at constant velocity.
+is evaluated at that instant, with all nodes drifting at constant velocity:
+each loaded worker's position and velocity relative to the master are held
+as r and rv, of shape (2, A, 1) with x and y stacked, and a transmission
+beginning at t spans the squared distance |r + rv t|^2.
 The master counts received rows and the task completes at the arrival that
 first reaches p cumulative rows; results still in flight are ignored
 (acknowledgment semantics).  The link, compute and straggler models are
@@ -174,23 +177,24 @@ class EpisodeRecord:
         return sum(1 for t in self.tasks if not t.feasible)
 
 
-def _send_time(bits, t, rel, gain, cfg):
-    """Time to send `bits` over each worker's link from time t on; elementwise.
+def _dist2(r, rv, t):
+    """Squared link distance at time t, elementwise: |r + rv t|^2.
 
-    rel = (rx, ry, rvx, rvy) is each worker's position and velocity
-    relative to the master, so the link spans the squared distance
-    (rx + rvx t)^2 + (ry + rvy t)^2 when the transmission begins; gain is
-    the transmission's link_gain.
+    r and rv are positions and velocities relative to the master with x
+    and y stacked on axis 0, so both coordinates take one call per step.
     """
-    rx, ry, rvx, rvy = rel
-    dx = rvx * t
-    dx += rx
-    dx *= dx
-    dy = rvy * t
-    dy += ry
-    dy *= dy
-    dx += dy
-    return bits / channel_capacity(dx, gain, cfg)
+    u = rv * t
+    u += r
+    u *= u
+    return u[0] + u[1]
+
+
+def _send_time(bits, d2, gain, cfg):
+    """Time to send `bits` over a link of squared length d2; elementwise.
+
+    gain is the transmission's link_gain.
+    """
+    return bits / channel_capacity(d2, gain, cfg)
 
 
 def _scan(cpu, tau):
@@ -210,15 +214,19 @@ def _scan(cpu, tau):
     return arrival, settled
 
 
-def _guess_cols(arrival, sizes, valid, p):
+def _guess_cols(arrival, valid, p, b, n_active):
     """Columns to solve first, from pass 1's arrivals of a feasible task.
 
-    The most valid slots any worker delivers by the time the received rows
-    first reach p, times 1.02, plus 4.
+    The most valid slots any worker delivers by the k-th valid arrival,
+    times 1.02, plus 4, where k = ceil((p - A) / b) + A for A = n_active
+    workers at batch size b, capped at the valid slots.  Only a worker's
+    last batch can be short, so any k slots hold at least p rows: the
+    k-th arrival is never before the one at which the received rows
+    first reach p, and is that one at b = 1.
     """
     arrival = np.where(valid, arrival, np.inf)
-    order = arrival.argsort(axis=None, kind="stable")  # rows are sorted runs
-    t_first = arrival.flat[order[sizes.ravel()[order].cumsum().searchsorted(p)]]
+    k = min(-(-(p - n_active) // b) + n_active, np.count_nonzero(valid))
+    t_first = np.partition(arrival, k - 1, axis=None)[k - 1]
     return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
 
 
@@ -234,7 +242,7 @@ def _reach(arrival, sizes, p):
     return order, received, int(received.searchsorted(p)) + 1
 
 
-def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, rel, cfg):
+def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, r, rv, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
     Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
@@ -252,19 +260,19 @@ def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, rel, cfg):
         begin = settled
         if done > MAX_PASSES:
             break
-        tau = _send_time(bits, begin, rel, gain, cfg)
+        tau = _send_time(bits, _dist2(r, rv, begin), gain, cfg)
         if done >= cols:  # pass n starts from begins that are final for n batches
             return begin, tau
         settled = _scan(cpu, tau)[1]
     # pass 1's arrays may be views that a wider retry reads again
     begin, tau = begin.copy(), tau.copy()
     # a worker's begins up to its first moved one are final
-    for r in np.flatnonzero(moved.any(axis=1)):
-        rel_r = tuple(a[r, 0] for a in rel)
-        for j in range(int(moved[r].argmax()), min(counts[r], cols)):
-            start = max(cpu[r, j], begin[r, j - 1] + tau[r, j - 1])
-            begin[r, j] = start
-            tau[r, j] = _send_time(bits[r, j], start, rel_r, gain[r, j], cfg)
+    for w in np.flatnonzero(moved.any(axis=1)):
+        r_w, rv_w = r[:, w, 0], rv[:, w, 0]
+        for j in range(int(moved[w].argmax()), min(counts[w], cols)):
+            start = max(cpu[w, j], begin[w, j - 1] + tau[w, j - 1])
+            begin[w, j] = start
+            tau[w, j] = _send_time(bits[w, j], _dist2(r_w, rv_w, start), gain[w, j], cfg)
     return begin, tau
 
 
@@ -283,12 +291,14 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
     at the new begins until no begin moves (see _fixed_point).  Each
     transmission's link_gain is computed once, so a pass evaluates the
-    link from the squared distances at the begins alone.
+    link from the squared distances at the begins alone (_dist2); the
+    broadcast, at t = 0, takes its squared distance as r * r summed.
 
     Only arrivals up to completion enter the record, so a feasible task is
     solved on the leading columns alone.  Pass 1 evaluates the link at the
     compute finish times over the full width; the columns kept are the
-    most slots a worker delivers by pass 1's completion, plus a margin.
+    most slots a worker delivers by a bound on pass 1's completion, taken
+    by selection (see _guess_cols), plus a margin.
     Column k depends only on columns up to k, so the truncated solve is
     exact, bit for bit, on its columns.  Its completion T' stands when
     every worker with unsolved batches has its last solved arrival at or
@@ -312,9 +322,11 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     loads = tuple(loads)
     if len(loads) != world.n_workers:
         raise ValueError(f"allocation covers {len(loads)} workers, world has {world.n_workers}")
-    if any(not float(l).is_integer() or l < 0 for l in loads):
+    exact = all(type(l) is int for l in loads)  # no float round trip for plain ints
+    if min(loads) < 0 or not (exact or all(float(l).is_integer() for l in loads)):
         raise ValueError(f"loads must be non-negative integers, got {loads}")
-    loads = tuple(map(int, loads))
+    if not exact:
+        loads = tuple(map(int, loads))
     top = max(loads)
     if top > p:
         raise ValueError(f"loads may not exceed p={p}, got {loads}")
@@ -348,21 +360,25 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         gen.random(out=us[r, :nb])
     if noisy:
         omega *= cfg.noise_std_db
-    # position and velocity relative to the master, compute profile and slowdown
-    rx, ry = (world.pos[1:] - world.pos[0]).take(act, axis=0).T[:, :, None]
-    rvx, rvy = (world.vel[1:] - world.vel[0]).take(act, axis=0).T[:, :, None]
-    rel = (rx, ry, rvx, rvy)
+    # position and velocity relative to the master (x and y stacked),
+    # compute profile and slowdown
+    r = (world.pos[act + 1] - world.pos[0]).T[:, :, None]
+    rv = (world.vel[act + 1] - world.vel[0]).T[:, :, None]
     alpha, beta = world.alpha[col], world.beta[col]
-    slow = np.array([straggler.time_factor(i) for i in active])[:, None]
+    slow = straggler.time_factors(col)
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
-    bc = _send_time(m * cfg.bits_per_element, 0.0, rel, gain[:, :1], cfg)
-    cpu = comp_time(sizes, us, alpha, beta, slow).cumsum(axis=1) + bc
+    sq = r * r  # the broadcast begins at t = 0
+    bc = _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain[:, :1], cfg)
+    cpu = comp_time(sizes, us, alpha, beta, slow)
+    if width > 1:
+        cpu = cpu.cumsum(axis=1)
+    cpu += bc
 
     # pass 1, over the full width
     gain = gain[:, 1:]  # the batches' transmissions
-    tau = _send_time(bits, cpu, rel, gain, cfg)
+    tau = _send_time(bits, _dist2(r, rv, cpu), gain, cfg)
     if width == 1:  # one batch per worker: each begins once computed, so pass 1 is exact
         cols, arrival = 1, cpu + tau
         order, received, n_kept = _reach(arrival, sizes, p)
@@ -371,11 +387,13 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         counts = np.array(counts)
         valid = sizes > 0
         arrival, settled = _scan(cpu, tau)
-        cols = min(_guess_cols(arrival, sizes, valid, p), width) if feasible else width
+        cols = width
+        if feasible:
+            cols = min(_guess_cols(arrival, valid, p, batch_size, len(active)), width)
         while True:
             cut = np.s_[:, :cols]
             begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
-                                          valid[cut], gain[cut], counts, rel, cfg)
+                                          valid[cut], gain[cut], counts, r, rv, cfg)
             arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
             order, received, n_kept = _reach(arrival, sizes[cut], p)
             if cols == width:

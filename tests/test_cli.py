@@ -151,7 +151,8 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--config", ini, "--scheme", "marl",
                      "--episodes", "2", "--out", str(tmp_path / "m")])
         assert code == 1
-        assert "checkpoint" in capsys.readouterr().err
+        assert "error: the marl scheme requires --checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_marl_with_checkpoint(self, ini, tmp_path):
         out = tmp_path / "train"
@@ -190,7 +191,8 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--config", ini, "--scheme", "greedy",
                      "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "unknown scheme" in capsys.readouterr().err
+        assert "error: unknown scheme 'greedy'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "compare", "sweep-batch"])
     @pytest.mark.parametrize("episodes", ["0", "-2"])
@@ -203,7 +205,7 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"episodes must be >= 1, got {episodes}" in err
         assert "Mean of empty slice" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestCompareCommand:
@@ -223,8 +225,8 @@ class TestCompareCommand:
         code = main(["compare", "--config", ini, "--scheme", "hcmm,uniform,hcmm",
                      "--episodes", "2", "--out", str(out)])
         assert code == 1
-        assert "duplicate schemes" in capsys.readouterr().err
-        assert not (out / "comparison.csv").exists()
+        assert "error: duplicate schemes in ['hcmm', 'uniform', 'hcmm']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -240,15 +242,16 @@ class TestSweepCommand:
         code = main(["sweep-batch", "--config", ini, "--batch-sizes", "1,x",
                      "--out", str(tmp_path / "sw")])
         assert code == 1
-        assert "batch-sizes" in capsys.readouterr().err
+        assert "error: --batch-sizes must be integers, got '1,x'" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_duplicate_batch_size_fails_cleanly(self, ini, tmp_path, capsys):
         out = tmp_path / "sw"
         code = main(["sweep-batch", "--config", ini, "--scheme", "uniform",
                      "--episodes", "2", "--batch-sizes", "1,1", "--out", str(out)])
         assert code == 1
-        assert "duplicate batch sizes" in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        assert "error: duplicate batch sizes in [1, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrors:
@@ -265,6 +268,22 @@ class TestErrors:
                      "--episodes", "1", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error: scenario.pos_max: must be finite, got inf" in capsys.readouterr().err
+
+    # more bad arguments; TestEvaluateCommand, TestCompareCommand and
+    # TestSweepCommand check the others the same way
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--scheme", "uniform"], "compare needs at least two schemes"),
+        (["compare", "--scheme", "uniform,greedy"], "unknown scheme 'greedy'"),
+        (["compare", "--scheme", "uniform,marl"], "the marl scheme requires --checkpoint"),
+        (["sweep-batch", "--batch-sizes", "0,5"], "batch sizes must be >= 1, got [0, 5]"),
+        (["sweep-batch", "--scheme", "nope"], "unknown scheme 'nope'"),
+        (["sweep-batch", "--scheme", "marl"], "the marl scheme requires --checkpoint"),
+    ])
+    def test_bad_arguments_fail_before_out_is_made(self, ini, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert main([argv[0], "--config", ini, *argv[1:], "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "compare", "sweep-batch"])
     def test_negative_seed_fails_cleanly(self, ini, tmp_path, capsys, command):

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import simcore
+from macc.coding import plan_batches
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, StragglerPlan
+from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, link_gain
 from macc.experiments import evaluate_scheme
 from macc.numerics import RngStream
-from macc.simcore import WorldState, run_task, sample_world
+from macc.simcore import WorldState, _dist2, _guess_cols, _send_time, run_task, sample_world
 
 from scalar_oracle import capacity, run_task_scalar
 
@@ -299,6 +300,12 @@ class TestTruncatedSolve:
         assert sum(evaluated) <= 0.8 * 2_808_105
         assert rec.total_time == 217.6616366530215
 
+    def test_solves_at_paper_scale_as_recorded(self, solved_widths):
+        # recorded when the guess sorted every slot; at b = 1 selection gives the same guess
+        for seed in range(10):
+            evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, seed, batch_size=1)
+        assert len(solved_widths) == 300 and sum(solved_widths) == 902_166
+
     @pytest.mark.parametrize("passes", [1, 2, 3])
     def test_sequential_finish_on_a_truncated_width(
         self, monkeypatch, solved_widths, scalar_calls, passes
@@ -310,6 +317,101 @@ class TestTruncatedSolve:
         # worker 0 finishes up to the solved width only, worker 1 its 500 batches
         assert cols < 2000 and 0 < len(scalar_calls) <= cols + 500
         assert_matches_oracle(got, want)
+
+
+# ---------------------------------------------------------------- same bits as before
+
+
+def four_array_send_time(bits, t, rel, gain, cfg):
+    """The send time from separate x and y arrays rel = (rx, ry, rvx, rvy), as
+    run_task computed it before the geometry was stacked."""
+    rx, ry, rvx, rvy = rel
+    dx = rvx * t
+    dx += rx
+    dx *= dx
+    dy = rvy * t
+    dy += ry
+    dy *= dy
+    dx += dy
+    return bits / channel_capacity(dx, gain, cfg)
+
+
+def sorted_guess_cols(arrival, sizes, valid, p):
+    """The first solve width as taken before, from a stable sort of every slot."""
+    arrival = np.where(valid, arrival, np.inf)
+    order = arrival.argsort(axis=None, kind="stable")
+    t_first = arrival.flat[order[sizes.ravel()[order].cumsum().searchsorted(p)]]
+    return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
+
+
+def padded_layout(gen, b):
+    """Random loads in run_task's padded layout at batch size b, with pass-1-like arrivals.
+
+    Each row's arrivals increase, with ties across rows; padding holds
+    values the guess must ignore.
+    """
+    loads = gen.integers(1, 60, gen.integers(1, 6))
+    plans = [plan_batches(l, min(b, l)) for l in loads]
+    sizes = np.zeros((len(loads), max(plan.count for plan in plans)), dtype=np.int64)
+    for r, plan in enumerate(plans):
+        sizes[r, : plan.count] = plan.batch_size
+        sizes[r, plan.count - 1] = plan.last
+    valid = sizes > 0
+    arrival = np.where(valid, gen.integers(1, 4, sizes.shape).cumsum(axis=1) * 0.25,
+                       gen.uniform(0.0, 1.0, sizes.shape))
+    return loads, sizes, valid, arrival
+
+
+class TestSameBitsAsBefore:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacked_send_time_matches_four_arrays(self, seed):
+        gen = np.random.default_rng(seed)
+        cfg = CommConfig()
+        a, c = 1 + seed % 5, 1 + 3 * seed
+        rel = [gen.uniform(-50.0, 50.0, (a, 1)) for _ in range(2)]
+        rel += [gen.uniform(-10.0, 10.0, (a, 1)) for _ in range(2)]
+        rel[0][0], rel[2][0] = -0.0, -0.0  # signed zeros in rx and rvx
+        rel[0][-1], rel[2][-1] = 0.0, -0.0
+        r, rv = np.stack(rel[:2]), np.stack(rel[2:])
+        gain = link_gain(gen.normal(0.0, 1.0, (a, c + 1)), cfg)
+        bits = gen.integers(1, 50, (a, c)) * cfg.bits_per_element
+        t = gen.uniform(0.0, 5.0, (a, c))
+        # a pass of the fixed point, over (A, C) begin times
+        got = _send_time(bits, _dist2(r, rv, t), gain[:, 1:], cfg)
+        want = four_array_send_time(bits, t, rel, gain[:, 1:], cfg)
+        assert got.tobytes() == want.tobytes()
+        # the broadcast at t = 0.0, from r * r alone
+        m_bits = 80 * cfg.bits_per_element
+        rr = r * r
+        got = _send_time(m_bits, rr[0] + rr[1], gain[:, :1], cfg)
+        want = four_array_send_time(m_bits, 0.0, rel, gain[:, :1], cfg)
+        assert got.tobytes() == want.tobytes()
+        assert _dist2(r, rv, 0.0).tobytes() == (rr[0] + rr[1]).tobytes()
+        # the sequential finish, one worker's link at one scalar begin time
+        for w in range(a):
+            got = _send_time(bits[w, -1], _dist2(r[:, w, 0], rv[:, w, 0], t[w, -1]),
+                             gain[w, -1], cfg)
+            want = four_array_send_time(bits[w, -1], t[w, -1], [x[w, 0] for x in rel],
+                                        gain[w, -1], cfg)
+            assert np.ndim(got) == 0 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 16])
+    def test_selection_guess_never_below_the_sorted_one(self, b):
+        gen = np.random.default_rng(b)
+        for _ in range(200):
+            loads, sizes, valid, arrival = padded_layout(gen, b)
+            p = int(gen.integers(1, loads.sum() + 1))
+            got = _guess_cols(arrival, valid, p, b, len(loads))
+            want = sorted_guess_cols(arrival, sizes, valid, p)
+            assert got == want if b == 1 else got >= want
+
+    @pytest.mark.parametrize("enabled, victim", [(True, 1), (False, 1), (True, 2)])
+    def test_straggler_factors_match_time_factor(self, enabled, victim):
+        plan = StragglerPlan(enabled=enabled, victim=victim, slowdown_factor=10.0)
+        active = [0, 1, 3]  # worker 2 idle: the victim in the last case
+        factors = plan.time_factors(np.array(active)[:, None])
+        assert factors.dtype == np.float64 and factors.shape == (3, 1)
+        assert factors.ravel().tolist() == [plan.time_factor(i) for i in active]
 
 
 # ---------------------------------------------------------------- properties

@@ -13,7 +13,7 @@ from macc.envmodels import (
     link_gain,
 )
 from macc.numerics import RngStream
-from macc.simcore import _send_time
+from macc.simcore import _dist2, _send_time
 
 CFG = CommConfig()
 
@@ -97,32 +97,35 @@ class TestChannelCapacity:
 
 
 def static_link(d):
-    """A worker d metres from the master, both at rest."""
-    return (d, 0.0, 0.0, 0.0)
+    """A worker d metres from the master, both at rest: (r, rv), x and y stacked."""
+    return np.array([d, 0.0]), np.zeros(2)
 
 
 class TestCommTime:
     # the engine's send time bits / C(d^2, gain)
     def test_single_element_at_one_meter(self):
-        t = _send_time(CFG.bits_per_element, 0.0, static_link(1.0), link_gain(0.0, CFG), CFG)
+        d2 = _dist2(*static_link(1.0), 0.0)
+        t = _send_time(CFG.bits_per_element, d2, link_gain(0.0, CFG), CFG)
         assert abs(t - ONE_ELEMENT_D1) / ONE_ELEMENT_D1 < 1e-12
 
     def test_linear_in_payload(self):
         gain = link_gain(0.0, CFG)
-        t1 = _send_time(10 * CFG.bits_per_element, 0.0, static_link(5.0), gain, CFG)
-        t2 = _send_time(20 * CFG.bits_per_element, 0.0, static_link(5.0), gain, CFG)
+        d2 = _dist2(*static_link(5.0), 0.0)
+        t1 = _send_time(10 * CFG.bits_per_element, d2, gain, CFG)
+        t2 = _send_time(20 * CFG.bits_per_element, d2, gain, CFG)
         assert abs(t2 - 2.0 * t1) < 1e-15
 
     def test_increasing_in_distance(self):
         gain = link_gain(0.0, CFG)
-        times = [_send_time(320.0, 0.0, static_link(d), gain, CFG) for d in (1, 2, 5, 10, 50, 100)]
+        times = [_send_time(320.0, _dist2(*static_link(d), 0.0), gain, CFG)
+                 for d in (1, 2, 5, 10, 50, 100)]
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_distance_at_the_begin_time(self):
         # a worker leaving the master at (3, 4) m/s is 5 m away after 1 s
         gain = link_gain(0.0, CFG)
-        drifting = _send_time(320.0, 1.0, (0.0, 0.0, 3.0, 4.0), gain, CFG)
-        assert drifting == _send_time(320.0, 0.0, (3.0, 4.0, 0.0, 0.0), gain, CFG)
+        drifting = _send_time(320.0, _dist2(np.zeros(2), np.array([3.0, 4.0]), 1.0), gain, CFG)
+        assert drifting == _send_time(320.0, _dist2(np.array([3.0, 4.0]), np.zeros(2), 0.0), gain, CFG)
 
 
 class TestCompTime:

@@ -17,6 +17,7 @@ The runs, for each seed:
 * train-scenario1: ``macc train`` at scenario1 for one iteration;
 * evaluate-<scheme>: ``macc evaluate`` of uniform, load-balanced and hcmm
   at scenario3 with the straggler on, 20 episodes each;
+* evaluate-<scheme>-straggler-off: the same with the straggler off;
 * evaluate-marl: ``macc evaluate`` at desk from train-desk's checkpoint.
 
 The CLI's own messages name the temporary directory, so they are
@@ -61,6 +62,9 @@ def runs(root):
         ("train-scenario1", ["train", "--config", configs["scenario1"]]),
         *((f"evaluate-{scheme}", ["evaluate", "--config", configs["scenario3"],
                                   "--scheme", scheme, "--straggler", "on"])
+          for scheme in BASELINES),
+        *((f"evaluate-{scheme}-straggler-off", ["evaluate", "--config", configs["scenario3"],
+                                                "--scheme", scheme, "--straggler", "off"])
           for scheme in BASELINES),
         ("evaluate-marl", ["evaluate", "--config", configs["desk"], "--scheme", "marl",
                            "--checkpoint", checkpoint]),
