@@ -165,11 +165,14 @@ def _t_quantile_975(df):
 
 
 def summarize(records):
-    """(mean, sample std, 95% Student-t halfwidth) of total times."""
+    """(mean, sample std, 95% Student-t halfwidth) of total times.
+
+    One episode has no spread to estimate, so its std and halfwidth are nan.
+    """
     t = total_times(records)
     mean = float(t.mean())
     if len(t) < 2:
-        return mean, 0.0, 0.0
+        return mean, math.nan, math.nan
     std = float(t.std(ddof=1))
     return mean, std, _t_quantile_975(len(t) - 1) * std / float(np.sqrt(len(t)))
 

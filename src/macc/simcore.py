@@ -50,6 +50,7 @@ scores it (reward).
 """
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -60,9 +61,6 @@ import numpy as np
 
 from .coding import plan_batches
 from .envmodels import StragglerPlan, advance, channel_capacity, comp_time, link_gain
-
-
-MAX_PASSES = 32  # fixed-point passes of run_task before the sequential finish
 
 
 class DegenerateTaskError(ValueError):
@@ -242,38 +240,25 @@ def _reach(arrival, sizes, p):
     return order, received, int(received.searchsorted(p)) + 1
 
 
-def _fixed_point(cpu, tau, settled, bits, valid, gain, counts, r, rv, cfg):
+def _fixed_point(cpu, tau, settled, bits, valid, gain, r, rv, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
     Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
     arrays may be leading column slices of the full layout: every pass is
-    exact on them.  Pass n is exact for the first n batches of every
-    worker, so after MAX_PASSES a worker whose begins still move finishes
-    with the plain sequential recurrence.
+    exact on them.  The passes run until no valid begin moves; pass n is
+    exact for the first n batches of every worker, so there is at most one
+    pass per column.
     """
     cols = cpu.shape[1]
     begin = cpu
-    for done in range(2, MAX_PASSES + 2):
-        moved = (settled != begin) & valid
-        if not moved.any():
+    for done in itertools.count(2):
+        if not ((settled != begin) & valid).any():
             return begin, tau
         begin = settled
-        if done > MAX_PASSES:
-            break
         tau = _send_time(bits, _dist2(r, rv, begin), gain, cfg)
         if done >= cols:  # pass n starts from begins that are final for n batches
             return begin, tau
         settled = _scan(cpu, tau)[1]
-    # pass 1's arrays may be views that a wider retry reads again
-    begin, tau = begin.copy(), tau.copy()
-    # a worker's begins up to its first moved one are final
-    for w in np.flatnonzero(moved.any(axis=1)):
-        r_w, rv_w = r[:, w, 0], rv[:, w, 0]
-        for j in range(int(moved[w].argmax()), min(counts[w], cols)):
-            start = max(cpu[w, j], begin[w, j - 1] + tau[w, j - 1])
-            begin[w, j] = start
-            tau[w, j] = _send_time(bits[w, j], _dist2(r_w, rv_w, start), gain[w, j], cfg)
-    return begin, tau
 
 
 def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
@@ -281,7 +266,9 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
 
     loads holds one non-negative integer per worker, each at most p, the
     rows needed to decode; m is the length of the broadcast payload.
-    batch_size None means one batch per worker (no batching).
+    batch_size None means one batch per worker (no batching).  A link whose
+    capacity underflows to zero makes the completion infinite, which raises
+    ValueError rather than moving the world to an infinite clock.
 
     The loaded workers' batches sit in a padded (workers x batches) layout,
     and compute finish times are a cumulative sum along it.  The link
@@ -289,10 +276,11 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
     the send times tau frozen, the arrivals are the max-plus scan
     S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
-    at the new begins until no begin moves (see _fixed_point).  Each
-    transmission's link_gain is computed once, so a pass evaluates the
-    link from the squared distances at the begins alone (_dist2); the
-    broadcast, at t = 0, takes its squared distance as r * r summed.
+    at the new begins until no begin moves, at most one pass per column
+    (see _fixed_point).  Each transmission's link_gain is computed once, so
+    a pass evaluates the link from the squared distances at the begins
+    alone (_dist2); the broadcast, at t = 0, takes its squared distance as
+    r * r summed.
 
     Only arrivals up to completion enter the record, so a feasible task is
     solved on the leading columns alone.  Pass 1 evaluates the link at the
@@ -393,7 +381,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         while True:
             cut = np.s_[:, :cols]
             begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
-                                          valid[cut], gain[cut], counts, r, rv, cfg)
+                                          valid[cut], gain[cut], r, rv, cfg)
             arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
             order, received, n_kept = _reach(arrival, sizes[cut], p)
             if cols == width:
@@ -408,6 +396,9 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     rows = sizes[:, :cols].ravel()[kept]
     receipt_log = ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept])
     t_done = float(receipt_log.arrivals[-1])
+    if not math.isfinite(t_done):
+        raise ValueError(f"task {index}: a link's capacity fell to zero, "
+                         "so the task never completes")
 
     record = TaskRecord(
         index=index,

@@ -189,21 +189,6 @@ class TestPinnedOutputs:
         assert h.hexdigest()[:16] == digest
 
 
-@pytest.fixture
-def scalar_calls(monkeypatch):
-    """The squared distances of the link evaluations run_task makes one batch at a time."""
-    calls = []
-    vector_capacity = simcore.channel_capacity
-
-    def counting(d2, gain, cfg):
-        if np.ndim(d2) == 0:
-            calls.append(d2)
-        return vector_capacity(d2, gain, cfg)
-
-    monkeypatch.setattr(simcore, "channel_capacity", counting)
-    return calls
-
-
 def close_pass_world():
     """A worker that sweeps through the master at 20 m/s, 0.3 m off its path.
 
@@ -218,22 +203,6 @@ def close_pass_world():
     )
 
 
-class TestSequentialFinish:
-    def test_close_pass_matches_oracle(self):
-        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
-                             CommConfig(), 3)
-        assert_matches_oracle(got, want)
-
-    @pytest.mark.parametrize("passes", [1, 2, 3])
-    def test_unconverged_workers_finish_sequentially(self, monkeypatch, scalar_calls, passes):
-        monkeypatch.setattr(simcore, "MAX_PASSES", passes)
-        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
-                             CommConfig(), 3)
-        assert scalar_calls, "the capped fixed point should leave batches to the sequential finish"
-        assert min(scalar_calls) < CommConfig().min_distance_m ** 2  # the clamp was active there
-        assert_matches_oracle(got, want)
-
-
 @pytest.fixture
 def solved_widths(monkeypatch):
     """The column count of each link solve run_task makes, in order."""
@@ -246,6 +215,28 @@ def solved_widths(monkeypatch):
 
     monkeypatch.setattr(simcore, "_fixed_point", recording)
     return widths
+
+
+@pytest.fixture
+def solve_passes(monkeypatch):
+    """The link passes of each solve run_task makes, in order, pass 1 included."""
+    passes = []
+    evaluated = [0]
+    dist2, solve = simcore._dist2, simcore._fixed_point
+
+    def counting(*args):
+        evaluated[0] += 1
+        return dist2(*args)
+
+    def recording(*args):
+        before = evaluated[0]
+        out = solve(*args)
+        passes.append(1 + evaluated[0] - before)
+        return out
+
+    monkeypatch.setattr(simcore, "_dist2", counting)
+    monkeypatch.setattr(simcore, "_fixed_point", recording)
+    return passes
 
 
 def closing_world():
@@ -300,23 +291,61 @@ class TestTruncatedSolve:
         assert sum(evaluated) <= 0.8 * 2_808_105
         assert rec.total_time == 217.6616366530215
 
-    def test_solves_at_paper_scale_as_recorded(self, solved_widths):
+    def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
         # recorded when the guess sorted every slot; at b = 1 selection gives the same guess
         for seed in range(10):
             evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, seed, batch_size=1)
         assert len(solved_widths) == 300 and sum(solved_widths) == 902_166
+        assert max(solve_passes) <= 11  # 10 when recorded
 
-    @pytest.mark.parametrize("passes", [1, 2, 3])
-    def test_sequential_finish_on_a_truncated_width(
-        self, monkeypatch, solved_widths, scalar_calls, passes
-    ):
-        monkeypatch.setattr(simcore, "MAX_PASSES", passes)
+
+def crossing_world():
+    """One worker 1.2 km from the master, receding from it at 11.6 km/s.
+
+    Its send times grow as it streams, and at batch size 2 its begins keep
+    moving for more than 32 passes.
+    """
+    beta = np.array([541057.5])
+    return WorldState(
+        pos=np.array([[892.6, 953.0], [1844.6, 164.9]]),
+        vel=np.array([[4974.7, 3682.4], [-2789.2, -4937.4]]),
+        alpha=1.0 / beta,
+        beta=beta,
+    )
+
+
+class TestPassBound:
+    def test_close_pass_matches_oracle(self):
         got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
                              CommConfig(), 3)
-        (cols,) = solved_widths
-        # worker 0 finishes up to the solved width only, worker 1 its 500 batches
-        assert cols < 2000 and 0 < len(scalar_calls) <= cols + 500
         assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("seed", [2, 4, 6])
+    def test_solves_past_32_passes_match_oracle(self, solved_widths, solve_passes, seed):
+        got, want = run_both(crossing_world(), [1342], 1416, 3210, 2, StragglerPlan(),
+                             CommConfig(noise_std_db=4.0), seed)
+        assert max(solve_passes) > 32
+        assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
+        assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("guess", [1, 2, 3])
+    def test_a_solve_takes_at_most_one_pass_per_column(
+        self, monkeypatch, solved_widths, solve_passes, guess
+    ):
+        monkeypatch.setattr(simcore, "_guess_cols", lambda *args: guess)
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+                             CommConfig(), 3)
+        assert solved_widths[0] == solve_passes[0] == guess  # the first solve stops at its width
+        assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
+        assert_matches_oracle(got, want)
+
+    def test_capacity_underflow_raises(self):
+        # the link's capacity underflows to 0 mid-stream, so a send time is infinite
+        args = (crossing_world(), [1342], 2, 1416, 3210, StragglerPlan(),
+                RngStream(3).substream("task"), CommConfig(noise_std_db=4.0))
+        with pytest.warns(RuntimeWarning):  # divide by zero, then inf - inf
+            with pytest.raises(ValueError, match="task 0: a link's capacity fell to zero"):
+                run_task(*args)
 
 
 # ---------------------------------------------------------------- same bits as before
@@ -387,13 +416,6 @@ class TestSameBitsAsBefore:
         want = four_array_send_time(m_bits, 0.0, rel, gain[:, :1], cfg)
         assert got.tobytes() == want.tobytes()
         assert _dist2(r, rv, 0.0).tobytes() == (rr[0] + rr[1]).tobytes()
-        # the sequential finish, one worker's link at one scalar begin time
-        for w in range(a):
-            got = _send_time(bits[w, -1], _dist2(r[:, w, 0], rv[:, w, 0], t[w, -1]),
-                             gain[w, -1], cfg)
-            want = four_array_send_time(bits[w, -1], t[w, -1], [x[w, 0] for x in rel],
-                                        gain[w, -1], cfg)
-            assert np.ndim(got) == 0 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [1, 2, 5, 16])
     def test_selection_guess_never_below_the_sorted_one(self, b):
