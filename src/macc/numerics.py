@@ -12,7 +12,10 @@ process-wide Generator re-keyed to the start of the stream, for a stream
 that makes all its draws before any other stream draws (a worker's noise
 in one task).  Philox is counter-based, so both give the same draws.
 fresh_gen(*tokens) re-keys to the start of substream(*tokens) without
-building that RngStream, as the engine does once per loaded worker.
+building that RngStream, as the engine does once per loaded worker: it
+writes the key into one reused module-level state dict and assigns it,
+which copies the values, so no call builds a dict and no draw carries
+into the next call.
 
 A substream folds its tokens into the stream id one by one, left to
 right, so substream(a).substream(b) is substream(a, b).  A plain int
@@ -135,6 +138,18 @@ def _shared_gen():
     return np.random.Generator(np.random.Philox(0))
 
 
+# the Philox state fresh_gen assigns: zero counter, empty buffer; each call
+# writes only its key, since assigning a state copies the values it reads
+_FRESH_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
@@ -180,19 +195,14 @@ class RngStream:
         With no tokens the stream is this one.  The tokens fold into the
         stream id as in ``substream``, but no RngStream is built.  Every
         call returns the same process-wide Generator, its Philox state
-        assigned anew: key (seed, stream), zero counter, empty buffer.  Its
-        draws equal those of a fresh ``gen`` of that stream, but the next
-        ``fresh_gen`` call, on any stream, moves the Generator elsewhere.
+        assigned anew from one reused state dict: key (seed, stream), zero
+        counter, empty buffer.  Its draws equal those of a fresh ``gen`` of
+        that stream, but the next ``fresh_gen`` call, on any stream, moves
+        the Generator elsewhere.
         """
         gen = _shared_gen()
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self.seed, _fold(self.stream, tokens))},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        _FRESH_STATE["state"]["key"] = (self.seed, _fold(self.stream, tokens))
+        gen.bit_generator.state = _FRESH_STATE
         return gen
 
     def substream(self, *tokens):

@@ -8,8 +8,8 @@ batch back over its link.  A batch transmission begins when both the batch
 is computed and the link is free of the previous result; the link distance
 is evaluated at that instant, with all nodes drifting at constant velocity:
 each loaded worker's position and velocity relative to the master are held
-as r and rv, of shape (2, A, 1) with x and y stacked, and a transmission
-beginning at t spans the squared distance |r + rv t|^2.
+as r and rv, with x and y stacked on axis 0, and a transmission beginning
+at t spans the squared distance |r + rv t|^2.
 The master counts received rows and the task completes at the arrival that
 first reaches p cumulative rows; results still in flight are ignored
 (acknowledgment semantics).  The link, compute and straggler models are
@@ -25,16 +25,19 @@ Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
 It makes all its draws at once, so it draws through fresh_gen(i) of the
-task's one "worker" substream, which re-keys the shared generator and
-builds no RngStream or generator per worker.
+task's one "worker" substream, which re-keys the shared generator from one
+reused state dict and builds no RngStream, generator or dict per worker.
 
-A task whose workers each send one batch (every baseline in compare) is
-the degenerate case of the batch layout: its one column is the loads, with
-no plan_batches call, and a batch's link is free as soon as it is computed,
-so the first evaluation of the link gives the arrivals and run_task skips
-the fixed point.  On these few-element arrays the fixed cost per call
-dominates, so run_task also builds the next world directly and
-build_state keeps its gather index per N.
+A task in which some worker sends more than one batch is laid out as a
+padded (workers x batches) array, with r and rv of shape (2, A, 1), and
+its link is solved as a fixed point (_batched).  A task whose workers each
+send one batch (every baseline in compare) takes its own path on flat
+arrays, with r and rv of shape (2, A) (_one_batch): its sizes are the
+loads, and a batch's link is free as soon as it is computed, so the first
+evaluation of the link gives the arrivals.  On these few-element arrays
+the fixed cost per call dominates.  Both paths call the same draw, link,
+compute and sort helpers, and read the world's own arrays, with no
+gather, when every worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -261,6 +264,129 @@ def _fixed_point(cpu, tau, settled, bits, valid, gain, r, rv, cfg):
         settled = _scan(cpu, tau)[1]
 
 
+def _loaded(world, active):
+    """The loaded workers' index, geometry and compute profile, flat per worker.
+
+    Returns (act, r, rv, alpha, beta): r and rv, shape (2, A), are the
+    positions and velocities relative to the master with x and y stacked.
+    When every worker is loaded they come from the world's own arrays,
+    with no gather.
+    """
+    if len(active) == world.n_workers:
+        return (np.arange(len(active)), (world.pos[1:] - world.pos[0]).T,
+                (world.vel[1:] - world.vel[0]).T, world.alpha, world.beta)
+    act = np.array(active)
+    return (act, (world.pos[act + 1] - world.pos[0]).T, (world.vel[act + 1] - world.vel[0]).T,
+            world.alpha[act], world.beta[act])
+
+
+def _draw_noise(workers, active, omega, us, cfg, counts=None):
+    """Draw each loaded worker's noise into its rows of omega and us, in place.
+
+    Worker i draws from fresh_gen(i) of the task's "worker" substream:
+    first the standard normals of its row of omega (when noise_std_db > 0),
+    then the compute uniforms of its row of us.  counts, when given, cuts
+    row r to counts[r] batches: counts[r] + 1 shadowings and counts[r]
+    uniforms.  omega is then scaled by noise_std_db once.
+    """
+    if counts is not None:
+        omega_rows = [row[: nb + 1] for row, nb in zip(omega, counts)]
+        us_rows = [row[:nb] for row, nb in zip(us, counts)]
+    else:
+        omega_rows, us_rows = omega, us
+    noisy = cfg.noise_std_db > 0
+    for i, shadow, u in zip(active, omega_rows, us_rows):
+        gen = workers.fresh_gen(i)  # the stream rng.substream("worker", i)
+        if noisy:
+            gen.standard_normal(out=shadow)
+        gen.random(out=u)
+    if noisy:
+        omega *= cfg.noise_std_db
+
+
+def _broadcast_time(m, r, gain, cfg):
+    """Time to send the m-element payload x at t = 0, where the squared distance is r * r summed."""
+    sq = r * r
+    return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
+
+
+def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
+    """Receipts of a task whose loaded workers each send their load as one batch.
+
+    Returns (ReceiptLog, rows received at completion).  The arrays are
+    flat, one entry per loaded worker (see _loaded), and the sizes are the
+    loads.  Each batch begins once computed, so one evaluation of the link
+    gives the arrivals, and the log is read off their sorted order.
+    """
+    omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
+    us = np.empty((len(active), 1))
+    _draw_noise(workers, active, omega, us, cfg)
+    gain = link_gain(omega, cfg)
+    act, r, rv, alpha, beta = _loaded(world, active)
+    sizes = np.array(loads)
+    if len(act) < len(loads):
+        sizes = sizes[act]
+    arrival = comp_time(sizes, us[:, 0], alpha, beta, straggler.time_factors(act))
+    arrival += _broadcast_time(m, r, gain[:, 0], cfg)
+    arrival += _send_time(sizes * cfg.bits_per_element, _dist2(r, rv, arrival), gain[:, 1], cfg)
+    order, received, n_kept = _reach(arrival, sizes, p)
+    kept = order[: min(n_kept, len(act))]  # an infeasible task keeps every batch
+    return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
+
+
+def _batched(world, loads, active, batch_size, p, m, feasible, straggler, workers, cfg):
+    """Receipts of a task in which some worker sends more than one batch.
+
+    Returns (ReceiptLog, rows received at completion); see run_task.  The
+    batches sit in a padded (A, W) layout, and r, rv are (2, A, 1).
+    """
+    plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
+    counts = [plan.count for plan in plans]
+    width = max(counts)
+    sizes = np.zeros((len(active), width), dtype=np.int64)
+    for r, plan in enumerate(plans):
+        sizes[r, : plan.count] = plan.batch_size
+        sizes[r, plan.count - 1] = plan.last
+    omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
+    us = np.zeros((len(active), width))
+    _draw_noise(workers, active, omega, us, cfg, counts)
+    act, r, rv, alpha, beta = _loaded(world, active)
+    r, rv = r[:, :, None], rv[:, :, None]
+    bits = sizes * cfg.bits_per_element
+    gain = link_gain(omega, cfg)  # one per transmission, for every pass
+
+    cpu = comp_time(sizes, us, alpha[:, None], beta[:, None],
+                    straggler.time_factors(act)[:, None]).cumsum(axis=1)
+    cpu += _broadcast_time(m, r, gain[:, :1], cfg)
+
+    # pass 1, over the full width
+    gain = gain[:, 1:]  # the batches' transmissions
+    tau = _send_time(bits, _dist2(r, rv, cpu), gain, cfg)
+    counts = np.array(counts)
+    valid = sizes > 0
+    arrival, settled = _scan(cpu, tau)
+    cols = width
+    if feasible:
+        cols = min(_guess_cols(arrival, valid, p, batch_size, len(active)), width)
+    while True:
+        cut = np.s_[:, :cols]
+        begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
+                                      valid[cut], gain[cut], r, rv, cfg)
+        arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
+        order, received, n_kept = _reach(arrival, sizes[cut], p)
+        if cols == width:
+            n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
+            break
+        if n_kept <= order.size and (
+            arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
+        ).all():
+            break
+        cols = min(2 * cols, width)
+    kept = order[:n_kept]
+    rows = sizes[:, :cols].ravel()[kept]
+    return ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept]), int(received[n_kept - 1])
+
+
 def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
@@ -270,8 +396,9 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     capacity underflows to zero makes the completion infinite, which raises
     ValueError rather than moving the world to an infinite clock.
 
-    The loaded workers' batches sit in a padded (workers x batches) layout,
-    and compute finish times are a cumulative sum along it.  The link
+    When some worker sends more than one batch (_batched), the loaded
+    workers' batches sit in a padded (workers x batches) layout, and
+    compute finish times are a cumulative sum along it.  The link
     recurrence begin_k = max(cpu_k, arrival_{k-1}),
     arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
     the send times tau frozen, the arrivals are the max-plus scan
@@ -296,16 +423,19 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     full.
 
     When every loaded worker sends its load as one batch (batch_size None,
-    or at least the largest load), the layout is one column of the loads,
-    built with no plan_batches call, and each batch begins once computed,
-    so pass 1 is exact: the arrivals are cpu + tau, sorted as above, with
-    no fixed point, padding or widening.
+    or at least the largest load), the task takes its own path
+    (_one_batch) on flat arrays, one entry per loaded worker: the sizes
+    are the loads, each batch begins once computed, so the arrivals are
+    cpu + tau, sorted as above, with no plan_batches call, fixed point,
+    padding or widening.  It calls the same link, compute and sort
+    helpers, so each model expression has one copy.
 
     Worker i's noise, the stream rng.substream("worker", i), is drawn
-    through fresh_gen(i) of one "worker" substream per task.  The shadowing
-    is drawn as standard normals and scaled by noise_std_db once: normal(0,
-    s) gives 0.0 + s z, which differs from s z only in a zero's sign, and
-    link_gain adds a nonzero constant to it.
+    through fresh_gen(i) of one "worker" substream per task, into that
+    worker's rows of the draw arrays.  The shadowing is drawn as standard
+    normals and scaled by noise_std_db once: normal(0, s) gives 0.0 + s z,
+    which differs from s z only in a zero's sign, and link_gain adds a
+    nonzero constant to it.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:
@@ -323,78 +453,12 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     feasible = sum(loads) >= p
 
     active = [i for i, l in enumerate(loads) if l > 0]
-    act = np.array(active)
-    col = act[:, None]  # a fancy index of one row per loaded worker
-    if batch_size is None or batch_size >= top:  # each worker's one batch is its whole load
-        counts = [1] * len(active)
-        width = 1
-        sizes = np.array(loads)[col]
-    else:
-        plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
-        counts = [plan.count for plan in plans]
-        width = max(counts)
-        sizes = np.zeros((len(active), width), dtype=np.int64)
-        for r, plan in enumerate(plans):
-            sizes[r, : plan.count] = plan.batch_size
-            sizes[r, plan.count - 1] = plan.last
-    omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
-    us = np.zeros((len(active), width))
-    noisy = cfg.noise_std_db > 0
     workers = rng.substream("worker")
-    for r, (i, nb) in enumerate(zip(active, counts)):
-        gen = workers.fresh_gen(i)  # the stream rng.substream("worker", i)
-        if noisy:
-            gen.standard_normal(out=omega[r, : nb + 1])
-        gen.random(out=us[r, :nb])
-    if noisy:
-        omega *= cfg.noise_std_db
-    # position and velocity relative to the master (x and y stacked),
-    # compute profile and slowdown
-    r = (world.pos[act + 1] - world.pos[0]).T[:, :, None]
-    rv = (world.vel[act + 1] - world.vel[0]).T[:, :, None]
-    alpha, beta = world.alpha[col], world.beta[col]
-    slow = straggler.time_factors(col)
-    bits = sizes * cfg.bits_per_element
-    gain = link_gain(omega, cfg)  # one per transmission, for every pass
-
-    sq = r * r  # the broadcast begins at t = 0
-    bc = _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain[:, :1], cfg)
-    cpu = comp_time(sizes, us, alpha, beta, slow)
-    if width > 1:
-        cpu = cpu.cumsum(axis=1)
-    cpu += bc
-
-    # pass 1, over the full width
-    gain = gain[:, 1:]  # the batches' transmissions
-    tau = _send_time(bits, _dist2(r, rv, cpu), gain, cfg)
-    if width == 1:  # one batch per worker: each begins once computed, so pass 1 is exact
-        cols, arrival = 1, cpu + tau
-        order, received, n_kept = _reach(arrival, sizes, p)
-        n_kept = min(n_kept, len(active))  # an infeasible task keeps every batch
+    if batch_size is None or batch_size >= top:  # each worker's one batch is its whole load
+        receipt_log, rows = _one_batch(world, loads, active, p, m, straggler, workers, cfg)
     else:
-        counts = np.array(counts)
-        valid = sizes > 0
-        arrival, settled = _scan(cpu, tau)
-        cols = width
-        if feasible:
-            cols = min(_guess_cols(arrival, valid, p, batch_size, len(active)), width)
-        while True:
-            cut = np.s_[:, :cols]
-            begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
-                                          valid[cut], gain[cut], r, rv, cfg)
-            arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
-            order, received, n_kept = _reach(arrival, sizes[cut], p)
-            if cols == width:
-                n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
-                break
-            if n_kept <= order.size and (
-                arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
-            ).all():
-                break
-            cols = min(2 * cols, width)
-    kept = order[:n_kept]
-    rows = sizes[:, :cols].ravel()[kept]
-    receipt_log = ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept])
+        receipt_log, rows = _batched(world, loads, active, batch_size, p, m, feasible,
+                                     straggler, workers, cfg)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
@@ -405,7 +469,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         dispatch_time=world.clock,
         t_complete=t_done,
         receipt_log=receipt_log,
-        rows_received_at_completion=int(received[n_kept - 1]),
+        rows_received_at_completion=rows,
         feasible=feasible,
         loads=loads,
     )

@@ -159,6 +159,13 @@ PINNED_TASKS = {
                                 ("0x1.28d65217b0207p-3", 20, "3e174a44cc1478fa")),
     "noiseless": (([60, 50, 70, 40], 5, False, 0.0),
                   ("0x1.8c1dc3cf46849p-4", 40, "52a9327afbcfbe99")),
+    # recorded before one-batch tasks took their own path on (A,) arrays
+    "one batch, straggler victim loaded": (([60, 50, 70, 40], None, True, 1.0),
+                                           ("0x1.11c1ccbd79252p-2", 4, "94ed380b4e806388")),
+    "one batch, noiseless": (([60, 50, 70, 40], None, False, 0.0),
+                             ("0x1.106e97d5155bap-3", 4, "7d293e3662a135ce")),
+    "one batch through a batch size": (([80, 60, 0, 70], 80, True, 1.0),
+                                       ("0x1.3a3598bd251e8p-2", 3, "24a81bc8b2ac3e28")),
 }
 
 

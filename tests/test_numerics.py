@@ -193,6 +193,13 @@ class TestRngStream:
                               want.integers(0, 1000, 5, dtype=np.int32))
         assert np.array_equal(got.random(5), want.random(5))
 
+    def test_fresh_gen_restarts_after_draws(self):
+        # every call assigns one reused state dict; draws must not carry into the next call
+        first = RngStream(9, 4).fresh_gen().random(1000)  # past many counter blocks
+        RngStream(1, 2).fresh_gen().standard_normal(7)
+        assert np.array_equal(RngStream(9, 4).fresh_gen().random(1000), first)
+        assert np.array_equal(RngStream(9, 4).gen.random(1000), first)
+
     def test_different_seeds_differ(self):
         a = RngStream(1).gen.random(8)
         b = RngStream(2).gen.random(8)

@@ -18,7 +18,13 @@ The runs, for each seed:
 * evaluate-<scheme>: ``macc evaluate`` of uniform, load-balanced and hcmm
   at scenario3 with the straggler on, 20 episodes each;
 * evaluate-<scheme>-straggler-off: the same with the straggler off;
-* evaluate-marl: ``macc evaluate`` at desk from train-desk's checkpoint.
+* evaluate-marl: ``macc evaluate`` at desk from train-desk's checkpoint;
+* compare: ``macc compare`` of the three baselines at scenario3 with the
+  straggler on, 20 episodes;
+* sweep-batch: ``macc sweep-batch`` of hcmm at desk over batch sizes 1, 50
+  and 200, where 200 is at least every load, so each worker sends one batch.
+
+So every CLI command is covered.
 
 The CLI's own messages name the temporary directory, so they are
 dropped; the path of the macc package imported goes to stderr.
@@ -68,6 +74,10 @@ def runs(root):
           for scheme in BASELINES),
         ("evaluate-marl", ["evaluate", "--config", configs["desk"], "--scheme", "marl",
                            "--checkpoint", checkpoint]),
+        ("compare", ["compare", "--config", configs["scenario3"], "--scheme", ",".join(BASELINES),
+                     "--straggler", "on", "--episodes", "20"]),
+        ("sweep-batch", ["sweep-batch", "--config", configs["desk"], "--scheme", "hcmm",
+                         "--batch-sizes", "1,50,200", "--episodes", "20"]),
     ]
 
 
