@@ -83,11 +83,15 @@ def hcmm_alloc(p, alpha, beta):
     """HCMM loads: l_i = ceil(p / (h lambda_i)), capped at p.
 
     alpha and beta are the workers' compute profiles (sequences or arrays).
+    They are read as Python floats once, so the bisection steps on floats,
+    not numpy scalars, with the same bits: lam and h are floats.
     h = sum_i beta_i / (1 + beta_i lambda_i).  Each term of h is below
     1 / lambda_i, so sum_i p / (h lambda_i) > p and the ceilings (or a load
     capped at p) cover p.  Returns an HcmmSolution; the loads are in
     .loads.
     """
+    alpha = np.asarray(alpha, dtype=float).tolist()
+    beta = np.asarray(beta, dtype=float).tolist()
     lam = [solve_hcmm_lambda(a, b) for a, b in zip(alpha, beta)]
     h = sum(b / (1.0 + b * l) for b, l in zip(beta, lam))
     loads = [min(int(math.ceil(p / (h * l))), int(p)) for l in lam]

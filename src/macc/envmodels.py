@@ -22,9 +22,10 @@ Every function works on plain numbers and on numpy arrays; the world is
 held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
 link_gain once per task, channel_capacity and comp_time on whole arrays
-of batches, StragglerPlan.time_factors on the loaded workers, and
-advance once per task to move all nodes.  The agents' state and the
-shared reward are built in simcore, next to the engine.
+of batches, and advance once per task to move all nodes; simcore reads
+StragglerPlan.time_factors of all workers once per plan and worker
+count.  The agents' state and the shared reward are built in simcore,
+next to the engine.
 """
 
 import math

@@ -160,14 +160,25 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform with-replacement sampling."""
 
     def __init__(self, capacity, n_workers, sdim):
+        """Allocate the ring; a capacity whose arrays cannot be allocated is a ConfigError.
+
+        It names train.replay_capacity and the bytes the arrays ask for.
+        """
         self.capacity = int(capacity)
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.states = np.zeros((self.capacity, n_workers, sdim))
-        self.actions = np.zeros((self.capacity, n_workers))
-        self.rewards = np.zeros(self.capacity)
-        self.next_states = np.zeros((self.capacity, n_workers, sdim))
-        self.dones = np.zeros(self.capacity)
+        try:
+            self.states = np.zeros((self.capacity, n_workers, sdim))
+            self.actions = np.zeros((self.capacity, n_workers))
+            self.rewards = np.zeros(self.capacity)
+            self.next_states = np.zeros((self.capacity, n_workers, sdim))
+            self.dones = np.zeros(self.capacity)
+        except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
+            wanted = self.capacity * (2 * n_workers * sdim + n_workers + 2) * 8
+            raise ConfigError(
+                f"train.replay_capacity: a buffer of {self.capacity} transitions needs "
+                f"{wanted} bytes, which cannot be allocated"
+            ) from None
         self.size = 0
         self.cursor = 0
 

@@ -126,9 +126,14 @@ def _token_to_u64(token):
 
 
 def _fold(stream, tokens):
-    """The stream id of substream(*tokens): each token folded in, left to right."""
+    """The stream id of substream(*tokens): each token folded in, left to right.
+
+    A plain int token (a worker or task index) is masked here, without
+    _token_to_u64's type dispatch; any other token goes through it.
+    """
     for token in tokens:
-        stream = _splitmix64(stream ^ _token_to_u64(token))
+        stream = _splitmix64(stream ^ (token & _MASK64 if type(token) is int
+                                       else _token_to_u64(token)))
     return stream
 
 

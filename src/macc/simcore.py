@@ -36,7 +36,8 @@ arrays, with r and rv of shape (2, A) (_one_batch): its sizes are the
 loads, and a batch's link is free as soon as it is computed, so the first
 evaluation of the link gives the arrivals.  On these few-element arrays
 the fixed cost per call dominates.  Both paths call the same draw, link,
-compute and sort helpers, and read the world's own arrays, with no
+compute and sort helpers, and read the world's own arrays, a cached
+worker index and the straggler factors cached per plan and N, with no
 gather, when every worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
@@ -48,8 +49,8 @@ moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
 builds the joint state (build_state) when the allocator reads it, asks the
-allocator for loads, rounds and clamps them to integers, runs the task and
-scores it (reward).
+allocator for loads, rounds and clamps them to integers (once per distinct
+allocator output), runs the task and scores it (reward).
 """
 
 import functools
@@ -264,20 +265,44 @@ def _fixed_point(cpu, tau, settled, bits, valid, gain, r, rv, cfg):
         settled = _scan(cpu, tau)[1]
 
 
-def _loaded(world, active):
-    """The loaded workers' index, geometry and compute profile, flat per worker.
+@functools.lru_cache(maxsize=16)
+def _all_workers(n):
+    """The read-only index 0..n-1 of the workers."""
+    index = np.arange(n)
+    index.setflags(write=False)
+    return index
 
-    Returns (act, r, rv, alpha, beta): r and rv, shape (2, A), are the
-    positions and velocities relative to the master with x and y stacked.
-    When every worker is loaded they come from the world's own arrays,
-    with no gather.
+
+@functools.lru_cache(maxsize=16)
+def _time_factors(straggler, n):
+    """The read-only time factor of each of n workers under a StragglerPlan, shape (n,).
+
+    A plan and N are fixed for a whole episode, so each task reads this
+    vector instead of evaluating the plan again.
     """
-    if len(active) == world.n_workers:
-        return (np.arange(len(active)), (world.pos[1:] - world.pos[0]).T,
-                (world.vel[1:] - world.vel[0]).T, world.alpha, world.beta)
+    factors = straggler.time_factors(_all_workers(n))
+    factors.setflags(write=False)
+    return factors
+
+
+def _loaded(world, active, straggler):
+    """The loaded workers' index, geometry, compute profile and time factors, flat per worker.
+
+    Returns (act, r, rv, alpha, beta, factors): r and rv, shape (2, A),
+    are the positions and velocities relative to the master with x and y
+    stacked, and factors the straggler's time factors (_time_factors).
+    When every worker is loaded they are the world's own arrays, the
+    cached index and the cached factors, with no gather; otherwise each
+    is gathered once.  All are read, never written.
+    """
+    n = world.n_workers
+    factors = _time_factors(straggler, n)
+    if len(active) == n:
+        return (_all_workers(n), (world.pos[1:] - world.pos[0]).T,
+                (world.vel[1:] - world.vel[0]).T, world.alpha, world.beta, factors)
     act = np.array(active)
     return (act, (world.pos[act + 1] - world.pos[0]).T, (world.vel[act + 1] - world.vel[0]).T,
-            world.alpha[act], world.beta[act])
+            world.alpha[act], world.beta[act], factors[act])
 
 
 def _draw_noise(workers, active, omega, us, cfg, counts=None):
@@ -322,11 +347,11 @@ def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
     us = np.empty((len(active), 1))
     _draw_noise(workers, active, omega, us, cfg)
     gain = link_gain(omega, cfg)
-    act, r, rv, alpha, beta = _loaded(world, active)
+    act, r, rv, alpha, beta, factors = _loaded(world, active, straggler)
     sizes = np.array(loads)
     if len(act) < len(loads):
         sizes = sizes[act]
-    arrival = comp_time(sizes, us[:, 0], alpha, beta, straggler.time_factors(act))
+    arrival = comp_time(sizes, us[:, 0], alpha, beta, factors)
     arrival += _broadcast_time(m, r, gain[:, 0], cfg)
     arrival += _send_time(sizes * cfg.bits_per_element, _dist2(r, rv, arrival), gain[:, 1], cfg)
     order, received, n_kept = _reach(arrival, sizes, p)
@@ -350,13 +375,12 @@ def _batched(world, loads, active, batch_size, p, m, feasible, straggler, worker
     omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
     us = np.zeros((len(active), width))
     _draw_noise(workers, active, omega, us, cfg, counts)
-    act, r, rv, alpha, beta = _loaded(world, active)
+    act, r, rv, alpha, beta, factors = _loaded(world, active, straggler)
     r, rv = r[:, :, None], rv[:, :, None]
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
-    cpu = comp_time(sizes, us, alpha[:, None], beta[:, None],
-                    straggler.time_factors(act)[:, None]).cumsum(axis=1)
+    cpu = comp_time(sizes, us, alpha[:, None], beta[:, None], factors[:, None]).cumsum(axis=1)
     cpu += _broadcast_time(m, r, gain[:, :1], cfg)
 
     # pass 1, over the full width
@@ -558,7 +582,12 @@ def run_episode(
     states=None instead, no state is built, and the record's states is ();
     any other allocator reads states.  Each load is rounded to the nearest
     integer; out-of-range loads are clamped to [0, p] and flagged, and a
-    non-finite one raises NonFiniteLoadError.  batch_size is the scenario's
+    non-finite one raises NonFiniteLoadError.  These steps run once per
+    distinct allocator output: a task whose allocator returns the very
+    tuple it returned for the task before (a baseline returns one tuple
+    per episode) reuses that task's loads and clamped flag, while any
+    other output, a list or array included, is read anew, since it may
+    have changed in place.  batch_size is the scenario's
     unless overridden here (None = single batch per worker).  Same
     (scenario, allocator, rng) reproduces the record bit for bit.
     """
@@ -578,18 +607,22 @@ def run_episode(
     tasks, states_all, rewards = [], [], []
     reads_states = getattr(allocator, "reads_states", True)
     states = None
+    seen = None  # the last tuple the allocator returned, whose loads and clamped are reused
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
         if reads_states:
             states = build_state(world)
             states_all.append(states)
-        raw = list(allocator(world, states))
-        if not all(map(math.isfinite, raw)):
-            raise NonFiniteLoadError(j, raw)
-        loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
-        clamped = not all(0 <= l <= p for l in loads)
-        if clamped:
-            loads = tuple(min(max(l, 0), p) for l in loads)
+        out = allocator(world, states)
+        if out is not seen:
+            raw = list(out)
+            if not all(map(math.isfinite, raw)):
+                raise NonFiniteLoadError(j, raw)
+            loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
+            clamped = not all(0 <= l <= p for l in loads)
+            if clamped:
+                loads = tuple(min(max(l, 0), p) for l in loads)
+            seen = out if type(out) is tuple else None  # a list or array may change in place
 
         try:
             rec, world = run_task(

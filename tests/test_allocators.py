@@ -119,6 +119,19 @@ class TestHcmmAlloc:
         sol = hcmm_alloc(500, [1e-4], [1e4])
         assert sol.loads == (500,)
 
+    def test_arrays_and_lists_give_equal_solutions_on_random_profiles(self):
+        gen = np.random.default_rng(20)
+        for _ in range(50):
+            n = int(gen.integers(1, 7))
+            beta = gen.uniform(1e3, 1e5, n)
+            alpha = 1.0 / beta if gen.random() < 0.5 else gen.uniform(1e-6, 1e-3, n)
+            p = int(gen.integers(1, 20000))
+            arrays = hcmm_alloc(p, alpha, beta)
+            lists = hcmm_alloc(p, alpha.tolist(), beta.tolist())
+            assert arrays.lam == lists.lam and arrays.h == lists.h
+            assert arrays.loads == lists.loads
+            assert all(type(v) is float for v in (*arrays.lam, arrays.h))
+
     def test_arrays_and_sequences_agree(self):
         alpha, beta = [1e-4, 5e-5, 2.5e-5], [1e4, 2e4, 4e4]
         arrays = np.array(alpha), np.array(beta)

@@ -91,6 +91,17 @@ class TestTrainCommand:
         assert "train.replay_capacity (3) is below train.minibatch (4)" in err
         assert not (out / "checkpoint.bin").exists()
 
+    def test_unallocatable_replay_buffer_is_a_config_error(self, tmp_path, capsys):
+        # 3.98 PiB of states: past any 64-bit address space, so refused without touching memory
+        path = tmp_path / "huge.ini"
+        path.write_text("[scenario]\npreset = desk\n[train]\nreplay_capacity = 10000000000000\n")
+        out = tmp_path / "results"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.replay_capacity: a buffer of 10000000000000 "
+                              "transitions needs 9440000000000000 bytes")
+        assert not (out / "checkpoint.bin").exists()
+
 
 class TestEvaluateCommand:
     def test_baseline_outputs(self, ini, tmp_path, capsys):

@@ -442,6 +442,34 @@ class TestSameBitsAsBefore:
         assert factors.dtype == np.float64 and factors.shape == (3, 1)
         assert factors.ravel().tolist() == [plan.time_factor(i) for i in active]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cached_factors_equal_time_factor_for_each_victim(self, enabled):
+        n = 5
+        world, _ = sample_world(ScenarioConfig(n_workers=n), RngStream(2).substream("env"))
+        for victim in range(n):
+            plan = StragglerPlan(enabled=enabled, victim=victim, slowdown_factor=7.5)
+            factors = simcore._time_factors(plan, n)
+            want = np.array([plan.time_factor(i) for i in range(n)])
+            assert factors.tobytes() == want.tobytes()
+            assert not factors.flags.writeable
+            for active in (list(range(n)), [0, 2, 4], [victim]):  # all loaded, then gathers
+                got = simcore._loaded(world, active, plan)[-1]
+                assert got.tobytes() == want[active].tobytes()
+
+    def test_two_plans_in_turn_keep_their_own_factors(self):
+        world, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(8).substream("env"))
+        plans = [StragglerPlan(enabled=True, victim=v) for v in (1, 3)]
+        for batch_size in (None, 7):
+            first = [run_both(world, [40, 30, 0, 50], 100, 20, batch_size, plan, CommConfig(), 4)
+                     for plan in plans]
+            for plan, (got, want) in zip(plans * 2, first * 2):
+                again, oracle = run_both(world, [40, 30, 0, 50], 100, 20, batch_size, plan,
+                                         CommConfig(), 4)
+                assert again == got
+                assert_matches_oracle(again, oracle)
+                assert_matches_oracle(got, want)
+            assert first[0][0].t_complete != first[1][0].t_complete
+
 
 # ---------------------------------------------------------------- properties
 

@@ -276,6 +276,12 @@ class TestReplayBuffer:
         b = buf.sample(8, RngStream(8))["rewards"]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("capacity", [10**13, 2**62])  # refused by the allocator, by numpy
+    def test_unallocatable_capacity_names_the_key_and_bytes(self, capacity):
+        wanted = capacity * (2 * 4 * 14 + 4 + 2) * 8
+        with pytest.raises(ConfigError, match=rf"train\.replay_capacity: .* needs {wanted} bytes"):
+            ReplayBuffer(capacity, 4, 14)
+
     def test_empty_buffer_raises(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4, 1, 2).sample(1, RngStream(0))

@@ -4,6 +4,9 @@ import pytest
 from macc.numerics import (
     RngStream,
     SingularSystemError,
+    _fold,
+    _splitmix64,
+    _token_to_u64,
     least_squares_solve,
     mat_vec,
 )
@@ -135,6 +138,18 @@ PINNED_DRAWS = {
 }
 
 
+# _fold(FOLD_BASE, (token,)) for int tokens, as _token_to_u64's generic dispatch gives them
+FOLD_BASE = 0x0123456789ABCDEF
+PINNED_FOLDS = [
+    (0, 1547611027431991965),
+    (7, 1769853632930943217),
+    (-1, 8856491076634013318),
+    (2**64 - 1, 8856491076634013318),
+    (2**64 + 5, 5051360082704189550),
+    (np.int64(3), 11190355524982671354),
+]
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         a = RngStream(42, 7).gen.random(16)
@@ -237,6 +252,18 @@ class TestRngStream:
         # a bool is an int subclass, but would make True and 1 the same token
         with pytest.raises(TypeError, match="substream tokens must be int or str"):
             RngStream(0).substream("task", token)
+
+    @pytest.mark.parametrize("token, stream", PINNED_FOLDS)
+    def test_int_token_fold_pinned(self, token, stream):
+        # a plain int skips _token_to_u64 inside _fold, with the same id
+        assert _fold(FOLD_BASE, (token,)) == stream
+        assert _splitmix64(FOLD_BASE ^ _token_to_u64(token)) == stream
+        assert RngStream(0, FOLD_BASE).substream(token).stream == stream
+
+    @pytest.mark.parametrize("token", [True, np.True_])
+    def test_fold_rejects_bool_tokens(self, token):
+        with pytest.raises(TypeError, match="substream tokens must be int or str"):
+            _fold(FOLD_BASE, (token,))
 
     def test_substream_requires_tokens(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -480,6 +481,47 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match=r"task 1: .*non-finite.*\[4\.0, nan\]") as err:
             run_episode(TINY, allocator, RngStream(4))
         assert (err.value.task, err.value.worker) == (1, 1)
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_one_output_changed_in_place_is_read_on_every_task(self, container):
+        scenario = replace(TINY, k_tasks=4)
+        plans = [(5.0, 4), (8, 8), (9, -1), (2.6, 6)]  # a float array when held as one
+        out = container(plans[0])
+        seen = []
+
+        def allocator(world, states):
+            out[:] = plans[len(seen)]
+            seen.append(world.clock)
+            return out
+
+        ep = run_episode(scenario, allocator, RngStream(4))
+        assert [t.loads for t in ep.tasks] == [(5, 4), (8, 8), (8, 0), (3, 6)]
+        assert [t.clamped for t in ep.tasks] == [False, False, True, False]
+
+    @pytest.mark.parametrize("scheme, allocator", [
+        ("uniform", None), ("load-balanced", None), ("hcmm", None),
+        ("clamped", lambda w, s: (9, -1)),
+    ])
+    def test_fresh_equal_tuples_give_the_records_of_one_shared_tuple(self, scheme, allocator):
+        scenario = TINY if allocator else replace(preset_scenario("desk"), k_tasks=6)
+        shared = allocator or experiments.make_allocator(scheme, scenario)
+        inner = allocator or experiments.make_allocator(scheme, scenario)
+
+        def fresh(world, states):
+            return tuple(list(inner(world, states)))  # equal, but a new tuple each task
+
+        fresh.reads_states = shared.reads_states = False
+        a = run_episode(scenario, shared, RngStream(11), straggler_enabled=True)
+        b = run_episode(scenario, fresh, RngStream(11), straggler_enabled=True)
+        assert all(t.loads is a.tasks[0].loads for t in a.tasks)  # read once, then reused
+        assert len({id(t.loads) for t in b.tasks}) == len(b.tasks)
+        for x, y in zip(a.tasks, b.tasks, strict=True):
+            assert (x.loads, x.clamped, x.feasible) == (y.loads, y.clamped, y.feasible)
+            assert x.receipt_log == y.receipt_log
+            assert (x.t_complete, x.rows_received_at_completion) == (
+                y.t_complete, y.rows_received_at_completion)
+        assert a.rewards == b.rewards
+        assert a.total_time == b.total_time
 
     def test_states_built_once_per_task_for_marl(self, monkeypatch):
         calls = []
