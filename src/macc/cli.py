@@ -74,11 +74,14 @@ def build_parser():
     return parser
 
 
-def _setup(args, schemes=()):
-    """Check the seed, load the config and any marl checkpoint, then create --out.
+def _setup(args, schemes=(), train=False):
+    """Check the seed and load the config, then what the command runs with:
+    the agents of any marl checkpoint or, with train, an empty replay buffer
+    of train.replay_capacity.  Only then create --out.
 
-    Each command checks its own arguments first, so a bad one leaves no
-    output directory behind.
+    Each command checks its own arguments first, and a capacity too large
+    to allocate is refused here, so a bad one leaves no output directory
+    behind.  Returns (scenario, train_cfg, seed, agents or buffer or None).
     """
     if args.seed is not None:
         check_seed("--seed", args.seed)
@@ -86,13 +89,16 @@ def _setup(args, schemes=()):
         raise ConfigError("the marl scheme requires --checkpoint")
     scenario, train_cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else scenario.seed
-    agents = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
+    loaded = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
+    if train:
+        n = scenario.n_workers
+        loaded = marl.ReplayBuffer(train_cfg.replay_capacity, n, marl.state_dim(n))
     os.makedirs(args.out, exist_ok=True)
-    return scenario, train_cfg, seed, agents
+    return scenario, train_cfg, seed, loaded
 
 
 def cmd_train(args):
-    scenario, train_cfg, seed, _ = _setup(args)
+    scenario, train_cfg, seed, buffer = _setup(args, train=True)
     digest = experiments.run_digest(scenario, train_cfg)
     progress = None
     if args.progress:
@@ -102,7 +108,8 @@ def cmd_train(args):
             print(f"iteration {it + 1}/{train_cfg.max_iterations}: mean reward {mean_reward:.4f}, "
                   f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
 
-    agents, curve = marl.train(scenario, train_cfg, RngStream(seed), progress=progress)
+    agents, curve = marl.train(scenario, train_cfg, RngStream(seed), progress=progress,
+                               buffer=buffer)
     ckpt = os.path.join(args.out, "checkpoint.bin")
     curve_path = os.path.join(args.out, "learning_curve.csv")
     marl.save_checkpoint(ckpt, agents, scenario)

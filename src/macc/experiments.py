@@ -90,21 +90,15 @@ def make_allocator(scheme, scenario, agents=None):
 def _per_profiles(loads_of):
     """Allocator whose loads depend only on the workers' compute profiles.
 
-    run_task carries the world's alpha and beta arrays over unchanged, so
-    they are the same objects for a whole episode; loads_of(alpha, beta)
-    runs again only when they are replaced: once per episode instead of
-    once per task.  The allocator is marked reads_states = False, so
-    run_episode passes states=None and records no states.
+    The profiles are fixed for an episode, so the allocator is marked
+    per_episode = True: run_episode calls it once per episode, with
+    states=None, and reuses its loads for every task.
     """
-    seen, loads = (None, None), None
 
     def allocator(world, states):
-        nonlocal seen, loads
-        if seen[0] is not world.alpha or seen[1] is not world.beta:
-            seen, loads = (world.alpha, world.beta), loads_of(world.alpha, world.beta)
-        return loads
+        return loads_of(world.alpha, world.beta)
 
-    allocator.reads_states = False
+    allocator.per_episode = True
     return allocator
 
 

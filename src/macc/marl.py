@@ -231,7 +231,7 @@ def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
     return allocate
 
 
-def train(scenario, cfg, rng, progress=None):
+def train(scenario, cfg, rng, progress=None, buffer=None):
     """MADDPG training loop; returns (agents, learning curve).
 
     Per iteration: collect episodes with the current actors plus
@@ -250,6 +250,8 @@ def train(scenario, cfg, rng, progress=None):
     critic reliably walks into it and saturates there; releasing the actor
     only after the critics have seen both sides of the cliff avoids that
     trap.
+
+    buffer is the empty ReplayBuffer to fill; None builds one of cfg.replay_capacity.
     """
     n = scenario.n_workers
     sdim = state_dim(n)
@@ -257,7 +259,7 @@ def train(scenario, cfg, rng, progress=None):
     agents = make_agents(
         n, rng.substream("init"), lr=cfg.learning_rate, optimizer=cfg.optimizer
     )
-    buffer = ReplayBuffer(cfg.replay_capacity, n, sdim)
+    buffer = ReplayBuffer(cfg.replay_capacity, n, sdim) if buffer is None else buffer
     curve = []
     episode_counter = 0
 

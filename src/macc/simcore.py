@@ -48,9 +48,9 @@ since task j+1 is dispatched only once task j completed, and run_task
 moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
-builds the joint state (build_state) when the allocator reads it, asks the
-allocator for loads, rounds and clamps them to integers (once per distinct
-allocator output), runs the task and scores it (reward).
+builds the joint state (build_state), asks the allocator for loads, rounds
+and clamps them to integers, runs the task and scores it (reward).  A
+baseline, marked per_episode, is asked once per episode, with no state.
 """
 
 import functools
@@ -577,19 +577,18 @@ def run_episode(
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
-    where states is build_state(world).  An allocator whose attribute
-    reads_states is False (the baselines of experiments.make_allocator) gets
-    states=None instead, no state is built, and the record's states is ();
-    any other allocator reads states.  Each load is rounded to the nearest
-    integer; out-of-range loads are clamped to [0, p] and flagged, and a
-    non-finite one raises NonFiniteLoadError.  These steps run once per
-    distinct allocator output: a task whose allocator returns the very
-    tuple it returned for the task before (a baseline returns one tuple
-    per episode) reuses that task's loads and clamped flag, while any
-    other output, a list or array included, is read anew, since it may
-    have changed in place.  batch_size is the scenario's
-    unless overridden here (None = single batch per worker).  Same
-    (scenario, allocator, rng) reproduces the record bit for bit.
+    where states is build_state(world).  Its loads are rounded to the
+    nearest integers; out-of-range loads are clamped to [0, p] and flagged,
+    and a non-finite one raises NonFiniteLoadError.  An allocator whose
+    attribute per_episode is True (the baselines of
+    experiments.make_allocator) promises loads that depend only on the
+    workers' compute profiles, which are fixed for the episode: it is
+    called once, at task 0, with states=None, its loads serve all K tasks,
+    no state is built, and the record's states is ().  Any other allocator
+    is called, gets states and has its loads read anew on every task.
+    batch_size is the scenario's unless overridden here (None = single
+    batch per worker).  Same (scenario, allocator, rng) reproduces the
+    record bit for bit.
     """
     if straggler_enabled is None:
         straggler_enabled = scenario.straggler_enabled
@@ -605,24 +604,21 @@ def run_episode(
     )
 
     tasks, states_all, rewards = [], [], []
-    reads_states = getattr(allocator, "reads_states", True)
+    per_episode = getattr(allocator, "per_episode", False)
     states = None
-    seen = None  # the last tuple the allocator returned, whose loads and clamped are reused
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
-        if reads_states:
+        if not per_episode:
             states = build_state(world)
             states_all.append(states)
-        out = allocator(world, states)
-        if out is not seen:
-            raw = list(out)
+        if j == 0 or not per_episode:
+            raw = list(allocator(world, states))
             if not all(map(math.isfinite, raw)):
                 raise NonFiniteLoadError(j, raw)
             loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
             clamped = not all(0 <= l <= p for l in loads)
             if clamped:
                 loads = tuple(min(max(l, 0), p) for l in loads)
-            seen = out if type(out) is tuple else None  # a list or array may change in place
 
         try:
             rec, world = run_task(

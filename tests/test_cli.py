@@ -100,7 +100,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: train.replay_capacity: a buffer of 10000000000000 "
                               "transitions needs 9440000000000000 bytes")
-        assert not (out / "checkpoint.bin").exists()
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

@@ -364,6 +364,15 @@ class TestTrain:
         for f, t in zip(fresh[0].actor.params(), trained[0].actor.params()):
             np.testing.assert_array_equal(f, t)
 
+    def test_given_buffer_is_filled_and_trains_as_a_built_one(self):
+        buffer = marl.ReplayBuffer(SHORT_TRAIN.replay_capacity, 2, state_dim(2))
+        given, c1 = train(TINY, SHORT_TRAIN, RngStream(13), buffer=buffer)
+        built, c2 = train(TINY, SHORT_TRAIN, RngStream(13))
+        assert buffer.size == 3 * 2 * TINY.k_tasks  # iterations x episodes x tasks
+        assert c1 == c2
+        for a, b in zip(given, built):
+            np.testing.assert_array_equal(a.actor.flat, b.actor.flat)
+
     def test_progress_callback(self):
         seen = []
         train(TINY, SHORT_TRAIN, RngStream(15),

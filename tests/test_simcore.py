@@ -506,11 +506,11 @@ class TestRunEpisode:
         scenario = TINY if allocator else replace(preset_scenario("desk"), k_tasks=6)
         shared = allocator or experiments.make_allocator(scheme, scenario)
         inner = allocator or experiments.make_allocator(scheme, scenario)
+        shared.per_episode = True  # as make_allocator marks its baselines
 
         def fresh(world, states):
             return tuple(list(inner(world, states)))  # equal, but a new tuple each task
 
-        fresh.reads_states = shared.reads_states = False
         a = run_episode(scenario, shared, RngStream(11), straggler_enabled=True)
         b = run_episode(scenario, fresh, RngStream(11), straggler_enabled=True)
         assert all(t.loads is a.tasks[0].loads for t in a.tasks)  # read once, then reused
@@ -522,6 +522,40 @@ class TestRunEpisode:
                 y.t_complete, y.rows_received_at_completion)
         assert a.rewards == b.rewards
         assert a.total_time == b.total_time
+        if allocator:
+            assert all(t.clamped for t in a.tasks)  # the flag rides with the reused loads
+
+    @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])
+    def test_per_episode_allocator_is_called_once_per_episode(self, scheme):
+        scenario = preset_scenario("desk")
+        inner = experiments.make_allocator(scheme, scenario)
+        worlds = []
+
+        def counted(world, states):
+            assert states is None
+            worlds.append(world)
+            return inner(world, states)
+
+        counted.per_episode = True
+        ep = run_episode(scenario, counted, RngStream(11), straggler_enabled=True)
+        assert [w.clock for w in worlds] == [0.0]  # once, on task 0's world
+        assert len(ep.tasks) == scenario.k_tasks
+        assert all(t.loads is ep.tasks[0].loads for t in ep.tasks)
+        assert ep.tasks[0].loads == tuple(inner(worlds[0], None))
+
+    def test_same_tuple_from_a_state_reading_allocator_is_asked_every_task(self):
+        scenario = replace(TINY, k_tasks=4)
+        out = (5, 4)
+        calls = []
+
+        def counted(world, states):
+            calls.append(states.shape)
+            return out  # the very same tuple object each task
+
+        ep = run_episode(scenario, counted, RngStream(4))
+        assert calls == [(2, 3 * 2 + 2)] * scenario.k_tasks
+        assert len(ep.states) == scenario.k_tasks
+        assert [t.loads for t in ep.tasks] == [(5, 4)] * scenario.k_tasks
 
     def test_states_built_once_per_task_for_marl(self, monkeypatch):
         calls = []
@@ -545,7 +579,7 @@ class TestRunEpisode:
     def test_baselines_build_no_states_and_run_as_a_plain_callable(self, scheme, batch_size):
         scenario = preset_scenario("desk")
         blind = experiments.make_allocator(scheme, scenario)
-        assert blind.reads_states is False
+        assert blind.per_episode is True
         ep = run_episode(scenario, blind, RngStream(11), straggler_enabled=True,
                          batch_size=batch_size)
         assert ep.states == ()
@@ -561,7 +595,7 @@ class TestRunEpisode:
         scenario = preset_scenario("desk")
         agents = marl.make_agents(scenario.n_workers, RngStream(9), hidden=(4,))
         policy = marl.policy_allocator(agents, scenario)
-        assert not hasattr(policy, "reads_states")
+        assert not hasattr(policy, "per_episode")
         ep = run_episode(scenario, policy, RngStream(11))
         worlds = []
         inner = marl.policy_allocator(agents, scenario)
