@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import experiments, marl
 from .config import ConfigError, check_seed, load_config
@@ -39,10 +40,12 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed; recorded as the outputs' seed=")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--straggler", type=_straggler_flag, default=None,
-                       help="force straggler injection on or off")
+                       help="override [straggler] enabled with on or off; like the INI key, "
+                            "it enters the outputs' config= digest")
 
     p_train = sub.add_parser("train", help="train the MARL allocator")
     add_common(p_train)
@@ -75,9 +78,10 @@ def build_parser():
 
 
 def _setup(args, schemes=(), train=False):
-    """Check the seed and load the config, then what the command runs with:
-    the agents of any marl checkpoint or, with train, an empty replay buffer
-    of train.replay_capacity.  Only then create --out.
+    """Check the seed and load the config, with --straggler written into the
+    scenario, then what the command runs with: the agents of any marl
+    checkpoint or, with train, an empty replay buffer of
+    train.replay_capacity.  Only then create --out.
 
     Each command checks its own arguments first, and a capacity too large
     to allocate is refused here, so a bad one leaves no output directory
@@ -88,6 +92,8 @@ def _setup(args, schemes=(), train=False):
     if "marl" in schemes and args.checkpoint is None:
         raise ConfigError("the marl scheme requires --checkpoint")
     scenario, train_cfg = load_config(args.config)
+    if args.straggler is not None:  # before anything runs or is hashed into the digest
+        scenario = replace(scenario, straggler_enabled=args.straggler)
     seed = args.seed if args.seed is not None else scenario.seed
     loaded = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
     if train:
@@ -123,10 +129,7 @@ def cmd_evaluate(args):
     experiments.check_episodes(args.episodes)
     scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
-    records = experiments.evaluate_scheme(
-        scenario, args.scheme, args.episodes, seed,
-        agents=agents, straggler=args.straggler,
-    )
+    records = experiments.evaluate_scheme(scenario, args.scheme, args.episodes, seed, agents=agents)
     metrics = os.path.join(args.out, "metrics.csv")
     summary = os.path.join(args.out, "summary.csv")
     jsonl = os.path.join(args.out, "episodes.jsonl")
@@ -144,10 +147,7 @@ def cmd_compare(args):
     experiments.check_episodes(args.episodes)
     scenario, _, seed, agents = _setup(args, schemes)
     digest = experiments.run_digest(scenario)
-    results = experiments.compare_schemes(
-        scenario, schemes, args.episodes, seed,
-        agents=agents, straggler=args.straggler,
-    )
+    results = experiments.compare_schemes(scenario, schemes, args.episodes, seed, agents=agents)
     comparison = os.path.join(args.out, "comparison.csv")
     plotdata = os.path.join(args.out, "plotdata.csv")
     experiments.write_comparison_csv(comparison, scenario, seed, results, digest)
@@ -171,8 +171,7 @@ def cmd_sweep_batch(args):
     scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
     sweep = experiments.sweep_batch(
-        scenario, args.scheme, batch_sizes, args.episodes, seed,
-        agents=agents, straggler=args.straggler,
+        scenario, args.scheme, batch_sizes, args.episodes, seed, agents=agents
     )
     path = os.path.join(args.out, "sweep.csv")
     experiments.write_sweep_csv(path, scenario, args.scheme, seed, sweep, digest)

@@ -77,7 +77,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     tau: float = 0.99
     penalty: float = 200.0
-    penalty_boundary: str = "lt"
     minibatch: int = 256
     replay_capacity: int = 100_000
     episodes_per_iteration: int = 10
@@ -98,10 +97,6 @@ class TrainConfig:
             raise ConfigError(f"train.tau: must be in (0, 1), got {self.tau}")
         if self.penalty < 0:
             raise ConfigError(f"train.penalty: must be >= 0, got {self.penalty}")
-        if self.penalty_boundary not in ("lt", "le"):
-            raise ConfigError(
-                f"train.penalty_boundary: must be 'lt' or 'le', got '{self.penalty_boundary}'"
-            )
         if self.learning_rate <= 0:
             raise ConfigError(f"train.learning_rate: must be positive, got {self.learning_rate}")
         if self.minibatch < 1 or self.replay_capacity < 1:

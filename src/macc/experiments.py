@@ -16,6 +16,7 @@ byte-identical.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -111,24 +112,20 @@ def evaluate_scheme(
     scenario, scheme, episodes, seed,
     agents=None, straggler=None, batch_size="default",
 ):
-    """Run paired-seed episodes under one scheme; returns EpisodeRecords."""
+    """Run paired-seed episodes under one scheme; returns EpisodeRecords.
+
+    straggler, when not None, is written into the scenario's
+    straggler_enabled before any episode runs.
+    """
     check_episodes(episodes)
+    if straggler is not None:
+        scenario = replace(scenario, straggler_enabled=straggler)
     if batch_size == "default":
         batch_size = default_batch_size(scheme, scenario)
     allocator = make_allocator(scheme, scenario, agents=agents)
     root = RngStream(seed)
-    records = []
-    for e in range(episodes):
-        records.append(
-            run_episode(
-                scenario,
-                allocator,
-                root.substream("episode", e),
-                straggler_enabled=straggler,
-                batch_size=batch_size,
-            )
-        )
-    return records
+    return [run_episode(scenario, allocator, root.substream("episode", e), batch_size=batch_size)
+            for e in range(episodes)]
 
 
 def total_times(records):

@@ -51,6 +51,9 @@ An episode is the MDP the allocators act in: before each task run_episode
 builds the joint state (build_state), asks the allocator for loads, rounds
 and clamps them to integers, runs the task and scores it (reward).  A
 baseline, marked per_episode, is asked once per episode, with no state.
+The scenario is the episode's one source of settings: its
+straggler_enabled decides whether the victim is slowed, and reward reads
+the feasibility that run_task decided.
 """
 
 import functools
@@ -359,21 +362,30 @@ def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
     return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
 
 
-def _batched(world, loads, active, batch_size, p, m, feasible, straggler, workers, cfg):
+def _batched(world, loads, active, batch_size, p, m, feasible, straggler, workers, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
-    batches sit in a padded (A, W) layout, and r, rv are (2, A, 1).
+    batches sit in a padded (A, W) layout, and r, rv are (2, A, 1).  A
+    layout that cannot be allocated is a ValueError naming task index,
+    its shape and the settings it grows with, p and the batch size.
     """
     plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
     counts = [plan.count for plan in plans]
     width = max(counts)
-    sizes = np.zeros((len(active), width), dtype=np.int64)
+    try:
+        sizes = np.zeros((len(active), width), dtype=np.int64)
+        omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
+        us = np.zeros((len(active), width))
+    except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
+        raise ValueError(
+            f"task {index}: a batch layout of shape {(len(active), width)} cannot be "
+            f"allocated; its width is the largest load over the batch size, from "
+            f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}"
+        ) from None
     for r, plan in enumerate(plans):
         sizes[r, : plan.count] = plan.batch_size
         sizes[r, plan.count - 1] = plan.last
-    omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
-    us = np.zeros((len(active), width))
     _draw_noise(workers, active, omega, us, cfg, counts)
     act, r, rv, alpha, beta, factors = _loaded(world, active, straggler)
     r, rv = r[:, :, None], rv[:, :, None]
@@ -482,7 +494,7 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
         receipt_log, rows = _one_batch(world, loads, active, p, m, straggler, workers, cfg)
     else:
         receipt_log, rows = _batched(world, loads, active, batch_size, p, m, feasible,
-                                     straggler, workers, cfg)
+                                     straggler, workers, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
@@ -550,30 +562,16 @@ def build_state(world):
     return states
 
 
-def reward(t_complete, loads, p, c=200.0, boundary="lt"):
-    """Shared reward -T_j - c when the allocation misses the decodability bar.
+def reward(rec, c=200.0):
+    """Shared reward -T_j, less c when the task's rows fall short of p.
 
-    boundary "lt" penalizes sum(l) < p (the constraint-consistent reading);
-    "le" penalizes sum(l) <= p (the literal formula).
+    run_task alone decides decodability: rec.feasible is sum(l) >= p, and
+    the all-zero record of run_episode is infeasible.
     """
-    if boundary == "lt":
-        short = sum(loads) < p
-    elif boundary == "le":
-        short = sum(loads) <= p
-    else:
-        raise ValueError(f"boundary must be 'lt' or 'le', got '{boundary}'")
-    return -float(t_complete) - (float(c) if short else 0.0)
+    return -rec.t_complete - (0.0 if rec.feasible else c)
 
 
-def run_episode(
-    scenario,
-    allocator,
-    rng,
-    straggler_enabled=None,
-    batch_size="scenario",
-    penalty=200.0,
-    penalty_boundary="lt",
-):
+def run_episode(scenario, allocator, rng, batch_size="scenario", penalty=200.0):
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
@@ -586,19 +584,18 @@ def run_episode(
     called once, at task 0, with states=None, its loads serve all K tasks,
     no state is built, and the record's states is ().  Any other allocator
     is called, gets states and has its loads read anew on every task.
-    batch_size is the scenario's unless overridden here (None = single
-    batch per worker).  Same (scenario, allocator, rng) reproduces the
-    record bit for bit.
+    The straggler is injected when scenario.straggler_enabled is set, and
+    each task is scored by reward(rec, penalty).  batch_size is the
+    scenario's unless overridden here (None = single batch per worker).
+    Same (scenario, allocator, rng) reproduces the record bit for bit.
     """
-    if straggler_enabled is None:
-        straggler_enabled = scenario.straggler_enabled
     if batch_size == "scenario":
         batch_size = scenario.batch_size
 
     p = scenario.p_rows
     world, victim = sample_world(scenario, rng.substream("env"))
     plan = StragglerPlan(
-        enabled=straggler_enabled,
+        enabled=scenario.straggler_enabled,
         victim=victim,
         slowdown_factor=scenario.straggler_slowdown,
     )
@@ -635,9 +632,8 @@ def run_episode(
                 feasible=False, loads=loads, clamped=clamped,
             )
 
-        r = reward(rec.t_complete, loads, p, c=penalty, boundary=penalty_boundary)
         tasks.append(rec)
-        rewards.append(r)
+        rewards.append(reward(rec, penalty))
 
     return EpisodeRecord(
         tasks=tuple(tasks),
@@ -646,7 +642,7 @@ def run_episode(
         total_time=float(sum(t.t_complete for t in tasks)),
         betas=tuple(world.beta),
         victim=victim,
-        straggler_enabled=straggler_enabled,
+        straggler_enabled=scenario.straggler_enabled,
     )
 
 

@@ -55,6 +55,33 @@ class TestParser:
             )
 
 
+class TestStragglerFlag:
+    """--straggler is written into the scenario, so it acts and is recorded like the INI key."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["evaluate", "--scheme", "uniform", "--episodes", "2"],
+        ["compare", "--episodes", "2"],
+        ["sweep-batch", "--scheme", "uniform", "--batch-sizes", "1,3", "--episodes", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_writes_the_bytes_of_the_ini_key(self, tmp_path, argv):
+        off_ini, on_ini = tmp_path / "off.ini", tmp_path / "on.ini"
+        off_ini.write_text(TINY_INI)
+        on_ini.write_text(TINY_INI + "\n[straggler]\nenabled = true\n")
+        flag, key, off = tmp_path / "flag", tmp_path / "key", tmp_path / "off"
+        assert main([*argv, "--config", str(off_ini), "--straggler", "on", "--out", str(flag)]) == 0
+        assert main([*argv, "--config", str(on_ini), "--out", str(key)]) == 0
+        assert main([*argv, "--config", str(off_ini), "--out", str(off)]) == 0
+        names = sorted(p.name for p in key.iterdir())
+        assert sorted(p.name for p in flag.iterdir()) == names
+        for name in names:
+            assert (flag / name).read_bytes() == (key / name).read_bytes(), name
+        # the straggler moves the numbers, not only the config= digest
+        bodies = [[(out / name).read_bytes().partition(b"\n")[2] for name in names]
+                  for out in (key, off)]
+        assert bodies[0] != bodies[1]
+
+
 class TestTrainCommand:
     def test_writes_checkpoint_and_curve(self, ini, tmp_path, capsys):
         out = tmp_path / "results"
@@ -101,6 +128,17 @@ class TestTrainCommand:
         assert err.startswith("error: train.replay_capacity: a buffer of 10000000000000 "
                               "transitions needs 9440000000000000 bytes")
         assert not out.exists()
+
+    def test_unallocatable_batch_layout_names_task_and_settings(self, tmp_path, capsys):
+        # p = 2^46 rows at b = 1 asks for a layout of PiB, refused without touching memory
+        path = tmp_path / "huge.ini"
+        path.write_text("[scenario]\npreset = desk\np_rows = 70368744177664\n"
+                        "[train]\nmax_iterations = 1\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: task 0: a batch layout of shape (4, ")
+        assert err.endswith("from scenario.p_rows = 70368744177664 and scenario.batch_size = 1\n")
+        assert "Traceback" not in err
 
 
 class TestEvaluateCommand:

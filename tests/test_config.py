@@ -114,6 +114,12 @@ class TestLoadConfig:
         assert train.minibatch == 32
         assert train.optimizer == "sgd"
 
+    def test_penalty_boundary_is_not_a_key(self, tmp_path):
+        # the penalty applies when run_task records a task infeasible, sum(l) < p
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, "[scenario]\npreset = desk\n[train]\npenalty_boundary = lt\n"))
+        assert str(err.value) == "train.penalty_boundary: unknown key"
+
     def test_bad_bool_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write(tmp_path, "[scenario]\npreset = desk\n[straggler]\nenabled = maybe\n"))
@@ -151,11 +157,6 @@ class TestValidation:
                                               r"train\.minibatch \(64\)"):
             TrainConfig(minibatch=64, replay_capacity=32)
         assert TrainConfig(minibatch=64, replay_capacity=64).replay_capacity == 64
-
-    def test_penalty_boundary_values(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(penalty_boundary="lte")
-        assert TrainConfig(penalty_boundary="le").penalty_boundary == "le"
 
     def test_scenario_range_order(self):
         with pytest.raises(ConfigError):

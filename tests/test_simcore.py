@@ -309,6 +309,19 @@ class TestRunTaskValidation:
         with pytest.raises(DegenerateTaskError):
             run_deterministic(world, [0, 0], p=10, m=5, batch_size=None)
 
+    @pytest.mark.parametrize("rows", [2**46, 2**62])
+    def test_unallocatable_batch_layout_names_its_settings(self, rows):
+        # 512 TiB is past any 47-bit user address space, so calloc refuses it without
+        # touching memory; 2^65 bytes is past numpy's index range, its ValueError
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
+        with pytest.raises(ValueError) as err:
+            run_task(world, (rows,), 1, rows, 5, NO_STRAG, RngStream(0), NOISELESS, index=3)
+        assert str(err.value) == (
+            f"task 3: a batch layout of shape (1, {rows}) cannot be allocated; its width is "
+            f"the largest load over the batch size, from scenario.p_rows = {rows} and "
+            "scenario.batch_size = 1"
+        )
+
     def test_zero_load_worker_draws_nothing(self):
         # worker 1 idle: its arrival pattern must not disturb worker 0
         w0 = ((1.0, 0.0), (0.0, 0.0), 1e-4, 1e4)
@@ -421,22 +434,35 @@ class TestStates:
 
 
 class TestReward:
+    """reward reads the feasibility run_task recorded, never the loads."""
+
+    WORLD = make_world([((1.0, 0.0), (0.0, 0.0), 1e-3, 1e4)] * 2)
+
     def test_feasible_is_negative_time(self):
-        assert reward(3.5, (4, 4), 8) == -3.5
+        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=None)
+        assert rec.feasible and rec.t_complete > 0
+        assert reward(rec) == -rec.t_complete
 
     def test_short_allocation_penalized(self):
-        assert reward(3.5, (4, 3), 8) == -203.5
+        rec, _ = run_deterministic(self.WORLD, (4, 3), p=8, m=5, batch_size=None)
+        assert not rec.feasible and rec.t_complete > 0
+        assert reward(rec) == -rec.t_complete - 200.0
 
     def test_boundary_lt_spares_exact_cover(self):
-        assert reward(1.0, (4, 4), 8, boundary="lt") == -1.0
-        assert reward(1.0, (4, 4), 8, boundary="le") == -201.0
+        rec, _ = run_deterministic(self.WORLD, (4, 4), p=8, m=5, batch_size=None)
+        assert rec.feasible
+        assert reward(rec) == -rec.t_complete
 
     def test_custom_penalty(self):
-        assert reward(1.0, (0, 0), 8, c=7.0) == -8.0
+        ep = run_episode(TINY, lambda w, s: (0, 0), RngStream(4), penalty=7.0)
+        zero = ep.tasks[0]
+        assert (zero.t_complete, zero.feasible) == (0.0, False)
+        assert reward(zero, c=7.0) == -7.0
+        assert ep.rewards == (-7.0, -7.0)
 
-    def test_bad_boundary(self):
-        with pytest.raises(ValueError):
-            reward(1.0, (4, 4), 8, boundary="leq")
+    def test_record_not_loads_decides(self):
+        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=None)
+        assert reward(replace(rec, feasible=False), c=3.0) == -rec.t_complete - 3.0
 
 
 class TestRunEpisode:
@@ -457,8 +483,8 @@ class TestRunEpisode:
         assert [t.dispatch_time for t in ep.tasks] == [0.0, ep.tasks[0].t_complete]
 
     def test_straggler_pairing_shares_environment(self):
-        off = run_episode(TINY, full_loads, RngStream(4), straggler_enabled=False)
-        on = run_episode(TINY, full_loads, RngStream(4), straggler_enabled=True)
+        off = run_episode(replace(TINY, straggler_enabled=False), full_loads, RngStream(4))
+        on = run_episode(replace(TINY, straggler_enabled=True), full_loads, RngStream(4))
         assert on.betas == off.betas
         assert on.victim == off.victim
         assert on.total_time > off.total_time
@@ -511,8 +537,9 @@ class TestRunEpisode:
         def fresh(world, states):
             return tuple(list(inner(world, states)))  # equal, but a new tuple each task
 
-        a = run_episode(scenario, shared, RngStream(11), straggler_enabled=True)
-        b = run_episode(scenario, fresh, RngStream(11), straggler_enabled=True)
+        scenario = replace(scenario, straggler_enabled=True)
+        a = run_episode(scenario, shared, RngStream(11))
+        b = run_episode(scenario, fresh, RngStream(11))
         assert all(t.loads is a.tasks[0].loads for t in a.tasks)  # read once, then reused
         assert len({id(t.loads) for t in b.tasks}) == len(b.tasks)
         for x, y in zip(a.tasks, b.tasks, strict=True):
@@ -537,7 +564,7 @@ class TestRunEpisode:
             return inner(world, states)
 
         counted.per_episode = True
-        ep = run_episode(scenario, counted, RngStream(11), straggler_enabled=True)
+        ep = run_episode(replace(scenario, straggler_enabled=True), counted, RngStream(11))
         assert [w.clock for w in worlds] == [0.0]  # once, on task 0's world
         assert len(ep.tasks) == scenario.k_tasks
         assert all(t.loads is ep.tasks[0].loads for t in ep.tasks)
@@ -580,12 +607,12 @@ class TestRunEpisode:
         scenario = preset_scenario("desk")
         blind = experiments.make_allocator(scheme, scenario)
         assert blind.per_episode is True
-        ep = run_episode(scenario, blind, RngStream(11), straggler_enabled=True,
-                         batch_size=batch_size)
+        scenario = replace(scenario, straggler_enabled=True)
+        ep = run_episode(scenario, blind, RngStream(11), batch_size=batch_size)
         assert ep.states == ()
         inner = experiments.make_allocator(scheme, scenario)
         ref = run_episode(scenario, lambda w, s: inner(w, s), RngStream(11),
-                          straggler_enabled=True, batch_size=batch_size)
+                          batch_size=batch_size)
         assert len(ref.states) == scenario.k_tasks
         assert ep.tasks == ref.tasks
         assert ep.rewards == ref.rewards
@@ -649,13 +676,6 @@ class TestRunEpisode:
         assert t0 > 0
         assert ep.rewards[0] == -t0 - 200.0
 
-    def test_boundary_rule_le_penalizes_exact_cover(self):
-        lt = run_episode(TINY, lambda w, s: (4, 4), RngStream(4), penalty_boundary="lt")
-        le = run_episode(TINY, lambda w, s: (4, 4), RngStream(4), penalty_boundary="le")
-        assert lt.rewards[0] == -lt.tasks[0].t_complete
-        assert le.rewards[0] == -le.tasks[0].t_complete - 200.0
-        assert lt.tasks[0].t_complete == le.tasks[0].t_complete
-
     def test_single_batch_override_matches_full_width_batches(self):
         a = run_episode(TINY, full_loads, RngStream(4), batch_size=None)
         b = run_episode(TINY, full_loads, RngStream(4), batch_size=8)
@@ -675,8 +695,8 @@ class TestRunEpisode:
                                   beta_range=(1.0e3, 2.0e3), comm=CommConfig(noise_std_db=4.0))
         p, n = scenario.p_rows, scenario.n_workers
         plans = iter([(40, 40, 40), (20, 15, 10), (30, 0, 25), (13, 14, 13), (10, 10, 10)])
-        ep = run_episode(scenario, lambda world, states: next(plans), RngStream(6),
-                         straggler_enabled=straggler, batch_size=batch_size)
+        ep = run_episode(replace(scenario, straggler_enabled=straggler),
+                         lambda world, states: next(plans), RngStream(6), batch_size=batch_size)
         gen = np.random.default_rng(6)
         g = generate_encoding_matrix(p, n, RngStream(6))
         a = gen.standard_normal((p, scenario.m_cols))
