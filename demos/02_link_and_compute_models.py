@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, comp_time, link_gain
+from macc.envmodels import CommConfig, channel_capacity, comp_time, link_gain, time_factors
 from macc.numerics import RngStream
 
 cfg = CommConfig()
@@ -54,8 +54,9 @@ print(f"  P(t <= mean) = {np.mean(draws <= mean_expect):.3f} "
 # ----------------------------------------------------------------------
 # 3. A straggler is the same worker, eleven times slower
 # ----------------------------------------------------------------------
-plan = StragglerPlan(enabled=True, victim=0, slowdown_factor=10.0)
+# each worker's time multiple: worker 0 is the victim of a 10x slowdown
+factors = time_factors(2, 0, True, 10.0)
 t = draws[0]
 print(f"\nsampled computation {t * 1e3:.2f} ms -> "
-      f"victim pays {t * plan.time_factor(0) * 1e3:.2f} ms, "
-      f"others still {t * plan.time_factor(1) * 1e3:.2f} ms")
+      f"victim pays {t * factors[0] * 1e3:.2f} ms, "
+      f"others still {t * factors[1] * 1e3:.2f} ms")

@@ -10,7 +10,7 @@ computation with transmission, one big batch serializes them.
 """
 
 from macc.config import ScenarioConfig
-from macc.envmodels import StragglerPlan
+from macc.envmodels import time_factors
 from macc.numerics import RngStream
 from macc.simcore import rows_received_curve, run_episode, run_task, sample_world
 
@@ -26,11 +26,11 @@ print("workers:", "  ".join(
 # ----------------------------------------------------------------------
 # 1. Run one task with redundancy and batching
 # ----------------------------------------------------------------------
-# the engine times rows, never their values: it needs the loads, p and
-# the payload length m
+# the engine times rows, never their values: it needs the loads, p, the
+# payload length m and each worker's computation-time multiple
 p, m = scenario.p_rows, scenario.m_cols
 loads = (30, 30, 30)  # 90 rows assigned, only 60 needed
-no_straggler = StragglerPlan(enabled=False)
+no_straggler = time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown)
 
 rec, _ = run_task(world, loads, 10, p, m, no_straggler,
                   rng.substream("task"), scenario.comm)
@@ -49,10 +49,10 @@ print("cumulative rows at each arrival:", rows.tolist())
 # 2. Batch size sweep on the same world
 # ----------------------------------------------------------------------
 print("\nsame task, other batch sizes:")
-for b in (1, 5, 15, 30, None):
+for b in (1, 5, 15, 30, p):  # b = p: each worker sends its load as one batch
     rec_b, _ = run_task(world, loads, b, p, m, no_straggler,
                         rng.substream("task"), scenario.comm)
-    label = "single" if b is None else f"b={b}"
+    label = "single" if b == p else f"b={b}"
     print(f"  {label:>7}: {rec_b.t_complete * 1e3:7.1f} ms "
           f"({len(rec_b.receipt_log)} receipts used)")
 

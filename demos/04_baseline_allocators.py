@@ -8,6 +8,8 @@ HCMM gives worker i p / (h lambda_i) rows with deliberate redundancy:
 the sum exceeds p and the slowest results become droppable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from macc.allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
@@ -43,7 +45,7 @@ for scheme in ("uniform", "load-balanced", "hcmm"):
     means = []
     for straggler in (False, True):
         records = experiments.evaluate_scheme(
-            scenario, scheme, 20, seed=42, straggler=straggler
+            replace(scenario, straggler_enabled=straggler), scheme, 20, seed=42
         )
         means.append(experiments.summarize(records)[0])
     print(f"{scheme:>14}  {means[0]:>12.4f}s  {means[1]:>12.4f}s")
@@ -55,7 +57,7 @@ print("with one straggler hcmm's redundancy makes the victim droppable.")
 # 3. Paired seeds: the comparison is episode by episode, not in bulk
 # ----------------------------------------------------------------------
 results = experiments.compare_schemes(
-    scenario, ["uniform", "hcmm"], 20, seed=42, straggler=True
+    replace(scenario, straggler_enabled=True), ["uniform", "hcmm"], 20, seed=42
 )
 d = experiments.total_times(results["uniform"]) - experiments.total_times(results["hcmm"])
 print(f"\nper-episode uniform - hcmm gaps (same worlds): "

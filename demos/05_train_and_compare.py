@@ -10,6 +10,8 @@ automates.  About 15 s end to end on a 2-CPU VM; the full-size runs
 behind the CLI use the same code paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from macc import experiments, marl
@@ -39,9 +41,8 @@ print(f"first 10% of iterations: {first:.2f}   final 10%: {final:.2f}")
 # ----------------------------------------------------------------------
 # 2. What did the actors learn to request?
 # ----------------------------------------------------------------------
-records = experiments.evaluate_scheme(
-    scenario, "marl", 5, seed=42, agents=agents, straggler=True
-)
+straggling = replace(scenario, straggler_enabled=True)
+records = experiments.evaluate_scheme(straggling, "marl", 5, seed=42, agents=agents)
 loads = records[0].tasks[0].loads
 print(f"\nsample learned allocation: {loads} "
       f"(sum {sum(loads)} vs p = {scenario.p_rows})")
@@ -50,8 +51,7 @@ print(f"\nsample learned allocation: {loads} "
 # 3. Paired comparison under an uncertain straggler
 # ----------------------------------------------------------------------
 results = experiments.compare_schemes(
-    scenario, ["uniform", "load-balanced", "hcmm", "marl"], 20, seed=42,
-    agents=agents, straggler=True,
+    straggling, ["uniform", "load-balanced", "hcmm", "marl"], 20, seed=42, agents=agents,
 )
 print("\nmean total completion time over 20 paired episodes (straggler on):")
 worst = max(experiments.summarize(r)[0] for r in results.values())

@@ -8,6 +8,11 @@
 Every command is a pure function of (config file, seed): reruns produce
 byte-identical outputs.  train --progress adds one line per iteration on
 stderr (iteration, mean reward, elapsed seconds) and changes nothing else.
+
+--out is created only when a command writes its first output, so a run
+that fails, on its arguments or midway, leaves no output directory
+behind.  The price: a --out that cannot be created is reported only
+after the run.
 """
 
 import argparse
@@ -42,7 +47,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed; recorded as the outputs' seed=")
-        p.add_argument("--out", default=".", help="output directory (created if missing)")
+        p.add_argument("--out", default=".",
+                       help="output directory, created when the first output is written")
         p.add_argument("--straggler", type=_straggler_flag, default=None,
                        help="override [straggler] enabled with on or off; like the INI key, "
                             "it enters the outputs' config= digest")
@@ -72,20 +78,17 @@ def build_parser():
     p_sweep.add_argument("--episodes", type=int, default=20)
     p_sweep.add_argument("--checkpoint", default=None)
     p_sweep.add_argument("--batch-sizes", default="1,50,200",
-                         help="comma-separated batch sizes")
+                         help="comma-separated batch sizes; each is written into the "
+                              "scenario's batch_size, so an error names scenario.batch_size")
 
     return parser
 
 
-def _setup(args, schemes=(), train=False):
+def _setup(args, schemes=()):
     """Check the seed and load the config, with --straggler written into the
-    scenario, then what the command runs with: the agents of any marl
-    checkpoint or, with train, an empty replay buffer of
-    train.replay_capacity.  Only then create --out.
+    scenario, then the agents of any marl checkpoint.
 
-    Each command checks its own arguments first, and a capacity too large
-    to allocate is refused here, so a bad one leaves no output directory
-    behind.  Returns (scenario, train_cfg, seed, agents or buffer or None).
+    Returns (scenario, train_cfg, seed, agents or None).
     """
     if args.seed is not None:
         check_seed("--seed", args.seed)
@@ -95,16 +98,18 @@ def _setup(args, schemes=(), train=False):
     if args.straggler is not None:  # before anything runs or is hashed into the digest
         scenario = replace(scenario, straggler_enabled=args.straggler)
     seed = args.seed if args.seed is not None else scenario.seed
-    loaded = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
-    if train:
-        n = scenario.n_workers
-        loaded = marl.ReplayBuffer(train_cfg.replay_capacity, n, marl.state_dim(n))
+    agents = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
+    return scenario, train_cfg, seed, agents
+
+
+def _out(args, name):
+    """Path of output file name under --out, creating --out if it is missing."""
     os.makedirs(args.out, exist_ok=True)
-    return scenario, train_cfg, seed, loaded
+    return os.path.join(args.out, name)
 
 
 def cmd_train(args):
-    scenario, train_cfg, seed, buffer = _setup(args, train=True)
+    scenario, train_cfg, seed, _ = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
     progress = None
     if args.progress:
@@ -114,10 +119,9 @@ def cmd_train(args):
             print(f"iteration {it + 1}/{train_cfg.max_iterations}: mean reward {mean_reward:.4f}, "
                   f"{time.perf_counter() - start:.1f} s", file=sys.stderr, flush=True)
 
-    agents, curve = marl.train(scenario, train_cfg, RngStream(seed), progress=progress,
-                               buffer=buffer)
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    curve_path = os.path.join(args.out, "learning_curve.csv")
+    agents, curve = marl.train(scenario, train_cfg, RngStream(seed), progress=progress)
+    ckpt = _out(args, "checkpoint.bin")
+    curve_path = _out(args, "learning_curve.csv")
     marl.save_checkpoint(ckpt, agents, scenario)
     experiments.write_curve_csv(curve_path, curve, digest, seed)
     print(f"trained {train_cfg.max_iterations} iterations; wrote {ckpt} and {curve_path}")
@@ -130,9 +134,9 @@ def cmd_evaluate(args):
     scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
     records = experiments.evaluate_scheme(scenario, args.scheme, args.episodes, seed, agents=agents)
-    metrics = os.path.join(args.out, "metrics.csv")
-    summary = os.path.join(args.out, "summary.csv")
-    jsonl = os.path.join(args.out, "episodes.jsonl")
+    metrics = _out(args, "metrics.csv")
+    summary = _out(args, "summary.csv")
+    jsonl = _out(args, "episodes.jsonl")
     experiments.write_metrics_csv(metrics, scenario, args.scheme, seed, records, digest)
     experiments.write_comparison_csv(summary, scenario, seed, {args.scheme: records}, digest)
     experiments.write_episodes_jsonl(jsonl, records)
@@ -148,8 +152,8 @@ def cmd_compare(args):
     scenario, _, seed, agents = _setup(args, schemes)
     digest = experiments.run_digest(scenario)
     results = experiments.compare_schemes(scenario, schemes, args.episodes, seed, agents=agents)
-    comparison = os.path.join(args.out, "comparison.csv")
-    plotdata = os.path.join(args.out, "plotdata.csv")
+    comparison = _out(args, "comparison.csv")
+    plotdata = _out(args, "plotdata.csv")
     experiments.write_comparison_csv(comparison, scenario, seed, results, digest)
     experiments.write_plotdata_csv(plotdata, results, digest, seed)
     for scheme in schemes:
@@ -173,7 +177,7 @@ def cmd_sweep_batch(args):
     sweep = experiments.sweep_batch(
         scenario, args.scheme, batch_sizes, args.episodes, seed, agents=agents
     )
-    path = os.path.join(args.out, "sweep.csv")
+    path = _out(args, "sweep.csv")
     experiments.write_sweep_csv(path, scenario, args.scheme, seed, sweep, digest)
     for b in batch_sizes:
         mean, _, _ = experiments.summarize(sweep[b])

@@ -23,7 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
 
-from .envmodels import CommConfig, ConfigError, check_slowdown
+from .envmodels import CommConfig, ConfigError
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,11 @@ class ScenarioConfig:
             raise ConfigError(f"scenario.beta_min: must be positive, got {self.beta_range[0]}")
         if self.batch_size < 1:
             raise ConfigError(f"scenario.batch_size: must be >= 1, got {self.batch_size}")
-        check_slowdown(self.straggler_slowdown)
+        slowdown = self.straggler_slowdown
+        if not math.isfinite(slowdown):
+            raise ConfigError(f"straggler.slowdown_factor: must be finite, got {slowdown}")
+        if slowdown < 1:
+            raise ConfigError(f"straggler.slowdown_factor: must be >= 1, got {slowdown}")
         check_seed("scenario.seed", self.seed)
 
 

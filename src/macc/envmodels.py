@@ -22,10 +22,9 @@ Every function works on plain numbers and on numpy arrays; the world is
 held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
 link_gain once per task, channel_capacity and comp_time on whole arrays
-of batches, and advance once per task to move all nodes; simcore reads
-StragglerPlan.time_factors of all workers once per plan and worker
-count.  The agents' state and the shared reward are built in simcore,
-next to the engine.
+of batches, and advance once per task to move all nodes; simcore.run_episode
+builds the straggler's time_factors once per episode.  The agents' state
+and the shared reward are built in simcore, next to the engine.
 """
 
 import math
@@ -60,38 +59,17 @@ class CommConfig:
             raise ConfigError(f"comm.noise_std_db: must be non-negative, got {self.noise_std_db}")
 
 
-@dataclass(frozen=True)
-class StragglerPlan:
-    """Which worker (if any) straggles and by how much.
+def time_factors(n_workers, victim, enabled, slowdown_factor):
+    """Each worker's computation-time multiple, as a read-only float64 array of shape (N,).
 
-    slowdown_factor is the sleep multiple: the victim's total computation
-    time is (1 + slowdown_factor) times the sampled one.
+    1 + slowdown_factor at the victim when the straggler is enabled, and
+    1.0 everywhere else: slowdown_factor is the victim's sleep multiple.
     """
-
-    enabled: bool = False
-    victim: int = -1
-    slowdown_factor: float = 10.0
-
-    def __post_init__(self):
-        check_slowdown(self.slowdown_factor)
-
-    def time_factor(self, worker):
-        """Computation-time multiple of a worker: 1 + slowdown_factor for the victim."""
-        if self.enabled and worker == self.victim:
-            return 1.0 + self.slowdown_factor
-        return 1.0
-
-    def time_factors(self, workers):
-        """time_factor of each worker in the integer array workers, as a float array."""
-        return np.where(workers == self.victim, self.time_factor(self.victim), 1.0)
-
-
-def check_slowdown(factor):
-    """Reject a straggler slowdown factor that is not a finite number >= 1."""
-    if not math.isfinite(factor):
-        raise ConfigError(f"straggler.slowdown_factor: must be finite, got {factor}")
-    if factor < 1:
-        raise ConfigError(f"straggler.slowdown_factor: must be >= 1, got {factor}")
+    factors = np.ones(n_workers)
+    if enabled:
+        factors[victim] = 1.0 + slowdown_factor
+    factors.setflags(write=False)
+    return factors
 
 
 def link_gain(omega, cfg):

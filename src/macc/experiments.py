@@ -5,10 +5,12 @@ which depends only on (seed, e); schemes evaluated at the same seed
 therefore see identical environments (same betas, positions, velocities,
 straggler victim) and differ only in their allocation decisions.
 
-Baselines dispatch each task as a single batch per worker (the classical
-one-shot protocol); the learned scheme streams results with the scenario
-batch size.  Batch sweeps override the batch size for whichever scheme
-they run.
+An episode's settings come from its scenario alone.  Baselines dispatch
+each task as a single batch per worker (the classical one-shot protocol),
+so evaluate_scheme runs them at batch size p_rows, which no load exceeds;
+the learned scheme streams results at the scenario's batch size.  A batch
+sweep writes each of its batch sizes into the scenario, whichever scheme
+it runs.
 
 All CSV output starts with a "# config=... seed=..." metadata comment and
 formats floats with repr(), so a rerun with the same config and seed is
@@ -103,28 +105,27 @@ def _per_profiles(loads_of):
     return allocator
 
 
-def default_batch_size(scheme, scenario):
-    """Single batch per worker for baselines, scenario batching for marl."""
-    return scenario.batch_size if scheme == "marl" else None
-
-
-def evaluate_scheme(
-    scenario, scheme, episodes, seed,
-    agents=None, straggler=None, batch_size="default",
-):
+def evaluate_scheme(scenario, scheme, episodes, seed, agents=None):
     """Run paired-seed episodes under one scheme; returns EpisodeRecords.
 
-    straggler, when not None, is written into the scenario's
-    straggler_enabled before any episode runs.
+    A baseline runs on the scenario with batch_size = p_rows, one batch
+    per worker; marl runs at the scenario's own batch size.
+    """
+    if scheme != "marl":
+        scenario = replace(scenario, batch_size=scenario.p_rows)
+    return _episodes(scenario, scheme, episodes, seed, agents)
+
+
+def _episodes(scenario, scheme, episodes, seed, agents):
+    """Episodes 0..episodes-1 of seed under one scheme, every setting read off the scenario.
+
+    run_episode is looked up in this module at each call, so a caller may
+    wrap it here (perfbench's EpisodeHook does).
     """
     check_episodes(episodes)
-    if straggler is not None:
-        scenario = replace(scenario, straggler_enabled=straggler)
-    if batch_size == "default":
-        batch_size = default_batch_size(scheme, scenario)
     allocator = make_allocator(scheme, scenario, agents=agents)
     root = RngStream(seed)
-    return [run_episode(scenario, allocator, root.substream("episode", e), batch_size=batch_size)
+    return [run_episode(scenario, allocator, root.substream("episode", e))
             for e in range(episodes)]
 
 
@@ -169,26 +170,28 @@ def summarize(records):
 
 
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):
-    """Evaluate several schemes against identical per-episode environments."""
+    """Evaluate several schemes against identical per-episode environments.
+
+    straggler, when not None, is written into the scenario's
+    straggler_enabled first; it is kept for perfbench's compare workload,
+    which passes it.
+    """
     check_schemes(schemes)
-    return {
-        scheme: evaluate_scheme(
-            scenario, scheme, episodes, seed, agents=agents, straggler=straggler
-        )
-        for scheme in schemes
-    }
+    if straggler is not None:
+        scenario = replace(scenario, straggler_enabled=straggler)
+    return {scheme: evaluate_scheme(scenario, scheme, episodes, seed, agents=agents)
+            for scheme in schemes}
 
 
-def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None, straggler=None):
-    """Evaluate one scheme at several batch sizes with paired seeds."""
+def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None):
+    """Evaluate one scheme at several batch sizes with paired seeds.
+
+    Each batch size b runs on the scenario with batch_size = b, baselines
+    included, so an engine error about it names scenario.batch_size = b.
+    """
     check_batch_sizes(batch_sizes)
-    out = {}
-    for b in batch_sizes:
-        out[int(b)] = evaluate_scheme(
-            scenario, scheme, episodes, seed,
-            agents=agents, straggler=straggler, batch_size=int(b),
-        )
-    return out
+    return {int(b): _episodes(replace(scenario, batch_size=int(b)), scheme, episodes, seed, agents)
+            for b in batch_sizes}
 
 
 def _reject_duplicates(what, values):

@@ -231,7 +231,7 @@ def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
     return allocate
 
 
-def train(scenario, cfg, rng, progress=None, buffer=None):
+def train(scenario, cfg, rng, progress=None):
     """MADDPG training loop; returns (agents, learning curve).
 
     Per iteration: collect episodes with the current actors plus
@@ -254,7 +254,8 @@ def train(scenario, cfg, rng, progress=None, buffer=None):
     the warm-up tasks at seed 0 are infeasible.  ROADMAP direction 2 is
     to find why and to make such a collapse loud.
 
-    buffer is the empty ReplayBuffer to fill; None builds one of cfg.replay_capacity.
+    The replay buffer of cfg.replay_capacity is allocated before the first
+    episode, so a capacity too large to allocate fails at once.
     """
     n = scenario.n_workers
     sdim = state_dim(n)
@@ -262,7 +263,7 @@ def train(scenario, cfg, rng, progress=None, buffer=None):
     agents = make_agents(
         n, rng.substream("init"), lr=cfg.learning_rate, optimizer=cfg.optimizer
     )
-    buffer = ReplayBuffer(cfg.replay_capacity, n, sdim) if buffer is None else buffer
+    buffer = ReplayBuffer(cfg.replay_capacity, n, sdim)
     curve = []
     episode_counter = 0
 

@@ -37,8 +37,8 @@ loads, and a batch's link is free as soon as it is computed, so the first
 evaluation of the link gives the arrivals.  On these few-element arrays
 the fixed cost per call dominates.  Both paths call the same draw, link,
 compute and sort helpers, and read the world's own arrays, a cached
-worker index and the straggler factors cached per plan and N, with no
-gather, when every worker is loaded (_loaded).
+worker index and the episode's time factors, with no gather, when every
+worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -51,9 +51,10 @@ An episode is the MDP the allocators act in: before each task run_episode
 builds the joint state (build_state), asks the allocator for loads, rounds
 and clamps them to integers, runs the task and scores it (reward).  A
 baseline, marked per_episode, is asked once per episode, with no state.
-The scenario is the episode's one source of settings: its
-straggler_enabled decides whether the victim is slowed, and reward reads
-the feasibility that run_task decided.
+The scenario is the episode's one source of settings: every task runs at
+its batch_size, its straggler_enabled decides whether the victim is
+slowed, through the time factors (envmodels.time_factors) built once per
+episode, and reward reads the feasibility that run_task decided.
 """
 
 import functools
@@ -67,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coding import plan_batches
-from .envmodels import StragglerPlan, advance, channel_capacity, comp_time, link_gain
+from .envmodels import advance, channel_capacity, comp_time, link_gain, time_factors
 
 
 class DegenerateTaskError(ValueError):
@@ -276,30 +277,17 @@ def _all_workers(n):
     return index
 
 
-@functools.lru_cache(maxsize=16)
-def _time_factors(straggler, n):
-    """The read-only time factor of each of n workers under a StragglerPlan, shape (n,).
-
-    A plan and N are fixed for a whole episode, so each task reads this
-    vector instead of evaluating the plan again.
-    """
-    factors = straggler.time_factors(_all_workers(n))
-    factors.setflags(write=False)
-    return factors
-
-
-def _loaded(world, active, straggler):
+def _loaded(world, active, factors):
     """The loaded workers' index, geometry, compute profile and time factors, flat per worker.
 
     Returns (act, r, rv, alpha, beta, factors): r and rv, shape (2, A),
     are the positions and velocities relative to the master with x and y
-    stacked, and factors the straggler's time factors (_time_factors).
-    When every worker is loaded they are the world's own arrays, the
-    cached index and the cached factors, with no gather; otherwise each
+    stacked, and factors the loaded workers' entries of the (N,) time
+    factors.  When every worker is loaded they are the world's own arrays,
+    the cached index and the given factors, with no gather; otherwise each
     is gathered once.  All are read, never written.
     """
     n = world.n_workers
-    factors = _time_factors(straggler, n)
     if len(active) == n:
         return (_all_workers(n), (world.pos[1:] - world.pos[0]).T,
                 (world.vel[1:] - world.vel[0]).T, world.alpha, world.beta, factors)
@@ -338,7 +326,7 @@ def _broadcast_time(m, r, gain, cfg):
     return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
 
 
-def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
+def _one_batch(world, loads, active, p, m, factors, workers, cfg):
     """Receipts of a task whose loaded workers each send their load as one batch.
 
     Returns (ReceiptLog, rows received at completion).  The arrays are
@@ -350,7 +338,7 @@ def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
     us = np.empty((len(active), 1))
     _draw_noise(workers, active, omega, us, cfg)
     gain = link_gain(omega, cfg)
-    act, r, rv, alpha, beta, factors = _loaded(world, active, straggler)
+    act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
     sizes = np.array(loads)
     if len(act) < len(loads):
         sizes = sizes[act]
@@ -362,7 +350,7 @@ def _one_batch(world, loads, active, p, m, straggler, workers, cfg):
     return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
 
 
-def _batched(world, loads, active, batch_size, p, m, feasible, straggler, workers, cfg, index):
+def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
@@ -387,7 +375,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, straggler, worker
         sizes[r, : plan.count] = plan.batch_size
         sizes[r, plan.count - 1] = plan.last
     _draw_noise(workers, active, omega, us, cfg, counts)
-    act, r, rv, alpha, beta, factors = _loaded(world, active, straggler)
+    act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
     r, rv = r[:, :, None], rv[:, :, None]
     bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
@@ -423,12 +411,15 @@ def _batched(world, loads, active, batch_size, p, m, feasible, straggler, worker
     return ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept]), int(received[n_kept - 1])
 
 
-def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
+def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     loads holds one non-negative integer per worker, each at most p, the
     rows needed to decode; m is the length of the broadcast payload.
-    batch_size None means one batch per worker (no batching).  A link whose
+    batch_size is an int: a worker sends its load in batches of that many
+    rows, so any batch size >= the largest load, p among them, sends one
+    batch per worker.  factors is the (N,) float64 vector of the workers'
+    computation-time multiples (envmodels.time_factors).  A link whose
     capacity underflows to zero makes the completion infinite, which raises
     ValueError rather than moving the world to an infinite clock.
 
@@ -458,8 +449,8 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
     solve repeats.  An infeasible task keeps every batch and is solved in
     full.
 
-    When every loaded worker sends its load as one batch (batch_size None,
-    or at least the largest load), the task takes its own path
+    When every loaded worker sends its load as one batch (batch_size at
+    least the largest load), the task takes its own path
     (_one_batch) on flat arrays, one entry per loaded worker: the sizes
     are the loads, each batch begins once computed, so the arrivals are
     cpu + tau, sorted as above, with no plan_batches call, fixed point,
@@ -490,11 +481,11 @@ def run_task(world, loads, batch_size, p, m, straggler, rng, cfg, index=0):
 
     active = [i for i, l in enumerate(loads) if l > 0]
     workers = rng.substream("worker")
-    if batch_size is None or batch_size >= top:  # each worker's one batch is its whole load
-        receipt_log, rows = _one_batch(world, loads, active, p, m, straggler, workers, cfg)
+    if batch_size >= top:  # each worker's one batch is its whole load
+        receipt_log, rows = _one_batch(world, loads, active, p, m, factors, workers, cfg)
     else:
         receipt_log, rows = _batched(world, loads, active, batch_size, p, m, feasible,
-                                     straggler, workers, cfg, index)
+                                     factors, workers, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
@@ -571,7 +562,7 @@ def reward(rec, c=200.0):
     return -rec.t_complete - (0.0 if rec.feasible else c)
 
 
-def run_episode(scenario, allocator, rng, batch_size="scenario", penalty=200.0):
+def run_episode(scenario, allocator, rng, penalty=200.0):
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
@@ -584,21 +575,15 @@ def run_episode(scenario, allocator, rng, batch_size="scenario", penalty=200.0):
     called once, at task 0, with states=None, its loads serve all K tasks,
     no state is built, and the record's states is ().  Any other allocator
     is called, gets states and has its loads read anew on every task.
-    The straggler is injected when scenario.straggler_enabled is set, and
-    each task is scored by reward(rec, penalty).  batch_size is the
-    scenario's unless overridden here (None = single batch per worker).
-    Same (scenario, allocator, rng) reproduces the record bit for bit.
+    Every task runs at scenario.batch_size, the victim is slowed when
+    scenario.straggler_enabled is set, and each task is scored by
+    reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
+    record bit for bit.
     """
-    if batch_size == "scenario":
-        batch_size = scenario.batch_size
-
     p = scenario.p_rows
     world, victim = sample_world(scenario, rng.substream("env"))
-    plan = StragglerPlan(
-        enabled=scenario.straggler_enabled,
-        victim=victim,
-        slowdown_factor=scenario.straggler_slowdown,
-    )
+    factors = time_factors(scenario.n_workers, victim, scenario.straggler_enabled,
+                           scenario.straggler_slowdown)
 
     tasks, states_all, rewards = [], [], []
     per_episode = getattr(allocator, "per_episode", False)
@@ -619,7 +604,7 @@ def run_episode(scenario, allocator, rng, batch_size="scenario", penalty=200.0):
 
         try:
             rec, world = run_task(
-                world, loads, batch_size, p, scenario.m_cols, plan,
+                world, loads, scenario.batch_size, p, scenario.m_cols, factors,
                 task_rng.substream(j), scenario.comm, index=j,
             )
             if clamped:

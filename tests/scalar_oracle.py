@@ -4,7 +4,9 @@ It walks every worker's batches in a Python loop, evaluating the link at
 each transmission's begin time, then sorts every receipt by (arrival,
 worker, batch).  It draws the same random numbers as run_task and returns
 the TaskRecord fields that depend on timing; the differential tests in
-test_engine.py compare the two.  It keeps its own copy of the paper's
+test_engine.py compare the two.  It applies the straggler by its own rule,
+straggler = (enabled, victim, slowdown_factor), where run_task is given
+the vector envmodels.time_factors builds, so they check that as well.  It keeps its own copy of the paper's
 link formula in dBm, so they check envmodels' link end to end as well.
 """
 
@@ -32,7 +34,7 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
     for i, load in enumerate(loads):
         if load == 0:
             continue
-        plan = plan_batches(load, load if batch_size is None else min(batch_size, load))
+        plan = plan_batches(load, min(batch_size, load))
         nb = plan.count
         wrng = rng.substream("worker", i)
         if sigma > 0:
@@ -46,9 +48,8 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
         d0 = max(math.hypot(px - mx, py - my), min_d)
         bc = m * u_bits / capacity(d0, omegas[0], cfg)
 
-        slow = 1.0
-        if straggler.enabled and straggler.victim == i:
-            slow = 1.0 + straggler.slowdown_factor
+        enabled, victim, slowdown_factor = straggler
+        slow = 1.0 + slowdown_factor if enabled and victim == i else 1.0
         alpha, beta = float(world.alpha[i]), float(world.beta[i])
 
         t_cpu = bc

@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -210,7 +211,7 @@ def criterion_07_batch_size_trend():
     batches = [1, scenario.p_rows // 4, scenario.p_rows]
     for straggler in (False, True):
         sweep = experiments.sweep_batch(
-            scenario, "hcmm", batches, 20, seed=42, straggler=straggler
+            replace(scenario, straggler_enabled=straggler), "hcmm", batches, 20, seed=42
         )
         means = [experiments.summarize(sweep[b])[0] for b in batches]
         assert means[0] <= means[1] <= means[2], (
@@ -309,7 +310,7 @@ def criterion_10_feasibility_accounting():
     scenario = preset_scenario("desk")
     for scheme in ("uniform", "load-balanced", "hcmm"):
         records = experiments.evaluate_scheme(
-            scenario, scheme, 20, seed=42, straggler=True
+            replace(scenario, straggler_enabled=True), scheme, 20, seed=42
         )
         bad = sum(r.infeasible_count for r in records)
         assert bad == 0, f"{scheme} produced {bad} infeasible tasks"
@@ -319,7 +320,7 @@ def criterion_10_feasibility_accounting():
     for nets in agents:
         nets.actor.biases[-1][:] = -1.0e3  # sigmoid underflows to exactly 0
     records = experiments.evaluate_scheme(
-        scenario, "marl", 3, seed=42, agents=agents, straggler=True
+        replace(scenario, straggler_enabled=True), "marl", 3, seed=42, agents=agents
     )
     for rec in records:
         assert rec.infeasible_count == scenario.k_tasks

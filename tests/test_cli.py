@@ -139,6 +139,7 @@ class TestTrainCommand:
         assert err.startswith("error: task 0: a batch layout of shape (4, ")
         assert err.endswith("from scenario.p_rows = 70368744177664 and scenario.batch_size = 1\n")
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()  # --out is made only for the first output
 
 
 class TestEvaluateCommand:
@@ -302,6 +303,21 @@ class TestSweepCommand:
         assert "error: duplicate batch sizes in [1, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_batch_layout_names_the_swept_batch_size(self, tmp_path, capsys):
+        # uniform loads of 2^44 rows at b = 2: a (4, 2^43) layout of 256 TiB, refused
+        # without touching memory; the INI's batch size stays 1
+        path = tmp_path / "huge.ini"
+        path.write_text("[scenario]\npreset = desk\np_rows = 70368744177664\n")
+        out = tmp_path / "sw"
+        code = main(["sweep-batch", "--config", str(path), "--scheme", "uniform",
+                     "--episodes", "1", "--batch-sizes", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: task 0: a batch layout of shape (4, 8796093022208) cannot be "
+                       "allocated; its width is the largest load over the batch size, from "
+                       "scenario.p_rows = 70368744177664 and scenario.batch_size = 2\n")
+        assert not out.exists()
+
 
 class TestErrors:
     def test_missing_config(self, tmp_path, capsys):
@@ -354,6 +370,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error: --seed: must be at most 2^64 - 1, got {2**64}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_out_that_cannot_be_made_is_reported_after_the_run(self, ini, tmp_path, capsys,
+                                                               command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        scheme = ["--scheme", "uniform", "--episodes", "1"] if command == "evaluate" else []
+        code = main([command, "--config", ini, *scheme, "--out", str(blocker / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
 
     def test_largest_64_bit_seed_runs(self, ini, tmp_path):
         out = tmp_path / "x"

@@ -18,20 +18,29 @@ from hypothesis import strategies as st
 from macc import simcore
 from macc.coding import plan_batches
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, link_gain
-from macc.experiments import evaluate_scheme
+from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
+from macc.experiments import sweep_batch
 from macc.numerics import RngStream
 from macc.simcore import WorldState, _dist2, _guess_cols, _send_time, run_task, sample_world
 
 from scalar_oracle import capacity, run_task_scalar
 
 RTOL = 1.0e-12
+NO_STRAGGLER = (False, 0, 10.0)  # the oracle's (enabled, victim, slowdown_factor)
+DESK_P = preset_scenario("desk").p_rows
+
+
+def factors_of(n, straggler):
+    """run_task's time factors of n workers under the oracle's straggler rule."""
+    enabled, victim, slowdown_factor = straggler
+    return time_factors(n, victim, enabled, slowdown_factor)
 
 
 def run_both(world, loads, p, m, batch_size, straggler, cfg, seed):
-    args = (world, loads, batch_size, p, m, straggler)
-    got, _ = run_task(*args, RngStream(seed).substream("task"), cfg)
-    want = run_task_scalar(*args, RngStream(seed).substream("task"), cfg)
+    args = (world, loads, batch_size, p, m)
+    got, _ = run_task(*args, factors_of(world.n_workers, straggler),
+                      RngStream(seed).substream("task"), cfg)
+    want = run_task_scalar(*args, straggler, RngStream(seed).substream("task"), cfg)
     return got, want
 
 
@@ -71,10 +80,10 @@ class TestAgainstScalarOracle:
                                   beta_range=(1.0e3, 1.0e5))
         cfg = CommConfig(noise_std_db=noise_std_db)
         world, victim = sample_world(scenario, RngStream(seed).substream("env"))
-        b = {"one": 1, "quarter": scenario.p_rows // 4, "single": None}[batch]
-        plan = StragglerPlan(enabled=straggling, victim=victim)
+        b = {"one": 1, "quarter": scenario.p_rows // 4, "single": scenario.p_rows}[batch]
         loads = random_loads(seed, n, scenario.p_rows)
-        got, want = run_both(world, loads, scenario.p_rows, scenario.m_cols, b, plan, cfg, seed)
+        got, want = run_both(world, loads, scenario.p_rows, scenario.m_cols, b,
+                             (straggling, victim, 10.0), cfg, seed)
         assert got.feasible == (sum(loads) >= scenario.p_rows)
         assert_matches_oracle(got, want)
 
@@ -87,7 +96,7 @@ class TestAgainstScalarOracle:
             alpha=np.full(4, 1.0e-4),
             beta=np.full(4, math.inf),
         )
-        got, want = run_both(world, [12] * 4, 40, 5, 1, StragglerPlan(),
+        got, want = run_both(world, [12] * 4, 40, 5, 1, NO_STRAGGLER,
                              CommConfig(noise_std_db=0.0), 0)
         assert [w for w, _, _ in got.receipt_log] == [0, 1, 2, 3] * 10
         assert_matches_oracle(got, want)
@@ -95,8 +104,8 @@ class TestAgainstScalarOracle:
     def test_zero_load_workers_and_infeasible_total(self):
         world, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(5).substream("env"))
         # batches of 7 rows, then one batch per worker; an infeasible task keeps every batch
-        for batch_size, batches in ((7, 5 + 6), (None, 2)):
-            got, want = run_both(world, [0, 30, 0, 40], 200, 50, batch_size, StragglerPlan(),
+        for batch_size, batches in ((7, 5 + 6), (200, 2)):
+            got, want = run_both(world, [0, 30, 0, 40], 200, 50, batch_size, NO_STRAGGLER,
                                  CommConfig(), 5)
             assert not got.feasible and got.rows_received_at_completion == 70
             assert len(got.receipt_log) == batches
@@ -110,11 +119,11 @@ class TestAgainstScalarOracle:
         monkeypatch.setattr(simcore, "_scan", unused)
         monkeypatch.setattr(simcore, "_fixed_point", unused)
         world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
-        plan = StragglerPlan(enabled=True, victim=victim)
-        # feasible, infeasible, and a batch size no load exceeds
-        for loads, p, batch_size in (([50, 60, 0, 70], 120, None), ([10, 0, 0, 20], 200, None),
+        # feasible and infeasible at batch size p, and a batch size no load exceeds
+        for loads, p, batch_size in (([50, 60, 0, 70], 120, 120), ([10, 0, 0, 20], 200, 200),
                                      ([50, 60, 0, 70], 120, 70)):
-            got, want = run_both(world, loads, p, 50, batch_size, plan, CommConfig(), 3)
+            got, want = run_both(world, loads, p, 50, batch_size, (True, victim, 10.0),
+                                 CommConfig(), 3)
             assert len(got.receipt_log) <= 3
             assert_matches_oracle(got, want)
 
@@ -134,22 +143,23 @@ class TestAgainstScalarOracle:
         task_rng = RngStream(3).substream("task")
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
-        for loads, batch_size in (([50, 60, 0, 70], None), ([50, 60, 0, 70], 70)):
+        for loads, batch_size in (([50, 60, 0, 70], 120), ([50, 60, 0, 70], 70)):
             calls.update(plan_batches=0, substream=0)
-            run_task(world, loads, batch_size, 120, 50, StragglerPlan(enabled=True, victim=victim),
+            run_task(world, loads, batch_size, 120, 50, time_factors(4, victim, True, 10.0),
                      task_rng, CommConfig())
             assert calls["plan_batches"] == 0
             assert calls["substream"] <= 1
 
 
 # (loads, batch_size, straggler on, noise_std_db) -> (t_complete.hex(), receipts, digest),
-# recorded before one-batch tasks built their layout from the loads; see TestPinnedOutputs
+# recorded before one-batch tasks built their layout from the loads; see TestPinnedOutputs.
+# The one-batch cases, recorded at batch size None, run at batch size p = DESK_P.
 PINNED_TASKS = {
-    "one batch, every worker loaded": (([60, 50, 70, 40], None, False, 1.0),
+    "one batch, every worker loaded": (([60, 50, 70, 40], DESK_P, False, 1.0),
                                        ("0x1.00fddfa07b149p-3", 4, "225f7abe5e5deefb")),
-    "one batch, a zero-load worker": (([80, 0, 70, 60], None, False, 1.0),
+    "one batch, a zero-load worker": (([80, 0, 70, 60], DESK_P, False, 1.0),
                                       ("0x1.1b4c5d8dbe353p-3", 3, "c5fdc37dfecefa35")),
-    "one batch, infeasible": (([30, 0, 40, 20], None, False, 1.0),
+    "one batch, infeasible": (([30, 0, 40, 20], DESK_P, False, 1.0),
                               ("0x1.ab0fe86a5bf20p-4", 3, "3dcc2383a5c0b7ef")),
     "batch size 1": (([60, 50, 70, 40], 1, False, 1.0),
                      ("0x1.86492fd3d2a58p-4", 200, "605a282b7301dadc")),
@@ -160,9 +170,9 @@ PINNED_TASKS = {
     "noiseless": (([60, 50, 70, 40], 5, False, 0.0),
                   ("0x1.8c1dc3cf46849p-4", 40, "52a9327afbcfbe99")),
     # recorded before one-batch tasks took their own path on (A,) arrays
-    "one batch, straggler victim loaded": (([60, 50, 70, 40], None, True, 1.0),
+    "one batch, straggler victim loaded": (([60, 50, 70, 40], DESK_P, True, 1.0),
                                            ("0x1.11c1ccbd79252p-2", 4, "94ed380b4e806388")),
-    "one batch, noiseless": (([60, 50, 70, 40], None, False, 0.0),
+    "one batch, noiseless": (([60, 50, 70, 40], DESK_P, False, 0.0),
                              ("0x1.106e97d5155bap-3", 4, "7d293e3662a135ce")),
     "one batch through a batch size": (([80, 60, 0, 70], 80, True, 1.0),
                                        ("0x1.3a3598bd251e8p-2", 3, "24a81bc8b2ac3e28")),
@@ -183,7 +193,7 @@ class TestPinnedOutputs:
         world, victim = sample_world(scenario, RngStream(8).substream("env"))
         assert victim == 1  # the straggler case slows a loaded worker
         rec, nxt = run_task(world, loads, batch_size, scenario.p_rows, scenario.m_cols,
-                            StragglerPlan(enabled=straggling, victim=victim),
+                            time_factors(4, victim, straggling, 10.0),
                             RngStream(8).substream("task", 3), CommConfig(noise_std_db=noise_std_db))
         log = rec.receipt_log
         assert rec.t_complete.hex() == t_hex
@@ -266,12 +276,12 @@ class TestTruncatedSolve:
     def test_one_column_guess_widens_to_the_oracle(self, monkeypatch, solved_widths, seed):
         monkeypatch.setattr(simcore, "_guess_cols", lambda *args: 1)
         world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(seed).substream("env"))
-        got, want = run_both(world, [90, 70, 60], 120, 50, 1, StragglerPlan(), CommConfig(), seed)
+        got, want = run_both(world, [90, 70, 60], 120, 50, 1, NO_STRAGGLER, CommConfig(), seed)
         assert solved_widths[:3] == [1, 2, 4] and solved_widths[-1] < 90
         assert_matches_oracle(got, want)
 
     def test_closing_worker_outruns_the_first_guess(self, solved_widths):
-        got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, StragglerPlan(),
+        got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         delivered = sum(1 for w, _, _ in got.receipt_log if w == 1)
         assert len(solved_widths) == 2 and solved_widths[0] < delivered <= solved_widths[1]
@@ -279,7 +289,7 @@ class TestTruncatedSolve:
 
     def test_infeasible_task_keeps_every_batch(self, solved_widths):
         world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(2).substream("env"))
-        got, want = run_both(world, [40, 25, 0], 120, 50, 1, StragglerPlan(), CommConfig(), 2)
+        got, want = run_both(world, [40, 25, 0], 120, 50, 1, NO_STRAGGLER, CommConfig(), 2)
         assert solved_widths == [40]
         assert not got.feasible and len(got.receipt_log) == 65
         assert_matches_oracle(got, want)
@@ -294,14 +304,14 @@ class TestTruncatedSolve:
             return vector_capacity(d2, gain, cfg)
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
-        (rec,) = evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, 0, batch_size=1)
+        (rec,) = sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)[1]
         assert sum(evaluated) <= 0.8 * 2_808_105
         assert rec.total_time == 217.6616366530215
 
     def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
         # recorded when the guess sorted every slot; at b = 1 selection gives the same guess
         for seed in range(10):
-            evaluate_scheme(preset_scenario("scenario1"), "hcmm", 1, seed, batch_size=1)
+            sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, seed)
         assert len(solved_widths) == 300 and sum(solved_widths) == 902_166
         assert max(solve_passes) <= 11  # 10 when recorded
 
@@ -323,13 +333,13 @@ def crossing_world():
 
 class TestPassBound:
     def test_close_pass_matches_oracle(self):
-        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("seed", [2, 4, 6])
     def test_solves_past_32_passes_match_oracle(self, solved_widths, solve_passes, seed):
-        got, want = run_both(crossing_world(), [1342], 1416, 3210, 2, StragglerPlan(),
+        got, want = run_both(crossing_world(), [1342], 1416, 3210, 2, NO_STRAGGLER,
                              CommConfig(noise_std_db=4.0), seed)
         assert max(solve_passes) > 32
         assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
@@ -340,7 +350,7 @@ class TestPassBound:
         self, monkeypatch, solved_widths, solve_passes, guess
     ):
         monkeypatch.setattr(simcore, "_guess_cols", lambda *args: guess)
-        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, StragglerPlan(),
+        got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         assert solved_widths[0] == solve_passes[0] == guess  # the first solve stops at its width
         assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
@@ -348,7 +358,7 @@ class TestPassBound:
 
     def test_capacity_underflow_raises(self):
         # the link's capacity underflows to 0 mid-stream, so a send time is infinite
-        args = (crossing_world(), [1342], 2, 1416, 3210, StragglerPlan(),
+        args = (crossing_world(), [1342], 2, 1416, 3210, factors_of(1, NO_STRAGGLER),
                 RngStream(3).substream("task"), CommConfig(noise_std_db=4.0))
         with pytest.warns(RuntimeWarning):  # divide by zero, then inf - inf
             with pytest.raises(ValueError, match="task 0: a link's capacity fell to zero"):
@@ -434,41 +444,21 @@ class TestSameBitsAsBefore:
             want = sorted_guess_cols(arrival, sizes, valid, p)
             assert got == want if b == 1 else got >= want
 
-    @pytest.mark.parametrize("enabled, victim", [(True, 1), (False, 1), (True, 2)])
-    def test_straggler_factors_match_time_factor(self, enabled, victim):
-        plan = StragglerPlan(enabled=enabled, victim=victim, slowdown_factor=10.0)
-        active = [0, 1, 3]  # worker 2 idle: the victim in the last case
-        factors = plan.time_factors(np.array(active)[:, None])
-        assert factors.dtype == np.float64 and factors.shape == (3, 1)
-        assert factors.ravel().tolist() == [plan.time_factor(i) for i in active]
-
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_cached_factors_equal_time_factor_for_each_victim(self, enabled):
+    def test_factor_vector_and_gathers_for_each_victim(self, enabled):
         n = 5
         world, _ = sample_world(ScenarioConfig(n_workers=n), RngStream(2).substream("env"))
         for victim in range(n):
-            plan = StragglerPlan(enabled=enabled, victim=victim, slowdown_factor=7.5)
-            factors = simcore._time_factors(plan, n)
-            want = np.array([plan.time_factor(i) for i in range(n)])
+            factors = time_factors(n, victim, enabled, 7.5)
+            want = np.array([8.5 if enabled and i == victim else 1.0 for i in range(n)])
+            assert factors.dtype == np.float64 and factors.shape == (n,)
             assert factors.tobytes() == want.tobytes()
             assert not factors.flags.writeable
-            for active in (list(range(n)), [0, 2, 4], [victim]):  # all loaded, then gathers
-                got = simcore._loaded(world, active, plan)[-1]
+            # all loaded: the vector as given; otherwise a gather
+            assert simcore._loaded(world, list(range(n)), factors)[-1] is factors
+            for active in ([0, 2, 4], [0, 1, 3], [victim]):
+                got = simcore._loaded(world, active, factors)[-1]
                 assert got.tobytes() == want[active].tobytes()
-
-    def test_two_plans_in_turn_keep_their_own_factors(self):
-        world, _ = sample_world(ScenarioConfig(n_workers=4), RngStream(8).substream("env"))
-        plans = [StragglerPlan(enabled=True, victim=v) for v in (1, 3)]
-        for batch_size in (None, 7):
-            first = [run_both(world, [40, 30, 0, 50], 100, 20, batch_size, plan, CommConfig(), 4)
-                     for plan in plans]
-            for plan, (got, want) in zip(plans * 2, first * 2):
-                again, oracle = run_both(world, [40, 30, 0, 50], 100, 20, batch_size, plan,
-                                         CommConfig(), 4)
-                assert again == got
-                assert_matches_oracle(again, oracle)
-                assert_matches_oracle(got, want)
-            assert first[0][0].t_complete != first[1][0].t_complete
 
 
 # ---------------------------------------------------------------- properties
@@ -492,8 +482,8 @@ def tasks(draw, max_workers=4):
         loads=loads,
         p=p,
         m=draw(st.integers(1, 50)),
-        batch_size=draw(st.one_of(st.none(), st.integers(1, p))),
-        straggler=StragglerPlan(enabled=draw(st.booleans()), victim=draw(st.integers(0, n - 1))),
+        batch_size=draw(st.one_of(st.just(p), st.integers(1, p))),  # p: one batch per worker
+        straggler=(draw(st.booleans()), draw(st.integers(0, n - 1)), 10.0),
         cfg=CommConfig(noise_std_db=draw(st.sampled_from([0.0, 1.0, 4.0]))),
         seed=draw(st.integers(0, 2**32)),
     )
@@ -501,8 +491,10 @@ def tasks(draw, max_workers=4):
 
 def simulate(task, p=None):
     p = task["p"] if p is None else p
-    rec, _ = run_task(task["world"], task["loads"], task["batch_size"], p, task["m"],
-                      task["straggler"], RngStream(task["seed"]).substream("task"), task["cfg"])
+    world = task["world"]
+    rec, _ = run_task(world, task["loads"], task["batch_size"], p, task["m"],
+                      factors_of(world.n_workers, task["straggler"]),
+                      RngStream(task["seed"]).substream("task"), task["cfg"])
     return rec
 
 
@@ -550,13 +542,14 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(tasks(max_workers=1))
     def test_single_worker_single_batch_closed_form(self, task):
-        task["batch_size"] = None
+        task["batch_size"] = task["p"]
         task["loads"] = [max(task["loads"][0], 1)]
         world, cfg, l = task["world"], task["cfg"], task["loads"][0]
         wrng = RngStream(task["seed"]).substream("task").substream("worker", 0)
         omega = wrng.gen.normal(0.0, cfg.noise_std_db, 2) if cfg.noise_std_db > 0 else [0.0, 0.0]
         u = wrng.gen.random(1)[0]
-        slow = 1.0 + task["straggler"].slowdown_factor if task["straggler"].enabled else 1.0
+        enabled, _, slowdown_factor = task["straggler"]
+        slow = 1.0 + slowdown_factor if enabled else 1.0
 
         def distance_at(t):
             (mx, my), (wx, wy) = (world.pos + world.vel * t).tolist()

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from macc.config import ScenarioConfig
 from macc.envmodels import (
     CommConfig,
     ConfigError,
-    StragglerPlan,
     advance,
     channel_capacity,
     comp_time,
     link_gain,
+    time_factors,
 )
 from macc.numerics import RngStream
 from macc.simcore import _dist2, _send_time
@@ -184,25 +185,23 @@ class TestKinematics:
 
 class TestStraggler:
     def test_disabled_identity(self):
-        plan = StragglerPlan(enabled=False, victim=0, slowdown_factor=10.0)
-        assert 2.0 * plan.time_factor(0) == 2.0
+        assert (2.0 * time_factors(3, 0, False, 10.0)).tolist() == [2.0, 2.0, 2.0]
 
     def test_victim_sleeps_ten_times(self):
-        plan = StragglerPlan(enabled=True, victim=1, slowdown_factor=10.0)
-        assert 2.0 * plan.time_factor(1) == 22.0
+        assert 2.0 * time_factors(3, 1, True, 10.0)[1] == 22.0
 
     def test_non_victim_unchanged(self):
-        plan = StragglerPlan(enabled=True, victim=1, slowdown_factor=10.0)
-        assert 2.0 * plan.time_factor(0) == 2.0
+        factors = time_factors(3, 1, True, 10.0)
+        assert 2.0 * factors[0] == 2.0 and 2.0 * factors[2] == 2.0
 
     def test_rejects_sub_unit_slowdown(self):
-        with pytest.raises(ValueError):
-            StragglerPlan(enabled=True, victim=0, slowdown_factor=0.5)
+        with pytest.raises(ConfigError, match=r"^straggler\.slowdown_factor: must be >= 1"):
+            ScenarioConfig(straggler_slowdown=0.5)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf])
     def test_rejects_non_finite_slowdown(self, factor):
         with pytest.raises(ConfigError, match=r"^straggler\.slowdown_factor: must be finite"):
-            StragglerPlan(enabled=True, victim=0, slowdown_factor=factor)
+            ScenarioConfig(straggler_slowdown=factor)
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from macc.numerics import RngStream
 from macc.experiments import (
     METRICS_COLUMNS,
     compare_schemes,
-    default_batch_size,
     evaluate_scheme,
     make_allocator,
     metrics_rows,
@@ -28,10 +28,17 @@ TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
 
 
 class TestAllocatorFactory:
-    def test_default_batch_sizes(self):
-        assert default_batch_size("uniform", TINY) is None
-        assert default_batch_size("hcmm", TINY) is None
-        assert default_batch_size("marl", TINY) == 3
+    def test_batch_size_per_scheme(self, monkeypatch):
+        # a baseline runs at batch size p, one batch per worker; marl at the scenario's
+        seen = []
+        run = experiments.run_episode
+        monkeypatch.setattr(experiments, "run_episode",
+                            lambda scenario, *args: seen.append(scenario.batch_size)
+                            or run(scenario, *args))
+        agents = marl.make_agents(2, RngStream(0), hidden=(4,))
+        for scheme in ("uniform", "hcmm", "marl"):
+            evaluate_scheme(TINY, scheme, 1, seed=0, agents=agents)
+        assert seen == [TINY.p_rows, TINY.p_rows, 3]
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -97,8 +104,8 @@ class TestEvaluateScheme:
         assert not np.array_equal(a, b)
 
     def test_straggler_toggle_is_paired_and_slower(self):
-        off = evaluate_scheme(TINY, "uniform", 4, seed=7, straggler=False)
-        on = evaluate_scheme(TINY, "uniform", 4, seed=7, straggler=True)
+        off = evaluate_scheme(replace(TINY, straggler_enabled=False), "uniform", 4, seed=7)
+        on = evaluate_scheme(replace(TINY, straggler_enabled=True), "uniform", 4, seed=7)
         for a, b in zip(off, on):
             assert a.betas == b.betas
             assert b.total_time > a.total_time
@@ -162,11 +169,30 @@ class TestCompare:
         assert betas[0] == betas[1] == betas[2]
 
 
+class TestStragglerKeyword:
+    def test_compare_straggler_is_the_replaced_scenario(self):
+        given = compare_schemes(TINY, ["uniform", "hcmm"], 2, seed=3, straggler=True)
+        replaced = compare_schemes(replace(TINY, straggler_enabled=True), ["uniform", "hcmm"],
+                                   2, seed=3)
+        assert given == replaced
+        assert all(r.straggler_enabled for recs in given.values() for r in recs)
+
+
 class TestSweep:
     def test_full_width_batch_matches_single_shot(self):
         sweep = sweep_batch(TINY, "uniform", [TINY.p_rows], 3, seed=4)
-        single = evaluate_scheme(TINY, "uniform", 3, seed=4, batch_size=None)
+        single = evaluate_scheme(TINY, "uniform", 3, seed=4)  # a baseline's one batch per worker
         np.testing.assert_array_equal(total_times(sweep[TINY.p_rows]), total_times(single))
+
+    def test_each_batch_size_is_written_into_the_scenario(self, monkeypatch):
+        # a baseline keeps each swept batch size, unlike evaluate_scheme's one batch per worker
+        seen = []
+        run = experiments.run_episode
+        monkeypatch.setattr(experiments, "run_episode",
+                            lambda scenario, *args: seen.append(scenario.batch_size)
+                            or run(scenario, *args))
+        sweep_batch(TINY, "uniform", [1, 4], 2, seed=4)
+        assert seen == [1, 1, 4, 4]
 
     def test_keys_are_batch_sizes(self):
         sweep = sweep_batch(TINY, "uniform", [1, 4, 8], 2, seed=4)

@@ -11,7 +11,7 @@ from macc import experiments, marl, simcore
 from macc.allocators import hcmm_alloc
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, StragglerPlan, channel_capacity, link_gain
+from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.numerics import RngStream
 from macc.simcore import (
     DegenerateTaskError,
@@ -29,7 +29,11 @@ from macc.simcore import (
 )
 
 NOISELESS = CommConfig(noise_std_db=0.0)
-NO_STRAG = StragglerPlan(enabled=False)
+
+
+def no_straggler(n):
+    """Time factors of n workers with the straggler off: 1.0 each."""
+    return time_factors(n, 0, False, 10.0)
 
 
 def send_per_row(d):
@@ -52,9 +56,11 @@ def world_arrays(world):
     return [world.pos, world.vel, world.alpha, world.beta]
 
 
-def run_deterministic(world, loads, p, m, batch_size, straggler=NO_STRAG, seed=0):
+def run_deterministic(world, loads, p, m, batch_size, factors=None, seed=0):
+    if factors is None:
+        factors = no_straggler(world.n_workers)
     return run_task(
-        world, loads, batch_size, p, m, straggler, RngStream(seed).substream("task"), NOISELESS,
+        world, loads, batch_size, p, m, factors, RngStream(seed).substream("task"), NOISELESS,
     )
 
 
@@ -63,31 +69,31 @@ class TestLoadAllocation:
 
     def test_total_and_feasibility(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 3)
-        rec, _ = run_deterministic(world, (3, 0, 7), p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, (3, 0, 7), p=10, m=5, batch_size=10)
         assert rec.loads == (3, 0, 7)
         assert rec.feasible and rec.rows_received_at_completion == 10
-        rec, _ = run_deterministic(world, (3, 0, 6), p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, (3, 0, 6), p=10, m=5, batch_size=10)
         assert not rec.feasible and rec.rows_received_at_completion == 9
 
     def test_negative_rejected(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
         with pytest.raises(ValueError, match="non-negative integers"):
-            run_deterministic(world, (3, -1), p=10, m=5, batch_size=None)
+            run_deterministic(world, (3, -1), p=10, m=5, batch_size=10)
 
     def test_fractional_rejected(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         for load in (2.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="non-negative integers"):
-                run_deterministic(world, (load,), p=10, m=5, batch_size=None)
+                run_deterministic(world, (load,), p=10, m=5, batch_size=10)
 
     def test_empty_rejected(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError, match="covers 0 workers"):
-            run_deterministic(world, (), p=10, m=5, batch_size=None)
+            run_deterministic(world, (), p=10, m=5, batch_size=10)
 
     def test_integral_floats_accepted_as_ints(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
-        rec, _ = run_deterministic(world, (4.0, np.int64(6)), p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, (4.0, np.int64(6)), p=10, m=5, batch_size=10)
         assert rec.loads == (4, 6)
         assert all(type(l) is int for l in rec.loads)
 
@@ -118,7 +124,7 @@ class TestSingleWorkerClosedForm:
 
     def test_single_batch(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 0.5, math.inf)])
-        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=10)
         su = send_per_row(1.0)
         expected = 5 * su + 5.0 + 10 * su
         assert rec.t_complete == pytest.approx(expected, rel=1e-12)
@@ -126,16 +132,15 @@ class TestSingleWorkerClosedForm:
 
     def test_straggler_multiplies_compute_only(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 0.1, math.inf)])
-        plan = StragglerPlan(enabled=True, victim=0, slowdown_factor=10.0)
-        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=None,
-                                   straggler=plan)
+        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=10,
+                                   factors=time_factors(1, 0, True, 10.0))
         su = send_per_row(1.0)
         expected = 5 * su + 11 * 0.1 * 10 + 10 * su
         assert rec.t_complete == pytest.approx(expected, rel=1e-12)
 
     def test_drifting_worker_sends_from_farther_away(self):
         world = make_world([((10.0, 0.0), (5.0, 0.0), 1.0, math.inf)])
-        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=10)
         bc = 5 * send_per_row(10.0)
         begin = bc + 10.0
         d_begin = 10.0 + 5.0 * begin
@@ -143,7 +148,7 @@ class TestSingleWorkerClosedForm:
         assert rec.t_complete == pytest.approx(expected, rel=1e-12)
 
         static = make_world([((10.0, 0.0), (0.0, 0.0), 1.0, math.inf)])
-        rec_static, _ = run_deterministic(static, [10], p=10, m=5, batch_size=None)
+        rec_static, _ = run_deterministic(static, [10], p=10, m=5, batch_size=10)
         assert rec.t_complete > rec_static.t_complete
 
 
@@ -163,7 +168,7 @@ class TestCompletionRule:
         # the tie is broken toward worker 0
         workers = [((3.0, 4.0), (0.0, 0.0), 1e-3, math.inf)] * 2
         world = make_world(workers)
-        rec, _ = run_deterministic(world, [10, 10], p=10, m=5, batch_size=None)
+        rec, _ = run_deterministic(world, [10, 10], p=10, m=5, batch_size=10)
         assert rec.rows_received_at_completion == 10
         assert len(rec.receipt_log) == 1
         assert rec.receipt_log[0][0] == 0
@@ -176,7 +181,7 @@ class TestCompletionRule:
         ])
 
         def one_run(loads):
-            rec, _ = run_deterministic(world, loads, p=10, m=5, batch_size=None,
+            rec, _ = run_deterministic(world, loads, p=10, m=5, batch_size=10,
                                        seed=99)
             return rec
 
@@ -203,7 +208,7 @@ class TestReceiptLog:
     def noisy_task():
         world = make_world([((1.0, 0.0), (0.5, 0.0), 1e-3, 1e3),
                             ((3.0, 4.0), (0.0, -1.0), 2e-3, 2e3)])
-        rec, _ = run_task(world, (9, 7), 2, 12, 5, NO_STRAG, RngStream(3).substream("task"),
+        rec, _ = run_task(world, (9, 7), 2, 12, 5, no_straggler(2), RngStream(3).substream("task"),
                           CommConfig(noise_std_db=4.0))
         return rec.receipt_log
 
@@ -273,10 +278,10 @@ class TestReceiptLog:
         scenario = preset_scenario("scenario1", seed=0)
         world, victim = sample_world(scenario, RngStream(0).substream("env"))
         loads = hcmm_alloc(scenario.p_rows, world.alpha, world.beta).loads
-        plan = StragglerPlan(enabled=False, victim=victim)
+        factors = time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown)
 
         def task():
-            return run_task(world, loads, 1, scenario.p_rows, scenario.m_cols, plan,
+            return run_task(world, loads, 1, scenario.p_rows, scenario.m_cols, factors,
                             RngStream(0).substream("task", 0), scenario.comm)
 
         task()  # first-call caches are not the record's
@@ -297,17 +302,17 @@ class TestRunTaskValidation:
     def test_allocation_length_mismatch(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError):
-            run_deterministic(world, [5, 5], p=10, m=5, batch_size=None)
+            run_deterministic(world, [5, 5], p=10, m=5, batch_size=10)
 
     def test_load_above_p_rejected(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError):
-            run_deterministic(world, [11], p=10, m=5, batch_size=None)
+            run_deterministic(world, [11], p=10, m=5, batch_size=10)
 
     def test_all_zero_raises_degenerate(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
         with pytest.raises(DegenerateTaskError):
-            run_deterministic(world, [0, 0], p=10, m=5, batch_size=None)
+            run_deterministic(world, [0, 0], p=10, m=5, batch_size=10)
 
     @pytest.mark.parametrize("rows", [2**46, 2**62])
     def test_unallocatable_batch_layout_names_its_settings(self, rows):
@@ -315,7 +320,8 @@ class TestRunTaskValidation:
         # touching memory; 2^65 bytes is past numpy's index range, its ValueError
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError) as err:
-            run_task(world, (rows,), 1, rows, 5, NO_STRAG, RngStream(0), NOISELESS, index=3)
+            run_task(world, (rows,), 1, rows, 5, no_straggler(1), RngStream(0), NOISELESS,
+                     index=3)
         assert str(err.value) == (
             f"task 3: a batch layout of shape (1, {rows}) cannot be allocated; its width is "
             f"the largest load over the batch size, from scenario.p_rows = {rows} and "
@@ -336,7 +342,7 @@ class TestRunTaskValidation:
 class TestWorldAdvance:
     def test_clock_and_positions_move_by_completion_time(self):
         world = make_world([((1.0, 0.0), (2.0, -1.0), 1.0, math.inf)])
-        rec, after = run_deterministic(world, [10], p=10, m=5, batch_size=None)
+        rec, after = run_deterministic(world, [10], p=10, m=5, batch_size=10)
         t = rec.t_complete
         assert after.clock == t
         assert after.pos.tolist() == [[0.0, 0.0], [1.0 + 2.0 * t, -1.0 * t]]
@@ -370,7 +376,7 @@ class TestWorkerNoise:
         world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
 
         def task(j):
-            run_task(world, [4] * 5, None, 12, 6, NO_STRAG, RngStream(3).substream("task", j),
+            run_task(world, [4] * 5, 12, 12, 6, no_straggler(5), RngStream(3).substream("task", j),
                      CommConfig())
 
         task(0)  # builds the one re-keyed generator
@@ -439,17 +445,17 @@ class TestReward:
     WORLD = make_world([((1.0, 0.0), (0.0, 0.0), 1e-3, 1e4)] * 2)
 
     def test_feasible_is_negative_time(self):
-        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=None)
+        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=8)
         assert rec.feasible and rec.t_complete > 0
         assert reward(rec) == -rec.t_complete
 
     def test_short_allocation_penalized(self):
-        rec, _ = run_deterministic(self.WORLD, (4, 3), p=8, m=5, batch_size=None)
+        rec, _ = run_deterministic(self.WORLD, (4, 3), p=8, m=5, batch_size=8)
         assert not rec.feasible and rec.t_complete > 0
         assert reward(rec) == -rec.t_complete - 200.0
 
     def test_boundary_lt_spares_exact_cover(self):
-        rec, _ = run_deterministic(self.WORLD, (4, 4), p=8, m=5, batch_size=None)
+        rec, _ = run_deterministic(self.WORLD, (4, 4), p=8, m=5, batch_size=8)
         assert rec.feasible
         assert reward(rec) == -rec.t_complete
 
@@ -461,7 +467,7 @@ class TestReward:
         assert ep.rewards == (-7.0, -7.0)
 
     def test_record_not_loads_decides(self):
-        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=None)
+        rec, _ = run_deterministic(self.WORLD, (4, 5), p=8, m=5, batch_size=8)
         assert reward(replace(rec, feasible=False), c=3.0) == -rec.t_complete - 3.0
 
 
@@ -472,6 +478,14 @@ class TestRunEpisode:
         assert e1.total_time == e2.total_time
         assert e1.rewards == e2.rewards
         assert e1.betas == e2.betas
+
+    def test_straggler_factors_built_once_per_episode(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(simcore, "time_factors",
+                            lambda *args: built.append(args) or time_factors(*args))
+        ep = run_episode(replace(TINY, k_tasks=4, straggler_enabled=True), full_loads,
+                         RngStream(4))
+        assert built == [(2, ep.victim, True, TINY.straggler_slowdown)]
 
     def test_shapes_and_bookkeeping(self):
         ep = run_episode(TINY, full_loads, RngStream(4))
@@ -601,18 +615,19 @@ class TestRunEpisode:
             assert clock == task.dispatch_time
             assert states.shape == (2, marl.state_dim(2))
 
-    @pytest.mark.parametrize("batch_size", [None, "scenario"])
+    @pytest.mark.parametrize("batch_size", ["p", "scenario"])
     @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])
     def test_baselines_build_no_states_and_run_as_a_plain_callable(self, scheme, batch_size):
         scenario = preset_scenario("desk")
         blind = experiments.make_allocator(scheme, scenario)
         assert blind.per_episode is True
         scenario = replace(scenario, straggler_enabled=True)
-        ep = run_episode(scenario, blind, RngStream(11), batch_size=batch_size)
+        if batch_size == "p":  # one batch per worker, as evaluate_scheme runs a baseline
+            scenario = replace(scenario, batch_size=scenario.p_rows)
+        ep = run_episode(scenario, blind, RngStream(11))
         assert ep.states == ()
         inner = experiments.make_allocator(scheme, scenario)
-        ref = run_episode(scenario, lambda w, s: inner(w, s), RngStream(11),
-                          batch_size=batch_size)
+        ref = run_episode(scenario, lambda w, s: inner(w, s), RngStream(11))
         assert len(ref.states) == scenario.k_tasks
         assert ep.tasks == ref.tasks
         assert ep.rewards == ref.rewards
@@ -677,13 +692,14 @@ class TestRunEpisode:
         assert ep.rewards[0] == -t0 - 200.0
 
     def test_single_batch_override_matches_full_width_batches(self):
-        a = run_episode(TINY, full_loads, RngStream(4), batch_size=None)
-        b = run_episode(TINY, full_loads, RngStream(4), batch_size=8)
+        # batch size p and a batch size equal to the loads both send one batch per worker
+        a = run_episode(replace(TINY, batch_size=TINY.p_rows), full_loads, RngStream(4))
+        b = run_episode(replace(TINY, batch_size=8), full_loads, RngStream(4))
         assert a.total_time == b.total_time
         assert a.rewards == b.rewards
 
     @pytest.mark.parametrize("straggler", [False, True])
-    @pytest.mark.parametrize("batch_size", [1, 10, None])  # 1, p / 4 and one batch
+    @pytest.mark.parametrize("batch_size", [1, 10, 40])  # 1, p / 4 and p: one batch
     def test_receipts_decode_every_feasible_task(self, batch_size, straggler):
         """The receipt log names coded rows from which A x is recovered.
 
@@ -695,8 +711,8 @@ class TestRunEpisode:
                                   beta_range=(1.0e3, 2.0e3), comm=CommConfig(noise_std_db=4.0))
         p, n = scenario.p_rows, scenario.n_workers
         plans = iter([(40, 40, 40), (20, 15, 10), (30, 0, 25), (13, 14, 13), (10, 10, 10)])
-        ep = run_episode(replace(scenario, straggler_enabled=straggler),
-                         lambda world, states: next(plans), RngStream(6), batch_size=batch_size)
+        ep = run_episode(replace(scenario, straggler_enabled=straggler, batch_size=batch_size),
+                         lambda world, states: next(plans), RngStream(6))
         gen = np.random.default_rng(6)
         g = generate_encoding_matrix(p, n, RngStream(6))
         a = gen.standard_normal((p, scenario.m_cols))
