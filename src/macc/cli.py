@@ -129,8 +129,6 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    experiments.check_scheme(args.scheme)
-    experiments.check_episodes(args.episodes)
     scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
     records = experiments.evaluate_scheme(scenario, args.scheme, args.episodes, seed, agents=agents)
@@ -147,8 +145,6 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
-    experiments.check_schemes(schemes)
-    experiments.check_episodes(args.episodes)
     scenario, _, seed, agents = _setup(args, schemes)
     digest = experiments.run_digest(scenario)
     results = experiments.compare_schemes(scenario, schemes, args.episodes, seed, agents=agents)
@@ -169,9 +165,6 @@ def cmd_sweep_batch(args):
         raise ConfigError(f"--batch-sizes must be integers, got '{args.batch_sizes}'") from None
     if not batch_sizes:
         raise ConfigError("--batch-sizes is empty")
-    experiments.check_batch_sizes(batch_sizes)
-    experiments.check_scheme(args.scheme)
-    experiments.check_episodes(args.episodes)
     scenario, _, seed, agents = _setup(args, [args.scheme])
     digest = experiments.run_digest(scenario)
     sweep = experiments.sweep_batch(

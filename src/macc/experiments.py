@@ -26,7 +26,7 @@ from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from .config import ConfigError, config_digest
 from .numerics import RngStream
-from .simcore import episode_to_json, run_episode
+from .simcore import episode_to_json, run_episode, state_dim
 
 SCHEMES = ("uniform", "load-balanced", "hcmm", "marl")
 
@@ -82,10 +82,10 @@ def make_allocator(scheme, scenario, agents=None):
     if len(agents) != n:
         raise ConfigError(f"checkpoint has {len(agents)} agents, scenario has {n} workers")
     for a in agents:
-        if a.actor.dims[0] != marl.state_dim(n):
+        if a.actor.dims[0] != state_dim(n):
             raise ConfigError(
                 f"checkpoint actors take states of width {a.actor.dims[0]}, "
-                f"scenario with {n} workers has width {marl.state_dim(n)}"
+                f"scenario with {n} workers has width {state_dim(n)}"
             )
     return marl.policy_allocator(agents, scenario)
 

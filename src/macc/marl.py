@@ -1,10 +1,10 @@
 """MADDPG trainer for the load-allocation MDP of simcore.run_episode.
 
-Each worker is an agent. simcore.build_state gives its raw state
-[d_i, d_-i, v_i, v_-i, v_m] (dimension 3N+2) and simcore.reward the
-shared reward r = -T_j - c 1[sum(l) < p]; this module scales the states
-for the networks and learns the actions.  The action is the load l_i in
-[0, p], handled internally in normalized [0, 1] form.
+Each worker is an agent. simcore.build_state gives its observation
+[d_i, d_-i, v_i, v_-i, v_m] (dimension 3N+2), already scaled to O(1) for
+the networks, and simcore.reward the shared reward
+r = -T_j - c 1[sum(l) < p]; this module learns the actions.  The action is
+the load l_i in [0, p], handled internally in normalized [0, 1] form.
 
 Training follows MADDPG: per agent an actor, a centralized critic over the
 joint state and action, and Polyak-averaged target copies of both.
@@ -34,31 +34,11 @@ from . import simcore
 from .config import ConfigError
 from .nets import Mlp, make_optimizer, param_count
 from .simcore import build_state  # noqa: F401  perfbench/tracer.py times it as marl.build_state
+from .simcore import state_dim
 
 HIDDEN = (64, 64, 64)
 CHECKPOINT_FORMAT = "macc-checkpoint-2"
 NETS = ("actor", "critic", "target_actor", "target_critic")  # AgentNets' networks, in order
-
-
-def state_dim(n_workers):
-    return 3 * n_workers + 2
-
-
-def state_scales(scenario):
-    """Fixed normalization scales (distance, velocity) from the scenario ranges."""
-    half = 0.5 * (scenario.pos_range[1] - scenario.pos_range[0])
-    dist_scale = half * math.sqrt(2.0)
-    vel_scale = max(abs(scenario.vel_range[0]), abs(scenario.vel_range[1]))
-    return (dist_scale if dist_scale > 0 else 1.0, vel_scale if vel_scale > 0 else 1.0)
-
-
-def normalize_states(states, n_workers, scales):
-    """Scale raw states for the networks: distances and velocities to O(1)."""
-    out = np.asarray(states, dtype=np.float64).copy()
-    d_scale, v_scale = scales
-    out[..., :n_workers] /= d_scale
-    out[..., n_workers:] /= v_scale
-    return out
 
 
 @dataclass
@@ -206,23 +186,23 @@ class ReplayBuffer:
 
 
 def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
-    """Allocator closure for run_episode: raw joint states -> raw loads p a_i.
+    """Allocator closure for run_episode: joint observation -> raw loads p a_i.
 
-    The closure evaluates the actors as they were when it was built: it
-    stacks copies of their parameters once (Mlp.stack) and makes one pass
-    over all agents per task, each agent reading its own state row.  Build
-    a new allocator after the actors change.  With noise_rng set,
+    states is run_episode's observation, already scaled by the episode
+    scenario's state_scales, and goes to the actors as given.  The closure
+    evaluates the actors as they were when it was built: it stacks copies
+    of their parameters once (Mlp.stack) and makes one pass over all
+    agents per task, each agent reading its own state row.  Build a new
+    allocator after the actors change.  With noise_rng set,
     exploration noise is added to each pre-scaling action and the result
     clipped back to [0, 1].  run_episode rounds the loads to integers.
     """
-    scales = state_scales(scenario)
     n = scenario.n_workers
     p = scenario.p_rows
     actors = Mlp.stack([a.actor for a in agents])
 
     def allocate(world, states):
-        norm = normalize_states(states, n, scales)
-        acts = actors.forward(norm[:, None, :])[:, 0, 0]
+        acts = actors.forward(states[:, None, :])[:, 0, 0]
         if noise_rng is not None and noise_std > 0:
             acts = acts + noise_rng.gen.normal(0.0, noise_std, n)
             acts = np.clip(acts, 0.0, 1.0)
@@ -259,7 +239,6 @@ def train(scenario, cfg, rng, progress=None):
     """
     n = scenario.n_workers
     sdim = state_dim(n)
-    scales = state_scales(scenario)
     agents = make_agents(
         n, rng.substream("init"), lr=cfg.learning_rate, optimizer=cfg.optimizer
     )
@@ -289,12 +268,12 @@ def train(scenario, cfg, rng, progress=None):
                 raise ValueError(f"iteration {it}, task {err.task}, agent {err.worker}: "
                                  f"actor output is {err.loads[err.worker]}") from err
             k = scenario.k_tasks
-            norm_states = normalize_states(np.stack(rec.states), n, scales)
+            states = np.stack(rec.states)
             norm_actions = np.array([t.loads for t in rec.tasks], dtype=np.float64) / scenario.p_rows
             for j in range(k):
                 done = j == k - 1
-                s_next = norm_states[j + 1] if not done else np.zeros_like(norm_states[j])
-                buffer.push(norm_states[j], norm_actions[j], rec.rewards[j], s_next, done)
+                s_next = states[j + 1] if not done else np.zeros_like(states[j])
+                buffer.push(states[j], norm_actions[j], rec.rewards[j], s_next, done)
             totals.append(sum(rec.rewards))
         curve.append(float(np.mean(totals)))
 

@@ -48,13 +48,16 @@ since task j+1 is dispatched only once task j completed, and run_task
 moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
-builds the joint state (build_state), asks the allocator for loads, rounds
-and clamps them to integers, runs the task and scores it (reward).  A
-baseline, marked per_episode, is asked once per episode, with no state.
-The scenario is the episode's one source of settings: every task runs at
-its batch_size, its straggler_enabled decides whether the victim is
-slowed, through the time factors (envmodels.time_factors) built once per
-episode, and reward reads the feasibility that run_task decided.
+builds the agents' joint observation (build_state, which alone fixes its
+layout and scale), asks the allocator for loads, rounds and clamps them to
+integers, runs the task and scores it (reward).  run_task builds every
+TaskRecord, the all-zero task's among them.  A baseline, marked
+per_episode, is asked once per episode, with no state.  The scenario is
+the episode's one source of settings: every task runs at its batch_size,
+its straggler_enabled decides whether the victim is slowed, through the
+time factors (envmodels.time_factors) built once per episode, its ranges
+give the observation's scales (state_scales), taken once per episode, and
+reward reads the feasibility that run_task decided.
 """
 
 import functools
@@ -69,10 +72,6 @@ import numpy as np
 
 from .coding import plan_batches
 from .envmodels import advance, channel_capacity, comp_time, link_gain, time_factors
-
-
-class DegenerateTaskError(ValueError):
-    """An all-zero allocation dispatches no work at all."""
 
 
 class NonFiniteLoadError(ValueError):
@@ -170,7 +169,7 @@ class TaskRecord:
 @dataclass(frozen=True)
 class EpisodeRecord:
     tasks: tuple
-    states: tuple                  # per task: (N, 3N+2) raw joint state, see build_state;
+    states: tuple                  # per task: the (N, 3N+2) scaled observation, see build_state;
                                    # () when the allocator does not read states
     rewards: tuple                 # per task scalar (identical across agents)
     total_time: float
@@ -419,9 +418,12 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     batch_size is an int: a worker sends its load in batches of that many
     rows, so any batch size >= the largest load, p among them, sends one
     batch per worker.  factors is the (N,) float64 vector of the workers'
-    computation-time multiples (envmodels.time_factors).  A link whose
-    capacity underflows to zero makes the completion infinite, which raises
-    ValueError rather than moving the world to an infinite clock.
+    computation-time multiples (envmodels.time_factors).  All-zero loads
+    dispatch nothing: the record is infeasible, takes 0 s, has an empty
+    receipt log and 0 rows received, and the world is returned unchanged.
+    A link whose capacity underflows to zero makes the completion infinite,
+    which raises ValueError rather than moving the world to an infinite
+    clock.
 
     When some worker sends more than one batch (_batched), the loaded
     workers' batches sit in a padded (workers x batches) layout, and
@@ -475,8 +477,10 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     top = max(loads)
     if top > p:
         raise ValueError(f"loads may not exceed p={p}, got {loads}")
-    if top == 0:
-        raise DegenerateTaskError("all-zero allocation: no worker receives any rows")
+    if top == 0:  # nothing dispatched: the task takes no time and completes nothing
+        return TaskRecord(index=index, dispatch_time=world.clock, t_complete=0.0,
+                          receipt_log=ReceiptLog(), rows_received_at_completion=0,
+                          feasible=False, loads=loads), world
     feasible = sum(loads) >= p
 
     active = [i for i, l in enumerate(loads) if l > 0]
@@ -534,30 +538,46 @@ def _state_order(n):
     return order
 
 
-def build_state(world):
-    """Raw joint state of the N agents, one row each: shape (N, 3N+2).
+def state_dim(n_workers):
+    """Width of one agent's observation: N distances, N velocities and the master's."""
+    return 3 * n_workers + 2
+
+
+def state_scales(scenario):
+    """Fixed observation scales (distance, velocity) from the scenario ranges."""
+    half = 0.5 * (scenario.pos_range[1] - scenario.pos_range[0])
+    dist_scale = half * math.sqrt(2.0)
+    vel_scale = max(abs(scenario.vel_range[0]), abs(scenario.vel_range[1]))
+    return (dist_scale if dist_scale > 0 else 1.0, vel_scale if vel_scale > 0 else 1.0)
+
+
+def build_state(world, scales):
+    """Scaled joint observation of the N agents, one row each: shape (N, 3N+2).
 
     Row i is agent i's [d_i, d_-i, v_i, v_-i, v_m]: its own distance to the
     master, the other workers' distances, its own velocity, the others'
     velocities (the others in worker order) and the master's velocity.
-    Distances use math.hypot: np.hypot differs from it in the last bit on
-    some inputs, which would change the recorded states.
+    scales is (d_scale, v_scale), from state_scales: distances are divided
+    by d_scale and velocities by v_scale, so (1.0, 1.0) gives the raw
+    values.  Distances use math.hypot: np.hypot differs from it in the last
+    bit on some inputs, which would change the recorded states.
     """
     n = world.n_workers
+    d_scale, v_scale = scales
     order = _state_order(n)
     dists = np.array([math.hypot(dx, dy) for dx, dy in (world.pos[1:] - world.pos[0]).tolist()])
-    states = np.empty((n, 3 * n + 2))
-    states[:, :n] = dists[order]
-    states[:, n:-2] = world.vel[1:][order].reshape(n, 2 * n)
-    states[:, -2:] = world.vel[0]
+    states = np.empty((n, state_dim(n)))
+    np.divide(dists[order], d_scale, out=states[:, :n])
+    np.divide(world.vel[1:][order].reshape(n, 2 * n), v_scale, out=states[:, n:-2])
+    np.divide(world.vel[0], v_scale, out=states[:, -2:])
     return states
 
 
 def reward(rec, c=200.0):
     """Shared reward -T_j, less c when the task's rows fall short of p.
 
-    run_task alone decides decodability: rec.feasible is sum(l) >= p, and
-    the all-zero record of run_episode is infeasible.
+    run_task alone decides decodability: rec.feasible is sum(l) >= p, so
+    the all-zero record is infeasible.
     """
     return -rec.t_complete - (0.0 if rec.feasible else c)
 
@@ -566,7 +586,8 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
-    where states is build_state(world).  Its loads are rounded to the
+    where states is build_state(world, state_scales(scenario)), the
+    scales taken once per episode.  Its loads are rounded to the
     nearest integers; out-of-range loads are clamped to [0, p] and flagged,
     and a non-finite one raises NonFiniteLoadError.  An allocator whose
     attribute per_episode is True (the baselines of
@@ -584,6 +605,7 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     world, victim = sample_world(scenario, rng.substream("env"))
     factors = time_factors(scenario.n_workers, victim, scenario.straggler_enabled,
                            scenario.straggler_slowdown)
+    scales = state_scales(scenario)
 
     tasks, states_all, rewards = [], [], []
     per_episode = getattr(allocator, "per_episode", False)
@@ -591,7 +613,7 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
         if not per_episode:
-            states = build_state(world)
+            states = build_state(world, scales)
             states_all.append(states)
         if j == 0 or not per_episode:
             raw = list(allocator(world, states))
@@ -602,21 +624,12 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if clamped:
                 loads = tuple(min(max(l, 0), p) for l in loads)
 
-        try:
-            rec, world = run_task(
-                world, loads, scenario.batch_size, p, scenario.m_cols, factors,
-                task_rng.substream(j), scenario.comm, index=j,
-            )
-            if clamped:
-                rec = replace(rec, clamped=True)
-        except DegenerateTaskError:
-            # nothing dispatched: the task takes no time and completes nothing
-            rec = TaskRecord(
-                index=j, dispatch_time=world.clock, t_complete=0.0,
-                receipt_log=ReceiptLog(), rows_received_at_completion=0,
-                feasible=False, loads=loads, clamped=clamped,
-            )
-
+        rec, world = run_task(
+            world, loads, scenario.batch_size, p, scenario.m_cols, factors,
+            task_rng.substream(j), scenario.comm, index=j,
+        )
+        if clamped:
+            rec = replace(rec, clamped=True)
         tasks.append(rec)
         rewards.append(reward(rec, penalty))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -287,6 +288,18 @@ class TestSweepCommand:
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 2 + 3
+
+    def test_desk_hcmm_sweep_bytes_are_pinned(self, tmp_path):
+        # the bytes a replacement of sweep-batch must reproduce; 200 >= every load at desk,
+        # so that row is one batch per worker
+        path = tmp_path / "desk.ini"
+        path.write_text("[scenario]\npreset = desk\n")
+        out = tmp_path / "sw"
+        code = main(["sweep-batch", "--config", str(path), "--scheme", "hcmm", "--episodes", "2",
+                     "--batch-sizes", "1,50,200", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == (
+            "d07caf378e0aa18282ee95566a9394c029428a7eded2f58b6e67225197f2f40b")
 
     def test_bad_batch_sizes(self, ini, tmp_path, capsys):
         code = main(["sweep-batch", "--config", ini, "--batch-sizes", "1,x",

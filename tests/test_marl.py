@@ -15,44 +15,17 @@ from macc.marl import (
     critic_update,
     load_checkpoint,
     make_agents,
-    normalize_states,
     policy_allocator,
     polyak_update,
     save_checkpoint,
-    state_dim,
-    state_scales,
     td_target,
     train,
 )
 from macc.numerics import RngStream
-from macc.simcore import WorldState, build_state, sample_world
+from macc.simcore import build_state, sample_world, state_dim, state_scales
 
 TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
-
-
-def two_worker_world():
-    return WorldState(
-        pos=np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]),
-        vel=np.array([[0.5, -0.5], [1.0, 2.0], [-1.0, 0.0]]),
-        alpha=np.full(2, 1e-3),
-        beta=np.full(2, 1e3),
-    )
-
-
-class TestStates:
-    def test_scales_from_ranges(self):
-        d_scale, v_scale = state_scales(TINY)
-        assert d_scale == pytest.approx(100.0 * math.sqrt(2.0))
-        assert v_scale == 10.0
-
-    def test_normalization_splits_columns(self):
-        world = two_worker_world()
-        raw = build_state(world)
-        norm = normalize_states(raw, 2, (2.0, 4.0))
-        np.testing.assert_allclose(norm[0, :2], raw[0, :2] / 2.0)
-        np.testing.assert_allclose(norm[0, 2:], raw[0, 2:] / 4.0)
-        assert raw[0, 0] == 5.0  # input untouched
 
 
 class TestAgents:
@@ -291,7 +264,7 @@ class TestPolicyAllocator:
     def test_deterministic_without_noise(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _ = sample_world(TINY, RngStream(10).substream("env"))
-        states = build_state(world)
+        states = build_state(world, state_scales(TINY))
         allocate = policy_allocator(agents, TINY)
         first = allocate(world, states)
         second = allocate(world, states)
@@ -301,7 +274,7 @@ class TestPolicyAllocator:
     def test_noise_perturbs_and_stays_in_range(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _ = sample_world(TINY, RngStream(10).substream("env"))
-        states = build_state(world)
+        states = build_state(world, state_scales(TINY))
         clean = policy_allocator(agents, TINY)(world, states)
         noisy_alloc = policy_allocator(agents, TINY, noise_rng=RngStream(11),
                                        noise_std=3.0)
@@ -314,16 +287,15 @@ class TestPolicyAllocator:
     def test_each_agent_reads_its_own_state_row(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _ = sample_world(TINY, RngStream(10).substream("env"))
-        states = build_state(world)
+        states = build_state(world, state_scales(TINY))
         loads = policy_allocator(agents, TINY)(world, states)
-        norm = normalize_states(states, 2, state_scales(TINY))
         for i in range(2):
-            assert loads[i] == TINY.p_rows * agents[i].actor.forward(norm[i:i + 1])[0, 0]
+            assert loads[i] == TINY.p_rows * agents[i].actor.forward(states[i:i + 1])[0, 0]
 
     def test_evaluates_the_actors_as_built(self):
         agents = make_agents(2, RngStream(9), hidden=(4,))
         world, _ = sample_world(TINY, RngStream(10).substream("env"))
-        states = build_state(world)
+        states = build_state(world, state_scales(TINY))
         allocate = policy_allocator(agents, TINY)
         before = allocate(world, states)
         agents[0].actor.biases[-1][0] += 5.0

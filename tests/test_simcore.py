@@ -14,7 +14,6 @@ from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.numerics import RngStream
 from macc.simcore import (
-    DegenerateTaskError,
     EpisodeRecord,
     ReceiptLog,
     TaskRecord,
@@ -26,6 +25,8 @@ from macc.simcore import (
     run_episode,
     run_task,
     sample_world,
+    state_dim,
+    state_scales,
 )
 
 NOISELESS = CommConfig(noise_std_db=0.0)
@@ -309,10 +310,25 @@ class TestRunTaskValidation:
         with pytest.raises(ValueError):
             run_deterministic(world, [11], p=10, m=5, batch_size=10)
 
-    def test_all_zero_raises_degenerate(self):
-        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
-        with pytest.raises(DegenerateTaskError):
-            run_deterministic(world, [0, 0], p=10, m=5, batch_size=10)
+    def test_all_zero_loads_record_an_infeasible_zero_time_task(self):
+        world = replace(make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2), clock=2.5)
+        rec, after = run_task(world, [0, 0.0], 10, 10, 5, no_straggler(2), RngStream(0),
+                              NOISELESS, index=4)
+        assert rec == TaskRecord(index=4, dispatch_time=2.5, t_complete=0.0,
+                                 receipt_log=ReceiptLog(), rows_received_at_completion=0,
+                                 feasible=False, loads=(0, 0))
+        assert type(rec.receipt_log) is ReceiptLog and len(rec.receipt_log) == 0
+        assert after is world
+
+    def test_episode_records_the_zero_task_run_task_builds(self):
+        ep = run_episode(TINY, lambda w, s: (0, 0), RngStream(4))
+        world, victim = sample_world(TINY, RngStream(4).substream("env"))
+        factors = time_factors(2, victim, TINY.straggler_enabled, TINY.straggler_slowdown)
+        for j, rec in enumerate(ep.tasks):
+            want, world = run_task(world, (0, 0), TINY.batch_size, TINY.p_rows, TINY.m_cols,
+                                   factors, RngStream(4).substream("task", j), TINY.comm,
+                                   index=j)
+            assert rec == want
 
     @pytest.mark.parametrize("rows", [2**46, 2**62])
     def test_unallocatable_batch_layout_names_its_settings(self, rows):
@@ -421,14 +437,15 @@ class TestStates:
             [((3.0, 4.0), (1.0, 2.0), 1e-3, 1e3), ((6.0, 8.0), (-1.0, 0.0), 1e-3, 1e3)],
             master_vel=(0.5, -0.5),
         )
-        np.testing.assert_allclose(build_state(world), [
+        assert build_state(world, (1.0, 1.0)).tolist() == [
             [5.0, 10.0, 1.0, 2.0, -1.0, 0.0, 0.5, -0.5],
             [10.0, 5.0, -1.0, 0.0, 1.0, 2.0, 0.5, -0.5],
-        ])
+        ]
 
     def test_rows_list_own_worker_then_the_others_in_order(self):
+        # at unit scales the observation is the raw layout, bit for bit
         world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
-        states = build_state(world)
+        states = build_state(world, (1.0, 1.0))
         assert states.shape == (5, 17)
         (mx, my), *pos = world.pos.tolist()
         master_vel, *vel = world.vel.tolist()
@@ -437,6 +454,24 @@ class TestStates:
             want = [math.hypot(pos[j][0] - mx, pos[j][1] - my) for j in rows]
             want += [v for j in rows for v in vel[j]] + master_vel
             assert states[i].tolist() == want
+
+    def test_scales_from_ranges(self):
+        d_scale, v_scale = state_scales(TINY)
+        assert d_scale == pytest.approx(100.0 * math.sqrt(2.0))
+        assert v_scale == 10.0
+
+    def test_distances_and_velocities_divided_by_their_scales(self):
+        world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
+        raw = build_state(world, (1.0, 1.0))
+        scaled = build_state(world, (2.0, 4.0))
+        assert scaled.shape == (5, state_dim(5))
+        assert np.array_equal(scaled[:, :5], raw[:, :5] / 2.0)
+        assert np.array_equal(scaled[:, 5:], raw[:, 5:] / 4.0)
+
+    def test_episode_observes_the_scenario_scales(self):
+        ep = run_episode(TINY, full_loads, RngStream(4))
+        world, _ = sample_world(TINY, RngStream(4).substream("env"))
+        assert np.array_equal(ep.states[0], build_state(world, state_scales(TINY)))
 
 
 class TestReward:
@@ -601,9 +636,9 @@ class TestRunEpisode:
     def test_states_built_once_per_task_for_marl(self, monkeypatch):
         calls = []
 
-        def counted(world):
-            calls.append(world.clock)
-            return build_state(world)
+        def counted(world, scales):
+            calls.append((world.clock, scales))
+            return build_state(world, scales)
 
         monkeypatch.setattr(simcore, "build_state", counted)
         monkeypatch.setattr(marl, "build_state", counted)
@@ -611,9 +646,10 @@ class TestRunEpisode:
         allocator = experiments.make_allocator("marl", TINY, agents=agents)
         ep = run_episode(TINY, allocator, RngStream(4))
         assert len(calls) == TINY.k_tasks
-        for states, clock, task in zip(ep.states, calls, ep.tasks):
+        for states, (clock, scales), task in zip(ep.states, calls, ep.tasks):
             assert clock == task.dispatch_time
-            assert states.shape == (2, marl.state_dim(2))
+            assert scales == state_scales(TINY)
+            assert states.shape == (2, state_dim(2))
 
     @pytest.mark.parametrize("batch_size", ["p", "scenario"])
     @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])
@@ -647,7 +683,7 @@ class TestRunEpisode:
         assert len(ep.states) == len(worlds) == scenario.k_tasks
         for states, world, task in zip(ep.states, worlds, ep.tasks):
             assert world.clock == task.dispatch_time
-            assert np.array_equal(states, build_state(world))
+            assert np.array_equal(states, build_state(world, state_scales(scenario)))
 
     def test_link_reached_through_a_positional_wrapper(self, monkeypatch):
         # perfbench's tracer replaces simcore.channel_capacity with traced(*args)
