@@ -24,21 +24,25 @@ it yields plain (int, int, float) triples.
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws at once, so it draws through fresh_gen(i) of the
-task's one "worker" substream, which re-keys the shared generator from one
-reused state dict and builds no RngStream, generator or dict per worker.
+It makes all its draws before the next worker draws, so it draws through
+fresh_gen(i) of the task's one "worker" substream, which re-keys the
+shared generator from one reused state dict and builds no RngStream,
+generator or dict per worker.
 
-A task in which some worker sends more than one batch is laid out as a
-padded (workers x batches) array, with r and rv of shape (2, A, 1), and
-its link is solved as a fixed point (_batched).  A task whose workers each
-send one batch (every baseline in compare) takes its own path on flat
-arrays, with r and rv of shape (2, A) (_one_batch): its sizes are the
-loads, and a batch's link is free as soon as it is computed, so the first
-evaluation of the link gives the arrivals.  On these few-element arrays
-the fixed cost per call dominates.  Both paths call the same draw, link,
-compute and sort helpers, and read the world's own arrays, a cached
-worker index and the episode's time factors, with no gather, when every
-worker is loaded (_loaded).
+A task in which some worker sends more than one batch is laid out flat
+and worker-major, with no padding: one slot per batch, the k-th loaded
+worker's batches in the segment [start_k, end_k) of one-dimensional
+arrays, and r and rv repeated per slot to shape (2, slots).  Its link is
+solved as a fixed point (_batched), whose two running accumulates run
+once per segment and every other step once over the flat arrays.  A task
+whose workers each send one batch (every baseline in compare) takes its
+own path on arrays of one entry per worker, with r and rv of shape (2, A)
+(_one_batch): its sizes are the loads, and a batch's link is free as soon
+as it is computed, so the first evaluation of the link gives the
+arrivals.  On these few-element arrays the fixed cost per call dominates.
+Both paths call the same draw, link, compute and sort helpers, and read
+the world's own arrays, a cached worker index and the episode's time
+factors, with no gather, when every worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -202,37 +206,57 @@ def _send_time(bits, d2, gain, cfg):
     return bits / channel_capacity(d2, gain, cfg)
 
 
-def _scan(cpu, tau):
+def _segments(widths):
+    """The flat worker-major layout of the given per-worker slot counts.
+
+    Returns (starts, segments): each worker's first slot, as an int64
+    array, and its slots as one slice per worker, in worker order.
+    """
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    return starts, [slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _scan(cpu, tau, starts, segments):
     """Arrivals and the begins they imply, with the send times tau frozen.
 
-    The arrivals are the max-plus scan S_k + max_{j<=k} (cpu_j - S_{j-1}),
-    S = cumsum(tau), computed in place.  Column k depends only on columns
-    up to k, so the scan of a leading slice is that slice of the full scan.
+    Within each worker's segment (see _segments) the arrivals are the
+    max-plus scan S_k + max_{j<=k} (cpu_j - S_{j-1}), S = cumsum(tau):
+    its two running accumulates run once per segment, in place, and every
+    elementwise step once over the flat arrays.  Slot k of a segment
+    depends only on the slots before it, so the scan of each segment's
+    leading slots is those slots of the full scan.
     """
-    arrival = tau.cumsum(axis=1)
+    arrival = np.empty_like(tau)
+    for seg in segments:
+        np.add.accumulate(tau[seg], out=arrival[seg])
     gap = arrival - tau
     np.subtract(cpu, gap, out=gap)
-    arrival += np.fmax.accumulate(gap, axis=1, out=gap)
+    for seg in segments:
+        np.fmax.accumulate(gap[seg], out=gap[seg])
+    arrival += gap
     # a batch begins once computed and once its predecessor has arrived
-    settled = cpu.copy()
-    np.maximum(cpu[:, 1:], arrival[:, :-1], out=settled[:, 1:])
+    settled = np.empty_like(cpu)
+    np.maximum(cpu[1:], arrival[:-1], out=settled[1:])
+    settled[starts] = cpu[starts]  # a worker's first batch has no predecessor
     return arrival, settled
 
 
-def _guess_cols(arrival, valid, p, b, n_active):
-    """Columns to solve first, from pass 1's arrivals of a feasible task.
+def _guess_cols(arrival, starts, counts, p, b):
+    """Slots to solve first per worker, from pass 1's arrivals of a feasible task.
 
-    The most valid slots any worker delivers by the k-th valid arrival,
-    times 1.02, plus 4, where k = ceil((p - A) / b) + A for A = n_active
-    workers at batch size b, capped at the valid slots.  Only a worker's
-    last batch can be short, so any k slots hold at least p rows: the
-    k-th arrival is never before the one at which the received rows
-    first reach p, and is that one at b = 1.
+    Worker i's width is min(count_i, int(n_i * 1.02) + 4), where n_i
+    counts its arrivals at or before the k-th smallest arrival, for
+    k = ceil((p - A) / b) + A with A workers at batch size b, capped at
+    the slots.  Only a worker's last batch can be short, so any k slots
+    hold at least p rows: the k-th arrival is never before the one at
+    which the received rows first reach p, and is that one at b = 1.
     """
-    arrival = np.where(valid, arrival, np.inf)
-    k = min(-(-(p - n_active) // b) + n_active, np.count_nonzero(valid))
-    t_first = np.partition(arrival, k - 1, axis=None)[k - 1]
-    return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
+    n_active = len(counts)
+    k = min(-(-(p - n_active) // b) + n_active, arrival.size)
+    t_first = np.partition(arrival, k - 1)[k - 1]
+    n = np.add.reduceat(arrival <= t_first, starts)
+    return np.minimum(counts, (n * 1.02).astype(np.int64) + 4)
 
 
 def _reach(arrival, sizes, p):
@@ -242,30 +266,30 @@ def _reach(arrival, sizes, p):
     (worker, batch).  The count runs up to the first arrival that brings
     the received rows to p, and is one past the last slot when none does.
     """
-    order = arrival.argsort(axis=None, kind="stable")
-    received = sizes.ravel()[order].cumsum()
+    order = arrival.argsort(kind="stable")
+    received = sizes[order].cumsum()
     return order, received, int(received.searchsorted(p)) + 1
 
 
-def _fixed_point(cpu, tau, settled, bits, valid, gain, r, rv, cfg):
+def _fixed_point(cpu, tau, settled, bits, gain, r, rv, starts, segments, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
     Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
-    arrays may be leading column slices of the full layout: every pass is
-    exact on them.  The passes run until no valid begin moves; pass n is
-    exact for the first n batches of every worker, so there is at most one
-    pass per column.
+    arrays may hold each worker's leading slots alone: every pass is exact
+    on them.  The passes run until no begin moves; pass n is exact for the
+    first n batches of every worker, so there are at most as many passes
+    as the widest segment has slots.
     """
-    cols = cpu.shape[1]
+    width = max(seg.stop - seg.start for seg in segments)
     begin = cpu
     for done in itertools.count(2):
-        if not ((settled != begin) & valid).any():
+        if not (settled != begin).any():
             return begin, tau
         begin = settled
         tau = _send_time(bits, _dist2(r, rv, begin), gain, cfg)
-        if done >= cols:  # pass n starts from begins that are final for n batches
+        if done >= width:  # pass n starts from begins that are final for n batches
             return begin, tau
-        settled = _scan(cpu, tau)[1]
+        settled = _scan(cpu, tau, starts, segments)[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -295,28 +319,24 @@ def _loaded(world, active, factors):
             world.alpha[act], world.beta[act], factors[act])
 
 
-def _draw_noise(workers, active, omega, us, cfg, counts=None):
-    """Draw each loaded worker's noise into its rows of omega and us, in place.
+def _draw_noise(workers, active, shadows, uniforms, cfg, heads=None):
+    """Draw each loaded worker's noise in place.
 
-    Worker i draws from fresh_gen(i) of the task's "worker" substream:
-    first the standard normals of its row of omega (when noise_std_db > 0),
-    then the compute uniforms of its row of us.  counts, when given, cuts
-    row r to counts[r] batches: counts[r] + 1 shadowings and counts[r]
-    uniforms.  omega is then scaled by noise_std_db once.
+    The k-th loaded worker, i, draws from fresh_gen(i) of the task's
+    "worker" substream: when noise_std_db > 0, the standard normal of
+    heads[k] when heads is given, then those of shadows[k]; then the
+    compute uniforms of uniforms[k].  Normals drawn into one array after
+    another are those of one draw into both.  The caller scales the
+    shadowing by noise_std_db.
     """
-    if counts is not None:
-        omega_rows = [row[: nb + 1] for row, nb in zip(omega, counts)]
-        us_rows = [row[:nb] for row, nb in zip(us, counts)]
-    else:
-        omega_rows, us_rows = omega, us
     noisy = cfg.noise_std_db > 0
-    for i, shadow, u in zip(active, omega_rows, us_rows):
+    for k, i in enumerate(active):
         gen = workers.fresh_gen(i)  # the stream rng.substream("worker", i)
         if noisy:
-            gen.standard_normal(out=shadow)
-        gen.random(out=u)
-    if noisy:
-        omega *= cfg.noise_std_db
+            if heads is not None:
+                gen.standard_normal(out=heads[k])
+            gen.standard_normal(out=shadows[k])
+        gen.random(out=uniforms[k])
 
 
 def _broadcast_time(m, r, gain, cfg):
@@ -336,6 +356,8 @@ def _one_batch(world, loads, active, p, m, factors, workers, cfg):
     omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
     us = np.empty((len(active), 1))
     _draw_noise(workers, active, omega, us, cfg)
+    if cfg.noise_std_db > 0:
+        omega *= cfg.noise_std_db
     gain = link_gain(omega, cfg)
     act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
     sizes = np.array(loads)
@@ -353,61 +375,75 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
-    batches sit in a padded (A, W) layout, and r, rv are (2, A, 1).  A
-    layout that cannot be allocated is a ValueError naming task index,
-    its shape and the settings it grows with, p and the batch size.
+    batches sit in a flat worker-major layout, one slot per batch, and
+    wid names each slot's worker.  A layout that cannot be allocated is a
+    ValueError naming task index, its size and the settings it grows with,
+    p and the batch size.
     """
     plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
     counts = [plan.count for plan in plans]
-    width = max(counts)
+    total = sum(counts)
     try:
-        sizes = np.zeros((len(active), width), dtype=np.int64)
-        omega = np.zeros((len(active), width + 1))  # column 0 is the broadcast of x
-        us = np.zeros((len(active), width))
+        sizes = np.zeros(total, dtype=np.int64)
+        omega = np.zeros(total)  # one shadowing per batch's transmission
+        us = np.zeros(total)
+        wid = np.repeat(np.arange(len(active)), counts)
     except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
         raise ValueError(
-            f"task {index}: a batch layout of shape {(len(active), width)} cannot be "
-            f"allocated; its width is the largest load over the batch size, from "
+            f"task {index}: a batch layout of {total} slots cannot be allocated; it holds "
+            f"one slot per batch, each load over the batch size, from "
             f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}"
         ) from None
-    for r, plan in enumerate(plans):
-        sizes[r, : plan.count] = plan.batch_size
-        sizes[r, plan.count - 1] = plan.last
-    _draw_noise(workers, active, omega, us, cfg, counts)
+    counts = np.array(counts)
+    starts, segments = _segments(counts)
+    sizes.fill(batch_size)
+    sizes[starts + counts - 1] = [plan.last for plan in plans]
+    heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
+    _draw_noise(workers, active, [omega[seg] for seg in segments],
+                [us[seg] for seg in segments], cfg, heads)
+    if cfg.noise_std_db > 0:
+        heads *= cfg.noise_std_db
+        omega *= cfg.noise_std_db
     act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
-    r, rv = r[:, :, None], rv[:, :, None]
-    bits = sizes * cfg.bits_per_element
     gain = link_gain(omega, cfg)  # one per transmission, for every pass
 
-    cpu = comp_time(sizes, us, alpha[:, None], beta[:, None], factors[:, None]).cumsum(axis=1)
-    cpu += _broadcast_time(m, r, gain[:, :1], cfg)
+    cpu = comp_time(sizes, us, *(np.repeat(a, counts) for a in (alpha, beta, factors)))
+    for seg in segments:
+        np.add.accumulate(cpu[seg], out=cpu[seg])
+    cpu += np.repeat(_broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg), counts)
+    del us, omega  # the solves set a task's peak memory: hold no array they do not read
 
-    # pass 1, over the full width
-    gain = gain[:, 1:]  # the batches' transmissions
-    tau = _send_time(bits, _dist2(r, rv, cpu), gain, cfg)
-    counts = np.array(counts)
-    valid = sizes > 0
-    arrival, settled = _scan(cpu, tau)
-    cols = width
-    if feasible:
-        cols = min(_guess_cols(arrival, valid, p, batch_size, len(active)), width)
+    # pass 1, over every slot; a solve's geometry is repeated per slot, C-ordered
+    tau = _send_time(sizes * cfg.bits_per_element,
+                     _dist2(np.repeat(r, counts, axis=1), np.repeat(rv, counts, axis=1), cpu),
+                     gain, cfg)
+    arrival, settled = _scan(cpu, tau, starts, segments)
+    widths = _guess_cols(arrival, starts, counts, p, batch_size) if feasible else counts
+    del arrival  # likewise
+    slots = (cpu, tau, settled, gain, sizes, wid)
     while True:
-        cut = np.s_[:, :cols]
-        begin, tau_cut = _fixed_point(cpu[cut], tau[cut], settled[cut], bits[cut],
-                                      valid[cut], gain[cut], r, rv, cfg)
-        arrival = np.where(valid[cut], begin + tau_cut, np.inf)  # padding never arrives
-        order, received, n_kept = _reach(arrival, sizes[cut], p)
-        if cols == width:
-            n_kept = min(n_kept, int(counts.sum()))  # an infeasible task keeps every batch
+        short = widths < counts
+        if short.any():  # solve each worker's leading widths[i] slots alone
+            lead = [slice(seg.start, seg.start + w) for seg, w in zip(segments, widths.tolist())]
+            starts_w, segments_w = _segments(widths)
+            cut = [np.concatenate([a[s] for s in lead]) for a in slots]
+        else:
+            starts_w, segments_w, cut = starts, segments, slots
+        cpu_w, tau_w, settled_w, gain_w, sizes_w, wid_w = cut
+        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, sizes_w * cfg.bits_per_element,
+                                      gain_w, np.repeat(r, widths, axis=1),
+                                      np.repeat(rv, widths, axis=1), starts_w, segments_w, cfg)
+        arrival = begin + tau_end
+        order, received, n_kept = _reach(arrival, sizes_w, p)
+        if not short.any():
+            n_kept = min(n_kept, order.size)  # an infeasible task keeps every batch
             break
-        if n_kept <= order.size and (
-            arrival[counts > cols, -1] >= arrival.flat[order[n_kept - 1]]
-        ).all():
+        last = starts_w[short] + widths[short] - 1  # the short workers' last solved slots
+        if n_kept <= order.size and (arrival[last] >= arrival[order[n_kept - 1]]).all():
             break
-        cols = min(2 * cols, width)
+        widths = np.minimum(2 * widths, counts)  # doubles the short workers alone
     kept = order[:n_kept]
-    rows = sizes[:, :cols].ravel()[kept]
-    return ReceiptLog(act[kept // cols], rows, arrival.ravel()[kept]), int(received[n_kept - 1])
+    return ReceiptLog(act[wid_w[kept]], sizes_w[kept], arrival[kept]), int(received[n_kept - 1])
 
 
 def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
@@ -426,45 +462,46 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     clock.
 
     When some worker sends more than one batch (_batched), the loaded
-    workers' batches sit in a padded (workers x batches) layout, and
-    compute finish times are a cumulative sum along it.  The link
-    recurrence begin_k = max(cpu_k, arrival_{k-1}),
-    arrival_k = begin_k + tau_k(begin_k) is solved as a fixed point: with
-    the send times tau frozen, the arrivals are the max-plus scan
-    S + cummax(cpu - (S - tau)), S = cumsum(tau); tau is then re-evaluated
-    at the new begins until no begin moves, at most one pass per column
-    (see _fixed_point).  Each transmission's link_gain is computed once, so
-    a pass evaluates the link from the squared distances at the begins
-    alone (_dist2); the broadcast, at t = 0, takes its squared distance as
-    r * r summed.
+    workers' batches sit in a flat worker-major layout, one segment of
+    slots per worker with no padding, and compute finish times are a
+    cumulative sum along each segment.  The link recurrence
+    begin_k = max(cpu_k, arrival_{k-1}), arrival_k = begin_k + tau_k(begin_k)
+    is solved as a fixed point: with the send times tau frozen, the
+    arrivals are the max-plus scan S + cummax(cpu - (S - tau)),
+    S = cumsum(tau), per segment; tau is then re-evaluated at the new
+    begins until no begin moves, at most one pass per slot of the longest
+    segment (see _fixed_point).  Each transmission's link_gain is computed
+    once, so a pass evaluates the link from the squared distances at the
+    begins alone (_dist2); the broadcast, at t = 0, takes its squared
+    distance as r * r summed.
 
     Only arrivals up to completion enter the record, so a feasible task is
-    solved on the leading columns alone.  Pass 1 evaluates the link at the
-    compute finish times over the full width; the columns kept are the
-    most slots a worker delivers by a bound on pass 1's completion, taken
-    by selection (see _guess_cols), plus a margin.
-    Column k depends only on columns up to k, so the truncated solve is
-    exact, bit for bit, on its columns.  Its completion T' stands when
-    every worker with unsolved batches has its last solved arrival at or
-    after T': each worker's arrivals strictly increase, so none of its
-    unsolved batches arrives by T'.  Otherwise the width doubles and the
-    solve repeats.  An infeasible task keeps every batch and is solved in
-    full.
+    solved on each worker's leading slots alone.  Pass 1 evaluates the
+    link at the compute finish times over every slot; each worker then
+    keeps the slots it delivers by a bound on pass 1's completion, taken
+    by selection (see _guess_cols), plus a margin.  Slot k of a segment
+    depends only on the slots before it, so the truncated solve is exact,
+    bit for bit, on its slots.  Its completion T' stands when every worker
+    with unsolved batches has its last solved arrival at or after T': each
+    worker's arrivals strictly increase, so none of its unsolved batches
+    arrives by T'.  Otherwise those workers' widths double and the solve
+    repeats.  An infeasible task keeps every batch and is solved in full.
 
     When every loaded worker sends its load as one batch (batch_size at
     least the largest load), the task takes its own path
     (_one_batch) on flat arrays, one entry per loaded worker: the sizes
     are the loads, each batch begins once computed, so the arrivals are
-    cpu + tau, sorted as above, with no plan_batches call, fixed point,
-    padding or widening.  It calls the same link, compute and sort
+    cpu + tau, sorted as above, with no plan_batches call, fixed point
+    or widening.  It calls the same link, compute and sort
     helpers, so each model expression has one copy.
 
     Worker i's noise, the stream rng.substream("worker", i), is drawn
     through fresh_gen(i) of one "worker" substream per task, into that
-    worker's rows of the draw arrays.  The shadowing is drawn as standard
-    normals and scaled by noise_std_db once: normal(0, s) gives 0.0 + s z,
-    which differs from s z only in a zero's sign, and link_gain adds a
-    nonzero constant to it.
+    worker's entries of the draw arrays: its broadcast's shadowing, then
+    its batches', the normals of one draw of both.  The shadowing is
+    drawn as standard normals and scaled by noise_std_db once:
+    normal(0, s) gives 0.0 + s z, which differs from s z only in a zero's
+    sign, and link_gain adds a nonzero constant to it.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:

@@ -137,7 +137,7 @@ class TestTrainCommand:
                         "[train]\nmax_iterations = 1\n")
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: task 0: a batch layout of shape (4, ")
+        assert err.startswith("error: task 0: a batch layout of ")
         assert err.endswith("from scenario.p_rows = 70368744177664 and scenario.batch_size = 1\n")
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()  # --out is made only for the first output
@@ -317,7 +317,7 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_unallocatable_batch_layout_names_the_swept_batch_size(self, tmp_path, capsys):
-        # uniform loads of 2^44 rows at b = 2: a (4, 2^43) layout of 256 TiB, refused
+        # uniform loads of 2^44 rows at b = 2: 4 x 2^43 slots of 256 TiB, refused
         # without touching memory; the INI's batch size stays 1
         path = tmp_path / "huge.ini"
         path.write_text("[scenario]\npreset = desk\np_rows = 70368744177664\n")
@@ -326,9 +326,9 @@ class TestSweepCommand:
                      "--episodes", "1", "--batch-sizes", "2", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == ("error: task 0: a batch layout of shape (4, 8796093022208) cannot be "
-                       "allocated; its width is the largest load over the batch size, from "
-                       "scenario.p_rows = 70368744177664 and scenario.batch_size = 2\n")
+        assert err == ("error: task 0: a batch layout of 35184372088832 slots cannot be "
+                       "allocated; it holds one slot per batch, each load over the batch size, "
+                       "from scenario.p_rows = 70368744177664 and scenario.batch_size = 2\n")
         assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 """The vectorized fixed-point engine against the scalar oracle, plus properties.
 
 run_task solves each worker's link recurrence as a fixed point over a
-padded (workers x batches) layout; scalar_oracle.run_task_scalar walks the
-same recurrence batch by batch.  Both draw the same random numbers, so
-they agree up to floating-point rounding: completion times to 1e-12
-relative, and rows, feasibility and kept receipts exactly.
+flat worker-major layout, one segment of slots per worker;
+scalar_oracle.run_task_scalar walks the same recurrence batch by batch.
+Both draw the same random numbers, so they agree up to floating-point
+rounding: completion times to 1e-12 relative, and rows, feasibility and
+kept receipts exactly.  A column is the k-th slot of every worker.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
 from macc.numerics import RngStream
-from macc.simcore import WorldState, _dist2, _guess_cols, _send_time, run_task, sample_world
+from macc.simcore import (WorldState, _dist2, _guess_cols, _scan, _segments, _send_time,
+                          run_task, sample_world)
 
 from scalar_oracle import capacity, run_task_scalar
 
@@ -222,13 +224,14 @@ def close_pass_world():
 
 @pytest.fixture
 def solved_widths(monkeypatch):
-    """The column count of each link solve run_task makes, in order."""
+    """The slots solved per worker in each link solve run_task makes, in order, as lists."""
     widths = []
     solve = simcore._fixed_point
 
-    def recording(cpu, *args):
-        widths.append(cpu.shape[1])
-        return solve(cpu, *args)
+    def recording(*args):
+        segments = args[-2]
+        widths.append([seg.stop - seg.start for seg in segments])
+        return solve(*args)
 
     monkeypatch.setattr(simcore, "_fixed_point", recording)
     return widths
@@ -271,31 +274,40 @@ def closing_world():
     )
 
 
+def guessing(width):
+    """A stand-in for _guess_cols that solves every worker's first `width` slots first."""
+    return lambda arrival, starts, counts, p, b: np.minimum(counts, width)
+
+
 class TestTruncatedSolve:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_column_guess_widens_to_the_oracle(self, monkeypatch, solved_widths, seed):
-        monkeypatch.setattr(simcore, "_guess_cols", lambda *args: 1)
+        monkeypatch.setattr(simcore, "_guess_cols", guessing(1))
         world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(seed).substream("env"))
         got, want = run_both(world, [90, 70, 60], 120, 50, 1, NO_STRAGGLER, CommConfig(), seed)
-        assert solved_widths[:3] == [1, 2, 4] and solved_widths[-1] < 90
+        assert solved_widths[:3] == [[1] * 3, [2] * 3, [4] * 3] and max(solved_widths[-1]) < 90
+        # widening doubles the workers with unsolved batches alone
+        for before, after in zip(solved_widths, solved_widths[1:]):
+            assert after == [min(2 * w, c) for w, c in zip(before, [90, 70, 60])]
         assert_matches_oracle(got, want)
 
     def test_closing_worker_outruns_the_first_guess(self, solved_widths):
         got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         delivered = sum(1 for w, _, _ in got.receipt_log if w == 1)
-        assert len(solved_widths) == 2 and solved_widths[0] < delivered <= solved_widths[1]
+        assert len(solved_widths) == 2 and solved_widths[0][1] < delivered <= solved_widths[1][1]
         assert_matches_oracle(got, want)
 
     def test_infeasible_task_keeps_every_batch(self, solved_widths):
         world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(2).substream("env"))
         got, want = run_both(world, [40, 25, 0], 120, 50, 1, NO_STRAGGLER, CommConfig(), 2)
-        assert solved_widths == [40]
+        assert solved_widths == [[40, 25]]
         assert not got.feasible and len(got.receipt_log) == 65
         assert_matches_oracle(got, want)
 
     def test_link_work_at_paper_scale(self, monkeypatch):
-        # solving every batch evaluated the link at 2,808,105 distances here
+        # solving every batch evaluated the link at 2,808,105 distances here, and
+        # solving every worker out to the widest worker's guess at 1,925,835
         evaluated = []
         vector_capacity = simcore.channel_capacity
 
@@ -305,14 +317,15 @@ class TestTruncatedSolve:
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
         (rec,) = sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)[1]
-        assert sum(evaluated) <= 0.8 * 2_808_105
+        assert sum(evaluated) <= 1_498_435
         assert rec.total_time == 217.6616366530215
 
     def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
-        # recorded when the guess sorted every slot; at b = 1 selection gives the same guess
+        # one solve per task but one, which widens once; solving each worker out to
+        # the widest worker's guess took 300 solves of 902,166 columns, 3 slots each
         for seed in range(10):
             sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, seed)
-        assert len(solved_widths) == 300 and sum(solved_widths) == 902_166
+        assert len(solved_widths) == 301 and sum(map(sum, solved_widths)) == 1_833_805
         assert max(solve_passes) <= 11  # 10 when recorded
 
 
@@ -342,18 +355,19 @@ class TestPassBound:
         got, want = run_both(crossing_world(), [1342], 1416, 3210, 2, NO_STRAGGLER,
                              CommConfig(noise_std_db=4.0), seed)
         assert max(solve_passes) > 32
-        assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
+        assert all(n <= max(widths) for n, widths in zip(solve_passes, solved_widths))
         assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("guess", [1, 2, 3])
     def test_a_solve_takes_at_most_one_pass_per_column(
         self, monkeypatch, solved_widths, solve_passes, guess
     ):
-        monkeypatch.setattr(simcore, "_guess_cols", lambda *args: guess)
+        monkeypatch.setattr(simcore, "_guess_cols", guessing(guess))
         got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
-        assert solved_widths[0] == solve_passes[0] == guess  # the first solve stops at its width
-        assert all(n <= cols for n, cols in zip(solve_passes, solved_widths))
+        # the first solve stops at its width
+        assert solved_widths[0] == [guess, guess] and solve_passes[0] == guess
+        assert all(n <= max(widths) for n, widths in zip(solve_passes, solved_widths))
         assert_matches_oracle(got, want)
 
     def test_capacity_underflow_raises(self):
@@ -382,30 +396,40 @@ def four_array_send_time(bits, t, rel, gain, cfg):
     return bits / channel_capacity(dx, gain, cfg)
 
 
-def sorted_guess_cols(arrival, sizes, valid, p):
-    """The first solve width as taken before, from a stable sort of every slot."""
-    arrival = np.where(valid, arrival, np.inf)
-    order = arrival.argsort(axis=None, kind="stable")
-    t_first = arrival.flat[order[sizes.ravel()[order].cumsum().searchsorted(p)]]
-    return int((arrival <= t_first).sum(axis=1).max() * 1.02) + 4
+def sorted_guess_cols(arrival, sizes, starts, counts, p):
+    """The first solve's widths, from a stable sort of every slot."""
+    order = arrival.argsort(kind="stable")
+    t_first = arrival[order[sizes[order].cumsum().searchsorted(p)]]
+    n = np.add.reduceat(arrival <= t_first, starts)
+    return np.minimum(counts, (n * 1.02).astype(np.int64) + 4)
 
 
-def padded_layout(gen, b):
-    """Random loads in run_task's padded layout at batch size b, with pass-1-like arrivals.
+def flat_layout(gen, b, loads=None):
+    """Loads in run_task's flat layout at batch size b, with pass-1-like arrivals.
 
-    Each row's arrivals increase, with ties across rows; padding holds
-    values the guess must ignore.
+    Returns (loads, sizes, counts, arrival), counts the batches per worker:
+    each worker's arrivals increase along its segment, with ties across
+    workers.
     """
-    loads = gen.integers(1, 60, gen.integers(1, 6))
+    if loads is None:
+        loads = gen.integers(1, 60, gen.integers(1, 6))
     plans = [plan_batches(l, min(b, l)) for l in loads]
-    sizes = np.zeros((len(loads), max(plan.count for plan in plans)), dtype=np.int64)
-    for r, plan in enumerate(plans):
-        sizes[r, : plan.count] = plan.batch_size
-        sizes[r, plan.count - 1] = plan.last
-    valid = sizes > 0
-    arrival = np.where(valid, gen.integers(1, 4, sizes.shape).cumsum(axis=1) * 0.25,
-                       gen.uniform(0.0, 1.0, sizes.shape))
-    return loads, sizes, valid, arrival
+    counts = np.array([plan.count for plan in plans])
+    sizes = np.full(counts.sum(), b, dtype=np.int64)
+    sizes[counts.cumsum() - 1] = [plan.last for plan in plans]
+    arrival = np.concatenate([gen.integers(1, 4, c).cumsum() * 0.25 for c in counts])
+    return np.asarray(loads), sizes, counts, arrival
+
+
+def padded_scan(cpu, tau):
+    """The scan of the padded (workers x batches) layout, as run_task computed it before."""
+    arrival = tau.cumsum(axis=1)
+    gap = arrival - tau
+    np.subtract(cpu, gap, out=gap)
+    arrival += np.fmax.accumulate(gap, axis=1, out=gap)
+    settled = cpu.copy()
+    np.maximum(cpu[:, 1:], arrival[:, :-1], out=settled[:, 1:])
+    return arrival, settled
 
 
 class TestSameBitsAsBefore:
@@ -438,11 +462,49 @@ class TestSameBitsAsBefore:
     def test_selection_guess_never_below_the_sorted_one(self, b):
         gen = np.random.default_rng(b)
         for _ in range(200):
-            loads, sizes, valid, arrival = padded_layout(gen, b)
+            loads, sizes, counts, arrival = flat_layout(gen, b)
+            starts = _segments(counts)[0]
             p = int(gen.integers(1, loads.sum() + 1))
-            got = _guess_cols(arrival, valid, p, b, len(loads))
-            want = sorted_guess_cols(arrival, sizes, valid, p)
-            assert got == want if b == 1 else got >= want
+            got = _guess_cols(arrival, starts, counts, p, b)
+            want = sorted_guess_cols(arrival, sizes, starts, counts, p)
+            assert got.shape == want.shape == (len(loads),)
+            assert (got == want).all() if b == 1 else (got >= want).all()
+
+    @pytest.mark.parametrize("loads", [[9, 3, 12], [2, 30], [30, 1], [40], [1, 1, 1]])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segment_scan_matches_the_padded_scan(self, loads, seed):
+        # batch size 4: a load of at most 4 rows is one batch, a segment of one slot
+        gen = np.random.default_rng(seed)
+        _, sizes, counts, _ = flat_layout(gen, 4, loads)
+        starts, segments = _segments(counts)
+        cpu = np.concatenate([gen.uniform(0.0, 2.0, seg.stop - seg.start).cumsum()
+                              for seg in segments])
+        tau = gen.uniform(0.0, 1.0, sizes.size) * sizes
+        got = _scan(cpu, tau, starts, segments)
+        width = max(seg.stop - seg.start for seg in segments)
+        padded = [np.zeros((len(loads), width)) for _ in range(2)]
+        for row, seg in enumerate(segments):
+            for a, flat in zip(padded, (cpu, tau)):
+                a[row, : seg.stop - seg.start] = flat[seg]
+        want = padded_scan(*padded)
+        for flat, square in zip(got, want):
+            for row, seg in enumerate(segments):
+                assert flat[seg].tobytes() == square[row, : seg.stop - seg.start].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_normal_draws_match_one_draw(self, n, seed):
+        # a worker's broadcast shadowing, then its n batches', then its n uniforms
+        workers = RngStream(seed).substream("task", seed).substream("worker")
+        for i in range(3):
+            gen = workers.fresh_gen(i)
+            head, shadows, us = np.empty(1), np.empty(n), np.empty(n)
+            gen.standard_normal(out=head)
+            gen.standard_normal(out=shadows)
+            gen.random(out=us)
+            gen = workers.fresh_gen(i)
+            assert np.concatenate([head, shadows]).tobytes() == gen.standard_normal(n + 1).tobytes()
+            assert us.tobytes() == gen.random(n).tobytes()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_factor_vector_and_gathers_for_each_victim(self, enabled):

@@ -339,8 +339,8 @@ class TestRunTaskValidation:
             run_task(world, (rows,), 1, rows, 5, no_straggler(1), RngStream(0), NOISELESS,
                      index=3)
         assert str(err.value) == (
-            f"task 3: a batch layout of shape (1, {rows}) cannot be allocated; its width is "
-            f"the largest load over the batch size, from scenario.p_rows = {rows} and "
+            f"task 3: a batch layout of {rows} slots cannot be allocated; it holds one slot "
+            f"per batch, each load over the batch size, from scenario.p_rows = {rows} and "
             "scenario.batch_size = 1"
         )
 
