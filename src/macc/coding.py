@@ -17,13 +17,33 @@ carries follows from the block layout above: worker i's k-th receipt
 continues its block where the previous one stopped.
 """
 
+import math
 from dataclasses import dataclass
 
-from .numerics import as_matrix, as_vector, least_squares_solve
+import numpy as np
+
+from .numerics import as_matrix, as_vector
+
+COND_CAP = 1.0e12  # the largest cond(G^T G) = cond(G)^2 that decode trusts
 
 
 class InsufficientRowsError(ValueError):
     """Fewer than p encoded rows received: the task result is undecodable."""
+
+
+class SingularSystemError(ValueError):
+    """The received rows are too ill-conditioned to decode from.
+
+    Carries the condition estimate of the normal-equation matrix in
+    ``condition``.
+    """
+
+    def __init__(self, condition):
+        self.condition = condition
+        super().__init__(
+            "least-squares system is numerically singular "
+            f"(cond(G^T G) ~ {condition:.3e})"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,13 +90,21 @@ def decode(g_received, y_received):
     """Recover A x from >= p received encoded rows by least squares.
 
     g_received holds the encoding rows matching y_received in order.  The
-    system is consistent by construction, so the least-squares solution is
-    exact up to floating error.
+    system is consistent by construction, so the least-squares solution
+    (G^T G)^{-1} G^T y is exact up to floating error.  It is computed by
+    an SVD-based routine, not the normal equations, and the singular
+    values it returns give cond(G^T G) = cond(G)^2, which must not exceed
+    COND_CAP, otherwise SingularSystemError is raised.
     """
-    g_received = as_matrix(g_received)
-    y_received = as_vector(y_received)
-    q, p = g_received.shape
+    g = as_matrix(g_received)
+    y = as_vector(y_received)
+    q, p = g.shape
+    if y.shape[0] != q:
+        raise ValueError(f"dimension mismatch: G is {g.shape}, y has length {y.shape[0]}")
     if q < p:
         raise InsufficientRowsError(f"received {q} rows, need at least {p} to decode")
-    return least_squares_solve(g_received, y_received)
-
+    z, _, _, s = np.linalg.lstsq(g, y, rcond=None)
+    cond_g = float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
+    if cond_g * cond_g > COND_CAP:
+        raise SingularSystemError(cond_g * cond_g)
+    return z

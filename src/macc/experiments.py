@@ -26,7 +26,7 @@ from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from .config import ConfigError, config_digest
 from .numerics import RngStream
-from .simcore import episode_to_json, run_episode, state_dim
+from .simcore import episode_to_json, run_episode
 
 SCHEMES = ("uniform", "load-balanced", "hcmm", "marl")
 
@@ -79,14 +79,6 @@ def make_allocator(scheme, scenario, agents=None):
     # marl
     if agents is None:
         raise ValueError("the marl scheme needs trained agents (checkpoint)")
-    if len(agents) != n:
-        raise ConfigError(f"checkpoint has {len(agents)} agents, scenario has {n} workers")
-    for a in agents:
-        if a.actor.dims[0] != state_dim(n):
-            raise ConfigError(
-                f"checkpoint actors take states of width {a.actor.dims[0]}, "
-                f"scenario with {n} workers has width {state_dim(n)}"
-            )
     return marl.policy_allocator(agents, scenario)
 
 

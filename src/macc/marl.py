@@ -18,10 +18,12 @@ Each actor reads only its own state, so the policy allocator evaluates all
 N actors in one stacked pass per task, on copies of their parameters taken
 when the allocator is built (once per episode in train).
 
-A checkpoint file is one JSON header line (format, n_workers, p_rows and
-each network's dims and out_act) followed by each network's parameter
-vector as little-endian float64, network by network in NETS order.  Every
-agent's networks share agent 0's dims and out_act.
+A checkpoint file is one JSON header line followed by every agent's
+parameters.  Every agent has the same networks, so the header states each
+network role once: format, n_workers, p_rows and one dims and out_act per
+role, in NETS order.  The body is agent by agent, each network's parameter
+vector in NETS order, as little-endian float64.  load_checkpoint is the
+one check that a policy fits a scenario.
 """
 
 import json
@@ -37,7 +39,7 @@ from .simcore import build_state  # noqa: F401  perfbench/tracer.py times it as 
 from .simcore import state_dim
 
 HIDDEN = (64, 64, 64)
-CHECKPOINT_FORMAT = "macc-checkpoint-2"
+CHECKPOINT_FORMAT = "macc-checkpoint-3"
 NETS = ("actor", "critic", "target_actor", "target_critic")  # AgentNets' networks, in order
 
 
@@ -297,28 +299,34 @@ def train(scenario, cfg, rng, progress=None):
 
 
 def save_checkpoint(path, agents, scenario):
-    """Write every agent's networks, without optimizer state, as one checkpoint file."""
-    nets = [getattr(a, k) for a in agents for k in NETS]
+    """Write every agent's networks, without optimizer state, as one checkpoint file.
+
+    The header states agent 0's networks, which every agent shares.
+    """
+    first = [getattr(agents[0], k) for k in NETS]
     header = {
         "format": CHECKPOINT_FORMAT,
         "n_workers": len(agents),
         "p_rows": scenario.p_rows,
-        "nets": [{"dims": net.dims, "out_act": net.out_act} for net in nets],
+        "nets": [{"dims": net.dims, "out_act": net.out_act} for net in first],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for net in nets:
-            fh.write(net.flat.astype("<f8").tobytes())
+        for agent in agents:
+            for k in NETS:
+                fh.write(getattr(agent, k).flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, scenario=None):
     """Rebuild AgentNets, without optimizers, from a checkpoint file.
 
-    Raises ConfigError naming the cause for another format, a malformed
-    header, agents whose networks differ in dims or out_act from agent 0's
-    (the policy evaluates all actors in one stacked pass) or a parameter
-    block of another length than the header's networks take, and, with a
-    scenario given, for another n_workers or p_rows.
+    This is the one check that a policy fits a scenario.  Raises
+    ConfigError naming the cause for another format, a malformed header, a
+    header whose networks do not take the input widths its n_workers gives
+    (state_dim(n) for an actor, n (state_dim(n) + 1) for a critic) or do
+    not give one output, a body
+    of another length than n_workers agents of the header's networks take,
+    and, with a scenario given, for another n_workers or p_rows.
     """
     with open(path, "rb") as fh:
         head, _, body = fh.read().partition(b"\n")
@@ -328,23 +336,23 @@ def load_checkpoint(path, scenario=None):
             raise ValueError(f"its format is {header['format']!r}")
         n, p = int(header["n_workers"]), int(header["p_rows"])
         specs = [(net["dims"], net["out_act"]) for net in header["nets"]]
-        if len(specs) != len(NETS) * n:
-            raise ValueError(f"the header lists {len(specs)} networks for {n} workers")
-        sizes = [param_count(dims) for dims, _ in specs]
+        if len(specs) != len(NETS):
+            raise ValueError(f"the header lists {len(specs)} networks, not one per role {NETS}")
+        sdim = state_dim(n)
+        for role, (dims, _) in zip(NETS, specs):
+            width = sdim if role.endswith("actor") else n * (sdim + 1)
+            if dims[0] != width or dims[-1] != 1:
+                raise ValueError(f"its {role} has dims {dims}: {n} workers need {width} inputs "
+                                 f"and 1 output")
+        sizes = [param_count(dims) for dims, _ in specs] * n
         if len(body) != 8 * sum(sizes):
             cause = "truncated" if len(body) < 8 * sum(sizes) else "trailing bytes"
-            raise ValueError(f"{cause}: the header's networks take {8 * sum(sizes)} bytes "
-                             f"of parameters, the file holds {len(body)}")
-        for k, (dims, out_act) in enumerate(specs):
-            agent, j = divmod(k, len(NETS))
-            if (dims, out_act) != specs[j]:
-                raise ValueError(f"agent {agent}'s {NETS[j]} has dims {dims} and out_act "
-                                 f"{out_act!r}, agent 0's has dims {specs[j][0]} and out_act "
-                                 f"{specs[j][1]!r}")
+            raise ValueError(f"{cause}: {n} agents of the header's networks take "
+                             f"{8 * sum(sizes)} bytes of parameters, the file holds {len(body)}")
         blocks = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes)[:-1])
         nets = [Mlp.from_params(dims, out_act, [block])
-                for (dims, out_act), block in zip(specs, blocks)]
-    except (KeyError, TypeError, ValueError) as err:
+                for (dims, out_act), block in zip(specs * n, blocks)]
+    except (IndexError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: not a valid {CHECKPOINT_FORMAT} file: {err}") from None
     if scenario is not None and n != scenario.n_workers:
         raise ConfigError(f"checkpoint has {n} agents, scenario has {scenario.n_workers} workers")

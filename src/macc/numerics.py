@@ -1,9 +1,11 @@
-"""Dense linear algebra and seeded random sampling used by every other module.
+"""Seeded random streams, and the array checks coding and the demos use.
 
-Matrices and vectors are plain numpy arrays (row-major, float64). The only
-nontrivial pieces are the least-squares solver used for decoding and the
-splittable RngStream that gives each stochastic event in the simulator its
-own reproducible substream.
+Every stochastic part of the package (environment, engine, trainer,
+experiments) draws from the splittable RngStream, which gives each
+stochastic event in the simulator its own reproducible substream.
+as_matrix and as_vector coerce and check the dense float64 inputs of
+coding's encode and decode; mat_vec is the product the demos and tests
+feed it.
 
 A stream draws through RngStream.gen, a Generator of its own that keeps
 its place while other streams draw (an episode's environment and
@@ -31,21 +33,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _INT_TOKENS = (int, np.integer)  # a bool is an int too, and is refused
-
-
-class SingularSystemError(ValueError):
-    """Raised when a least-squares system is too ill-conditioned to trust.
-
-    Carries the condition estimate of the normal-equation matrix in
-    ``condition``.
-    """
-
-    def __init__(self, condition):
-        self.condition = condition
-        super().__init__(
-            "least-squares system is numerically singular "
-            f"(cond(G^T G) ~ {condition:.3e})"
-        )
 
 
 def as_matrix(a):
@@ -79,29 +66,6 @@ def mat_vec(a, x):
     if a.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: A is {a.shape}, x has length {x.shape[0]}")
     return a @ x
-
-
-def least_squares_solve(g, y, cond_cap=1.0e12):
-    """Solve min_z ||G z - y||_2 for a tall, well-conditioned G.
-
-    This is the decoding primitive (G^T G)^{-1} G^T y, computed through a
-    QR-based least-squares routine rather than the normal equations.  The
-    condition number of G^T G (estimated as cond(G)^2) must stay below
-    ``cond_cap``, otherwise SingularSystemError is raised.
-    """
-    g = as_matrix(g)
-    y = as_vector(y)
-    q, p = g.shape
-    if y.shape[0] != q:
-        raise ValueError(f"dimension mismatch: G is {g.shape}, y has length {y.shape[0]}")
-    if q < p:
-        raise ValueError(f"underdetermined system: {q} rows < {p} unknowns")
-    cond_g = np.linalg.cond(g)
-    cond_gram = cond_g * cond_g
-    if not np.isfinite(cond_gram) or cond_gram > cond_cap:
-        raise SingularSystemError(cond_gram)
-    z, _, _, _ = np.linalg.lstsq(g, y, rcond=None)
-    return z
 
 
 def _splitmix64(x):

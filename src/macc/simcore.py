@@ -682,13 +682,16 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
 
 
 def episode_to_json(rec):
-    """One JSON line per episode for downstream analysis."""
+    """One JSON line per episode for downstream analysis.
+
+    It holds no rewards, which depend on the penalty: a reader scores a
+    task as -t_complete_s - c (not feasible) with the c of its choice.
+    """
     payload = {
         "total_time_s": rec.total_time,
         "betas": list(rec.betas),
         "victim": rec.victim,
         "straggler": rec.straggler_enabled,
-        "rewards": list(rec.rewards),
         "tasks": [
             {
                 "index": t.index,

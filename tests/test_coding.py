@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from macc.coding import (
     BatchPlan,
     InsufficientRowsError,
+    SingularSystemError,
     decode,
     encode,
     generate_encoding_matrix,
@@ -136,6 +139,56 @@ class TestDecode:
     def test_insufficient_rows_rejected(self):
         with pytest.raises(InsufficientRowsError):
             decode(np.ones((2, 3)), np.ones(2))
+
+
+class TestDecodeSolve:
+    """decode's least-squares solve and its conditioning check on small systems."""
+
+    def test_identity_returns_y(self):
+        y = np.array([2.0, -1.0, 3.0])
+        assert np.allclose(decode(np.eye(3), y), y, atol=1e-14)
+
+    def test_overdetermined_consistent_mean(self):
+        z = decode([[1.0], [1.0]], [1.0, 3.0])
+        assert abs(z[0] - 2.0) < 1e-12
+
+    def test_recovers_planted_solution(self):
+        gen = np.random.default_rng(5)
+        g = gen.normal(0, 1, (5, 3))
+        z_true = gen.normal(0, 1, 3)
+        z = decode(g, g @ z_true)
+        assert np.max(np.abs(z - z_true)) / np.max(np.abs(z_true)) < 1e-10
+
+    def test_recovery_up_to_200_by_50(self):
+        for seed in range(10):
+            gen = np.random.default_rng(100 + seed)
+            q = int(gen.integers(60, 201))
+            p = int(gen.integers(5, 51))
+            g = gen.normal(0, 1, (q, p))
+            z_true = gen.normal(0, 1, p)
+            z = decode(g, g @ z_true)
+            rel = np.linalg.norm(z - z_true) / np.linalg.norm(z_true)
+            assert rel < 1e-9
+
+    def test_underdetermined_rejected(self):
+        with pytest.raises(ValueError):
+            decode(np.ones((2, 3)), np.ones(2))
+
+    def test_rank_deficient_raises_with_condition(self):
+        g = np.ones((4, 2))  # both columns identical
+        with pytest.raises(SingularSystemError) as err:
+            decode(g, np.ones(4))
+        assert err.value.condition > 1e12
+
+    def test_zero_singular_value_is_infinite_condition(self):
+        # an exact zero singular value, with no division warning on the way
+        with pytest.raises(SingularSystemError) as err:
+            decode(np.zeros((3, 2)), np.zeros(3))
+        assert err.value.condition == math.inf
+
+    def test_y_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="G is \\(3, 2\\), y has length 2"):
+            decode(np.ones((3, 2)), np.ones(2))
 
 
 class TestRoundTrip:

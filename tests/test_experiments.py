@@ -48,14 +48,6 @@ class TestAllocatorFactory:
         with pytest.raises(ValueError):
             make_allocator("marl", TINY)
 
-    def test_marl_rejects_agents_for_another_worker_count(self):
-        agents = marl.make_agents(3, RngStream(0), hidden=(4,))
-        with pytest.raises(ConfigError, match="checkpoint has 3 agents, scenario has 2 workers"):
-            make_allocator("marl", TINY, agents=agents)
-        # right agent count, actors built for N = 3 (width 11, not 8)
-        with pytest.raises(ConfigError, match="width 11, scenario with 2 workers has width 8"):
-            make_allocator("marl", TINY, agents=agents[:2])
-
     @pytest.mark.parametrize("scheme, name", [("hcmm", "hcmm_alloc"),
                                               ("load-balanced", "load_balanced_alloc")])
     def test_profile_based_loads_computed_once_per_episode(self, monkeypatch, scheme, name):

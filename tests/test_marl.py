@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from macc import marl
-from macc.config import ConfigError, ScenarioConfig, TrainConfig
+from macc.config import ConfigError, ScenarioConfig, TrainConfig, preset_scenario
 from macc.marl import (
     NETS,
     ReplayBuffer,
@@ -407,11 +407,23 @@ class TestCheckpoint:
         agents, path = saved
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        assert header["format"] == "macc-checkpoint-2"
+        assert header["format"] == "macc-checkpoint-3"
         assert (header["n_workers"], header["p_rows"]) == (2, TINY.p_rows)
+        # one entry per network role, stated once for every agent
+        assert header["nets"] == [{"dims": getattr(agents[0], k).dims,
+                                   "out_act": getattr(agents[0], k).out_act} for k in NETS]
         nets = [getattr(a, k) for a in agents for k in NETS]
-        assert header["nets"] == [{"dims": n.dims, "out_act": n.out_act} for n in nets]
         assert body == b"".join(q.astype("<f8").tobytes() for n in nets for q in n.params())
+
+    def test_desk_header_lists_four_networks(self, tmp_path):
+        desk = preset_scenario("desk")
+        agents = make_agents(desk.n_workers, RngStream(20))
+        path = tmp_path / "desk.bin"
+        save_checkpoint(str(path), agents, desk)
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        assert header["n_workers"] == 4
+        assert [net["dims"][0] for net in header["nets"]] == [14, 60, 14, 60]
+        assert len(load_checkpoint(str(path), desk)) == 4
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -423,8 +435,18 @@ class TestCheckpoint:
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format": "macc-checkpoint-1", "n_workers": 2,
                                     "p_rows": 8, "agents": []}))
-        with pytest.raises(ConfigError, match="not a valid macc-checkpoint-2 file: "
+        with pytest.raises(ConfigError, match="not a valid macc-checkpoint-3 file: "
                                               "its format is 'macc-checkpoint-1'"):
+            load_checkpoint(str(path))
+
+    def test_format_2_rejected(self, saved):
+        # format 2 listed every agent's networks in the header; its body is format 3's
+        agents, path = saved
+        nets = [{"dims": getattr(a, k).dims, "out_act": getattr(a, k).out_act}
+                for a in agents for k in NETS]
+        rewrite_header(path, format="macc-checkpoint-2", nets=nets)
+        with pytest.raises(ConfigError, match="not a valid macc-checkpoint-3 file: "
+                                              "its format is 'macc-checkpoint-2'"):
             load_checkpoint(str(path))
 
     def test_truncated_rejected(self, saved):
@@ -440,9 +462,33 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_worker_count_mismatch_in_header_rejected(self, saved):
+        # networks built for 2 workers (actor width 8) under a header claiming 3 (width 11)
         _, path = saved
         rewrite_header(path, n_workers=3)
-        with pytest.raises(ConfigError, match="lists 8 networks for 3 workers"):
+        with pytest.raises(ConfigError, match=r"its actor has dims \[8, 64, 64, 64, 1\]: "
+                                              r"3 workers need 11 inputs"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("net, dims, want", [
+        (3, [20, 64, 64, 64, 1], r"its target_critic has dims \[20, 64, 64, 64, 1\]: "
+                                 r"2 workers need 18 inputs"),
+        (0, [8, 64, 64, 64, 2], r"its actor has dims \[8, 64, 64, 64, 2\]: "
+                                r"2 workers need 8 inputs and 1 output"),
+        (0, [], "not a valid macc-checkpoint-3 file"),
+    ])
+    def test_network_that_does_not_fit_rejected(self, saved, net, dims, want):
+        _, path = saved
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        header["nets"][net]["dims"] = dims
+        rewrite_header(path, nets=header["nets"])
+        with pytest.raises(ConfigError, match=want):
+            load_checkpoint(str(path))
+
+    def test_one_entry_per_agent_rejected(self, saved):
+        _, path = saved
+        header = json.loads(path.read_bytes().partition(b"\n")[0])
+        rewrite_header(path, nets=header["nets"] * 2)
+        with pytest.raises(ConfigError, match="the header lists 8 networks, not one per role"):
             load_checkpoint(str(path))
 
     def test_parameter_count_mismatch_in_header_rejected(self, saved):
@@ -454,13 +500,12 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_agents_with_other_layers_rejected(self, tmp_path):
+        # the header states agent 0's layers, so agent 1's narrower block leaves the body short
         wide = make_agents(2, RngStream(18), hidden=(64, 64, 64))
         narrow = make_agents(2, RngStream(19), hidden=(32,))
         path = tmp_path / "spliced.bin"
         save_checkpoint(str(path), [wide[0], narrow[1]], TINY)
-        want = (r"not a valid macc-checkpoint-2 file: agent 1's actor has dims \[8, 32, 1\] "
-                r"and out_act 'sigmoid', agent 0's has dims \[8, 64, 64, 64, 1\]")
-        with pytest.raises(ConfigError, match=want):
+        with pytest.raises(ConfigError, match="not a valid macc-checkpoint-3 file: truncated"):
             load_checkpoint(str(path))
 
     def test_scenario_mismatch_rejected(self, saved):

@@ -3,11 +3,9 @@ import pytest
 
 from macc.numerics import (
     RngStream,
-    SingularSystemError,
     _fold,
     _splitmix64,
     _token_to_u64,
-    least_squares_solve,
     mat_vec,
 )
 
@@ -42,44 +40,6 @@ class TestMatVec:
             lhs = mat_vec(a, x + y)
             rhs = mat_vec(a, x) + mat_vec(a, y)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestLeastSquares:
-    def test_identity_returns_y(self):
-        y = np.array([2.0, -1.0, 3.0])
-        assert np.allclose(least_squares_solve(np.eye(3), y), y, atol=1e-14)
-
-    def test_overdetermined_consistent_mean(self):
-        z = least_squares_solve([[1.0], [1.0]], [1.0, 3.0])
-        assert abs(z[0] - 2.0) < 1e-12
-
-    def test_recovers_planted_solution(self):
-        gen = np.random.default_rng(5)
-        g = gen.normal(0, 1, (5, 3))
-        z_true = gen.normal(0, 1, 3)
-        z = least_squares_solve(g, g @ z_true)
-        assert np.max(np.abs(z - z_true)) / np.max(np.abs(z_true)) < 1e-10
-
-    def test_recovery_up_to_200_by_50(self):
-        for seed in range(10):
-            gen = np.random.default_rng(100 + seed)
-            q = int(gen.integers(60, 201))
-            p = int(gen.integers(5, 51))
-            g = gen.normal(0, 1, (q, p))
-            z_true = gen.normal(0, 1, p)
-            z = least_squares_solve(g, g @ z_true)
-            rel = np.linalg.norm(z - z_true) / np.linalg.norm(z_true)
-            assert rel < 1e-9
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            least_squares_solve(np.ones((2, 3)), np.ones(2))
-
-    def test_rank_deficient_raises_with_condition(self):
-        g = np.ones((4, 2))  # both columns identical
-        with pytest.raises(SingularSystemError) as err:
-            least_squares_solve(g, np.ones(4))
-        assert err.value.condition > 1e12
 
 
 SEED_STREAMS = [(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (42, 7), (2**63, 12345)]

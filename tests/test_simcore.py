@@ -775,3 +775,5 @@ class TestRunEpisode:
         assert doc["victim"] == ep.victim
         assert len(doc["tasks"]) == 2
         assert doc["tasks"][0]["loads"] == [8, 8]
+        # a reward depends on the penalty, so the line leaves it to the reader
+        assert '"rewards"' not in line
