@@ -38,7 +38,8 @@ rec, _ = run_task(world, loads, 10, p, m, no_straggler,
 print(f"\nbatches of 10, loads {rec.loads}: done at {rec.t_complete * 1e3:.1f} ms "
       f"with {rec.rows_received_at_completion} rows")
 print("receipt timeline (worker, rows, arrival ms):")
-for worker, rows, arrival in rec.receipt_log:
+log = rec.receipt_log  # one array per field, in arrival order
+for worker, rows, arrival in zip(log.workers.tolist(), log.rows.tolist(), log.arrivals.tolist()):
     bar = "#" * int(arrival / rec.t_complete * 40)
     print(f"  w{worker} +{rows:>3}  {arrival * 1e3:7.1f}  {bar}")
 
@@ -54,7 +55,7 @@ for b in (1, 5, 15, 30, p):  # b = p: each worker sends its load as one batch
                         rng.substream("task"), scenario.comm)
     label = "single" if b == p else f"b={b}"
     print(f"  {label:>7}: {rec_b.t_complete * 1e3:7.1f} ms "
-          f"({len(rec_b.receipt_log)} receipts used)")
+          f"({rec_b.receipt_log.arrivals.size} receipts used)")
 
 # ----------------------------------------------------------------------
 # 3. Episodes chain K tasks through a drifting world

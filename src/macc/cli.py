@@ -26,16 +26,6 @@ from .config import ConfigError, check_seed, load_config
 from .numerics import RngStream
 
 
-def _straggler_flag(value):
-    if value is None:
-        return None
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise argparse.ArgumentTypeError("--straggler takes 'on' or 'off'")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="macc",
@@ -49,7 +39,7 @@ def build_parser():
                        help="override the scenario seed; recorded as the outputs' seed=")
         p.add_argument("--out", default=".",
                        help="output directory, created when the first output is written")
-        p.add_argument("--straggler", type=_straggler_flag, default=None,
+        p.add_argument("--straggler", choices=("on", "off"), default=None,
                        help="override [straggler] enabled with on or off; like the INI key, "
                             "it enters the outputs' config= digest")
 
@@ -96,7 +86,7 @@ def _setup(args, schemes=()):
         raise ConfigError("the marl scheme requires --checkpoint")
     scenario, train_cfg = load_config(args.config)
     if args.straggler is not None:  # before anything runs or is hashed into the digest
-        scenario = replace(scenario, straggler_enabled=args.straggler)
+        scenario = replace(scenario, straggler_enabled=args.straggler == "on")
     seed = args.seed if args.seed is not None else scenario.seed
     agents = marl.load_checkpoint(args.checkpoint, scenario) if "marl" in schemes else None
     return scenario, train_cfg, seed, agents

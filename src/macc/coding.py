@@ -12,13 +12,14 @@ rows per task and avoids repeating the encoding cost.
 
 The engine (simcore.run_task) needs only p, the payload length m and the
 loads: it simulates when rows arrive, never their values, so it draws no
-G.  plan_batches is the one function it calls here.  Which rows a receipt
-carries follows from the block layout above: worker i's k-th receipt
-continues its block where the previous one stopped.
+G.  plan_batches is the one function it calls here, once per task in
+which some worker sends more than one batch, on all the loaded workers'
+loads at once.  Which rows a receipt carries follows from the block
+layout above: worker i's k-th receipt continues its block where the
+previous one stopped.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +47,6 @@ class SingularSystemError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """Split of a load into count batches: count - 1 of batch_size rows, then last."""
-
-    count: int
-    batch_size: int
-    last: int
-
-
 def generate_encoding_matrix(p, n_workers, rng):
     """Draw the (N p, p) i.i.d. standard Gaussian encoding matrix G."""
     p = int(p)
@@ -72,18 +64,20 @@ def encode(g, a):
     return g @ a
 
 
-def plan_batches(load, batch_size):
-    """Partition a load of l rows into w = ceil(l / b) batches.
+def plan_batches(loads, batch_size):
+    """Partition each load of l rows into w = ceil(l / b) batches.
 
-    All batches have b rows except possibly the last, which has
-    l - (w - 1) b.
+    Returns (counts, last) as int64 arrays, one entry per load: the w of
+    each, and the rows of its last batch, l - (w - 1) b.  Every other
+    batch has b rows, and a b above l gives one batch of l rows.  A load
+    past int64 raises OverflowError.
     """
-    load = int(load)
-    batch_size = int(batch_size)
-    if load < 1 or batch_size < 1:
-        raise ValueError(f"load and batch size must be >= 1, got ({load}, {batch_size})")
-    w = -(-load // batch_size)
-    return BatchPlan(count=w, batch_size=batch_size, last=load - (w - 1) * batch_size)
+    loads = np.asarray(loads, dtype=np.int64)
+    if batch_size < 1 or (loads < 1).any():
+        raise ValueError(f"loads and batch size must be >= 1, got loads {loads.tolist()} "
+                         f"and batch size {batch_size}")
+    counts = -(-loads // batch_size)
+    return counts, loads - (counts - 1) * batch_size
 
 
 def decode(g_received, y_received):

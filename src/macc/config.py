@@ -43,6 +43,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if any(c in self.name for c in ",\r\n"):  # it is a field of every CSV row
+            raise ConfigError(f"scenario.name: may not hold a comma or a line break, "
+                              f"got {self.name!r}")
         if self.n_workers < 1:
             raise ConfigError(f"scenario.n_workers: must be >= 1, got {self.n_workers}")
         if self.p_rows < 1 or self.m_cols < 1 or self.k_tasks < 1:

@@ -29,20 +29,21 @@ fresh_gen(i) of the task's one "worker" substream, which re-keys the
 shared generator from one reused state dict and builds no RngStream,
 generator or dict per worker.
 
-A task in which some worker sends more than one batch is laid out flat
-and worker-major, with no padding: one slot per batch, the k-th loaded
-worker's batches in the segment [start_k, end_k) of one-dimensional
-arrays, and r and rv repeated per slot to shape (2, slots).  Its link is
-solved as a fixed point (_batched), whose two running accumulates run
-once per segment and every other step once over the flat arrays.  A task
-whose workers each send one batch (every baseline in compare) takes its
-own path on arrays of one entry per worker, with r and rv of shape (2, A)
-(_one_batch): its sizes are the loads, and a batch's link is free as soon
-as it is computed, so the first evaluation of the link gives the
-arrivals.  On these few-element arrays the fixed cost per call dominates.
-Both paths call the same draw, link, compute and sort helpers, and read
-the world's own arrays, a cached worker index and the episode's time
-factors, with no gather, when every worker is loaded (_loaded).
+A task in which some worker sends more than one batch is laid out by one
+plan_batches call, flat and worker-major, with no padding: one slot per
+batch, the k-th loaded worker's batches in the segment [start_k, end_k)
+of one-dimensional arrays, and r and rv repeated per slot to shape
+(2, slots).  Its link is solved as a fixed point (_batched), whose two
+running accumulates run once per segment and every other step once over
+the flat arrays.  A task whose workers each send one batch (every
+baseline in compare) takes its own path on arrays of one entry per
+worker, with r and rv of shape (2, A) (_one_batch): its sizes are the
+loads, and a batch's link is free as soon as it is computed, so the first
+evaluation of the link gives the arrivals.  On these few-element arrays
+the fixed cost per call dominates.  Both paths call the same draw, link,
+compute and sort helpers, and read the world's own arrays, a cached
+worker index and the episode's time factors, with no gather, when every
+worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -371,33 +372,36 @@ def _one_batch(world, loads, active, p, m, factors, workers, cfg):
     return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
 
 
+def _layout_error(index, total, p, batch_size):
+    """The ValueError of task index, whose batch layout of total slots cannot be allocated."""
+    return ValueError(f"task {index}: a batch layout of {total} slots cannot be allocated; it "
+                      "holds one slot per batch, each load over the batch size, from "
+                      f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
+
+
 def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
-    batches sit in a flat worker-major layout, one slot per batch, and
-    wid names each slot's worker.  A layout that cannot be allocated is a
+    batches sit in a flat worker-major layout, one slot per batch.  A
+    layout that cannot be allocated, a load past int64 among them, is a
     ValueError naming task index, its size and the settings it grows with,
     p and the batch size.
     """
-    plans = [plan_batches(loads[i], min(batch_size, loads[i])) for i in active]
-    counts = [plan.count for plan in plans]
-    total = sum(counts)
     try:
-        sizes = np.zeros(total, dtype=np.int64)
+        counts, last = plan_batches([loads[i] for i in active], batch_size)
+    except OverflowError:  # a load past int64: its slots are counted as Python ints
+        total = sum(-(-loads[i] // batch_size) for i in active)
+        raise _layout_error(index, total, p, batch_size) from None
+    total = sum(counts.tolist())  # as Python ints: an int64 sum can wrap
+    try:
         omega = np.zeros(total)  # one shadowing per batch's transmission
         us = np.zeros(total)
-        wid = np.repeat(np.arange(len(active)), counts)
+        sizes = np.full(total, batch_size)
     except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
-        raise ValueError(
-            f"task {index}: a batch layout of {total} slots cannot be allocated; it holds "
-            f"one slot per batch, each load over the batch size, from "
-            f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}"
-        ) from None
-    counts = np.array(counts)
+        raise _layout_error(index, total, p, batch_size) from None
     starts, segments = _segments(counts)
-    sizes.fill(batch_size)
-    sizes[starts + counts - 1] = [plan.last for plan in plans]
+    sizes[starts + counts - 1] = last
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
     _draw_noise(workers, active, [omega[seg] for seg in segments],
                 [us[seg] for seg in segments], cfg, heads)
@@ -420,7 +424,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
     arrival, settled = _scan(cpu, tau, starts, segments)
     widths = _guess_cols(arrival, starts, counts, p, batch_size) if feasible else counts
     del arrival  # likewise
-    slots = (cpu, tau, settled, gain, sizes, wid)
+    slots = (cpu, tau, settled, gain, sizes)
     while True:
         short = widths < counts
         if short.any():  # solve each worker's leading widths[i] slots alone
@@ -429,7 +433,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
             cut = [np.concatenate([a[s] for s in lead]) for a in slots]
         else:
             starts_w, segments_w, cut = starts, segments, slots
-        cpu_w, tau_w, settled_w, gain_w, sizes_w, wid_w = cut
+        cpu_w, tau_w, settled_w, gain_w, sizes_w = cut
         begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, sizes_w * cfg.bits_per_element,
                                       gain_w, np.repeat(r, widths, axis=1),
                                       np.repeat(rv, widths, axis=1), starts_w, segments_w, cfg)
@@ -443,7 +447,8 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
             break
         widths = np.minimum(2 * widths, counts)  # doubles the short workers alone
     kept = order[:n_kept]
-    return ReceiptLog(act[wid_w[kept]], sizes_w[kept], arrival[kept]), int(received[n_kept - 1])
+    return (ReceiptLog(np.repeat(act, widths)[kept], sizes_w[kept], arrival[kept]),
+            int(received[n_kept - 1]))
 
 
 def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):

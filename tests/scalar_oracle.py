@@ -12,7 +12,6 @@ link formula in dBm, so they check envmodels' link end to end as well.
 
 import math
 
-from macc.coding import plan_batches
 from macc.simcore import TaskRecord
 
 
@@ -34,8 +33,8 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
     for i, load in enumerate(loads):
         if load == 0:
             continue
-        plan = plan_batches(load, min(batch_size, load))
-        nb = plan.count
+        nb = -(-load // batch_size)  # batches: all of batch_size rows but the last
+        last = load - (nb - 1) * batch_size
         wrng = rng.substream("worker", i)
         if sigma > 0:
             omegas = wrng.gen.normal(0.0, sigma, nb + 1)
@@ -55,7 +54,7 @@ def run_task_scalar(world, loads, batch_size, p, m, straggler, rng, cfg, index=0
         t_cpu = bc
         link_free = bc
         for k in range(nb):
-            rows = plan.batch_size if k < nb - 1 else plan.last
+            rows = batch_size if k < nb - 1 else last
             t_cpu += (alpha * rows - (rows / beta) * math.log1p(-us[k])) * slow
             begin = t_cpu if t_cpu > link_free else link_free
             dx = (px + vx * begin) - (mx + mvx * begin)

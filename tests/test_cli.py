@@ -49,7 +49,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["evaluate", "--config", ini, "--scheme", "uniform", "--straggler", "on"]
         )
-        assert args.straggler is True
+        assert args.straggler == "on"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["evaluate", "--config", ini, "--scheme", "uniform", "--straggler", "sometimes"]
@@ -131,16 +131,18 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_unallocatable_batch_layout_names_task_and_settings(self, tmp_path, capsys):
-        # p = 2^46 rows at b = 1 asks for a layout of PiB, refused without touching memory
-        path = tmp_path / "huge.ini"
-        path.write_text("[scenario]\npreset = desk\np_rows = 70368744177664\n"
-                        "[train]\nmax_iterations = 1\n")
-        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: task 0: a batch layout of ")
-        assert err.endswith("from scenario.p_rows = 70368744177664 and scenario.batch_size = 1\n")
-        assert "Traceback" not in err
-        assert not (tmp_path / "x").exists()  # --out is made only for the first output
+        # p = 2^46 rows at b = 1 asks for a layout of PiB, refused without touching memory;
+        # at p = 2^63 the slots total more than int64 holds, and so may one load
+        for p, slots in ((2**46, 149209694328353), (2**63, 19557213055006057984)):
+            path = tmp_path / "huge.ini"
+            path.write_text(f"[scenario]\npreset = desk\np_rows = {p}\n"
+                            "[train]\nmax_iterations = 1\n")
+            assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: task 0: a batch layout of {slots} slots ")
+            assert err.endswith(f"from scenario.p_rows = {p} and scenario.batch_size = 1\n")
+            assert "Traceback" not in err
+            assert not (tmp_path / "x").exists()  # --out is made only for the first output
 
 
 class TestEvaluateCommand:

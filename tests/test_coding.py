@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from macc.coding import (
-    BatchPlan,
     InsufficientRowsError,
     SingularSystemError,
     decode,
@@ -72,33 +74,46 @@ class TestEncode:
 
 
 class TestPlanBatches:
-    def test_last_batch_remainder(self):
-        plan = plan_batches(10, 3)
-        assert (plan.count, plan.batch_size, plan.last) == (4, 3, 1)
+    def test_array_form_below_at_and_above_the_batch_size(self):
+        # one batch of a load at or below b; a short last batch when b does not divide it
+        counts, last = plan_batches([3, 5, 7, 10, 15], 5)
+        assert counts.dtype == last.dtype == np.int64
+        assert counts.tolist() == [1, 1, 2, 2, 3]
+        assert last.tolist() == [3, 5, 2, 5, 5]
 
-    def test_single_batch(self):
-        assert plan_batches(6, 6) == BatchPlan(count=1, batch_size=6, last=6)
-
-    def test_batch_larger_than_load(self):
-        plan = plan_batches(1, 100)
-        assert (plan.count, plan.last) == (1, 1)
+    def test_batch_size_one_sends_one_row_per_batch(self):
+        counts, last = plan_batches(np.array([1, 4, 9]), 1)
+        assert counts.tolist() == [1, 4, 9]
+        assert last.tolist() == [1, 1, 1]
 
     def test_sizes_sum_and_bound(self):
         gen = np.random.default_rng(11)
         for _ in range(50):
-            load = int(gen.integers(1, 500))
+            loads = gen.integers(1, 500, int(gen.integers(1, 6)))
             b = int(gen.integers(1, 60))
-            plan = plan_batches(load, b)
-            assert (plan.count - 1) * plan.batch_size + plan.last == load
-            assert 1 <= plan.last <= b
-            assert plan.batch_size == b
-            assert plan.count == -(-load // b)
+            counts, last = plan_batches(loads, b)
+            assert ((counts - 1) * b + last == loads).all()
+            assert ((1 <= last) & (last <= b)).all()
+
+    @given(st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=6),
+           st.integers(1, 2**63 - 1))
+    def test_counts_are_the_ceiling_of_python_ints(self, loads, b):
+        counts, last = plan_batches(loads, b)
+        want = [math.ceil(Fraction(l, b)) for l in loads]  # exact, unlike l / b
+        assert counts.tolist() == want
+        assert last.tolist() == [l - (w - 1) * b for l, w in zip(loads, want)]
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            plan_batches(0, 3)
-        with pytest.raises(ValueError):
-            plan_batches(3, 0)
+        with pytest.raises(ValueError, match=r"got loads \[0, 4\] and batch size 3"):
+            plan_batches([0, 4], 3)
+        with pytest.raises(ValueError, match=r"got loads \[3\] and batch size 0"):
+            plan_batches([3], 0)
+        with pytest.raises(ValueError, match=r"got loads \[-2\] and batch size -1"):
+            plan_batches([-2], -1)
+
+    def test_rejects_a_load_past_int64(self):
+        with pytest.raises(OverflowError):
+            plan_batches([2**63], 1)
 
 
 class TestDecode:

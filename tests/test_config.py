@@ -170,6 +170,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"scenario\.beta_min: must be positive"):
             ScenarioConfig(beta_range=(0.0, 10.0))
 
+    @pytest.mark.parametrize("text", ["name = a,b\n", "name = a\n  b\n"],
+                             ids=["comma", "continuation line"])
+    def test_name_that_would_split_a_csv_row_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"^scenario\.name: may not hold a comma or a line "):
+            load_config(write(tmp_path, "[scenario]\npreset = desk\n" + text))
+
     @pytest.mark.parametrize("key, value", [
         ("pos_max", "inf"), ("vel_min", "-inf"), ("beta_max", "nan"), ("pos_min", "nan"),
     ])

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import simcore
-from macc.coding import plan_batches
 from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
@@ -145,11 +144,13 @@ class TestAgainstScalarOracle:
         task_rng = RngStream(3).substream("task")
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
-        for loads, batch_size in (([50, 60, 0, 70], 120), ([50, 60, 0, 70], 70)):
+        # two one-batch tasks plan nothing; a multi-batch task plans every worker at once
+        for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
+                                         ([50, 60, 0, 70], 20, 1)):
             calls.update(plan_batches=0, substream=0)
             run_task(world, loads, batch_size, 120, 50, time_factors(4, victim, True, 10.0),
                      task_rng, CommConfig())
-            assert calls["plan_batches"] == 0
+            assert calls["plan_batches"] == plans
             assert calls["substream"] <= 1
 
 
@@ -413,10 +414,9 @@ def flat_layout(gen, b, loads=None):
     """
     if loads is None:
         loads = gen.integers(1, 60, gen.integers(1, 6))
-    plans = [plan_batches(l, min(b, l)) for l in loads]
-    counts = np.array([plan.count for plan in plans])
+    counts = np.array([-(-int(l) // b) for l in loads])
     sizes = np.full(counts.sum(), b, dtype=np.int64)
-    sizes[counts.cumsum() - 1] = [plan.last for plan in plans]
+    sizes[counts.cumsum() - 1] = [l - (c - 1) * b for l, c in zip(loads, counts.tolist())]
     arrival = np.concatenate([gen.integers(1, 4, c).cumsum() * 0.25 for c in counts])
     return np.asarray(loads), sizes, counts, arrival
 

@@ -330,10 +330,11 @@ class TestRunTaskValidation:
                                    index=j)
             assert rec == want
 
-    @pytest.mark.parametrize("rows", [2**46, 2**62])
+    @pytest.mark.parametrize("rows", [2**46, 2**62, 2**63])
     def test_unallocatable_batch_layout_names_its_settings(self, rows):
         # 512 TiB is past any 47-bit user address space, so calloc refuses it without
-        # touching memory; 2^65 bytes is past numpy's index range, its ValueError
+        # touching memory; 2^65 bytes is past numpy's index range, its ValueError;
+        # a load of 2^63 rows is past int64 itself
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError) as err:
             run_task(world, (rows,), 1, rows, 5, no_straggler(1), RngStream(0), NOISELESS,
@@ -343,6 +344,13 @@ class TestRunTaskValidation:
             f"per batch, each load over the batch size, from scenario.p_rows = {rows} and "
             "scenario.batch_size = 1"
         )
+
+    def test_unallocatable_batch_layout_counts_its_slots_past_int64(self):
+        # three loads of 2^62 + 2^61 rows: 9 x 2^61 slots, a total that wraps in int64
+        rows = 2**62 + 2**61
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 3)
+        with pytest.raises(ValueError, match=f"^task 0: a batch layout of {3 * rows} slots "):
+            run_task(world, (rows,) * 3, 1, rows, 5, no_straggler(3), RngStream(0), NOISELESS)
 
     def test_zero_load_worker_draws_nothing(self):
         # worker 1 idle: its arrival pattern must not disturb worker 0
