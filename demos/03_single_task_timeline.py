@@ -9,10 +9,12 @@ rows; everything still in flight is discarded.  Small batches overlap
 computation with transmission, one big batch serializes them.
 """
 
+import numpy as np
+
 from macc.config import ScenarioConfig
 from macc.envmodels import time_factors
 from macc.numerics import RngStream
-from macc.simcore import rows_received_curve, run_episode, run_task, sample_world
+from macc.simcore import run_episode, run_task, sample_world
 
 scenario = ScenarioConfig(name="demo", n_workers=3, p_rows=60, m_cols=40,
                           k_tasks=1, beta_range=(5e3, 1e4))
@@ -43,8 +45,7 @@ for worker, rows, arrival in zip(log.workers.tolist(), log.rows.tolist(), log.ar
     bar = "#" * int(arrival / rec.t_complete * 40)
     print(f"  w{worker} +{rows:>3}  {arrival * 1e3:7.1f}  {bar}")
 
-times, rows = rows_received_curve(rec)
-print("cumulative rows at each arrival:", rows.tolist())
+print("cumulative rows at each arrival:", np.cumsum(log.rows).tolist())
 
 # ----------------------------------------------------------------------
 # 2. Batch size sweep on the same world

@@ -171,11 +171,9 @@ def _parse_bool(raw):
         raise ValueError(f"expected a boolean, got '{raw}'") from None
 
 
-def _parse_section(parser, section, schema):
+def _parse_section(items, section, schema):
     out = {}
-    if not parser.has_section(section):
-        return out
-    for key, raw in parser.items(section):
+    for key, raw in items.get(section, ()):
         path = f"{section}.{key}"
         if key not in schema:
             raise ConfigError(f"{path}: unknown key")
@@ -202,20 +200,33 @@ def preset_scenario(name, **overrides):
 
 
 def load_config(path):
-    """Parse and validate an INI config file into (ScenarioConfig, TrainConfig)."""
+    """Parse and validate an INI config file into (ScenarioConfig, TrainConfig).
+
+    Text that is not INI (a duplicate key or section, a line before any
+    section header or without '=', a bad '%' interpolation) is a one-line
+    ConfigError naming the file.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        # values are interpolated as they are read, so a bad '%' is raised here too
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as err:
+        detail = " ".join(str(err).split())  # some messages quote the offending line
+        if isinstance(err, configparser.InterpolationError):  # the one that names no place
+            detail = f"{err.section}.{err.option}: {detail}"
+        raise ConfigError(f"{path}: {detail}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     known = {"scenario", "comm", "straggler", "train"}
-    for section in parser.sections():
+    for section in items:
         if section not in known:
             raise ConfigError(f"{section}: unknown section")
 
-    sc = _parse_section(parser, "scenario", _SCENARIO_KEYS)
-    comm = _parse_section(parser, "comm", _COMM_KEYS)
-    strag = _parse_section(parser, "straggler", _STRAGGLER_KEYS)
-    train = _parse_section(parser, "train", _TRAIN_KEYS)
+    sc = _parse_section(items, "scenario", _SCENARIO_KEYS)
+    comm = _parse_section(items, "comm", _COMM_KEYS)
+    strag = _parse_section(items, "straggler", _STRAGGLER_KEYS)
+    train = _parse_section(items, "train", _TRAIN_KEYS)
 
     preset = sc.pop("preset", None)
     if preset is None and not all(k in sc for k in _CORE_KEYS):

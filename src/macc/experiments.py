@@ -14,9 +14,10 @@ it runs.
 
 All CSV output starts with a "# config=... seed=..." metadata comment and
 formats floats with repr(), so a rerun with the same config and seed is
-byte-identical.
+byte-identical; so is episodes.jsonl, one episode_to_json line per episode.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from .config import ConfigError, config_digest
 from .numerics import RngStream
-from .simcore import episode_to_json, run_episode
+from .simcore import run_episode
 
 SCHEMES = ("uniform", "load-balanced", "hcmm", "marl")
 
@@ -253,6 +254,31 @@ def write_curve_csv(path, curve, digest, seed):
     header = ("iteration", "mean_total_reward")
     rows = [(i, v) for i, v in enumerate(curve)]
     write_csv(path, header, rows, digest, seed)
+
+
+def episode_to_json(rec):
+    """One JSON line per episode for downstream analysis.
+
+    It holds no rewards, which depend on the penalty: a reader scores a
+    task as -t_complete_s - c (not feasible) with the c of its choice.
+    """
+    payload = {
+        "total_time_s": rec.total_time,
+        "betas": list(rec.betas),
+        "victim": rec.victim,
+        "straggler": rec.straggler_enabled,
+        "tasks": [
+            {
+                "index": t.index,
+                "t_complete_s": t.t_complete,
+                "loads": list(t.loads),
+                "rows_at_completion": t.rows_received_at_completion,
+                "feasible": t.feasible,
+            }
+            for t in rec.tasks
+        ],
+    }
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def write_episodes_jsonl(path, records):

@@ -18,8 +18,8 @@ plain numbers: integer loads, p and m.  It tracks when rows arrive, never
 their values, so no encoding matrix or payload is drawn; the receipt log
 names, per worker, how many rows of its coding block arrived and when.
 A ReceiptLog holds it as three read-only arrays (worker, rows, arrival),
-since a paper-scale task keeps thousands of receipts; read as a sequence
-it yields plain (int, int, float) triples.
+since a paper-scale task keeps thousands of receipts; an index or an
+iteration yields plain (int, int, float) triples.
 
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
@@ -54,24 +54,23 @@ moves every node with one envmodels.advance call.
 
 An episode is the MDP the allocators act in: before each task run_episode
 builds the agents' joint observation (build_state, which alone fixes its
-layout and scale), asks the allocator for loads, rounds and clamps them to
-integers, runs the task and scores it (reward).  run_task builds every
-TaskRecord, the all-zero task's among them.  A baseline, marked
-per_episode, is asked once per episode, with no state.  The scenario is
-the episode's one source of settings: every task runs at its batch_size,
-its straggler_enabled decides whether the victim is slowed, through the
-time factors (envmodels.time_factors) built once per episode, its ranges
-give the observation's scales (state_scales), taken once per episode, and
-reward reads the feasibility that run_task decided.
+layout and scale), asks the allocator for loads, rounds them to integers,
+runs the task and scores it (reward).  run_task builds every TaskRecord,
+the all-zero task's among them, and is the one check of the rounded
+loads.  A baseline, marked per_episode, is asked once per episode, with no
+state.  The scenario is the episode's one source of settings: every task
+runs at its batch_size, its straggler_enabled decides whether the victim
+is slowed, through the time factors (envmodels.time_factors) built once
+per episode, its ranges give the observation's scales (state_scales),
+taken once per episode, and reward reads the feasibility that run_task
+decided.
 """
 
 import functools
 import itertools
-import json
 import math
 import operator
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +113,17 @@ class WorldState:
         return len(self.beta)
 
 
-class ReceiptLog(Sequence):
+class ReceiptLog:
     """Receipts of one task in completion order, held as three arrays.
 
     workers and rows are int64, arrivals float64 (seconds since dispatch),
     all read-only.  The log takes over the arrays it is given, without a
     copy, and marks them read-only in place: a view per array would cost
     more than the tuples it replaces on the few-receipt tasks of a
-    baseline.  As a sequence it reads like a tuple of (worker, rows,
-    arrival) triples of Python numbers: an index gives one triple, a slice
-    another ReceiptLog, and it equals any sequence of the same triples.
+    baseline.  Its length is the number of receipts; an index gives one
+    (worker, rows, arrival) triple of Python numbers, a slice another
+    ReceiptLog, and iteration the triples in order.  Two logs are equal
+    when their arrays are.
     """
 
     __slots__ = ("workers", "rows", "arrivals")
@@ -148,15 +148,9 @@ class ReceiptLog(Sequence):
         return zip(self.workers.tolist(), self.rows.tolist(), self.arrivals.tolist())
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, ReceiptLog):
             return NotImplemented
-        return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
-
-    def __hash__(self):  # equal to its tuple of triples, so hashed alike; keeps TaskRecord hashable
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return f"ReceiptLog({list(self)!r})"
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,6 @@ class TaskRecord:
     rows_received_at_completion: int
     feasible: bool
     loads: tuple
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -455,7 +448,8 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     loads holds one non-negative integer per worker, each at most p, the
-    rows needed to decode; m is the length of the broadcast payload.
+    rows needed to decode; any other loads are a ValueError that names
+    task index.  m is the length of the broadcast payload.
     batch_size is an int: a worker sends its load in batches of that many
     rows, so any batch size >= the largest load, p among them, sends one
     batch per worker.  factors is the (N,) float64 vector of the workers'
@@ -510,15 +504,16 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:
-        raise ValueError(f"allocation covers {len(loads)} workers, world has {world.n_workers}")
+        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, "
+                         f"world has {world.n_workers}")
     exact = all(type(l) is int for l in loads)  # no float round trip for plain ints
     if min(loads) < 0 or not (exact or all(float(l).is_integer() for l in loads)):
-        raise ValueError(f"loads must be non-negative integers, got {loads}")
+        raise ValueError(f"task {index}: loads must be non-negative integers, got {loads}")
     if not exact:
         loads = tuple(map(int, loads))
     top = max(loads)
     if top > p:
-        raise ValueError(f"loads may not exceed p={p}, got {loads}")
+        raise ValueError(f"task {index}: loads may not exceed p={p}, got {loads}")
     if top == 0:  # nothing dispatched: the task takes no time and completes nothing
         return TaskRecord(index=index, dispatch_time=world.clock, t_complete=0.0,
                           receipt_log=ReceiptLog(), rows_received_at_completion=0,
@@ -549,11 +544,6 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     # built directly: dataclasses.replace costs twice as much
     pos = advance(world.pos, world.vel, t_done)
     return record, WorldState(pos, world.vel, world.alpha, world.beta, world.clock + t_done)
-
-
-def rows_received_curve(rec):
-    """Cumulative received rows R_j(t) as step samples (times, rows)."""
-    return rec.receipt_log.arrivals, np.cumsum(rec.receipt_log.rows)
 
 
 def sample_world(scenario, rng):
@@ -629,15 +619,16 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
 
     allocator is a callable (world, states) -> iterable of N raw loads,
     where states is build_state(world, state_scales(scenario)), the
-    scales taken once per episode.  Its loads are rounded to the
-    nearest integers; out-of-range loads are clamped to [0, p] and flagged,
-    and a non-finite one raises NonFiniteLoadError.  An allocator whose
-    attribute per_episode is True (the baselines of
-    experiments.make_allocator) promises loads that depend only on the
-    workers' compute profiles, which are fixed for the episode: it is
-    called once, at task 0, with states=None, its loads serve all K tasks,
-    no state is built, and the record's states is ().  Any other allocator
-    is called, gets states and has its loads read anew on every task.
+    scales taken once per episode.  A non-finite load raises
+    NonFiniteLoadError; the others are rounded to the nearest integers
+    and handed to run_task, whose ValueError names the task of a rounded
+    load below 0 or above p.  An allocator whose attribute per_episode is
+    True (the baselines of experiments.make_allocator) promises loads that
+    depend only on the workers' compute profiles, which are fixed for the
+    episode: it is called once, at task 0, with states=None, its loads
+    serve all K tasks, no state is built, and the record's states is ().
+    Any other allocator is called, gets states and has its loads read anew
+    on every task.
     Every task runs at scenario.batch_size, the victim is slowed when
     scenario.straggler_enabled is set, and each task is scored by
     reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
@@ -662,16 +653,11 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if not all(map(math.isfinite, raw)):
                 raise NonFiniteLoadError(j, raw)
             loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
-            clamped = not all(0 <= l <= p for l in loads)
-            if clamped:
-                loads = tuple(min(max(l, 0), p) for l in loads)
 
         rec, world = run_task(
             world, loads, scenario.batch_size, p, scenario.m_cols, factors,
             task_rng.substream(j), scenario.comm, index=j,
         )
-        if clamped:
-            rec = replace(rec, clamped=True)
         tasks.append(rec)
         rewards.append(reward(rec, penalty))
 
@@ -684,29 +670,3 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
         victim=victim,
         straggler_enabled=scenario.straggler_enabled,
     )
-
-
-def episode_to_json(rec):
-    """One JSON line per episode for downstream analysis.
-
-    It holds no rewards, which depend on the penalty: a reader scores a
-    task as -t_complete_s - c (not feasible) with the c of its choice.
-    """
-    payload = {
-        "total_time_s": rec.total_time,
-        "betas": list(rec.betas),
-        "victim": rec.victim,
-        "straggler": rec.straggler_enabled,
-        "tasks": [
-            {
-                "index": t.index,
-                "t_complete_s": t.t_complete,
-                "loads": list(t.loads),
-                "rows_at_completion": t.rows_received_at_completion,
-                "feasible": t.feasible,
-                "clamped": t.clamped,
-            }
-            for t in rec.tasks
-        ],
-    }
-    return json.dumps(payload, separators=(",", ":"))

@@ -341,6 +341,17 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_ini_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "dup.ini"
+        path.write_text("[scenario]\npreset = desk\npreset = desk\n")
+        out = tmp_path / "x"
+        code = main(["compare", "--config", str(path), "--episodes", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: While reading from '{path}' [line 3]: option 'preset' in section "
+            "'scenario' already exists"]
+        assert not out.exists()
+
     def test_non_finite_range_bound(self, tmp_path, capsys):
         path = tmp_path / "inf.ini"
         path.write_text("[scenario]\npreset = desk\npos_max = inf\n")

@@ -142,6 +142,26 @@ class TestLoadConfig:
         )
         assert scenario.name == "desk"
 
+    @pytest.mark.parametrize("text, detail", [
+        ("[scenario]\npreset = desk\npreset = desk\n",
+         "While reading from '{path}' [line 3]: option 'preset' in section 'scenario' "
+         "already exists"),
+        ("[scenario]\npreset = desk\n[scenario]\nseed = 1\n",
+         "While reading from '{path}' [line 3]: section 'scenario' already exists"),
+        ("preset = desk\n[scenario]\n",
+         "File contains no section headers. file: '{path}', line: 1 'preset = desk\\n'"),
+        ("[scenario]\npreset = desk\ngarbage\n",
+         "Source contains parsing errors: '{path}' [line 3]: 'garbage\\n'"),
+        ("[scenario]\npreset = desk\nname = 50%x\n",
+         "scenario.name: '%' must be followed by '%' or '(', found: '%x'"),
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals",
+            "bad-interpolation"])
+    def test_malformed_ini_is_a_config_error_naming_the_file(self, tmp_path, text, detail):
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: " + detail.format(path=path)
+
 
 class TestValidation:
     def test_gamma_bounds(self):

@@ -49,9 +49,10 @@ def assert_matches_oracle(got, want):
     assert got.t_complete == pytest.approx(want.t_complete, rel=RTOL, abs=0.0)
     assert got.feasible == want.feasible
     assert got.rows_received_at_completion == want.rows_received_at_completion
-    assert [r[:2] for r in got.receipt_log] == [r[:2] for r in want.receipt_log]
+    log = got.receipt_log
+    assert list(zip(log.workers.tolist(), log.rows.tolist())) == [r[:2] for r in want.receipt_log]
     np.testing.assert_allclose(
-        [r[2] for r in got.receipt_log], [r[2] for r in want.receipt_log], rtol=RTOL, atol=0.0
+        log.arrivals, [r[2] for r in want.receipt_log], rtol=RTOL, atol=0.0
     )
 
 
@@ -99,7 +100,7 @@ class TestAgainstScalarOracle:
         )
         got, want = run_both(world, [12] * 4, 40, 5, 1, NO_STRAGGLER,
                              CommConfig(noise_std_db=0.0), 0)
-        assert [w for w, _, _ in got.receipt_log] == [0, 1, 2, 3] * 10
+        assert got.receipt_log.workers.tolist() == [0, 1, 2, 3] * 10
         assert_matches_oracle(got, want)
 
     def test_zero_load_workers_and_infeasible_total(self):
@@ -110,7 +111,7 @@ class TestAgainstScalarOracle:
                                  CommConfig(), 5)
             assert not got.feasible and got.rows_received_at_completion == 70
             assert len(got.receipt_log) == batches
-            assert {w for w, _, _ in got.receipt_log} == {1, 3}
+            assert set(got.receipt_log.workers.tolist()) == {1, 3}
             assert_matches_oracle(got, want)
 
     def test_one_batch_tasks_skip_the_fixed_point(self, monkeypatch):
@@ -295,7 +296,7 @@ class TestTruncatedSolve:
     def test_closing_worker_outruns_the_first_guess(self, solved_widths):
         got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
-        delivered = sum(1 for w, _, _ in got.receipt_log if w == 1)
+        delivered = int(np.count_nonzero(got.receipt_log.workers == 1))
         assert len(solved_widths) == 2 and solved_widths[0][1] < delivered <= solved_widths[1][1]
         assert_matches_oracle(got, want)
 
@@ -570,30 +571,30 @@ class TestProperties:
     @given(tasks())
     def test_each_workers_arrivals_strictly_increase(self, task):
         log = all_receipts(task)
-        assert sum(rows for _, rows, _ in log) == sum(task["loads"])
-        for i in set(w for w, _, _ in log):
-            times = [t for w, _, t in log if w == i]
-            assert all(a < b for a, b in zip(times, times[1:]))
+        assert int(log.rows.sum()) == sum(task["loads"])
+        for i in np.unique(log.workers):
+            assert np.all(np.diff(log.arrivals[log.workers == i]) > 0)
 
     @settings(max_examples=60, deadline=None)
     @given(tasks())
     def test_completion_is_first_arrival_reaching_p(self, task):
         log = all_receipts(task)
-        assert log == tuple(sorted(log, key=lambda r: (r[2], r[0])))
-        cum = np.cumsum([rows for _, rows, _ in log])
+        # in (arrival, worker) order: a stable sort on that key leaves it in place
+        assert np.array_equal(np.lexsort((log.workers, log.arrivals)), np.arange(len(log)))
+        cum = np.cumsum(log.rows)
         rec = simulate(task)
         if rec.feasible:
             cut = int(np.searchsorted(cum, task["p"])) + 1
             assert rec.receipt_log == log[:cut]
         else:
             assert rec.receipt_log == log
-        assert rec.t_complete == rec.receipt_log[-1][2]
+        assert rec.t_complete == rec.receipt_log.arrivals[-1]
 
     @settings(max_examples=60, deadline=None)
     @given(tasks())
     def test_kept_rows_are_the_rows_received(self, task):
         rec = simulate(task)
-        kept = sum(rows for _, rows, _ in rec.receipt_log)
+        kept = int(rec.receipt_log.rows.sum())
         assert kept == rec.rows_received_at_completion
         assert rec.feasible == (sum(task["loads"]) >= task["p"])
         if rec.feasible:

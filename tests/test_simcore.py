@@ -12,6 +12,7 @@ from macc.allocators import hcmm_alloc
 from macc.coding import decode, encode, generate_encoding_matrix
 from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
+from macc.experiments import episode_to_json
 from macc.numerics import RngStream
 from macc.simcore import (
     EpisodeRecord,
@@ -19,9 +20,7 @@ from macc.simcore import (
     TaskRecord,
     WorldState,
     build_state,
-    episode_to_json,
     reward,
-    rows_received_curve,
     run_episode,
     run_task,
     sample_world,
@@ -91,6 +90,18 @@ class TestLoadAllocation:
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError, match="covers 0 workers"):
             run_deterministic(world, (), p=10, m=5, batch_size=10)
+
+    @pytest.mark.parametrize("loads, message", [
+        ((3, 4, 5), "allocation covers 3 workers, world has 2"),
+        ((3, -1), "loads must be non-negative integers, got (3, -1)"),
+        ((3, 2.5), "loads must be non-negative integers, got (3, 2.5)"),
+        ((11, 0), "loads may not exceed p=10, got (11, 0)"),
+    ])
+    def test_load_errors_name_their_task(self, loads, message):
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
+        with pytest.raises(ValueError) as err:
+            run_task(world, loads, 10, 10, 5, no_straggler(2), RngStream(0), NOISELESS, index=5)
+        assert str(err.value) == f"task 5: {message}"
 
     def test_integral_floats_accepted_as_ints(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
@@ -171,8 +182,7 @@ class TestCompletionRule:
         world = make_world(workers)
         rec, _ = run_deterministic(world, [10, 10], p=10, m=5, batch_size=10)
         assert rec.rows_received_at_completion == 10
-        assert len(rec.receipt_log) == 1
-        assert rec.receipt_log[0][0] == 0
+        assert rec.receipt_log.workers.tolist() == [0]
 
     def test_in_flight_results_dropped_after_completion(self):
         # with full redundancy the task ends at the faster worker's arrival
@@ -190,20 +200,19 @@ class TestCompletionRule:
         t_w1 = one_run([0, 10]).t_complete
         both = one_run([10, 10])
         assert both.t_complete == min(t_w0, t_w1)
-        assert len(both.receipt_log) == 1
-        assert both.receipt_log[0][0] == (0 if t_w0 < t_w1 else 1)
+        assert both.receipt_log.workers.tolist() == [0 if t_w0 < t_w1 else 1]
 
     def test_receipts_sorted_and_curve_matches(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, math.inf)])
         rec, _ = run_deterministic(world, [10], p=10, m=5, batch_size=4)
-        times, rows = rows_received_curve(rec)
+        times, rows = rec.receipt_log.arrivals, np.cumsum(rec.receipt_log.rows)
         assert list(rows) == [4, 8, 10]
         assert np.all(np.diff(times) > 0)
         assert times[-1] == rec.t_complete
 
 
 class TestReceiptLog:
-    """The record's receipts: three read-only arrays that read as a tuple of triples."""
+    """The record's receipts: three read-only arrays, read by index, slice or iteration."""
 
     @staticmethod
     def noisy_task():
@@ -239,20 +248,19 @@ class TestReceiptLog:
     def test_equality_by_value(self):
         log = self.noisy_task()
         triples = tuple(log)
-        assert log == triples and triples == log
-        assert log == [list(t) for t in triples]
         assert log == self.noisy_task() == ReceiptLog(*map(list, zip(*triples)))
-        assert log != triples[:-1] and log[:-1] != log
-        changed = (*triples[:-1], (triples[-1][0], triples[-1][1], triples[-1][2] * 2))
-        assert log != changed
-        assert hash(log) == hash(triples)
+        assert log[:-1] != log and log != log[:-1]
+        changed = log.arrivals.copy()
+        changed[-1] *= 2
+        assert log != ReceiptLog(log.workers, log.rows, changed)
+        assert log != triples  # a log equals another log alone
 
     def test_empty_log_of_a_degenerate_task(self):
         log = run_episode(TINY, lambda w, s: (0, 0), RngStream(4)).tasks[0].receipt_log
         assert type(log) is ReceiptLog
         assert not log and len(log) == 0
-        assert log == () and log == ReceiptLog()
-        assert list(log) == [] and log[-1:] == ()
+        assert log == ReceiptLog()
+        assert list(log) == [] and log[-1:] == ReceiptLog()
 
     def test_arrays_are_read_only(self):
         log = self.noisy_task()
@@ -260,15 +268,12 @@ class TestReceiptLog:
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_rows_received_curve_unchanged(self):
+    def test_received_rows_curve_from_the_arrays(self):
         log = self.noisy_task()
-        rec = TaskRecord(index=0, dispatch_time=0.0, t_complete=log[-1][2], receipt_log=log,
-                         rows_received_at_completion=int(log.rows.sum()), feasible=True,
-                         loads=(9, 7))
-        times, rows = rows_received_curve(rec)
-        np.testing.assert_array_equal(times, np.array([a for _, _, a in log]))
+        rows = np.cumsum(log.rows)
+        np.testing.assert_array_equal(log.arrivals, np.array([a for _, _, a in log]))
         np.testing.assert_array_equal(rows, np.cumsum([r for _, r, _ in log]))
-        assert rows[-1] == rec.rows_received_at_completion >= 12
+        assert rows[-1] >= 12  # the task is feasible at p = 12
 
     def test_memory_per_receipt_is_three_array_elements(self):
         """A paper-scale task keeps thousands of receipts without one object each.
@@ -546,16 +551,16 @@ class TestRunEpisode:
         assert on.victim == off.victim
         assert on.total_time > off.total_time
 
-    def test_out_of_range_loads_clamped_and_flagged(self):
-        ep = run_episode(TINY, lambda w, s: (9, -1), RngStream(4))
-        assert ep.tasks[0].clamped
-        assert ep.tasks[0].loads == (8, 0)
-        assert ep.tasks[0].feasible
+    def test_out_of_range_loads_rejected_naming_the_task(self):
+        with pytest.raises(ValueError, match=r"^task 0: loads must be non-negative integers, "
+                                             r"got \(9, -1\)$"):
+            run_episode(TINY, lambda w, s: (9, -1), RngStream(4))
+        with pytest.raises(ValueError, match=r"^task 1: loads may not exceed p=8, got \(9, 0\)$"):
+            run_episode(TINY, lambda w, s: (8.6, 0) if w.clock > 0 else (4, 4), RngStream(4))
 
     def test_raw_loads_rounded_to_nearest(self):
         ep = run_episode(TINY, lambda w, s: (3.4999, 4.5), RngStream(4))
         assert ep.tasks[0].loads == (3, 4)  # halves round to even
-        assert not ep.tasks[0].clamped
 
     def test_non_finite_load_names_task_and_values(self):
         def allocator(world, states):
@@ -568,7 +573,7 @@ class TestRunEpisode:
     @pytest.mark.parametrize("container", [list, np.array])
     def test_one_output_changed_in_place_is_read_on_every_task(self, container):
         scenario = replace(TINY, k_tasks=4)
-        plans = [(5.0, 4), (8, 8), (9, -1), (2.6, 6)]  # a float array when held as one
+        plans = [(5.0, 4), (8, 8), (7.5, 0.4), (2.6, 6)]  # a float array when held as one
         out = container(plans[0])
         seen = []
 
@@ -579,11 +584,10 @@ class TestRunEpisode:
 
         ep = run_episode(scenario, allocator, RngStream(4))
         assert [t.loads for t in ep.tasks] == [(5, 4), (8, 8), (8, 0), (3, 6)]
-        assert [t.clamped for t in ep.tasks] == [False, False, True, False]
 
     @pytest.mark.parametrize("scheme, allocator", [
         ("uniform", None), ("load-balanced", None), ("hcmm", None),
-        ("clamped", lambda w, s: (9, -1)),
+        ("rounded", lambda w, s: (7.5, 0.4)),
     ])
     def test_fresh_equal_tuples_give_the_records_of_one_shared_tuple(self, scheme, allocator):
         scenario = TINY if allocator else replace(preset_scenario("desk"), k_tasks=6)
@@ -600,14 +604,14 @@ class TestRunEpisode:
         assert all(t.loads is a.tasks[0].loads for t in a.tasks)  # read once, then reused
         assert len({id(t.loads) for t in b.tasks}) == len(b.tasks)
         for x, y in zip(a.tasks, b.tasks, strict=True):
-            assert (x.loads, x.clamped, x.feasible) == (y.loads, y.clamped, y.feasible)
+            assert (x.loads, x.feasible) == (y.loads, y.feasible)
             assert x.receipt_log == y.receipt_log
             assert (x.t_complete, x.rows_received_at_completion) == (
                 y.t_complete, y.rows_received_at_completion)
         assert a.rewards == b.rewards
         assert a.total_time == b.total_time
         if allocator:
-            assert all(t.clamped for t in a.tasks)  # the flag rides with the reused loads
+            assert all(t.loads == (8, 0) for t in a.tasks)  # rounded once, then reused
 
     @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])
     def test_per_episode_allocator_is_called_once_per_episode(self, scheme):
@@ -726,7 +730,7 @@ class TestRunEpisode:
         assert ep.total_time == 0.0
         assert ep.infeasible_count == 2
         assert ep.rewards == (-200.0, -200.0)
-        assert ep.tasks[0].receipt_log == ()
+        assert ep.tasks[0].receipt_log == ReceiptLog()
 
     def test_infeasible_allocation_penalized_on_top_of_time(self):
         ep = run_episode(TINY, lambda w, s: (4, 3), RngStream(4))
@@ -766,7 +770,8 @@ class TestRunEpisode:
             x = gen.standard_normal(scenario.m_cols)
             next_row = [i * p for i in range(n)]
             idx = []
-            for worker, rows, _ in task.receipt_log:
+            log = task.receipt_log
+            for worker, rows in zip(log.workers.tolist(), log.rows.tolist()):
                 idx.extend(range(next_row[worker], next_row[worker] + rows))
                 next_row[worker] += rows
             assert all(next_row[i] <= i * p + task.loads[i] for i in range(n))
@@ -783,5 +788,7 @@ class TestRunEpisode:
         assert doc["victim"] == ep.victim
         assert len(doc["tasks"]) == 2
         assert doc["tasks"][0]["loads"] == [8, 8]
+        assert doc["tasks"][0].keys() == {
+            "index", "t_complete_s", "loads", "rows_at_completion", "feasible"}
         # a reward depends on the penalty, so the line leaves it to the reader
         assert '"rewards"' not in line
