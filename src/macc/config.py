@@ -202,13 +202,14 @@ def preset_scenario(name, **overrides):
 def load_config(path):
     """Parse and validate an INI config file into (ScenarioConfig, TrainConfig).
 
-    Text that is not INI (a duplicate key or section, a line before any
-    section header or without '=', a bad '%' interpolation) is a one-line
-    ConfigError naming the file.
+    The file is read as UTF-8.  Bytes that are not UTF-8, and text that is
+    not INI (a duplicate key or section, a line before any section header
+    or without '=', a bad '%' interpolation), are a one-line ConfigError
+    naming the file.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         # values are interpolated as they are read, so a bad '%' is raised here too
         items = {section: parser.items(section) for section in parser.sections()}
     except configparser.Error as err:
@@ -216,6 +217,9 @@ def load_config(path):
         if isinstance(err, configparser.InterpolationError):  # the one that names no place
             detail = f"{err.section}.{err.option}: {detail}"
         raise ConfigError(f"{path}: {detail}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: cannot decode byte "
+                          f"0x{err.object[err.start]:02x}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     known = {"scenario", "comm", "straggler", "train"}

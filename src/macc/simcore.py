@@ -33,17 +33,19 @@ A task in which some worker sends more than one batch is laid out by one
 plan_batches call, flat and worker-major, with no padding: one slot per
 batch, the k-th loaded worker's batches in the segment [start_k, end_k)
 of one-dimensional arrays, and r and rv repeated per slot to shape
-(2, slots).  Its link is solved as a fixed point (_batched), whose two
-running accumulates run once per segment and every other step once over
-the flat arrays.  A task whose workers each send one batch (every
-baseline in compare) takes its own path on arrays of one entry per
-worker, with r and rv of shape (2, A) (_one_batch): its sizes are the
-loads, and a batch's link is free as soon as it is computed, so the first
-evaluation of the link gives the arrivals.  On these few-element arrays
-the fixed cost per call dominates.  Both paths call the same draw, link,
-compute and sort helpers, and read the world's own arrays, a cached
-worker index and the episode's time factors, with no gather, when every
-worker is loaded (_loaded).
+(2, slots).  Its link is solved as a fixed point (_batched), whose
+running sum runs once per segment and every other step once over the
+flat arrays.  Its running maximum runs once per segment too, unless every
+worker's link stays busy after its first batch, as at paper scale, where
+a row takes longer to send than to compute.  A task whose workers each
+send one batch (every baseline in compare) takes its own path on arrays
+of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
+sizes are the loads, and a batch's link is free as soon as it is
+computed, so the first evaluation of the link gives the arrivals.  On
+these few-element arrays the fixed cost per call dominates.  Both paths
+call the same draw, link, compute and sort helpers, and read the world's
+own arrays, a cached worker index and the episode's time factors, with
+no gather, when every worker is loaded (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -211,29 +213,44 @@ def _segments(widths):
     return starts, [slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
-def _scan(cpu, tau, starts, segments):
+def _scan(cpu, tau, starts, segments, test=True):
     """Arrivals and the begins they imply, with the send times tau frozen.
 
-    Within each worker's segment (see _segments) the arrivals are the
-    max-plus scan S_k + max_{j<=k} (cpu_j - S_{j-1}), S = cumsum(tau):
-    its two running accumulates run once per segment, in place, and every
-    elementwise step once over the flat arrays.  Slot k of a segment
-    depends only on the slots before it, so the scan of each segment's
-    leading slots is those slots of the full scan.
+    Returns (arrival, settled, busy).  Within each worker's segment (see
+    _segments) the arrivals are the max-plus scan
+    S_k + max_{j<=k} (cpu_j - S_{j-1}), S = cumsum(tau): its running
+    accumulates run once per segment, in place, and every elementwise step
+    once over the flat arrays.  Slot k of a segment depends only on the
+    slots before it, so the scan of each segment's leading slots is those
+    slots of the full scan.
+
+    busy, tested only when test is set, is whether every worker's link
+    stays busy after its first batch: no later gap of any segment exceeds
+    its first, found by one np.maximum.reduceat.  Then fmax's running
+    maximum would be that first gap at every slot, bit for bit, so the gap
+    is added per segment instead; a NaN gap fails the test.
     """
     arrival = np.empty_like(tau)
     for seg in segments:
         np.add.accumulate(tau[seg], out=arrival[seg])
     gap = arrival - tau
     np.subtract(cpu, gap, out=gap)
-    for seg in segments:
-        np.fmax.accumulate(gap[seg], out=gap[seg])
-    arrival += gap
+    busy = False
+    if test:  # as lists: a NaN, a new float object each time, is unequal to every value
+        first = gap[starts].tolist()
+        busy = np.maximum.reduceat(gap, starts).tolist() == first
+    if busy:
+        for seg, g in zip(segments, first):
+            arrival[seg] += g
+    else:
+        for seg in segments:
+            np.fmax.accumulate(gap[seg], out=gap[seg])
+        arrival += gap
     # a batch begins once computed and once its predecessor has arrived
     settled = np.empty_like(cpu)
     np.maximum(cpu[1:], arrival[:-1], out=settled[1:])
     settled[starts] = cpu[starts]  # a worker's first batch has no predecessor
-    return arrival, settled
+    return arrival, settled, busy
 
 
 def _guess_cols(arrival, starts, counts, p, b):
@@ -265,10 +282,14 @@ def _reach(arrival, sizes, p):
     return order, received, int(received.searchsorted(p)) + 1
 
 
-def _fixed_point(cpu, tau, settled, bits, gain, r, rv, starts, segments, cfg):
+def _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, cfg):
     """Passes 2.. of the link fixed point; returns the final (begin, tau).
 
-    Pass 1 evaluated tau at begin = cpu and scanned it into settled.  The
+    Pass 1 evaluated tau at begin = cpu and scanned it into settled; busy
+    is what its _scan found.  These passes test for busy links only after
+    a pass 1 that found every link busy: after one that did not, a later
+    pass was all busy in 28 of 8,093 scans of desk training.  Both of
+    _scan's paths give the same bits, so the choice moves no output.  The
     arrays may hold each worker's leading slots alone: every pass is exact
     on them.  The passes run until no begin moves; pass n is exact for the
     first n batches of every worker, so there are at most as many passes
@@ -283,7 +304,7 @@ def _fixed_point(cpu, tau, settled, bits, gain, r, rv, starts, segments, cfg):
         tau = _send_time(bits, _dist2(r, rv, begin), gain, cfg)
         if done >= width:  # pass n starts from begins that are final for n batches
             return begin, tau
-        settled = _scan(cpu, tau, starts, segments)[1]
+        settled = _scan(cpu, tau, starts, segments, busy)[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -414,7 +435,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
     tau = _send_time(sizes * cfg.bits_per_element,
                      _dist2(np.repeat(r, counts, axis=1), np.repeat(rv, counts, axis=1), cpu),
                      gain, cfg)
-    arrival, settled = _scan(cpu, tau, starts, segments)
+    arrival, settled, busy = _scan(cpu, tau, starts, segments)
     widths = _guess_cols(arrival, starts, counts, p, batch_size) if feasible else counts
     del arrival  # likewise
     slots = (cpu, tau, settled, gain, sizes)
@@ -427,8 +448,9 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
         else:
             starts_w, segments_w, cut = starts, segments, slots
         cpu_w, tau_w, settled_w, gain_w, sizes_w = cut
-        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, sizes_w * cfg.bits_per_element,
-                                      gain_w, np.repeat(r, widths, axis=1),
+        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, busy,
+                                      sizes_w * cfg.bits_per_element, gain_w,
+                                      np.repeat(r, widths, axis=1),
                                       np.repeat(rv, widths, axis=1), starts_w, segments_w, cfg)
         arrival = begin + tau_end
         order, received, n_kept = _reach(arrival, sizes_w, p)
@@ -469,10 +491,14 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     arrivals are the max-plus scan S + cummax(cpu - (S - tau)),
     S = cumsum(tau), per segment; tau is then re-evaluated at the new
     begins until no begin moves, at most one pass per slot of the longest
-    segment (see _fixed_point).  Each transmission's link_gain is computed
-    once, so a pass evaluates the link from the squared distances at the
-    begins alone (_dist2); the broadcast, at t = 0, takes its squared
-    distance as r * r summed.
+    segment (see _fixed_point).  When no later value of cpu - (S - tau)
+    in any segment exceeds the segment's first, every link stays busy and
+    the scan adds that first value without running the cummax (see
+    _scan).  A cummax over values no larger than its first returns the
+    first at every slot, so both ways give the same bits.  Each
+    transmission's link_gain is computed once, so a pass evaluates the
+    link from the squared distances at the begins alone (_dist2); the
+    broadcast, at t = 0, takes its squared distance as r * r summed.
 
     Only arrivals up to completion enter the record, so a feasible task is
     solved on each worker's leading slots alone.  Pass 1 evaluates the

@@ -352,6 +352,16 @@ class TestErrors:
             "'scenario' already exists"]
         assert not out.exists()
 
+    def test_non_utf8_ini_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[scenario]\npreset = desk\n; caf\xe9\n")
+        out = tmp_path / "x"
+        code = main(["compare", "--config", str(path), "--episodes", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not UTF-8 text: cannot decode byte 0xe9"]
+        assert not out.exists()
+
     def test_non_finite_range_bound(self, tmp_path, capsys):
         path = tmp_path / "inf.ini"
         path.write_text("[scenario]\npreset = desk\npos_max = inf\n")

@@ -162,6 +162,14 @@ class TestLoadConfig:
             load_config(path)
         assert str(err.value) == f"{path}: " + detail.format(path=path)
 
+    def test_non_utf8_ini_is_a_config_error_naming_the_file(self, tmp_path):
+        # read as UTF-8 whatever the locale: a Latin-1 e-acute in a comment
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[scenario]\npreset = desk\n; caf\xe9\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 text: cannot decode byte 0xe9"
+
 
 class TestValidation:
     def test_gamma_bounds(self):

@@ -129,6 +129,32 @@ class TestAgainstScalarOracle:
             assert len(got.receipt_log) <= 3
             assert_matches_oracle(got, want)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compute_bound_victim_beside_busy_links(self, monkeypatch, seed):
+        # at paper scale a row takes longer to send than to compute, but the
+        # straggler victim computes 11 times slower, slower than it sends
+        scenario = preset_scenario("scenario1")
+        world, victim = sample_world(scenario, RngStream(seed).substream("env"))
+        scans = []
+        scan = simcore._scan
+
+        def recording(cpu, tau, starts, segments, test=True):
+            out = scan(cpu, tau, starts, segments, test)
+            # each worker's segment scanned alone: does its link stay busy?
+            alone = [scan(cpu[seg], tau[seg], np.zeros(1, dtype=np.int64),
+                          [slice(0, seg.stop - seg.start)])[2] for seg in segments]
+            scans.append((test, out[2], alone))
+            return out
+
+        monkeypatch.setattr(simcore, "_scan", recording)
+        got, want = run_both(world, [400] * 3, 600, scenario.m_cols, 1,
+                             (True, victim, scenario.straggler_slowdown), CommConfig(), seed)
+        (test, busy, alone), *later = scans
+        assert test and not busy and alone == [i != victim for i in range(3)]
+        # so every later pass takes the running maximum, untested
+        assert later and not any(test for test, _, _ in later)
+        assert_matches_oracle(got, want)
+
     def test_one_batch_tasks_plan_no_batches_and_derive_one_substream(self, monkeypatch):
         calls = {"plan_batches": 0, "substream": 0}
         plan_batches, substream = simcore.plan_batches, RngStream.substream
@@ -322,6 +348,27 @@ class TestTruncatedSolve:
         assert sum(evaluated) <= 1_498_435
         assert rec.total_time == 217.6616366530215
 
+    def test_pass_one_finds_every_link_busy_at_paper_scale(self, monkeypatch):
+        # the traffic _scan's busy path is for: at scenario1 a row takes longer to
+        # send than to compute, so no worker's link idles after its first batch
+        pass_one = []
+        batched, scan = simcore._batched, simcore._scan
+
+        def task(*args):
+            pass_one.append(None)
+            return batched(*args)
+
+        def scanning(*args):
+            out = scan(*args)
+            if pass_one[-1] is None:
+                pass_one[-1] = out[2]
+            return out
+
+        monkeypatch.setattr(simcore, "_batched", task)
+        monkeypatch.setattr(simcore, "_scan", scanning)
+        sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)
+        assert pass_one == [True] * preset_scenario("scenario1").k_tasks
+
     def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
         # one solve per task but one, which widens once; solving each worker out to
         # the widest worker's guess took 300 solves of 902,166 columns, 3 slots each
@@ -433,6 +480,29 @@ def padded_scan(cpu, tau):
     return arrival, settled
 
 
+def scan_matches_padded_scan(cpu, tau, counts):
+    """Check _scan against padded_scan byte for byte, with and without its busy test.
+
+    Returns the busy that _scan found when it tested for it; untested, it
+    always takes the running maximum.
+    """
+    starts, segments = _segments(np.asarray(counts))
+    padded = [np.zeros((len(counts), max(counts))) for _ in range(2)]
+    for row, seg in enumerate(segments):
+        for a, flat in zip(padded, (cpu, tau)):
+            a[row, : seg.stop - seg.start] = flat[seg]
+    want = padded_scan(*padded)
+    found = []
+    for test in (True, False):
+        *got, busy = _scan(cpu, tau, starts, segments, test)
+        for flat, square in zip(got, want):
+            for row, seg in enumerate(segments):
+                assert flat[seg].tobytes() == square[row, : seg.stop - seg.start].tobytes()
+        found.append(busy)
+    assert found[1] is False
+    return found[0]
+
+
 class TestSameBitsAsBefore:
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_send_time_matches_four_arrays(self, seed):
@@ -477,20 +547,50 @@ class TestSameBitsAsBefore:
         # batch size 4: a load of at most 4 rows is one batch, a segment of one slot
         gen = np.random.default_rng(seed)
         _, sizes, counts, _ = flat_layout(gen, 4, loads)
-        starts, segments = _segments(counts)
-        cpu = np.concatenate([gen.uniform(0.0, 2.0, seg.stop - seg.start).cumsum()
-                              for seg in segments])
+        cpu = np.concatenate([gen.uniform(0.0, 2.0, c).cumsum() for c in counts])
         tau = gen.uniform(0.0, 1.0, sizes.size) * sizes
-        got = _scan(cpu, tau, starts, segments)
-        width = max(seg.stop - seg.start for seg in segments)
-        padded = [np.zeros((len(loads), width)) for _ in range(2)]
-        for row, seg in enumerate(segments):
-            for a, flat in zip(padded, (cpu, tau)):
-                a[row, : seg.stop - seg.start] = flat[seg]
-        want = padded_scan(*padded)
-        for flat, square in zip(got, want):
-            for row, seg in enumerate(segments):
-                assert flat[seg].tobytes() == square[row, : seg.stop - seg.start].tobytes()
+        scan_matches_padded_scan(cpu, tau, counts)
+
+    def test_busy_links_skip_the_running_maximum(self):
+        # each send time far above each compute step: every gap falls along its segment
+        gen = np.random.default_rng(0)
+        counts = [5, 9, 3]
+        cpu = np.concatenate([3.0 + gen.uniform(0.0, 0.01, c).cumsum() for c in counts])
+        tau = gen.uniform(1.0, 2.0, sum(counts))
+        assert scan_matches_padded_scan(cpu, tau, counts)
+
+    def test_compute_bound_segment_keeps_the_running_maximum(self):
+        # the middle worker computes slower than it sends, so its gaps rise
+        gen = np.random.default_rng(1)
+        counts = [6, 7, 4]
+        steps, sends = [0.01, 1.0, 0.01], [1.0, 1.0e-3, 1.0]
+        cpu = np.concatenate([2.0 + gen.uniform(0.0, s, c).cumsum()
+                              for c, s in zip(counts, steps)])
+        tau = np.concatenate([gen.uniform(s, 2 * s, c) for c, s in zip(counts, sends)])
+        assert not scan_matches_padded_scan(cpu, tau, counts)
+
+    def test_later_gap_equal_to_the_first_is_busy(self):
+        # dyadic times, so every gap of the first worker is exactly 1.0
+        counts = [4, 3]
+        tau = np.array([0.5, 0.25, 0.5, 0.75, 2.0, 2.0, 2.0])
+        cpu = np.array([1.0, 1.5, 1.75, 2.25, 1.0, 1.5, 2.0])
+        _, segments = _segments(counts)
+        gap = cpu - (np.concatenate([tau[seg].cumsum() for seg in segments]) - tau)
+        assert gap[:4].tolist() == [1.0] * 4 and (gap[4:] <= gap[4]).all()
+        assert scan_matches_padded_scan(cpu, tau, counts)
+        cpu[2] = np.nextafter(cpu[2], 2.0)  # one ulp above it is not busy
+        assert not scan_matches_padded_scan(cpu, tau, counts)
+
+    def test_non_finite_send_time_keeps_the_running_maximum(self):
+        # busy links but for one infinite send time: inf - inf makes its gap NaN
+        gen = np.random.default_rng(2)
+        counts = [5, 4, 6]
+        cpu = np.concatenate([3.0 + gen.uniform(0.0, 0.01, c).cumsum() for c in counts])
+        tau = gen.uniform(1.0, 2.0, sum(counts))
+        assert scan_matches_padded_scan(cpu, tau, counts)
+        tau[5 + 2] = np.inf  # the middle worker's third batch
+        with np.errstate(invalid="ignore"):
+            assert not scan_matches_padded_scan(cpu, tau, counts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
     @pytest.mark.parametrize("seed", range(4))
