@@ -37,8 +37,11 @@ of one-dimensional arrays, and r and rv repeated per slot to shape
 running sum runs once per segment and every other step once over the
 flat arrays.  Its running maximum runs once per segment too, unless every
 worker's link stays busy after its first batch, as at paper scale, where
-a row takes longer to send than to compute.  A task whose workers each
-send one batch (every baseline in compare) takes its own path on arrays
+a row takes longer to send than to compute.  The fixed point's first
+pass covers only each worker's leading batches, as many as can arrive by
+completion (_PassOne): about a third of them late in a scenario1
+training, where every worker holds nearly p rows.  A task whose workers
+each send one batch (every baseline in compare) takes its own path on arrays
 of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
 sizes are the loads, and a batch's link is free as soon as it is
 computed, so the first evaluation of the link gives the arrivals.  On
@@ -208,12 +211,12 @@ def _segments(widths):
     Returns (starts, segments): each worker's first slot, as an int64
     array, and its slots as one slice per worker, in worker order.
     """
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    return starts, [slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+    ends = list(itertools.accumulate(widths))
+    starts = [e - w for e, w in zip(ends, widths)]
+    return np.array(starts, dtype=np.int64), [slice(s, e) for s, e in zip(starts, ends)]
 
 
-def _scan(cpu, tau, starts, segments, test=True):
+def _scan(cpu, tau, starts, segments, test=True, carry=None):
     """Arrivals and the begins they imply, with the send times tau frozen.
 
     Returns (arrival, settled, busy).  Within each worker's segment (see
@@ -229,12 +232,32 @@ def _scan(cpu, tau, starts, segments, test=True):
     its first, found by one np.maximum.reduceat.  Then fmax's running
     maximum would be that first gap at every slot, bit for bit, so the gap
     is added per segment instead; a NaN gap fails the test.
+
+    carry, a list, records where each segment's scan stops, and an earlier
+    scan's record lets it go on there: [sums, maxima, lasts] holds, per
+    segment, the running sum of its send times, the running maximum of its
+    gaps and its arrival, at its last slot.  Given a record, the running
+    sum starts from sums, the first gap is raised to maxima (fmax selects,
+    so the running maximum is that of the whole segment) and the first
+    begin waits for lasts, so the slots are those of one scan over both,
+    bit for bit.  An empty list starts afresh.  Either way the list then
+    holds this scan's record.
     """
-    arrival = np.empty_like(tau)
+    if carry:
+        src = arrival = tau.copy()
+        arrival[starts] += carry[0]
+    else:
+        arrival = np.empty_like(tau)
+        src = tau
     for seg in segments:
-        np.add.accumulate(tau[seg], out=arrival[seg])
+        np.add.accumulate(src[seg], out=arrival[seg])
     gap = arrival - tau
     np.subtract(cpu, gap, out=gap)
+    if carry is not None:
+        ends = [seg.stop - 1 for seg in segments]
+        sums = arrival[ends]
+        if carry:
+            gap[starts] = np.fmax(gap[starts], carry[1])
     busy = False
     if test:  # as lists: a NaN, a new float object each time, is unequal to every value
         first = gap[starts].tolist()
@@ -249,25 +272,177 @@ def _scan(cpu, tau, starts, segments, test=True):
     # a batch begins once computed and once its predecessor has arrived
     settled = np.empty_like(cpu)
     np.maximum(cpu[1:], arrival[:-1], out=settled[1:])
-    settled[starts] = cpu[starts]  # a worker's first batch has no predecessor
+    settled[starts] = np.maximum(cpu[starts], carry[2]) if carry else cpu[starts]
+    if carry is not None:
+        carry[:] = sums, (gap[starts] if busy else gap[ends]), arrival[ends]
     return arrival, settled, busy
 
 
-def _guess_cols(arrival, starts, counts, p, b):
-    """Slots to solve first per worker, from pass 1's arrivals of a feasible task.
+def _reaching(p, b, n_active, total):
+    """k = ceil((p - A) / b) + A for A workers at batch size b, capped at the total slots.
+
+    Only a worker's last batch can be short, so any k slots hold at least
+    p rows: the k-th smallest arrival is never before the one at which the
+    received rows first reach p, and is that one at b = 1.
+    """
+    return min(-(-(p - n_active) // b) + n_active, total)
+
+
+def _guess_cols(arrival, starts, counts, t):
+    """Slots to solve first per worker, a list, from pass 1's arrivals of a feasible task.
 
     Worker i's width is min(count_i, int(n_i * 1.02) + 4), where n_i
-    counts its arrivals at or before the k-th smallest arrival, for
-    k = ceil((p - A) / b) + A with A workers at batch size b, capped at
-    the slots.  Only a worker's last batch can be short, so any k slots
-    hold at least p rows: the k-th arrival is never before the one at
-    which the received rows first reach p, and is that one at b = 1.
+    counts its arrivals at or before t, the k-th smallest pass-1 arrival
+    for k = _reaching(...).
     """
-    n_active = len(counts)
-    k = min(-(-(p - n_active) // b) + n_active, arrival.size)
-    t_first = np.partition(arrival, k - 1)[k - 1]
-    n = np.add.reduceat(arrival <= t_first, starts)
-    return np.minimum(counts, (n * 1.02).astype(np.int64) + 4)
+    n = np.add.reduceat(arrival <= t, starts).tolist()
+    return [min(c, int(x * 1.02) + 4) for c, x in zip(counts, n)]
+
+
+def _first_extent(profile, send, counts, b, k):
+    """Each worker's estimated pass-1 batches up to the k-th arrival, with a margin.
+
+    Plain floats over one entry per loaded worker, whose alpha, beta,
+    time factor and broadcast time bc are profile's first four rows.  A
+    batch's send time is about send, and its mean compute time
+    b factor (alpha + 1 / beta); pass 1 delivers a batch per the larger of
+    the two after the broadcast and the smaller.  The k earliest such
+    arrivals are filled in under each worker's batch count.
+
+    send is taken unshadowed at the distance where the broadcast ends.
+    b / m of the broadcast time, which carries the broadcast's shadowing
+    and its distance at t = 0, left some worker short on 42% of the
+    tasks of scenario1 training's first iteration and 84% of its last ten.
+    """
+    free = []  # (start, batches per second, worker)
+    alpha, beta, factors, bc = profile[:4].tolist()
+    for i, (x, s, f, a, be) in enumerate(zip(bc, send.tolist(), factors, alpha, beta)):
+        c = b * f * (a + 1.0 / be)
+        if c > s:
+            s, c = c, s
+        if not 0.0 < s < math.inf:
+            return counts
+        free.append((x + c, 1.0 / s, i))
+    n = [0.0] * len(counts)
+    while free:  # cap the workers whose batches all arrive by t, then drop those none of
+        t = (k + sum(x * q for x, q, _ in free)) / sum(q for _, q, _ in free)
+        full = [i for x, q, i in free if not (t - x) * q < counts[i]]
+        if full:
+            for i in full:
+                n[i] = counts[i]
+                k -= counts[i]
+            free = [w for w in free if w[2] not in full]
+        else:
+            rest = [w for w in free if t > w[0]]
+            if len(rest) == len(free):
+                break
+            free = rest
+    for x, q, i in free:
+        n[i] = (t - x) * q
+    return [int(x * 1.03) + 6 for x in n]
+
+
+def _further(t, first, last, extent, count):
+    """A new extent of a worker whose pass 1 stops at or before t, from its own pace.
+
+    Plain floats: the batches still to go to t at the pace of its pass-1
+    arrivals so far, first to last, with a margin, or about twice its
+    extent when it holds one arrival, capped at its count; its count when
+    any of them is not finite.
+    """
+    more = (t - last) / (last - first) * (extent - 1) if last > first else extent
+    return min(count, extent + int(more * 1.05) + 8) if more < count else count
+
+
+def _take(arrays, spans):
+    """Each array's entries in the [start, stop) spans, in order.
+
+    Spans that meet are taken as one, so spans that join into one give
+    views, and any others one concatenation per array.
+    """
+    joined = []
+    for start, stop in spans:
+        if joined and joined[-1][1] == start:
+            joined[-1][1] = stop
+        else:
+            joined.append([start, stop])
+    if len(joined) == 1:
+        return [a[joined[0][0]:joined[0][1]] for a in arrays]
+    return [np.concatenate([a[start:stop] for start, stop in joined]) for a in arrays]
+
+
+class _PassOne:
+    """Pass 1 of a task's link solve, over each worker's leading batches.
+
+    Pass 1 evaluates each batch's link at its compute finish time and
+    scans the send times into arrivals (_scan).  It holds each worker's
+    first extent[i] slots (a list) in a flat worker-major layout of their
+    own (starts, segments), as slots = (cpu, tau, settled, gain, sizes,
+    arrival).  extend computes further slots of some workers only, going
+    on from each one's raw compute sum and _scan's carry, so every slot
+    held is that slot of a pass 1 over every batch, bit for bit.  busy is
+    whether each scan found every link busy: _fixed_point's hint.
+
+    draws are the task's (us, omega, sizes) over every slot of its layout,
+    omega unscaled, and layout is that (starts, segments); the draws are
+    let go once every slot is computed.  profile has a column per worker
+    and the rows alpha, beta, time factor, broadcast time, r and rv.
+    """
+
+    def __init__(self, draws, layout, profile, cfg):
+        self.draws, self.layout, self.profile, self.cfg = draws, layout, profile, cfg
+        self.extent = [0] * len(layout[1])
+        self.slots = None
+        self.busy = True
+
+    def extend(self, extent):
+        """Compute each worker's slots up to extent[i], at least its current extent."""
+        sub = [i for i, (e, o) in enumerate(zip(extent, self.extent)) if e > o]
+        if not sub:
+            return
+        width = [extent[i] - self.extent[i] for i in sub]
+        total = self.draws[0].size
+        if sum(width) == total:  # every slot at once: no gather, and no scan follows
+            (starts, segments), (us, omega, sizes), carry = self.layout, self.draws, None
+        else:
+            starts, segments = _segments(width)
+            us, omega, sizes = _take(self.draws, [(self.layout[1][i].start + self.extent[i],
+                                                   self.layout[1][i].start + extent[i])
+                                                  for i in sub])
+            carry = [] if self.slots is None else [c[sub] for c in self.carry]
+        cfg = self.cfg
+        profile = self.profile if self.slots is None else self.profile[:, sub]
+        alpha, beta, factors, bc, *_ = per_slot = np.repeat(profile, width, axis=1)
+        cpu = comp_time(sizes, us, alpha, beta, factors)
+        if self.slots is not None:
+            cpu[starts] += self.raw[sub]
+        for seg in segments:
+            np.add.accumulate(cpu[seg], out=cpu[seg])
+        if carry is not None:
+            raw = cpu[[seg.stop - 1 for seg in segments]]
+        cpu += bc
+        gain = link_gain(omega * cfg.noise_std_db, cfg)
+        # a solve's geometry is repeated per slot, C-ordered
+        tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[4:6], per_slot[6:], cpu),
+                         gain, cfg)
+        arrival, settled, busy = _scan(cpu, tau, starts, segments, True, carry)
+        self.busy = self.busy and busy
+        slots = (cpu, tau, settled, gain, sizes, arrival)
+        if self.slots is None:
+            self.starts, self.segments = starts, segments
+            if carry is not None:
+                self.raw, self.carry = raw, carry
+        else:  # each worker's new slots go after its old ones
+            self.raw[sub] = raw
+            for c, v in zip(self.carry, carry):
+                c[sub] = v
+            at = np.repeat(np.cumsum(self.extent)[sub], width)
+            slots = tuple(np.insert(a, at, b) for a, b in zip(self.slots, slots))
+            self.starts, self.segments = _segments(extent)
+        self.slots = slots
+        self.extent = list(extent)
+        if sum(self.extent) == total:  # nothing is left to compute
+            self.draws = None
 
 
 def _reach(arrival, sizes, p):
@@ -393,74 +568,102 @@ def _layout_error(index, total, p, batch_size):
                       f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
 
 
+# pass 1 covers every batch unless it can leave at least this many uncomputed: fewer
+# would take less time to compute than to estimate, gather and carry
+_FEW_SLOTS = 1024
+
+
 def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
-    batches sit in a flat worker-major layout, one slot per batch.  A
-    layout that cannot be allocated, a load past int64 among them, is a
-    ValueError naming task index, its size and the settings it grows with,
-    p and the batch size.
+    batches sit in a flat worker-major layout, one slot per batch, whose
+    draws are made in full; pass 1 covers each worker's leading batches
+    (_PassOne), at least those that arrive by t, and the solve each
+    worker's leading widths.  A layout that cannot be allocated, a load
+    past int64 among them, is a ValueError naming task index, its size
+    and the settings it grows with, p and the batch size.
     """
     try:
         counts, last = plan_batches([loads[i] for i in active], batch_size)
     except OverflowError:  # a load past int64: its slots are counted as Python ints
         total = sum(-(-loads[i] // batch_size) for i in active)
         raise _layout_error(index, total, p, batch_size) from None
-    total = sum(counts.tolist())  # as Python ints: an int64 sum can wrap
+    counts = counts.tolist()
+    total = sum(counts)  # as Python ints: an int64 sum can wrap
     try:
-        omega = np.zeros(total)  # one shadowing per batch's transmission
-        us = np.zeros(total)
+        # one shadowing per batch's transmission, drawn when noise_std_db > 0, and one
+        # compute uniform per batch, always drawn
+        omega = np.empty(total) if cfg.noise_std_db > 0 else np.zeros(total)
+        us = np.empty(total)
         sizes = np.full(total, batch_size)
     except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
         raise _layout_error(index, total, p, batch_size) from None
     starts, segments = _segments(counts)
-    sizes[starts + counts - 1] = last
+    sizes[[seg.stop - 1 for seg in segments]] = last
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
     _draw_noise(workers, active, [omega[seg] for seg in segments],
                 [us[seg] for seg in segments], cfg, heads)
-    if cfg.noise_std_db > 0:
-        heads *= cfg.noise_std_db
-        omega *= cfg.noise_std_db
+    heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
     act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
-    gain = link_gain(omega, cfg)  # one per transmission, for every pass
-
-    cpu = comp_time(sizes, us, *(np.repeat(a, counts) for a in (alpha, beta, factors)))
-    for seg in segments:
-        np.add.accumulate(cpu[seg], out=cpu[seg])
-    cpu += np.repeat(_broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg), counts)
-    del us, omega  # the solves set a task's peak memory: hold no array they do not read
-
-    # pass 1, over every slot; a solve's geometry is repeated per slot, C-ordered
-    tau = _send_time(sizes * cfg.bits_per_element,
-                     _dist2(np.repeat(r, counts, axis=1), np.repeat(rv, counts, axis=1), cpu),
-                     gain, cfg)
-    arrival, settled, busy = _scan(cpu, tau, starts, segments)
-    widths = _guess_cols(arrival, starts, counts, p, batch_size) if feasible else counts
-    del arrival  # likewise
-    slots = (cpu, tau, settled, gain, sizes)
+    bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
+    profile = np.concatenate((alpha[None], beta[None], factors[None], bc[None], r, rv))
+    one = _PassOne((us, omega, sizes), (starts, segments), profile, cfg)
+    if feasible:
+        k = _reaching(p, batch_size, len(active), total)
+        extent = counts
+        if total >= _FEW_SLOTS:  # a batch's send time, unshadowed, where the broadcast ends
+            send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
+                              link_gain(0.0, cfg), cfg)
+            guess = [min(c, max(1, g)) for c, g in
+                     zip(counts, _first_extent(profile, send, counts, batch_size, k))]
+            if total - sum(guess) >= _FEW_SLOTS:
+                extent = guess
+        one.extend(extent)
+        while True:  # until no worker's uncomputed batches can arrive by t
+            arrival = one.slots[-1]
+            t = float(np.partition(arrival, k - 1)[k - 1]) if arrival.size >= k else math.inf
+            if one.draws is None:  # every batch is computed
+                break
+            extent = list(one.extent)
+            for i, seg in enumerate(one.segments):
+                if extent[i] < counts[i]:
+                    last = float(arrival[seg.stop - 1])
+                    if not last > t:
+                        extent[i] = _further(t, float(arrival[seg.start]), last, extent[i],
+                                             counts[i])
+            if extent == one.extent:
+                break
+            one.extend(extent)
+        widths = _guess_cols(arrival, one.starts, counts, t)
+    else:  # an infeasible task keeps, so solves, every batch
+        one.extend(counts)
+        widths = counts
     while True:
-        short = widths < counts
-        if short.any():  # solve each worker's leading widths[i] slots alone
-            lead = [slice(seg.start, seg.start + w) for seg, w in zip(segments, widths.tolist())]
+        if any(w > e for w, e in zip(widths, one.extent)):  # the solve reads computed slots
+            one.extend([max(e, w) for e, w in zip(one.extent, widths)])
+        short = [w < c for w, c in zip(widths, counts)]
+        if widths != one.extent:  # solve each worker's leading widths[i] slots alone
             starts_w, segments_w = _segments(widths)
-            cut = [np.concatenate([a[s] for s in lead]) for a in slots]
+            cut = _take(one.slots[:5], [(seg.start, seg.start + w)
+                                        for seg, w in zip(one.segments, widths)])
         else:
-            starts_w, segments_w, cut = starts, segments, slots
+            starts_w, segments_w, cut = one.starts, one.segments, one.slots[:5]
         cpu_w, tau_w, settled_w, gain_w, sizes_w = cut
-        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, busy,
+        geometry = np.repeat(profile[4:], widths, axis=1)  # r and rv, per slot
+        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, one.busy,
                                       sizes_w * cfg.bits_per_element, gain_w,
-                                      np.repeat(r, widths, axis=1),
-                                      np.repeat(rv, widths, axis=1), starts_w, segments_w, cfg)
+                                      geometry[:2], geometry[2:], starts_w, segments_w, cfg)
         arrival = begin + tau_end
         order, received, n_kept = _reach(arrival, sizes_w, p)
-        if not short.any():
+        if not any(short):
             n_kept = min(n_kept, order.size)  # an infeasible task keeps every batch
             break
-        last = starts_w[short] + widths[short] - 1  # the short workers' last solved slots
+        last = [seg.stop - 1 for seg, s in zip(segments_w, short) if s]  # their last solved slots
         if n_kept <= order.size and (arrival[last] >= arrival[order[n_kept - 1]]).all():
             break
-        widths = np.minimum(2 * widths, counts)  # doubles the short workers alone
+        # doubles the short workers alone
+        widths = [min(2 * w, c) if s else w for w, c, s in zip(widths, counts, short)]
     kept = order[:n_kept]
     return (ReceiptLog(np.repeat(act, widths)[kept], sizes_w[kept], arrival[kept]),
             int(received[n_kept - 1]))
@@ -502,15 +705,29 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
 
     Only arrivals up to completion enter the record, so a feasible task is
     solved on each worker's leading slots alone.  Pass 1 evaluates the
-    link at the compute finish times over every slot; each worker then
-    keeps the slots it delivers by a bound on pass 1's completion, taken
-    by selection (see _guess_cols), plus a margin.  Slot k of a segment
-    depends only on the slots before it, so the truncated solve is exact,
-    bit for bit, on its slots.  Its completion T' stands when every worker
-    with unsolved batches has its last solved arrival at or after T': each
-    worker's arrivals strictly increase, so none of its unsolved batches
-    arrives by T'.  Otherwise those workers' widths double and the solve
-    repeats.  An infeasible task keeps every batch and is solved in full.
+    link at the compute finish times; each worker then keeps the slots it
+    delivers by t, a bound on pass 1's completion, the k-th smallest
+    pass-1 arrival (see _reaching and _guess_cols), plus a margin.  Slot k
+    of a segment depends only on the slots before it, so the truncated
+    solve is exact, bit for bit, on its slots.  Its completion T' stands
+    when every worker with unsolved batches has its last solved arrival at
+    or after T': each worker's arrivals strictly increase, so none of its
+    unsolved batches arrives by T'.  Otherwise those workers' widths
+    double and the solve repeats.  An infeasible task keeps every batch
+    and is solved in full.
+
+    Pass 1 itself covers each worker's leading batches alone (_PassOne),
+    from an estimate of how many of them arrive by t (_first_extent), and
+    goes on for the workers it left short until the test is exact: every
+    worker with uncomputed batches has its last computed pass-1 arrival
+    strictly above t, the k-th smallest computed one.  Pass-1 arrivals
+    never fall along a segment, so then no uncomputed batch arrives by t:
+    t, each worker's arrivals by t and the widths are those of a pass 1
+    over every batch.  A worker goes on from its last computed batch, its
+    compute time sum and _scan's carry, so its slots are those of one pass
+    over all of them, bit for bit, and the solve extends pass 1 before it
+    reads past it.  A layout whose estimate would leave fewer than
+    _FEW_SLOTS slots uncomputed is computed in full, with no gather.
 
     When every loaded worker sends its load as one batch (batch_size at
     least the largest load), the task takes its own path
@@ -524,9 +741,10 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     through fresh_gen(i) of one "worker" substream per task, into that
     worker's entries of the draw arrays: its broadcast's shadowing, then
     its batches', the normals of one draw of both.  The shadowing is
-    drawn as standard normals and scaled by noise_std_db once:
-    normal(0, s) gives 0.0 + s z, which differs from s z only in a zero's
-    sign, and link_gain adds a nonzero constant to it.
+    drawn as standard normals and scaled by noise_std_db once, for the
+    batches where pass 1 reads it: normal(0, s) gives 0.0 + s z, which
+    differs from s z only in a zero's sign, and link_gain adds a nonzero
+    constant to it.
     """
     loads = tuple(loads)
     if len(loads) != world.n_workers:

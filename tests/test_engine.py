@@ -21,8 +21,8 @@ from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
 from macc.numerics import RngStream
-from macc.simcore import (WorldState, _dist2, _guess_cols, _scan, _segments, _send_time,
-                          run_task, sample_world)
+from macc.simcore import (WorldState, _dist2, _guess_cols, _reaching, _scan, _segments,
+                          _send_time, run_task, sample_world)
 
 from scalar_oracle import capacity, run_task_scalar
 
@@ -138,11 +138,12 @@ class TestAgainstScalarOracle:
         scans = []
         scan = simcore._scan
 
-        def recording(cpu, tau, starts, segments, test=True):
-            out = scan(cpu, tau, starts, segments, test)
-            # each worker's segment scanned alone: does its link stay busy?
+        def recording(cpu, tau, starts, segments, test=True, carry=None):
+            # each worker's segment scanned alone: does its link stay busy?  Pass 1 of
+            # these 1,200 batches covers every batch, so it scans from a fresh carry
             alone = [scan(cpu[seg], tau[seg], np.zeros(1, dtype=np.int64),
                           [slice(0, seg.stop - seg.start)])[2] for seg in segments]
+            out = scan(cpu, tau, starts, segments, test, carry)
             scans.append((test, out[2], alone))
             return out
 
@@ -209,31 +210,206 @@ PINNED_TASKS = {
 }
 
 
+def scenario1_world(far=False):
+    """scenario1's world at seed 0; with far, worker 2 starts 250 m from the master on
+    its x axis and closes on it at 60 m/s.
+
+    The far worker's broadcast ends at 4.11 s, 0.56 s after its peers', 3.6 m
+    from the master, which it passes at 4.17 s while its batches stream:
+    they go out ever faster, faster than pass 1's first estimate of them.
+    """
+    world, _ = sample_world(preset_scenario("scenario1"), RngStream(0).substream("env"))
+    if not far:
+        return world
+    pos, vel = world.pos.copy(), world.vel.copy()
+    pos[3] = pos[0] + [250.0, 0.0]
+    vel[3] = vel[0] + [-60.0, 0.0]
+    return WorldState(pos, vel, world.alpha, world.beta)
+
+
+# world -> (t_complete.hex(), receipts, digest) of scenario1's task 3 at seed 0 at batch
+# size 1, every worker loaded with p rows, recorded while pass 1 covered every batch
+PINNED_PAPER_TASKS = {
+    "every worker at p": (False, ("0x1.124cee972631bp+2", 6000, "c1b859e9d24dfda1")),
+    "a far worker closing on two near ones": (True, ("0x1.18a1bc1358290p+2", 6000,
+                                                     "bb3c7c0bfbd3a152")),
+}
+
+
+def run_paper_task(far):
+    """scenario1's task 3 at seed 0 at batch size 1, every worker at p rows."""
+    scenario = preset_scenario("scenario1")
+    return run_task(scenario1_world(far), (scenario.p_rows,) * 3, 1, scenario.p_rows,
+                    scenario.m_cols, time_factors(3, 0, False, 10.0),
+                    RngStream(0).substream("task", 3), CommConfig())
+
+
+def task_digest(rec, nxt):
+    """The first 16 hex digits of the sha256 of the receipt log's workers, rows and
+    arrivals and the next world's pos, in that order, as int64 and float64 bytes."""
+    log = rec.receipt_log
+    h = hashlib.sha256()
+    for a, dtype in ((log.workers, np.int64), (log.rows, np.int64),
+                     (log.arrivals, np.float64), (nxt.pos, np.float64)):
+        assert a.dtype == dtype
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def assert_pinned(rec, nxt, pinned):
+    t_hex, receipts, digest = pinned
+    assert rec.t_complete.hex() == t_hex
+    assert len(rec.receipt_log) == receipts
+    assert task_digest(rec, nxt) == digest
+
+
 class TestPinnedOutputs:
-    """run_task's outputs bit for bit on the desk preset: a change to the engine's
-    layout, draws or gathers must leave every task time, receipt and next world
-    exactly as recorded.  The digest is the first 16 hex digits of the sha256 of
-    the receipt log's workers, rows and arrivals and the next world's pos, in
-    that order, as int64 and float64 bytes."""
+    """run_task's outputs bit for bit: a change to the engine's layout, draws,
+    gathers or pass 1's extent must leave every task time, receipt and next
+    world exactly as recorded (see task_digest)."""
 
     @pytest.mark.parametrize("case", PINNED_TASKS)
     def test_task_matches_recorded_outputs(self, case):
-        (loads, batch_size, straggling, noise_std_db), (t_hex, receipts, digest) = PINNED_TASKS[case]
+        (loads, batch_size, straggling, noise_std_db), pinned = PINNED_TASKS[case]
         scenario = preset_scenario("desk")
         world, victim = sample_world(scenario, RngStream(8).substream("env"))
         assert victim == 1  # the straggler case slows a loaded worker
         rec, nxt = run_task(world, loads, batch_size, scenario.p_rows, scenario.m_cols,
                             time_factors(4, victim, straggling, 10.0),
                             RngStream(8).substream("task", 3), CommConfig(noise_std_db=noise_std_db))
-        log = rec.receipt_log
-        assert rec.t_complete.hex() == t_hex
-        assert len(log) == receipts
-        h = hashlib.sha256()
-        for a, dtype in ((log.workers, np.int64), (log.rows, np.int64),
-                         (log.arrivals, np.float64), (nxt.pos, np.float64)):
-            assert a.dtype == dtype
-            h.update(np.ascontiguousarray(a).tobytes())
-        assert h.hexdigest()[:16] == digest
+        assert_pinned(rec, nxt, pinned)
+
+    @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
+    def test_paper_scale_task_matches_recorded_outputs(self, case):
+        far, pinned = PINNED_PAPER_TASKS[case]
+        assert_pinned(*run_paper_task(far), pinned)
+
+
+def paper_oracle(far):
+    """The scalar oracle's record of run_paper_task's task."""
+    scenario = preset_scenario("scenario1")
+    return run_task_scalar(scenario1_world(far), (scenario.p_rows,) * 3, 1, scenario.p_rows,
+                           scenario.m_cols, NO_STRAGGLER, RngStream(0).substream("task", 3),
+                           CommConfig())
+
+
+@pytest.fixture
+def extents(monkeypatch):
+    """Each pass-1 extension run_task makes, in order: (extents before, after, slots computed)."""
+    calls = []
+    extend, comp = simcore._PassOne.extend, simcore.comp_time
+    computed = []
+
+    def counting_comp(rows, *args):
+        computed.append(np.size(rows))
+        return comp(rows, *args)
+
+    def recording(self, extent):
+        before = list(self.extent)
+        computed.clear()
+        extend(self, extent)
+        if self.extent != before:
+            calls.append((before, list(self.extent), sum(computed)))
+
+    monkeypatch.setattr(simcore, "comp_time", counting_comp)
+    monkeypatch.setattr(simcore._PassOne, "extend", recording)
+    return calls
+
+
+FIRST_EXTENTS = {
+    "one batch": lambda profile, send, counts, b, k: [1] * len(counts),
+    "the counts": lambda profile, send, counts, b, k: list(counts),
+    "past the counts": lambda profile, send, counts, b, k: [2 * c + 5 for c in counts],
+}
+
+
+class TestPassOnePrefix:
+    """Pass 1 on each worker's leading batches, extended until no uncomputed batch can
+    arrive by the k-th computed arrival, gives the records of a pass 1 over every batch."""
+
+    @pytest.mark.parametrize("first", FIRST_EXTENTS)
+    @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
+    def test_any_first_extent_gives_the_recorded_task(self, monkeypatch, first, case):
+        monkeypatch.setattr(simcore, "_first_extent", FIRST_EXTENTS[first])
+        far, pinned = PINNED_PAPER_TASKS[case]
+        rec, nxt = run_paper_task(far)
+        assert_pinned(rec, nxt, pinned)
+        assert_matches_oracle(rec, paper_oracle(far))
+
+    def test_estimate_leaves_most_batches_uncomputed(self, extents):
+        rec, nxt = run_paper_task(False)
+        assert_pinned(rec, nxt, PINNED_PAPER_TASKS["every worker at p"][1])
+        # one pass 1 over about a third of the 18,000 batches, no extension
+        ((before, after, computed),) = extents
+        assert before == [0] * 3 and computed == sum(after) < 7_000
+
+    def test_far_worker_is_extended_alone(self, extents, solved_widths):
+        # the far worker's batches go out faster than estimated, so all of its first
+        # extent arrives by t, and pass 1 goes on from its last computed batch alone
+        rec, nxt = run_paper_task(True)
+        assert_pinned(rec, nxt, PINNED_PAPER_TASKS["a far worker closing on two near ones"][1])
+        (_, first, _), *more = extents
+        assert more
+        for before, after, computed in more:
+            assert before[:2] == after[:2] and after[2] > before[2]
+            assert computed == after[2] - before[2]
+        # its width, int(1.02 n) + 4 for its n pass-1 arrivals by t, passes the first extent
+        assert solved_widths[0][2] > first[2]
+
+    def test_an_extension_computes_the_short_workers_new_batches(self, monkeypatch, extents):
+        # workers 0 and 1 computed in full, the far worker 2 from one batch on
+        monkeypatch.setattr(simcore, "_first_extent",
+                            lambda profile, send, counts, b, k: [*counts[:2], 1])
+        rec, nxt = run_paper_task(True)
+        assert_pinned(rec, nxt, PINNED_PAPER_TASKS["a far worker closing on two near ones"][1])
+        (_, first, computed), *more = extents
+        assert first == [6000, 6000, 1] and computed == 12_001
+        assert more and all(b[:2] == a[:2] == [6000] * 2 and c == a[2] - b[2]
+                            for b, a, c in more)
+
+    @pytest.mark.parametrize("behind", range(3))
+    @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
+    def test_a_worker_one_batch_short_of_t_is_extended(self, monkeypatch, behind, case):
+        # pass 1 over every batch: t, the k-th smallest arrival, and each worker's
+        # arrivals by t, n
+        seen = []
+        guess = simcore._guess_cols
+
+        def recording(arrival, starts, counts, t):
+            seen.append((t, np.add.reduceat(arrival <= t, starts).tolist()))
+            return guess(arrival, starts, counts, t)
+
+        monkeypatch.setattr(simcore, "_guess_cols", recording)
+        monkeypatch.setattr(simcore, "_FEW_SLOTS", 10**9)
+        far, pinned = PINNED_PAPER_TASKS[case]
+        run_paper_task(far)
+        ((t, n),) = seen
+        # the others computed past t, and worker `behind` to its n-th arrival but one: the
+        # k-th smallest computed arrival is then past t, until it is extended
+        monkeypatch.setattr(simcore, "_FEW_SLOTS", 1)
+        first = [c - 1 if i == behind else c + 50 for i, c in enumerate(n)]
+        monkeypatch.setattr(simcore, "_first_extent", lambda *args: first)
+        assert_pinned(*run_paper_task(far), pinned)
+        assert seen[1] == (t, n)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("batch", ["one", "quarter"])
+    @pytest.mark.parametrize("first", ["estimate", "one batch"])
+    def test_random_worlds_through_the_prefix(self, monkeypatch, seed, batch, first):
+        # a layout of any size takes the estimate when it leaves one slot uncomputed; from
+        # one batch each, every worker goes on from a carried scan, among them the
+        # compute-bound straggler victim's (odd seeds)
+        monkeypatch.setattr(simcore, "_FEW_SLOTS", 1)
+        if first == "one batch":
+            monkeypatch.setattr(simcore, "_first_extent", FIRST_EXTENTS[first])
+        n = 2 + seed % 4
+        scenario = ScenarioConfig(n_workers=n, p_rows=120, m_cols=80, beta_range=(1.0e3, 1.0e5))
+        world, victim = sample_world(scenario, RngStream(seed).substream("env"))
+        b = {"one": 1, "quarter": scenario.p_rows // 4}[batch]
+        loads = random_loads(seed, n, scenario.p_rows)
+        got, want = run_both(world, loads, scenario.p_rows, scenario.m_cols, b,
+                             (seed % 2 == 1, victim, 10.0), CommConfig(), seed)
+        assert_matches_oracle(got, want)
 
 
 def close_pass_world():
@@ -304,7 +480,7 @@ def closing_world():
 
 def guessing(width):
     """A stand-in for _guess_cols that solves every worker's first `width` slots first."""
-    return lambda arrival, starts, counts, p, b: np.minimum(counts, width)
+    return lambda arrival, starts, counts, t: [min(c, width) for c in counts]
 
 
 class TestTruncatedSolve:
@@ -334,8 +510,10 @@ class TestTruncatedSolve:
         assert_matches_oracle(got, want)
 
     def test_link_work_at_paper_scale(self, monkeypatch):
-        # solving every batch evaluated the link at 2,808,105 distances here, and
-        # solving every worker out to the widest worker's guess at 1,925,835
+        # solving every batch evaluated the link at 2,808,105 distances here, solving every
+        # worker out to the widest worker's guess at 1,925,835, and pass 1 over every batch
+        # at 1,498,435; pass 1 over each worker's leading batches evaluates 1,421,462, the
+        # 90 of its estimates among them
         evaluated = []
         vector_capacity = simcore.channel_capacity
 
@@ -345,7 +523,7 @@ class TestTruncatedSolve:
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
         (rec,) = sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)[1]
-        assert sum(evaluated) <= 1_498_435
+        assert sum(evaluated) <= 1_421_462
         assert rec.total_time == 217.6616366530215
 
     def test_pass_one_finds_every_link_busy_at_paper_scale(self, monkeypatch):
@@ -536,7 +714,9 @@ class TestSameBitsAsBefore:
             loads, sizes, counts, arrival = flat_layout(gen, b)
             starts = _segments(counts)[0]
             p = int(gen.integers(1, loads.sum() + 1))
-            got = _guess_cols(arrival, starts, counts, p, b)
+            k = _reaching(p, b, len(loads), arrival.size)
+            got = np.asarray(_guess_cols(arrival, starts, counts,
+                                         np.partition(arrival, k - 1)[k - 1]))
             want = sorted_guess_cols(arrival, sizes, starts, counts, p)
             assert got.shape == want.shape == (len(loads),)
             assert (got == want).all() if b == 1 else (got >= want).all()

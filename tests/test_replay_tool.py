@@ -1,0 +1,51 @@
+"""tools/replay_tasks.py: a recording replays through two checkouts with equal records."""
+
+import importlib.util
+import json
+import os
+import pickle
+
+import pytest
+
+from macc import simcore
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "replay_tasks.py")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+@pytest.fixture
+def tool():
+    spec = importlib.util.spec_from_file_location("replay_tasks", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_records_an_iteration_and_replays_it(tool, tmp_path, capsys):
+    path = str(tmp_path / "calls.pkl")
+    run_task = simcore.run_task
+    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--iterations", "1", "2"])
+    assert simcore.run_task is run_task
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    assert len(calls) == 50  # the default 10 episodes of desk's 5 tasks, in iteration 1 alone
+    tool.main(["time", path, SRC, SRC, "--pairs", "2"])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["calls"] == 50 and [len(s) for s in summary["seconds"]] == [2, 2]
+
+
+def test_different_records_stop_the_replay(tool, tmp_path, monkeypatch):
+    path = str(tmp_path / "calls.pkl")
+    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--iterations", "0", "1"])
+    other = tmp_path / "other"
+    (other / "macc").mkdir(parents=True)
+    for name in os.listdir(os.path.join(SRC, "macc")):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "macc", name), encoding="utf-8") as fh:
+                text = fh.read()
+            if name == "simcore.py":  # every completion a little later
+                text = text.replace("    t_done = float(receipt_log.arrivals[-1])",
+                                    "    t_done = float(receipt_log.arrivals[-1]) * 1.5")
+            (other / "macc" / name).write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit, match="round 0: the two sides returned different records"):
+        tool.main(["time", path, SRC, str(other), "--pairs", "1"])

@@ -22,7 +22,9 @@ The runs, for each seed:
 * compare: ``macc compare`` of the three baselines at scenario3 with the
   straggler on, 20 episodes;
 * sweep-batch: ``macc sweep-batch`` of hcmm at desk over batch sizes 1, 50
-  and 200, where 200 is at least every load, so each worker sends one batch.
+  and 200, where 200 is at least every load, so each worker sends one batch;
+* sweep-batch-scenario1: ``macc sweep-batch`` of hcmm at scenario1 over batch
+  sizes 1 and 10, 3 episodes: paper-scale tasks of many batches per worker.
 
 So every CLI command is covered.
 
@@ -78,6 +80,9 @@ def runs(root):
                      "--straggler", "on", "--episodes", "20"]),
         ("sweep-batch", ["sweep-batch", "--config", configs["desk"], "--scheme", "hcmm",
                          "--batch-sizes", "1,50,200", "--episodes", "20"]),
+        ("sweep-batch-scenario1", ["sweep-batch", "--config", configs["scenario1"],
+                                   "--scheme", "hcmm", "--batch-sizes", "1,10",
+                                   "--episodes", "3"]),
     ]
 
 
