@@ -37,9 +37,11 @@ of one-dimensional arrays, and r and rv repeated per slot to shape
 running sum runs once per segment and every other step once over the
 flat arrays.  Its running maximum runs once per segment too, unless every
 worker's link stays busy after its first batch, as at paper scale, where
-a row takes longer to send than to compute.  The fixed point's first
-pass covers only each worker's leading batches, as many as can arrive by
-completion (_PassOne): about a third of them late in a scenario1
+a row takes longer to send than to compute.  The fixed point covers
+only each worker's leading batches, as many as can arrive by
+completion: one loop computes and solves them (_PassOne), and extends
+and solves again the workers whose last solved arrival falls before the
+completion.  It covers about a third of the batches late in a scenario1
 training, where every worker holds nearly p rows.  A task whose workers
 each send one batch (every baseline in compare) takes its own path on arrays
 of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
@@ -282,31 +284,20 @@ def _reaching(p, b, n_active, total):
     """k = ceil((p - A) / b) + A for A workers at batch size b, capped at the total slots.
 
     Only a worker's last batch can be short, so any k slots hold at least
-    p rows: the k-th smallest arrival is never before the one at which the
-    received rows first reach p, and is that one at b = 1.
+    p rows: a first extent that holds the k earliest arrivals
+    (_first_extent) gives a solve that reaches p.
     """
     return min(-(-(p - n_active) // b) + n_active, total)
 
 
-def _guess_cols(arrival, starts, counts, t):
-    """Slots to solve first per worker, a list, from pass 1's arrivals of a feasible task.
-
-    Worker i's width is min(count_i, int(n_i * 1.02) + 4), where n_i
-    counts its arrivals at or before t, the k-th smallest pass-1 arrival
-    for k = _reaching(...).
-    """
-    n = np.add.reduceat(arrival <= t, starts).tolist()
-    return [min(c, int(x * 1.02) + 4) for c, x in zip(counts, n)]
-
-
 def _first_extent(profile, send, counts, b, k):
-    """Each worker's estimated pass-1 batches up to the k-th arrival, with a margin.
+    """Each worker's estimated batches up to the k-th arrival, with a margin.
 
     Plain floats over one entry per loaded worker, whose alpha, beta,
     time factor and broadcast time bc are profile's first four rows.  A
     batch's send time is about send, and its mean compute time
-    b factor (alpha + 1 / beta); pass 1 delivers a batch per the larger of
-    the two after the broadcast and the smaller.  The k earliest such
+    b factor (alpha + 1 / beta); a worker delivers a batch per the larger
+    of the two after the broadcast and the smaller.  The k earliest such
     arrivals are filled in under each worker's batch count.
 
     send is taken unshadowed at the distance where the broadcast ends.
@@ -343,12 +334,12 @@ def _first_extent(profile, send, counts, b, k):
 
 
 def _further(t, first, last, extent, count):
-    """A new extent of a worker whose pass 1 stops at or before t, from its own pace.
+    """A new extent of a worker whose solved arrivals stop before t, from its own pace.
 
-    Plain floats: the batches still to go to t at the pace of its pass-1
+    Plain floats: the batches still to go to t at the pace of its solved
     arrivals so far, first to last, with a margin, or about twice its
     extent when it holds one arrival, capped at its count; its count when
-    any of them is not finite.
+    any of them is not finite, t among them.
     """
     more = (t - last) / (last - first) * (extent - 1) if last > first else extent
     return min(count, extent + int(more * 1.05) + 8) if more < count else count
@@ -375,13 +366,14 @@ class _PassOne:
     """Pass 1 of a task's link solve, over each worker's leading batches.
 
     Pass 1 evaluates each batch's link at its compute finish time and
-    scans the send times into arrivals (_scan).  It holds each worker's
-    first extent[i] slots (a list) in a flat worker-major layout of their
-    own (starts, segments), as slots = (cpu, tau, settled, gain, sizes,
-    arrival).  extend computes further slots of some workers only, going
-    on from each one's raw compute sum and _scan's carry, so every slot
-    held is that slot of a pass 1 over every batch, bit for bit.  busy is
-    whether each scan found every link busy: _fixed_point's hint.
+    scans the send times into the begins they imply (_scan).  It holds
+    each worker's first extent[i] slots (a list) in a flat worker-major
+    layout of their own (starts, segments), as slots = (cpu, tau, settled,
+    gain, sizes), what _fixed_point solves.  extend computes further slots
+    of some workers only, going on from each one's raw compute sum and
+    _scan's carry, so every slot held is that slot of a pass 1 over every
+    batch, bit for bit.  busy is whether each scan found every link busy:
+    _fixed_point's hint.
 
     draws are the task's (us, omega, sizes) over every slot of its layout,
     omega unscaled, and layout is that (starts, segments); the draws are
@@ -425,9 +417,9 @@ class _PassOne:
         # a solve's geometry is repeated per slot, C-ordered
         tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[4:6], per_slot[6:], cpu),
                          gain, cfg)
-        arrival, settled, busy = _scan(cpu, tau, starts, segments, True, carry)
+        _, settled, busy = _scan(cpu, tau, starts, segments, True, carry)
         self.busy = self.busy and busy
-        slots = (cpu, tau, settled, gain, sizes, arrival)
+        slots = (cpu, tau, settled, gain, sizes)
         if self.slots is None:
             self.starts, self.segments = starts, segments
             if carry is not None:
@@ -568,21 +560,17 @@ def _layout_error(index, total, p, batch_size):
                       f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
 
 
-# pass 1 covers every batch unless it can leave at least this many uncomputed: fewer
-# would take less time to compute than to estimate, gather and carry
-_FEW_SLOTS = 1024
-
-
 def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
     batches sit in a flat worker-major layout, one slot per batch, whose
-    draws are made in full; pass 1 covers each worker's leading batches
-    (_PassOne), at least those that arrive by t, and the solve each
-    worker's leading widths.  A layout that cannot be allocated, a load
-    past int64 among them, is a ValueError naming task index, its size
-    and the settings it grows with, p and the batch size.
+    draws are made in full.  Each worker's leading batches are computed
+    (_PassOne) and solved together, and the workers whose solved arrivals
+    stop before the completion are extended and solved again.  A layout
+    that cannot be allocated, a load past int64 among them, is a
+    ValueError naming task index, its size and the settings it grows
+    with, p and the batch size.
     """
     try:
         counts, last = plan_batches([loads[i] for i in active], batch_size)
@@ -609,63 +597,36 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
     profile = np.concatenate((alpha[None], beta[None], factors[None], bc[None], r, rv))
     one = _PassOne((us, omega, sizes), (starts, segments), profile, cfg)
-    if feasible:
+    extent = counts  # an infeasible task keeps, so solves, every batch
+    if feasible:  # a batch's send time, unshadowed, where the broadcast ends
+        send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
+                          link_gain(0.0, cfg), cfg)
         k = _reaching(p, batch_size, len(active), total)
-        extent = counts
-        if total >= _FEW_SLOTS:  # a batch's send time, unshadowed, where the broadcast ends
-            send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
-                              link_gain(0.0, cfg), cfg)
-            guess = [min(c, max(1, g)) for c, g in
-                     zip(counts, _first_extent(profile, send, counts, batch_size, k))]
-            if total - sum(guess) >= _FEW_SLOTS:
-                extent = guess
-        one.extend(extent)
-        while True:  # until no worker's uncomputed batches can arrive by t
-            arrival = one.slots[-1]
-            t = float(np.partition(arrival, k - 1)[k - 1]) if arrival.size >= k else math.inf
-            if one.draws is None:  # every batch is computed
-                break
-            extent = list(one.extent)
-            for i, seg in enumerate(one.segments):
-                if extent[i] < counts[i]:
-                    last = float(arrival[seg.stop - 1])
-                    if not last > t:
-                        extent[i] = _further(t, float(arrival[seg.start]), last, extent[i],
-                                             counts[i])
-            if extent == one.extent:
-                break
-            one.extend(extent)
-        widths = _guess_cols(arrival, one.starts, counts, t)
-    else:  # an infeasible task keeps, so solves, every batch
-        one.extend(counts)
-        widths = counts
+        extent = [min(c, max(1, e)) for c, e in
+                  zip(counts, _first_extent(profile, send, counts, batch_size, k))]
     while True:
-        if any(w > e for w, e in zip(widths, one.extent)):  # the solve reads computed slots
-            one.extend([max(e, w) for e, w in zip(one.extent, widths)])
-        short = [w < c for w, c in zip(widths, counts)]
-        if widths != one.extent:  # solve each worker's leading widths[i] slots alone
-            starts_w, segments_w = _segments(widths)
-            cut = _take(one.slots[:5], [(seg.start, seg.start + w)
-                                        for seg, w in zip(one.segments, widths)])
-        else:
-            starts_w, segments_w, cut = one.starts, one.segments, one.slots[:5]
-        cpu_w, tau_w, settled_w, gain_w, sizes_w = cut
-        geometry = np.repeat(profile[4:], widths, axis=1)  # r and rv, per slot
-        begin, tau_end = _fixed_point(cpu_w, tau_w, settled_w, one.busy,
-                                      sizes_w * cfg.bits_per_element, gain_w,
-                                      geometry[:2], geometry[2:], starts_w, segments_w, cfg)
+        one.extend(extent)
+        cpu, tau, settled, gain, sizes = one.slots
+        geometry = np.repeat(profile[4:], one.extent, axis=1)  # r and rv, per slot
+        begin, tau_end = _fixed_point(cpu, tau, settled, one.busy, sizes * cfg.bits_per_element,
+                                      gain, geometry[:2], geometry[2:], one.starts,
+                                      one.segments, cfg)
         arrival = begin + tau_end
-        order, received, n_kept = _reach(arrival, sizes_w, p)
-        if not any(short):
+        order, received, n_kept = _reach(arrival, sizes, p)
+        if one.draws is None:  # every batch is solved
             n_kept = min(n_kept, order.size)  # an infeasible task keeps every batch
             break
-        last = [seg.stop - 1 for seg, s in zip(segments_w, short) if s]  # their last solved slots
-        if n_kept <= order.size and (arrival[last] >= arrival[order[n_kept - 1]]).all():
+        reached = n_kept <= order.size  # the solved slots hold p rows
+        t = float(arrival[order[n_kept - 1]]) if reached else math.inf  # T'
+        extent = list(one.extent)
+        for i, seg in enumerate(one.segments):
+            last = float(arrival[seg.stop - 1])
+            if extent[i] < counts[i] and not (reached and last >= t):  # may arrive by T'
+                extent[i] = _further(t, float(arrival[seg.start]), last, extent[i], counts[i])
+        if extent == one.extent:
             break
-        # doubles the short workers alone
-        widths = [min(2 * w, c) if s else w for w, c, s in zip(widths, counts, short)]
     kept = order[:n_kept]
-    return (ReceiptLog(np.repeat(act, widths)[kept], sizes_w[kept], arrival[kept]),
+    return (ReceiptLog(np.repeat(act, one.extent)[kept], sizes[kept], arrival[kept]),
             int(received[n_kept - 1]))
 
 
@@ -704,37 +665,28 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     broadcast, at t = 0, takes its squared distance as r * r summed.
 
     Only arrivals up to completion enter the record, so a feasible task is
-    solved on each worker's leading slots alone.  Pass 1 evaluates the
-    link at the compute finish times; each worker then keeps the slots it
-    delivers by t, a bound on pass 1's completion, the k-th smallest
-    pass-1 arrival (see _reaching and _guess_cols), plus a margin.  Slot k
-    of a segment depends only on the slots before it, so the truncated
-    solve is exact, bit for bit, on its slots.  Its completion T' stands
-    when every worker with unsolved batches has its last solved arrival at
-    or after T': each worker's arrivals strictly increase, so none of its
-    unsolved batches arrives by T'.  Otherwise those workers' widths
-    double and the solve repeats.  An infeasible task keeps every batch
-    and is solved in full.
-
-    Pass 1 itself covers each worker's leading batches alone (_PassOne),
-    from an estimate of how many of them arrive by t (_first_extent), and
-    goes on for the workers it left short until the test is exact: every
-    worker with uncomputed batches has its last computed pass-1 arrival
-    strictly above t, the k-th smallest computed one.  Pass-1 arrivals
-    never fall along a segment, so then no uncomputed batch arrives by t:
-    t, each worker's arrivals by t and the widths are those of a pass 1
-    over every batch.  A worker goes on from its last computed batch, its
-    compute time sum and _scan's carry, so its slots are those of one pass
-    over all of them, bit for bit, and the solve extends pass 1 before it
-    reads past it.  A layout whose estimate would leave fewer than
-    _FEW_SLOTS slots uncomputed is computed in full, with no gather.
+    computed and solved on each worker's leading slots alone: slot k of a
+    segment depends only on the slots before it, so pass 1 and the solve
+    are exact, bit for bit, on those slots.  Each worker starts from an
+    estimate of its batches among the k earliest arrivals, with a margin
+    (_reaching and _first_extent).  The solve's completion T' stands when
+    every worker with unsolved batches has its last solved arrival at or
+    after T': each worker's arrivals strictly increase, so none of its
+    unsolved batches arrives by T'.  Otherwise each worker whose last
+    solved arrival falls before T' is extended at the pace of its own
+    solved arrivals (_further), and the solve repeats; T' is infinite
+    while the solved slots hold fewer than p rows.  A worker goes on from
+    its last computed batch, its compute time sum and _scan's carry
+    (_PassOne), so its slots are those of one pass 1 over all of them, bit
+    for bit.  An infeasible task keeps every batch and is computed and
+    solved in full, with no gather.
 
     When every loaded worker sends its load as one batch (batch_size at
     least the largest load), the task takes its own path
     (_one_batch) on flat arrays, one entry per loaded worker: the sizes
     are the loads, each batch begins once computed, so the arrivals are
     cpu + tau, sorted as above, with no plan_batches call, fixed point
-    or widening.  It calls the same link, compute and sort
+    or extension.  It calls the same link, compute and sort
     helpers, so each model expression has one copy.
 
     Worker i's noise, the stream rng.substream("worker", i), is drawn

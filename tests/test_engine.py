@@ -21,8 +21,7 @@ from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
 from macc.numerics import RngStream
-from macc.simcore import (WorldState, _dist2, _guess_cols, _reaching, _scan, _segments,
-                          _send_time, run_task, sample_world)
+from macc.simcore import WorldState, _dist2, _scan, _segments, _send_time, run_task, sample_world
 
 from scalar_oracle import capacity, run_task_scalar
 
@@ -135,12 +134,13 @@ class TestAgainstScalarOracle:
         # straggler victim computes 11 times slower, slower than it sends
         scenario = preset_scenario("scenario1")
         world, victim = sample_world(scenario, RngStream(seed).substream("env"))
+        monkeypatch.setattr(simcore, "_first_extent", FIRST_EXTENTS["the counts"])
         scans = []
         scan = simcore._scan
 
         def recording(cpu, tau, starts, segments, test=True, carry=None):
-            # each worker's segment scanned alone: does its link stay busy?  Pass 1 of
-            # these 1,200 batches covers every batch, so it scans from a fresh carry
+            # each worker's segment scanned alone: does its link stay busy?  Pass 1
+            # starts at the counts, so it covers all 1,200 batches with no carry
             alone = [scan(cpu[seg], tau[seg], np.zeros(1, dtype=np.int64),
                           [slice(0, seg.stop - seg.start)])[2] for seg in segments]
             out = scan(cpu, tau, starts, segments, test, carry)
@@ -210,19 +210,20 @@ PINNED_TASKS = {
 }
 
 
-def scenario1_world(far=False):
-    """scenario1's world at seed 0; with far, worker 2 starts 250 m from the master on
-    its x axis and closes on it at 60 m/s.
+def scenario1_world(far=None):
+    """scenario1's world at seed 0; with far, worker 2 starts far metres from the
+    master on its x axis and closes on it at 60 m/s.
 
-    The far worker's broadcast ends at 4.11 s, 0.56 s after its peers', 3.6 m
-    from the master, which it passes at 4.17 s while its batches stream:
-    they go out ever faster, faster than pass 1's first estimate of them.
+    From 250 m the far worker's broadcast ends at 4.11 s, 0.56 s after its
+    peers', 3.6 m from the master, which it passes at 4.17 s while its
+    batches stream: they go out ever faster, faster than the first estimate
+    of them.
     """
     world, _ = sample_world(preset_scenario("scenario1"), RngStream(0).substream("env"))
-    if not far:
+    if far is None:
         return world
     pos, vel = world.pos.copy(), world.vel.copy()
-    pos[3] = pos[0] + [250.0, 0.0]
+    pos[3] = pos[0] + [far, 0.0]
     vel[3] = vel[0] + [-60.0, 0.0]
     return WorldState(pos, vel, world.alpha, world.beta)
 
@@ -230,9 +231,9 @@ def scenario1_world(far=False):
 # world -> (t_complete.hex(), receipts, digest) of scenario1's task 3 at seed 0 at batch
 # size 1, every worker loaded with p rows, recorded while pass 1 covered every batch
 PINNED_PAPER_TASKS = {
-    "every worker at p": (False, ("0x1.124cee972631bp+2", 6000, "c1b859e9d24dfda1")),
-    "a far worker closing on two near ones": (True, ("0x1.18a1bc1358290p+2", 6000,
-                                                     "bb3c7c0bfbd3a152")),
+    "every worker at p": (None, ("0x1.124cee972631bp+2", 6000, "c1b859e9d24dfda1")),
+    "a far worker closing on two near ones": (250.0, ("0x1.18a1bc1358290p+2", 6000,
+                                                      "bb3c7c0bfbd3a152")),
 }
 
 
@@ -324,8 +325,9 @@ FIRST_EXTENTS = {
 
 
 class TestPassOnePrefix:
-    """Pass 1 on each worker's leading batches, extended until no uncomputed batch can
-    arrive by the k-th computed arrival, gives the records of a pass 1 over every batch."""
+    """Each worker's leading batches, computed and solved, then extended until every
+    worker with unsolved batches has its last solved arrival at or after the
+    completion T', give the records of a solve over every batch."""
 
     @pytest.mark.parametrize("first", FIRST_EXTENTS)
     @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
@@ -337,30 +339,41 @@ class TestPassOnePrefix:
         assert_matches_oracle(rec, paper_oracle(far))
 
     def test_estimate_leaves_most_batches_uncomputed(self, extents):
-        rec, nxt = run_paper_task(False)
+        rec, nxt = run_paper_task(None)
         assert_pinned(rec, nxt, PINNED_PAPER_TASKS["every worker at p"][1])
         # one pass 1 over about a third of the 18,000 batches, no extension
         ((before, after, computed),) = extents
         assert before == [0] * 3 and computed == sum(after) < 7_000
 
-    def test_far_worker_is_extended_alone(self, extents, solved_widths):
-        # the far worker's batches go out faster than estimated, so all of its first
-        # extent arrives by t, and pass 1 goes on from its last computed batch alone
-        rec, nxt = run_paper_task(True)
-        assert_pinned(rec, nxt, PINNED_PAPER_TASKS["a far worker closing on two near ones"][1])
-        (_, first, _), *more = extents
-        assert more
-        for before, after, computed in more:
-            assert before[:2] == after[:2] and after[2] > before[2]
-            assert computed == after[2] - before[2]
-        # its width, int(1.02 n) + 4 for its n pass-1 arrivals by t, passes the first extent
-        assert solved_widths[0][2] > first[2]
+    @pytest.mark.parametrize("seed", range(4))
+    def test_desk_layout_is_computed_in_part(self, extents, seed):
+        # every worker at p at b = 1: 800 batches, a third of them or fewer computed
+        scenario = preset_scenario("desk")
+        n = scenario.n_workers
+        world, _ = sample_world(scenario, RngStream(seed).substream("env"))
+        got, want = run_both(world, [scenario.p_rows] * n, scenario.p_rows, scenario.m_cols,
+                             1, NO_STRAGGLER, CommConfig(), seed)
+        ((before, after, computed),) = extents
+        assert before == [0] * n and computed == sum(after) < n * scenario.p_rows // 3
+        assert_matches_oracle(got, want)
+
+    def test_far_worker_from_270_m_is_extended_alone(self, extents, solved_widths):
+        # the far worker's batches go out faster than estimated, so its last solved
+        # arrival falls before T'; it alone goes on from its last computed batch
+        rec, nxt = run_paper_task(270.0)
+        assert rec.t_complete.hex() == "0x1.1b0825d11564ap+2"
+        assert np.bincount(rec.receipt_log.workers).tolist() == [2425, 2587, 988]
+        assert solved_widths == [[2530, 2681, 985], [2530, 2681, 998]]
+        assert [(b, a) for b, a, _ in extents] == [([0] * 3, [2530, 2681, 985]),
+                                                   ([2530, 2681, 985], [2530, 2681, 998])]
+        assert extents[1][2] == 998 - 985
+        assert_matches_oracle(rec, paper_oracle(270.0))
 
     def test_an_extension_computes_the_short_workers_new_batches(self, monkeypatch, extents):
         # workers 0 and 1 computed in full, the far worker 2 from one batch on
         monkeypatch.setattr(simcore, "_first_extent",
                             lambda profile, send, counts, b, k: [*counts[:2], 1])
-        rec, nxt = run_paper_task(True)
+        rec, nxt = run_paper_task(250.0)
         assert_pinned(rec, nxt, PINNED_PAPER_TASKS["a far worker closing on two near ones"][1])
         (_, first, computed), *more = extents
         assert first == [6000, 6000, 1] and computed == 12_001
@@ -369,37 +382,32 @@ class TestPassOnePrefix:
 
     @pytest.mark.parametrize("behind", range(3))
     @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
-    def test_a_worker_one_batch_short_of_t_is_extended(self, monkeypatch, behind, case):
-        # pass 1 over every batch: t, the k-th smallest arrival, and each worker's
-        # arrivals by t, n
-        seen = []
-        guess = simcore._guess_cols
-
-        def recording(arrival, starts, counts, t):
-            seen.append((t, np.add.reduceat(arrival <= t, starts).tolist()))
-            return guess(arrival, starts, counts, t)
-
-        monkeypatch.setattr(simcore, "_guess_cols", recording)
-        monkeypatch.setattr(simcore, "_FEW_SLOTS", 10**9)
+    def test_a_worker_one_batch_short_of_completion_is_extended(
+        self, monkeypatch, solved_widths, behind, case
+    ):
+        # n: each worker's batches delivered by completion; worker `behind` is solved to
+        # its n-th but one, the others past theirs, so T' falls after its last solved
+        # arrival until it alone is extended
         far, pinned = PINNED_PAPER_TASKS[case]
-        run_paper_task(far)
-        ((t, n),) = seen
-        # the others computed past t, and worker `behind` to its n-th arrival but one: the
-        # k-th smallest computed arrival is then past t, until it is extended
-        monkeypatch.setattr(simcore, "_FEW_SLOTS", 1)
+        n = np.bincount(run_paper_task(far)[0].receipt_log.workers).tolist()
         first = [c - 1 if i == behind else c + 50 for i, c in enumerate(n)]
         monkeypatch.setattr(simcore, "_first_extent", lambda *args: first)
+        solved_widths.clear()
         assert_pinned(*run_paper_task(far), pinned)
-        assert seen[1] == (t, n)
+        solved, *more = solved_widths
+        assert solved == first and more
+        for before, after in zip(solved_widths, more):
+            assert after[behind] > before[behind]
+            assert [w for i, w in enumerate(after) if i != behind] == \
+                [w for i, w in enumerate(before) if i != behind]
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("batch", ["one", "quarter"])
     @pytest.mark.parametrize("first", ["estimate", "one batch"])
     def test_random_worlds_through_the_prefix(self, monkeypatch, seed, batch, first):
-        # a layout of any size takes the estimate when it leaves one slot uncomputed; from
-        # one batch each, every worker goes on from a carried scan, among them the
-        # compute-bound straggler victim's (odd seeds)
-        monkeypatch.setattr(simcore, "_FEW_SLOTS", 1)
+        # a feasible layout of any size starts from the estimate; from one batch each,
+        # every worker goes on from a carried scan, among them the compute-bound
+        # straggler victim's (odd seeds)
         if first == "one batch":
             monkeypatch.setattr(simcore, "_first_extent", FIRST_EXTENTS[first])
         n = 2 + seed % 4
@@ -479,20 +487,19 @@ def closing_world():
 
 
 def guessing(width):
-    """A stand-in for _guess_cols that solves every worker's first `width` slots first."""
-    return lambda arrival, starts, counts, t: [min(c, width) for c in counts]
+    """A stand-in for _first_extent that solves every worker's first `width` slots first."""
+    return lambda profile, send, counts, b, k: [min(c, width) for c in counts]
 
 
 class TestTruncatedSolve:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_column_guess_widens_to_the_oracle(self, monkeypatch, solved_widths, seed):
-        monkeypatch.setattr(simcore, "_guess_cols", guessing(1))
+        monkeypatch.setattr(simcore, "_first_extent", guessing(1))
         world, _ = sample_world(ScenarioConfig(n_workers=3), RngStream(seed).substream("env"))
         got, want = run_both(world, [90, 70, 60], 120, 50, 1, NO_STRAGGLER, CommConfig(), seed)
-        assert solved_widths[:3] == [[1] * 3, [2] * 3, [4] * 3] and max(solved_widths[-1]) < 90
-        # widening doubles the workers with unsolved batches alone
-        for before, after in zip(solved_widths, solved_widths[1:]):
-            assert after == [min(2 * w, c) for w, c in zip(before, [90, 70, 60])]
+        # solved slots short of p leave T' infinite, so every worker goes on: from one
+        # arrival by 9 batches, from more to its count
+        assert solved_widths == [[1] * 3, [10] * 3, [90, 70, 60]]
         assert_matches_oracle(got, want)
 
     def test_closing_worker_outruns_the_first_guess(self, solved_widths):
@@ -511,9 +518,10 @@ class TestTruncatedSolve:
 
     def test_link_work_at_paper_scale(self, monkeypatch):
         # solving every batch evaluated the link at 2,808,105 distances here, solving every
-        # worker out to the widest worker's guess at 1,925,835, and pass 1 over every batch
-        # at 1,498,435; pass 1 over each worker's leading batches evaluates 1,421,462, the
-        # 90 of its estimates among them
+        # worker out to the widest worker's guess at 1,925,835, pass 1 over every batch at
+        # 1,498,435, and a pass 1 apart from the solve, over each worker's leading batches,
+        # at 1,421,462; one extend-and-solve loop evaluates 1,409,878, the 90 of its
+        # estimates among them
         evaluated = []
         vector_capacity = simcore.channel_capacity
 
@@ -523,7 +531,7 @@ class TestTruncatedSolve:
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
         (rec,) = sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)[1]
-        assert sum(evaluated) <= 1_421_462
+        assert sum(evaluated) <= 1_409_878
         assert rec.total_time == 217.6616366530215
 
     def test_pass_one_finds_every_link_busy_at_paper_scale(self, monkeypatch):
@@ -548,11 +556,12 @@ class TestTruncatedSolve:
         assert pass_one == [True] * preset_scenario("scenario1").k_tasks
 
     def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
-        # one solve per task but one, which widens once; solving each worker out to
-        # the widest worker's guess took 300 solves of 902,166 columns, 3 slots each
+        # one solve per task but two, which extend once; solving each worker out to
+        # the widest worker's guess took 300 solves of 902,166 columns, 3 slots each,
+        # and widths from a separate pass 1 301 solves of 1,833,805 slots
         for seed in range(10):
             sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, seed)
-        assert len(solved_widths) == 301 and sum(map(sum, solved_widths)) == 1_833_805
+        assert len(solved_widths) == 302 and sum(map(sum, solved_widths)) == 1_850_475
         assert max(solve_passes) <= 11  # 10 when recorded
 
 
@@ -589,7 +598,7 @@ class TestPassBound:
     def test_a_solve_takes_at_most_one_pass_per_column(
         self, monkeypatch, solved_widths, solve_passes, guess
     ):
-        monkeypatch.setattr(simcore, "_guess_cols", guessing(guess))
+        monkeypatch.setattr(simcore, "_first_extent", guessing(guess))
         got, want = run_both(close_pass_world(), [2000, 500], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         # the first solve stops at its width
@@ -623,28 +632,15 @@ def four_array_send_time(bits, t, rel, gain, cfg):
     return bits / channel_capacity(dx, gain, cfg)
 
 
-def sorted_guess_cols(arrival, sizes, starts, counts, p):
-    """The first solve's widths, from a stable sort of every slot."""
-    order = arrival.argsort(kind="stable")
-    t_first = arrival[order[sizes[order].cumsum().searchsorted(p)]]
-    n = np.add.reduceat(arrival <= t_first, starts)
-    return np.minimum(counts, (n * 1.02).astype(np.int64) + 4)
+def flat_layout(loads, b):
+    """Loads in run_task's flat layout at batch size b.
 
-
-def flat_layout(gen, b, loads=None):
-    """Loads in run_task's flat layout at batch size b, with pass-1-like arrivals.
-
-    Returns (loads, sizes, counts, arrival), counts the batches per worker:
-    each worker's arrivals increase along its segment, with ties across
-    workers.
+    Returns (sizes, counts), counts the batches per worker.
     """
-    if loads is None:
-        loads = gen.integers(1, 60, gen.integers(1, 6))
     counts = np.array([-(-int(l) // b) for l in loads])
     sizes = np.full(counts.sum(), b, dtype=np.int64)
     sizes[counts.cumsum() - 1] = [l - (c - 1) * b for l, c in zip(loads, counts.tolist())]
-    arrival = np.concatenate([gen.integers(1, 4, c).cumsum() * 0.25 for c in counts])
-    return np.asarray(loads), sizes, counts, arrival
+    return sizes, counts
 
 
 def padded_scan(cpu, tau):
@@ -707,26 +703,12 @@ class TestSameBitsAsBefore:
         assert got.tobytes() == want.tobytes()
         assert _dist2(r, rv, 0.0).tobytes() == (rr[0] + rr[1]).tobytes()
 
-    @pytest.mark.parametrize("b", [1, 2, 5, 16])
-    def test_selection_guess_never_below_the_sorted_one(self, b):
-        gen = np.random.default_rng(b)
-        for _ in range(200):
-            loads, sizes, counts, arrival = flat_layout(gen, b)
-            starts = _segments(counts)[0]
-            p = int(gen.integers(1, loads.sum() + 1))
-            k = _reaching(p, b, len(loads), arrival.size)
-            got = np.asarray(_guess_cols(arrival, starts, counts,
-                                         np.partition(arrival, k - 1)[k - 1]))
-            want = sorted_guess_cols(arrival, sizes, starts, counts, p)
-            assert got.shape == want.shape == (len(loads),)
-            assert (got == want).all() if b == 1 else (got >= want).all()
-
     @pytest.mark.parametrize("loads", [[9, 3, 12], [2, 30], [30, 1], [40], [1, 1, 1]])
     @pytest.mark.parametrize("seed", range(4))
     def test_segment_scan_matches_the_padded_scan(self, loads, seed):
         # batch size 4: a load of at most 4 rows is one batch, a segment of one slot
         gen = np.random.default_rng(seed)
-        _, sizes, counts, _ = flat_layout(gen, 4, loads)
+        sizes, counts = flat_layout(loads, 4)
         cpu = np.concatenate([gen.uniform(0.0, 2.0, c).cumsum() for c in counts])
         tau = gen.uniform(0.0, 1.0, sizes.size) * sizes
         scan_matches_padded_scan(cpu, tau, counts)
