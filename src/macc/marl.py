@@ -164,20 +164,48 @@ class ReplayBuffer:
         self.size = 0
         self.cursor = 0
 
-    def push(self, s, a, r, s_next, done):
-        c = self.cursor
-        self.states[c] = s
-        self.actions[c] = a
-        self.rewards[c] = r
-        self.next_states[c] = s_next
-        self.dones[c] = 1.0 if done else 0.0
-        self.cursor = (c + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def push(self, states, actions, rewards):
+        """Store one episode's K transitions, as K single writes in task order would.
+
+        states holds the episode's (K, N, sdim) observations, actions its
+        (K, N) normalized loads and rewards its K rewards.  Transition j's
+        next state is states[j + 1], with done 0; the last transition's is
+        all zeros, with done 1.  Each array takes the episode in at most
+        two slice writes, the second where the ring wraps to its start;
+        when K exceeds the capacity, only the last capacity transitions
+        are written, which are the ones K single writes would leave.
+        """
+        k = len(rewards)
+        keep = min(k, self.capacity)
+        skip = k - keep
+        states = states[skip:]
+        dones = np.zeros(keep)
+        dones[-1] = 1.0
+        episode = (
+            (self.states, states),
+            (self.actions, actions[skip:]),
+            (self.rewards, rewards[skip:]),
+            (self.next_states, np.concatenate((states[1:], np.zeros_like(states[:1])))),
+            (self.dones, dones),
+        )
+        start = (self.cursor + skip) % self.capacity
+        head = min(keep, self.capacity - start)  # rows written before the ring wraps
+        for ring, rows in episode:
+            ring[start:start + head] = rows[:head]
+            if head < keep:
+                ring[:keep - head] = rows[head:]
+        self.cursor = (self.cursor + k) % self.capacity
+        self.size = min(self.size + k, self.capacity)
 
     def sample(self, n, rng):
+        """n transitions drawn uniformly with replacement from the stored ones.
+
+        rng is the minibatch's own stream, which makes its one draw at
+        once, so it draws through rng.fresh_gen(): no Generator is built.
+        """
         if self.size < 1:
             raise ValueError("cannot sample from an empty replay buffer")
-        idx = rng.gen.integers(0, self.size, size=n)
+        idx = rng.fresh_gen().integers(0, self.size, size=n)
         return {
             "states": self.states[idx],
             "actions": self.actions[idx],
@@ -197,7 +225,9 @@ def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
     agents per task, each agent reading its own state row.  Build a new
     allocator after the actors change.  With noise_rng set,
     exploration noise is added to each pre-scaling action and the result
-    clipped back to [0, 1].  run_episode rounds the loads to integers.
+    clipped back to [0, 1].  The closure returns the raw loads as a list
+    of Python floats, so run_episode checks and rounds them to integers
+    as floats, not as numpy scalars.
     """
     n = scenario.n_workers
     p = scenario.p_rows
@@ -208,7 +238,7 @@ def policy_allocator(agents, scenario, noise_rng=None, noise_std=0.0):
         if noise_rng is not None and noise_std > 0:
             acts = acts + noise_rng.gen.normal(0.0, noise_std, n)
             acts = np.clip(acts, 0.0, 1.0)
-        return p * acts
+        return (p * acts).tolist()
 
     return allocate
 
@@ -217,13 +247,14 @@ def train(scenario, cfg, rng, progress=None):
     """MADDPG training loop; returns (agents, learning curve).
 
     Per iteration: collect episodes with the current actors plus
-    exploration noise, store per-task transitions, then for each agent draw
-    an independent mini-batch and apply critic_update, actor_update and
-    polyak_update.  The curve holds one mean total episode reward per
-    iteration (rewards are shared, so averaging over agents is the
-    identity).  A TD loss, mean Q or actor output that is not finite raises
-    ValueError naming the iteration and the agent (and the task, for an
-    actor output): the networks have diverged.
+    exploration noise, store each episode's transitions with one
+    ReplayBuffer.push, then for each agent draw an independent mini-batch
+    and apply critic_update, actor_update and polyak_update.  The curve
+    holds one mean total episode reward per iteration (rewards are shared,
+    so averaging over agents is the identity).  A TD loss, mean Q or actor
+    output that is not finite raises ValueError naming the iteration and
+    the agent (and the task, for an actor output): the networks have
+    diverged.
 
     Actors stay frozen for the first cfg.warmup_iterations iterations while
     the critics learn the feasibility cliff.  The reward has a local
@@ -269,13 +300,8 @@ def train(scenario, cfg, rng, progress=None):
                 # a load is p clip(actor output + noise), so only a NaN output is not finite
                 raise ValueError(f"iteration {it}, task {err.task}, agent {err.worker}: "
                                  f"actor output is {err.loads[err.worker]}") from err
-            k = scenario.k_tasks
-            states = np.stack(rec.states)
             norm_actions = np.array([t.loads for t in rec.tasks], dtype=np.float64) / scenario.p_rows
-            for j in range(k):
-                done = j == k - 1
-                s_next = states[j + 1] if not done else np.zeros_like(states[j])
-                buffer.push(states[j], norm_actions[j], rec.rewards[j], s_next, done)
+            buffer.push(np.stack(rec.states), norm_actions, rec.rewards)
             totals.append(sum(rec.rewards))
         curve.append(float(np.mean(totals)))
 

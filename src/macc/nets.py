@@ -19,18 +19,24 @@ Mlp.stack builds a network whose vector carries a leading axis, one row
 per stacked network, from copies of their parameters.  The same
 forward_cache evaluates it on a (networks, rows, in_dim) input, with one
 matmul per layer for all of them.
+
+The policy evaluates a few rows per call, once per task, so forward_cache
+keeps its fixed cost low: each bias's row view is built once, when the
+network takes its vector, and the sigmoid is one exp(-|z|) and a select
+over the whole output, with no boolean-mask gathers or scatters.
 """
 
 import numpy as np
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) as 1 / (1 + e) for z >= 0 and e / (1 + e) below, e = exp(-|z|).
+
+    exp(-|z|) never overflows, and each branch gives the bits of its own
+    masked formula: exp(-|z|) is exp(-z) at z >= 0 and exp(z) below.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_layers(dims, out_act):
@@ -87,6 +93,7 @@ class Mlp:
         views = _split(flat, dims)
         self.weights = views[0::2]
         self.biases = views[1::2]
+        self._bias_rows = [b[..., None, :] for b in self.biases]  # forward_cache adds these
 
     @classmethod
     def _of(cls, dims, out_act, flat):
@@ -144,10 +151,10 @@ class Mlp:
             raise ValueError(f"expected input of shape ({want}), got {h.shape}")
         ins = []
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(self.weights, self._bias_rows)):
             ins.append(h)
             z = h @ w
-            z += b[..., None, :]
+            z += b
             if i < last:
                 h = np.maximum(z, 0.0, out=z)
             elif self.out_act == "sigmoid":

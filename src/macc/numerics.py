@@ -8,11 +8,13 @@ coding's encode and decode; mat_vec is the product the demos and tests
 feed it.
 
 A stream draws through RngStream.gen, a Generator of its own that keeps
-its place while other streams draw (an episode's environment and
-exploration noise, replay batches), or through RngStream.fresh_gen, one
-process-wide Generator re-keyed to the start of the stream, for a stream
-that makes all its draws before any other stream draws (a worker's noise
-in one task).  Philox is counter-based, so both give the same draws.
+its place while other streams draw (an episode's exploration noise, drawn
+task by task between the engine's draws), or through RngStream.fresh_gen,
+one process-wide Generator re-keyed to the start of the stream, for a
+stream that makes all its draws before any other stream draws: a worker's
+noise in one task, an episode's initial world (simcore.sample_world) and
+a replay minibatch's indices (marl.ReplayBuffer.sample).  Philox is
+counter-based, so both give the same draws.
 fresh_gen(*tokens) re-keys to the start of substream(*tokens) without
 building that RngStream, as the engine does once per loaded worker: it
 writes the key into one reused module-level state dict and assigns it,

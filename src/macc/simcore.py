@@ -748,9 +748,11 @@ def sample_world(scenario, rng):
     Returns (WorldState, victim), with alpha = 1 / beta for every worker.
     The straggler victim index is always drawn, so the environment is
     identical with and without straggler injection (paired comparisons).
+    rng is the episode's "env" stream, which makes all its draws here
+    before any other stream draws, so they go through rng.fresh_gen().
     """
     n = scenario.n_workers
-    gen = rng.gen
+    gen = rng.fresh_gen()
     beta = gen.uniform(scenario.beta_range[0], scenario.beta_range[1], n)
     pos = gen.uniform(scenario.pos_range[0], scenario.pos_range[1], (n + 1, 2))
     vel = gen.uniform(scenario.vel_range[0], scenario.vel_range[1], (n + 1, 2))
@@ -779,7 +781,7 @@ def state_scales(scenario):
     return (dist_scale if dist_scale > 0 else 1.0, vel_scale if vel_scale > 0 else 1.0)
 
 
-def build_state(world, scales):
+def build_state(world, scales, like=None):
     """Scaled joint observation of the N agents, one row each: shape (N, 3N+2).
 
     Row i is agent i's [d_i, d_-i, v_i, v_-i, v_m]: its own distance to the
@@ -789,15 +791,23 @@ def build_state(world, scales):
     by d_scale and velocities by v_scale, so (1.0, 1.0) gives the raw
     values.  Distances use math.hypot: np.hypot differs from it in the last
     bit on some inputs, which would change the recorded states.
+
+    like, when given, is an observation built with the same scales from a
+    world with the same velocities, such as the previous task's in one
+    episode (velocities never change within an episode): its velocity
+    columns are copied, and only the distances are computed.
     """
     n = world.n_workers
     d_scale, v_scale = scales
     order = _state_order(n)
     dists = np.array([math.hypot(dx, dy) for dx, dy in (world.pos[1:] - world.pos[0]).tolist()])
-    states = np.empty((n, state_dim(n)))
+    if like is None:
+        states = np.empty((n, state_dim(n)))
+        np.divide(world.vel[1:][order].reshape(n, 2 * n), v_scale, out=states[:, n:-2])
+        np.divide(world.vel[0], v_scale, out=states[:, -2:])
+    else:
+        states = like.copy()
     np.divide(dists[order], d_scale, out=states[:, :n])
-    np.divide(world.vel[1:][order].reshape(n, 2 * n), v_scale, out=states[:, n:-2])
-    np.divide(world.vel[0], v_scale, out=states[:, -2:])
     return states
 
 
@@ -815,10 +825,11 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
 
     allocator is a callable (world, states) -> iterable of N raw loads,
     where states is build_state(world, state_scales(scenario)), the
-    scales taken once per episode.  A non-finite load raises
-    NonFiniteLoadError; the others are rounded to the nearest integers
-    and handed to run_task, whose ValueError names the task of a rounded
-    load below 0 or above p.  An allocator whose attribute per_episode is
+    scales taken once per episode; from task 1 on, the velocity columns
+    are copied from the previous task's states (build_state's like).  A
+    non-finite load raises NonFiniteLoadError; the others are rounded to
+    the nearest integers and handed to run_task, whose ValueError names
+    the task of a rounded load below 0 or above p.  An allocator whose attribute per_episode is
     True (the baselines of experiments.make_allocator) promises loads that
     depend only on the workers' compute profiles, which are fixed for the
     episode: it is called once, at task 0, with states=None, its loads
@@ -842,7 +853,7 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     for j in range(scenario.k_tasks):
         if not per_episode:
-            states = build_state(world, scales)
+            states = build_state(world, scales, like=states)
             states_all.append(states)
         if j == 0 or not per_episode:
             raw = list(allocator(world, states))

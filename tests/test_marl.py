@@ -221,20 +221,57 @@ class TestPolyak:
             polyak_update(agents[0], tau=1.0)
 
 
+def single_writes(buf, states, actions, rewards):
+    """The per-transition writes ReplayBuffer.push replaced, one transition of the episode at a time."""
+    k = len(rewards)
+    for j in range(k):
+        c = buf.cursor
+        buf.states[c] = states[j]
+        buf.actions[c] = actions[j]
+        buf.rewards[c] = rewards[j]
+        buf.next_states[c] = states[j + 1] if j < k - 1 else np.zeros_like(states[j])
+        buf.dones[c] = 1.0 if j == k - 1 else 0.0
+        buf.cursor = (c + 1) % buf.capacity
+        buf.size = min(buf.size + 1, buf.capacity)
+
+
 class TestReplayBuffer:
+    def test_one_episode_is_its_transitions_in_order(self):
+        buf = ReplayBuffer(10, 2, 3)
+        states = RngStream(6).gen.normal(0.0, 1.0, (4, 2, 3))
+        buf.push(states, np.arange(8.0).reshape(4, 2), (-1.0, -2.0, -3.0, -4.0))
+        assert (buf.size, buf.cursor) == (4, 4)
+        assert np.array_equal(buf.states[:4], states)
+        assert np.array_equal(buf.next_states[:3], states[1:])
+        assert np.array_equal(buf.next_states[3], np.zeros((2, 3)))
+        assert buf.dones[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert buf.rewards[:4].tolist() == [-1.0, -2.0, -3.0, -4.0]
+        assert np.array_equal(buf.actions[:4], np.arange(8.0).reshape(4, 2))
+
+    @pytest.mark.parametrize("capacity", [1, 3, 7, 16])  # 3 and 1 hold less than one episode
+    def test_push_stores_what_single_writes_store(self, capacity):
+        buf, ref = ReplayBuffer(capacity, 2, 3), ReplayBuffer(capacity, 2, 3)
+        gen = RngStream(5).gen
+        for k in (5, 2, 5, 1, 5, 4):  # at capacity 7 the second and third episodes wrap
+            states = gen.normal(0.0, 1.0, (k, 2, 3))
+            actions = gen.uniform(0.0, 1.0, (k, 2))
+            rewards = tuple(gen.normal(0.0, 1.0, k).tolist())
+            buf.push(states, actions, rewards)
+            single_writes(ref, states, actions, rewards)
+            assert (buf.size, buf.cursor) == (ref.size, ref.cursor)
+            for name in ("states", "actions", "rewards", "next_states", "dones"):
+                assert getattr(buf, name).tobytes() == getattr(ref, name).tobytes(), name
+
     def test_ring_overwrites_oldest(self):
         buf = ReplayBuffer(3, 1, 2)
-        for r in range(5):
-            buf.push(np.full((1, 2), r), np.array([r]), float(r),
-                     np.zeros((1, 2)), done=False)
+        for r in range(5):  # five one-task episodes
+            buf.push(np.full((1, 1, 2), r), np.array([[r]]), (float(r),))
         assert buf.size == 3
         assert sorted(buf.rewards.tolist()) == [2.0, 3.0, 4.0]
 
     def test_sample_only_returns_stored_rows(self):
         buf = ReplayBuffer(10, 1, 2)
-        for r in range(4):
-            buf.push(np.zeros((1, 2)), np.array([0.0]), float(r),
-                     np.zeros((1, 2)), done=(r == 3))
+        buf.push(np.zeros((4, 1, 2)), np.zeros((4, 1)), (0.0, 1.0, 2.0, 3.0))
         batch = buf.sample(64, RngStream(7))
         assert set(batch["rewards"].tolist()) <= {0.0, 1.0, 2.0, 3.0}
         assert batch["states"].shape == (64, 1, 2)
@@ -242,12 +279,12 @@ class TestReplayBuffer:
 
     def test_sampling_reproducible(self):
         buf = ReplayBuffer(10, 1, 2)
-        for r in range(6):
-            buf.push(np.zeros((1, 2)), np.array([0.0]), float(r),
-                     np.zeros((1, 2)), done=False)
+        buf.push(np.zeros((6, 1, 2)), np.zeros((6, 1)), tuple(map(float, range(6))))
         a = buf.sample(8, RngStream(8))["rewards"]
         b = buf.sample(8, RngStream(8))["rewards"]
         np.testing.assert_array_equal(a, b)
+        # the indices are the stream's first draw, as its own generator makes it
+        assert a.tolist() == RngStream(8).gen.integers(0, 6, size=8).astype(float).tolist()
 
     @pytest.mark.parametrize("capacity", [10**13, 2**62])  # refused by the allocator, by numpy
     def test_unallocatable_capacity_names_the_key_and_bytes(self, capacity):

@@ -138,10 +138,31 @@ class TestForward:
         assert net.forward(np.array([[2.0]]))[0, 0] == pytest.approx(9.5)
         assert net.forward(np.array([[0.0]]))[0, 0] == pytest.approx(0.5)
 
+    @staticmethod
+    def masked_sigmoid(z):
+        """The two-branch form _sigmoid replaced: each branch on its own masked entries."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
     def test_stable_sigmoid_extremes(self):
         z = np.array([-1e3, 0.0, 1e3])
         s = _sigmoid(z)
         assert s[0] == 0.0 and s[1] == 0.5 and s[2] == 1.0
+        # the masked two-branch form's bits, at the edges of exp's range and on random draws
+        edges = [0.0, 5e-324, 36.0, 709.0, 745.0, np.inf]
+        gen = RngStream(31).gen
+        draws = [gen.normal(0.0, 10.0, 5 * 10**4), gen.uniform(-800.0, 800.0, 5 * 10**4)]
+        z = np.concatenate([edges, np.negative(edges), *draws])
+        assert np.signbit(z[len(edges)])  # -0.0 is among the inputs
+        assert _sigmoid(z).tobytes() == self.masked_sigmoid(z).tobytes()
+        # the policy's (networks, rows, 1) output takes the same path
+        stacked = z[:120].reshape(4, 30, 1)
+        assert _sigmoid(stacked).tobytes() == self.masked_sigmoid(stacked).tobytes()
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestBackward:

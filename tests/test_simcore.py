@@ -648,9 +648,9 @@ class TestRunEpisode:
     def test_states_built_once_per_task_for_marl(self, monkeypatch):
         calls = []
 
-        def counted(world, scales):
-            calls.append((world.clock, scales))
-            return build_state(world, scales)
+        def counted(world, scales, like=None):
+            calls.append((world, scales, like))
+            return build_state(world, scales, like=like)
 
         monkeypatch.setattr(simcore, "build_state", counted)
         monkeypatch.setattr(marl, "build_state", counted)
@@ -658,10 +658,14 @@ class TestRunEpisode:
         allocator = experiments.make_allocator("marl", TINY, agents=agents)
         ep = run_episode(TINY, allocator, RngStream(4))
         assert len(calls) == TINY.k_tasks
-        for states, (clock, scales), task in zip(ep.states, calls, ep.tasks):
-            assert clock == task.dispatch_time
+        previous = None
+        for states, (world, scales, like), task in zip(ep.states, calls, ep.tasks):
+            assert world.clock == task.dispatch_time
             assert scales == state_scales(TINY)
+            assert like is previous  # each task after the first copies the last one's velocities
             assert states.shape == (2, state_dim(2))
+            assert states.tobytes() == build_state(world, scales).tobytes()
+            previous = states
 
     @pytest.mark.parametrize("batch_size", ["p", "scenario"])
     @pytest.mark.parametrize("scheme", ["uniform", "load-balanced", "hcmm"])

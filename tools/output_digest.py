@@ -14,11 +14,15 @@ The runs, for each seed:
 
 * train-desk: ``macc train`` at the desk preset, 4 episodes per iteration,
   minibatch 256, 100 iterations (perfbench's train-desk unit);
+* train-desk-one-batch: the same at batch_size 200, p_rows, so every
+  worker sends its load as one batch (the one-batch protocol);
 * train-scenario1: ``macc train`` at scenario1 for one iteration;
 * evaluate-<scheme>: ``macc evaluate`` of uniform, load-balanced and hcmm
   at scenario3 with the straggler on, 20 episodes each;
 * evaluate-<scheme>-straggler-off: the same with the straggler off;
 * evaluate-marl: ``macc evaluate`` at desk from train-desk's checkpoint;
+* evaluate-marl-one-batch: the same at batch_size 200, from
+  train-desk-one-batch's checkpoint;
 * compare: ``macc compare`` of the three baselines at scenario3 with the
   straggler on, 20 episodes;
 * sweep-batch: ``macc sweep-batch`` of hcmm at desk over batch sizes 1, 50
@@ -51,6 +55,7 @@ episodes_per_iteration = 4
 minibatch = 256
 max_iterations = 100
 """
+DESK_ONE_BATCH_INI = DESK_INI.replace("preset = desk\n", "preset = desk\nbatch_size = 200\n")
 SCENARIO1_INI = "[scenario]\npreset = scenario1\n[train]\nmax_iterations = 1\n"
 SCENARIO3_INI = "[scenario]\npreset = scenario3\n"
 BASELINES = ("uniform", "load-balanced", "hcmm")
@@ -59,14 +64,16 @@ BASELINES = ("uniform", "load-balanced", "hcmm")
 def runs(root):
     """Write the runs' INI files under root; return each run's (name, CLI arguments) in order."""
     configs = {}
-    for name, text in (("desk", DESK_INI), ("scenario1", SCENARIO1_INI),
-                       ("scenario3", SCENARIO3_INI)):
+    for name, text in (("desk", DESK_INI), ("desk-one-batch", DESK_ONE_BATCH_INI),
+                       ("scenario1", SCENARIO1_INI), ("scenario3", SCENARIO3_INI)):
         configs[name] = os.path.join(root, f"{name}.ini")
         with open(configs[name], "w", encoding="utf-8") as fh:
             fh.write(text)
     checkpoint = os.path.join(root, "train-desk", "checkpoint.bin")
+    one_batch_checkpoint = os.path.join(root, "train-desk-one-batch", "checkpoint.bin")
     return [
         ("train-desk", ["train", "--config", configs["desk"]]),
+        ("train-desk-one-batch", ["train", "--config", configs["desk-one-batch"]]),
         ("train-scenario1", ["train", "--config", configs["scenario1"]]),
         *((f"evaluate-{scheme}", ["evaluate", "--config", configs["scenario3"],
                                   "--scheme", scheme, "--straggler", "on"])
@@ -76,6 +83,8 @@ def runs(root):
           for scheme in BASELINES),
         ("evaluate-marl", ["evaluate", "--config", configs["desk"], "--scheme", "marl",
                            "--checkpoint", checkpoint]),
+        ("evaluate-marl-one-batch", ["evaluate", "--config", configs["desk-one-batch"],
+                                     "--scheme", "marl", "--checkpoint", one_batch_checkpoint]),
         ("compare", ["compare", "--config", configs["scenario3"], "--scheme", ",".join(BASELINES),
                      "--straggler", "on", "--episodes", "20"]),
         ("sweep-batch", ["sweep-batch", "--config", configs["desk"], "--scheme", "hcmm",
