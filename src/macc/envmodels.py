@@ -88,11 +88,20 @@ def channel_capacity(d2, gain, cfg):
     d2 is the squared distance (m^2), gain the transmission's link_gain.
     S / Noise = gain * max(d, min_distance)^(-path_loss / 10), taken from
     d2 as max(d2, min_distance^2)^(-path_loss / 20): at the default 20 dB
-    per decade a reciprocal, with no square root or logarithm.
+    per decade a reciprocal, with no square root or logarithm.  On an
+    array it is np.reciprocal, computed in place, as is the logarithm:
+    numpy computes an array's ** -1.0 as that reciprocal, so the bits are
+    those of **, which every other exponent and plain numbers still take.
     """
-    snr = gain * np.maximum(d2, cfg.min_distance_m**2) ** (-cfg.path_loss_db_per_decade / 20.0)
+    snr = np.maximum(d2, cfg.min_distance_m**2)
+    exponent = -cfg.path_loss_db_per_decade / 20.0
+    array = type(snr) is np.ndarray  # np.maximum gives a scalar for plain numbers
+    if array and exponent == -1.0:
+        snr = gain * np.reciprocal(snr, out=snr)
+    else:
+        snr = gain * snr**exponent
     snr += 1.0
-    cap = np.log2(snr)
+    cap = np.log2(snr, out=snr) if array else np.log2(snr)
     cap *= cfg.bandwidth_hz
     return cap
 

@@ -11,15 +11,17 @@ A stream draws through RngStream.gen, a Generator of its own that keeps
 its place while other streams draw (an episode's exploration noise, drawn
 task by task between the engine's draws), or through RngStream.fresh_gen,
 one process-wide Generator re-keyed to the start of the stream, for a
-stream that makes all its draws before any other stream draws: a worker's
-noise in one task, an episode's initial world (simcore.sample_world) and
-a replay minibatch's indices (marl.ReplayBuffer.sample).  Philox is
-counter-based, so both give the same draws.
-fresh_gen(*tokens) re-keys to the start of substream(*tokens) without
-building that RngStream, as the engine does once per loaded worker: it
-writes the key into one reused module-level state dict and assigns it,
-which copies the values, so no call builds a dict and no draw carries
+stream that makes all its draws before any other stream draws: an
+episode's initial world (simcore.sample_world) and a replay minibatch's
+indices (marl.ReplayBuffer.sample).  Philox is counter-based, so both give
+the same draws, and a re-key is only a write of the key: fresh_gen writes
+it into one reused module-level state dict and assigns it, which copies
+the values, so no call builds a dict or an RngStream and no draw carries
 into the next call.
+RngStream.fresh_gens(token, indices) re-keys that Generator for each index
+in turn, to the start of substream(token, i), folding token once: the
+engine's loop over a task's loaded workers, each of which makes all its
+draws before the next one draws (simcore._draw_noise).
 
 A substream folds its tokens into the stream id one by one, left to
 right, so substream(a).substream(b) is substream(a, b).  A plain int
@@ -34,6 +36,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_new = object.__new__
 _INT_TOKENS = (int, np.integer)  # a bool is an int too, and is refused
 
 
@@ -137,8 +140,8 @@ class RngStream:
     never on how many draws were consumed.
 
     Draw through ``gen`` when the stream's draws interleave with another
-    stream's, and through ``fresh_gen()`` when the stream makes all of its
-    draws before any other stream draws.
+    stream's, and through ``fresh_gen()`` or ``fresh_gens`` when the stream
+    makes all of its draws before any other stream draws.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -160,26 +163,43 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def fresh_gen(self, *tokens):
-        """A Generator at the start of substream(*tokens), valid until the next call.
+    def fresh_gen(self):
+        """A Generator at the start of this stream, valid until the next re-key.
 
-        With no tokens the stream is this one.  The tokens fold into the
-        stream id as in ``substream``, but no RngStream is built.  Every
-        call returns the same process-wide Generator, its Philox state
-        assigned anew from one reused state dict: key (seed, stream), zero
-        counter, empty buffer.  Its draws equal those of a fresh ``gen`` of
-        that stream, but the next ``fresh_gen`` call, on any stream, moves
-        the Generator elsewhere.
+        Every call returns the same process-wide Generator, its Philox
+        state assigned anew from one reused state dict: key (seed, stream),
+        zero counter, empty buffer.  Its draws equal those of a fresh
+        ``gen``, but the next ``fresh_gen`` call, or the next Generator
+        ``fresh_gens`` yields, on any stream, moves it elsewhere.
         """
         gen = _shared_gen()
-        _FRESH_STATE["state"]["key"] = (self.seed, _fold(self.stream, tokens))
+        _FRESH_STATE["state"]["key"] = (self.seed, self.stream)
         gen.bit_generator.state = _FRESH_STATE
         return gen
+
+    def fresh_gens(self, token, indices):
+        """Yield, for each i of indices in turn, a Generator at the start of substream(token, i).
+
+        Each one is substream(token, i).fresh_gen(), valid until the next is
+        yielded, with no RngStream built: the shared Generator, re-keyed
+        from the one reused state dict.  The token is folded once, and each
+        index onto it as in ``_fold``.
+        """
+        gen = _shared_gen()
+        bits, state, words = gen.bit_generator, _FRESH_STATE, _FRESH_STATE["state"]
+        seed, stream = self.seed, _fold(self.stream, (token,))
+        for i in indices:
+            words["key"] = (seed, _splitmix64(stream ^ (i & _MASK64 if type(i) is int
+                                                        else _token_to_u64(i))))
+            bits.state = state
+            yield gen
 
     def substream(self, *tokens):
         if not tokens:
             raise ValueError("substream requires at least one token")
-        return RngStream(self.seed, _fold(self.stream, tokens))
+        child = _new(RngStream)  # seed and the folded id are already 64-bit: no masking
+        child.seed, child.stream, child._gen = self.seed, _fold(self.stream, tokens), None
+        return child
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -24,10 +24,11 @@ iteration yields plain (int, int, float) triples.
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws before the next worker draws, so it draws through
-fresh_gen(i) of the task's one "worker" substream, which re-keys the
-shared generator from one reused state dict and builds no RngStream,
-generator or dict per worker.
+It makes all its draws before the next worker draws, so one loop over the
+loaded workers, the task stream's fresh_gens("worker", active), re-keys
+the shared generator for each in turn: it folds "worker" once and builds
+no RngStream, generator or dict per worker.  A worker that sends one
+batch draws its compute uniform as a float, straight into one array.
 
 A task in which some worker sends more than one batch is laid out by one
 plan_batches call, flat and worker-major, with no padding: one slot per
@@ -84,6 +85,9 @@ import numpy as np
 from .coding import plan_batches
 from .envmodels import advance, channel_capacity, comp_time, link_gain, time_factors
 
+_new = object.__new__
+_INT = {int}
+
 
 class NonFiniteLoadError(ValueError):
     """An allocator returned a load that is not finite.
@@ -127,27 +131,38 @@ class ReceiptLog:
     all read-only.  The log takes over the arrays it is given, without a
     copy, and marks them read-only in place: a view per array would cost
     more than the tuples it replaces on the few-receipt tasks of a
-    baseline.  Its length is the number of receipts; an index gives one
-    (worker, rows, arrival) triple of Python numbers, a slice another
-    ReceiptLog, and iteration the triples in order.  Two logs are equal
-    when their arrays are.
+    baseline.  The engine builds it with _of from arrays that already
+    have those dtypes, so they are not coerced again.  Its length is the
+    number of receipts; an index gives one (worker, rows, arrival) triple
+    of Python numbers, a slice another ReceiptLog, and iteration the
+    triples in order.  Two logs are equal when their arrays are.
     """
 
     __slots__ = ("workers", "rows", "arrivals")
 
     def __init__(self, workers=(), rows=(), arrivals=()):
-        self.workers = np.asarray(workers, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.arrivals = np.asarray(arrivals, dtype=np.float64)
-        for a in (self.workers, self.rows, self.arrivals):
-            a.setflags(write=False)  # about half the cost of assigning flags.writeable
+        self._hold(np.asarray(workers, dtype=np.int64), np.asarray(rows, dtype=np.int64),
+                   np.asarray(arrivals, dtype=np.float64))
+
+    @classmethod
+    def _of(cls, workers, rows, arrivals):
+        """The log of arrays that are already int64, int64 and float64, taken as they are."""
+        log = _new(cls)
+        log._hold(workers, rows, arrivals)
+        return log
+
+    def _hold(self, workers, rows, arrivals):
+        self.workers, self.rows, self.arrivals = workers, rows, arrivals
+        workers.setflags(write=False)  # about half the cost of assigning flags.writeable
+        rows.setflags(write=False)
+        arrivals.setflags(write=False)
 
     def __len__(self):
         return len(self.arrivals)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ReceiptLog(self.workers[i], self.rows[i], self.arrivals[i])
+            return ReceiptLog._of(self.workers[i], self.rows[i], self.arrivals[i])
         i = operator.index(i)
         return int(self.workers[i]), int(self.rows[i]), float(self.arrivals[i])
 
@@ -501,24 +516,29 @@ def _loaded(world, active, factors):
             world.alpha[act], world.beta[act], factors[act])
 
 
-def _draw_noise(workers, active, shadows, uniforms, cfg, heads=None):
+def _draw_noise(rng, active, shadows, uniforms, cfg, heads=None):
     """Draw each loaded worker's noise in place.
 
-    The k-th loaded worker, i, draws from fresh_gen(i) of the task's
-    "worker" substream: when noise_std_db > 0, the standard normal of
-    heads[k] when heads is given, then those of shadows[k]; then the
-    compute uniforms of uniforms[k].  Normals drawn into one array after
-    another are those of one draw into both.  The caller scales the
-    shadowing by noise_std_db.
+    The k-th loaded worker, i, draws from the task stream rng's substream
+    ("worker", i), re-keyed by rng.fresh_gens: when noise_std_db > 0, the
+    standard normals of heads[k] when heads is given, then those of
+    shadows[k]; then its compute uniforms.  With heads (_batched),
+    uniforms[k] is the array of its batches' uniforms; without
+    (_one_batch), it sends one batch, whose uniform is drawn as a float
+    into uniforms[k].  Normals drawn into one array after another are
+    those of one draw into both, and a float drawn alone is the first of
+    an array's draws.  The caller scales the shadowing by noise_std_db.
     """
     noisy = cfg.noise_std_db > 0
-    for k, i in enumerate(active):
-        gen = workers.fresh_gen(i)  # the stream rng.substream("worker", i)
+    for k, gen in enumerate(rng.fresh_gens("worker", active)):
         if noisy:
             if heads is not None:
                 gen.standard_normal(out=heads[k])
             gen.standard_normal(out=shadows[k])
-        gen.random(out=uniforms[k])
+        if heads is None:
+            uniforms[k] = gen.random()
+        else:
+            gen.random(out=uniforms[k])
 
 
 def _broadcast_time(m, r, gain, cfg):
@@ -527,7 +547,7 @@ def _broadcast_time(m, r, gain, cfg):
     return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
 
 
-def _one_batch(world, loads, active, p, m, factors, workers, cfg):
+def _one_batch(world, loads, active, p, m, factors, rng, cfg):
     """Receipts of a task whose loaded workers each send their load as one batch.
 
     Returns (ReceiptLog, rows received at completion).  The arrays are
@@ -536,8 +556,8 @@ def _one_batch(world, loads, active, p, m, factors, workers, cfg):
     gives the arrivals, and the log is read off their sorted order.
     """
     omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
-    us = np.empty((len(active), 1))
-    _draw_noise(workers, active, omega, us, cfg)
+    us = np.empty(len(active))
+    _draw_noise(rng, active, omega, us, cfg)
     if cfg.noise_std_db > 0:
         omega *= cfg.noise_std_db
     gain = link_gain(omega, cfg)
@@ -545,12 +565,12 @@ def _one_batch(world, loads, active, p, m, factors, workers, cfg):
     sizes = np.array(loads)
     if len(act) < len(loads):
         sizes = sizes[act]
-    arrival = comp_time(sizes, us[:, 0], alpha, beta, factors)
+    arrival = comp_time(sizes, us, alpha, beta, factors)
     arrival += _broadcast_time(m, r, gain[:, 0], cfg)
     arrival += _send_time(sizes * cfg.bits_per_element, _dist2(r, rv, arrival), gain[:, 1], cfg)
     order, received, n_kept = _reach(arrival, sizes, p)
     kept = order[: min(n_kept, len(act))]  # an infeasible task keeps every batch
-    return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
+    return ReceiptLog._of(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
 
 
 def _layout_error(index, total, p, batch_size):
@@ -560,7 +580,7 @@ def _layout_error(index, total, p, batch_size):
                       f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
 
 
-def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers, cfg, index):
+def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
@@ -590,8 +610,8 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
     starts, segments = _segments(counts)
     sizes[[seg.stop - 1 for seg in segments]] = last
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
-    _draw_noise(workers, active, [omega[seg] for seg in segments],
-                [us[seg] for seg in segments], cfg, heads)
+    _draw_noise(rng, active, [omega[seg] for seg in segments], [us[seg] for seg in segments],
+                cfg, heads)
     heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
     act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
@@ -626,7 +646,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, workers,
         if extent == one.extent:
             break
     kept = order[:n_kept]
-    return (ReceiptLog(np.repeat(act, one.extent)[kept], sizes[kept], arrival[kept]),
+    return (ReceiptLog._of(np.repeat(act, one.extent)[kept], sizes[kept], arrival[kept]),
             int(received[n_kept - 1]))
 
 
@@ -635,7 +655,8 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
 
     loads holds one non-negative integer per worker, each at most p, the
     rows needed to decode; any other loads are a ValueError that names
-    task index.  m is the length of the broadcast payload.
+    task index.  A tuple of plain ints, what run_episode passes, is
+    checked as it is, with no copy or float round trip.  m is the length of the broadcast payload.
     batch_size is an int: a worker sends its load in batches of that many
     rows, so any batch size >= the largest load, p among them, sends one
     batch per worker.  factors is the (N,) float64 vector of the workers'
@@ -690,20 +711,23 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     helpers, so each model expression has one copy.
 
     Worker i's noise, the stream rng.substream("worker", i), is drawn
-    through fresh_gen(i) of one "worker" substream per task, into that
-    worker's entries of the draw arrays: its broadcast's shadowing, then
-    its batches', the normals of one draw of both.  The shadowing is
+    through rng.fresh_gens("worker", active), one loop that re-keys the
+    shared generator for each loaded worker in turn and builds no
+    RngStream, into that worker's entries of the draw arrays: its
+    broadcast's shadowing, then its batches', the normals of one draw of
+    both, then its compute uniforms, as a float when it sends one batch.  The shadowing is
     drawn as standard normals and scaled by noise_std_db once, for the
     batches where pass 1 reads it: normal(0, s) gives 0.0 + s z, which
     differs from s z only in a zero's sign, and link_gain adds a nonzero
     constant to it.
     """
     loads = tuple(loads)
-    if len(loads) != world.n_workers:
-        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, "
-                         f"world has {world.n_workers}")
-    exact = all(type(l) is int for l in loads)  # no float round trip for plain ints
-    if min(loads) < 0 or not (exact or all(float(l).is_integer() for l in loads)):
+    n = len(world.beta)
+    if len(loads) != n:
+        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, world has {n}")
+    exact = {*map(type, loads)} == _INT  # no float round trip for plain ints
+    low = min(loads)
+    if low < 0 or not (exact or all(float(l).is_integer() for l in loads)):
         raise ValueError(f"task {index}: loads must be non-negative integers, got {loads}")
     if not exact:
         loads = tuple(map(int, loads))
@@ -716,13 +740,12 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
                           feasible=False, loads=loads), world
     feasible = sum(loads) >= p
 
-    active = [i for i, l in enumerate(loads) if l > 0]
-    workers = rng.substream("worker")
+    active = range(n) if low > 0 else [i for i, l in enumerate(loads) if l > 0]
     if batch_size >= top:  # each worker's one batch is its whole load
-        receipt_log, rows = _one_batch(world, loads, active, p, m, factors, workers, cfg)
+        receipt_log, rows = _one_batch(world, loads, active, p, m, factors, rng, cfg)
     else:
         receipt_log, rows = _batched(world, loads, active, batch_size, p, m, feasible,
-                                     factors, workers, cfg, index)
+                                     factors, rng, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "

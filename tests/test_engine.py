@@ -10,6 +10,7 @@ kept receipts exactly.  A column is the k-th slot of every worker.
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import simcore
+from macc.allocators import hcmm_alloc
 from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
@@ -156,7 +158,7 @@ class TestAgainstScalarOracle:
         assert later and not any(test for test, _, _ in later)
         assert_matches_oracle(got, want)
 
-    def test_one_batch_tasks_plan_no_batches_and_derive_one_substream(self, monkeypatch):
+    def test_one_batch_tasks_plan_no_batches_and_derive_no_substream(self, monkeypatch):
         calls = {"plan_batches": 0, "substream": 0}
         plan_batches, substream = simcore.plan_batches, RngStream.substream
 
@@ -172,14 +174,15 @@ class TestAgainstScalarOracle:
         task_rng = RngStream(3).substream("task")
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
-        # two one-batch tasks plan nothing; a multi-batch task plans every worker at once
+        # two one-batch tasks plan nothing; a multi-batch task plans every worker at once.
+        # Each worker's stream is re-keyed from the task's own (RngStream.fresh_gens)
         for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
                                          ([50, 60, 0, 70], 20, 1)):
             calls.update(plan_batches=0, substream=0)
             run_task(world, loads, batch_size, 120, 50, time_factors(4, victim, True, 10.0),
                      task_rng, CommConfig())
             assert calls["plan_batches"] == plans
-            assert calls["substream"] <= 1
+            assert calls["substream"] == 0
 
 
 # (loads, batch_size, straggler on, noise_std_db) -> (t_complete.hex(), receipts, digest),
@@ -237,6 +240,26 @@ PINNED_PAPER_TASKS = {
 }
 
 
+# (loads, straggler on, noise_std_db) -> (t_complete.hex(), receipts, digest) of scenario3's
+# task 3 at seed 0 at batch size p, one batch per worker, recorded while each worker's draws
+# went through a fresh_gen call and two row views.  The straggler victim is worker 3.
+S3_UNIFORM = (2000,) * 5
+PINNED_ONE_BATCH_PAPER_TASKS = {
+    "uniform loads": ((S3_UNIFORM, False, 1.0),
+                      ("0x1.20e3868754da3p+2", 5, "14aafff5f4bc14b1")),
+    "HCMM loads": (((1020, 2845, 3203, 6755, 838), False, 1.0),
+                   ("0x1.8b95ebefd2f4cp+2", 5, "c3a2a897047b2e20")),
+    "a zero-load worker": (((2500, 2500, 0, 2500, 2500), False, 1.0),
+                           ("0x1.2fe51b86c76dbp+2", 4, "15ff5f51d487c820")),
+    "infeasible": (((3000, 0, 2000, 1000, 1500), False, 1.0),
+                   ("0x1.1519e05e27405p+2", 4, "4bbbe4362dcc9b00")),
+    "straggler victim loaded": ((S3_UNIFORM, True, 1.0),
+                                ("0x1.311b3ba18370ap+2", 5, "ab16517055f1574d")),
+    "noiseless": ((S3_UNIFORM, False, 0.0),
+                  ("0x1.22678d9e9b73dp+2", 5, "62b2669924827b1f")),
+}
+
+
 def run_paper_task(far):
     """scenario1's task 3 at seed 0 at batch size 1, every worker at p rows."""
     scenario = preset_scenario("scenario1")
@@ -284,6 +307,25 @@ class TestPinnedOutputs:
     def test_paper_scale_task_matches_recorded_outputs(self, case):
         far, pinned = PINNED_PAPER_TASKS[case]
         assert_pinned(*run_paper_task(far), pinned)
+
+    @pytest.mark.parametrize("case", PINNED_ONE_BATCH_PAPER_TASKS)
+    def test_paper_scale_one_batch_task_matches_recorded_outputs(self, case):
+        (loads, straggling, noise_std_db), pinned = PINNED_ONE_BATCH_PAPER_TASKS[case]
+        scenario = preset_scenario("scenario3")
+        world, victim = sample_world(scenario, RngStream(0).substream("env"))
+        assert victim == 3
+        p = scenario.p_rows
+        cfg = replace(scenario.comm, noise_std_db=noise_std_db)
+        rec, nxt = run_task(world, loads, p, p, scenario.m_cols,
+                            time_factors(5, victim, straggling, scenario.straggler_slowdown),
+                            RngStream(0).substream("task", 3), cfg)
+        assert rec.feasible == (case != "infeasible")
+        assert_pinned(rec, nxt, pinned)
+
+    def test_pinned_hcmm_loads_are_hcmm_s(self):
+        world, _ = sample_world(preset_scenario("scenario3"), RngStream(0).substream("env"))
+        loads = hcmm_alloc(10000, world.alpha, world.beta).loads
+        assert tuple(int(round(v)) for v in loads) == PINNED_ONE_BATCH_PAPER_TASKS["HCMM loads"][0][0]
 
 
 def paper_oracle(far):
@@ -760,14 +802,29 @@ class TestSameBitsAsBefore:
         # a worker's broadcast shadowing, then its n batches', then its n uniforms
         workers = RngStream(seed).substream("task", seed).substream("worker")
         for i in range(3):
-            gen = workers.fresh_gen(i)
+            gen = workers.substream(i).fresh_gen()
             head, shadows, us = np.empty(1), np.empty(n), np.empty(n)
             gen.standard_normal(out=head)
             gen.standard_normal(out=shadows)
             gen.random(out=us)
-            gen = workers.fresh_gen(i)
+            gen = workers.substream(i).fresh_gen()
             assert np.concatenate([head, shadows]).tobytes() == gen.standard_normal(n + 1).tobytes()
             assert us.tobytes() == gen.random(n).tobytes()
+
+    @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_batch_draws_match_each_workers_substream(self, seed, noise_std_db):
+        # a one-batch worker's two normals, drawn into its row, then its uniform as a float
+        task = RngStream(seed).substream("task", seed)
+        omega, us = np.zeros((3, 2)), np.empty(3)
+        simcore._draw_noise(task, [0, 2, 4], omega, us, CommConfig(noise_std_db=noise_std_db))
+        for k, i in enumerate([0, 2, 4]):
+            gen = task.substream("worker", i).gen
+            if noise_std_db > 0:
+                assert omega[k].tobytes() == gen.standard_normal(2).tobytes()
+            assert us[k:k + 1].tobytes() == gen.random(1).tobytes()
+        if noise_std_db == 0:
+            assert not omega.any()
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_factor_vector_and_gathers_for_each_victim(self, enabled):

@@ -97,6 +97,54 @@ class TestChannelCapacity:
                                       channel_capacity(np.repeat(d2[:, :1], 3, axis=1), gain, CFG))
 
 
+def positive_doubles(n, seed):
+    """n doubles drawn uniformly by bit pattern from every positive finite double,
+    subnormals included, then +inf, a NaN and the smallest and largest subnormal."""
+    bits = np.random.default_rng(seed).integers(1, 0x7FF0000000000000, n, dtype=np.int64)
+    extremes = [math.inf, math.nan, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)]
+    return np.concatenate([bits.view(np.float64), extremes])
+
+
+def power_capacity(d2, gain, cfg):
+    """channel_capacity written with ** at every exponent, as it was before the reciprocal."""
+    snr = gain * np.maximum(d2, cfg.min_distance_m**2) ** (-cfg.path_loss_db_per_decade / 20.0)
+    return np.log2(snr + 1.0) * cfg.bandwidth_hz
+
+
+class TestReciprocalLink:
+    """At the default 20 dB per decade channel_capacity takes d2 ** -1.0 of an array as
+    np.reciprocal in place; numpy computes ** -1.0 as that reciprocal, bit for bit."""
+
+    def test_power_minus_one_is_the_reciprocal(self):
+        x = positive_doubles(1_000_000, 0)
+        with np.errstate(over="ignore"):  # the reciprocal of a subnormal can pass the largest double
+            power, reciprocal = x ** -1.0, np.reciprocal(x)
+        np.testing.assert_array_equal(power.view(np.int64), reciprocal.view(np.int64))
+
+    @pytest.mark.parametrize("path_loss", [20.0, 35.0])
+    def test_capacity_matches_the_power_form(self, path_loss):
+        cfg = CommConfig(path_loss_db_per_decade=path_loss)
+        d2 = positive_doubles(200_000, 1)
+        gain = link_gain(np.random.default_rng(2).normal(0.0, 3.0, d2.size), cfg)
+        got = channel_capacity(d2, gain, cfg)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      power_capacity(d2, gain, cfg).view(np.int64))
+        # the scalar gain of the engine's send estimate, and a gain broadcast over distances
+        one = link_gain(0.0, cfg)
+        np.testing.assert_array_equal(channel_capacity(d2, one, cfg), power_capacity(d2, one, cfg))
+        d2, gain = d2[:3000].reshape(1000, 3), gain[:1000, None]
+        np.testing.assert_array_equal(channel_capacity(d2[:, :1], gain.repeat(3, axis=1), cfg),
+                                      power_capacity(d2[:, :1], gain.repeat(3, axis=1), cfg))
+
+    def test_inputs_are_left_as_they_were(self):
+        d2 = np.array([0.25, 4.0, 900.0])
+        gain = link_gain(np.zeros(3), CFG)
+        before = d2.copy(), gain.copy()
+        channel_capacity(d2, gain, CFG)
+        np.testing.assert_array_equal(d2, before[0])
+        np.testing.assert_array_equal(gain, before[1])
+
+
 def static_link(d):
     """A worker d metres from the master, both at rest: (r, rv), x and y stacked."""
     return np.array([d, 0.0]), np.zeros(2)

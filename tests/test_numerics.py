@@ -148,10 +148,10 @@ class TestRngStream:
 
     @pytest.mark.parametrize("tokens", [(3,), ("worker",), ("task", 7, "worker", 3), (2**64 + 5, "é")])
     @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
-    def test_fresh_gen_of_tokens_draws_like_the_substream(self, seed, stream, tokens):
-        want = RngStream(seed, stream).substream(*tokens).fresh_gen()
+    def test_fresh_gen_of_a_substream_draws_like_its_gen(self, seed, stream, tokens):
+        want = RngStream(seed, stream).substream(*tokens).gen
         want = want.standard_normal(5), want.random(5), want.integers(0, 2**40, 5)
-        got = RngStream(seed, stream).fresh_gen(*tokens)
+        got = RngStream(seed, stream).substream(*tokens).fresh_gen()
         got = got.standard_normal(5), got.random(5), got.integers(0, 2**40, 5)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -174,6 +174,52 @@ class TestRngStream:
         RngStream(1, 2).fresh_gen().standard_normal(7)
         assert np.array_equal(RngStream(9, 4).fresh_gen().random(1000), first)
         assert np.array_equal(RngStream(9, 4).gen.random(1000), first)
+
+    @pytest.mark.parametrize("indices", [range(5), [4, 0, 3, 0], [2**63 + 5, np.int64(2), 2**64 + 1]])
+    @pytest.mark.parametrize("token", ["worker", 7, 2**63 + 11])
+    @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
+    def test_fresh_gens_draw_like_each_substream(self, seed, stream, token, indices):
+        root = RngStream(seed, stream)
+        got = [(gen.standard_normal(3), gen.random(2), gen.integers(0, 1000, 3, dtype=np.int32))
+               for gen in root.fresh_gens(token, indices)]
+        assert len(got) == len(indices)
+        for i, draws in zip(indices, got):
+            want = root.substream(token, i).gen
+            want = want.standard_normal(3), want.random(2), want.integers(0, 1000, 3, dtype=np.int32)
+            for a, b in zip(draws, want):
+                assert np.array_equal(a, b)
+
+    def test_fresh_gens_yield_the_shared_generator(self):
+        gens = RngStream(3, 4).fresh_gens("worker", [0, 1])
+        assert next(gens) is RngStream(5, 6).fresh_gen() is next(gens)
+
+    def test_fresh_gen_after_fresh_gens_draws_afresh(self):
+        for gen in RngStream(42, 7).fresh_gens("worker", [1, 0, 2]):
+            gen.integers(0, 1000, 3, dtype=np.int32)  # leaves half a 64-bit word behind
+        got = RngStream(9, 4).fresh_gen()
+        assert got.bit_generator.state["has_uint32"] == 0
+        want = RngStream(9, 4).gen
+        assert np.array_equal(got.integers(0, 1000, 5, dtype=np.int32),
+                              want.integers(0, 1000, 5, dtype=np.int32))
+        assert np.array_equal(got.random(1000), want.random(1000))
+
+    @pytest.mark.parametrize("index", [True, 1.0, "3"])
+    def test_fresh_gens_take_int_indices(self, index):
+        gens = RngStream(0).fresh_gens("worker", [0, index])
+        next(gens)
+        if isinstance(index, str):  # a str index folds as a str token does
+            want = RngStream(0).substream("worker", index).gen.random(3)
+            assert np.array_equal(next(gens).random(3), want)
+        else:
+            with pytest.raises(TypeError, match="substream tokens must be int or str"):
+                next(gens)
+
+    def test_substream_keeps_64_bit_ids(self):
+        child = RngStream(2**64 - 1, 2**64 - 1).substream(2**64 + 3, "x")
+        assert type(child) is RngStream and child.seed == 2**64 - 1
+        assert child.stream == _fold(2**64 - 1, (3, "x")) < 2**64
+        assert np.array_equal(child.gen.random(4),
+                              RngStream(child.seed, child.stream).gen.random(4))
 
     def test_different_seeds_differ(self):
         a = RngStream(1).gen.random(8)

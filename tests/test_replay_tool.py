@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from macc import simcore
+from macc.allocators import uniform_alloc
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "replay_tasks.py")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -49,3 +50,32 @@ def test_different_records_stop_the_replay(tool, tmp_path, monkeypatch):
             (other / "macc" / name).write_text(text, encoding="utf-8")
     with pytest.raises(SystemExit, match="round 0: the two sides returned different records"):
         tool.main(["time", path, SRC, str(other), "--pairs", "1"])
+
+
+def test_records_one_batch_training_at_batch_size_p(tool, tmp_path, capsys):
+    path = str(tmp_path / "calls.pkl")
+    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--iterations", "0", "1",
+               "--batch-size", "p"])
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    assert len(calls) == 50
+    assert {(batch_size, p) for _, _, batch_size, p, *_ in calls} == {(200, 200)}
+    tool.main(["time", path, SRC, SRC, "--pairs", "1"])
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 50
+
+
+def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
+    path = str(tmp_path / "calls.pkl")
+    run_task = simcore.run_task
+    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--compare", "uniform,hcmm",
+               "--episodes", "2", "--straggler"])
+    assert simcore.run_task is run_task
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    assert len(calls) == 2 * 2 * 5  # two schemes, two episodes, desk's five tasks each
+    # baselines send one batch per worker, and the straggler victim is slowed
+    assert all(batch_size == p == 200 for _, _, batch_size, p, *_ in calls)
+    assert all(factors.max() > 1.0 for *_, factors, _, _, _ in calls)
+    assert [loads for _, loads, *_ in calls[:10]] == [uniform_alloc(200, 4)] * 10
+    tool.main(["time", path, SRC, SRC, "--pairs", "1"])
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20

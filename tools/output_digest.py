@@ -17,12 +17,17 @@ The runs, for each seed:
 * train-desk-one-batch: the same at batch_size 200, p_rows, so every
   worker sends its load as one batch (the one-batch protocol);
 * train-scenario1: ``macc train`` at scenario1 for one iteration;
+* train-scenario3-one-batch: ``macc train`` at scenario3 at batch_size
+  p_rows for two iterations: a paper-scale policy's loads, zero loads
+  among them, on one-batch tasks;
 * evaluate-<scheme>: ``macc evaluate`` of uniform, load-balanced and hcmm
   at scenario3 with the straggler on, 20 episodes each;
 * evaluate-<scheme>-straggler-off: the same with the straggler off;
 * evaluate-marl: ``macc evaluate`` at desk from train-desk's checkpoint;
 * evaluate-marl-one-batch: the same at batch_size 200, from
   train-desk-one-batch's checkpoint;
+* evaluate-marl-scenario3-one-batch: ``macc evaluate`` at scenario3 at
+  batch_size p_rows, from train-scenario3-one-batch's checkpoint;
 * compare: ``macc compare`` of the three baselines at scenario3 with the
   straggler on, 20 episodes;
 * sweep-batch: ``macc sweep-batch`` of hcmm at desk over batch sizes 1, 50
@@ -46,6 +51,7 @@ import tempfile
 
 import macc
 from macc import cli
+from macc.config import preset_scenario
 
 DESK_INI = """\
 [scenario]
@@ -58,6 +64,9 @@ max_iterations = 100
 DESK_ONE_BATCH_INI = DESK_INI.replace("preset = desk\n", "preset = desk\nbatch_size = 200\n")
 SCENARIO1_INI = "[scenario]\npreset = scenario1\n[train]\nmax_iterations = 1\n"
 SCENARIO3_INI = "[scenario]\npreset = scenario3\n"
+SCENARIO3_ONE_BATCH_INI = (f"[scenario]\npreset = scenario3\n"
+                           f"batch_size = {preset_scenario('scenario3').p_rows}\n"
+                           "[train]\nmax_iterations = 2\n")
 BASELINES = ("uniform", "load-balanced", "hcmm")
 
 
@@ -65,16 +74,19 @@ def runs(root):
     """Write the runs' INI files under root; return each run's (name, CLI arguments) in order."""
     configs = {}
     for name, text in (("desk", DESK_INI), ("desk-one-batch", DESK_ONE_BATCH_INI),
-                       ("scenario1", SCENARIO1_INI), ("scenario3", SCENARIO3_INI)):
+                       ("scenario1", SCENARIO1_INI), ("scenario3", SCENARIO3_INI),
+                       ("scenario3-one-batch", SCENARIO3_ONE_BATCH_INI)):
         configs[name] = os.path.join(root, f"{name}.ini")
         with open(configs[name], "w", encoding="utf-8") as fh:
             fh.write(text)
     checkpoint = os.path.join(root, "train-desk", "checkpoint.bin")
     one_batch_checkpoint = os.path.join(root, "train-desk-one-batch", "checkpoint.bin")
+    scenario3_checkpoint = os.path.join(root, "train-scenario3-one-batch", "checkpoint.bin")
     return [
         ("train-desk", ["train", "--config", configs["desk"]]),
         ("train-desk-one-batch", ["train", "--config", configs["desk-one-batch"]]),
         ("train-scenario1", ["train", "--config", configs["scenario1"]]),
+        ("train-scenario3-one-batch", ["train", "--config", configs["scenario3-one-batch"]]),
         *((f"evaluate-{scheme}", ["evaluate", "--config", configs["scenario3"],
                                   "--scheme", scheme, "--straggler", "on"])
           for scheme in BASELINES),
@@ -85,6 +97,9 @@ def runs(root):
                            "--checkpoint", checkpoint]),
         ("evaluate-marl-one-batch", ["evaluate", "--config", configs["desk-one-batch"],
                                      "--scheme", "marl", "--checkpoint", one_batch_checkpoint]),
+        ("evaluate-marl-scenario3-one-batch", ["evaluate", "--config",
+                                               configs["scenario3-one-batch"], "--scheme", "marl",
+                                               "--checkpoint", scenario3_checkpoint]),
         ("compare", ["compare", "--config", configs["scenario3"], "--scheme", ",".join(BASELINES),
                      "--straggler", "on", "--episodes", "20"]),
         ("sweep-batch", ["sweep-batch", "--config", configs["desk"], "--scheme", "hcmm",
