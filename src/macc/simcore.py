@@ -40,10 +40,11 @@ flat arrays.  Its running maximum runs once per segment too, unless every
 worker's link stays busy after its first batch, as at paper scale, where
 a row takes longer to send than to compute.  The fixed point covers
 only each worker's leading batches, as many as can arrive by
-completion: one loop computes and solves them (_PassOne), and extends
-and solves again the workers whose last solved arrival falls before the
-completion.  It covers about a third of the batches late in a scenario1
-training, where every worker holds nearly p rows.  A task whose workers
+completion: one loop computes and solves them (_solve), and extends
+and solves again, alone, the workers whose last solved arrival falls
+before the completion; a worker's segment never depends on another's.
+It covers about a third of the batches late in a scenario1 training,
+where every worker holds nearly p rows.  A task whose workers
 each send one batch (every baseline in compare) takes its own path on arrays
 of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
 sizes are the loads, and a batch's link is free as soon as it is
@@ -233,7 +234,7 @@ def _segments(widths):
     return np.array(starts, dtype=np.int64), [slice(s, e) for s, e in zip(starts, ends)]
 
 
-def _scan(cpu, tau, starts, segments, test=True, carry=None):
+def _scan(cpu, tau, starts, segments, test=True):
     """Arrivals and the begins they imply, with the send times tau frozen.
 
     Returns (arrival, settled, busy).  Within each worker's segment (see
@@ -249,32 +250,12 @@ def _scan(cpu, tau, starts, segments, test=True, carry=None):
     its first, found by one np.maximum.reduceat.  Then fmax's running
     maximum would be that first gap at every slot, bit for bit, so the gap
     is added per segment instead; a NaN gap fails the test.
-
-    carry, a list, records where each segment's scan stops, and an earlier
-    scan's record lets it go on there: [sums, maxima, lasts] holds, per
-    segment, the running sum of its send times, the running maximum of its
-    gaps and its arrival, at its last slot.  Given a record, the running
-    sum starts from sums, the first gap is raised to maxima (fmax selects,
-    so the running maximum is that of the whole segment) and the first
-    begin waits for lasts, so the slots are those of one scan over both,
-    bit for bit.  An empty list starts afresh.  Either way the list then
-    holds this scan's record.
     """
-    if carry:
-        src = arrival = tau.copy()
-        arrival[starts] += carry[0]
-    else:
-        arrival = np.empty_like(tau)
-        src = tau
+    arrival = np.empty_like(tau)
     for seg in segments:
-        np.add.accumulate(src[seg], out=arrival[seg])
+        np.add.accumulate(tau[seg], out=arrival[seg])
     gap = arrival - tau
     np.subtract(cpu, gap, out=gap)
-    if carry is not None:
-        ends = [seg.stop - 1 for seg in segments]
-        sums = arrival[ends]
-        if carry:
-            gap[starts] = np.fmax(gap[starts], carry[1])
     busy = False
     if test:  # as lists: a NaN, a new float object each time, is unequal to every value
         first = gap[starts].tolist()
@@ -289,9 +270,7 @@ def _scan(cpu, tau, starts, segments, test=True, carry=None):
     # a batch begins once computed and once its predecessor has arrived
     settled = np.empty_like(cpu)
     np.maximum(cpu[1:], arrival[:-1], out=settled[1:])
-    settled[starts] = np.maximum(cpu[starts], carry[2]) if carry else cpu[starts]
-    if carry is not None:
-        carry[:] = sums, (gap[starts] if busy else gap[ends]), arrival[ends]
+    settled[starts] = cpu[starts]
     return arrival, settled, busy
 
 
@@ -377,81 +356,6 @@ def _take(arrays, spans):
     return [np.concatenate([a[start:stop] for start, stop in joined]) for a in arrays]
 
 
-class _PassOne:
-    """Pass 1 of a task's link solve, over each worker's leading batches.
-
-    Pass 1 evaluates each batch's link at its compute finish time and
-    scans the send times into the begins they imply (_scan).  It holds
-    each worker's first extent[i] slots (a list) in a flat worker-major
-    layout of their own (starts, segments), as slots = (cpu, tau, settled,
-    gain, sizes), what _fixed_point solves.  extend computes further slots
-    of some workers only, going on from each one's raw compute sum and
-    _scan's carry, so every slot held is that slot of a pass 1 over every
-    batch, bit for bit.  busy is whether each scan found every link busy:
-    _fixed_point's hint.
-
-    draws are the task's (us, omega, sizes) over every slot of its layout,
-    omega unscaled, and layout is that (starts, segments); the draws are
-    let go once every slot is computed.  profile has a column per worker
-    and the rows alpha, beta, time factor, broadcast time, r and rv.
-    """
-
-    def __init__(self, draws, layout, profile, cfg):
-        self.draws, self.layout, self.profile, self.cfg = draws, layout, profile, cfg
-        self.extent = [0] * len(layout[1])
-        self.slots = None
-        self.busy = True
-
-    def extend(self, extent):
-        """Compute each worker's slots up to extent[i], at least its current extent."""
-        sub = [i for i, (e, o) in enumerate(zip(extent, self.extent)) if e > o]
-        if not sub:
-            return
-        width = [extent[i] - self.extent[i] for i in sub]
-        total = self.draws[0].size
-        if sum(width) == total:  # every slot at once: no gather, and no scan follows
-            (starts, segments), (us, omega, sizes), carry = self.layout, self.draws, None
-        else:
-            starts, segments = _segments(width)
-            us, omega, sizes = _take(self.draws, [(self.layout[1][i].start + self.extent[i],
-                                                   self.layout[1][i].start + extent[i])
-                                                  for i in sub])
-            carry = [] if self.slots is None else [c[sub] for c in self.carry]
-        cfg = self.cfg
-        profile = self.profile if self.slots is None else self.profile[:, sub]
-        alpha, beta, factors, bc, *_ = per_slot = np.repeat(profile, width, axis=1)
-        cpu = comp_time(sizes, us, alpha, beta, factors)
-        if self.slots is not None:
-            cpu[starts] += self.raw[sub]
-        for seg in segments:
-            np.add.accumulate(cpu[seg], out=cpu[seg])
-        if carry is not None:
-            raw = cpu[[seg.stop - 1 for seg in segments]]
-        cpu += bc
-        gain = link_gain(omega * cfg.noise_std_db, cfg)
-        # a solve's geometry is repeated per slot, C-ordered
-        tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[4:6], per_slot[6:], cpu),
-                         gain, cfg)
-        _, settled, busy = _scan(cpu, tau, starts, segments, True, carry)
-        self.busy = self.busy and busy
-        slots = (cpu, tau, settled, gain, sizes)
-        if self.slots is None:
-            self.starts, self.segments = starts, segments
-            if carry is not None:
-                self.raw, self.carry = raw, carry
-        else:  # each worker's new slots go after its old ones
-            self.raw[sub] = raw
-            for c, v in zip(self.carry, carry):
-                c[sub] = v
-            at = np.repeat(np.cumsum(self.extent)[sub], width)
-            slots = tuple(np.insert(a, at, b) for a, b in zip(self.slots, slots))
-            self.starts, self.segments = _segments(extent)
-        self.slots = slots
-        self.extent = list(extent)
-        if sum(self.extent) == total:  # nothing is left to compute
-            self.draws = None
-
-
 def _reach(arrival, sizes, p):
     """Slots in arrival order, their cumulative rows, and how many it takes to reach p.
 
@@ -487,6 +391,45 @@ def _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, c
         if done >= width:  # pass n starts from begins that are final for n batches
             return begin, tau
         settled = _scan(cpu, tau, starts, segments, busy)[1]
+
+
+def _solve(draws, spans, profile, cfg):
+    """Arrivals of some workers' leading batches: pass 1, then the link fixed point.
+
+    draws are the task's (us, omega, sizes) over every slot of its flat
+    worker-major layout, omega unscaled; spans are the [start, stop) slots
+    of each worker to solve, in worker order, and profile has a column per
+    such worker and the rows alpha, beta, time factor, broadcast time, r
+    and rv.  Pass 1 sums each worker's compute times from its first batch,
+    evaluates each batch's link at its compute finish time and scans the
+    send times into the begins they imply (_scan); _fixed_point solves on.
+    Each worker is a segment of its own, which no other worker's slots
+    reach, so it gets the same bits whichever workers it is solved with.
+    Returns (arrival, sizes, segments) over the solved slots, laid out as
+    the spans.
+    """
+    width = [stop - start for start, stop in spans]
+    starts, segments = _segments(width)
+    us, omega, sizes = _take(draws, spans)
+    per_slot = np.repeat(profile, width, axis=1)
+    alpha, beta, factors, bc = per_slot[:4]
+    cpu = comp_time(sizes, us, alpha, beta, factors)
+    for seg in segments:
+        np.add.accumulate(cpu[seg], out=cpu[seg])
+    cpu += bc
+    gain = link_gain(omega * cfg.noise_std_db, cfg)
+    tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[4:6], per_slot[6:], cpu),
+                     gain, cfg)
+    _, settled, busy = _scan(cpu, tau, starts, segments)
+    # pass 1's draws and 8-row profile go before the fixed point, which repeats r and rv
+    # anew: in the other orders tried, glibc trimmed and regrew its heap on each late
+    # scenario1 task (0.46-0.76 M minor page faults, up to 22% slower over 3,000 tasks)
+    del us, omega, per_slot, alpha, beta, factors, bc
+    geometry = np.repeat(profile[4:], width, axis=1)  # r and rv, per slot
+    r, rv = geometry[:2], geometry[2:]
+    bits = sizes * cfg.bits_per_element
+    begin, tau = _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, cfg)
+    return begin + tau, sizes, segments
 
 
 @functools.lru_cache(maxsize=16)
@@ -586,11 +529,12 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
     Returns (ReceiptLog, rows received at completion); see run_task.  The
     batches sit in a flat worker-major layout, one slot per batch, whose
     draws are made in full.  Each worker's leading batches are computed
-    (_PassOne) and solved together, and the workers whose solved arrivals
-    stop before the completion are extended and solved again.  A layout
-    that cannot be allocated, a load past int64 among them, is a
-    ValueError naming task index, its size and the settings it grows
-    with, p and the batch size.
+    and solved together (_solve), and the workers whose solved arrivals
+    stop before the completion are extended and solved again, alone; the
+    others keep their arrivals, which are joined up again for the sort to
+    completion (_reach).  A layout that cannot be allocated, a load past
+    int64 among them, is a ValueError naming task index, its size and the
+    settings it grows with, p and the batch size.
     """
     try:
         counts, last = plan_batches([loads[i] for i in active], batch_size)
@@ -607,7 +551,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
         sizes = np.full(total, batch_size)
     except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
         raise _layout_error(index, total, p, batch_size) from None
-    starts, segments = _segments(counts)
+    segments = _segments(counts)[1]
     sizes[[seg.stop - 1 for seg in segments]] = last
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
     _draw_noise(rng, active, [omega[seg] for seg in segments], [us[seg] for seg in segments],
@@ -616,7 +560,6 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
     act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
     profile = np.concatenate((alpha[None], beta[None], factors[None], bc[None], r, rv))
-    one = _PassOne((us, omega, sizes), (starts, segments), profile, cfg)
     extent = counts  # an infeasible task keeps, so solves, every batch
     if feasible:  # a batch's send time, unshadowed, where the broadcast ends
         send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
@@ -624,29 +567,32 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
         k = _reaching(p, batch_size, len(active), total)
         extent = [min(c, max(1, e)) for c, e in
                   zip(counts, _first_extent(profile, send, counts, batch_size, k))]
+    draws = (us, omega, sizes)
+    todo = range(len(counts))  # the workers to solve
+    arrivals, batches = [None] * len(counts), [None] * len(counts)  # each worker's latest
     while True:
-        one.extend(extent)
-        cpu, tau, settled, gain, sizes = one.slots
-        geometry = np.repeat(profile[4:], one.extent, axis=1)  # r and rv, per slot
-        begin, tau_end = _fixed_point(cpu, tau, settled, one.busy, sizes * cfg.bits_per_element,
-                                      gain, geometry[:2], geometry[2:], one.starts,
-                                      one.segments, cfg)
-        arrival = begin + tau_end
+        arrival, sizes, solved = _solve(draws, [(segments[i].start, segments[i].start + extent[i])
+                                                for i in todo], profile[:, todo], cfg)
+        for i, seg in zip(todo, solved):
+            arrivals[i], batches[i] = arrival[seg], sizes[seg]
+        if len(todo) < len(counts):
+            arrival, sizes = np.concatenate(arrivals), np.concatenate(batches)
         order, received, n_kept = _reach(arrival, sizes, p)
-        if one.draws is None:  # every batch is solved
+        if extent == counts:  # every batch is solved
             n_kept = min(n_kept, order.size)  # an infeasible task keeps every batch
             break
         reached = n_kept <= order.size  # the solved slots hold p rows
         t = float(arrival[order[n_kept - 1]]) if reached else math.inf  # T'
-        extent = list(one.extent)
-        for i, seg in enumerate(one.segments):
-            last = float(arrival[seg.stop - 1])
-            if extent[i] < counts[i] and not (reached and last >= t):  # may arrive by T'
-                extent[i] = _further(t, float(arrival[seg.start]), last, extent[i], counts[i])
-        if extent == one.extent:
+        todo = [i for i, (e, c, a) in enumerate(zip(extent, counts, arrivals))
+                if e < c and not (reached and a[-1] >= t)]  # may arrive by T'
+        if not todo:
             break
+        extent = list(extent)
+        for i in todo:
+            extent[i] = _further(t, float(arrivals[i][0]), float(arrivals[i][-1]), extent[i],
+                                 counts[i])
     kept = order[:n_kept]
-    return (ReceiptLog._of(np.repeat(act, one.extent)[kept], sizes[kept], arrival[kept]),
+    return (ReceiptLog._of(np.repeat(act, extent)[kept], sizes[kept], arrival[kept]),
             int(received[n_kept - 1]))
 
 
@@ -695,12 +641,13 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     after T': each worker's arrivals strictly increase, so none of its
     unsolved batches arrives by T'.  Otherwise each worker whose last
     solved arrival falls before T' is extended at the pace of its own
-    solved arrivals (_further), and the solve repeats; T' is infinite
-    while the solved slots hold fewer than p rows.  A worker goes on from
-    its last computed batch, its compute time sum and _scan's carry
-    (_PassOne), so its slots are those of one pass 1 over all of them, bit
-    for bit.  An infeasible task keeps every batch and is computed and
-    solved in full, with no gather.
+    solved arrivals (_further), and those workers alone are computed and
+    solved again from their first batch (_solve); T' is infinite while
+    the solved slots hold fewer than p rows.  No worker's segment reads
+    another's, so a worker solved alone gets the bits it gets beside the
+    others, and the workers not extended keep their arrivals.  An
+    infeasible task keeps every batch and is computed and solved in full,
+    with no gather.
 
     When every loaded worker sends its load as one batch (batch_size at
     least the largest load), the task takes its own path

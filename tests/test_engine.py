@@ -130,6 +130,31 @@ class TestAgainstScalarOracle:
             assert len(got.receipt_log) <= 3
             assert_matches_oracle(got, want)
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_zero_load_one_batch_paper_episode(self, seed):
+        # a scenario3 episode at b = p whose allocator zeroes worker j % N on task j and
+        # gives the others p / 4 rows, or p / 5 on every third task, which is infeasible
+        scenario = preset_scenario("scenario3")
+        n, p = scenario.n_workers, scenario.p_rows
+        scenario = replace(scenario, batch_size=p, straggler_enabled=True)
+        worlds = []
+
+        def rotating(world, states):
+            j = len(worlds)
+            worlds.append(world)
+            return [0 if i == j % n else (p // 5 if j % 3 == 0 else p // 4) for i in range(n)]
+
+        ep = simcore.run_episode(scenario, rotating, RngStream(seed))
+        task_rng = RngStream(seed).substream("task")
+        for j, (rec, world) in enumerate(zip(ep.tasks, worlds)):
+            assert rec.loads[j % n] == 0 and rec.feasible == (j % 3 != 0)
+            assert j % n not in rec.receipt_log.workers.tolist()
+            want = run_task_scalar(world, rec.loads, p, p, scenario.m_cols,
+                                   (True, ep.victim, scenario.straggler_slowdown),
+                                   task_rng.substream(j), scenario.comm)
+            assert_matches_oracle(rec, want)
+        assert len(worlds) == scenario.k_tasks
+
     @pytest.mark.parametrize("seed", range(4))
     def test_compute_bound_victim_beside_busy_links(self, monkeypatch, seed):
         # at paper scale a row takes longer to send than to compute, but the
@@ -140,12 +165,12 @@ class TestAgainstScalarOracle:
         scans = []
         scan = simcore._scan
 
-        def recording(cpu, tau, starts, segments, test=True, carry=None):
+        def recording(cpu, tau, starts, segments, test=True):
             # each worker's segment scanned alone: does its link stay busy?  Pass 1
-            # starts at the counts, so it covers all 1,200 batches with no carry
+            # starts at the counts, so it covers all 1,200 batches
             alone = [scan(cpu[seg], tau[seg], np.zeros(1, dtype=np.int64),
                           [slice(0, seg.stop - seg.start)])[2] for seg in segments]
-            out = scan(cpu, tau, starts, segments, test, carry)
+            out = scan(cpu, tau, starts, segments, test)
             scans.append((test, out[2], alone))
             return out
 
@@ -338,24 +363,24 @@ def paper_oracle(far):
 
 @pytest.fixture
 def extents(monkeypatch):
-    """Each pass-1 extension run_task makes, in order: (extents before, after, slots computed)."""
+    """Each _solve call run_task makes, in order: (the slots it solves of each worker
+    it solves, the slots comp_time computed in it)."""
     calls = []
-    extend, comp = simcore._PassOne.extend, simcore.comp_time
+    solve, comp = simcore._solve, simcore.comp_time
     computed = []
 
     def counting_comp(rows, *args):
         computed.append(np.size(rows))
         return comp(rows, *args)
 
-    def recording(self, extent):
-        before = list(self.extent)
+    def recording(draws, spans, profile, cfg):
         computed.clear()
-        extend(self, extent)
-        if self.extent != before:
-            calls.append((before, list(self.extent), sum(computed)))
+        out = solve(draws, spans, profile, cfg)
+        calls.append(([stop - start for start, stop in spans], sum(computed)))
+        return out
 
     monkeypatch.setattr(simcore, "comp_time", counting_comp)
-    monkeypatch.setattr(simcore._PassOne, "extend", recording)
+    monkeypatch.setattr(simcore, "_solve", recording)
     return calls
 
 
@@ -384,8 +409,8 @@ class TestPassOnePrefix:
         rec, nxt = run_paper_task(None)
         assert_pinned(rec, nxt, PINNED_PAPER_TASKS["every worker at p"][1])
         # one pass 1 over about a third of the 18,000 batches, no extension
-        ((before, after, computed),) = extents
-        assert before == [0] * 3 and computed == sum(after) < 7_000
+        ((widths, computed),) = extents
+        assert len(widths) == 3 and computed == sum(widths) < 7_000
 
     @pytest.mark.parametrize("seed", range(4))
     def test_desk_layout_is_computed_in_part(self, extents, seed):
@@ -395,32 +420,32 @@ class TestPassOnePrefix:
         world, _ = sample_world(scenario, RngStream(seed).substream("env"))
         got, want = run_both(world, [scenario.p_rows] * n, scenario.p_rows, scenario.m_cols,
                              1, NO_STRAGGLER, CommConfig(), seed)
-        ((before, after, computed),) = extents
-        assert before == [0] * n and computed == sum(after) < n * scenario.p_rows // 3
+        ((widths, computed),) = extents
+        assert len(widths) == n and computed == sum(widths) < n * scenario.p_rows // 3
         assert_matches_oracle(got, want)
 
     def test_far_worker_from_270_m_is_extended_alone(self, extents, solved_widths):
         # the far worker's batches go out faster than estimated, so its last solved
-        # arrival falls before T'; it alone goes on from its last computed batch
+        # arrival falls before T'; it alone is solved again, from its first batch
         rec, nxt = run_paper_task(270.0)
         assert rec.t_complete.hex() == "0x1.1b0825d11564ap+2"
         assert np.bincount(rec.receipt_log.workers).tolist() == [2425, 2587, 988]
-        assert solved_widths == [[2530, 2681, 985], [2530, 2681, 998]]
-        assert [(b, a) for b, a, _ in extents] == [([0] * 3, [2530, 2681, 985]),
-                                                   ([2530, 2681, 985], [2530, 2681, 998])]
-        assert extents[1][2] == 998 - 985
+        assert solved_widths == [[2530, 2681, 985], [998]]
+        assert extents == [([2530, 2681, 985], 2530 + 2681 + 985), ([998], 998)]
         assert_matches_oracle(rec, paper_oracle(270.0))
 
     def test_an_extension_computes_the_short_workers_new_batches(self, monkeypatch, extents):
-        # workers 0 and 1 computed in full, the far worker 2 from one batch on
+        # workers 0 and 1 computed in full, the far worker 2 from one batch on; each
+        # re-solve computes the far worker's slots alone
         monkeypatch.setattr(simcore, "_first_extent",
                             lambda profile, send, counts, b, k: [*counts[:2], 1])
         rec, nxt = run_paper_task(250.0)
         assert_pinned(rec, nxt, PINNED_PAPER_TASKS["a far worker closing on two near ones"][1])
-        (_, first, computed), *more = extents
+        (first, computed), *more = extents
         assert first == [6000, 6000, 1] and computed == 12_001
-        assert more and all(b[:2] == a[:2] == [6000] * 2 and c == a[2] - b[2]
-                            for b, a, c in more)
+        assert more and all(len(w) == 1 and c == w[0] for w, c in more)
+        widths = [1] + [w for (w,), _ in more]
+        assert all(after > before for before, after in zip(widths, widths[1:]))
 
     @pytest.mark.parametrize("behind", range(3))
     @pytest.mark.parametrize("case", PINNED_PAPER_TASKS)
@@ -429,7 +454,7 @@ class TestPassOnePrefix:
     ):
         # n: each worker's batches delivered by completion; worker `behind` is solved to
         # its n-th but one, the others past theirs, so T' falls after its last solved
-        # arrival until it alone is extended
+        # arrival until it alone is extended, and each re-solve covers it alone
         far, pinned = PINNED_PAPER_TASKS[case]
         n = np.bincount(run_paper_task(far)[0].receipt_log.workers).tolist()
         first = [c - 1 if i == behind else c + 50 for i, c in enumerate(n)]
@@ -438,10 +463,8 @@ class TestPassOnePrefix:
         assert_pinned(*run_paper_task(far), pinned)
         solved, *more = solved_widths
         assert solved == first and more
-        for before, after in zip(solved_widths, more):
-            assert after[behind] > before[behind]
-            assert [w for i, w in enumerate(after) if i != behind] == \
-                [w for i, w in enumerate(before) if i != behind]
+        widths = [first[behind]] + [w for (w,) in more]
+        assert all(after > before for before, after in zip(widths, widths[1:]))
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("batch", ["one", "quarter"])
@@ -548,7 +571,9 @@ class TestTruncatedSolve:
         got, want = run_both(closing_world(), [2000, 2000], 2000, 5, 1, NO_STRAGGLER,
                              CommConfig(), 3)
         delivered = int(np.count_nonzero(got.receipt_log.workers == 1))
-        assert len(solved_widths) == 2 and solved_widths[0][1] < delivered <= solved_widths[1][1]
+        # the static worker 0's first solve stands; worker 1 alone is solved again
+        assert len(solved_widths) == 2 and len(solved_widths[1]) == 1
+        assert solved_widths[0][1] < delivered <= solved_widths[1][0]
         assert_matches_oracle(got, want)
 
     def test_infeasible_task_keeps_every_batch(self, solved_widths):
@@ -561,9 +586,10 @@ class TestTruncatedSolve:
     def test_link_work_at_paper_scale(self, monkeypatch):
         # solving every batch evaluated the link at 2,808,105 distances here, solving every
         # worker out to the widest worker's guess at 1,925,835, pass 1 over every batch at
-        # 1,498,435, and a pass 1 apart from the solve, over each worker's leading batches,
-        # at 1,421,462; one extend-and-solve loop evaluates 1,409,878, the 90 of its
-        # estimates among them
+        # 1,498,435, a pass 1 apart from the solve, over each worker's leading batches,
+        # at 1,421,462, and one extend-and-solve loop that solved every worker again at
+        # 1,409,878; re-solving only the extended workers evaluates 1,365,473, the 90 of
+        # its estimates among them
         evaluated = []
         vector_capacity = simcore.channel_capacity
 
@@ -573,7 +599,7 @@ class TestTruncatedSolve:
 
         monkeypatch.setattr(simcore, "channel_capacity", counting)
         (rec,) = sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, 0)[1]
-        assert sum(evaluated) <= 1_409_878
+        assert sum(evaluated) <= 1_365_473
         assert rec.total_time == 217.6616366530215
 
     def test_pass_one_finds_every_link_busy_at_paper_scale(self, monkeypatch):
@@ -600,10 +626,11 @@ class TestTruncatedSolve:
     def test_solves_at_paper_scale_as_recorded(self, solved_widths, solve_passes):
         # one solve per task but two, which extend once; solving each worker out to
         # the widest worker's guess took 300 solves of 902,166 columns, 3 slots each,
-        # and widths from a separate pass 1 301 solves of 1,833,805 slots
+        # widths from a separate pass 1 301 solves of 1,833,805 slots, and re-solves
+        # of every worker 302 solves of 1,850,475 slots
         for seed in range(10):
             sweep_batch(preset_scenario("scenario1"), "hcmm", [1], 1, seed)
-        assert len(solved_widths) == 302 and sum(map(sum, solved_widths)) == 1_850_475
+        assert len(solved_widths) == 302 and sum(map(sum, solved_widths)) == 1_839_849
         assert max(solve_passes) <= 11  # 10 when recorded
 
 

@@ -31,8 +31,14 @@ def test_records_an_iteration_and_replays_it(tool, tmp_path, capsys):
         calls = pickle.load(fh)
     assert len(calls) == 50  # the default 10 episodes of desk's 5 tasks, in iteration 1 alone
     tool.main(["time", path, SRC, SRC, "--pairs", "2"])
-    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    *rounds, last = capsys.readouterr().out.strip().splitlines()
+    summary = json.loads(last)
     assert summary["calls"] == 50 and [len(s) for s in summary["seconds"]] == [2, 2]
+    # each side's minor page faults over its timed replay, one count per round, printed
+    # next to its time
+    assert [len(f) for f in summary["faults"]] == [2, 2]
+    assert all(type(f) is int and f >= 0 for side in summary["faults"] for f in side)
+    assert rounds[-1].endswith(f"{summary['faults'][1][1]} faults")
 
 
 def test_different_records_stop_the_replay(tool, tmp_path, monkeypatch):

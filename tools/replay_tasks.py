@@ -11,6 +11,7 @@ again:
     PYTHONPATH=src python tools/replay_tasks.py record compare.pkl --preset scenario3 \\
         --compare uniform,load-balanced,hcmm --episodes 100 --straggler
     python tools/replay_tasks.py time late.pkl ../parent/src src --pairs 10
+    PYTHONPATH=src python tools/replay_tasks.py replay late.pkl
 
 ``record`` keeps the inputs of ``simcore.run_task`` calls, as plain
 numbers and arrays, in a pickle.  By default it runs ``marl.train`` with
@@ -21,13 +22,17 @@ the iterations [first, stop), and stops training after the last of them;
 ``experiments.compare_schemes`` of the comma-separated schemes instead,
 ``--episodes`` each, with the straggler on when ``--straggler`` is given
 (the preset's own setting otherwise), as perfbench's compare workload
-does, and keeps every call.  ``time`` copies the ``macc`` package of each
-source directory under a name of its own, imports both into one process,
-and replays the calls through each in turn, the first side first in even
-rounds: per round and side it prints the seconds spent inside
-``run_task``, after one untimed replay per side.  It checks that both
-sides return the same records and next worlds, bit for bit, and ends with
-one JSON line of every time.
+does, and keeps every call.  ``replay`` replays the calls through the
+``macc`` package on the path, once untimed and once timed, and prints one
+JSON line: the seconds spent inside ``run_task``, the process's minor page
+faults over the timed replay, and a digest of every record and next world.
+``time`` runs ``replay`` in a fresh process per side and round, with
+PYTHONPATH at that side's source directory, the first side first in even
+rounds, so neither side runs in a process whose allocator the other
+warmed: per round and side it prints the seconds and the minor page
+faults.  It checks that both sides return the same records and next
+worlds, bit for bit, and ends with one JSON line of every time and fault
+count.
 Unpickle only files that ``record`` wrote.
 """
 
@@ -36,14 +41,13 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
-import importlib
 import json
 import os
 import pickle
-import shutil
+import resource
 import statistics
+import subprocess
 import sys
-import tempfile
 import time
 
 
@@ -110,10 +114,10 @@ def record_compare(path, preset, seed, schemes, episodes, straggler):
         experiments.compare_schemes(scenario, schemes, episodes, seed)
 
 
-def _replay(package, calls):
+def _replay(calls):
     """Seconds inside run_task over the calls, and a digest of every record and next world."""
-    simcore, numerics, envmodels = (importlib.import_module(f"{package}.{m}")
-                                    for m in ("simcore", "numerics", "envmodels"))
+    from macc import envmodels, numerics, simcore
+
     h = hashlib.sha256()
     spent = 0.0
     for world, loads, batch_size, p, m, factors, (seed, stream), cfg, index in calls:
@@ -130,36 +134,52 @@ def _replay(package, calls):
     return spent, h.hexdigest()
 
 
-def time_sides(path, sources, pairs):
+def replay(path):
+    """Replay the calls through the macc on the path, untimed then timed; print one JSON line."""
+    import macc
+
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
-    names = ("side_a", "side_b")
-    with tempfile.TemporaryDirectory() as root:
-        for name, src in zip(names, sources):
-            shutil.copytree(os.path.join(src, "macc"), os.path.join(root, name),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        sys.path.insert(0, root)
-        try:
-            times = {name: [] for name in names}
-            for name in names:  # untimed: imports and first calls warm up
-                _replay(name, calls)
-            for i in range(pairs):
-                digests = {}
-                for name in names if i % 2 == 0 else names[::-1]:
-                    gc.collect()
-                    spent, digests[name] = _replay(name, calls)
-                    times[name].append(spent)
-                if digests[names[0]] != digests[names[1]]:
-                    raise SystemExit(f"round {i}: the two sides returned different records")
-                print(f"round {i}: " + ", ".join(f"{src} {times[n][-1]:.4f} s"
-                                                 for n, src in zip(names, sources)), flush=True)
-        finally:  # a later call imports its own copies
-            sys.path.remove(root)
-            for module in [m for m in sys.modules if m.split(".")[0] in names]:
-                del sys.modules[module]
-    medians = [statistics.median(times[n]) for n in names]
-    print(json.dumps({"calls": len(calls), "pairs": pairs, "sources": list(sources),
-                      "seconds": [times[n] for n in names], "medians": medians,
+    _replay(calls)  # imports and first calls warm up
+    gc.collect()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    spent, digest = _replay(calls)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    print(json.dumps({"package": os.path.dirname(os.path.realpath(macc.__file__)),
+                      "calls": len(calls), "seconds": spent, "faults": faults,
+                      "digest": digest}))
+
+
+def _replay_in(path, src):
+    """replay's JSON of the calls in a fresh process that imports macc from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "replay", path], env=env,
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"replay through {src} failed:\n{done.stderr}")
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    if out["package"] != os.path.realpath(os.path.join(src, "macc")):
+        raise SystemExit(f"replay through {src} imported macc from {out['package']}")
+    return out
+
+
+def time_sides(path, sources, pairs):
+    times, faults = [[], []], [[], []]
+    for i in range(pairs):
+        digests = [None, None]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            out = _replay_in(path, sources[side])
+            times[side].append(out["seconds"])
+            faults[side].append(out["faults"])
+            digests[side] = out["digest"]
+        if digests[0] != digests[1]:
+            raise SystemExit(f"round {i}: the two sides returned different records")
+        print(f"round {i}: " + ", ".join(f"{src} {times[n][-1]:.4f} s {faults[n][-1]} faults"
+                                         for n, src in enumerate(sources)), flush=True)
+    medians = [statistics.median(t) for t in times]
+    print(json.dumps({"calls": out["calls"], "pairs": pairs, "sources": list(sources),
+                      "seconds": times, "faults": faults, "medians": medians,
                       "ratio": medians[1] / medians[0]}))
 
 
@@ -184,12 +204,16 @@ def main(argv=None):
     tim.add_argument("path")
     tim.add_argument("sources", nargs=2, help="two directories that hold a macc package")
     tim.add_argument("--pairs", type=int, default=10)
+    rep = sub.add_parser("replay", help="replay recorded calls once through the macc on the path")
+    rep.add_argument("path")
     args = parser.parse_args(argv)
     if args.command == "record" and args.compare:
         record_compare(args.path, args.preset, args.seed, args.compare.split(","), args.episodes,
                        args.straggler)
     elif args.command == "record":
         record(args.path, args.preset, args.seed, *args.iterations, args.batch_size)
+    elif args.command == "replay":
+        replay(args.path)
     else:
         time_sides(args.path, args.sources, args.pairs)
     return 0
