@@ -14,7 +14,7 @@ import numpy as np
 from macc.config import ScenarioConfig
 from macc.envmodels import time_factors
 from macc.numerics import RngStream
-from macc.simcore import run_episode, run_task, sample_world
+from macc.simcore import episode_terms, run_episode, run_task, sample_world
 
 scenario = ScenarioConfig(name="demo", n_workers=3, p_rows=60, m_cols=40,
                           k_tasks=1, beta_range=(5e3, 1e4))
@@ -29,10 +29,12 @@ print("workers:", "  ".join(
 # 1. Run one task with redundancy and batching
 # ----------------------------------------------------------------------
 # the engine times rows, never their values: it needs the loads, p, the
-# payload length m and each worker's computation-time multiple
+# payload length m and the episode's terms, from each worker's
+# computation-time multiple
 p, m = scenario.p_rows, scenario.m_cols
 loads = (30, 30, 30)  # 90 rows assigned, only 60 needed
-no_straggler = time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown)
+no_straggler = episode_terms(
+    world, time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown))
 
 rec, _ = run_task(world, loads, 10, p, m, no_straggler,
                   rng.substream("task"), scenario.comm)

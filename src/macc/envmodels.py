@@ -21,10 +21,12 @@ Nodes move with constant velocity: p(t') = p(t) + v (t' - t).
 Every function works on plain numbers and on numpy arrays; the world is
 held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
-link_gain once per task, channel_capacity and comp_time on whole arrays
-of batches, and advance once per task to move all nodes; simcore.run_episode
-builds the straggler's time_factors once per episode.  The agents' state
-and the shared reward are built in simcore, next to the engine.
+link_gain once per task, channel_capacity and comp_time_with on whole
+arrays of batches, and advance once per task to move all nodes;
+simcore.run_episode builds the straggler's time_factors and, from them
+and the workers' profiles, the comp_coefficients once per episode.  The
+agents' state and the shared reward are built in simcore, next to the
+engine.
 """
 
 import math
@@ -106,14 +108,33 @@ def channel_capacity(d2, gain, cfg):
     return cap
 
 
+def comp_coefficients(alpha, beta, slowdown=1.0):
+    """The compute model's per-row coefficients (slowdown alpha, slowdown / beta); elementwise.
+
+    They are comp_time's first step: a world's are fixed while its
+    profiles and time factors are, so the engine takes them once per
+    episode and runs comp_time_with alone per task.
+    """
+    return alpha * slowdown, slowdown / beta
+
+
+def comp_time_with(rows, u, floor, tail):
+    """comp_time's second step, from comp_coefficients' (floor, tail); elementwise on arrays.
+
+    l (floor - tail ln(1 - U)): always >= floor l, and zero for zero rows.
+    """
+    return rows * (floor - tail * np.log1p(-u))
+
+
 def comp_time(rows, u, alpha, beta, slowdown=1.0):
     """Shifted-exponential computation time of `rows` rows; elementwise on arrays.
 
     t = slowdown (alpha l - (l / beta) ln(1 - U)) for U ~ Uniform[0, 1),
-    computed as l (slowdown alpha - (slowdown / beta) ln(1 - U)); always
+    computed as l (slowdown alpha - (slowdown / beta) ln(1 - U)) in the
+    two steps comp_coefficients and comp_time_with; always
     >= slowdown alpha l, and zero for zero rows.
     """
-    return rows * (alpha * slowdown - slowdown / beta * np.log1p(-u))
+    return comp_time_with(rows, u, *comp_coefficients(alpha, beta, slowdown))
 
 
 def advance(pos, vel, dt):

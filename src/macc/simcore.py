@@ -49,10 +49,14 @@ each send one batch (every baseline in compare) takes its own path on arrays
 of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
 sizes are the loads, and a batch's link is free as soon as it is
 computed, so the first evaluation of the link gives the arrivals.  On
-these few-element arrays the fixed cost per call dominates.  Both paths
-call the same draw, link, compute and sort helpers, and read the world's
-own arrays, a cached worker index and the episode's time factors, with
-no gather, when every worker is loaded (_loaded).
+these few-element arrays the fixed cost per call dominates, so what stays
+fixed for an episode is not derived per task: the workers' velocities
+relative to the master and the compute model's coefficients are derived
+once per episode (EpisodeTerms), and a baseline's loads are checked and
+laid out once (Loads).  Both paths call the same draw, link, compute and
+sort helpers, and read the terms' own arrays and a cached worker index,
+with no gather, when every worker is loaded, or gather them once when a
+worker is idle (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -65,14 +69,16 @@ An episode is the MDP the allocators act in: before each task run_episode
 builds the agents' joint observation (build_state, which alone fixes its
 layout and scale), asks the allocator for loads, rounds them to integers,
 runs the task and scores it (reward).  run_task builds every TaskRecord,
-the all-zero task's among them, and is the one check of the rounded
-loads.  A baseline, marked per_episode, is asked once per episode, with no
-state.  The scenario is the episode's one source of settings: every task
-runs at its batch_size, its straggler_enabled decides whether the victim
-is slowed, through the time factors (envmodels.time_factors) built once
-per episode, its ranges give the observation's scales (state_scales),
-taken once per episode, and reward reads the feasibility that run_task
-decided.
+the all-zero task's among them, and check_loads is the one check of the
+rounded loads: run_task calls it on a policy's loads in every task.  A
+baseline, marked per_episode, is asked once per episode, with no state,
+and run_episode checks its loads once, for every task.  The scenario is
+the episode's one source of settings: every task runs at its batch_size,
+its straggler_enabled decides whether the victim is slowed, through the
+time factors (envmodels.time_factors) built once per episode with the
+terms derived from them, its ranges give the observation's scales
+(state_scales), taken once per episode, and reward reads the feasibility
+that run_task decided.
 """
 
 import functools
@@ -80,11 +86,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .coding import plan_batches
-from .envmodels import advance, channel_capacity, comp_time, link_gain, time_factors
+from .envmodels import (advance, channel_capacity, comp_coefficients, comp_time_with, link_gain,
+                        time_factors)
 
 _new = object.__new__
 _INT = {int}
@@ -123,6 +131,83 @@ class WorldState:
     @property
     def n_workers(self):
         return len(self.beta)
+
+
+class EpisodeTerms(NamedTuple):
+    """What an episode's worlds share, for every task's run_task: see episode_terms.
+
+    factors is the (N,) float64 time factors (envmodels.time_factors), rv
+    the (2, N) worker velocities relative to the master with x and y
+    stacked, and floor and tail the (N,) compute coefficients
+    (envmodels.comp_coefficients of alpha, beta and factors).
+    """
+
+    factors: np.ndarray
+    rv: np.ndarray
+    floor: np.ndarray
+    tail: np.ndarray
+
+
+def episode_terms(world, factors):
+    """The EpisodeTerms of world and of every world run_task moves it to, under factors.
+
+    A task moves the nodes and keeps their velocities and the compute
+    profiles, so these hold for the episode.  The arrays are read-only.
+    """
+    rv = (world.vel[1:] - world.vel[0]).T
+    floor, tail = comp_coefficients(world.alpha, world.beta, factors)
+    for a in (rv, floor, tail):
+        a.setflags(write=False)
+    return EpisodeTerms(factors, rv, floor, tail)
+
+
+class Loads(NamedTuple):
+    """One task's integer loads, checked and laid out by check_loads.
+
+    loads is the tuple of N plain ints, active the loaded workers in order
+    (range(N) when every worker is loaded), top the largest load and
+    feasible whether the loads sum to p or more.  sizes and float_sizes
+    are the loaded workers' loads, int64 for the receipt log and float64
+    for arithmetic, both read-only.
+    """
+
+    loads: tuple
+    active: object
+    top: int
+    feasible: bool
+    sizes: np.ndarray
+    float_sizes: np.ndarray
+
+
+def check_loads(loads, n, p, index=0):
+    """The Loads of N = n raw loads at p rows to decode; a ValueError naming task index if bad.
+
+    Each load must be a non-negative integer, as an int or an integral
+    float, and at most p.  A tuple of plain ints, what run_episode passes,
+    is checked as it is, with no copy or float round trip.
+    """
+    loads = tuple(loads)
+    if len(loads) != n:
+        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, world has {n}")
+    exact = {*map(type, loads)} == _INT  # no float round trip for plain ints
+    low = min(loads)
+    if low < 0 or not (exact or all(float(l).is_integer() for l in loads)):
+        raise ValueError(f"task {index}: loads must be non-negative integers, got {loads}")
+    if not exact:
+        loads = tuple(map(int, loads))
+    top = max(loads)
+    if top > p:
+        raise ValueError(f"task {index}: loads may not exceed p={p}, got {loads}")
+    sizes = np.array(loads)
+    if low > 0:
+        active = range(n)
+    else:
+        active = [i for i, l in enumerate(loads) if l > 0]
+        sizes = sizes[active]
+    float_sizes = sizes.astype(np.float64)
+    sizes.setflags(write=False)
+    float_sizes.setflags(write=False)
+    return Loads(loads, active, top, sum(loads) >= p, sizes, float_sizes)
 
 
 class ReceiptLog:
@@ -284,11 +369,11 @@ def _reaching(p, b, n_active, total):
     return min(-(-(p - n_active) // b) + n_active, total)
 
 
-def _first_extent(profile, send, counts, b, k):
+def _first_extent(pace, send, counts, b, k):
     """Each worker's estimated batches up to the k-th arrival, with a margin.
 
     Plain floats over one entry per loaded worker, whose alpha, beta,
-    time factor and broadcast time bc are profile's first four rows.  A
+    time factor and broadcast time bc are pace's four rows.  A
     batch's send time is about send, and its mean compute time
     b factor (alpha + 1 / beta); a worker delivers a batch per the larger
     of the two after the broadcast and the smaller.  The k earliest such
@@ -300,7 +385,7 @@ def _first_extent(profile, send, counts, b, k):
     tasks of scenario1 training's first iteration and 84% of its last ten.
     """
     free = []  # (start, batches per second, worker)
-    alpha, beta, factors, bc = profile[:4].tolist()
+    alpha, beta, factors, bc = pace.tolist()
     for i, (x, s, f, a, be) in enumerate(zip(bc, send.tolist(), factors, alpha, beta)):
         c = b * f * (a + 1.0 / be)
         if c > s:
@@ -399,10 +484,11 @@ def _solve(draws, spans, profile, cfg):
     draws are the task's (us, omega, sizes) over every slot of its flat
     worker-major layout, omega unscaled; spans are the [start, stop) slots
     of each worker to solve, in worker order, and profile has a column per
-    such worker and the rows alpha, beta, time factor, broadcast time, r
-    and rv.  Pass 1 sums each worker's compute times from its first batch,
-    evaluates each batch's link at its compute finish time and scans the
-    send times into the begins they imply (_scan); _fixed_point solves on.
+    such worker and the rows floor and tail (envmodels.comp_coefficients),
+    broadcast time, r and rv.  Pass 1 sums each worker's compute times
+    from its first batch, evaluates each batch's link at its compute
+    finish time and scans the send times into the begins they imply
+    (_scan); _fixed_point solves on.
     Each worker is a segment of its own, which no other worker's slots
     reach, so it gets the same bits whichever workers it is solved with.
     Returns (arrival, sizes, segments) over the solved slots, laid out as
@@ -412,20 +498,20 @@ def _solve(draws, spans, profile, cfg):
     starts, segments = _segments(width)
     us, omega, sizes = _take(draws, spans)
     per_slot = np.repeat(profile, width, axis=1)
-    alpha, beta, factors, bc = per_slot[:4]
-    cpu = comp_time(sizes, us, alpha, beta, factors)
+    floor, tail, bc = per_slot[:3]
+    cpu = comp_time_with(sizes, us, floor, tail)
     for seg in segments:
         np.add.accumulate(cpu[seg], out=cpu[seg])
     cpu += bc
     gain = link_gain(omega * cfg.noise_std_db, cfg)
-    tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[4:6], per_slot[6:], cpu),
+    tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[3:5], per_slot[5:], cpu),
                      gain, cfg)
     _, settled, busy = _scan(cpu, tau, starts, segments)
-    # pass 1's draws and 8-row profile go before the fixed point, which repeats r and rv
+    # pass 1's draws and 7-row profile go before the fixed point, which repeats r and rv
     # anew: in the other orders tried, glibc trimmed and regrew its heap on each late
     # scenario1 task (0.46-0.76 M minor page faults, up to 22% slower over 3,000 tasks)
-    del us, omega, per_slot, alpha, beta, factors, bc
-    geometry = np.repeat(profile[4:], width, axis=1)  # r and rv, per slot
+    del us, omega, per_slot, floor, tail, bc
+    geometry = np.repeat(profile[3:], width, axis=1)  # r and rv, per slot
     r, rv = geometry[:2], geometry[2:]
     bits = sizes * cfg.bits_per_element
     begin, tau = _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, cfg)
@@ -440,23 +526,23 @@ def _all_workers(n):
     return index
 
 
-def _loaded(world, active, factors):
-    """The loaded workers' index, geometry, compute profile and time factors, flat per worker.
+def _loaded(world, active, terms):
+    """The loaded workers' index, geometry and compute coefficients, flat per worker.
 
-    Returns (act, r, rv, alpha, beta, factors): r and rv, shape (2, A),
-    are the positions and velocities relative to the master with x and y
-    stacked, and factors the loaded workers' entries of the (N,) time
-    factors.  When every worker is loaded they are the world's own arrays,
-    the cached index and the given factors, with no gather; otherwise each
-    is gathered once.  All are read, never written.
+    Returns (act, r, rv, floor, tail): r and rv, shape (2, A), are the
+    positions and velocities relative to the master with x and y stacked,
+    and rv, floor and tail the loaded workers' entries of the episode's
+    terms (EpisodeTerms).  When every worker is loaded, those are the
+    terms' own arrays and act the cached index, with no gather; otherwise
+    each is gathered once.  All are read, never written.
     """
-    n = world.n_workers
+    n = len(world.beta)
     if len(active) == n:
-        return (_all_workers(n), (world.pos[1:] - world.pos[0]).T,
-                (world.vel[1:] - world.vel[0]).T, world.alpha, world.beta, factors)
+        r = (world.pos[1:] - world.pos[0]).T
+        return _all_workers(n), r, terms.rv, terms.floor, terms.tail
     act = np.array(active)
-    return (act, (world.pos[act + 1] - world.pos[0]).T, (world.vel[act + 1] - world.vel[0]).T,
-            world.alpha[act], world.beta[act], factors[act])
+    return (act, (world.pos[act + 1] - world.pos[0]).T, terms.rv[:, act], terms.floor[act],
+            terms.tail[act])
 
 
 def _draw_noise(rng, active, shadows, uniforms, cfg, heads=None):
@@ -490,27 +576,27 @@ def _broadcast_time(m, r, gain, cfg):
     return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
 
 
-def _one_batch(world, loads, active, p, m, factors, rng, cfg):
+def _one_batch(world, lay, p, m, terms, rng, cfg):
     """Receipts of a task whose loaded workers each send their load as one batch.
 
     Returns (ReceiptLog, rows received at completion).  The arrays are
     flat, one entry per loaded worker (see _loaded), and the sizes are the
-    loads.  Each batch begins once computed, so one evaluation of the link
-    gives the arrivals, and the log is read off their sorted order.
+    loads, laid out by check_loads (lay).  Each batch begins once computed,
+    so one evaluation of the link gives the arrivals, and the log is read
+    off their sorted order.
     """
+    active, sizes, float_sizes = lay.active, lay.sizes, lay.float_sizes
     omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
     us = np.empty(len(active))
     _draw_noise(rng, active, omega, us, cfg)
     if cfg.noise_std_db > 0:
         omega *= cfg.noise_std_db
     gain = link_gain(omega, cfg)
-    act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
-    sizes = np.array(loads)
-    if len(act) < len(loads):
-        sizes = sizes[act]
-    arrival = comp_time(sizes, us, alpha, beta, factors)
+    act, r, rv, floor, tail = _loaded(world, active, terms)
+    arrival = comp_time_with(float_sizes, us, floor, tail)
     arrival += _broadcast_time(m, r, gain[:, 0], cfg)
-    arrival += _send_time(sizes * cfg.bits_per_element, _dist2(r, rv, arrival), gain[:, 1], cfg)
+    arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival),
+                          gain[:, 1], cfg)
     order, received, n_kept = _reach(arrival, sizes, p)
     kept = order[: min(n_kept, len(act))]  # an infeasible task keeps every batch
     return ReceiptLog._of(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
@@ -523,7 +609,7 @@ def _layout_error(index, total, p, batch_size):
                       f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
 
 
-def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg, index):
+def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
@@ -536,6 +622,7 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
     int64 among them, is a ValueError naming task index, its size and the
     settings it grows with, p and the batch size.
     """
+    loads, active = lay.loads, lay.active
     try:
         counts, last = plan_batches([loads[i] for i in active], batch_size)
     except OverflowError:  # a load past int64: its slots are counted as Python ints
@@ -557,16 +644,17 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
     _draw_noise(rng, active, [omega[seg] for seg in segments], [us[seg] for seg in segments],
                 cfg, heads)
     heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
-    act, r, rv, alpha, beta, factors = _loaded(world, active, factors)
+    act, r, rv, floor, tail = _loaded(world, active, terms)
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
-    profile = np.concatenate((alpha[None], beta[None], factors[None], bc[None], r, rv))
+    profile = np.concatenate((floor[None], tail[None], bc[None], r, rv))
     extent = counts  # an infeasible task keeps, so solves, every batch
-    if feasible:  # a batch's send time, unshadowed, where the broadcast ends
+    if lay.feasible:  # a batch's send time, unshadowed, where the broadcast ends
         send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
                           link_gain(0.0, cfg), cfg)
         k = _reaching(p, batch_size, len(active), total)
+        pace = np.array((world.alpha[act], world.beta[act], terms.factors[act], bc))
         extent = [min(c, max(1, e)) for c, e in
-                  zip(counts, _first_extent(profile, send, counts, batch_size, k))]
+                  zip(counts, _first_extent(pace, send, counts, batch_size, k))]
     draws = (us, omega, sizes)
     todo = range(len(counts))  # the workers to solve
     arrivals, batches = [None] * len(counts), [None] * len(counts)  # each worker's latest
@@ -596,19 +684,23 @@ def _batched(world, loads, active, batch_size, p, m, feasible, factors, rng, cfg
             int(received[n_kept - 1]))
 
 
-def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
+def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     loads holds one non-negative integer per worker, each at most p, the
-    rows needed to decode; any other loads are a ValueError that names
-    task index.  A tuple of plain ints, what run_episode passes, is
-    checked as it is, with no copy or float round trip.  m is the length of the broadcast payload.
-    batch_size is an int: a worker sends its load in batches of that many
-    rows, so any batch size >= the largest load, p among them, sends one
-    batch per worker.  factors is the (N,) float64 vector of the workers'
-    computation-time multiples (envmodels.time_factors).  All-zero loads
-    dispatch nothing: the record is infeasible, takes 0 s, has an empty
-    receipt log and 0 rows received, and the world is returned unchanged.
+    rows needed to decode; check_loads checks and lays them out, and any
+    other loads are a ValueError that names task index.  Loads that
+    check_loads returned for this world's worker count and this p, what
+    run_episode passes for a baseline, are taken as they are.  m is the
+    length of the broadcast payload.  batch_size is an int: a worker sends
+    its load in batches of that many rows, so any batch size >= the
+    largest load, p among them, sends one batch per worker.  terms is
+    episode_terms of this world's episode: the (N,) float64 time factors
+    (envmodels.time_factors), the workers' velocities relative to the
+    master and their compute coefficients, which no task changes.
+    All-zero loads dispatch nothing: the record is infeasible, takes 0 s,
+    has an empty receipt log and 0 rows received, and the world is
+    returned unchanged.
     A link whose capacity underflows to zero makes the completion infinite,
     which raises ValueError rather than moving the world to an infinite
     clock.
@@ -652,10 +744,13 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     When every loaded worker sends its load as one batch (batch_size at
     least the largest load), the task takes its own path
     (_one_batch) on flat arrays, one entry per loaded worker: the sizes
-    are the loads, each batch begins once computed, so the arrivals are
-    cpu + tau, sorted as above, with no plan_batches call, fixed point
-    or extension.  It calls the same link, compute and sort
-    helpers, so each model expression has one copy.
+    are the loads, as check_loads laid them out, each batch begins once
+    computed, so the arrivals are cpu + tau, sorted as above, with no
+    plan_batches call, fixed point or extension.  It calls the same link,
+    compute and sort helpers, so each model expression has one copy.  Both
+    paths compute from the terms' compute coefficients (envmodels.
+    comp_time_with), and _first_extent's estimate alone reads alpha, beta
+    and the time factors themselves.
 
     Worker i's noise, the stream rng.substream("worker", i), is drawn
     through rng.fresh_gens("worker", active), one loop that re-keys the
@@ -668,45 +763,21 @@ def run_task(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
     differs from s z only in a zero's sign, and link_gain adds a nonzero
     constant to it.
     """
-    loads = tuple(loads)
-    n = len(world.beta)
-    if len(loads) != n:
-        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, world has {n}")
-    exact = {*map(type, loads)} == _INT  # no float round trip for plain ints
-    low = min(loads)
-    if low < 0 or not (exact or all(float(l).is_integer() for l in loads)):
-        raise ValueError(f"task {index}: loads must be non-negative integers, got {loads}")
-    if not exact:
-        loads = tuple(map(int, loads))
-    top = max(loads)
-    if top > p:
-        raise ValueError(f"task {index}: loads may not exceed p={p}, got {loads}")
-    if top == 0:  # nothing dispatched: the task takes no time and completes nothing
-        return TaskRecord(index=index, dispatch_time=world.clock, t_complete=0.0,
-                          receipt_log=ReceiptLog(), rows_received_at_completion=0,
-                          feasible=False, loads=loads), world
-    feasible = sum(loads) >= p
+    lay = loads if type(loads) is Loads else check_loads(loads, len(world.beta), p, index)
+    if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing
+        return TaskRecord(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
 
-    active = range(n) if low > 0 else [i for i, l in enumerate(loads) if l > 0]
-    if batch_size >= top:  # each worker's one batch is its whole load
-        receipt_log, rows = _one_batch(world, loads, active, p, m, factors, rng, cfg)
+    if batch_size >= lay.top:  # each worker's one batch is its whole load
+        receipt_log, rows = _one_batch(world, lay, p, m, terms, rng, cfg)
     else:
-        receipt_log, rows = _batched(world, loads, active, batch_size, p, m, feasible,
-                                     factors, rng, cfg, index)
+        receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
                          "so the task never completes")
 
-    record = TaskRecord(
-        index=index,
-        dispatch_time=world.clock,
-        t_complete=t_done,
-        receipt_log=receipt_log,
-        rows_received_at_completion=rows,
-        feasible=feasible,
-        loads=loads,
-    )
+    # by position: keywords cost half as much again
+    record = TaskRecord(index, world.clock, t_done, receipt_log, rows, lay.feasible, lay.loads)
     # built directly: dataclasses.replace costs twice as much
     pos = advance(world.pos, world.vel, t_done)
     return record, WorldState(pos, world.vel, world.alpha, world.beta, world.clock + t_done)
@@ -798,14 +869,17 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     scales taken once per episode; from task 1 on, the velocity columns
     are copied from the previous task's states (build_state's like).  A
     non-finite load raises NonFiniteLoadError; the others are rounded to
-    the nearest integers and handed to run_task, whose ValueError names
-    the task of a rounded load below 0 or above p.  An allocator whose attribute per_episode is
-    True (the baselines of experiments.make_allocator) promises loads that
-    depend only on the workers' compute profiles, which are fixed for the
-    episode: it is called once, at task 0, with states=None, its loads
-    serve all K tasks, no state is built, and the record's states is ().
-    Any other allocator is called, gets states and has its loads read anew
-    on every task.
+    the nearest integers and checked (check_loads), whose ValueError names
+    the task of a rounded load below 0 or above p.  An allocator whose
+    attribute per_episode is True (the baselines of
+    experiments.make_allocator) promises loads that depend only on the
+    workers' compute profiles, which are fixed for the episode: it is
+    called once, at task 0, with states=None, its loads are checked and
+    laid out once and serve all K tasks, no state is built, and the
+    record's states is ().  Any other allocator is called, gets states and
+    has its loads read, and checked by run_task, anew on every task.
+    The time factors and the terms derived from them and the first world
+    (episode_terms) are taken once and handed to every task.
     Every task runs at scenario.batch_size, the victim is slowed when
     scenario.straggler_enabled is set, and each task is scored by
     reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
@@ -815,6 +889,7 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     world, victim = sample_world(scenario, rng.substream("env"))
     factors = time_factors(scenario.n_workers, victim, scenario.straggler_enabled,
                            scenario.straggler_slowdown)
+    terms = episode_terms(world, factors)
     scales = state_scales(scenario)
 
     tasks, states_all, rewards = [], [], []
@@ -830,9 +905,11 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if not all(map(math.isfinite, raw)):
                 raise NonFiniteLoadError(j, raw)
             loads = tuple([int(round(v)) for v in raw])  # int loads pass through as the same objects
+            if per_episode:  # checked and laid out once, for every task
+                loads = check_loads(loads, len(world.beta), p, j)
 
         rec, world = run_task(
-            world, loads, scenario.batch_size, p, scenario.m_cols, factors,
+            world, loads, scenario.batch_size, p, scenario.m_cols, terms,
             task_rng.substream(j), scenario.comm, index=j,
         )
         tasks.append(rec)

@@ -23,7 +23,9 @@ from macc.config import ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import sweep_batch
 from macc.numerics import RngStream
-from macc.simcore import WorldState, _dist2, _scan, _segments, _send_time, run_task, sample_world
+from macc.simcore import (
+    WorldState, _dist2, _scan, _segments, _send_time, episode_terms, run_task, sample_world,
+)
 
 from scalar_oracle import capacity, run_task_scalar
 
@@ -32,15 +34,15 @@ NO_STRAGGLER = (False, 0, 10.0)  # the oracle's (enabled, victim, slowdown_facto
 DESK_P = preset_scenario("desk").p_rows
 
 
-def factors_of(n, straggler):
-    """run_task's time factors of n workers under the oracle's straggler rule."""
+def terms_of(world, straggler):
+    """run_task's episode terms of world under the oracle's straggler rule."""
     enabled, victim, slowdown_factor = straggler
-    return time_factors(n, victim, enabled, slowdown_factor)
+    return episode_terms(world, time_factors(world.n_workers, victim, enabled, slowdown_factor))
 
 
 def run_both(world, loads, p, m, batch_size, straggler, cfg, seed):
     args = (world, loads, batch_size, p, m)
-    got, _ = run_task(*args, factors_of(world.n_workers, straggler),
+    got, _ = run_task(*args, terms_of(world, straggler),
                       RngStream(seed).substream("task"), cfg)
     want = run_task_scalar(*args, straggler, RngStream(seed).substream("task"), cfg)
     return got, want
@@ -204,7 +206,7 @@ class TestAgainstScalarOracle:
         for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
                                          ([50, 60, 0, 70], 20, 1)):
             calls.update(plan_batches=0, substream=0)
-            run_task(world, loads, batch_size, 120, 50, time_factors(4, victim, True, 10.0),
+            run_task(world, loads, batch_size, 120, 50, terms_of(world, (True, victim, 10.0)),
                      task_rng, CommConfig())
             assert calls["plan_batches"] == plans
             assert calls["substream"] == 0
@@ -288,8 +290,9 @@ PINNED_ONE_BATCH_PAPER_TASKS = {
 def run_paper_task(far):
     """scenario1's task 3 at seed 0 at batch size 1, every worker at p rows."""
     scenario = preset_scenario("scenario1")
-    return run_task(scenario1_world(far), (scenario.p_rows,) * 3, 1, scenario.p_rows,
-                    scenario.m_cols, time_factors(3, 0, False, 10.0),
+    world = scenario1_world(far)
+    return run_task(world, (scenario.p_rows,) * 3, 1, scenario.p_rows,
+                    scenario.m_cols, terms_of(world, NO_STRAGGLER),
                     RngStream(0).substream("task", 3), CommConfig())
 
 
@@ -324,7 +327,7 @@ class TestPinnedOutputs:
         world, victim = sample_world(scenario, RngStream(8).substream("env"))
         assert victim == 1  # the straggler case slows a loaded worker
         rec, nxt = run_task(world, loads, batch_size, scenario.p_rows, scenario.m_cols,
-                            time_factors(4, victim, straggling, 10.0),
+                            terms_of(world, (straggling, victim, 10.0)),
                             RngStream(8).substream("task", 3), CommConfig(noise_std_db=noise_std_db))
         assert_pinned(rec, nxt, pinned)
 
@@ -342,7 +345,7 @@ class TestPinnedOutputs:
         p = scenario.p_rows
         cfg = replace(scenario.comm, noise_std_db=noise_std_db)
         rec, nxt = run_task(world, loads, p, p, scenario.m_cols,
-                            time_factors(5, victim, straggling, scenario.straggler_slowdown),
+                            terms_of(world, (straggling, victim, scenario.straggler_slowdown)),
                             RngStream(0).substream("task", 3), cfg)
         assert rec.feasible == (case != "infeasible")
         assert_pinned(rec, nxt, pinned)
@@ -364,9 +367,9 @@ def paper_oracle(far):
 @pytest.fixture
 def extents(monkeypatch):
     """Each _solve call run_task makes, in order: (the slots it solves of each worker
-    it solves, the slots comp_time computed in it)."""
+    it solves, the slots comp_time_with computed in it)."""
     calls = []
-    solve, comp = simcore._solve, simcore.comp_time
+    solve, comp = simcore._solve, simcore.comp_time_with
     computed = []
 
     def counting_comp(rows, *args):
@@ -379,7 +382,7 @@ def extents(monkeypatch):
         calls.append(([stop - start for start, stop in spans], sum(computed)))
         return out
 
-    monkeypatch.setattr(simcore, "comp_time", counting_comp)
+    monkeypatch.setattr(simcore, "comp_time_with", counting_comp)
     monkeypatch.setattr(simcore, "_solve", recording)
     return calls
 
@@ -677,7 +680,8 @@ class TestPassBound:
 
     def test_capacity_underflow_raises(self):
         # the link's capacity underflows to 0 mid-stream, so a send time is infinite
-        args = (crossing_world(), [1342], 2, 1416, 3210, factors_of(1, NO_STRAGGLER),
+        world = crossing_world()
+        args = (world, [1342], 2, 1416, 3210, terms_of(world, NO_STRAGGLER),
                 RngStream(3).substream("task"), CommConfig(noise_std_db=4.0))
         with pytest.warns(RuntimeWarning):  # divide by zero, then inf - inf
             with pytest.raises(ValueError, match="task 0: a link's capacity fell to zero"):
@@ -746,7 +750,69 @@ def scan_matches_padded_scan(cpu, tau, counts):
     return found[0]
 
 
+def one_batch_as_before(world, loads, p, m, factors, rng, cfg):
+    """A one-batch task with every term derived in the task, from the world and the time
+    factors, as run_task did before it took an episode's terms and checked loads: the
+    receipt arrays, the completion time, the rows received and the next pos and clock."""
+    act = np.array([i for i, l in enumerate(loads) if l > 0])
+    omega, us = np.zeros((act.size, 2)), np.empty(act.size)
+    simcore._draw_noise(rng, act.tolist(), omega, us, cfg)
+    if cfg.noise_std_db > 0:
+        omega *= cfg.noise_std_db
+    gain = link_gain(omega, cfg)
+    r = (world.pos[act + 1] - world.pos[0]).T
+    rv = (world.vel[act + 1] - world.vel[0]).T
+    alpha, beta, f = world.alpha[act], world.beta[act], factors[act]
+    sizes = np.array(loads)[act]
+    arrival = sizes * (alpha * f - f / beta * np.log1p(-us))
+    arrival += simcore._broadcast_time(m, r, gain[:, 0], cfg)
+    arrival += _send_time(sizes * cfg.bits_per_element, _dist2(r, rv, arrival), gain[:, 1], cfg)
+    order, received, n_kept = simcore._reach(arrival, sizes, p)
+    kept = order[:min(n_kept, act.size)]
+    t = float(arrival[kept[-1]])
+    return ((act[kept], sizes[kept], arrival[kept]), t, int(received[kept.size - 1]),
+            world.pos + world.vel * t, world.clock + t)
+
+
+# scenario3 at seed 0, whose straggler victim is worker 3: (loads, straggler on, noise_std_db)
+ONE_BATCH_EPISODES = {
+    "straggler victim loaded": (S3_UNIFORM, True, 1.0),
+    "straggler victim idle": ((2500, 2500, 2500, 0, 2500), True, 1.0),
+    "a zero-load worker": ((2500, 2500, 0, 2500, 2500), False, 1.0),
+    "infeasible": ((3000, 0, 2000, 1000, 1500), True, 1.0),
+    "noiseless": (S3_UNIFORM, True, 0.0),
+}
+
+
 class TestSameBitsAsBefore:
+    @pytest.mark.parametrize("checked", [True, False], ids=["checked once", "raw"])
+    @pytest.mark.parametrize("case", ONE_BATCH_EPISODES)
+    def test_one_batch_tasks_from_episode_terms_match_per_task_terms(self, case, checked):
+        # five tasks in a row from one world: the terms taken at the first hold for the
+        # worlds the tasks move it to, and loads checked once serve every task
+        loads, straggling, noise_std_db = ONE_BATCH_EPISODES[case]
+        scenario = preset_scenario("scenario3")
+        world, victim = sample_world(scenario, RngStream(0).substream("env"))
+        assert victim == 3
+        p = scenario.p_rows
+        cfg = replace(scenario.comm, noise_std_db=noise_std_db)
+        factors = time_factors(5, victim, straggling, scenario.straggler_slowdown)
+        terms = episode_terms(world, factors)
+        given = simcore.check_loads(loads, 5, p) if checked else loads
+        task_rng = RngStream(0).substream("task")
+        for j in range(5):
+            rec, nxt = run_task(world, given, p, p, scenario.m_cols, terms,
+                                task_rng.substream(j), cfg, index=j)
+            receipts, t, rows, pos, clock = one_batch_as_before(
+                world, loads, p, scenario.m_cols, factors, task_rng.substream(j), cfg)
+            log = rec.receipt_log
+            for got, want in zip((log.workers, log.rows, log.arrivals), receipts):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (rec.t_complete, rec.rows_received_at_completion) == (t, rows)
+            assert (rec.index, rec.loads, rec.feasible) == (j, loads, case != "infeasible")
+            assert (nxt.pos.tobytes(), nxt.clock) == (pos.tobytes(), clock)
+            world = nxt
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_send_time_matches_four_arrays(self, seed):
         gen = np.random.default_rng(seed)
@@ -863,11 +929,21 @@ class TestSameBitsAsBefore:
             assert factors.dtype == np.float64 and factors.shape == (n,)
             assert factors.tobytes() == want.tobytes()
             assert not factors.flags.writeable
-            # all loaded: the vector as given; otherwise a gather
-            assert simcore._loaded(world, list(range(n)), factors)[-1] is factors
+            terms = episode_terms(world, factors)
+            assert terms.factors is factors
+            # the coefficients of comp_time, and the velocities relative to the master
+            assert terms.floor.tobytes() == (world.alpha * want).tobytes()
+            assert terms.tail.tobytes() == (want / world.beta).tobytes()
+            assert terms.rv.tobytes() == (world.vel[1:] - world.vel[0]).T.tobytes()
+            assert not any(a.flags.writeable for a in terms)
+            # all loaded: the terms' own arrays; otherwise a gather
+            _, _, rv, floor, tail = simcore._loaded(world, range(n), terms)
+            assert rv is terms.rv and floor is terms.floor and tail is terms.tail
             for active in ([0, 2, 4], [0, 1, 3], [victim]):
-                got = simcore._loaded(world, active, factors)[-1]
-                assert got.tobytes() == want[active].tobytes()
+                _, _, rv, floor, tail = simcore._loaded(world, active, terms)
+                assert rv.tobytes() == (world.vel[np.add(active, 1)] - world.vel[0]).T.tobytes()
+                assert floor.tobytes() == terms.floor[active].tobytes()
+                assert tail.tobytes() == (want[active] / world.beta[active]).tobytes()
 
 
 # ---------------------------------------------------------------- properties
@@ -902,7 +978,7 @@ def simulate(task, p=None):
     p = task["p"] if p is None else p
     world = task["world"]
     rec, _ = run_task(world, task["loads"], task["batch_size"], p, task["m"],
-                      factors_of(world.n_workers, task["straggler"]),
+                      terms_of(world, task["straggler"]),
                       RngStream(task["seed"]).substream("task"), task["cfg"])
     return rec
 

@@ -9,7 +9,9 @@ from macc.envmodels import (
     ConfigError,
     advance,
     channel_capacity,
+    comp_coefficients,
     comp_time,
+    comp_time_with,
     link_gain,
     time_factors,
 )
@@ -210,6 +212,12 @@ class TestCompTime:
             want = slow * (alpha[i, 0] * rows[i, j] - rows[i, j] / beta[i, 0] * math.log1p(-u[i, j]))
             assert v == pytest.approx(want, rel=1e-14, abs=0.0)
         assert t[0, 2] == 0.0 and t[1, 1] == 0.0
+        # the two steps give the bits of the one expression they split
+        slow = np.array([[1.0], [11.0]])
+        one = rows * (alpha * slow - slow / beta * np.log1p(-u))
+        assert t.tobytes() == one.tobytes()
+        floor, tail = comp_coefficients(alpha, beta, slow)
+        assert comp_time_with(rows, u, floor, tail).tobytes() == one.tobytes()
 
 
 class TestKinematics:

@@ -65,7 +65,9 @@ def test_records_one_batch_training_at_batch_size_p(tool, tmp_path, capsys):
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
     assert len(calls) == 50
-    assert {(batch_size, p) for _, _, batch_size, p, *_ in calls} == {(200, 200)}
+    assert {(batch_size, p) for _, _, _, batch_size, p, *_ in calls} == {(200, 200)}
+    # a policy's loads are checked in each task, not once per episode
+    assert not any(checked for _, _, checked, *_ in calls)
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 50
 
@@ -79,9 +81,12 @@ def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
     assert len(calls) == 2 * 2 * 5  # two schemes, two episodes, desk's five tasks each
-    # baselines send one batch per worker, and the straggler victim is slowed
-    assert all(batch_size == p == 200 for _, _, batch_size, p, *_ in calls)
-    assert all(factors.max() > 1.0 for *_, factors, _, _, _ in calls)
+    # baselines send one batch per worker, with loads checked once per episode, and the
+    # straggler victim is slowed: the episode's terms are its time factors, the velocities
+    # relative to the master and the compute coefficients
+    assert all(batch_size == p == 200 for _, _, _, batch_size, p, *_ in calls)
+    assert all(checked for _, _, checked, *_ in calls)
+    assert all(len(terms) == 4 and terms[0].max() > 1.0 for *_, terms, _, _, _ in calls)
     assert [loads for _, loads, *_ in calls[:10]] == [uniform_alloc(200, 4)] * 10
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20

@@ -20,6 +20,7 @@ from macc.simcore import (
     TaskRecord,
     WorldState,
     build_state,
+    episode_terms,
     reward,
     run_episode,
     run_task,
@@ -31,9 +32,9 @@ from macc.simcore import (
 NOISELESS = CommConfig(noise_std_db=0.0)
 
 
-def no_straggler(n):
-    """Time factors of n workers with the straggler off: 1.0 each."""
-    return time_factors(n, 0, False, 10.0)
+def no_straggler(world):
+    """run_task's episode terms of world with the straggler off: time factors of 1.0 each."""
+    return episode_terms(world, time_factors(world.n_workers, 0, False, 10.0))
 
 
 def send_per_row(d):
@@ -57,10 +58,9 @@ def world_arrays(world):
 
 
 def run_deterministic(world, loads, p, m, batch_size, factors=None, seed=0):
-    if factors is None:
-        factors = no_straggler(world.n_workers)
+    terms = no_straggler(world) if factors is None else episode_terms(world, factors)
     return run_task(
-        world, loads, batch_size, p, m, factors, RngStream(seed).substream("task"), NOISELESS,
+        world, loads, batch_size, p, m, terms, RngStream(seed).substream("task"), NOISELESS,
     )
 
 
@@ -100,7 +100,8 @@ class TestLoadAllocation:
     def test_load_errors_name_their_task(self, loads, message):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
         with pytest.raises(ValueError) as err:
-            run_task(world, loads, 10, 10, 5, no_straggler(2), RngStream(0), NOISELESS, index=5)
+            run_task(world, loads, 10, 10, 5, no_straggler(world), RngStream(0), NOISELESS,
+                     index=5)
         assert str(err.value) == f"task 5: {message}"
 
     def test_integral_floats_accepted_as_ints(self):
@@ -218,8 +219,8 @@ class TestReceiptLog:
     def noisy_task():
         world = make_world([((1.0, 0.0), (0.5, 0.0), 1e-3, 1e3),
                             ((3.0, 4.0), (0.0, -1.0), 2e-3, 2e3)])
-        rec, _ = run_task(world, (9, 7), 2, 12, 5, no_straggler(2), RngStream(3).substream("task"),
-                          CommConfig(noise_std_db=4.0))
+        rec, _ = run_task(world, (9, 7), 2, 12, 5, no_straggler(world),
+                          RngStream(3).substream("task"), CommConfig(noise_std_db=4.0))
         return rec.receipt_log
 
     def test_arrays_and_python_triples(self):
@@ -284,10 +285,11 @@ class TestReceiptLog:
         scenario = preset_scenario("scenario1", seed=0)
         world, victim = sample_world(scenario, RngStream(0).substream("env"))
         loads = hcmm_alloc(scenario.p_rows, world.alpha, world.beta).loads
-        factors = time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown)
+        terms = episode_terms(
+            world, time_factors(scenario.n_workers, victim, False, scenario.straggler_slowdown))
 
         def task():
-            return run_task(world, loads, 1, scenario.p_rows, scenario.m_cols, factors,
+            return run_task(world, loads, 1, scenario.p_rows, scenario.m_cols, terms,
                             RngStream(0).substream("task", 0), scenario.comm)
 
         task()  # first-call caches are not the record's
@@ -317,7 +319,7 @@ class TestRunTaskValidation:
 
     def test_all_zero_loads_record_an_infeasible_zero_time_task(self):
         world = replace(make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2), clock=2.5)
-        rec, after = run_task(world, [0, 0.0], 10, 10, 5, no_straggler(2), RngStream(0),
+        rec, after = run_task(world, [0, 0.0], 10, 10, 5, no_straggler(world), RngStream(0),
                               NOISELESS, index=4)
         assert rec == TaskRecord(index=4, dispatch_time=2.5, t_complete=0.0,
                                  receipt_log=ReceiptLog(), rows_received_at_completion=0,
@@ -328,10 +330,11 @@ class TestRunTaskValidation:
     def test_episode_records_the_zero_task_run_task_builds(self):
         ep = run_episode(TINY, lambda w, s: (0, 0), RngStream(4))
         world, victim = sample_world(TINY, RngStream(4).substream("env"))
-        factors = time_factors(2, victim, TINY.straggler_enabled, TINY.straggler_slowdown)
+        terms = episode_terms(
+            world, time_factors(2, victim, TINY.straggler_enabled, TINY.straggler_slowdown))
         for j, rec in enumerate(ep.tasks):
             want, world = run_task(world, (0, 0), TINY.batch_size, TINY.p_rows, TINY.m_cols,
-                                   factors, RngStream(4).substream("task", j), TINY.comm,
+                                   terms, RngStream(4).substream("task", j), TINY.comm,
                                    index=j)
             assert rec == want
 
@@ -342,7 +345,7 @@ class TestRunTaskValidation:
         # a load of 2^63 rows is past int64 itself
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)])
         with pytest.raises(ValueError) as err:
-            run_task(world, (rows,), 1, rows, 5, no_straggler(1), RngStream(0), NOISELESS,
+            run_task(world, (rows,), 1, rows, 5, no_straggler(world), RngStream(0), NOISELESS,
                      index=3)
         assert str(err.value) == (
             f"task 3: a batch layout of {rows} slots cannot be allocated; it holds one slot "
@@ -355,7 +358,7 @@ class TestRunTaskValidation:
         rows = 2**62 + 2**61
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 3)
         with pytest.raises(ValueError, match=f"^task 0: a batch layout of {3 * rows} slots "):
-            run_task(world, (rows,) * 3, 1, rows, 5, no_straggler(3), RngStream(0), NOISELESS)
+            run_task(world, (rows,) * 3, 1, rows, 5, no_straggler(world), RngStream(0), NOISELESS)
 
     def test_zero_load_worker_draws_nothing(self):
         # worker 1 idle: its arrival pattern must not disturb worker 0
@@ -405,8 +408,8 @@ class TestWorkerNoise:
         world, _ = sample_world(ScenarioConfig(n_workers=5), RngStream(3).substream("env"))
 
         def task(j):
-            run_task(world, [4] * 5, 12, 12, 6, no_straggler(5), RngStream(3).substream("task", j),
-                     CommConfig())
+            run_task(world, [4] * 5, 12, 12, 6, no_straggler(world),
+                     RngStream(3).substream("task", j), CommConfig())
 
         task(0)  # builds the one re-keyed generator
         built = []
@@ -557,6 +560,34 @@ class TestRunEpisode:
             run_episode(TINY, lambda w, s: (9, -1), RngStream(4))
         with pytest.raises(ValueError, match=r"^task 1: loads may not exceed p=8, got \(9, 0\)$"):
             run_episode(TINY, lambda w, s: (8.6, 0) if w.clock > 0 else (4, 4), RngStream(4))
+
+    @pytest.mark.parametrize("per_episode", [True, False])
+    def test_a_baselines_loads_are_checked_once_per_episode(self, monkeypatch, per_episode):
+        # a baseline's loads are checked and laid out at task 0 and serve every task;
+        # a per-task allocator's are checked in each task, by the same function
+        checked = []
+        check = simcore.check_loads
+        monkeypatch.setattr(simcore, "check_loads",
+                            lambda *args: checked.append(args[3]) or check(*args))
+
+        def allocator(world, states):
+            return (5.0, 4)
+
+        allocator.per_episode = per_episode
+        ep = run_episode(replace(TINY, k_tasks=4), allocator, RngStream(4))
+        assert checked == ([0] if per_episode else [0, 1, 2, 3])
+        assert [t.loads for t in ep.tasks] == [(5, 4)] * 4
+        monkeypatch.undo()
+        allocator.per_episode = not per_episode
+        assert run_episode(replace(TINY, k_tasks=4), allocator, RngStream(4)).tasks == ep.tasks
+
+    def test_a_baselines_load_above_p_names_task_0_and_p(self):
+        def allocator(world, states):
+            return (9, 0)
+
+        allocator.per_episode = True
+        with pytest.raises(ValueError, match=r"^task 0: loads may not exceed p=8, got \(9, 0\)$"):
+            run_episode(TINY, allocator, RngStream(4))
 
     def test_raw_loads_rounded_to_nearest(self):
         ep = run_episode(TINY, lambda w, s: (3.4999, 4.5), RngStream(4))

@@ -14,7 +14,9 @@ again:
     PYTHONPATH=src python tools/replay_tasks.py replay late.pkl
 
 ``record`` keeps the inputs of ``simcore.run_task`` calls, as plain
-numbers and arrays, in a pickle.  By default it runs ``marl.train`` with
+numbers and arrays, in a pickle: the episode's terms as their arrays,
+and the loads as a tuple, with whether they came checked once for the
+episode (a ``simcore.Loads``).  By default it runs ``marl.train`` with
 the default TrainConfig at the preset and seed, keeps the calls made in
 the iterations [first, stop), and stops training after the last of them;
 ``--batch-size`` trains at that batch size, an int or ``p`` for p_rows
@@ -63,12 +65,13 @@ def _recorder(path, what, keep=lambda: True):
     calls = []
     run_task = simcore.run_task
 
-    def recording(world, loads, batch_size, p, m, factors, rng, cfg, index=0):
+    def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
         if keep():
+            checked = type(loads) is simcore.Loads
             calls.append(((world.pos, world.vel, world.alpha, world.beta, world.clock),
-                          tuple(loads), batch_size, p, m, factors, (rng.seed, rng.stream),
-                          dataclasses.asdict(cfg), index))
-        return run_task(world, loads, batch_size, p, m, factors, rng, cfg, index)
+                          tuple(loads.loads if checked else loads), checked, batch_size, p, m,
+                          tuple(terms), (rng.seed, rng.stream), dataclasses.asdict(cfg), index))
+        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index)
 
     simcore.run_task = recording
     try:
@@ -115,14 +118,27 @@ def record_compare(path, preset, seed, schemes, episodes, straggler):
 
 
 def _replay(calls):
-    """Seconds inside run_task over the calls, and a digest of every record and next world."""
+    """Seconds inside run_task over the calls, and a digest of every record and next world.
+
+    Loads that were passed checked (a simcore.Loads) are checked again
+    before the clock starts.  A macc from before simcore.EpisodeTerms
+    takes the time factors, the terms' first array, and the raw loads.
+    """
     from macc import envmodels, numerics, simcore
 
     h = hashlib.sha256()
     spent = 0.0
-    for world, loads, batch_size, p, m, factors, (seed, stream), cfg, index in calls:
-        args = (simcore.WorldState(*world), loads, batch_size, p, m, factors,
-                numerics.RngStream(seed, stream), envmodels.CommConfig(**cfg), index)
+    terms_api = hasattr(simcore, "EpisodeTerms")
+    for world, loads, checked, batch_size, p, m, terms, (seed, stream), cfg, index in calls:
+        world = simcore.WorldState(*world)
+        if not terms_api:
+            terms = terms[0]
+        else:
+            terms = simcore.EpisodeTerms(*terms)
+            if checked:
+                loads = simcore.check_loads(loads, world.n_workers, p, index)
+        args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream),
+                envmodels.CommConfig(**cfg), index)
         start = time.perf_counter()
         rec, nxt = simcore.run_task(*args)
         spent += time.perf_counter() - start
