@@ -139,7 +139,15 @@ def polyak_update(nets, tau):
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform with-replacement sampling."""
+    """Fixed-capacity ring of transitions with uniform with-replacement sampling.
+
+    The ring keeps each observation once: a transition's next state is
+    the observation in the slot after it, or zeros when it ends its
+    episode (done 1).  push writes whole episodes in ring order, so no
+    kept transition's successor is overwritten before the transition
+    itself, and the newest transition ends an episode: the next state
+    read from the following slot is always the one the transition had.
+    """
 
     def __init__(self, capacity, n_workers, sdim):
         """Allocate the ring; a capacity whose arrays cannot be allocated is a ConfigError.
@@ -153,10 +161,9 @@ class ReplayBuffer:
             self.states = np.zeros((self.capacity, n_workers, sdim))
             self.actions = np.zeros((self.capacity, n_workers))
             self.rewards = np.zeros(self.capacity)
-            self.next_states = np.zeros((self.capacity, n_workers, sdim))
             self.dones = np.zeros(self.capacity)
         except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
-            wanted = self.capacity * (2 * n_workers * sdim + n_workers + 2) * 8
+            wanted = self.capacity * (n_workers * sdim + n_workers + 2) * 8
             raise ConfigError(
                 f"train.replay_capacity: a buffer of {self.capacity} transitions needs "
                 f"{wanted} bytes, which cannot be allocated"
@@ -168,24 +175,22 @@ class ReplayBuffer:
         """Store one episode's K transitions, as K single writes in task order would.
 
         states holds the episode's (K, N, sdim) observations, actions its
-        (K, N) normalized loads and rewards its K rewards.  Transition j's
-        next state is states[j + 1], with done 0; the last transition's is
-        all zeros, with done 1.  Each array takes the episode in at most
-        two slice writes, the second where the ring wraps to its start;
-        when K exceeds the capacity, only the last capacity transitions
-        are written, which are the ones K single writes would leave.
+        (K, N) normalized loads and rewards its K rewards; the last
+        transition has done 1, the others done 0.  Each array takes the
+        episode in at most two slice writes, the second where the ring
+        wraps to its start; when K exceeds the capacity, only the last
+        capacity transitions are written, which are the ones K single
+        writes would leave.
         """
         k = len(rewards)
         keep = min(k, self.capacity)
         skip = k - keep
-        states = states[skip:]
         dones = np.zeros(keep)
         dones[-1] = 1.0
         episode = (
-            (self.states, states),
+            (self.states, states[skip:]),
             (self.actions, actions[skip:]),
             (self.rewards, rewards[skip:]),
-            (self.next_states, np.concatenate((states[1:], np.zeros_like(states[:1])))),
             (self.dones, dones),
         )
         start = (self.cursor + skip) % self.capacity
@@ -200,18 +205,23 @@ class ReplayBuffer:
     def sample(self, n, rng):
         """n transitions drawn uniformly with replacement from the stored ones.
 
-        rng is the minibatch's own stream, which makes its one draw at
-        once, so it draws through rng.fresh_gen(): no Generator is built.
+        Each next state is read from the slot after its transition and
+        zeroed where the transition ends its episode.  rng is the
+        minibatch's own stream, which makes its one draw at once, so it
+        draws through rng.fresh_gen(): no Generator is built.
         """
         if self.size < 1:
             raise ValueError("cannot sample from an empty replay buffer")
         idx = rng.fresh_gen().integers(0, self.size, size=n)
+        dones = self.dones[idx]
+        next_states = self.states[(idx + 1) % self.capacity]
+        next_states[dones == 1.0] = 0.0
         return {
             "states": self.states[idx],
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
-            "next_states": self.next_states[idx],
-            "dones": self.dones[idx],
+            "next_states": next_states,
+            "dones": dones,
         }
 
 

@@ -21,7 +21,8 @@ into the next call.
 RngStream.fresh_gens(token, indices) re-keys that Generator for each index
 in turn, to the start of substream(token, i), folding token once: the
 engine's loop over a task's loaded workers, each of which makes all its
-draws before the next one draws (simcore._draw_noise).
+draws before the next one draws (simcore._one_batch_noise and
+_batched_noise).
 
 A substream folds its tokens into the stream id one by one, left to
 right, so substream(a).substream(b) is substream(a, b).  A plain int

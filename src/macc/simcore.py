@@ -30,33 +30,59 @@ the shared generator for each in turn: it folds "worker" once and builds
 no RngStream, generator or dict per worker.  A worker that sends one
 batch draws its compute uniform as a float, straight into one array.
 
-A task in which some worker sends more than one batch is laid out by one
-plan_batches call, flat and worker-major, with no padding: one slot per
-batch, the k-th loaded worker's batches in the segment [start_k, end_k)
-of one-dimensional arrays, and r and rv repeated per slot to shape
-(2, slots).  Its link is solved as a fixed point (_batched), whose
-running sum runs once per segment and every other step once over the
-flat arrays.  Its running maximum runs once per segment too, unless every
-worker's link stays busy after its first batch, as at paper scale, where
-a row takes longer to send than to compute.  The fixed point covers
-only each worker's leading batches, as many as can arrive by
-completion: one loop computes and solves them (_solve), and extends
-and solves again, alone, the workers whose last solved arrival falls
-before the completion; a worker's segment never depends on another's.
-It covers about a third of the batches late in a scenario1 training,
-where every worker holds nearly p rows.  A task whose workers
-each send one batch (every baseline in compare) takes its own path on arrays
-of one entry per worker, with r and rv of shape (2, A) (_one_batch): its
-sizes are the loads, and a batch's link is free as soon as it is
-computed, so the first evaluation of the link gives the arrivals.  On
-these few-element arrays the fixed cost per call dominates, so what stays
-fixed for an episode is not derived per task: the workers' velocities
-relative to the master and the compute model's coefficients are derived
-once per episode (EpisodeTerms), and a baseline's loads are checked and
-laid out once (Loads).  Both paths call the same draw, link, compute and
-sort helpers, and read the terms' own arrays and a cached worker index,
-with no gather, when every worker is loaded, or gather them once when a
-worker is idle (_loaded).
+The shadowing is drawn as standard normals and scaled by noise_std_db
+once, for the batches where pass 1 reads it: normal(0, s) gives
+0.0 + s z, which differs from s z only in a zero's sign, and link_gain
+adds a nonzero constant to it.  Each transmission's link_gain is
+computed once, so a later evaluation of its link needs only the squared
+distance (_dist2); the broadcast, at t = 0, takes it as r * r summed.
+
+A task in which some worker sends more than one batch (_batched) is laid
+out by one plan_batches call, flat and worker-major, with no padding: one
+slot per batch, the k-th loaded worker's batches in the segment
+[start_k, end_k) of one-dimensional arrays, and r and rv repeated per
+slot to shape (2, slots).  Compute finish times are a cumulative sum
+along each segment.  The link recurrence
+begin_k = max(cpu_k, arrival_{k-1}), arrival_k = begin_k + tau_k(begin_k)
+is solved as a fixed point: with the send times tau frozen, the arrivals
+are the max-plus scan S + cummax(cpu - (S - tau)), S = cumsum(tau), per
+segment (_scan), whose running sum runs once per segment and every other
+step once over the flat arrays; tau is then evaluated again at the new
+begins until no begin moves, at most one pass per slot of the longest
+segment (_fixed_point).  The running maximum runs once per segment too,
+unless every worker's link stays busy after its first batch, as at paper
+scale, where a row takes longer to send than to compute: then no later
+value of cpu - (S - tau) in a segment exceeds its first, the cummax is
+that first value at every slot, bit for bit, and it is added without one.
+Only arrivals up to completion enter the record, and slot k of a segment
+depends only on the slots before it, so a feasible task is computed and
+solved, exactly, on each worker's leading batches alone: as many as an
+estimate puts among the earliest arrivals that hold p rows (_reaching,
+_first_extent), with a margin.  One loop solves them (_solve).  The
+solve's completion T' stands when every worker with unsolved batches
+has its last solved arrival at or after T', since each worker's arrivals
+strictly increase; otherwise the workers whose last solved arrival falls
+before T' are extended at the pace of their own solved arrivals
+(_further) and solved again, alone, from their first batch.  No worker's
+segment reads another's, so a worker solved alone gets the bits it gets
+beside the others.  This covers about a third of the batches late in a
+scenario1 training, where every worker holds nearly p rows.  An
+infeasible task keeps, so solves, every batch.
+
+A task whose workers each send one batch (every baseline in compare)
+takes its own path on arrays of one entry per worker, with r and rv of
+shape (2, A) (_one_batch): its sizes are the loads, and a batch's link is
+free as soon as it is computed, so the first evaluation of the link
+gives the arrivals.  On these few-element arrays the fixed cost per call
+dominates, so what stays fixed for an episode is not derived per task:
+the workers' velocities relative to the master and the compute model's
+coefficients are derived once per episode (EpisodeTerms), and a
+baseline's loads are checked and laid out once (Loads).  Each path has
+its own draw loop (_one_batch_noise, _batched_noise); both call the same
+link, compute and sort helpers, compute from the terms' coefficients
+(envmodels.comp_time_with), and read the terms' own arrays and a cached
+worker index, with no gather, when every worker is loaded, or gather
+them once when a worker is idle (_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -136,13 +162,12 @@ class WorldState:
 class EpisodeTerms(NamedTuple):
     """What an episode's worlds share, for every task's run_task: see episode_terms.
 
-    factors is the (N,) float64 time factors (envmodels.time_factors), rv
-    the (2, N) worker velocities relative to the master with x and y
-    stacked, and floor and tail the (N,) compute coefficients
-    (envmodels.comp_coefficients of alpha, beta and factors).
+    rv is the (2, N) worker velocities relative to the master with x and
+    y stacked, and floor and tail the (N,) compute coefficients
+    (envmodels.comp_coefficients of alpha, beta and the episode's time
+    factors).
     """
 
-    factors: np.ndarray
     rv: np.ndarray
     floor: np.ndarray
     tail: np.ndarray
@@ -158,7 +183,7 @@ def episode_terms(world, factors):
     floor, tail = comp_coefficients(world.alpha, world.beta, factors)
     for a in (rv, floor, tail):
         a.setflags(write=False)
-    return EpisodeTerms(factors, rv, floor, tail)
+    return EpisodeTerms(rv, floor, tail)
 
 
 class Loads(NamedTuple):
@@ -372,12 +397,13 @@ def _reaching(p, b, n_active, total):
 def _first_extent(pace, send, counts, b, k):
     """Each worker's estimated batches up to the k-th arrival, with a margin.
 
-    Plain floats over one entry per loaded worker, whose alpha, beta,
-    time factor and broadcast time bc are pace's four rows.  A
-    batch's send time is about send, and its mean compute time
-    b factor (alpha + 1 / beta); a worker delivers a batch per the larger
-    of the two after the broadcast and the smaller.  The k earliest such
-    arrivals are filled in under each worker's batch count.
+    Plain floats over one entry per loaded worker, whose compute
+    coefficients floor and tail (envmodels.comp_coefficients) and
+    broadcast time bc are pace's three rows.  A batch's send time is
+    about send, and its mean compute time b (floor + tail); a worker
+    delivers a batch per the larger of the two after the broadcast and
+    the smaller.  The k earliest such arrivals are filled in under each
+    worker's batch count.
 
     send is taken unshadowed at the distance where the broadcast ends.
     b / m of the broadcast time, which carries the broadcast's shadowing
@@ -385,9 +411,9 @@ def _first_extent(pace, send, counts, b, k):
     tasks of scenario1 training's first iteration and 84% of its last ten.
     """
     free = []  # (start, batches per second, worker)
-    alpha, beta, factors, bc = pace.tolist()
-    for i, (x, s, f, a, be) in enumerate(zip(bc, send.tolist(), factors, alpha, beta)):
-        c = b * f * (a + 1.0 / be)
+    floor, tail, bc = pace.tolist()
+    for i, (x, s, fl, ta) in enumerate(zip(bc, send.tolist(), floor, tail)):
+        c = b * (fl + ta)
         if c > s:
             s, c = c, s
         if not 0.0 < s < math.inf:
@@ -545,29 +571,39 @@ def _loaded(world, active, terms):
             terms.tail[act])
 
 
-def _draw_noise(rng, active, shadows, uniforms, cfg, heads=None):
-    """Draw each loaded worker's noise in place.
+def _one_batch_noise(rng, active, omega, us, cfg):
+    """Draw, in place, the noise of a task whose loaded workers each send one batch.
 
     The k-th loaded worker, i, draws from the task stream rng's substream
     ("worker", i), re-keyed by rng.fresh_gens: when noise_std_db > 0, the
-    standard normals of heads[k] when heads is given, then those of
-    shadows[k]; then its compute uniforms.  With heads (_batched),
-    uniforms[k] is the array of its batches' uniforms; without
-    (_one_batch), it sends one batch, whose uniform is drawn as a float
-    into uniforms[k].  Normals drawn into one array after another are
-    those of one draw into both, and a float drawn alone is the first of
-    an array's draws.  The caller scales the shadowing by noise_std_db.
+    standard normals of omega[k], its broadcast's shadowing and its
+    batch's; then its compute uniform, as a float into us[k], which is
+    the first of an array's draws.  The caller scales the shadowing by
+    noise_std_db.
     """
     noisy = cfg.noise_std_db > 0
     for k, gen in enumerate(rng.fresh_gens("worker", active)):
         if noisy:
-            if heads is not None:
-                gen.standard_normal(out=heads[k])
+            gen.standard_normal(out=omega[k])
+        us[k] = gen.random()
+
+
+def _batched_noise(rng, active, heads, shadows, uniforms, cfg):
+    """Draw, in place, the noise of a task in which some worker sends more than one batch.
+
+    The k-th loaded worker, i, draws from the task stream rng's substream
+    ("worker", i), re-keyed by rng.fresh_gens: when noise_std_db > 0, the
+    standard normals of heads[k], its broadcast's shadowing, then those
+    of shadows[k], its batches'; then the uniforms of uniforms[k], one per
+    batch.  Normals drawn into one array after another are those of one
+    draw into both.  The caller scales the shadowing by noise_std_db.
+    """
+    noisy = cfg.noise_std_db > 0
+    for k, gen in enumerate(rng.fresh_gens("worker", active)):
+        if noisy:
+            gen.standard_normal(out=heads[k])
             gen.standard_normal(out=shadows[k])
-        if heads is None:
-            uniforms[k] = gen.random()
-        else:
-            gen.random(out=uniforms[k])
+        gen.random(out=uniforms[k])
 
 
 def _broadcast_time(m, r, gain, cfg):
@@ -588,7 +624,7 @@ def _one_batch(world, lay, p, m, terms, rng, cfg):
     active, sizes, float_sizes = lay.active, lay.sizes, lay.float_sizes
     omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
     us = np.empty(len(active))
-    _draw_noise(rng, active, omega, us, cfg)
+    _one_batch_noise(rng, active, omega, us, cfg)
     if cfg.noise_std_db > 0:
         omega *= cfg.noise_std_db
     gain = link_gain(omega, cfg)
@@ -641,8 +677,8 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
     segments = _segments(counts)[1]
     sizes[[seg.stop - 1 for seg in segments]] = last
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
-    _draw_noise(rng, active, [omega[seg] for seg in segments], [us[seg] for seg in segments],
-                cfg, heads)
+    _batched_noise(rng, active, heads, [omega[seg] for seg in segments],
+                   [us[seg] for seg in segments], cfg)
     heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
     act, r, rv, floor, tail = _loaded(world, active, terms)
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
@@ -652,9 +688,8 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
         send = _send_time(batch_size * cfg.bits_per_element, _dist2(r, rv, bc),
                           link_gain(0.0, cfg), cfg)
         k = _reaching(p, batch_size, len(active), total)
-        pace = np.array((world.alpha[act], world.beta[act], terms.factors[act], bc))
         extent = [min(c, max(1, e)) for c, e in
-                  zip(counts, _first_extent(pace, send, counts, batch_size, k))]
+                  zip(counts, _first_extent(profile[:3], send, counts, batch_size, k))]
     draws = (us, omega, sizes)
     todo = range(len(counts))  # the workers to solve
     arrivals, batches = [None] * len(counts), [None] * len(counts)  # each worker's latest
@@ -695,73 +730,19 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
     length of the broadcast payload.  batch_size is an int: a worker sends
     its load in batches of that many rows, so any batch size >= the
     largest load, p among them, sends one batch per worker.  terms is
-    episode_terms of this world's episode: the (N,) float64 time factors
-    (envmodels.time_factors), the workers' velocities relative to the
-    master and their compute coefficients, which no task changes.
+    episode_terms of this world's episode: the workers' velocities
+    relative to the master and their compute coefficients, which no task
+    changes.  rng is the task's stream, cfg the link's CommConfig.
+    The task completes at the first arrival, in (arrival, worker, batch)
+    order, at which the received rows reach p; an infeasible task keeps
+    every batch.  The module docstring describes how it is computed.
     All-zero loads dispatch nothing: the record is infeasible, takes 0 s,
     has an empty receipt log and 0 rows received, and the world is
     returned unchanged.
     A link whose capacity underflows to zero makes the completion infinite,
     which raises ValueError rather than moving the world to an infinite
-    clock.
-
-    When some worker sends more than one batch (_batched), the loaded
-    workers' batches sit in a flat worker-major layout, one segment of
-    slots per worker with no padding, and compute finish times are a
-    cumulative sum along each segment.  The link recurrence
-    begin_k = max(cpu_k, arrival_{k-1}), arrival_k = begin_k + tau_k(begin_k)
-    is solved as a fixed point: with the send times tau frozen, the
-    arrivals are the max-plus scan S + cummax(cpu - (S - tau)),
-    S = cumsum(tau), per segment; tau is then re-evaluated at the new
-    begins until no begin moves, at most one pass per slot of the longest
-    segment (see _fixed_point).  When no later value of cpu - (S - tau)
-    in any segment exceeds the segment's first, every link stays busy and
-    the scan adds that first value without running the cummax (see
-    _scan).  A cummax over values no larger than its first returns the
-    first at every slot, so both ways give the same bits.  Each
-    transmission's link_gain is computed once, so a pass evaluates the
-    link from the squared distances at the begins alone (_dist2); the
-    broadcast, at t = 0, takes its squared distance as r * r summed.
-
-    Only arrivals up to completion enter the record, so a feasible task is
-    computed and solved on each worker's leading slots alone: slot k of a
-    segment depends only on the slots before it, so pass 1 and the solve
-    are exact, bit for bit, on those slots.  Each worker starts from an
-    estimate of its batches among the k earliest arrivals, with a margin
-    (_reaching and _first_extent).  The solve's completion T' stands when
-    every worker with unsolved batches has its last solved arrival at or
-    after T': each worker's arrivals strictly increase, so none of its
-    unsolved batches arrives by T'.  Otherwise each worker whose last
-    solved arrival falls before T' is extended at the pace of its own
-    solved arrivals (_further), and those workers alone are computed and
-    solved again from their first batch (_solve); T' is infinite while
-    the solved slots hold fewer than p rows.  No worker's segment reads
-    another's, so a worker solved alone gets the bits it gets beside the
-    others, and the workers not extended keep their arrivals.  An
-    infeasible task keeps every batch and is computed and solved in full,
-    with no gather.
-
-    When every loaded worker sends its load as one batch (batch_size at
-    least the largest load), the task takes its own path
-    (_one_batch) on flat arrays, one entry per loaded worker: the sizes
-    are the loads, as check_loads laid them out, each batch begins once
-    computed, so the arrivals are cpu + tau, sorted as above, with no
-    plan_batches call, fixed point or extension.  It calls the same link,
-    compute and sort helpers, so each model expression has one copy.  Both
-    paths compute from the terms' compute coefficients (envmodels.
-    comp_time_with), and _first_extent's estimate alone reads alpha, beta
-    and the time factors themselves.
-
-    Worker i's noise, the stream rng.substream("worker", i), is drawn
-    through rng.fresh_gens("worker", active), one loop that re-keys the
-    shared generator for each loaded worker in turn and builds no
-    RngStream, into that worker's entries of the draw arrays: its
-    broadcast's shadowing, then its batches', the normals of one draw of
-    both, then its compute uniforms, as a float when it sends one batch.  The shadowing is
-    drawn as standard normals and scaled by noise_std_db once, for the
-    batches where pass 1 reads it: normal(0, s) gives 0.0 + s z, which
-    differs from s z only in a zero's sign, and link_gain adds a nonzero
-    constant to it.
+    clock, and a batch layout that cannot be allocated is a ValueError
+    naming the task (_layout_error).
     """
     lay = loads if type(loads) is Loads else check_loads(loads, len(world.beta), p, index)
     if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing

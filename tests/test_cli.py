@@ -127,7 +127,7 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: train.replay_capacity: a buffer of 10000000000000 "
-                              "transitions needs 9440000000000000 bytes")
+                              "transitions needs 4960000000000000 bytes")
         assert not out.exists()
 
     def test_unallocatable_batch_layout_names_task_and_settings(self, tmp_path, capsys):

@@ -756,9 +756,11 @@ def one_batch_as_before(world, loads, p, m, factors, rng, cfg):
     receipt arrays, the completion time, the rows received and the next pos and clock."""
     act = np.array([i for i, l in enumerate(loads) if l > 0])
     omega, us = np.zeros((act.size, 2)), np.empty(act.size)
-    simcore._draw_noise(rng, act.tolist(), omega, us, cfg)
-    if cfg.noise_std_db > 0:
-        omega *= cfg.noise_std_db
+    for k, i in enumerate(act.tolist()):  # worker i's substream: two normals, then a uniform
+        gen = rng.substream("worker", i).gen
+        if cfg.noise_std_db > 0:
+            omega[k] = cfg.noise_std_db * gen.standard_normal(2)
+        us[k] = gen.random(1)[0]
     gain = link_gain(omega, cfg)
     r = (world.pos[act + 1] - world.pos[0]).T
     rv = (world.vel[act + 1] - world.vel[0]).T
@@ -910,7 +912,7 @@ class TestSameBitsAsBefore:
         # a one-batch worker's two normals, drawn into its row, then its uniform as a float
         task = RngStream(seed).substream("task", seed)
         omega, us = np.zeros((3, 2)), np.empty(3)
-        simcore._draw_noise(task, [0, 2, 4], omega, us, CommConfig(noise_std_db=noise_std_db))
+        simcore._one_batch_noise(task, [0, 2, 4], omega, us, CommConfig(noise_std_db=noise_std_db))
         for k, i in enumerate([0, 2, 4]):
             gen = task.substream("worker", i).gen
             if noise_std_db > 0:
@@ -918,6 +920,26 @@ class TestSameBitsAsBefore:
             assert us[k:k + 1].tobytes() == gen.random(1).tobytes()
         if noise_std_db == 0:
             assert not omega.any()
+
+    @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_draws_match_each_workers_substream(self, seed, noise_std_db):
+        # a worker's broadcast normal, then its batches' normals, then their uniforms
+        task = RngStream(seed).substream("task", seed)
+        widths = (3, 1, 5)
+        heads = np.zeros((3, 1))
+        shadows, uniforms = [np.zeros(w) for w in widths], [np.empty(w) for w in widths]
+        simcore._batched_noise(task, [0, 2, 4], heads, shadows, uniforms,
+                               CommConfig(noise_std_db=noise_std_db))
+        for k, (i, w) in enumerate(zip([0, 2, 4], widths)):
+            gen = task.substream("worker", i).gen
+            if noise_std_db > 0:
+                normals = gen.standard_normal(w + 1)
+                assert heads[k].tobytes() == normals[:1].tobytes()
+                assert shadows[k].tobytes() == normals[1:].tobytes()
+            assert uniforms[k].tobytes() == gen.random(w).tobytes()
+        if noise_std_db == 0:
+            assert not heads.any() and not any(s.any() for s in shadows)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_factor_vector_and_gathers_for_each_victim(self, enabled):
@@ -930,7 +952,6 @@ class TestSameBitsAsBefore:
             assert factors.tobytes() == want.tobytes()
             assert not factors.flags.writeable
             terms = episode_terms(world, factors)
-            assert terms.factors is factors
             # the coefficients of comp_time, and the velocities relative to the master
             assert terms.floor.tobytes() == (world.alpha * want).tobytes()
             assert terms.tail.tobytes() == (want / world.beta).tobytes()

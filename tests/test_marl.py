@@ -229,10 +229,23 @@ def single_writes(buf, states, actions, rewards):
         buf.states[c] = states[j]
         buf.actions[c] = actions[j]
         buf.rewards[c] = rewards[j]
-        buf.next_states[c] = states[j + 1] if j < k - 1 else np.zeros_like(states[j])
         buf.dones[c] = 1.0 if j == k - 1 else 0.0
         buf.cursor = (c + 1) % buf.capacity
         buf.size = min(buf.size + 1, buf.capacity)
+
+
+def assert_next_states_follow(batch, episodes):
+    """Each sampled transition, named by its reward, has its episode's next observation.
+
+    episodes maps a reward to (the episode's states, the transition's step): the next
+    state is the following observation with done 0, or zeros with done 1 at the end.
+    """
+    for r, ns, done in zip(batch["rewards"].tolist(), batch["next_states"], batch["dones"]):
+        states, j = episodes[r]
+        if j + 1 < len(states):
+            assert done == 0.0 and ns.tobytes() == states[j + 1].tobytes()
+        else:
+            assert done == 1.0 and ns.tobytes() == np.zeros_like(states[j]).tobytes()
 
 
 class TestReplayBuffer:
@@ -242,11 +255,12 @@ class TestReplayBuffer:
         buf.push(states, np.arange(8.0).reshape(4, 2), (-1.0, -2.0, -3.0, -4.0))
         assert (buf.size, buf.cursor) == (4, 4)
         assert np.array_equal(buf.states[:4], states)
-        assert np.array_equal(buf.next_states[:3], states[1:])
-        assert np.array_equal(buf.next_states[3], np.zeros((2, 3)))
         assert buf.dones[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
         assert buf.rewards[:4].tolist() == [-1.0, -2.0, -3.0, -4.0]
         assert np.array_equal(buf.actions[:4], np.arange(8.0).reshape(4, 2))
+        batch = buf.sample(64, RngStream(9))
+        assert set(batch["rewards"].tolist()) == {-1.0, -2.0, -3.0, -4.0}
+        assert_next_states_follow(batch, {-1.0 - j: (states, j) for j in range(4)})
 
     @pytest.mark.parametrize("capacity", [1, 3, 7, 16])  # 3 and 1 hold less than one episode
     def test_push_stores_what_single_writes_store(self, capacity):
@@ -259,8 +273,23 @@ class TestReplayBuffer:
             buf.push(states, actions, rewards)
             single_writes(ref, states, actions, rewards)
             assert (buf.size, buf.cursor) == (ref.size, ref.cursor)
-            for name in ("states", "actions", "rewards", "next_states", "dones"):
+            for name in ("states", "actions", "rewards", "dones"):
                 assert getattr(buf, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    # no capacity is a multiple of every K, and 1 and 3 hold less than an episode of 5
+    @pytest.mark.parametrize("capacity", [1, 3, 7, 16])
+    def test_sampled_next_states_follow_across_wraps(self, capacity):
+        buf = ReplayBuffer(capacity, 2, 3)
+        gen = RngStream(5).gen
+        episodes = {}
+        for e, k in enumerate((5, 2, 5, 1, 5, 4)):
+            states = gen.normal(0.0, 1.0, (k, 2, 3))
+            rewards = tuple(100.0 * e + j for j in range(k))  # names the transition
+            episodes.update({r: (states, j) for j, r in enumerate(rewards)})
+            buf.push(states, gen.uniform(0.0, 1.0, (k, 2)), rewards)
+            batch = buf.sample(512, RngStream(e))  # every stored transition, at these seeds
+            assert len(set(batch["rewards"].tolist())) == buf.size
+            assert_next_states_follow(batch, episodes)
 
     def test_ring_overwrites_oldest(self):
         buf = ReplayBuffer(3, 1, 2)
@@ -288,7 +317,7 @@ class TestReplayBuffer:
 
     @pytest.mark.parametrize("capacity", [10**13, 2**62])  # refused by the allocator, by numpy
     def test_unallocatable_capacity_names_the_key_and_bytes(self, capacity):
-        wanted = capacity * (2 * 4 * 14 + 4 + 2) * 8
+        wanted = capacity * (4 * 14 + 4 + 2) * 8
         with pytest.raises(ConfigError, match=rf"train\.replay_capacity: .* needs {wanted} bytes"):
             ReplayBuffer(capacity, 4, 14)
 

@@ -34,6 +34,10 @@ def test_records_an_iteration_and_replays_it(tool, tmp_path, capsys):
     *rounds, last = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(last)
     assert summary["calls"] == 50 and [len(s) for s in summary["seconds"]] == [2, 2]
+    # each time scaled by the host speed taken next to it in its replay process
+    assert [len(s) for s in summary["scaled_seconds"]] == [2, 2]
+    assert all(s > 0.0 for side in summary["scaled_seconds"] for s in side)
+    assert summary["scaled_ratio"] == summary["scaled_medians"][1] / summary["scaled_medians"][0]
     # each side's minor page faults over its timed replay, one count per round, printed
     # next to its time
     assert [len(f) for f in summary["faults"]] == [2, 2]
@@ -82,11 +86,11 @@ def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
         calls = pickle.load(fh)
     assert len(calls) == 2 * 2 * 5  # two schemes, two episodes, desk's five tasks each
     # baselines send one batch per worker, with loads checked once per episode, and the
-    # straggler victim is slowed: the episode's terms are its time factors, the velocities
-    # relative to the master and the compute coefficients
+    # straggler victim is slowed: the recorded time factors, which the episode's terms are
+    # derived from, hold one factor above 1
     assert all(batch_size == p == 200 for _, _, _, batch_size, p, *_ in calls)
     assert all(checked for _, _, checked, *_ in calls)
-    assert all(len(terms) == 4 and terms[0].max() > 1.0 for *_, terms, _, _, _ in calls)
+    assert all(factors.shape == (4,) and factors.max() > 1.0 for *_, factors, _, _, _ in calls)
     assert [loads for _, loads, *_ in calls[:10]] == [uniform_alloc(200, 4)] * 10
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20

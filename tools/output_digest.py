@@ -16,6 +16,8 @@ The runs, for each seed:
   minibatch 256, 100 iterations (perfbench's train-desk unit);
 * train-desk-one-batch: the same at batch_size 200, p_rows, so every
   worker sends its load as one batch (the one-batch protocol);
+* train-desk-small-ring: train-desk with a replay buffer of 703
+  transitions, which wraps in the middle of an episode;
 * train-scenario1: ``macc train`` at scenario1 for one iteration;
 * train-scenario3-one-batch: ``macc train`` at scenario3 at batch_size
   p_rows for two iterations: a paper-scale policy's loads, zero loads
@@ -62,6 +64,7 @@ minibatch = 256
 max_iterations = 100
 """
 DESK_ONE_BATCH_INI = DESK_INI.replace("preset = desk\n", "preset = desk\nbatch_size = 200\n")
+DESK_SMALL_RING_INI = DESK_INI + "replay_capacity = 703\n"
 SCENARIO1_INI = "[scenario]\npreset = scenario1\n[train]\nmax_iterations = 1\n"
 SCENARIO3_INI = "[scenario]\npreset = scenario3\n"
 SCENARIO3_ONE_BATCH_INI = (f"[scenario]\npreset = scenario3\n"
@@ -74,6 +77,7 @@ def runs(root):
     """Write the runs' INI files under root; return each run's (name, CLI arguments) in order."""
     configs = {}
     for name, text in (("desk", DESK_INI), ("desk-one-batch", DESK_ONE_BATCH_INI),
+                       ("desk-small-ring", DESK_SMALL_RING_INI),
                        ("scenario1", SCENARIO1_INI), ("scenario3", SCENARIO3_INI),
                        ("scenario3-one-batch", SCENARIO3_ONE_BATCH_INI)):
         configs[name] = os.path.join(root, f"{name}.ini")
@@ -85,6 +89,7 @@ def runs(root):
     return [
         ("train-desk", ["train", "--config", configs["desk"]]),
         ("train-desk-one-batch", ["train", "--config", configs["desk-one-batch"]]),
+        ("train-desk-small-ring", ["train", "--config", configs["desk-small-ring"]]),
         ("train-scenario1", ["train", "--config", configs["scenario1"]]),
         ("train-scenario3-one-batch", ["train", "--config", configs["scenario3-one-batch"]]),
         *((f"evaluate-{scheme}", ["evaluate", "--config", configs["scenario3"],

@@ -14,9 +14,10 @@ again:
     PYTHONPATH=src python tools/replay_tasks.py replay late.pkl
 
 ``record`` keeps the inputs of ``simcore.run_task`` calls, as plain
-numbers and arrays, in a pickle: the episode's terms as their arrays,
-and the loads as a tuple, with whether they came checked once for the
-episode (a ``simcore.Loads``).  By default it runs ``marl.train`` with
+numbers and arrays, in a pickle: the time factors the episode's terms
+were derived from (``simcore.episode_terms``), and the loads as a tuple,
+with whether they came checked once for the episode (a
+``simcore.Loads``).  By default it runs ``marl.train`` with
 the default TrainConfig at the preset and seed, keeps the calls made in
 the iterations [first, stop), and stops training after the last of them;
 ``--batch-size`` trains at that batch size, an int or ``p`` for p_rows
@@ -26,15 +27,20 @@ the iterations [first, stop), and stops training after the last of them;
 (the preset's own setting otherwise), as perfbench's compare workload
 does, and keeps every call.  ``replay`` replays the calls through the
 ``macc`` package on the path, once untimed and once timed, and prints one
-JSON line: the seconds spent inside ``run_task``, the process's minor page
-faults over the timed replay, and a digest of every record and next world.
+JSON line: the seconds spent inside ``run_task``, the host speed scale
+and the seconds scaled by it, the process's minor page faults over the
+timed replay, and a digest of every record and next world.  The scale is
+perfbench's ``calibrate.scale_now()``, the mean of one taken just before
+and one just after the timed replay, so a scaled time is what the replay
+would take on perfbench's reference host: a shared host's speed moves
+from set to set, and the scaled times follow it less than the raw ones.
 ``time`` runs ``replay`` in a fresh process per side and round, with
 PYTHONPATH at that side's source directory, the first side first in even
 rounds, so neither side runs in a process whose allocator the other
-warmed: per round and side it prints the seconds and the minor page
-faults.  It checks that both sides return the same records and next
-worlds, bit for bit, and ends with one JSON line of every time and fault
-count.
+warmed: per round and side it prints the seconds, raw and scaled, and the
+minor page faults.  It checks that both sides return the same records and
+next worlds, bit for bit, and ends with one JSON line of every time and
+fault count and the ratios of the medians, raw and scaled.
 Unpickle only files that ``record`` wrote.
 """
 
@@ -43,6 +49,7 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
@@ -51,6 +58,11 @@ import statistics
 import subprocess
 import sys
 import time
+
+
+# perfbench's host speed scale, which replay takes next to its timed replay
+CALIBRATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+                         "calibrate.py")
 
 
 class _Done(Exception):
@@ -63,21 +75,28 @@ def _recorder(path, what, keep=lambda: True):
     from macc import simcore
 
     calls = []
-    run_task = simcore.run_task
+    run_task, episode_terms = simcore.run_task, simcore.episode_terms
+    episode = [None, None]  # the latest terms episode_terms built, and their time factors
+
+    def terms_recording(world, factors):
+        episode[:] = episode_terms(world, factors), factors
+        return episode[0]
 
     def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
         if keep():
+            if terms is not episode[0]:
+                raise RuntimeError("run_task was called with terms episode_terms did not build")
             checked = type(loads) is simcore.Loads
             calls.append(((world.pos, world.vel, world.alpha, world.beta, world.clock),
                           tuple(loads.loads if checked else loads), checked, batch_size, p, m,
-                          tuple(terms), (rng.seed, rng.stream), dataclasses.asdict(cfg), index))
+                          episode[1], (rng.seed, rng.stream), dataclasses.asdict(cfg), index))
         return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index)
 
-    simcore.run_task = recording
+    simcore.run_task, simcore.episode_terms = recording, terms_recording
     try:
         yield
     finally:
-        simcore.run_task = run_task
+        simcore.run_task, simcore.episode_terms = run_task, episode_terms
     with open(path, "wb") as fh:
         pickle.dump(calls, fh)
     print(f"{len(calls)} run_task calls of {what} written to {path}")
@@ -120,21 +139,21 @@ def record_compare(path, preset, seed, schemes, episodes, straggler):
 def _replay(calls):
     """Seconds inside run_task over the calls, and a digest of every record and next world.
 
-    Loads that were passed checked (a simcore.Loads) are checked again
-    before the clock starts.  A macc from before simcore.EpisodeTerms
-    takes the time factors, the terms' first array, and the raw loads.
+    The episode's terms are derived from the world and the time factors,
+    and loads that were passed checked (a simcore.Loads) are checked
+    again, before the clock starts.  A macc from before
+    simcore.episode_terms takes the time factors and the raw loads.
     """
     from macc import envmodels, numerics, simcore
 
     h = hashlib.sha256()
     spent = 0.0
-    terms_api = hasattr(simcore, "EpisodeTerms")
-    for world, loads, checked, batch_size, p, m, terms, (seed, stream), cfg, index in calls:
+    terms_api = hasattr(simcore, "episode_terms")
+    for world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index in calls:
         world = simcore.WorldState(*world)
-        if not terms_api:
-            terms = terms[0]
-        else:
-            terms = simcore.EpisodeTerms(*terms)
+        terms = factors
+        if terms_api:
+            terms = simcore.episode_terms(world, factors)
             if checked:
                 loads = simcore.check_loads(loads, world.n_workers, p, index)
         args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream),
@@ -154,16 +173,21 @@ def replay(path):
     """Replay the calls through the macc on the path, untimed then timed; print one JSON line."""
     import macc
 
+    spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
     _replay(calls)  # imports and first calls warm up
     gc.collect()
+    before = calibrate.scale_now()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     spent, digest = _replay(calls)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    scale = (before + calibrate.scale_now()) / 2
     print(json.dumps({"package": os.path.dirname(os.path.realpath(macc.__file__)),
-                      "calls": len(calls), "seconds": spent, "faults": faults,
-                      "digest": digest}))
+                      "calls": len(calls), "seconds": spent, "scale": scale,
+                      "scaled_seconds": spent * scale, "faults": faults, "digest": digest}))
 
 
 def _replay_in(path, src):
@@ -181,22 +205,27 @@ def _replay_in(path, src):
 
 
 def time_sides(path, sources, pairs):
-    times, faults = [[], []], [[], []]
+    times, scaled, faults = [[], []], [[], []], [[], []]
     for i in range(pairs):
         digests = [None, None]
         for side in (0, 1) if i % 2 == 0 else (1, 0):
             out = _replay_in(path, sources[side])
             times[side].append(out["seconds"])
+            scaled[side].append(out["scaled_seconds"])
             faults[side].append(out["faults"])
             digests[side] = out["digest"]
         if digests[0] != digests[1]:
             raise SystemExit(f"round {i}: the two sides returned different records")
-        print(f"round {i}: " + ", ".join(f"{src} {times[n][-1]:.4f} s {faults[n][-1]} faults"
+        print(f"round {i}: " + ", ".join(f"{src} {times[n][-1]:.4f} s ({scaled[n][-1]:.4f} s "
+                                         f"scaled) {faults[n][-1]} faults"
                                          for n, src in enumerate(sources)), flush=True)
     medians = [statistics.median(t) for t in times]
+    scaled_medians = [statistics.median(t) for t in scaled]
     print(json.dumps({"calls": out["calls"], "pairs": pairs, "sources": list(sources),
-                      "seconds": times, "faults": faults, "medians": medians,
-                      "ratio": medians[1] / medians[0]}))
+                      "seconds": times, "scaled_seconds": scaled, "faults": faults,
+                      "medians": medians, "ratio": medians[1] / medians[0],
+                      "scaled_medians": scaled_medians,
+                      "scaled_ratio": scaled_medians[1] / scaled_medians[0]}))
 
 
 def main(argv=None):
