@@ -18,17 +18,24 @@ the same draws, and a re-key is only a write of the key: fresh_gen writes
 it into one reused module-level state dict and assigns it, which copies
 the values, so no call builds a dict or an RngStream and no draw carries
 into the next call.
-RngStream.fresh_gens(token, indices) re-keys that Generator for each index
-in turn, to the start of substream(token, i), folding token once: the
-engine's loop over a task's loaded workers, each of which makes all its
-draws before the next one draws (simcore._one_batch_noise and
-_batched_noise).
+RngStream.fresh_gens_at(ids) re-keys that Generator for each stream id in
+turn, to the start of RngStream(seed, id): the engine's loop over streams
+that each make all their draws before the next one draws.  A one-batch
+episode draws its noise once, before task 0: one substream_ids call gives
+the ids of substream("task", j, "worker", i) for every task j and worker
+i as a (K, N) array, and fresh_gens_at walks them (simcore.one_batch_noise).
+A task that draws its own noise re-keys its loaded workers through
+RngStream.fresh_gens(token, indices), which folds token once and each
+index onto it as a Python int, cheaper than an array on a few workers
+(simcore._one_batch and _batched_noise).
 
 A substream folds its tokens into the stream id one by one, left to
 right, so substream(a).substream(b) is substream(a, b).  A plain int
 token is taken as it is, modulo 2^64; a str token is its 8-byte blake2b
 digest, computed once per distinct string and then cached, since the
 engine derives substreams from the same few names on every task.
+substream_ids folds an integer array token's entries at once, so one
+call gives the ids of a whole grid of substreams.
 """
 
 import functools
@@ -37,6 +44,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _new = object.__new__
 _INT_TOKENS = (int, np.integer)  # a bool is an int too, and is refused
 
@@ -95,6 +103,17 @@ def _token_to_u64(token):
     raise TypeError(f"substream tokens must be int or str, got {type(token).__name__}")
 
 
+def _splitmix64_array(x):
+    """_splitmix64 of each entry of the uint64 array x, as a new array."""
+    z = x + _GAMMA
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
+
+
 def _fold(stream, tokens):
     """The stream id of substream(*tokens): each token folded in, left to right.
 
@@ -141,8 +160,9 @@ class RngStream:
     never on how many draws were consumed.
 
     Draw through ``gen`` when the stream's draws interleave with another
-    stream's, and through ``fresh_gen()`` or ``fresh_gens`` when the stream
-    makes all of its draws before any other stream draws.
+    stream's, and through ``fresh_gen()``, ``fresh_gens`` or
+    ``fresh_gens_at`` when the stream makes all of its draws before any
+    other stream draws.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -181,19 +201,54 @@ class RngStream:
     def fresh_gens(self, token, indices):
         """Yield, for each i of indices in turn, a Generator at the start of substream(token, i).
 
-        Each one is substream(token, i).fresh_gen(), valid until the next is
+        The ids are folded as in ``_fold``, the token once and each index
+        onto it, and re-keyed by ``fresh_gens_at``.
+        """
+        stream = _fold(self.stream, (token,))
+        return self.fresh_gens_at(_splitmix64(stream ^ (i & _MASK64 if type(i) is int
+                                                        else _token_to_u64(i)))
+                                  for i in indices)
+
+    def fresh_gens_at(self, ids):
+        """Yield, for each id of ids in turn, a Generator at the start of RngStream(seed, id).
+
+        Each one is RngStream(seed, id).fresh_gen(), valid until the next is
         yielded, with no RngStream built: the shared Generator, re-keyed
-        from the one reused state dict.  The token is folded once, and each
-        index onto it as in ``_fold``.
+        from the one reused state dict.  ids are Python ints below 2^64.
         """
         gen = _shared_gen()
         bits, state, words = gen.bit_generator, _FRESH_STATE, _FRESH_STATE["state"]
-        seed, stream = self.seed, _fold(self.stream, (token,))
-        for i in indices:
-            words["key"] = (seed, _splitmix64(stream ^ (i & _MASK64 if type(i) is int
-                                                        else _token_to_u64(i))))
+        seed = self.seed
+        for stream in ids:
+            words["key"] = (seed, stream)
             bits.state = state
             yield gen
+
+    def substream_ids(self, *tokens):
+        """The stream ids of substream(*tokens) over every combination of the array tokens.
+
+        Each integer array among tokens stands for each of its entries: the
+        ids are a uint64 array of the arrays' broadcast shape, and the id at
+        an index is substream(*tokens) with each array replaced by its entry
+        there, so substream_ids("task", js[:, None], "worker", workers) is
+        the (K, N) grid of substream("task", j, "worker", i).  Tokens fold
+        left to right as in _fold: as Python ints up to the first array,
+        then in uint64 arithmetic, which wraps as the int fold masks; an
+        array's entries are cast to uint64, a negative one wrapped too.
+        """
+        if not tokens:
+            raise ValueError("substream_ids requires at least one token")
+        stream = self.stream
+        for token in tokens:
+            if isinstance(token, np.ndarray):
+                if token.dtype.kind not in "iu":
+                    raise TypeError(f"substream array tokens must hold integers, got {token.dtype}")
+                stream = _splitmix64_array(token.astype(np.uint64) ^ stream)
+            elif isinstance(stream, np.ndarray):
+                stream = _splitmix64_array(stream ^ _token_to_u64(token))
+            else:
+                stream = _fold(stream, (token,))
+        return np.asarray(stream, dtype=np.uint64)
 
     def substream(self, *tokens):
         if not tokens:

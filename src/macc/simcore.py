@@ -24,11 +24,14 @@ iteration yields plain (int, int, float) triples.
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws before the next worker draws, so one loop over the
-loaded workers, the task stream's fresh_gens("worker", active), re-keys
-the shared generator for each in turn: it folds "worker" once and builds
-no RngStream, generator or dict per worker.  A worker that sends one
-batch draws its compute uniform as a float, straight into one array.
+It makes all its draws before the next worker draws, so one loop re-keys
+the shared generator for each worker in turn and builds no RngStream,
+generator or dict per worker.  A worker that sends one batch makes the
+same draws whatever its load, so an episode of one-batch tasks draws
+them all before task 0 (one_batch_noise), keyed by one array of the ids
+of ("task", j, "worker", i), idle workers' too, and hands each task its
+row.  A task that draws its own, one-batch run alone or multi-batch,
+folds its few workers' ids as ints (fresh_gens("worker", active)).
 
 The shadowing is drawn as standard normals and scaled by noise_std_db
 once, for the batches where pass 1 reads it: normal(0, s) gives
@@ -76,13 +79,15 @@ free as soon as it is computed, so the first evaluation of the link
 gives the arrivals.  On these few-element arrays the fixed cost per call
 dominates, so what stays fixed for an episode is not derived per task:
 the workers' velocities relative to the master and the compute model's
-coefficients are derived once per episode (EpisodeTerms), and a
-baseline's loads are checked and laid out once (Loads).  Each path has
-its own draw loop (_one_batch_noise, _batched_noise); both call the same
-link, compute and sort helpers, compute from the terms' coefficients
-(envmodels.comp_time_with), and read the terms' own arrays and a cached
-worker index, with no gather, when every worker is loaded, or gather
-them once when a worker is idle (_loaded).
+coefficients are derived once per episode (EpisodeTerms), a baseline's
+loads are checked and laid out once (Loads), and so is the noise of an
+episode whose batch size is at least p, scaled into link gains (see
+above).  Each path has its own draw loop (_one_batch_draws,
+_batched_noise); both call the same link, compute and sort helpers,
+compute from the terms' coefficients (envmodels.comp_time_with), and
+read the terms' own arrays and a cached worker index, with no gather,
+when every worker is loaded, or gather them once when a worker is idle
+(_loaded), as a one-batch task gathers its row of the episode's noise.
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -571,21 +576,42 @@ def _loaded(world, active, terms):
             terms.tail[act])
 
 
-def _one_batch_noise(rng, active, omega, us, cfg):
-    """Draw, in place, the noise of a task whose loaded workers each send one batch.
+def one_batch_noise(rng, k, n, cfg):
+    """The noise of the n workers of k one-batch tasks: (gain, us), read-only.
 
-    The k-th loaded worker, i, draws from the task stream rng's substream
-    ("worker", i), re-keyed by rng.fresh_gens: when noise_std_db > 0, the
-    standard normals of omega[k], its broadcast's shadowing and its
-    batch's; then its compute uniform, as a float into us[k], which is
-    the first of an array's draws.  The caller scales the shadowing by
-    noise_std_db.
+    rng is an episode's "task" stream, and worker i of task j draws from
+    rng.substream(j, "worker", i), as in the task alone: the ids of the
+    (k, n) grid are folded at once (RngStream.substream_ids), the shared
+    generator is re-keyed for each in turn (RngStream.fresh_gens_at), and
+    _one_batch_draws draws.  gain, the link gains, has shape (k, n, 2) and
+    us, the compute uniforms, (k, n): task j's rows are gain[j] and us[j].
     """
+    ids = rng.substream_ids(np.arange(k)[:, None], "worker", _all_workers(n))
+    gain, us = _one_batch_draws(rng.fresh_gens_at(ids.ravel().tolist()), k * n, cfg)
+    gain, us = gain.reshape(k, n, 2), us.reshape(k, n)
+    gain.setflags(write=False)
+    us.setflags(write=False)
+    return gain, us
+
+
+def _one_batch_draws(gens, n, cfg):
+    """The link gains, shape (n, 2), and compute uniforms, (n,), of n one-batch workers.
+
+    The k-th worker draws from the k-th Generator of gens: when
+    noise_std_db > 0, two standard normals into its row of omega, the
+    shadowing of its broadcast and of its batch, which are scaled by
+    noise_std_db; then its compute uniform, as a float.
+    """
+    omega = np.zeros((n, 2))  # per worker: the broadcast of x, then the batch
+    us = []
     noisy = cfg.noise_std_db > 0
-    for k, gen in enumerate(rng.fresh_gens("worker", active)):
+    for row, gen in zip(omega, gens):
         if noisy:
-            gen.standard_normal(out=omega[k])
-        us[k] = gen.random()
+            gen.standard_normal(out=row)
+        us.append(gen.random())
+    if noisy:
+        omega *= cfg.noise_std_db
+    return link_gain(omega, cfg), np.array(us)
 
 
 def _batched_noise(rng, active, heads, shadows, uniforms, cfg):
@@ -612,23 +638,26 @@ def _broadcast_time(m, r, gain, cfg):
     return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
 
 
-def _one_batch(world, lay, p, m, terms, rng, cfg):
+def _one_batch(world, lay, p, m, terms, rng, cfg, noise):
     """Receipts of a task whose loaded workers each send their load as one batch.
 
     Returns (ReceiptLog, rows received at completion).  The arrays are
     flat, one entry per loaded worker (see _loaded), and the sizes are the
-    loads, laid out by check_loads (lay).  Each batch begins once computed,
-    so one evaluation of the link gives the arrivals, and the log is read
-    off their sorted order.
+    loads, laid out by check_loads (lay).  noise is the task's row of its
+    episode's one_batch_noise, over every worker, whose loaded workers'
+    rows are gathered when a worker is idle, or None, when the loaded
+    workers draw theirs here.  Each batch begins once computed, so one
+    evaluation of the link gives the arrivals, and the log is read off
+    their sorted order.
     """
     active, sizes, float_sizes = lay.active, lay.sizes, lay.float_sizes
-    omega = np.zeros((len(active), 2))  # per worker: the broadcast of x, then the batch
-    us = np.empty(len(active))
-    _one_batch_noise(rng, active, omega, us, cfg)
-    if cfg.noise_std_db > 0:
-        omega *= cfg.noise_std_db
-    gain = link_gain(omega, cfg)
     act, r, rv, floor, tail = _loaded(world, active, terms)
+    if noise is None:  # the loaded workers' ids folded as ints: few, so cheaper than an array's
+        gain, us = _one_batch_draws(rng.fresh_gens("worker", active), len(active), cfg)
+    elif len(act) < len(noise[1]):
+        gain, us = noise[0][act], noise[1][act]
+    else:
+        gain, us = noise
     arrival = comp_time_with(float_sizes, us, floor, tail)
     arrival += _broadcast_time(m, r, gain[:, 0], cfg)
     arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival),
@@ -719,7 +748,7 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
             int(received[n_kept - 1]))
 
 
-def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
+def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     loads holds one non-negative integer per worker, each at most p, the
@@ -733,6 +762,12 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
     episode_terms of this world's episode: the workers' velocities
     relative to the master and their compute coefficients, which no task
     changes.  rng is the task's stream, cfg the link's CommConfig.
+    noise, when given, is the task's row of its one-batch episode's noise
+    (one_batch_noise over every worker): a (N, 2) array of link gains and
+    a (N,) array of compute uniforms, drawn from rng's substreams
+    ("worker", i).  A one-batch task then draws nothing and reads no rng
+    (None will do); without it, its loaded workers draw theirs here, the
+    same bits.  A multi-batch task draws its own and ignores noise.
     The task completes at the first arrival, in (arrival, worker, batch)
     order, at which the received rows reach p; an infeasible task keeps
     every batch.  The module docstring describes how it is computed.
@@ -749,7 +784,7 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
         return TaskRecord(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
 
     if batch_size >= lay.top:  # each worker's one batch is its whole load
-        receipt_log, rows = _one_batch(world, lay, p, m, terms, rng, cfg)
+        receipt_log, rows = _one_batch(world, lay, p, m, terms, rng, cfg, noise)
     else:
         receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
@@ -860,7 +895,11 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     record's states is ().  Any other allocator is called, gets states and
     has its loads read, and checked by run_task, anew on every task.
     The time factors and the terms derived from them and the first world
-    (episode_terms) are taken once and handed to every task.
+    (episode_terms) are taken once and handed to every task.  When
+    scenario.batch_size >= p, every task sends one batch per worker, so
+    the noise of every task and worker is drawn once, before task 0
+    (one_batch_noise), and each task is handed its row, with no stream of
+    its own; otherwise task j draws from rng.substream("task", j).
     Every task runs at scenario.batch_size, the victim is slowed when
     scenario.straggler_enabled is set, and each task is scored by
     reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
@@ -877,6 +916,9 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     per_episode = getattr(allocator, "per_episode", False)
     states = None
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
+    gain = us = None
+    if scenario.batch_size >= p:  # every task sends one batch per worker: draw them all now
+        gain, us = one_batch_noise(task_rng, scenario.k_tasks, scenario.n_workers, scenario.comm)
     for j in range(scenario.k_tasks):
         if not per_episode:
             states = build_state(world, scales, like=states)
@@ -889,10 +931,12 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if per_episode:  # checked and laid out once, for every task
                 loads = check_loads(loads, len(world.beta), p, j)
 
-        rec, world = run_task(
-            world, loads, scenario.batch_size, p, scenario.m_cols, terms,
-            task_rng.substream(j), scenario.comm, index=j,
-        )
+        if gain is None:
+            task, noise = task_rng.substream(j), None
+        else:  # the task's noise is drawn, so it reads no stream
+            task, noise = None, (gain[j], us[j])
+        rec, world = run_task(world, loads, scenario.batch_size, p, scenario.m_cols, terms, task,
+                              scenario.comm, index=j, noise=noise)
         tasks.append(rec)
         rewards.append(reward(rec, penalty))
 

@@ -202,7 +202,8 @@ class TestAgainstScalarOracle:
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
         # two one-batch tasks plan nothing; a multi-batch task plans every worker at once.
-        # Each worker's stream is re-keyed from the task's own (RngStream.fresh_gens)
+        # Each worker's stream id is folded from the task's own (RngStream.substream_ids,
+        # RngStream.fresh_gens), and re-keys the shared generator
         for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
                                          ([50, 60, 0, 70], 20, 1)):
             calls.update(plan_batches=0, substream=0)
@@ -815,6 +816,43 @@ class TestSameBitsAsBefore:
             assert (nxt.pos.tobytes(), nxt.clock) == (pos.tobytes(), clock)
             world = nxt
 
+    @pytest.mark.parametrize("per_task", [False, True], ids=["baseline", "rotating"])
+    @pytest.mark.parametrize("case", ONE_BATCH_EPISODES)
+    def test_one_batch_episode_matches_per_task_draws(self, case, per_task):
+        # a scenario3 episode at b = p draws every task's noise before task 0.  A baseline's
+        # loads serve every task; a per-task allocator moves them, so its zero load moves
+        # from worker to worker
+        loads, straggling, noise_std_db = ONE_BATCH_EPISODES[case]
+        scenario = preset_scenario("scenario3")
+        p, n = scenario.p_rows, scenario.n_workers
+        scenario = replace(scenario, batch_size=p, straggler_enabled=straggling,
+                           comm=replace(scenario.comm, noise_std_db=noise_std_db))
+        worlds, given = [], []
+
+        def allocator(world, states):
+            worlds.append(world)
+            given.append(tuple(np.roll(loads, len(worlds) - 1).tolist()) if per_task else loads)
+            return given[-1]
+
+        allocator.per_episode = not per_task
+        ep = simcore.run_episode(scenario, allocator, RngStream(0))
+        assert ep.victim == 3 and len(worlds) == (scenario.k_tasks if per_task else 1)
+        factors = time_factors(n, ep.victim, straggling, scenario.straggler_slowdown)
+        world, task_rng = worlds[0], RngStream(0).substream("task")
+        for j, rec in enumerate(ep.tasks):
+            want = given[j] if per_task else loads
+            receipts, t, rows, pos, clock = one_batch_as_before(
+                world, want, p, scenario.m_cols, factors, task_rng.substream(j), scenario.comm)
+            log = rec.receipt_log
+            for got, exp in zip((log.workers, log.rows, log.arrivals), receipts):
+                assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes()
+            assert (rec.t_complete, rec.rows_received_at_completion) == (t, rows)
+            assert (rec.loads, rec.feasible) == (want, case != "infeasible")
+            assert rec.dispatch_time == world.clock
+            world = replace(world, pos=pos, clock=clock)
+            if per_task and j + 1 < len(worlds):
+                assert worlds[j + 1].pos.tobytes() == pos.tobytes()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_send_time_matches_four_arrays(self, seed):
         gen = np.random.default_rng(seed)
@@ -909,17 +947,24 @@ class TestSameBitsAsBefore:
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_one_batch_draws_match_each_workers_substream(self, seed, noise_std_db):
-        # a one-batch worker's two normals, drawn into its row, then its uniform as a float
-        task = RngStream(seed).substream("task", seed)
-        omega, us = np.zeros((3, 2)), np.empty(3)
-        simcore._one_batch_noise(task, [0, 2, 4], omega, us, CommConfig(noise_std_db=noise_std_db))
-        for k, i in enumerate([0, 2, 4]):
-            gen = task.substream("worker", i).gen
-            if noise_std_db > 0:
-                assert omega[k].tobytes() == gen.standard_normal(2).tobytes()
-            assert us[k:k + 1].tobytes() == gen.random(1).tobytes()
-        if noise_std_db == 0:
-            assert not omega.any()
+        # an episode's (task, worker) streams, each two normals, then a uniform, as the
+        # link gain of the scaled shadowing and the uniform
+        cfg = CommConfig(noise_std_db=noise_std_db)
+        tasks = RngStream(seed).substream("task")
+        gain, us = simcore.one_batch_noise(tasks, 3, 5, cfg)
+        assert gain.shape == (3, 5, 2) and us.shape == (3, 5)
+        assert not gain.flags.writeable and not us.flags.writeable
+        for j in range(3):
+            for i in range(5):
+                gen = tasks.substream(j, "worker", i).gen
+                omega = noise_std_db * gen.standard_normal(2) if noise_std_db > 0 else np.zeros(2)
+                assert gain[j, i].tobytes() == link_gain(omega, cfg).tobytes()
+                assert us[j, i:i + 1].tobytes() == gen.random(1).tobytes()
+            # a task run alone draws its loaded workers' rows, their ids folded as ints
+            some = [0, 2, 4]
+            alone = simcore._one_batch_draws(tasks.substream(j).fresh_gens("worker", some), 3, cfg)
+            assert alone[0].tobytes() == gain[j, some].tobytes()
+            assert alone[1].tobytes() == us[j, some].tobytes()
 
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))

@@ -214,6 +214,15 @@ class TestRngStream:
             with pytest.raises(TypeError, match="substream tokens must be int or str"):
                 next(gens)
 
+    def test_fresh_gens_at_draw_like_each_stream(self):
+        root = RngStream(2**64 - 1, 5)
+        ids = [0, 1, 2**63, 2**64 - 1, root.substream("worker").stream]
+        got = [(gen.standard_normal(3), gen.random(2)) for gen in root.fresh_gens_at(ids)]
+        for i, draws in zip(ids, got):
+            want = RngStream(root.seed, i).gen
+            for a, b in zip(draws, (want.standard_normal(3), want.random(2))):
+                assert np.array_equal(a, b)
+
     def test_substream_keeps_64_bit_ids(self):
         child = RngStream(2**64 - 1, 2**64 - 1).substream(2**64 + 3, "x")
         assert type(child) is RngStream and child.seed == 2**64 - 1
@@ -274,3 +283,46 @@ class TestRngStream:
     def test_substream_requires_tokens(self):
         with pytest.raises(ValueError):
             RngStream(0).substream()
+
+
+# the int tokens at the ends of the 64-bit range, and the engine's str tokens
+ARRAY_TOKENS = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+
+
+class TestArrayFold:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_int_fold_on_random_stream_ids(self, seed):
+        gen = np.random.default_rng(seed)
+        streams = gen.integers(0, 2**64, 8, dtype=np.uint64, endpoint=False).tolist()
+        for stream in streams + [0, 2**64 - 1]:
+            for tokens in ((ARRAY_TOKENS,), ("task", ARRAY_TOKENS), (ARRAY_TOKENS, "worker"),
+                           ("worker", ARRAY_TOKENS, "task", 7)):
+                got = RngStream(seed, stream).substream_ids(*tokens).tolist()
+                array = next(i for i, t in enumerate(tokens) if isinstance(t, np.ndarray))
+                want = []
+                for v in ARRAY_TOKENS.tolist():
+                    each = tokens[:array] + (v,) + tokens[array + 1:]
+                    want.append(_fold(stream, each))
+                    assert RngStream(seed, stream).substream(*each).stream == want[-1]
+                assert got == want
+
+    def test_grid_of_two_arrays_broadcasts(self):
+        root = RngStream(1, 0xFEDCBA9876543210)
+        tasks, workers = np.arange(30)[:, None], ARRAY_TOKENS
+        ids = root.substream_ids("task", tasks, "worker", workers)
+        assert ids.dtype == np.uint64 and ids.shape == (30, 4)
+        for j in range(30):
+            for k, i in enumerate(ARRAY_TOKENS.tolist()):
+                assert int(ids[j, k]) == root.substream("task", j, "worker", i).stream
+
+    def test_signed_entries_wrap_as_the_int_fold_masks(self):
+        signed = np.array([-1, 0, 3, np.iinfo(np.int64).min], dtype=np.int64)
+        got = RngStream(0, FOLD_BASE).substream_ids(signed).tolist()
+        assert got == [_fold(FOLD_BASE, (v,)) for v in signed.tolist()]
+        assert got[0] == _fold(FOLD_BASE, (2**64 - 1,))
+
+    def test_rejects_non_integer_arrays(self):
+        with pytest.raises(TypeError, match="substream array tokens must hold integers"):
+            RngStream(0).substream_ids("worker", np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            RngStream(0).substream_ids()

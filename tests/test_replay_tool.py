@@ -9,6 +9,7 @@ import pytest
 
 from macc import simcore
 from macc.allocators import uniform_alloc
+from macc.numerics import RngStream
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "replay_tasks.py")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -30,6 +31,8 @@ def test_records_an_iteration_and_replays_it(tool, tmp_path, capsys):
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
     assert len(calls) == 50  # the default 10 episodes of desk's 5 tasks, in iteration 1 alone
+    # tasks of several batches per worker draw their own noise, in run_task
+    assert all(drawn is None for *_, drawn in calls)
     tool.main(["time", path, SRC, SRC, "--pairs", "2"])
     *rounds, last = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(last)
@@ -70,8 +73,13 @@ def test_records_one_batch_training_at_batch_size_p(tool, tmp_path, capsys):
         calls = pickle.load(fh)
     assert len(calls) == 50
     assert {(batch_size, p) for _, _, _, batch_size, p, *_ in calls} == {(200, 200)}
-    # a policy's loads are checked in each task, not once per episode
+    # a policy's loads are checked in each task, not once per episode, and each task's
+    # noise comes drawn by its one-batch episode
     assert not any(checked for _, _, checked, *_ in calls)
+    # the episodes of iteration 0 are training episodes 0..9
+    episodes = [RngStream(3).substream("episode", e, "task") for e in range(10)]
+    assert [drawn for *_, drawn in calls] == [(t.seed, t.stream, 5) for t in episodes
+                                              for _ in range(5)]
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 50
 
@@ -90,7 +98,32 @@ def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
     # derived from, hold one factor above 1
     assert all(batch_size == p == 200 for _, _, _, batch_size, p, *_ in calls)
     assert all(checked for _, _, checked, *_ in calls)
-    assert all(factors.shape == (4,) and factors.max() > 1.0 for *_, factors, _, _, _ in calls)
+    assert all(factors.shape == (4,) and factors.max() > 1.0 for *_, factors, _, _, _, _ in calls)
     assert [loads for _, loads, *_ in calls[:10]] == [uniform_alloc(200, 4)] * 10
+    # each episode drew its tasks' noise from its "task" stream, and each call keeps its
+    # task's own, substream(j) of that
+    episodes = [RngStream(3).substream("episode", e, "task") for e in range(2)] * 2
+    assert [drawn for *_, drawn in calls] == [(t.seed, t.stream, 5) for t in episodes
+                                              for _ in range(5)]
+    want = [t.substream(j) for t in episodes for j in range(5)]
+    assert [stream for *_, stream, _, _, _ in calls] == [(t.seed, t.stream) for t in want]
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20
+
+
+def test_a_run_task_without_noise_replays_the_same_records(tool, tmp_path, monkeypatch):
+    # a checkout whose run_task takes no noise, as before one-batch episodes drew theirs,
+    # draws each task's noise in run_task, with the same bits
+    path = str(tmp_path / "calls.pkl")
+    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--iterations", "0", "1",
+               "--batch-size", "p"])
+    with open(path, "rb") as fh:
+        calls = pickle.load(fh)
+    _, digest = tool._replay(calls)
+    run_task = simcore.run_task
+
+    def without_noise(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
+        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index)
+
+    monkeypatch.setattr(simcore, "run_task", without_noise)
+    assert tool._replay(calls)[1] == digest

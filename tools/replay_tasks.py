@@ -17,7 +17,9 @@ again:
 numbers and arrays, in a pickle: the time factors the episode's terms
 were derived from (``simcore.episode_terms``), and the loads as a tuple,
 with whether they came checked once for the episode (a
-``simcore.Loads``).  By default it runs ``marl.train`` with
+``simcore.Loads``), the task's own stream, and, when its one-batch
+episode drew its noise (``simcore.one_batch_noise``), the episode's
+"task" stream and task count.  By default it runs ``marl.train`` with
 the default TrainConfig at the preset and seed, keeps the calls made in
 the iterations [first, stop), and stops training after the last of them;
 ``--batch-size`` trains at that batch size, an int or ``p`` for p_rows
@@ -34,6 +36,13 @@ perfbench's ``calibrate.scale_now()``, the mean of one taken just before
 and one just after the timed replay, so a scaled time is what the replay
 would take on perfbench's reference host: a shared host's speed moves
 from set to set, and the scaled times follow it less than the raw ones.
+An episode that drew its tasks' noise gets it drawn again, through
+``one_batch_noise``, inside its first task's timed call, as ``run_episode``
+draws it before task 0, and each task is passed its row as ``run_task``'s
+``noise``; a ``macc`` whose ``run_task`` takes no noise, such as a parent
+checkout's, draws each task's inside ``run_task``.  So on a one-batch
+recording, such as a ``--compare`` one, both sides' times hold every
+draw, and the ratio counts them.
 ``time`` runs ``replay`` in a fresh process per side and round, with
 PYTHONPATH at that side's source directory, the first side first in even
 rounds, so neither side runs in a process whose allocator the other
@@ -50,6 +59,7 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import pickle
@@ -73,30 +83,43 @@ class _Done(Exception):
 def _recorder(path, what, keep=lambda: True):
     """Keep the inputs of each simcore.run_task call made while keep() holds; pickle them to path."""
     from macc import simcore
+    from macc.numerics import RngStream
 
     calls = []
-    run_task, episode_terms = simcore.run_task, simcore.episode_terms
-    episode = [None, None]  # the latest terms episode_terms built, and their time factors
+    run_task, episode_terms, one_batch_noise = (simcore.run_task, simcore.episode_terms,
+                                                simcore.one_batch_noise)
+    # the latest terms episode_terms built, their time factors, and the "task" stream and
+    # task count of the latest episode whose noise one_batch_noise drew
+    episode = [None, None, None]
 
     def terms_recording(world, factors):
-        episode[:] = episode_terms(world, factors), factors
+        episode[:2] = episode_terms(world, factors), factors
         return episode[0]
 
-    def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
+    def noise_recording(rng, k, n, cfg):
+        episode[2] = rng.seed, rng.stream, k
+        return one_batch_noise(rng, k, n, cfg)
+
+    def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
         if keep():
             if terms is not episode[0]:
                 raise RuntimeError("run_task was called with terms episode_terms did not build")
             checked = type(loads) is simcore.Loads
+            drawn = None if noise is None else episode[2]
+            task = rng if drawn is None else RngStream(*drawn[:2]).substream(index)
             calls.append(((world.pos, world.vel, world.alpha, world.beta, world.clock),
                           tuple(loads.loads if checked else loads), checked, batch_size, p, m,
-                          episode[1], (rng.seed, rng.stream), dataclasses.asdict(cfg), index))
-        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index)
+                          episode[1], (task.seed, task.stream), dataclasses.asdict(cfg), index,
+                          drawn))
+        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index, noise)
 
-    simcore.run_task, simcore.episode_terms = recording, terms_recording
+    simcore.run_task, simcore.episode_terms, simcore.one_batch_noise = (
+        recording, terms_recording, noise_recording)
     try:
         yield
     finally:
-        simcore.run_task, simcore.episode_terms = run_task, episode_terms
+        simcore.run_task, simcore.episode_terms, simcore.one_batch_noise = (
+            run_task, episode_terms, one_batch_noise)
     with open(path, "wb") as fh:
         pickle.dump(calls, fh)
     print(f"{len(calls)} run_task calls of {what} written to {path}")
@@ -142,24 +165,39 @@ def _replay(calls):
     The episode's terms are derived from the world and the time factors,
     and loads that were passed checked (a simcore.Loads) are checked
     again, before the clock starts.  A macc from before
-    simcore.episode_terms takes the time factors and the raw loads.
+    simcore.episode_terms takes the time factors and the raw loads.  The
+    noise of an episode that drew it is drawn again in its first task's
+    timed call, unless run_task takes no noise and draws it itself: either
+    way the time holds every draw.
     """
     from macc import envmodels, numerics, simcore
 
     h = hashlib.sha256()
     spent = 0.0
     terms_api = hasattr(simcore, "episode_terms")
-    for world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index in calls:
+    noise_api = "noise" in inspect.signature(simcore.run_task).parameters
+    latest = None  # the episode whose noise was drawn last
+    for (world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index,
+         drawn) in calls:
         world = simcore.WorldState(*world)
         terms = factors
         if terms_api:
             terms = simcore.episode_terms(world, factors)
             if checked:
                 loads = simcore.check_loads(loads, world.n_workers, p, index)
-        args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream),
-                envmodels.CommConfig(**cfg), index)
+        cfg = envmodels.CommConfig(**cfg)
+        args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream), cfg, index)
+        given = drawn is not None and noise_api
+        fresh = given and (index == 0 or drawn != latest)  # the first task of its episode
+        episode = numerics.RngStream(*drawn[:2]) if fresh else None
         start = time.perf_counter()
-        rec, nxt = simcore.run_task(*args)
+        if fresh:
+            gain, us = simcore.one_batch_noise(episode, drawn[2], world.n_workers, cfg)
+        if given:
+            rec, nxt = simcore.run_task(*args, noise=(gain[index], us[index]))
+        else:
+            rec, nxt = simcore.run_task(*args)
+        latest = drawn
         spent += time.perf_counter() - start
         log = rec.receipt_log
         h.update(repr((rec.t_complete, rec.feasible, rec.rows_received_at_completion,
