@@ -8,6 +8,8 @@
 Every command is a pure function of (config file, seed): reruns produce
 byte-identical outputs.  train --progress adds one line per iteration on
 stderr (iteration, mean reward, elapsed seconds) and changes nothing else.
+evaluate and compare print each scheme's mean total time, followed by
+its count of infeasible tasks when any task fell short of p rows.
 
 --out is created only when a command writes its first output, so a run
 that fails, on its arguments or midway, leaves no output directory
@@ -98,6 +100,12 @@ def _out(args, name):
     return os.path.join(args.out, name)
 
 
+def _infeasible(records):
+    """The suffix ", n of m tasks infeasible" when n of the records' m tasks are, else ""."""
+    n = sum(r.infeasible_count for r in records)
+    return f", {n} of {sum(len(r.tasks) for r in records)} tasks infeasible" if n else ""
+
+
 def cmd_train(args):
     scenario, train_cfg, seed, _ = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
@@ -129,7 +137,8 @@ def cmd_evaluate(args):
     experiments.write_comparison_csv(summary, scenario, seed, {args.scheme: records}, digest)
     experiments.write_episodes_jsonl(jsonl, records)
     mean, std, _ = experiments.summarize(records)
-    print(f"{args.scheme}: mean total time {mean:.4f} s (std {std:.4f}) over {args.episodes} episodes")
+    print(f"{args.scheme}: mean total time {mean:.4f} s (std {std:.4f}) over {args.episodes} "
+          f"episodes{_infeasible(records)}")
     return 0
 
 
@@ -144,7 +153,7 @@ def cmd_compare(args):
     experiments.write_plotdata_csv(plotdata, results, digest, seed)
     for scheme in schemes:
         mean, _, half = experiments.summarize(results[scheme])
-        print(f"{scheme}: {mean:.4f} +- {half:.4f} s")
+        print(f"{scheme}: {mean:.4f} +- {half:.4f} s{_infeasible(results[scheme])}")
     return 0
 
 

@@ -9,25 +9,18 @@ feed it.
 
 A stream draws through RngStream.gen, a Generator of its own that keeps
 its place while other streams draw (an episode's exploration noise, drawn
-task by task between the engine's draws), or through RngStream.fresh_gen,
-one process-wide Generator re-keyed to the start of the stream, for a
-stream that makes all its draws before any other stream draws: an
-episode's initial world (simcore.sample_world) and a replay minibatch's
-indices (marl.ReplayBuffer.sample).  Philox is counter-based, so both give
-the same draws, and a re-key is only a write of the key: fresh_gen writes
-it into one reused module-level state dict and assigns it, which copies
-the values, so no call builds a dict or an RngStream and no draw carries
-into the next call.
-RngStream.fresh_gens_at(ids) re-keys that Generator for each stream id in
-turn, to the start of RngStream(seed, id): the engine's loop over streams
-that each make all their draws before the next one draws.  A one-batch
-episode draws its noise once, before task 0: one substream_ids call gives
-the ids of substream("task", j, "worker", i) for every task j and worker
-i as a (K, N) array, and fresh_gens_at walks them (simcore.one_batch_noise).
-A task that draws its own noise re-keys its loaded workers through
-RngStream.fresh_gens(token, indices), which folds token once and each
-index onto it as a Python int, cheaper than an array on a few workers
-(simcore._one_batch and _batched_noise).
+task by task between the engine's draws), or through one process-wide
+Generator re-keyed to the start of a stream, for a stream that makes all
+its draws before any other stream draws.  RngStream.fresh_gens_at(ids)
+re-keys it to the start of RngStream(seed, id) for each stream id in turn:
+the engine's loop over its workers' streams, whose ids substream_ids folds
+as one array (simcore.one_batch_noise, _batched_noise).  fresh_gen() is
+its first Generator at the stream's own id: an episode's initial world
+(simcore.sample_world) and a replay minibatch's indices
+(marl.ReplayBuffer.sample).  Philox is counter-based, so both give the
+same draws, and a re-key is only a write of the key into one reused
+module-level state dict, whose assignment copies the values, so no
+re-key builds a dict or an RngStream and no draw carries into the next.
 
 A substream folds its tokens into the stream id one by one, left to
 right, so substream(a).substream(b) is substream(a, b).  A plain int
@@ -128,12 +121,12 @@ def _fold(stream, tokens):
 
 @functools.cache
 def _shared_gen():
-    """The one Generator that RngStream.fresh_gen re-keys, built on first use."""
+    """The one Generator that RngStream.fresh_gens_at re-keys, built on first use."""
     return np.random.Generator(np.random.Philox(0))
 
 
-# the Philox state fresh_gen assigns: zero counter, empty buffer; each call
-# writes only its key, since assigning a state copies the values it reads
+# the Philox state fresh_gens_at assigns: zero counter, empty buffer; each
+# re-key writes only its key, since assigning a state copies the values it reads
 _FRESH_STATE = {
     "bit_generator": "Philox",
     "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
@@ -160,9 +153,8 @@ class RngStream:
     never on how many draws were consumed.
 
     Draw through ``gen`` when the stream's draws interleave with another
-    stream's, and through ``fresh_gen()``, ``fresh_gens`` or
-    ``fresh_gens_at`` when the stream makes all of its draws before any
-    other stream draws.
+    stream's, and through ``fresh_gen()`` or ``fresh_gens_at`` when the
+    stream makes all of its draws before any other stream draws.
     """
 
     __slots__ = ("seed", "stream", "_gen")
@@ -187,34 +179,19 @@ class RngStream:
     def fresh_gen(self):
         """A Generator at the start of this stream, valid until the next re-key.
 
-        Every call returns the same process-wide Generator, its Philox
-        state assigned anew from one reused state dict: key (seed, stream),
-        zero counter, empty buffer.  Its draws equal those of a fresh
-        ``gen``, but the next ``fresh_gen`` call, or the next Generator
-        ``fresh_gens`` yields, on any stream, moves it elsewhere.
+        The first Generator of ``fresh_gens_at((self.stream,))``: its draws
+        equal those of a fresh ``gen``, but the next re-key, on any stream,
+        moves it elsewhere.
         """
-        gen = _shared_gen()
-        _FRESH_STATE["state"]["key"] = (self.seed, self.stream)
-        gen.bit_generator.state = _FRESH_STATE
-        return gen
-
-    def fresh_gens(self, token, indices):
-        """Yield, for each i of indices in turn, a Generator at the start of substream(token, i).
-
-        The ids are folded as in ``_fold``, the token once and each index
-        onto it, and re-keyed by ``fresh_gens_at``.
-        """
-        stream = _fold(self.stream, (token,))
-        return self.fresh_gens_at(_splitmix64(stream ^ (i & _MASK64 if type(i) is int
-                                                        else _token_to_u64(i)))
-                                  for i in indices)
+        return next(self.fresh_gens_at((self.stream,)))
 
     def fresh_gens_at(self, ids):
         """Yield, for each id of ids in turn, a Generator at the start of RngStream(seed, id).
 
-        Each one is RngStream(seed, id).fresh_gen(), valid until the next is
-        yielded, with no RngStream built: the shared Generator, re-keyed
-        from the one reused state dict.  ids are Python ints below 2^64.
+        Each one is the same process-wide Generator, valid until the next is
+        yielded, its Philox state assigned anew from one reused state dict:
+        key (seed, id), zero counter, empty buffer.  No RngStream is built.
+        ids are Python ints below 2^64.
         """
         gen = _shared_gen()
         bits, state, words = gen.bit_generator, _FRESH_STATE, _FRESH_STATE["state"]

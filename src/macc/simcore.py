@@ -24,14 +24,17 @@ iteration yields plain (int, int, float) triples.
 Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws before the next worker draws, so one loop re-keys
-the shared generator for each worker in turn and builds no RngStream,
-generator or dict per worker.  A worker that sends one batch makes the
-same draws whatever its load, so an episode of one-batch tasks draws
-them all before task 0 (one_batch_noise), keyed by one array of the ids
-of ("task", j, "worker", i), idle workers' too, and hands each task its
-row.  A task that draws its own, one-batch run alone or multi-batch,
-folds its few workers' ids as ints (fresh_gens("worker", active)).
+It makes all its draws before the next worker draws, so the workers'
+stream ids are folded as one array (RngStream.substream_ids) and one
+loop re-keys the shared generator to each in turn
+(RngStream.fresh_gens_at), with no RngStream, generator or dict built
+per worker.  A worker that sends one batch makes the same draws whatever
+its load, so a one-batch task draws for every worker, idle ones too
+(one_batch_noise), and an episode of one-batch tasks draws them all
+before task 0, from one (K, N) array of the ids of ("task", j, "worker",
+i), and hands each task its row.  A multi-batch task draws for its
+loaded workers alone (_batched_noise): their draw counts depend on the
+loads.
 
 The shadowing is drawn as standard normals and scaled by noise_std_db
 once, for the batches where pass 1 reads it: normal(0, s) gives
@@ -80,14 +83,13 @@ gives the arrivals.  On these few-element arrays the fixed cost per call
 dominates, so what stays fixed for an episode is not derived per task:
 the workers' velocities relative to the master and the compute model's
 coefficients are derived once per episode (EpisodeTerms), a baseline's
-loads are checked and laid out once (Loads), and so is the noise of an
-episode whose batch size is at least p, scaled into link gains (see
-above).  Each path has its own draw loop (_one_batch_draws,
-_batched_noise); both call the same link, compute and sort helpers,
-compute from the terms' coefficients (envmodels.comp_time_with), and
-read the terms' own arrays and a cached worker index, with no gather,
-when every worker is loaded, or gather them once when a worker is idle
-(_loaded), as a one-batch task gathers its row of the episode's noise.
+loads are checked and laid out once (Loads), and an episode whose batch
+size is at least p draws its noise once (see above).  Both paths call
+the same link, compute and sort helpers, compute from the terms'
+coefficients (envmodels.comp_time_with), and read the terms' own arrays
+and a cached worker index, with no gather, when every worker is loaded,
+or gather them once when a worker is idle (_loaded), as a one-batch task
+gathers its rows of the noise.
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
@@ -576,56 +578,50 @@ def _loaded(world, active, terms):
             terms.tail[act])
 
 
-def one_batch_noise(rng, k, n, cfg):
-    """The noise of the n workers of k one-batch tasks: (gain, us), read-only.
+def one_batch_noise(rng, n, cfg, k=None):
+    """The noise of the n workers of one-batch tasks: (gain, us), read-only.
 
-    rng is an episode's "task" stream, and worker i of task j draws from
-    rng.substream(j, "worker", i), as in the task alone: the ids of the
-    (k, n) grid are folded at once (RngStream.substream_ids), the shared
-    generator is re-keyed for each in turn (RngStream.fresh_gens_at), and
-    _one_batch_draws draws.  gain, the link gains, has shape (k, n, 2) and
-    us, the compute uniforms, (k, n): task j's rows are gain[j] and us[j].
-    """
-    ids = rng.substream_ids(np.arange(k)[:, None], "worker", _all_workers(n))
-    gain, us = _one_batch_draws(rng.fresh_gens_at(ids.ravel().tolist()), k * n, cfg)
-    gain, us = gain.reshape(k, n, 2), us.reshape(k, n)
-    gain.setflags(write=False)
-    us.setflags(write=False)
-    return gain, us
-
-
-def _one_batch_draws(gens, n, cfg):
-    """The link gains, shape (n, 2), and compute uniforms, (n,), of n one-batch workers.
-
-    The k-th worker draws from the k-th Generator of gens: when
+    Without k, rng is a task's stream, worker i draws from
+    rng.substream("worker", i), and gain, the link gains, has shape (n, 2)
+    and us, the compute uniforms, (n,).  With k, rng is an episode's
+    "task" stream, worker i of task j draws from
+    rng.substream(j, "worker", i), and the shapes are (k, n, 2) and
+    (k, n): task j's rows are gain[j] and us[j].  Each worker draws, when
     noise_std_db > 0, two standard normals into its row of omega, the
-    shadowing of its broadcast and of its batch, which are scaled by
-    noise_std_db; then its compute uniform, as a float.
+    shadowing of its broadcast and of its batch, scaled by noise_std_db;
+    then its compute uniform, as a float.
     """
-    omega = np.zeros((n, 2))  # per worker: the broadcast of x, then the batch
+    tokens = ("worker", _all_workers(n))
+    if k is not None:
+        tokens = (np.arange(k)[:, None], *tokens)
+    ids = rng.substream_ids(*tokens)
+    omega = np.zeros((ids.size, 2))  # per worker: the broadcast of x, then the batch
     us = []
     noisy = cfg.noise_std_db > 0
-    for row, gen in zip(omega, gens):
+    for row, gen in zip(omega, rng.fresh_gens_at(ids.ravel().tolist())):
         if noisy:
             gen.standard_normal(out=row)
         us.append(gen.random())
     if noisy:
         omega *= cfg.noise_std_db
-    return link_gain(omega, cfg), np.array(us)
+    gain, us = link_gain(omega, cfg).reshape(*ids.shape, 2), np.array(us).reshape(ids.shape)
+    gain.setflags(write=False)
+    us.setflags(write=False)
+    return gain, us
 
 
-def _batched_noise(rng, active, heads, shadows, uniforms, cfg):
+def _batched_noise(rng, act, heads, shadows, uniforms, cfg):
     """Draw, in place, the noise of a task in which some worker sends more than one batch.
 
-    The k-th loaded worker, i, draws from the task stream rng's substream
-    ("worker", i), re-keyed by rng.fresh_gens: when noise_std_db > 0, the
-    standard normals of heads[k], its broadcast's shadowing, then those
-    of shadows[k], its batches'; then the uniforms of uniforms[k], one per
+    The k-th loaded worker, act[k], draws from the task stream rng's
+    substream ("worker", act[k]): when noise_std_db > 0, the standard
+    normals of heads[k], its broadcast's shadowing, then those of
+    shadows[k], its batches'; then the uniforms of uniforms[k], one per
     batch.  Normals drawn into one array after another are those of one
     draw into both.  The caller scales the shadowing by noise_std_db.
     """
     noisy = cfg.noise_std_db > 0
-    for k, gen in enumerate(rng.fresh_gens("worker", active)):
+    for k, gen in enumerate(rng.fresh_gens_at(rng.substream_ids("worker", act).tolist())):
         if noisy:
             gen.standard_normal(out=heads[k])
             gen.standard_normal(out=shadows[k])
@@ -638,26 +634,22 @@ def _broadcast_time(m, r, gain, cfg):
     return _send_time(m * cfg.bits_per_element, sq[0] + sq[1], gain, cfg)
 
 
-def _one_batch(world, lay, p, m, terms, rng, cfg, noise):
+def _one_batch(world, lay, p, m, terms, cfg, noise):
     """Receipts of a task whose loaded workers each send their load as one batch.
 
     Returns (ReceiptLog, rows received at completion).  The arrays are
     flat, one entry per loaded worker (see _loaded), and the sizes are the
-    loads, laid out by check_loads (lay).  noise is the task's row of its
-    episode's one_batch_noise, over every worker, whose loaded workers'
-    rows are gathered when a worker is idle, or None, when the loaded
-    workers draw theirs here.  Each batch begins once computed, so one
-    evaluation of the link gives the arrivals, and the log is read off
+    loads, laid out by check_loads (lay).  noise is the task's
+    one_batch_noise, over every worker, whose loaded workers' rows are
+    gathered when a worker is idle.  Each batch begins once computed, so
+    one evaluation of the link gives the arrivals, and the log is read off
     their sorted order.
     """
-    active, sizes, float_sizes = lay.active, lay.sizes, lay.float_sizes
-    act, r, rv, floor, tail = _loaded(world, active, terms)
-    if noise is None:  # the loaded workers' ids folded as ints: few, so cheaper than an array's
-        gain, us = _one_batch_draws(rng.fresh_gens("worker", active), len(active), cfg)
-    elif len(act) < len(noise[1]):
-        gain, us = noise[0][act], noise[1][act]
-    else:
-        gain, us = noise
+    sizes, float_sizes = lay.sizes, lay.float_sizes
+    act, r, rv, floor, tail = _loaded(world, lay.active, terms)
+    gain, us = noise
+    if len(act) < len(us):
+        gain, us = gain[act], us[act]
     arrival = comp_time_with(float_sizes, us, floor, tail)
     arrival += _broadcast_time(m, r, gain[:, 0], cfg)
     arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival),
@@ -705,11 +697,11 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
         raise _layout_error(index, total, p, batch_size) from None
     segments = _segments(counts)[1]
     sizes[[seg.stop - 1 for seg in segments]] = last
+    act, r, rv, floor, tail = _loaded(world, active, terms)
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
-    _batched_noise(rng, active, heads, [omega[seg] for seg in segments],
+    _batched_noise(rng, act, heads, [omega[seg] for seg in segments],
                    [us[seg] for seg in segments], cfg)
     heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
-    act, r, rv, floor, tail = _loaded(world, active, terms)
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
     profile = np.concatenate((floor[None], tail[None], bc[None], r, rv))
     extent = counts  # an infeasible task keeps, so solves, every batch
@@ -766,8 +758,9 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     (one_batch_noise over every worker): a (N, 2) array of link gains and
     a (N,) array of compute uniforms, drawn from rng's substreams
     ("worker", i).  A one-batch task then draws nothing and reads no rng
-    (None will do); without it, its loaded workers draw theirs here, the
-    same bits.  A multi-batch task draws its own and ignores noise.
+    (None will do); without it, it draws the same bits here, through
+    one_batch_noise(rng, N, cfg).  A multi-batch task draws its own and
+    ignores noise.
     The task completes at the first arrival, in (arrival, worker, batch)
     order, at which the received rows reach p; an infeasible task keeps
     every batch.  The module docstring describes how it is computed.
@@ -784,7 +777,9 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
         return TaskRecord(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
 
     if batch_size >= lay.top:  # each worker's one batch is its whole load
-        receipt_log, rows = _one_batch(world, lay, p, m, terms, rng, cfg, noise)
+        if noise is None:
+            noise = one_batch_noise(rng, len(world.beta), cfg)
+        receipt_log, rows = _one_batch(world, lay, p, m, terms, cfg, noise)
     else:
         receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index)
     t_done = float(receipt_log.arrivals[-1])
@@ -918,7 +913,7 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
     gain = us = None
     if scenario.batch_size >= p:  # every task sends one batch per worker: draw them all now
-        gain, us = one_batch_noise(task_rng, scenario.k_tasks, scenario.n_workers, scenario.comm)
+        gain, us = one_batch_noise(task_rng, scenario.n_workers, scenario.comm, scenario.k_tasks)
     for j in range(scenario.k_tasks):
         if not per_episode:
             states = build_state(world, scales, like=states)

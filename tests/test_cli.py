@@ -4,7 +4,9 @@ import json
 import pytest
 
 from macc.cli import build_parser, main
-from macc.marl import load_checkpoint
+from macc.config import load_config
+from macc.marl import load_checkpoint, make_agents, save_checkpoint
+from macc.numerics import RngStream
 
 TINY_INI = """\
 [scenario]
@@ -29,6 +31,17 @@ warmup_iterations = 1
 def ini(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(TINY_INI)
+    return str(path)
+
+
+@pytest.fixture
+def zero_policy(ini, tmp_path):
+    """A checkpoint whose actors all output 0: each final bias far negative."""
+    agents = make_agents(2, RngStream(0))
+    for agent in agents:
+        agent.actor.biases[-1][...] = -100.0
+    path = tmp_path / "zero.bin"
+    save_checkpoint(str(path), agents, load_config(ini)[0])
     return str(path)
 
 
@@ -240,6 +253,14 @@ class TestEvaluateCommand:
         assert "checkpoint was trained at p_rows = 8, scenario has p_rows = 6" in err
         assert not (tmp_path / "ev" / "metrics.csv").exists()
 
+    def test_all_zero_policy_prints_its_infeasible_tasks(self, ini, tmp_path, capsys,
+                                                         zero_policy):
+        code = main(["evaluate", "--config", ini, "--scheme", "marl", "--episodes", "2",
+                     "--checkpoint", zero_policy, "--out", str(tmp_path / "ev")])
+        assert code == 0
+        assert capsys.readouterr().out == ("marl: mean total time 0.0000 s (std 0.0000) over 2 "
+                                           "episodes, 4 of 4 tasks infeasible\n")
+
     def test_unknown_scheme_fails_cleanly(self, ini, tmp_path, capsys):
         code = main(["evaluate", "--config", ini, "--scheme", "greedy",
                      "--out", str(tmp_path / "x")])
@@ -272,6 +293,15 @@ class TestCompareCommand:
         assert plotdata[1] == "scheme,mean_total_time_s"
         assert len(plotdata) == 2 + 3
         assert capsys.readouterr().out.count("+-") == 3
+
+    def test_infeasible_tasks_follow_only_the_schemes_that_have_them(self, ini, tmp_path,
+                                                                     capsys, zero_policy):
+        code = main(["compare", "--config", ini, "--scheme", "uniform,marl", "--episodes", "3",
+                     "--checkpoint", zero_policy, "--out", str(tmp_path / "cmp")])
+        assert code == 0
+        uniform, marl = capsys.readouterr().out.splitlines()
+        assert uniform.startswith("uniform: ") and uniform.endswith(" s")
+        assert marl == "marl: 0.0000 +- 0.0000 s, 6 of 6 tasks infeasible"
 
     def test_duplicate_scheme_fails_cleanly(self, ini, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -202,8 +202,8 @@ class TestAgainstScalarOracle:
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
         # two one-batch tasks plan nothing; a multi-batch task plans every worker at once.
-        # Each worker's stream id is folded from the task's own (RngStream.substream_ids,
-        # RngStream.fresh_gens), and re-keys the shared generator
+        # Each worker's stream id is folded from the task's own (RngStream.substream_ids),
+        # and re-keys the shared generator
         for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
                                          ([50, 60, 0, 70], 20, 1)):
             calls.update(plan_batches=0, substream=0)
@@ -951,20 +951,31 @@ class TestSameBitsAsBefore:
         # link gain of the scaled shadowing and the uniform
         cfg = CommConfig(noise_std_db=noise_std_db)
         tasks = RngStream(seed).substream("task")
-        gain, us = simcore.one_batch_noise(tasks, 3, 5, cfg)
+        gain, us = simcore.one_batch_noise(tasks, 5, cfg, k=3)
         assert gain.shape == (3, 5, 2) and us.shape == (3, 5)
         assert not gain.flags.writeable and not us.flags.writeable
+        world, victim = sample_world(ScenarioConfig(n_workers=5), RngStream(seed).substream("env"))
+        terms = terms_of(world, (True, victim, 10.0))
+        loads = [60, 0, 70, 40, 30]  # worker 1 idle
         for j in range(3):
             for i in range(5):
                 gen = tasks.substream(j, "worker", i).gen
                 omega = noise_std_db * gen.standard_normal(2) if noise_std_db > 0 else np.zeros(2)
                 assert gain[j, i].tobytes() == link_gain(omega, cfg).tobytes()
                 assert us[j, i:i + 1].tobytes() == gen.random(1).tobytes()
-            # a task run alone draws its loaded workers' rows, their ids folded as ints
-            some = [0, 2, 4]
-            alone = simcore._one_batch_draws(tasks.substream(j).fresh_gens("worker", some), 3, cfg)
-            assert alone[0].tobytes() == gain[j, some].tobytes()
-            assert alone[1].tobytes() == us[j, some].tobytes()
+            # a task alone draws its own row, from its stream's substreams ("worker", i)
+            alone = simcore.one_batch_noise(tasks.substream(j), 5, cfg)
+            assert alone[0].tobytes() == gain[j].tobytes()
+            assert alone[1].tobytes() == us[j].tobytes()
+            # so a task run without noise records what its episode row gives, bit for bit
+            drawn, nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, tasks.substream(j),
+                                  cfg, index=j)
+            given, given_nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, None, cfg,
+                                        index=j, noise=(gain[j], us[j]))
+            assert drawn.t_complete.hex() == given.t_complete.hex()
+            assert task_digest(drawn, nxt) == task_digest(given, given_nxt)
+            assert drawn.rows_received_at_completion == given.rows_received_at_completion
+            assert 1 not in drawn.receipt_log.workers.tolist()
 
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -974,7 +985,7 @@ class TestSameBitsAsBefore:
         widths = (3, 1, 5)
         heads = np.zeros((3, 1))
         shadows, uniforms = [np.zeros(w) for w in widths], [np.empty(w) for w in widths]
-        simcore._batched_noise(task, [0, 2, 4], heads, shadows, uniforms,
+        simcore._batched_noise(task, np.array([0, 2, 4]), heads, shadows, uniforms,
                                CommConfig(noise_std_db=noise_std_db))
         for k, (i, w) in enumerate(zip([0, 2, 4], widths)):
             gen = task.substream("worker", i).gen

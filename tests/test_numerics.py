@@ -175,26 +175,37 @@ class TestRngStream:
         assert np.array_equal(RngStream(9, 4).fresh_gen().random(1000), first)
         assert np.array_equal(RngStream(9, 4).gen.random(1000), first)
 
-    @pytest.mark.parametrize("indices", [range(5), [4, 0, 3, 0], [2**63 + 5, np.int64(2), 2**64 + 1]])
+    @pytest.mark.parametrize("indices", [np.arange(5), np.array([4, 0, 3, 0]),
+                                         np.array([2**63 + 5, 2, 2**64 - 1], dtype=np.uint64)])
     @pytest.mark.parametrize("token", ["worker", 7, 2**63 + 11])
     @pytest.mark.parametrize("seed, stream", SEED_STREAMS)
-    def test_fresh_gens_draw_like_each_substream(self, seed, stream, token, indices):
+    def test_fresh_gens_at_substream_ids_draw_like_each_substream(self, seed, stream, token,
+                                                                  indices):
+        # the engine's keying of its workers' streams: one array of ids, one re-key each
         root = RngStream(seed, stream)
+        ids = root.substream_ids(token, indices).tolist()
         got = [(gen.standard_normal(3), gen.random(2), gen.integers(0, 1000, 3, dtype=np.int32))
-               for gen in root.fresh_gens(token, indices)]
+               for gen in root.fresh_gens_at(ids)]
         assert len(got) == len(indices)
-        for i, draws in zip(indices, got):
+        for i, draws in zip(indices.tolist(), got):
             want = root.substream(token, i).gen
             want = want.standard_normal(3), want.random(2), want.integers(0, 1000, 3, dtype=np.int32)
             for a, b in zip(draws, want):
                 assert np.array_equal(a, b)
 
-    def test_fresh_gens_yield_the_shared_generator(self):
-        gens = RngStream(3, 4).fresh_gens("worker", [0, 1])
+    @pytest.mark.parametrize("index", [True, 1.0, "3"])
+    def test_substream_ids_take_int_indices(self, index):
+        # a worker index array of bools, floats or strs is refused, as a bool token is
+        with pytest.raises(TypeError, match="substream array tokens must hold integers"):
+            RngStream(0).substream_ids("worker", np.array([index]))
+
+    def test_fresh_gens_at_yield_the_shared_generator(self):
+        gens = RngStream(3, 4).fresh_gens_at([0, 1])
         assert next(gens) is RngStream(5, 6).fresh_gen() is next(gens)
 
-    def test_fresh_gen_after_fresh_gens_draws_afresh(self):
-        for gen in RngStream(42, 7).fresh_gens("worker", [1, 0, 2]):
+    def test_fresh_gen_after_fresh_gens_at_draws_afresh(self):
+        root = RngStream(42, 7)
+        for gen in root.fresh_gens_at(root.substream_ids("worker", np.array([1, 0, 2])).tolist()):
             gen.integers(0, 1000, 3, dtype=np.int32)  # leaves half a 64-bit word behind
         got = RngStream(9, 4).fresh_gen()
         assert got.bit_generator.state["has_uint32"] == 0
@@ -202,17 +213,6 @@ class TestRngStream:
         assert np.array_equal(got.integers(0, 1000, 5, dtype=np.int32),
                               want.integers(0, 1000, 5, dtype=np.int32))
         assert np.array_equal(got.random(1000), want.random(1000))
-
-    @pytest.mark.parametrize("index", [True, 1.0, "3"])
-    def test_fresh_gens_take_int_indices(self, index):
-        gens = RngStream(0).fresh_gens("worker", [0, index])
-        next(gens)
-        if isinstance(index, str):  # a str index folds as a str token does
-            want = RngStream(0).substream("worker", index).gen.random(3)
-            assert np.array_equal(next(gens).random(3), want)
-        else:
-            with pytest.raises(TypeError, match="substream tokens must be int or str"):
-                next(gens)
 
     def test_fresh_gens_at_draw_like_each_stream(self):
         root = RngStream(2**64 - 1, 5)

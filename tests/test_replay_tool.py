@@ -9,6 +9,8 @@ import pytest
 
 from macc import simcore
 from macc.allocators import uniform_alloc
+from macc.config import preset_scenario
+from macc.envmodels import CommConfig, time_factors
 from macc.numerics import RngStream
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "replay_tasks.py")
@@ -111,19 +113,17 @@ def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20
 
 
-def test_a_run_task_without_noise_replays_the_same_records(tool, tmp_path, monkeypatch):
-    # a checkout whose run_task takes no noise, as before one-batch episodes drew theirs,
-    # draws each task's noise in run_task, with the same bits
+
+def test_a_task_drawing_its_own_noise_is_recorded_without_an_episode_draw(tool, tmp_path):
+    # a one-batch task in an episode below batch size p draws its own row, through
+    # one_batch_noise without k, which the recorder does not take for an episode's draw
     path = str(tmp_path / "calls.pkl")
-    tool.main(["record", path, "--preset", "desk", "--seed", "3", "--iterations", "0", "1",
-               "--batch-size", "p"])
+    world, _ = simcore.sample_world(preset_scenario("desk"), RngStream(3).substream("env"))
+    task = RngStream(3).substream("task", 0)
+    with tool._recorder(path, "one task"):
+        terms = simcore.episode_terms(world, time_factors(4, 0, False, 1.0))
+        simcore.run_task(world, (50,) * 4, 50, 200, 50, terms, task, CommConfig())
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
-    _, digest = tool._replay(calls)
-    run_task = simcore.run_task
-
-    def without_noise(world, loads, batch_size, p, m, terms, rng, cfg, index=0):
-        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index)
-
-    monkeypatch.setattr(simcore, "run_task", without_noise)
-    assert tool._replay(calls)[1] == digest
+    assert len(calls) == 1
+    assert calls[0][-4] == (task.seed, task.stream) and calls[0][-1] is None

@@ -35,7 +35,10 @@ The runs, for each seed:
 * sweep-batch: ``macc sweep-batch`` of hcmm at desk over batch sizes 1, 50
   and 200, where 200 is at least every load, so each worker sends one batch;
 * sweep-batch-scenario1: ``macc sweep-batch`` of hcmm at scenario1 over batch
-  sizes 1 and 10, 3 episodes: paper-scale tasks of many batches per worker.
+  sizes 1 and 10, 3 episodes: paper-scale tasks of many batches per worker;
+* sweep-batch-uniform-one-batch: ``macc sweep-batch`` of uniform at desk at
+  batch size 50, each of its loads: one-batch tasks in an episode whose
+  batch size is below p, so each task draws its own noise.
 
 So every CLI command is covered.
 
@@ -112,6 +115,9 @@ def runs(root):
         ("sweep-batch-scenario1", ["sweep-batch", "--config", configs["scenario1"],
                                    "--scheme", "hcmm", "--batch-sizes", "1,10",
                                    "--episodes", "3"]),
+        ("sweep-batch-uniform-one-batch", ["sweep-batch", "--config", configs["desk"],
+                                           "--scheme", "uniform", "--batch-sizes", "50",
+                                           "--episodes", "20"]),
     ]
 
 

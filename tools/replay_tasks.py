@@ -39,10 +39,8 @@ from set to set, and the scaled times follow it less than the raw ones.
 An episode that drew its tasks' noise gets it drawn again, through
 ``one_batch_noise``, inside its first task's timed call, as ``run_episode``
 draws it before task 0, and each task is passed its row as ``run_task``'s
-``noise``; a ``macc`` whose ``run_task`` takes no noise, such as a parent
-checkout's, draws each task's inside ``run_task``.  So on a one-batch
-recording, such as a ``--compare`` one, both sides' times hold every
-draw, and the ratio counts them.
+``noise``.  So on a one-batch recording, such as a ``--compare`` one, the
+times hold every draw.
 ``time`` runs ``replay`` in a fresh process per side and round, with
 PYTHONPATH at that side's source directory, the first side first in even
 rounds, so neither side runs in a process whose allocator the other
@@ -59,7 +57,6 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
-import inspect
 import json
 import os
 import pickle
@@ -96,9 +93,10 @@ def _recorder(path, what, keep=lambda: True):
         episode[:2] = episode_terms(world, factors), factors
         return episode[0]
 
-    def noise_recording(rng, k, n, cfg):
-        episode[2] = rng.seed, rng.stream, k
-        return one_batch_noise(rng, k, n, cfg)
+    def noise_recording(rng, n, cfg, k=None):
+        if k is not None:  # an episode's draw, not a task's own
+            episode[2] = rng.seed, rng.stream, k
+        return one_batch_noise(rng, n, cfg, k)
 
     def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
         if keep():
@@ -164,36 +162,30 @@ def _replay(calls):
 
     The episode's terms are derived from the world and the time factors,
     and loads that were passed checked (a simcore.Loads) are checked
-    again, before the clock starts.  A macc from before
-    simcore.episode_terms takes the time factors and the raw loads.  The
-    noise of an episode that drew it is drawn again in its first task's
-    timed call, unless run_task takes no noise and draws it itself: either
-    way the time holds every draw.
+    again, before the clock starts.  The noise of an episode that drew it
+    is drawn again in its first task's timed call, so the time holds every
+    draw.  one_batch_noise is called with keywords, which a macc whose
+    one_batch_noise takes (rng, k, n, cfg) reads alike.
     """
     from macc import envmodels, numerics, simcore
 
     h = hashlib.sha256()
     spent = 0.0
-    terms_api = hasattr(simcore, "episode_terms")
-    noise_api = "noise" in inspect.signature(simcore.run_task).parameters
     latest = None  # the episode whose noise was drawn last
     for (world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index,
          drawn) in calls:
         world = simcore.WorldState(*world)
-        terms = factors
-        if terms_api:
-            terms = simcore.episode_terms(world, factors)
-            if checked:
-                loads = simcore.check_loads(loads, world.n_workers, p, index)
+        terms = simcore.episode_terms(world, factors)
+        if checked:
+            loads = simcore.check_loads(loads, world.n_workers, p, index)
         cfg = envmodels.CommConfig(**cfg)
         args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream), cfg, index)
-        given = drawn is not None and noise_api
-        fresh = given and (index == 0 or drawn != latest)  # the first task of its episode
+        fresh = drawn is not None and (index == 0 or drawn != latest)  # its episode's first task
         episode = numerics.RngStream(*drawn[:2]) if fresh else None
         start = time.perf_counter()
         if fresh:
-            gain, us = simcore.one_batch_noise(episode, drawn[2], world.n_workers, cfg)
-        if given:
+            gain, us = simcore.one_batch_noise(episode, n=world.n_workers, cfg=cfg, k=drawn[2])
+        if drawn is not None:
             rec, nxt = simcore.run_task(*args, noise=(gain[index], us[index]))
         else:
             rec, nxt = simcore.run_task(*args)
