@@ -24,7 +24,9 @@ These are the only copies of the models: simcore.run_task calls
 link_gain once per task, channel_capacity and comp_time_with on whole
 arrays of batches, and advance once per task to move all nodes;
 simcore.run_episode builds the straggler's time_factors and, from them
-and the workers' profiles, the comp_coefficients once per episode.  The
+and the workers' profiles, the comp_coefficients once per episode, and
+in an episode of one batch per worker, link_gain and comp_time_with of
+one row for every task and worker before task 0.  The
 agents' state and the shared reward are built in simcore, next to the
 engine.
 """

@@ -14,7 +14,7 @@ Generator re-keyed to the start of a stream, for a stream that makes all
 its draws before any other stream draws.  RngStream.fresh_gens_at(ids)
 re-keys it to the start of RngStream(seed, id) for each stream id in turn:
 the engine's loop over its workers' streams, whose ids substream_ids folds
-as one array (simcore.one_batch_noise, _batched_noise).  fresh_gen() is
+as one array, once per episode (simcore.worker_ids).  fresh_gen() is
 its first Generator at the stream's own id: an episode's initial world
 (simcore.sample_world) and a replay minibatch's indices
 (marl.ReplayBuffer.sample).  Philox is counter-based, so both give the

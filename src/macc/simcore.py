@@ -25,16 +25,20 @@ Each loaded worker i draws its noise from the task's substream
 ("worker", i): first the shadowing of its broadcast and of each batch's
 transmission (when noise_std_db > 0), then one compute uniform per batch.
 It makes all its draws before the next worker draws, so the workers'
-stream ids are folded as one array (RngStream.substream_ids) and one
-loop re-keys the shared generator to each in turn
-(RngStream.fresh_gens_at), with no RngStream, generator or dict built
-per worker.  A worker that sends one batch makes the same draws whatever
-its load, so a one-batch task draws for every worker, idle ones too
-(one_batch_noise), and an episode of one-batch tasks draws them all
-before task 0, from one (K, N) array of the ids of ("task", j, "worker",
-i), and hands each task its row.  A multi-batch task draws for its
-loaded workers alone (_batched_noise): their draw counts depend on the
-loads.
+stream ids are folded as one array (RngStream.substream_ids), for every
+task of an episode at once, before task 0: the (K, N) grid of the ids of
+("task", j, "worker", i) (worker_ids).  One loop re-keys the shared
+generator to each id in turn (RngStream.fresh_gens_at), with no
+RngStream, generator or dict built per worker.  A worker that sends one
+batch makes the same draws whatever its load, so a one-batch task draws
+for every worker, idle ones too (one_batch_noise), and an episode of
+one-batch tasks draws them all before task 0 and derives from them, as
+three (K, N) arrays, all that a task reads of them: the link gains of
+each broadcast and each batch, and each worker's compute time per row
+(one_batch_terms); each task is handed its row of these as its noise.
+A multi-batch task draws for its loaded workers alone (_batched_noise),
+as their draw counts depend on the loads, each keyed by its entry of
+the task's row of the episode's grid, handed to it as its ids.
 
 The shadowing is drawn as standard normals and scaled by noise_std_db
 once, for the batches where pass 1 reads it: normal(0, s) gives
@@ -84,15 +88,20 @@ dominates, so what stays fixed for an episode is not derived per task:
 the workers' velocities relative to the master and the compute model's
 coefficients are derived once per episode (EpisodeTerms), a baseline's
 loads are checked and laid out once (Loads), and an episode whose batch
-size is at least p draws its noise once (see above).  Both paths call
-the same link, compute and sort helpers, compute from the terms'
-coefficients (envmodels.comp_time_with), and read the terms' own arrays
-and a cached worker index, with no gather, when every worker is loaded,
-or gather them once when a worker is idle (_loaded), as a one-batch task
-gathers its rows of the noise.
+size is at least p draws its noise and derives its gains and per-row
+compute times once (see above), so a task's compute times are one
+product of its loads.  Both paths compute from the terms' coefficients
+(envmodels.comp_time_with, whose per-row factor a one-batch episode
+takes once), call the same link and sort helpers, and read the terms'
+own arrays, a task's row and a cached worker index, with no gather, when
+every worker is loaded, or gather them once when a worker is idle
+(_loaded).
 
 The world (WorldState) is held as arrays: node positions and velocities
 with the master in row 0, the workers' compute profiles, and the clock.
+It is a NamedTuple, and a TaskRecord, a frozen dataclass with slots,
+is built through its slots' setters (TaskRecord._of): the frozen
+__init__ sets each field through object.__setattr__, at twice the cost.
 All times inside a TaskRecord are measured from the task dispatch; the
 world clock accumulates completion times across the K tasks of an episode,
 since task j+1 is dispatched only once task j completed, and run_task
@@ -118,7 +127,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -145,14 +154,14 @@ class NonFiniteLoadError(ValueError):
         super().__init__(f"task {task}: allocator returned non-finite loads {self.loads}")
 
 
-@dataclass(frozen=True, eq=False)
-class WorldState:
+class WorldState(NamedTuple):
     """Node kinematics and worker compute profiles at a clock time, as arrays.
 
     pos and vel (m, m/s) have shape (N+1, 2): row 0 is the master, row i+1
     worker i.  alpha (s per row) and beta (straggling), shape (N,), are the
     workers' shifted-exponential parameters.  run_task returns a new world
-    and never writes into these arrays.
+    and never writes into these arrays.  A world is a tuple of arrays, so
+    two worlds are compared by their arrays, not with ==.
     """
 
     pos: np.ndarray
@@ -293,7 +302,7 @@ class ReceiptLog:
         return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     index: int
     dispatch_time: float
@@ -302,6 +311,28 @@ class TaskRecord:
     rows_received_at_completion: int
     feasible: bool
     loads: tuple
+
+    @classmethod
+    def _of(cls, index, dispatch_time, t_complete, receipt_log, rows, feasible, loads):
+        """The record of these fields, each set through its slot's own setter.
+
+        The frozen __init__ sets each field through object.__setattr__,
+        which looks the slot up anew and takes twice as long.
+        """
+        rec = _new(cls)
+        s_index, s_dispatch, s_complete, s_log, s_rows, s_feasible, s_loads = _RECORD_SLOTS
+        s_index(rec, index)
+        s_dispatch(rec, dispatch_time)
+        s_complete(rec, t_complete)
+        s_log(rec, receipt_log)
+        s_rows(rec, rows)
+        s_feasible(rec, feasible)
+        s_loads(rec, loads)
+        return rec
+
+
+# each field's slot setter, in field order, for TaskRecord._of
+_RECORD_SLOTS = tuple(TaskRecord.__dict__[f.name].__set__ for f in fields(TaskRecord))
 
 
 @dataclass(frozen=True)
@@ -559,23 +590,36 @@ def _all_workers(n):
     return index
 
 
-def _loaded(world, active, terms):
-    """The loaded workers' index, geometry and compute coefficients, flat per worker.
+def _loaded(world, active, terms, *rows):
+    """The loaded workers' index and geometry, and their entries of rows, flat per worker.
 
-    Returns (act, r, rv, floor, tail): r and rv, shape (2, A), are the
-    positions and velocities relative to the master with x and y stacked,
-    and rv, floor and tail the loaded workers' entries of the episode's
-    terms (EpisodeTerms).  When every worker is loaded, those are the
-    terms' own arrays and act the cached index, with no gather; otherwise
-    each is gathered once.  All are read, never written.
+    Returns (act, r, rv, *rows): r and rv, shape (2, A), are the positions
+    and velocities relative to the master with x and y stacked, rv the
+    loaded workers' entries of the episode's terms (EpisodeTerms), and
+    each array of rows, shape (N,), gives its loaded workers' entries.
+    When every worker is loaded, those are the given arrays themselves and
+    act the cached index, with no gather; otherwise each is gathered once.
+    All are read, never written.
     """
     n = len(world.beta)
     if len(active) == n:
-        r = (world.pos[1:] - world.pos[0]).T
-        return _all_workers(n), r, terms.rv, terms.floor, terms.tail
+        return (_all_workers(n), (world.pos[1:] - world.pos[0]).T, terms.rv, *rows)
     act = np.array(active)
-    return (act, (world.pos[act + 1] - world.pos[0]).T, terms.rv[:, act], terms.floor[act],
-            terms.tail[act])
+    return (act, (world.pos[act + 1] - world.pos[0]).T, terms.rv[:, act], *[a[act] for a in rows])
+
+
+def worker_ids(rng, n, k=None):
+    """The stream ids of rng's substreams ("worker", i) of the n workers, as uint64, shape (n,).
+
+    With k, rng is an episode's "task" stream, and the ids are those of
+    rng.substream(j, "worker", i), shape (k, n): row j is task j's, the
+    ids of rng.substream(j)'s ("worker", i).  One array fold covers them
+    all (RngStream.substream_ids).
+    """
+    tokens = ("worker", _all_workers(n))
+    if k is not None:
+        tokens = (np.arange(k)[:, None], *tokens)
+    return rng.substream_ids(*tokens)
 
 
 def one_batch_noise(rng, n, cfg, k=None):
@@ -591,10 +635,7 @@ def one_batch_noise(rng, n, cfg, k=None):
     shadowing of its broadcast and of its batch, scaled by noise_std_db;
     then its compute uniform, as a float.
     """
-    tokens = ("worker", _all_workers(n))
-    if k is not None:
-        tokens = (np.arange(k)[:, None], *tokens)
-    ids = rng.substream_ids(*tokens)
+    ids = worker_ids(rng, n, k)
     omega = np.zeros((ids.size, 2))  # per worker: the broadcast of x, then the batch
     us = []
     noisy = cfg.noise_std_db > 0
@@ -610,18 +651,36 @@ def one_batch_noise(rng, n, cfg, k=None):
     return gain, us
 
 
-def _batched_noise(rng, act, heads, shadows, uniforms, cfg):
+def one_batch_terms(gain, us, terms):
+    """What one-batch tasks read of one_batch_noise's (gain, us): (head, send, per_row).
+
+    head and send are the link gains of each worker's broadcast and of its
+    batch, and per_row its compute time per row, floor - tail ln(1 - U)
+    under the episode's terms (envmodels.comp_time_with of one row), so a
+    task's compute times are its loads times its row of per_row, bit for
+    bit comp_time_with of its loads.  Each is contiguous, read-only and of
+    us's shape: (N,) for a task's noise, (K, N) for an episode's.
+    """
+    head, send = gain[..., 0].copy(), gain[..., 1].copy()
+    per_row = comp_time_with(1.0, us, terms.floor, terms.tail)  # x 1.0 is exact
+    for a in (head, send, per_row):
+        a.setflags(write=False)
+    return head, send, per_row
+
+
+def _batched_noise(rng, ids, heads, shadows, uniforms, cfg):
     """Draw, in place, the noise of a task in which some worker sends more than one batch.
 
-    The k-th loaded worker, act[k], draws from the task stream rng's
-    substream ("worker", act[k]): when noise_std_db > 0, the standard
-    normals of heads[k], its broadcast's shadowing, then those of
-    shadows[k], its batches'; then the uniforms of uniforms[k], one per
-    batch.  Normals drawn into one array after another are those of one
-    draw into both.  The caller scales the shadowing by noise_std_db.
+    The k-th loaded worker draws from RngStream(rng.seed, ids[k]), its
+    substream ("worker", i) of the task's stream (worker_ids): when
+    noise_std_db > 0, the standard normals of heads[k], its broadcast's
+    shadowing, then those of shadows[k], its batches'; then the uniforms
+    of uniforms[k], one per batch.  Normals drawn into one array after
+    another are those of one draw into both.  The caller scales the
+    shadowing by noise_std_db.
     """
     noisy = cfg.noise_std_db > 0
-    for k, gen in enumerate(rng.fresh_gens_at(rng.substream_ids("worker", act).tolist())):
+    for k, gen in enumerate(rng.fresh_gens_at(ids)):
         if noisy:
             gen.standard_normal(out=heads[k])
             gen.standard_normal(out=shadows[k])
@@ -640,20 +699,16 @@ def _one_batch(world, lay, p, m, terms, cfg, noise):
     Returns (ReceiptLog, rows received at completion).  The arrays are
     flat, one entry per loaded worker (see _loaded), and the sizes are the
     loads, laid out by check_loads (lay).  noise is the task's
-    one_batch_noise, over every worker, whose loaded workers' rows are
+    one_batch_terms, over every worker, whose loaded workers' entries are
     gathered when a worker is idle.  Each batch begins once computed, so
     one evaluation of the link gives the arrivals, and the log is read off
     their sorted order.
     """
     sizes, float_sizes = lay.sizes, lay.float_sizes
-    act, r, rv, floor, tail = _loaded(world, lay.active, terms)
-    gain, us = noise
-    if len(act) < len(us):
-        gain, us = gain[act], us[act]
-    arrival = comp_time_with(float_sizes, us, floor, tail)
-    arrival += _broadcast_time(m, r, gain[:, 0], cfg)
-    arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival),
-                          gain[:, 1], cfg)
+    act, r, rv, head, send, per_row = _loaded(world, lay.active, terms, *noise)
+    arrival = float_sizes * per_row  # comp_time_with's product of the loads
+    arrival += _broadcast_time(m, r, head, cfg)
+    arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival), send, cfg)
     order, received, n_kept = _reach(arrival, sizes, p)
     kept = order[: min(n_kept, len(act))]  # an infeasible task keeps every batch
     return ReceiptLog._of(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
@@ -666,18 +721,20 @@ def _layout_error(index, total, p, batch_size):
                       f"scenario.p_rows = {p} and scenario.batch_size = {batch_size}")
 
 
-def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
+def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
     """Receipts of a task in which some worker sends more than one batch.
 
     Returns (ReceiptLog, rows received at completion); see run_task.  The
     batches sit in a flat worker-major layout, one slot per batch, whose
-    draws are made in full.  Each worker's leading batches are computed
-    and solved together (_solve), and the workers whose solved arrivals
-    stop before the completion are extended and solved again, alone; the
-    others keep their arrivals, which are joined up again for the sort to
-    completion (_reach).  A layout that cannot be allocated, a load past
-    int64 among them, is a ValueError naming task index, its size and the
-    settings it grows with, p and the batch size.
+    draws are made in full, each loaded worker's keyed by its entry of
+    ids, the task's worker_ids, derived here from rng when None.  Each
+    worker's leading batches are computed and solved together (_solve),
+    and the workers whose solved arrivals stop before the completion are
+    extended and solved again, alone; the others keep their arrivals,
+    which are joined up again for the sort to completion (_reach).  A
+    layout that cannot be allocated, a load past int64 among them, is a
+    ValueError naming task index, its size and the settings it grows
+    with, p and the batch size.
     """
     loads, active = lay.loads, lay.active
     try:
@@ -697,9 +754,11 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
         raise _layout_error(index, total, p, batch_size) from None
     segments = _segments(counts)[1]
     sizes[[seg.stop - 1 for seg in segments]] = last
-    act, r, rv, floor, tail = _loaded(world, active, terms)
+    if ids is None:  # a task run alone
+        ids = worker_ids(rng, len(world.beta))
+    act, r, rv, floor, tail, ids = _loaded(world, active, terms, terms.floor, terms.tail, ids)
     heads = np.zeros((len(active), 1))  # per worker: the broadcast of x
-    _batched_noise(rng, act, heads, [omega[seg] for seg in segments],
+    _batched_noise(rng, ids.tolist(), heads, [omega[seg] for seg in segments],
                    [us[seg] for seg in segments], cfg)
     heads *= cfg.noise_std_db  # the batches' shadowing is scaled where pass 1 reads it
     bc = _broadcast_time(m, r, link_gain(heads[:, 0], cfg), cfg)
@@ -740,7 +799,7 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index):
             int(received[n_kept - 1]))
 
 
-def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
+def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None, ids=None):
     """Simulate one task; returns (TaskRecord, advanced WorldState).
 
     loads holds one non-negative integer per worker, each at most p, the
@@ -754,13 +813,19 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     episode_terms of this world's episode: the workers' velocities
     relative to the master and their compute coefficients, which no task
     changes.  rng is the task's stream, cfg the link's CommConfig.
-    noise, when given, is the task's row of its one-batch episode's noise
-    (one_batch_noise over every worker): a (N, 2) array of link gains and
-    a (N,) array of compute uniforms, drawn from rng's substreams
-    ("worker", i).  A one-batch task then draws nothing and reads no rng
-    (None will do); without it, it draws the same bits here, through
-    one_batch_noise(rng, N, cfg).  A multi-batch task draws its own and
-    ignores noise.
+    Worker i draws its noise from rng's substream ("worker", i).  noise,
+    when given, is the task's row of what its one-batch episode derived
+    once (one_batch_terms of one_batch_noise, over every worker): three
+    (N,) arrays, the link gains of each worker's broadcast and of its
+    batch and its compute time per row.  A one-batch task then draws
+    nothing and reads no rng (None will do), and its compute times are
+    its loads times the per-row times; without noise, it derives the same
+    bits here, through one_batch_terms(*one_batch_noise(rng, N, cfg),
+    terms).  ids, when given, is the task's row of its multi-batch
+    episode's worker_ids, the (N,) stream ids of rng's substreams
+    ("worker", i), from which a multi-batch task keys its loaded workers'
+    draws; without it, it derives them from rng.  A multi-batch task
+    ignores noise, and a one-batch task ids.
     The task completes at the first arrival, in (arrival, worker, batch)
     order, at which the received rows reach p; an infeasible task keeps
     every batch.  The module docstring describes how it is computed.
@@ -774,22 +839,20 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     """
     lay = loads if type(loads) is Loads else check_loads(loads, len(world.beta), p, index)
     if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing
-        return TaskRecord(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
+        return TaskRecord._of(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
 
     if batch_size >= lay.top:  # each worker's one batch is its whole load
         if noise is None:
-            noise = one_batch_noise(rng, len(world.beta), cfg)
+            noise = one_batch_terms(*one_batch_noise(rng, len(world.beta), cfg), terms)
         receipt_log, rows = _one_batch(world, lay, p, m, terms, cfg, noise)
     else:
-        receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index)
+        receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
                          "so the task never completes")
 
-    # by position: keywords cost half as much again
-    record = TaskRecord(index, world.clock, t_done, receipt_log, rows, lay.feasible, lay.loads)
-    # built directly: dataclasses.replace costs twice as much
+    record = TaskRecord._of(index, world.clock, t_done, receipt_log, rows, lay.feasible, lay.loads)
     pos = advance(world.pos, world.vel, t_done)
     return record, WorldState(pos, world.vel, world.alpha, world.beta, world.clock + t_done)
 
@@ -890,11 +953,16 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     record's states is ().  Any other allocator is called, gets states and
     has its loads read, and checked by run_task, anew on every task.
     The time factors and the terms derived from them and the first world
-    (episode_terms) are taken once and handed to every task.  When
+    (episode_terms) are taken once and handed to every task.  Task j
+    draws from rng.substream("task", j), whose substreams ("worker", i)
+    are keyed for every task at once, before task 0.  When
     scenario.batch_size >= p, every task sends one batch per worker, so
-    the noise of every task and worker is drawn once, before task 0
-    (one_batch_noise), and each task is handed its row, with no stream of
-    its own; otherwise task j draws from rng.substream("task", j).
+    the noise of every task and worker is drawn then (one_batch_noise),
+    and the broadcast gains, the transmission gains and the compute times
+    per row derived from it (one_batch_terms), three (K, N) arrays; each
+    task is handed its row of them as noise, with no stream of its own.
+    Otherwise the (K, N) grid of the workers' stream ids (worker_ids) is
+    derived then, and each task is handed its stream and its row of ids.
     Every task runs at scenario.batch_size, the victim is slowed when
     scenario.straggler_enabled is set, and each task is scored by
     reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
@@ -911,9 +979,12 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     per_episode = getattr(allocator, "per_episode", False)
     states = None
     task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
-    gain = us = None
+    ids = None
     if scenario.batch_size >= p:  # every task sends one batch per worker: draw them all now
-        gain, us = one_batch_noise(task_rng, scenario.n_workers, scenario.comm, scenario.k_tasks)
+        head, send, per_row = one_batch_terms(
+            *one_batch_noise(task_rng, scenario.n_workers, scenario.comm, scenario.k_tasks), terms)
+    else:
+        ids = worker_ids(task_rng, scenario.n_workers, scenario.k_tasks)
     for j in range(scenario.k_tasks):
         if not per_episode:
             states = build_state(world, scales, like=states)
@@ -926,12 +997,12 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if per_episode:  # checked and laid out once, for every task
                 loads = check_loads(loads, len(world.beta), p, j)
 
-        if gain is None:
-            task, noise = task_rng.substream(j), None
-        else:  # the task's noise is drawn, so it reads no stream
-            task, noise = None, (gain[j], us[j])
+        if ids is None:  # the task's noise is drawn, so it reads no stream
+            task, noise, row = None, (head[j], send[j], per_row[j]), None
+        else:
+            task, noise, row = task_rng.substream(j), None, ids[j]
         rec, world = run_task(world, loads, scenario.batch_size, p, scenario.m_cols, terms, task,
-                              scenario.comm, index=j, noise=noise)
+                              scenario.comm, index=j, noise=noise, ids=row)
         tasks.append(rec)
         rewards.append(reward(rec, penalty))
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from macc import simcore
 from macc.allocators import hcmm_alloc
 from macc.config import ScenarioConfig, preset_scenario
-from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
+from macc.envmodels import (CommConfig, channel_capacity, comp_time_with, link_gain,
+                            time_factors)
 from macc.experiments import sweep_batch
 from macc.numerics import RngStream
 from macc.simcore import (
@@ -849,9 +850,69 @@ class TestSameBitsAsBefore:
             assert (rec.t_complete, rec.rows_received_at_completion) == (t, rows)
             assert (rec.loads, rec.feasible) == (want, case != "infeasible")
             assert rec.dispatch_time == world.clock
-            world = replace(world, pos=pos, clock=clock)
+            world = world._replace(pos=pos, clock=clock)
             if per_task and j + 1 < len(worlds):
                 assert worlds[j + 1].pos.tobytes() == pos.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_batch_episode_same_loads_per_episode_or_per_task(self, monkeypatch, seed):
+        # scenario3 at b = p, the straggler victim loaded and one worker idle: loads checked
+        # once for the episode and the same loads returned raw on each task give equal
+        # records and next worlds
+        scenario = preset_scenario("scenario3")
+        p, n = scenario.p_rows, scenario.n_workers
+        scenario = replace(scenario, batch_size=p, straggler_enabled=True)
+        victim = sample_world(scenario, RngStream(seed).substream("env"))[1]
+        idle = (victim + 1) % n
+        loads = tuple(0 if i == idle else p // (n - 1) for i in range(n))
+        run = simcore.run_task
+        runs = []
+
+        def recording(*args, **kwargs):
+            rec, nxt = run(*args, **kwargs)
+            runs[-1].append((nxt.pos.tobytes(), nxt.clock))
+            return rec, nxt
+
+        monkeypatch.setattr(simcore, "run_task", recording)
+        episodes = []
+        for per_episode in (True, False):
+            def allocator(world, states):
+                return loads
+
+            allocator.per_episode = per_episode
+            runs.append([])
+            episodes.append(simcore.run_episode(scenario, allocator, RngStream(seed)))
+        once, each = episodes
+        assert once.victim == victim and loads[victim] > 0
+        assert once.tasks == each.tasks and once.rewards == each.rewards
+        assert once.total_time == each.total_time
+        assert runs[0] == runs[1] and len(runs[0]) == scenario.k_tasks
+        assert all(rec.feasible and idle not in rec.receipt_log.workers.tolist()
+                   for rec in once.tasks)
+
+    @pytest.mark.parametrize("batch_size", [1, 10, 50])
+    def test_multi_batch_episode_matches_tasks_run_alone(self, batch_size):
+        # an episode below batch size p hands each task its row of the workers' stream ids;
+        # a task run alone derives them from its stream, with the same records and worlds
+        scenario = replace(preset_scenario("desk"), batch_size=batch_size,
+                           straggler_enabled=True)
+        worlds = []
+
+        def rotating(world, states):
+            worlds.append(world)
+            return [0 if i == len(worlds) % 4 else 50 + 20 * i for i in range(4)]
+
+        ep = simcore.run_episode(scenario, rotating, RngStream(2))
+        terms = terms_of(worlds[0], (True, ep.victim, scenario.straggler_slowdown))
+        task_rng = RngStream(2).substream("task")
+        for j, (rec, world) in enumerate(zip(ep.tasks, worlds)):
+            alone, nxt = run_task(world, rec.loads, batch_size, scenario.p_rows,
+                                  scenario.m_cols, terms, task_rng.substream(j), scenario.comm,
+                                  index=j)
+            assert alone == rec
+            if j + 1 < len(worlds):
+                assert (nxt.pos.tobytes(), nxt.clock) == (worlds[j + 1].pos.tobytes(),
+                                                          worlds[j + 1].clock)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stacked_send_time_matches_four_arrays(self, seed):
@@ -948,7 +1009,8 @@ class TestSameBitsAsBefore:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_batch_draws_match_each_workers_substream(self, seed, noise_std_db):
         # an episode's (task, worker) streams, each two normals, then a uniform, as the
-        # link gain of the scaled shadowing and the uniform
+        # link gain of the scaled shadowing and the uniform; and what a task reads of
+        # them, the broadcast's and the batch's gains and the compute time per row
         cfg = CommConfig(noise_std_db=noise_std_db)
         tasks = RngStream(seed).substream("task")
         gain, us = simcore.one_batch_noise(tasks, 5, cfg, k=3)
@@ -956,22 +1018,38 @@ class TestSameBitsAsBefore:
         assert not gain.flags.writeable and not us.flags.writeable
         world, victim = sample_world(ScenarioConfig(n_workers=5), RngStream(seed).substream("env"))
         terms = terms_of(world, (True, victim, 10.0))
+        rows = simcore.one_batch_terms(gain, us, terms)
+        for a in rows:
+            assert a.shape == (3, 5) and a.flags.c_contiguous and not a.flags.writeable
+        head, send, per_row = rows
         loads = [60, 0, 70, 40, 30]  # worker 1 idle
         for j in range(3):
             for i in range(5):
                 gen = tasks.substream(j, "worker", i).gen
                 omega = noise_std_db * gen.standard_normal(2) if noise_std_db > 0 else np.zeros(2)
-                assert gain[j, i].tobytes() == link_gain(omega, cfg).tobytes()
-                assert us[j, i:i + 1].tobytes() == gen.random(1).tobytes()
+                want = link_gain(omega, cfg)
+                assert gain[j, i].tobytes() == want.tobytes()
+                assert (head[j, i], send[j, i]) == tuple(want.tolist())
+                u = gen.random(1)
+                assert us[j, i:i + 1].tobytes() == u.tobytes()
+                # the time per row is comp_time_with of one row, so the loads' times are
+                floor, tail = terms.floor[i:i + 1], terms.tail[i:i + 1]
+                assert per_row[j, i:i + 1].tobytes() == comp_time_with(1.0, u, floor,
+                                                                       tail).tobytes()
+                rows_i = np.array([float(loads[i])])
+                assert (rows_i * per_row[j, i:i + 1]).tobytes() == comp_time_with(
+                    rows_i, u, floor, tail).tobytes()
             # a task alone draws its own row, from its stream's substreams ("worker", i)
             alone = simcore.one_batch_noise(tasks.substream(j), 5, cfg)
             assert alone[0].tobytes() == gain[j].tobytes()
             assert alone[1].tobytes() == us[j].tobytes()
+            for a, b in zip(simcore.one_batch_terms(*alone, terms), rows):
+                assert a.shape == (5,) and a.tobytes() == b[j].tobytes()
             # so a task run without noise records what its episode row gives, bit for bit
             drawn, nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, tasks.substream(j),
                                   cfg, index=j)
             given, given_nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, None, cfg,
-                                        index=j, noise=(gain[j], us[j]))
+                                        index=j, noise=(head[j], send[j], per_row[j]))
             assert drawn.t_complete.hex() == given.t_complete.hex()
             assert task_digest(drawn, nxt) == task_digest(given, given_nxt)
             assert drawn.rows_received_at_completion == given.rows_received_at_completion
@@ -985,7 +1063,8 @@ class TestSameBitsAsBefore:
         widths = (3, 1, 5)
         heads = np.zeros((3, 1))
         shadows, uniforms = [np.zeros(w) for w in widths], [np.empty(w) for w in widths]
-        simcore._batched_noise(task, np.array([0, 2, 4]), heads, shadows, uniforms,
+        ids = simcore.worker_ids(task, 5)[[0, 2, 4]]
+        simcore._batched_noise(task, ids.tolist(), heads, shadows, uniforms,
                                CommConfig(noise_std_db=noise_std_db))
         for k, (i, w) in enumerate(zip([0, 2, 4], widths)):
             gen = task.substream("worker", i).gen
@@ -996,6 +1075,18 @@ class TestSameBitsAsBefore:
             assert uniforms[k].tobytes() == gen.random(w).tobytes()
         if noise_std_db == 0:
             assert not heads.any() and not any(s.any() for s in shadows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_worker_ids_of_an_episode_are_each_tasks(self, seed):
+        # row j of an episode's grid is task j's own workers' ids, which a task run
+        # alone derives from its stream
+        tasks = RngStream(seed).substream("task")
+        grid = simcore.worker_ids(tasks, 4, k=6)
+        assert grid.shape == (6, 4) and grid.dtype == np.uint64
+        for j in range(6):
+            want = [tasks.substream(j, "worker", i).stream for i in range(4)]
+            assert grid[j].tolist() == want
+            assert simcore.worker_ids(tasks.substream(j), 4).tolist() == want
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_factor_vector_and_gathers_for_each_victim(self, enabled):
@@ -1014,10 +1105,12 @@ class TestSameBitsAsBefore:
             assert terms.rv.tobytes() == (world.vel[1:] - world.vel[0]).T.tobytes()
             assert not any(a.flags.writeable for a in terms)
             # all loaded: the terms' own arrays; otherwise a gather
-            _, _, rv, floor, tail = simcore._loaded(world, range(n), terms)
+            _, _, rv, floor, tail = simcore._loaded(world, range(n), terms, terms.floor,
+                                                    terms.tail)
             assert rv is terms.rv and floor is terms.floor and tail is terms.tail
             for active in ([0, 2, 4], [0, 1, 3], [victim]):
-                _, _, rv, floor, tail = simcore._loaded(world, active, terms)
+                _, _, rv, floor, tail = simcore._loaded(world, active, terms, terms.floor,
+                                                        terms.tail)
                 assert rv.tobytes() == (world.vel[np.add(active, 1)] - world.vel[0]).T.tobytes()
                 assert floor.tobytes() == terms.floor[active].tobytes()
                 assert tail.tobytes() == (want[active] / world.beta[active]).tobytes()

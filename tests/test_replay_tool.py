@@ -33,8 +33,15 @@ def test_records_an_iteration_and_replays_it(tool, tmp_path, capsys):
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
     assert len(calls) == 50  # the default 10 episodes of desk's 5 tasks, in iteration 1 alone
-    # tasks of several batches per worker draw their own noise, in run_task
-    assert all(drawn is None for *_, drawn in calls)
+    # tasks of several batches per worker draw their own noise, in run_task, keyed by their
+    # row of the workers' stream ids their episode derived from its "task" stream; the
+    # episodes of iteration 1 are training episodes 10..19
+    assert all(batch_size < p for _, _, _, batch_size, p, *_ in calls)
+    episodes = [RngStream(3).substream("episode", e, "task") for e in range(10, 20)]
+    assert [drawn for *_, drawn in calls] == [(t.seed, t.stream, 5) for t in episodes
+                                              for _ in range(5)]
+    want = [t.substream(j) for t in episodes for j in range(5)]
+    assert [stream for *_, stream, _, _, _ in calls] == [(t.seed, t.stream) for t in want]
     tool.main(["time", path, SRC, SRC, "--pairs", "2"])
     *rounds, last = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(last)
@@ -127,3 +134,36 @@ def test_a_task_drawing_its_own_noise_is_recorded_without_an_episode_draw(tool, 
         calls = pickle.load(fh)
     assert len(calls) == 1
     assert calls[0][-4] == (task.seed, task.stream) and calls[0][-1] is None
+
+
+def test_a_package_before_per_row_times_replays_through_its_own_contract(tool, tmp_path,
+                                                                         monkeypatch):
+    # a macc without simcore.one_batch_terms takes a one-batch task's noise as its rows of
+    # one_batch_noise's (gain, us) and derives a multi-batch task's stream ids itself: it
+    # replays a comparison and a training iteration with the records of this one
+    calls = []
+    for name, extra in (("compare", ["--compare", "uniform,hcmm", "--episodes", "2"]),
+                        ("train", ["--iterations", "0", "1"])):
+        path = str(tmp_path / f"{name}.pkl")
+        tool.main(["record", path, "--preset", "desk", "--seed", "3", *extra])
+        with open(path, "rb") as fh:
+            calls += pickle.load(fh)
+    assert {batch_size >= p for _, _, _, batch_size, p, *_ in calls} == {True, False}
+    assert all(drawn is not None for *_, drawn in calls)
+    spent, scaled, digest = tool._replay(calls, tool._calibrate().Speed())
+    assert spent > 0.0 and scaled > 0.0
+    terms_of, run_task = simcore.one_batch_terms, simcore.run_task
+    given = []
+
+    def before(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
+        given.append(noise is not None)
+        if noise is not None:
+            gain, us = noise
+            assert gain.shape == (4, 2) and us.shape == (4,)
+            noise = terms_of(gain, us, terms)
+        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index, noise)
+
+    monkeypatch.delattr(simcore, "one_batch_terms")
+    monkeypatch.setattr(simcore, "run_task", before)
+    assert tool._replay(calls, tool._calibrate().Speed())[2] == digest
+    assert given == [batch_size >= p for _, _, _, batch_size, p, *_ in calls]

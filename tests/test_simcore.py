@@ -318,7 +318,7 @@ class TestRunTaskValidation:
             run_deterministic(world, [11], p=10, m=5, batch_size=10)
 
     def test_all_zero_loads_record_an_infeasible_zero_time_task(self):
-        world = replace(make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2), clock=2.5)
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)._replace(clock=2.5)
         rec, after = run_task(world, [0, 0.0], 10, 10, 5, no_straggler(world), RngStream(0),
                               NOISELESS, index=4)
         assert rec == TaskRecord(index=4, dispatch_time=2.5, t_complete=0.0,

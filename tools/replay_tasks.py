@@ -17,11 +17,14 @@ again:
 numbers and arrays, in a pickle: the time factors the episode's terms
 were derived from (``simcore.episode_terms``), and the loads as a tuple,
 with whether they came checked once for the episode (a
-``simcore.Loads``), the task's own stream, and, when its one-batch
-episode drew its noise (``simcore.one_batch_noise``), the episode's
-"task" stream and task count.  By default it runs ``marl.train`` with
-the default TrainConfig at the preset and seed, keeps the calls made in
-the iterations [first, stop), and stops training after the last of them;
+``simcore.Loads``), the task's own stream, and, when its episode derived
+its tasks' worker stream ids (``simcore.worker_ids``, called with a task
+count by ``run_episode`` and by ``one_batch_noise`` in a one-batch
+episode), the episode's "task" stream and task count; a recording is
+made through a ``macc`` that has ``worker_ids``.  By default it runs
+``marl.train`` with the default TrainConfig at the preset and seed,
+keeps the calls made in the iterations [first, stop), and stops
+training after the last of them;
 ``--batch-size`` trains at that batch size, an int or ``p`` for p_rows
 (one batch per worker).  With ``--compare`` it runs
 ``experiments.compare_schemes`` of the comma-separated schemes instead,
@@ -29,18 +32,27 @@ the iterations [first, stop), and stops training after the last of them;
 (the preset's own setting otherwise), as perfbench's compare workload
 does, and keeps every call.  ``replay`` replays the calls through the
 ``macc`` package on the path, once untimed and once timed, and prints one
-JSON line: the seconds spent inside ``run_task``, the host speed scale
-and the seconds scaled by it, the process's minor page faults over the
-timed replay, and a digest of every record and next world.  The scale is
-perfbench's ``calibrate.scale_now()``, the mean of one taken just before
-and one just after the timed replay, so a scaled time is what the replay
-would take on perfbench's reference host: a shared host's speed moves
-from set to set, and the scaled times follow it less than the raw ones.
-An episode that drew its tasks' noise gets it drawn again, through
-``one_batch_noise``, inside its first task's timed call, as ``run_episode``
-draws it before task 0, and each task is passed its row as ``run_task``'s
-``noise``.  So on a one-batch recording, such as a ``--compare`` one, the
-times hold every draw.
+JSON line: the seconds spent inside ``run_task``, the seconds scaled to
+host speed, their mean scale and the kernel's run count, the process's
+minor page faults over the timed replay, and a digest of every record
+and next world.  The replay is
+scaled slice by slice, as perfbench scales a unit: perfbench's
+``calibrate.Speed`` runs its kernel before a call whenever 5 ms have
+passed since its last run, outside the clock, and each call's time is
+scaled by the kernel runs around it, so a scaled time is what the replay
+would take on perfbench's reference host even when the host's speed
+moves within the replay.
+An episode that derived its tasks' noise or stream ids gets them derived
+again inside its first task's timed span, as ``run_episode`` derives them
+before task 0, and each task is passed its row.  With a ``macc`` that has
+``simcore.one_batch_terms``, a one-batch episode's ``noise`` row is that
+of ``one_batch_terms(*one_batch_noise(...), terms)`` (the broadcast
+gains, transmission gains and compute times per row), and a multi-batch
+episode's task gets its row of ``worker_ids`` as ``ids``; with one
+before it, the row is ``one_batch_noise``'s (gain, us), and a
+multi-batch task derives its own ids.  So on a one-batch recording, such
+as a ``--compare`` one, the times hold every draw, and either package
+replays through its own contract.
 ``time`` runs ``replay`` in a fresh process per side and round, with
 PYTHONPATH at that side's source directory, the first side first in even
 rounds, so neither side runs in a process whose allocator the other
@@ -67,7 +79,7 @@ import sys
 import time
 
 
-# perfbench's host speed scale, which replay takes next to its timed replay
+# perfbench's host speed kernel, which replay runs between its timed calls
 CALIBRATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
                          "calibrate.py")
 
@@ -83,41 +95,42 @@ def _recorder(path, what, keep=lambda: True):
     from macc.numerics import RngStream
 
     calls = []
-    run_task, episode_terms, one_batch_noise = (simcore.run_task, simcore.episode_terms,
-                                                simcore.one_batch_noise)
+    run_task, episode_terms, worker_ids = (simcore.run_task, simcore.episode_terms,
+                                           simcore.worker_ids)
     # the latest terms episode_terms built, their time factors, and the "task" stream and
-    # task count of the latest episode whose noise one_batch_noise drew
+    # task count of the latest episode whose tasks' worker ids worker_ids derived
     episode = [None, None, None]
 
     def terms_recording(world, factors):
         episode[:2] = episode_terms(world, factors), factors
         return episode[0]
 
-    def noise_recording(rng, n, cfg, k=None):
-        if k is not None:  # an episode's draw, not a task's own
+    def ids_recording(rng, n, k=None):
+        if k is not None:  # an episode's ids, not a task's own
             episode[2] = rng.seed, rng.stream, k
-        return one_batch_noise(rng, n, cfg, k)
+        return worker_ids(rng, n, k)
 
-    def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None):
+    def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None,
+                  ids=None):
         if keep():
             if terms is not episode[0]:
                 raise RuntimeError("run_task was called with terms episode_terms did not build")
             checked = type(loads) is simcore.Loads
-            drawn = None if noise is None else episode[2]
+            drawn = None if noise is None and ids is None else episode[2]
             task = rng if drawn is None else RngStream(*drawn[:2]).substream(index)
             calls.append(((world.pos, world.vel, world.alpha, world.beta, world.clock),
                           tuple(loads.loads if checked else loads), checked, batch_size, p, m,
                           episode[1], (task.seed, task.stream), dataclasses.asdict(cfg), index,
                           drawn))
-        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index, noise)
+        return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index, noise, ids)
 
-    simcore.run_task, simcore.episode_terms, simcore.one_batch_noise = (
-        recording, terms_recording, noise_recording)
+    simcore.run_task, simcore.episode_terms, simcore.worker_ids = (
+        recording, terms_recording, ids_recording)
     try:
         yield
     finally:
-        simcore.run_task, simcore.episode_terms, simcore.one_batch_noise = (
-            run_task, episode_terms, one_batch_noise)
+        simcore.run_task, simcore.episode_terms, simcore.worker_ids = (
+            run_task, episode_terms, worker_ids)
     with open(path, "wb") as fh:
         pickle.dump(calls, fh)
     print(f"{len(calls)} run_task calls of {what} written to {path}")
@@ -157,20 +170,23 @@ def record_compare(path, preset, seed, schemes, episodes, straggler):
         experiments.compare_schemes(scenario, schemes, episodes, seed)
 
 
-def _replay(calls):
-    """Seconds inside run_task over the calls, and a digest of every record and next world.
+def _replay(calls, speed):
+    """Seconds inside run_task over the calls, scaled and raw, and a digest of every record
+    and next world.
 
     The episode's terms are derived from the world and the time factors,
     and loads that were passed checked (a simcore.Loads) are checked
-    again, before the clock starts.  The noise of an episode that drew it
-    is drawn again in its first task's timed call, so the time holds every
-    draw.  one_batch_noise is called with keywords, which a macc whose
-    one_batch_noise takes (rng, k, n, cfg) reads alike.
+    again, before the clock starts.  What an episode derived before task 0
+    is derived again in a timed span before its first task's call, so the
+    time holds every draw; see the module docstring for each contract.
+    speed, a calibrate.Speed, runs its kernel before a span when one is
+    due, and each span is scaled by the kernel runs around it.
     """
     from macc import envmodels, numerics, simcore
 
+    derived = hasattr(simcore, "one_batch_terms")  # noise holds per-row times, ids a row
     h = hashlib.sha256()
-    spent = 0.0
+    spans = []  # (seconds, the kernel run before it)
     latest = None  # the episode whose noise was drawn last
     for (world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index,
          drawn) in calls:
@@ -180,44 +196,63 @@ def _replay(calls):
             loads = simcore.check_loads(loads, world.n_workers, p, index)
         cfg = envmodels.CommConfig(**cfg)
         args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream), cfg, index)
-        fresh = drawn is not None and (index == 0 or drawn != latest)  # its episode's first task
-        episode = numerics.RngStream(*drawn[:2]) if fresh else None
-        start = time.perf_counter()
-        if fresh:
-            gain, us = simcore.one_batch_noise(episode, n=world.n_workers, cfg=cfg, k=drawn[2])
-        if drawn is not None:
-            rec, nxt = simcore.run_task(*args, noise=(gain[index], us[index]))
-        else:
-            rec, nxt = simcore.run_task(*args)
+        one_batch = batch_size >= p
+        if drawn is not None and (index == 0 or drawn != latest):  # its episode's first task
+            episode, n, k = numerics.RngStream(*drawn[:2]), world.n_workers, drawn[2]
+            speed.maybe_sample()
+            start = time.perf_counter()
+            if one_batch:
+                rows = simcore.one_batch_noise(episode, n=n, cfg=cfg, k=k)
+                if derived:
+                    rows = simcore.one_batch_terms(*rows, terms)
+            elif derived:
+                grid = simcore.worker_ids(episode, n, k)
+            spans.append((time.perf_counter() - start, speed.index))
         latest = drawn
-        spent += time.perf_counter() - start
+        kwargs = {}
+        if drawn is not None and one_batch:
+            kwargs["noise"] = tuple(a[index] for a in rows)
+        elif drawn is not None and derived:
+            kwargs["ids"] = grid[index]
+        speed.maybe_sample()
+        start = time.perf_counter()
+        rec, nxt = simcore.run_task(*args, **kwargs)
+        spans.append((time.perf_counter() - start, speed.index))
         log = rec.receipt_log
         h.update(repr((rec.t_complete, rec.feasible, rec.rows_received_at_completion,
                        nxt.clock)).encode())
         for a in (log.workers, log.rows, log.arrivals, nxt.pos):
             h.update(a.tobytes())
-    return spent, h.hexdigest()
+    scales = speed.scales()
+    return (sum(t for t, _ in spans), sum(t * scales[mark] for t, mark in spans),
+            h.hexdigest())
+
+
+def _calibrate():
+    """perfbench's calibrate module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    return calibrate
 
 
 def replay(path):
     """Replay the calls through the macc on the path, untimed then timed; print one JSON line."""
     import macc
 
-    spec = importlib.util.spec_from_file_location("calibrate", CALIBRATE)
-    calibrate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(calibrate)
+    calibrate = _calibrate()
     with open(path, "rb") as fh:
         calls = pickle.load(fh)
-    _replay(calls)  # imports and first calls warm up
+    _replay(calls, calibrate.Speed())  # imports, first calls and the kernel warm up
     gc.collect()
-    before = calibrate.scale_now()
+    speed = calibrate.Speed()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    spent, digest = _replay(calls)
+    spent, scaled, digest = _replay(calls, speed)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    scale = (before + calibrate.scale_now()) / 2
     print(json.dumps({"package": os.path.dirname(os.path.realpath(macc.__file__)),
-                      "calls": len(calls), "seconds": spent, "scale": scale,
-                      "scaled_seconds": spent * scale, "faults": faults, "digest": digest}))
+                      "calls": len(calls), "seconds": spent, "scale": scaled / spent,
+                      "scaled_seconds": scaled, "kernel_runs": len(speed.samples),
+                      "faults": faults, "digest": digest}))
 
 
 def _replay_in(path, src):
