@@ -23,7 +23,7 @@ held as arrays (simcore.WorldState), so no model has a per-node type.
 These are the only copies of the models: simcore.run_task calls
 link_gain once per task, channel_capacity and comp_time_with on whole
 arrays of batches, and advance once per task to move all nodes;
-simcore.run_episode builds the straggler's time_factors and, from them
+simcore.episode_env builds the straggler's time_factors and, from them
 and the workers' profiles, the comp_coefficients once per episode, and
 in an episode of one batch per worker, link_gain and comp_time_with of
 one row for every task and worker before task 0.  The

@@ -4,6 +4,8 @@ Episode e of any run draws from RngStream(seed).substream("episode", e),
 which depends only on (seed, e); schemes evaluated at the same seed
 therefore see identical environments (same betas, positions, velocities,
 straggler victim) and differ only in their allocation decisions.
+compare_schemes derives each episode's environment (simcore.episode_env)
+once and hands it to every scheme that runs the same scenario.
 
 An episode's settings come from its scenario alone.  Baselines dispatch
 each task as a single batch per worker (the classical one-shot protocol),
@@ -27,7 +29,7 @@ from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from .config import ConfigError, config_digest
 from .numerics import RngStream
-from .simcore import run_episode
+from .simcore import episode_env, run_episode
 
 SCHEMES = ("uniform", "load-balanced", "hcmm", "marl")
 
@@ -101,24 +103,39 @@ def _per_profiles(loads_of):
 def evaluate_scheme(scenario, scheme, episodes, seed, agents=None):
     """Run paired-seed episodes under one scheme; returns EpisodeRecords.
 
-    A baseline runs on the scenario with batch_size = p_rows, one batch
-    per worker; marl runs at the scenario's own batch size.
+    The scheme runs on _as_run's scenario: a baseline at batch_size =
+    p_rows, one batch per worker, and marl at the scenario's own batch
+    size, or at p_rows when that is smaller.
     """
-    if scheme != "marl":
-        scenario = replace(scenario, batch_size=scenario.p_rows)
-    return _episodes(scenario, scheme, episodes, seed, agents)
+    return _episodes(_as_run(scenario, scheme), scheme, episodes, seed, agents)
 
 
-def _episodes(scenario, scheme, episodes, seed, agents):
+def _as_run(scenario, scheme):
+    """The scenario scheme runs on: batch_size = p_rows for a baseline, and for marl above it.
+
+    Every batch size at or above p_rows sends one batch per worker, so
+    marl runs such a scenario as at p_rows, bit for bit, on the scenario
+    the baselines run on.
+    """
+    if scheme == "marl" and scenario.batch_size < scenario.p_rows:
+        return scenario
+    return replace(scenario, batch_size=scenario.p_rows)
+
+
+def _episodes(scenario, scheme, episodes, seed, agents, envs=None):
     """Episodes 0..episodes-1 of seed under one scheme, every setting read off the scenario.
 
-    run_episode is looked up in this module at each call, so a caller may
-    wrap it here (perfbench's EpisodeHook does).
+    envs, when given, holds each episode's EpisodeEnv, derived from the
+    same scenario and episode stream (compare_schemes shares them between
+    schemes); otherwise run_episode derives each.  run_episode is looked
+    up in this module at each call, so a caller may wrap it here
+    (perfbench's EpisodeHook does); env goes to it by keyword.
     """
     check_episodes(episodes)
     allocator = make_allocator(scheme, scenario, agents=agents)
     root = RngStream(seed)
-    return [run_episode(scenario, allocator, root.substream("episode", e))
+    return [run_episode(scenario, allocator, root.substream("episode", e),
+                        env=None if envs is None else envs[e])
             for e in range(episodes)]
 
 
@@ -165,15 +182,32 @@ def summarize(records):
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):
     """Evaluate several schemes against identical per-episode environments.
 
+    Each scheme runs as evaluate_scheme runs it, and its records equal
+    evaluate_scheme's, bit for bit; the schemes run one after another,
+    in the given order.  Each episode's environment (simcore.episode_env)
+    is derived once per scenario as run and episode, and every scheme
+    that runs that scenario gets it: all the baselines, and marl when its
+    batch size is p_rows or more.  The envs are read-only, so no scheme's
+    run changes another's, and are kept for the call alone.
+
     straggler, when not None, is written into the scenario's
     straggler_enabled first; it is kept for perfbench's compare workload,
     which passes it.
     """
     check_schemes(schemes)
+    check_episodes(episodes)
     if straggler is not None:
         scenario = replace(scenario, straggler_enabled=straggler)
-    return {scheme: evaluate_scheme(scenario, scheme, episodes, seed, agents=agents)
-            for scheme in schemes}
+    root = RngStream(seed)
+    envs = {}  # per scenario as run, its episodes' envs
+    results = {}
+    for scheme in schemes:
+        run_as = _as_run(scenario, scheme)
+        if run_as not in envs:
+            envs[run_as] = [episode_env(run_as, root.substream("episode", e))
+                            for e in range(episodes)]
+        results[scheme] = _episodes(run_as, scheme, episodes, seed, agents, envs[run_as])
+    return results
 
 
 def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None):

@@ -31,14 +31,15 @@ task of an episode at once, before task 0: the (K, N) grid of the ids of
 generator to each id in turn (RngStream.fresh_gens_at), with no
 RngStream, generator or dict built per worker.  A worker that sends one
 batch makes the same draws whatever its load, so a one-batch task draws
-for every worker, idle ones too (one_batch_noise), and an episode of
-one-batch tasks draws them all before task 0 and derives from them, as
-three (K, N) arrays, all that a task reads of them: the link gains of
-each broadcast and each batch, and each worker's compute time per row
-(one_batch_terms); each task is handed its row of these as its noise.
-A multi-batch task draws for its loaded workers alone (_batched_noise),
-as their draw counts depend on the loads, each keyed by its entry of
-the task's row of the episode's grid, handed to it as its ids.
+for every worker, idle ones too, keyed by their ids (one_batch_noise),
+and an episode of one-batch tasks draws them all before task 0 and
+derives from them, as three (K, N) arrays, all that a task reads of
+them: the link gains of each broadcast and each batch, and each worker's
+compute time per row (one_batch_terms); each task is handed its row of
+these as its noise.  A multi-batch task draws for its loaded workers
+alone (_batched_noise), as their draw counts depend on the loads, each
+keyed by its entry of the task's row of the episode's grid, handed to it
+as its ids, as is a one-batch task in a multi-batch episode.
 
 The shadowing is drawn as standard normals and scaled by noise_std_db
 once, for the batches where pass 1 reads it: normal(0, s) gives
@@ -107,6 +108,17 @@ world clock accumulates completion times across the K tasks of an episode,
 since task j+1 is dispatched only once task j completed, and run_task
 moves every node with one envmodels.advance call.
 
+All that an episode fixes before task 0 is derived once, by
+episode_env, as an EpisodeEnv: the first world, the straggler victim,
+the terms, and the tasks' draws (a one-batch episode's three (K, N)
+arrays, or else the grid of worker stream ids and the "task" stream).
+Its arrays are read-only, the first world's too, so runs under several
+allocators share one env without one changing another's episode:
+experiments.compare_schemes derives each episode's env once and hands
+it to every scheme that runs that scenario.  run_episode derives the env
+itself when given none, and checks a given one against its scenario and
+stream.
+
 An episode is the MDP the allocators act in: before each task run_episode
 builds the agents' joint observation (build_state, which alone fixes its
 layout and scale), asks the allocator for loads, rounds them to integers,
@@ -118,9 +130,9 @@ and run_episode checks its loads once, for every task.  The scenario is
 the episode's one source of settings: every task runs at its batch_size,
 its straggler_enabled decides whether the victim is slowed, through the
 time factors (envmodels.time_factors) built once per episode with the
-terms derived from them, its ranges give the observation's scales
-(state_scales), taken once per episode, and reward reads the feasibility
-that run_task decided.
+terms derived from them (episode_env), its ranges give the observation's
+scales (state_scales), taken once per episode, and reward reads the
+feasibility that run_task decided.
 """
 
 import functools
@@ -622,20 +634,19 @@ def worker_ids(rng, n, k=None):
     return rng.substream_ids(*tokens)
 
 
-def one_batch_noise(rng, n, cfg, k=None):
-    """The noise of the n workers of one-batch tasks: (gain, us), read-only.
+def one_batch_noise(rng, ids, cfg):
+    """The noise of the workers of one-batch tasks, keyed by ids: (gain, us), read-only.
 
-    Without k, rng is a task's stream, worker i draws from
-    rng.substream("worker", i), and gain, the link gains, has shape (n, 2)
-    and us, the compute uniforms, (n,).  With k, rng is an episode's
-    "task" stream, worker i of task j draws from
-    rng.substream(j, "worker", i), and the shapes are (k, n, 2) and
-    (k, n): task j's rows are gain[j] and us[j].  Each worker draws, when
+    ids are stream ids of rng's seed from worker_ids: (N,), a task's,
+    whose worker i draws from rng.substream("worker", i), or (K, N), an
+    episode's, whose worker i of task j draws from
+    rng.substream(j, "worker", i).  gain, the link gains, has ids' shape
+    and a last axis of 2, and us, the compute uniforms, ids' shape: task
+    j's rows are gain[j] and us[j].  Each worker draws, when
     noise_std_db > 0, two standard normals into its row of omega, the
     shadowing of its broadcast and of its batch, scaled by noise_std_db;
     then its compute uniform, as a float.
     """
-    ids = worker_ids(rng, n, k)
     omega = np.zeros((ids.size, 2))  # per worker: the broadcast of x, then the batch
     us = []
     noisy = cfg.noise_std_db > 0
@@ -820,12 +831,12 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     batch and its compute time per row.  A one-batch task then draws
     nothing and reads no rng (None will do), and its compute times are
     its loads times the per-row times; without noise, it derives the same
-    bits here, through one_batch_terms(*one_batch_noise(rng, N, cfg),
+    bits here, through one_batch_terms(*one_batch_noise(rng, ids, cfg),
     terms).  ids, when given, is the task's row of its multi-batch
     episode's worker_ids, the (N,) stream ids of rng's substreams
-    ("worker", i), from which a multi-batch task keys its loaded workers'
-    draws; without it, it derives them from rng.  A multi-batch task
-    ignores noise, and a one-batch task ids.
+    ("worker", i), from which the task keys its workers' draws; without
+    it, it derives them from rng (worker_ids(rng, N)).  A multi-batch
+    task ignores noise.
     The task completes at the first arrival, in (arrival, worker, batch)
     order, at which the received rows reach p; an infeasible task keeps
     every batch.  The module docstring describes how it is computed.
@@ -843,7 +854,9 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
 
     if batch_size >= lay.top:  # each worker's one batch is its whole load
         if noise is None:
-            noise = one_batch_terms(*one_batch_noise(rng, len(world.beta), cfg), terms)
+            if ids is None:  # a task run alone
+                ids = worker_ids(rng, len(world.beta))
+            noise = one_batch_terms(*one_batch_noise(rng, ids, cfg), terms)
         receipt_log, rows = _one_batch(world, lay, p, m, terms, cfg, noise)
     else:
         receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids)
@@ -935,7 +948,73 @@ def reward(rec, c=200.0):
     return -rec.t_complete - (0.0 if rec.feasible else c)
 
 
-def run_episode(scenario, allocator, rng, penalty=200.0):
+class EpisodeEnv(NamedTuple):
+    """All that an episode fixes before task 0, derived once by episode_env.
+
+    scenario is the scenario it was derived for, and seed and stream
+    those of the episode's stream.  world is the first world, whose pos,
+    vel, alpha and beta arrays are read-only, victim the straggler victim
+    and terms the episode's EpisodeTerms.  tasks is the episode's "task"
+    stream.  An episode of one-batch tasks (batch_size >= p) holds its
+    tasks' draws as noise, the (head, send, per_row) arrays of
+    one_batch_terms, each (K, N), and ids is None; any other holds
+    noise None and ids, the (K, N) grid of its workers' stream ids
+    (worker_ids).  Every array is read-only, so runs under several
+    allocators may share one env.
+    """
+
+    scenario: object
+    seed: int
+    stream: int
+    world: WorldState
+    victim: int
+    terms: EpisodeTerms
+    tasks: object
+    noise: tuple
+    ids: np.ndarray
+
+
+def episode_env(scenario, rng):
+    """The EpisodeEnv of the episode of scenario that draws from rng.
+
+    The first world is drawn from rng.substream("env") (sample_world),
+    the time factors and the terms derived from them and it
+    (episode_terms), and the tasks' draws keyed from rng.substream("task"):
+    task j draws from its substream (j, "worker", i), whose ids are folded
+    for every task at once (worker_ids).  When scenario.batch_size >= p,
+    every task sends one batch per worker, so every task's and worker's
+    noise is drawn here (one_batch_noise) and the broadcast gains, the
+    transmission gains and the compute times per row derived from it
+    (one_batch_terms).
+    """
+    n, k = scenario.n_workers, scenario.k_tasks
+    world, victim = sample_world(scenario, rng.substream("env"))
+    for a in world[:4]:
+        a.setflags(write=False)
+    terms = episode_terms(world, time_factors(n, victim, scenario.straggler_enabled,
+                                              scenario.straggler_slowdown))
+    tasks = rng.substream("task")  # task j draws from rng.substream("task", j)
+    ids, noise = worker_ids(tasks, n, k), None
+    ids.setflags(write=False)
+    if scenario.batch_size >= scenario.p_rows:  # every task sends one batch per worker
+        noise = one_batch_terms(*one_batch_noise(tasks, ids, scenario.comm), terms)
+        ids = None
+    return EpisodeEnv(scenario, rng.seed, rng.stream, world, victim, terms, tasks, noise, ids)
+
+
+def _check_env(env, scenario, rng):
+    """A ValueError naming what differs when env was not derived from rng and scenario."""
+    if (env.seed, env.stream) != (rng.seed, rng.stream):
+        raise ValueError(f"env was derived from RngStream(seed={env.seed}, stream={env.stream}), "
+                         f"not from the episode's {rng!r}")
+    if env.scenario is not scenario and env.scenario != scenario:
+        differ = [f.name for f in fields(scenario)
+                  if getattr(env.scenario, f.name) != getattr(scenario, f.name)]
+        raise ValueError(f"env was derived for another scenario: its {', '.join(differ)} "
+                         "differ from the episode's")
+
+
+def run_episode(scenario, allocator, rng, penalty=200.0, env=None):
     """Run K sequential tasks under one sampled environment.
 
     allocator is a callable (world, states) -> iterable of N raw loads,
@@ -952,39 +1031,35 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
     laid out once and serve all K tasks, no state is built, and the
     record's states is ().  Any other allocator is called, gets states and
     has its loads read, and checked by run_task, anew on every task.
-    The time factors and the terms derived from them and the first world
-    (episode_terms) are taken once and handed to every task.  Task j
-    draws from rng.substream("task", j), whose substreams ("worker", i)
-    are keyed for every task at once, before task 0.  When
-    scenario.batch_size >= p, every task sends one batch per worker, so
-    the noise of every task and worker is drawn then (one_batch_noise),
-    and the broadcast gains, the transmission gains and the compute times
-    per row derived from it (one_batch_terms), three (K, N) arrays; each
-    task is handed its row of them as noise, with no stream of its own.
-    Otherwise the (K, N) grid of the workers' stream ids (worker_ids) is
-    derived then, and each task is handed its stream and its row of ids.
-    Every task runs at scenario.batch_size, the victim is slowed when
-    scenario.straggler_enabled is set, and each task is scored by
-    reward(rec, penalty).  Same (scenario, allocator, rng) reproduces the
-    record bit for bit.
+    env is the episode's EpisodeEnv: the first world, the victim, the
+    terms and the tasks' draws.  When None, it is derived here
+    (episode_env(scenario, rng)); when given, it must have been derived
+    from this scenario and from a stream of rng's seed and id, or a
+    ValueError names what differs.  A given env is how runs under several
+    allocators share one episode (experiments.compare_schemes): its
+    arrays are read-only, so no run changes another's, and an allocator
+    that writes into the first world's arrays raises ValueError.
+    Task j draws from rng.substream("task", j).  In a one-batch episode
+    (scenario.batch_size >= p) each task is handed its row of the env's
+    noise, with no stream of its own; otherwise its stream and its row of
+    the env's ids.  Every task runs at scenario.batch_size, the victim is
+    slowed when scenario.straggler_enabled is set, and each task is
+    scored by reward(rec, penalty).  Same (scenario, allocator, rng)
+    reproduces the record bit for bit, with or without a given env.
     """
+    if env is None:
+        env = episode_env(scenario, rng)
+    else:
+        _check_env(env, scenario, rng)
     p = scenario.p_rows
-    world, victim = sample_world(scenario, rng.substream("env"))
-    factors = time_factors(scenario.n_workers, victim, scenario.straggler_enabled,
-                           scenario.straggler_slowdown)
-    terms = episode_terms(world, factors)
+    world, terms = env.world, env.terms
     scales = state_scales(scenario)
 
     tasks, states_all, rewards = [], [], []
     per_episode = getattr(allocator, "per_episode", False)
     states = None
-    task_rng = rng.substream("task")  # task j draws from rng.substream("task", j)
-    ids = None
-    if scenario.batch_size >= p:  # every task sends one batch per worker: draw them all now
-        head, send, per_row = one_batch_terms(
-            *one_batch_noise(task_rng, scenario.n_workers, scenario.comm, scenario.k_tasks), terms)
-    else:
-        ids = worker_ids(task_rng, scenario.n_workers, scenario.k_tasks)
+    if env.ids is None:
+        head, send, per_row = env.noise
     for j in range(scenario.k_tasks):
         if not per_episode:
             states = build_state(world, scales, like=states)
@@ -997,10 +1072,10 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
             if per_episode:  # checked and laid out once, for every task
                 loads = check_loads(loads, len(world.beta), p, j)
 
-        if ids is None:  # the task's noise is drawn, so it reads no stream
+        if env.ids is None:  # the task's noise is drawn, so it reads no stream
             task, noise, row = None, (head[j], send[j], per_row[j]), None
         else:
-            task, noise, row = task_rng.substream(j), None, ids[j]
+            task, noise, row = env.tasks.substream(j), None, env.ids[j]
         rec, world = run_task(world, loads, scenario.batch_size, p, scenario.m_cols, terms, task,
                               scenario.comm, index=j, noise=noise, ids=row)
         tasks.append(rec)
@@ -1012,6 +1087,6 @@ def run_episode(scenario, allocator, rng, penalty=200.0):
         rewards=tuple(rewards),
         total_time=float(sum(t.t_complete for t in tasks)),
         betas=tuple(world.beta),
-        victim=victim,
+        victim=env.victim,
         straggler_enabled=scenario.straggler_enabled,
     )

@@ -1013,7 +1013,7 @@ class TestSameBitsAsBefore:
         # them, the broadcast's and the batch's gains and the compute time per row
         cfg = CommConfig(noise_std_db=noise_std_db)
         tasks = RngStream(seed).substream("task")
-        gain, us = simcore.one_batch_noise(tasks, 5, cfg, k=3)
+        gain, us = simcore.one_batch_noise(tasks, simcore.worker_ids(tasks, 5, k=3), cfg)
         assert gain.shape == (3, 5, 2) and us.shape == (3, 5)
         assert not gain.flags.writeable and not us.flags.writeable
         world, victim = sample_world(ScenarioConfig(n_workers=5), RngStream(seed).substream("env"))
@@ -1040,7 +1040,8 @@ class TestSameBitsAsBefore:
                 assert (rows_i * per_row[j, i:i + 1]).tobytes() == comp_time_with(
                     rows_i, u, floor, tail).tobytes()
             # a task alone draws its own row, from its stream's substreams ("worker", i)
-            alone = simcore.one_batch_noise(tasks.substream(j), 5, cfg)
+            task = tasks.substream(j)
+            alone = simcore.one_batch_noise(task, simcore.worker_ids(task, 5), cfg)
             assert alone[0].tobytes() == gain[j].tobytes()
             assert alone[1].tobytes() == us[j].tobytes()
             for a, b in zip(simcore.one_batch_terms(*alone, terms), rows):
@@ -1054,6 +1055,18 @@ class TestSameBitsAsBefore:
             assert task_digest(drawn, nxt) == task_digest(given, given_nxt)
             assert drawn.rows_received_at_completion == given.rows_received_at_completion
             assert 1 not in drawn.receipt_log.workers.tolist()
+            # a task handed its row of the episode's worker ids, as one in an episode below
+            # batch size p is, keys its draws from that row, not from its stream
+            grid = simcore.worker_ids(tasks, 5, k=3)
+            keyed = run_task(world, loads, DESK_P, DESK_P, 50, terms, task, cfg, index=j,
+                             ids=grid[j])
+            assert task_digest(*keyed) == task_digest(drawn, nxt)
+            other = (j + 1) % 3
+            keyed = run_task(world, loads, DESK_P, DESK_P, 50, terms, task, cfg, index=j,
+                             ids=grid[other])
+            assert task_digest(*keyed) == task_digest(*run_task(
+                world, loads, DESK_P, DESK_P, 50, terms, None, cfg, index=j,
+                noise=(head[other], send[other], per_row[other])))
 
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))

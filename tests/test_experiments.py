@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from macc import experiments, marl
-from macc.config import ConfigError, ScenarioConfig
+from macc import experiments, marl, simcore
+from macc.config import ConfigError, ScenarioConfig, preset_scenario
 from macc.numerics import RngStream
 from macc.experiments import (
     METRICS_COLUMNS,
@@ -22,6 +22,7 @@ from macc.experiments import (
     write_episodes_jsonl,
     write_metrics_csv,
 )
+from test_simcore import episode_fields
 
 TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
@@ -33,8 +34,8 @@ class TestAllocatorFactory:
         seen = []
         run = experiments.run_episode
         monkeypatch.setattr(experiments, "run_episode",
-                            lambda scenario, *args: seen.append(scenario.batch_size)
-                            or run(scenario, *args))
+                            lambda scenario, *args, **kwargs: seen.append(scenario.batch_size)
+                            or run(scenario, *args, **kwargs))
         agents = marl.make_agents(2, RngStream(0), hidden=(4,))
         for scheme in ("uniform", "hcmm", "marl"):
             evaluate_scheme(TINY, scheme, 1, seed=0, agents=agents)
@@ -161,6 +162,50 @@ class TestCompare:
         assert betas[0] == betas[1] == betas[2]
 
 
+class TestSharedEnvs:
+    """compare_schemes derives each episode's env once; each scheme's records stay its own."""
+
+    DESK = preset_scenario("desk")
+
+    def counted_envs(self, monkeypatch):
+        derived = []
+        derive = simcore.episode_env
+        monkeypatch.setattr(experiments, "episode_env",
+                            lambda *args: derived.append(args) or derive(*args))
+        return derived
+
+    def test_each_baseline_records_what_it_records_alone(self, monkeypatch):
+        derived = self.counted_envs(monkeypatch)
+        schemes = ["uniform", "load-balanced", "hcmm"]
+        results = compare_schemes(self.DESK, schemes, 3, seed=2, straggler=True)
+        assert len(derived) == 3  # one env per episode, for all three schemes
+        on = replace(self.DESK, straggler_enabled=True)
+        for scheme in schemes:
+            alone = evaluate_scheme(on, scheme, 3, seed=2)
+            assert [episode_fields(r) for r in results[scheme]] == [
+                episode_fields(r) for r in alone]
+        assert all(r.straggler_enabled for recs in results.values() for r in recs)
+
+    @pytest.mark.parametrize("batch_size, envs", [(200, 2), (400, 2), (1, 4)])
+    def test_marl_shares_the_baselines_envs_at_one_batch_per_worker(self, monkeypatch,
+                                                                    batch_size, envs):
+        # at batch size p_rows or more marl runs the baselines' scenario, and below it its own
+        derived = self.counted_envs(monkeypatch)
+        agents = marl.make_agents(4, RngStream(0), hidden=(8,))
+        scenario = replace(self.DESK, batch_size=batch_size, straggler_enabled=True)
+        results = compare_schemes(scenario, ["uniform", "hcmm", "marl"], 2, seed=2,
+                                  agents=agents)
+        assert len(derived) == envs
+        for scheme, records in results.items():
+            alone = evaluate_scheme(scenario, scheme, 2, seed=2, agents=agents)
+            assert [episode_fields(r) for r in records] == [episode_fields(r) for r in alone]
+        # marl run at the scenario's own batch size, above p_rows, records the same
+        allocator = make_allocator("marl", scenario, agents=agents)
+        own = [simcore.run_episode(scenario, allocator, RngStream(2).substream("episode", e))
+               for e in range(2)]
+        assert [episode_fields(r) for r in results["marl"]] == [episode_fields(r) for r in own]
+
+
 class TestStragglerKeyword:
     def test_compare_straggler_is_the_replaced_scenario(self):
         given = compare_schemes(TINY, ["uniform", "hcmm"], 2, seed=3, straggler=True)
@@ -181,8 +226,8 @@ class TestSweep:
         seen = []
         run = experiments.run_episode
         monkeypatch.setattr(experiments, "run_episode",
-                            lambda scenario, *args: seen.append(scenario.batch_size)
-                            or run(scenario, *args))
+                            lambda scenario, *args, **kwargs: seen.append(scenario.batch_size)
+                            or run(scenario, *args, **kwargs))
         sweep_batch(TINY, "uniform", [1, 4], 2, seed=4)
         assert seen == [1, 1, 4, 4]
 

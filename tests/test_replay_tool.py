@@ -93,7 +93,7 @@ def test_records_one_batch_training_at_batch_size_p(tool, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 50
 
 
-def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
+def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "calls.pkl")
     run_task = simcore.run_task
     tool.main(["record", path, "--preset", "desk", "--seed", "3", "--compare", "uniform,hcmm",
@@ -116,6 +116,13 @@ def test_records_a_comparison_as_compare_runs_it(tool, tmp_path, capsys):
                                               for _ in range(5)]
     want = [t.substream(j) for t in episodes for j in range(5)]
     assert [stream for *_, stream, _, _, _ in calls] == [(t.seed, t.stream) for t in want]
+    # the two schemes shared each episode's env, so the replay draws each episode once
+    drawn, noise = [], simcore.one_batch_noise
+    monkeypatch.setattr(simcore, "one_batch_noise",
+                        lambda rng, ids, cfg: drawn.append(ids.shape) or noise(rng, ids, cfg))
+    tool._replay(calls, tool._calibrate().Speed())
+    assert drawn == [(5, 4)] * 2
+    monkeypatch.undo()
     tool.main(["time", path, SRC, SRC, "--pairs", "1"])
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["calls"] == 20
 

@@ -2,7 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from macc.simcore import (
     TaskRecord,
     WorldState,
     build_state,
+    episode_env,
     episode_terms,
     reward,
     run_episode,
@@ -55,6 +56,28 @@ def make_world(workers, master_pos=(0.0, 0.0), master_vel=(0.0, 0.0)):
 
 def world_arrays(world):
     return [world.pos, world.vel, world.alpha, world.beta]
+
+
+def episode_fields(rec):
+    """Every field of an EpisodeRecord, by name, its tasks' and states' arrays as bytes.
+
+    Two records run bit for bit alike exactly when their fields are equal.
+    """
+    def task_fields(task):
+        log = task.receipt_log
+        return [(f.name, getattr(task, f.name)) for f in fields(TaskRecord)
+                if f.name != "receipt_log"] + [
+            (a.dtype.str, a.tobytes()) for a in (log.workers, log.rows, log.arrivals)]
+
+    out = []
+    for f in fields(EpisodeRecord):
+        value = getattr(rec, f.name)
+        if f.name == "tasks":
+            value = [task_fields(t) for t in value]
+        elif f.name == "states":
+            value = [(s.shape, s.tobytes()) for s in value]
+        out.append((f.name, value))
+    return out
 
 
 def run_deterministic(world, loads, p, m, batch_size, factors=None, seed=0):
@@ -827,3 +850,71 @@ class TestRunEpisode:
             "index", "t_complete_s", "loads", "rows_at_completion", "feasible"}
         # a reward depends on the penalty, so the line leaves it to the reader
         assert '"rewards"' not in line
+
+
+class TestEpisodeEnv:
+    """An episode's env, derived once, runs the episode as one derived inside it."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])  # several batches, and one at p = 8
+    @pytest.mark.parametrize("per_episode", [False, True])
+    def test_a_given_env_runs_the_episode_bit_for_bit(self, batch_size, per_episode):
+        scenario = replace(TINY, batch_size=batch_size, straggler_enabled=True)
+        if per_episode:
+            allocator = experiments.make_allocator("hcmm", scenario)
+        else:
+            allocator = lambda world, states: (8, 4) if world.clock == 0 else (5, 3)
+        rng = RngStream(4).substream("episode", 2)
+        env = episode_env(scenario, rng)
+        given = run_episode(scenario, allocator, rng, env=env)
+        assert episode_fields(given) == episode_fields(run_episode(scenario, allocator, rng))
+        # a second run of the same env, as the next scheme of a comparison makes
+        again = run_episode(scenario, allocator, rng, env=env)
+        assert episode_fields(again) == episode_fields(given)
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_env_holds_its_draws_read_only(self, batch_size):
+        scenario = replace(TINY, batch_size=batch_size)
+        rng = RngStream(4).substream("episode", 0)
+        env = episode_env(scenario, rng)
+        world, victim = sample_world(scenario, rng.substream("env"))
+        assert [a.tobytes() for a in world_arrays(env.world)] == [
+            a.tobytes() for a in world_arrays(world)]
+        assert env.victim == victim and (env.seed, env.stream) == (rng.seed, rng.stream)
+        # one batch per worker at p: each task's draws; below it, the workers' stream ids
+        draws = env.noise if batch_size == 8 else (env.ids,)
+        assert (env.ids is None) == (batch_size == 8) and (env.noise is None) == (batch_size < 8)
+        for a in (*world_arrays(env.world), *env.terms, *draws):
+            assert not a.flags.writeable
+        assert all(a.shape == (TINY.k_tasks, TINY.n_workers) for a in draws)
+
+    def test_an_env_of_another_stream_or_scenario_is_refused(self):
+        rng = RngStream(4).substream("episode", 0)
+        env = episode_env(TINY, rng)
+        for other in (RngStream(4).substream("episode", 1), RngStream(5).substream("episode", 0)):
+            with pytest.raises(ValueError, match=r"env was derived from RngStream\(seed=4, "):
+                run_episode(TINY, full_loads, other, env=env)
+        with pytest.raises(ValueError, match="its straggler_enabled, batch_size differ"):
+            run_episode(replace(TINY, batch_size=8, straggler_enabled=True), full_loads, rng,
+                        env=env)
+        # an equal scenario built anew is the same scenario
+        assert episode_fields(run_episode(replace(TINY), full_loads, rng, env=env)) == \
+            episode_fields(run_episode(TINY, full_loads, rng))
+
+    @pytest.mark.parametrize("per_episode", [False, True])
+    @pytest.mark.parametrize("name", ["pos", "vel", "alpha", "beta"])
+    def test_an_allocator_cannot_write_into_the_world(self, name, per_episode):
+        # so one scheme cannot change the episode the next scheme runs on the same env
+        rng = RngStream(4).substream("episode", 0)
+        env = episode_env(TINY, rng)
+
+        def allocator(world, states):
+            getattr(world, name)[0] += 1.0
+            return (8, 8)
+
+        allocator.per_episode = per_episode
+        with pytest.raises(ValueError, match="read-only"):
+            run_episode(TINY, allocator, rng, env=env)
+        with pytest.raises(ValueError, match="read-only"):
+            run_episode(TINY, allocator, rng)
+        assert episode_fields(run_episode(TINY, full_loads, rng, env=env)) == \
+            episode_fields(run_episode(TINY, full_loads, rng))

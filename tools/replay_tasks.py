@@ -19,9 +19,12 @@ were derived from (``simcore.episode_terms``), and the loads as a tuple,
 with whether they came checked once for the episode (a
 ``simcore.Loads``), the task's own stream, and, when its episode derived
 its tasks' worker stream ids (``simcore.worker_ids``, called with a task
-count by ``run_episode`` and by ``one_batch_noise`` in a one-batch
-episode), the episode's "task" stream and task count; a recording is
-made through a ``macc`` that has ``worker_ids``.  By default it runs
+count by ``simcore.episode_env`` after the episode's terms), the
+episode's "task" stream and task count.  Each call is matched to its
+episode by the terms it is passed, so the calls of schemes that share
+one episode's env, as ``compare_schemes`` runs them, are each recorded
+with that episode's; a recording is made through a ``macc`` that has
+``episode_env``.  By default it runs
 ``marl.train`` with the default TrainConfig at the preset and seed,
 keeps the calls made in the iterations [first, stop), and stops
 training after the last of them;
@@ -43,14 +46,17 @@ scaled by the kernel runs around it, so a scaled time is what the replay
 would take on perfbench's reference host even when the host's speed
 moves within the replay.
 An episode that derived its tasks' noise or stream ids gets them derived
-again inside its first task's timed span, as ``run_episode`` derives them
-before task 0, and each task is passed its row.  With a ``macc`` that has
-``simcore.one_batch_terms``, a one-batch episode's ``noise`` row is that
-of ``one_batch_terms(*one_batch_noise(...), terms)`` (the broadcast
+again once, in a timed span before the first of its calls, and each
+task of each scheme that ran it is passed its row, as ``compare_schemes``
+derives each episode's env once for every scheme.  With a ``macc`` that
+has ``simcore.one_batch_terms``, a one-batch episode's ``noise`` row is
+that of ``one_batch_terms(*one_batch_noise(...), terms)`` (the broadcast
 gains, transmission gains and compute times per row), and a multi-batch
 episode's task gets its row of ``worker_ids`` as ``ids``; with one
 before it, the row is ``one_batch_noise``'s (gain, us), and a
-multi-batch task derives its own ids.  So on a one-batch recording, such
+multi-batch task derives its own ids.  ``one_batch_noise`` is passed the
+episode's ``worker_ids`` in a ``macc`` that has ``simcore.episode_env``,
+and a task count in one before it.  So on a one-batch recording, such
 as a ``--compare`` one, the times hold every draw, and either package
 replays through its own contract.
 ``time`` runs ``replay`` in a fresh process per side and round, with
@@ -97,30 +103,35 @@ def _recorder(path, what, keep=lambda: True):
     calls = []
     run_task, episode_terms, worker_ids = (simcore.run_task, simcore.episode_terms,
                                            simcore.worker_ids)
-    # the latest terms episode_terms built, their time factors, and the "task" stream and
-    # task count of the latest episode whose tasks' worker ids worker_ids derived
-    episode = [None, None, None]
+    # per terms episode_terms built, by id: the terms, their time factors, and the "task"
+    # stream and task count its episode derived its tasks' worker ids from; an episode
+    # derives its ids after its terms (simcore.episode_env), and runs under several
+    # schemes may share one episode's terms
+    episodes, latest = {}, [None]
 
     def terms_recording(world, factors):
-        episode[:2] = episode_terms(world, factors), factors
-        return episode[0]
+        latest[0] = terms = episode_terms(world, factors)
+        episodes[id(terms)] = terms, factors, None
+        return terms
 
     def ids_recording(rng, n, k=None):
         if k is not None:  # an episode's ids, not a task's own
-            episode[2] = rng.seed, rng.stream, k
+            terms, factors, _ = episodes[id(latest[0])]
+            episodes[id(terms)] = terms, factors, (rng.seed, rng.stream, k)
         return worker_ids(rng, n, k)
 
     def recording(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None,
                   ids=None):
         if keep():
-            if terms is not episode[0]:
+            built, factors, episode = episodes.get(id(terms), (None, None, None))
+            if built is not terms:
                 raise RuntimeError("run_task was called with terms episode_terms did not build")
             checked = type(loads) is simcore.Loads
-            drawn = None if noise is None and ids is None else episode[2]
+            drawn = None if noise is None and ids is None else episode
             task = rng if drawn is None else RngStream(*drawn[:2]).substream(index)
             calls.append(((world.pos, world.vel, world.alpha, world.beta, world.clock),
                           tuple(loads.loads if checked else loads), checked, batch_size, p, m,
-                          episode[1], (task.seed, task.stream), dataclasses.asdict(cfg), index,
+                          factors, (task.seed, task.stream), dataclasses.asdict(cfg), index,
                           drawn))
         return run_task(world, loads, batch_size, p, m, terms, rng, cfg, index, noise, ids)
 
@@ -177,17 +188,19 @@ def _replay(calls, speed):
     The episode's terms are derived from the world and the time factors,
     and loads that were passed checked (a simcore.Loads) are checked
     again, before the clock starts.  What an episode derived before task 0
-    is derived again in a timed span before its first task's call, so the
-    time holds every draw; see the module docstring for each contract.
+    is derived again once, in a timed span before the first call of any
+    scheme's run of it, so the time holds every draw; see the module
+    docstring for each contract.
     speed, a calibrate.Speed, runs its kernel before a span when one is
     due, and each span is scaled by the kernel runs around it.
     """
     from macc import envmodels, numerics, simcore
 
     derived = hasattr(simcore, "one_batch_terms")  # noise holds per-row times, ids a row
+    keyed = hasattr(simcore, "episode_env")  # one_batch_noise takes the workers' ids
     h = hashlib.sha256()
     spans = []  # (seconds, the kernel run before it)
-    latest = None  # the episode whose noise was drawn last
+    shared = {}  # per episode draw and whether its tasks send one batch: its tasks' rows
     for (world, loads, checked, batch_size, p, m, factors, (seed, stream), cfg, index,
          drawn) in calls:
         world = simcore.WorldState(*world)
@@ -197,23 +210,26 @@ def _replay(calls, speed):
         cfg = envmodels.CommConfig(**cfg)
         args = (world, loads, batch_size, p, m, terms, numerics.RngStream(seed, stream), cfg, index)
         one_batch = batch_size >= p
-        if drawn is not None and (index == 0 or drawn != latest):  # its episode's first task
+        if drawn is not None and (drawn, one_batch) not in shared:  # its episode's first task
             episode, n, k = numerics.RngStream(*drawn[:2]), world.n_workers, drawn[2]
             speed.maybe_sample()
             start = time.perf_counter()
-            if one_batch:
+            rows = None
+            if one_batch and keyed:
+                rows = simcore.one_batch_noise(episode, simcore.worker_ids(episode, n, k), cfg)
+            elif one_batch:
                 rows = simcore.one_batch_noise(episode, n=n, cfg=cfg, k=k)
-                if derived:
-                    rows = simcore.one_batch_terms(*rows, terms)
             elif derived:
-                grid = simcore.worker_ids(episode, n, k)
+                rows = simcore.worker_ids(episode, n, k)
+            if one_batch and derived:
+                rows = simcore.one_batch_terms(*rows, terms)
             spans.append((time.perf_counter() - start, speed.index))
-        latest = drawn
+            shared[drawn, one_batch] = rows
         kwargs = {}
         if drawn is not None and one_batch:
-            kwargs["noise"] = tuple(a[index] for a in rows)
+            kwargs["noise"] = tuple(a[index] for a in shared[drawn, one_batch])
         elif drawn is not None and derived:
-            kwargs["ids"] = grid[index]
+            kwargs["ids"] = shared[drawn, one_batch][index]
         speed.maybe_sample()
         start = time.perf_counter()
         rec, nxt = simcore.run_task(*args, **kwargs)
