@@ -181,7 +181,7 @@ class RngStream:
 
         The first Generator of ``fresh_gens_at((self.stream,))``: its draws
         equal those of a fresh ``gen``, but the next re-key, on any stream,
-        moves it elsewhere.
+        moves it elsewhere.  Not thread-safe: see ``fresh_gens_at``.
         """
         return next(self.fresh_gens_at((self.stream,)))
 
@@ -191,7 +191,9 @@ class RngStream:
         Each one is the same process-wide Generator, valid until the next is
         yielded, its Philox state assigned anew from one reused state dict:
         key (seed, id), zero counter, empty buffer.  No RngStream is built.
-        ids are Python ints below 2^64.
+        ids are Python ints below 2^64.  Not thread-safe: every call re-keys
+        the one Generator, so two threads must never draw through this or
+        ``fresh_gen`` at once, or each reads the other's stream.
         """
         gen = _shared_gen()
         bits, state, words = gen.bit_generator, _FRESH_STATE, _FRESH_STATE["state"]

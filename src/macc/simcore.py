@@ -1,138 +1,23 @@
-"""Discrete-event engine for the master/worker batch-processing protocol,
-and the MDP step built on it.
+"""Discrete-event engine for the master/worker batch protocol, and the MDP step built on it.
 
-One task: the master broadcasts the payload x (m elements) to every loaded
-worker over dedicated links, each worker computes its assigned encoded rows
-batch by batch (CPU never idles between batches), and streams each finished
-batch back over its link.  A batch transmission begins when both the batch
-is computed and the link is free of the previous result; the link distance
-is evaluated at that instant, with all nodes drifting at constant velocity:
-each loaded worker's position and velocity relative to the master are held
-as r and rv, with x and y stacked on axis 0, and a transmission beginning
-at t spans the squared distance |r + rv t|^2.
-The master counts received rows and the task completes at the arrival that
-first reaches p cumulative rows; results still in flight are ignored
-(acknowledgment semantics).  The link, compute and straggler models are
-envmodels' functions, called on whole arrays of batches.  The engine takes
-plain numbers: integer loads, p and m.  It tracks when rows arrive, never
-their values, so no encoding matrix or payload is drawn; the receipt log
-names, per worker, how many rows of its coding block arrived and when.
-A ReceiptLog holds it as three read-only arrays (worker, rows, arrival),
-since a paper-scale task keeps thousands of receipts; an index or an
-iteration yields plain (int, int, float) triples.
+One task: the master broadcasts the m-element payload x to every loaded
+worker over a dedicated link; each worker computes its rows in batches,
+with no idle time between them, and sends each finished batch back once it
+is computed and its link is free.  A send's time is evaluated at the
+instant it begins, every node drifting at constant velocity.  The task
+completes at the first arrival, in (arrival, worker, batch) order, that
+brings the received rows to p; results still in flight are ignored.  The
+engine tracks when rows arrive, never their values.  All times in a
+TaskRecord are measured from the task's dispatch; the world clock adds
+them up across an episode's K tasks, which run one after another.
 
-Each loaded worker i draws its noise from the task's substream
-("worker", i): first the shadowing of its broadcast and of each batch's
-transmission (when noise_std_db > 0), then one compute uniform per batch.
-It makes all its draws before the next worker draws, so the workers'
-stream ids are folded as one array (RngStream.substream_ids), for every
-task of an episode at once, before task 0: the (K, N) grid of the ids of
-("task", j, "worker", i) (worker_ids).  One loop re-keys the shared
-generator to each id in turn (RngStream.fresh_gens_at), with no
-RngStream, generator or dict built per worker.  A worker that sends one
-batch makes the same draws whatever its load, so a one-batch task draws
-for every worker, idle ones too, keyed by their ids (one_batch_noise),
-and an episode of one-batch tasks draws them all before task 0 and
-derives from them, as three (K, N) arrays, all that a task reads of
-them: the link gains of each broadcast and each batch, and each worker's
-compute time per row (one_batch_terms); each task is handed its row of
-these as its noise.  A multi-batch task draws for its loaded workers
-alone (_batched_noise), as their draw counts depend on the loads, each
-keyed by its entry of the task's row of the episode's grid, handed to it
-as its ids, as is a one-batch task in a multi-batch episode.
-
-The shadowing is drawn as standard normals and scaled by noise_std_db
-once, for the batches where pass 1 reads it: normal(0, s) gives
-0.0 + s z, which differs from s z only in a zero's sign, and link_gain
-adds a nonzero constant to it.  Each transmission's link_gain is
-computed once, so a later evaluation of its link needs only the squared
-distance (_dist2); the broadcast, at t = 0, takes it as r * r summed.
-
-A task in which some worker sends more than one batch (_batched) is laid
-out by one plan_batches call, flat and worker-major, with no padding: one
-slot per batch, the k-th loaded worker's batches in the segment
-[start_k, end_k) of one-dimensional arrays, and r and rv repeated per
-slot to shape (2, slots).  Compute finish times are a cumulative sum
-along each segment.  The link recurrence
-begin_k = max(cpu_k, arrival_{k-1}), arrival_k = begin_k + tau_k(begin_k)
-is solved as a fixed point: with the send times tau frozen, the arrivals
-are the max-plus scan S + cummax(cpu - (S - tau)), S = cumsum(tau), per
-segment (_scan), whose running sum runs once per segment and every other
-step once over the flat arrays; tau is then evaluated again at the new
-begins until no begin moves, at most one pass per slot of the longest
-segment (_fixed_point).  The running maximum runs once per segment too,
-unless every worker's link stays busy after its first batch, as at paper
-scale, where a row takes longer to send than to compute: then no later
-value of cpu - (S - tau) in a segment exceeds its first, the cummax is
-that first value at every slot, bit for bit, and it is added without one.
-Only arrivals up to completion enter the record, and slot k of a segment
-depends only on the slots before it, so a feasible task is computed and
-solved, exactly, on each worker's leading batches alone: as many as an
-estimate puts among the earliest arrivals that hold p rows (_reaching,
-_first_extent), with a margin.  One loop solves them (_solve).  The
-solve's completion T' stands when every worker with unsolved batches
-has its last solved arrival at or after T', since each worker's arrivals
-strictly increase; otherwise the workers whose last solved arrival falls
-before T' are extended at the pace of their own solved arrivals
-(_further) and solved again, alone, from their first batch.  No worker's
-segment reads another's, so a worker solved alone gets the bits it gets
-beside the others.  This covers about a third of the batches late in a
-scenario1 training, where every worker holds nearly p rows.  An
-infeasible task keeps, so solves, every batch.
-
-A task whose workers each send one batch (every baseline in compare)
-takes its own path on arrays of one entry per worker, with r and rv of
-shape (2, A) (_one_batch): its sizes are the loads, and a batch's link is
-free as soon as it is computed, so the first evaluation of the link
-gives the arrivals.  On these few-element arrays the fixed cost per call
-dominates, so what stays fixed for an episode is not derived per task:
-the workers' velocities relative to the master and the compute model's
-coefficients are derived once per episode (EpisodeTerms), a baseline's
-loads are checked and laid out once (Loads), and an episode whose batch
-size is at least p draws its noise and derives its gains and per-row
-compute times once (see above), so a task's compute times are one
-product of its loads.  Both paths compute from the terms' coefficients
-(envmodels.comp_time_with, whose per-row factor a one-batch episode
-takes once), call the same link and sort helpers, and read the terms'
-own arrays, a task's row and a cached worker index, with no gather, when
-every worker is loaded, or gather them once when a worker is idle
-(_loaded).
-
-The world (WorldState) is held as arrays: node positions and velocities
-with the master in row 0, the workers' compute profiles, and the clock.
-It is a NamedTuple, and a TaskRecord, a frozen dataclass with slots,
-is built through its slots' setters (TaskRecord._of): the frozen
-__init__ sets each field through object.__setattr__, at twice the cost.
-All times inside a TaskRecord are measured from the task dispatch; the
-world clock accumulates completion times across the K tasks of an episode,
-since task j+1 is dispatched only once task j completed, and run_task
-moves every node with one envmodels.advance call.
-
-All that an episode fixes before task 0 is derived once, by
-episode_env, as an EpisodeEnv: the first world, the straggler victim,
-the terms, and the tasks' draws (a one-batch episode's three (K, N)
-arrays, or else the grid of worker stream ids and the "task" stream).
-Its arrays are read-only, the first world's too, so runs under several
-allocators share one env without one changing another's episode:
-experiments.compare_schemes derives each episode's env once and hands
-it to every scheme that runs that scenario.  run_episode derives the env
-itself when given none, and checks a given one against its scenario and
-stream.
-
-An episode is the MDP the allocators act in: before each task run_episode
-builds the agents' joint observation (build_state, which alone fixes its
-layout and scale), asks the allocator for loads, rounds them to integers,
-runs the task and scores it (reward).  run_task builds every TaskRecord,
-the all-zero task's among them, and check_loads is the one check of the
-rounded loads: run_task calls it on a policy's loads in every task.  A
-baseline, marked per_episode, is asked once per episode, with no state,
-and run_episode checks its loads once, for every task.  The scenario is
-the episode's one source of settings: every task runs at its batch_size,
-its straggler_enabled decides whether the victim is slowed, through the
-time factors (envmodels.time_factors) built once per episode with the
-terms derived from them (episode_env), its ranges give the observation's
-scales (state_scales), taken once per episode, and reward reads the
-feasibility that run_task decided.
+Noise keying: worker i of task j draws from the substream
+("task", j, "worker", i) of the episode's stream: first, when
+noise_std_db > 0, the shadowing of its broadcast and of each batch's send,
+then one compute uniform per batch, all before the next worker draws.  A
+one-batch episode (batch_size >= p) draws every task's and worker's noise,
+idle workers' too, before task 0; any other task draws for its loaded
+workers alone when it runs.
 """
 
 import functools
@@ -153,11 +38,7 @@ _INT = {int}
 
 
 class NonFiniteLoadError(ValueError):
-    """An allocator returned a load that is not finite.
-
-    Names the task, the raw loads as floats, and worker, the first worker
-    whose load is not finite.
-    """
+    """An allocator returned a non-finite load: holds task, loads as floats, and its worker."""
 
     def __init__(self, task, loads):
         self.task = task
@@ -169,11 +50,9 @@ class NonFiniteLoadError(ValueError):
 class WorldState(NamedTuple):
     """Node kinematics and worker compute profiles at a clock time, as arrays.
 
-    pos and vel (m, m/s) have shape (N+1, 2): row 0 is the master, row i+1
-    worker i.  alpha (s per row) and beta (straggling), shape (N,), are the
-    workers' shifted-exponential parameters.  run_task returns a new world
-    and never writes into these arrays.  A world is a tuple of arrays, so
-    two worlds are compared by their arrays, not with ==.
+    pos and vel (m, m/s), shape (N+1, 2), hold the master in row 0 and worker i
+    in row i+1; alpha (s per row) and beta, shape (N,), are the workers'
+    shifted-exponential parameters.  Compare worlds by their arrays, not ==.
     """
 
     pos: np.ndarray
@@ -188,12 +67,11 @@ class WorldState(NamedTuple):
 
 
 class EpisodeTerms(NamedTuple):
-    """What an episode's worlds share, for every task's run_task: see episode_terms.
+    """What every world of an episode shares (episode_terms); read-only.
 
-    rv is the (2, N) worker velocities relative to the master with x and
-    y stacked, and floor and tail the (N,) compute coefficients
-    (envmodels.comp_coefficients of alpha, beta and the episode's time
-    factors).
+    rv, shape (2, N), holds the workers' velocities relative to the master, x
+    and y stacked; floor and tail, shape (N,), the compute coefficients
+    (envmodels.comp_coefficients under the episode's time factors).
     """
 
     rv: np.ndarray
@@ -202,11 +80,7 @@ class EpisodeTerms(NamedTuple):
 
 
 def episode_terms(world, factors):
-    """The EpisodeTerms of world and of every world run_task moves it to, under factors.
-
-    A task moves the nodes and keeps their velocities and the compute
-    profiles, so these hold for the episode.  The arrays are read-only.
-    """
+    """The EpisodeTerms of world under factors, which hold for its whole episode."""
     rv = (world.vel[1:] - world.vel[0]).T
     floor, tail = comp_coefficients(world.alpha, world.beta, factors)
     for a in (rv, floor, tail):
@@ -217,11 +91,10 @@ def episode_terms(world, factors):
 class Loads(NamedTuple):
     """One task's integer loads, checked and laid out by check_loads.
 
-    loads is the tuple of N plain ints, active the loaded workers in order
-    (range(N) when every worker is loaded), top the largest load and
-    feasible whether the loads sum to p or more.  sizes and float_sizes
-    are the loaded workers' loads, int64 for the receipt log and float64
-    for arithmetic, both read-only.
+    loads is the tuple of N ints, active the loaded workers in order (range(N)
+    when all are loaded), top the largest load and feasible whether the loads
+    sum to p or more; sizes (int64) and float_sizes (float64), read-only, are
+    the loaded workers' loads.
     """
 
     loads: tuple
@@ -233,11 +106,10 @@ class Loads(NamedTuple):
 
 
 def check_loads(loads, n, p, index=0):
-    """The Loads of N = n raw loads at p rows to decode; a ValueError naming task index if bad.
+    """The Loads of n raw loads at p rows to decode.
 
-    Each load must be a non-negative integer, as an int or an integral
-    float, and at most p.  A tuple of plain ints, what run_episode passes,
-    is checked as it is, with no copy or float round trip.
+    Each load must be a non-negative integer, as an int or an integral float,
+    of at most p; any other is a ValueError naming task index.
     """
     loads = tuple(loads)
     if len(loads) != n:
@@ -264,17 +136,13 @@ def check_loads(loads, n, p, index=0):
 
 
 class ReceiptLog:
-    """Receipts of one task in completion order, held as three arrays.
+    """Receipts of one task in completion order, as three read-only arrays.
 
-    workers and rows are int64, arrivals float64 (seconds since dispatch),
-    all read-only.  The log takes over the arrays it is given, without a
-    copy, and marks them read-only in place: a view per array would cost
-    more than the tuples it replaces on the few-receipt tasks of a
-    baseline.  The engine builds it with _of from arrays that already
-    have those dtypes, so they are not coerced again.  Its length is the
-    number of receipts; an index gives one (worker, rows, arrival) triple
-    of Python numbers, a slice another ReceiptLog, and iteration the
-    triples in order.  Two logs are equal when their arrays are.
+    workers and rows are int64, arrivals float64 (seconds since dispatch).
+    Arrays of those dtypes are taken over, not copied, and made read-only.  An
+    index gives a (worker, rows, arrival) triple of Python numbers, a slice
+    another log, iteration the triples in order; two logs are equal when their
+    arrays are.
     """
 
     __slots__ = ("workers", "rows", "arrivals")
@@ -326,11 +194,7 @@ class TaskRecord:
 
     @classmethod
     def _of(cls, index, dispatch_time, t_complete, receipt_log, rows, feasible, loads):
-        """The record of these fields, each set through its slot's own setter.
-
-        The frozen __init__ sets each field through object.__setattr__,
-        which looks the slot up anew and takes twice as long.
-        """
+        """The record of these fields, each set by its slot's setter, at half __init__'s cost."""
         rec = _new(cls)
         s_index, s_dispatch, s_complete, s_log, s_rows, s_feasible, s_loads = _RECORD_SLOTS
         s_index(rec, index)
@@ -364,11 +228,7 @@ class EpisodeRecord:
 
 
 def _dist2(r, rv, t):
-    """Squared link distance at time t, elementwise: |r + rv t|^2.
-
-    r and rv are positions and velocities relative to the master with x
-    and y stacked on axis 0, so both coordinates take one call per step.
-    """
+    """|r + rv t|^2, elementwise, for r and rv relative to the master with x and y on axis 0."""
     u = rv * t
     u += r
     u *= u
@@ -376,40 +236,24 @@ def _dist2(r, rv, t):
 
 
 def _send_time(bits, d2, gain, cfg):
-    """Time to send `bits` over a link of squared length d2; elementwise.
-
-    gain is the transmission's link_gain.
-    """
+    """Time to send bits over links of squared length d2 and link_gain gain; elementwise."""
     return bits / channel_capacity(d2, gain, cfg)
 
 
 def _segments(widths):
-    """The flat worker-major layout of the given per-worker slot counts.
-
-    Returns (starts, segments): each worker's first slot, as an int64
-    array, and its slots as one slice per worker, in worker order.
-    """
+    """(starts, segments) of a flat worker-major layout: each worker's first slot, and its slice."""
     ends = list(itertools.accumulate(widths))
     starts = [e - w for e, w in zip(ends, widths)]
     return np.array(starts, dtype=np.int64), [slice(s, e) for s, e in zip(starts, ends)]
 
 
 def _scan(cpu, tau, starts, segments, test=True):
-    """Arrivals and the begins they imply, with the send times tau frozen.
+    """(arrival, settled, busy) of the link recurrence with the send times tau frozen.
 
-    Returns (arrival, settled, busy).  Within each worker's segment (see
-    _segments) the arrivals are the max-plus scan
-    S_k + max_{j<=k} (cpu_j - S_{j-1}), S = cumsum(tau): its running
-    accumulates run once per segment, in place, and every elementwise step
-    once over the flat arrays.  Slot k of a segment depends only on the
-    slots before it, so the scan of each segment's leading slots is those
-    slots of the full scan.
-
-    busy, tested only when test is set, is whether every worker's link
-    stays busy after its first batch: no later gap of any segment exceeds
-    its first, found by one np.maximum.reduceat.  Then fmax's running
-    maximum would be that first gap at every slot, bit for bit, so the gap
-    is added per segment instead; a NaN gap fails the test.
+    Within each segment the arrivals are the max-plus scan S + cummax(cpu - (S - tau)),
+    S = cumsum(tau), and settled are the begins they imply.  With test, busy is
+    whether no later gap of any segment exceeds its first: then the cummax is that
+    first gap at every slot, bit for bit, and is added without a running maximum.
     """
     arrival = np.empty_like(tau)
     for seg in segments:
@@ -435,30 +279,15 @@ def _scan(cpu, tau, starts, segments, test=True):
 
 
 def _reaching(p, b, n_active, total):
-    """k = ceil((p - A) / b) + A for A workers at batch size b, capped at the total slots.
-
-    Only a worker's last batch can be short, so any k slots hold at least
-    p rows: a first extent that holds the k earliest arrivals
-    (_first_extent) gives a solve that reaches p.
-    """
+    """ceil((p - A) / b) + A, capped at total: any that many slots of A workers hold p rows."""
     return min(-(-(p - n_active) // b) + n_active, total)
 
 
 def _first_extent(pace, send, counts, b, k):
-    """Each worker's estimated batches up to the k-th arrival, with a margin.
+    """Each worker's estimated batches up to the k-th arrival of the task, with a margin.
 
-    Plain floats over one entry per loaded worker, whose compute
-    coefficients floor and tail (envmodels.comp_coefficients) and
-    broadcast time bc are pace's three rows.  A batch's send time is
-    about send, and its mean compute time b (floor + tail); a worker
-    delivers a batch per the larger of the two after the broadcast and
-    the smaller.  The k earliest such arrivals are filled in under each
-    worker's batch count.
-
-    send is taken unshadowed at the distance where the broadcast ends.
-    b / m of the broadcast time, which carries the broadcast's shadowing
-    and its distance at t = 0, left some worker short on 42% of the
-    tasks of scenario1 training's first iteration and 84% of its last ten.
+    pace's rows are the compute coefficients floor and tail and the broadcast
+    time; send is a batch's unshadowed send time where the broadcast ends.
     """
     free = []  # (start, batches per second, worker)
     floor, tail, bc = pace.tolist()
@@ -489,23 +318,13 @@ def _first_extent(pace, send, counts, b, k):
 
 
 def _further(t, first, last, extent, count):
-    """A new extent of a worker whose solved arrivals stop before t, from its own pace.
-
-    Plain floats: the batches still to go to t at the pace of its solved
-    arrivals so far, first to last, with a margin, or about twice its
-    extent when it holds one arrival, capped at its count; its count when
-    any of them is not finite, t among them.
-    """
+    """A worker's new extent toward t, at the pace of its solved arrivals, capped at count."""
     more = (t - last) / (last - first) * (extent - 1) if last > first else extent
     return min(count, extent + int(more * 1.05) + 8) if more < count else count
 
 
 def _take(arrays, spans):
-    """Each array's entries in the [start, stop) spans, in order.
-
-    Spans that meet are taken as one, so spans that join into one give
-    views, and any others one concatenation per array.
-    """
+    """Each array's entries in the [start, stop) spans, in order; views if the spans join up."""
     joined = []
     for start, stop in spans:
         if joined and joined[-1][1] == start:
@@ -518,29 +337,17 @@ def _take(arrays, spans):
 
 
 def _reach(arrival, sizes, p):
-    """Slots in arrival order, their cumulative rows, and how many it takes to reach p.
-
-    A stable sort of the worker-major layout breaks arrival ties by
-    (worker, batch).  The count runs up to the first arrival that brings
-    the received rows to p, and is one past the last slot when none does.
-    """
+    """Slots in arrival order, their cumulative rows, and how many reach p (all + 1 if none)."""
     order = arrival.argsort(kind="stable")
     received = sizes[order].cumsum()
     return order, received, int(received.searchsorted(p)) + 1
 
 
 def _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, cfg):
-    """Passes 2.. of the link fixed point; returns the final (begin, tau).
+    """Passes 2.. of the link fixed point, from pass 1's settled begins; returns (begin, tau).
 
-    Pass 1 evaluated tau at begin = cpu and scanned it into settled; busy
-    is what its _scan found.  These passes test for busy links only after
-    a pass 1 that found every link busy: after one that did not, a later
-    pass was all busy in 28 of 8,093 scans of desk training.  Both of
-    _scan's paths give the same bits, so the choice moves no output.  The
-    arrays may hold each worker's leading slots alone: every pass is exact
-    on them.  The passes run until no begin moves; pass n is exact for the
-    first n batches of every worker, so there are at most as many passes
-    as the widest segment has slots.
+    Pass n is exact for each worker's first n batches, so the passes stop when
+    no begin moves or after as many as the widest segment has slots.
     """
     width = max(seg.stop - seg.start for seg in segments)
     begin = cpu
@@ -551,34 +358,29 @@ def _fixed_point(cpu, tau, settled, busy, bits, gain, r, rv, starts, segments, c
         tau = _send_time(bits, _dist2(r, rv, begin), gain, cfg)
         if done >= width:  # pass n starts from begins that are final for n batches
             return begin, tau
+        # test for busy links only when pass 1 found all busy: both _scan paths give the same bits
         settled = _scan(cpu, tau, starts, segments, busy)[1]
 
 
 def _solve(draws, spans, profile, cfg):
-    """Arrivals of some workers' leading batches: pass 1, then the link fixed point.
+    """(arrival, sizes, segments) of the [start, stop) spans of each worker's slots.
 
-    draws are the task's (us, omega, sizes) over every slot of its flat
-    worker-major layout, omega unscaled; spans are the [start, stop) slots
-    of each worker to solve, in worker order, and profile has a column per
-    such worker and the rows floor and tail (envmodels.comp_coefficients),
-    broadcast time, r and rv.  Pass 1 sums each worker's compute times
-    from its first batch, evaluates each batch's link at its compute
-    finish time and scans the send times into the begins they imply
-    (_scan); _fixed_point solves on.
-    Each worker is a segment of its own, which no other worker's slots
-    reach, so it gets the same bits whichever workers it is solved with.
-    Returns (arrival, sizes, segments) over the solved slots, laid out as
-    the spans.
+    draws are the task's (us, omega, sizes) over its flat worker-major layout,
+    omega unscaled; profile has a column per solved worker and the rows floor,
+    tail, broadcast time, r and rv.  No worker's segment reads another's, so a
+    worker gets the same bits whichever workers it is solved with.
     """
     width = [stop - start for start, stop in spans]
     starts, segments = _segments(width)
     us, omega, sizes = _take(draws, spans)
     per_slot = np.repeat(profile, width, axis=1)
     floor, tail, bc = per_slot[:3]
+    # pass 1: each batch's link is evaluated at its compute finish time
     cpu = comp_time_with(sizes, us, floor, tail)
     for seg in segments:
         np.add.accumulate(cpu[seg], out=cpu[seg])
     cpu += bc
+    # s z, not normal(0, s)'s 0.0 + s z: they differ only in a zero's sign, which link_gain erases
     gain = link_gain(omega * cfg.noise_std_db, cfg)
     tau = _send_time(sizes * cfg.bits_per_element, _dist2(per_slot[3:5], per_slot[5:], cpu),
                      gain, cfg)
@@ -603,15 +405,9 @@ def _all_workers(n):
 
 
 def _loaded(world, active, terms, *rows):
-    """The loaded workers' index and geometry, and their entries of rows, flat per worker.
+    """(act, r, rv, *rows): the loaded workers' index, (2, A) geometry and entries of rows.
 
-    Returns (act, r, rv, *rows): r and rv, shape (2, A), are the positions
-    and velocities relative to the master with x and y stacked, rv the
-    loaded workers' entries of the episode's terms (EpisodeTerms), and
-    each array of rows, shape (N,), gives its loaded workers' entries.
-    When every worker is loaded, those are the given arrays themselves and
-    act the cached index, with no gather; otherwise each is gathered once.
-    All are read, never written.
+    When every worker is loaded they are the given arrays, not gathered copies; never written.
     """
     n = len(world.beta)
     if len(active) == n:
@@ -621,12 +417,10 @@ def _loaded(world, active, terms, *rows):
 
 
 def worker_ids(rng, n, k=None):
-    """The stream ids of rng's substreams ("worker", i) of the n workers, as uint64, shape (n,).
+    """The uint64 stream ids of rng's substreams ("worker", i) of n workers, shape (n,).
 
-    With k, rng is an episode's "task" stream, and the ids are those of
-    rng.substream(j, "worker", i), shape (k, n): row j is task j's, the
-    ids of rng.substream(j)'s ("worker", i).  One array fold covers them
-    all (RngStream.substream_ids).
+    With k, rng is an episode's "task" stream and the ids, shape (k, n), are
+    those of rng.substream(j, "worker", i): row j is task j's.
     """
     tokens = ("worker", _all_workers(n))
     if k is not None:
@@ -635,17 +429,12 @@ def worker_ids(rng, n, k=None):
 
 
 def one_batch_noise(rng, ids, cfg):
-    """The noise of the workers of one-batch tasks, keyed by ids: (gain, us), read-only.
+    """The read-only (gain, us) of one-batch tasks' workers, each keyed by its id in ids.
 
-    ids are stream ids of rng's seed from worker_ids: (N,), a task's,
-    whose worker i draws from rng.substream("worker", i), or (K, N), an
-    episode's, whose worker i of task j draws from
-    rng.substream(j, "worker", i).  gain, the link gains, has ids' shape
-    and a last axis of 2, and us, the compute uniforms, ids' shape: task
-    j's rows are gain[j] and us[j].  Each worker draws, when
-    noise_std_db > 0, two standard normals into its row of omega, the
-    shadowing of its broadcast and of its batch, scaled by noise_std_db;
-    then its compute uniform, as a float.
+    ids, from worker_ids, are a task's (N,) or an episode's (K, N).  Each worker
+    draws, when noise_std_db > 0, two standard normals, its broadcast's and its
+    batch's shadowing, then one compute uniform.  gain, the link gains, has
+    ids' shape plus a last axis of 2; us has ids' shape.
     """
     omega = np.zeros((ids.size, 2))  # per worker: the broadcast of x, then the batch
     us = []
@@ -663,14 +452,11 @@ def one_batch_noise(rng, ids, cfg):
 
 
 def one_batch_terms(gain, us, terms):
-    """What one-batch tasks read of one_batch_noise's (gain, us): (head, send, per_row).
+    """(head, send, per_row) of one_batch_noise's (gain, us): read-only, of us's shape.
 
-    head and send are the link gains of each worker's broadcast and of its
-    batch, and per_row its compute time per row, floor - tail ln(1 - U)
-    under the episode's terms (envmodels.comp_time_with of one row), so a
-    task's compute times are its loads times its row of per_row, bit for
-    bit comp_time_with of its loads.  Each is contiguous, read-only and of
-    us's shape: (N,) for a task's noise, (K, N) for an episode's.
+    head and send are the link gains of the broadcast and of the batch, and
+    per_row the compute time per row: loads * per_row is comp_time_with of the
+    loads, bit for bit.
     """
     head, send = gain[..., 0].copy(), gain[..., 1].copy()
     per_row = comp_time_with(1.0, us, terms.floor, terms.tail)  # x 1.0 is exact
@@ -680,15 +466,10 @@ def one_batch_terms(gain, us, terms):
 
 
 def _batched_noise(rng, ids, heads, shadows, uniforms, cfg):
-    """Draw, in place, the noise of a task in which some worker sends more than one batch.
+    """Draw, in place, a multi-batch task's noise, the k-th loaded worker from ids[k].
 
-    The k-th loaded worker draws from RngStream(rng.seed, ids[k]), its
-    substream ("worker", i) of the task's stream (worker_ids): when
-    noise_std_db > 0, the standard normals of heads[k], its broadcast's
-    shadowing, then those of shadows[k], its batches'; then the uniforms
-    of uniforms[k], one per batch.  Normals drawn into one array after
-    another are those of one draw into both.  The caller scales the
-    shadowing by noise_std_db.
+    Each draws, when noise_std_db > 0, the normals of heads[k], then those of
+    shadows[k], then the uniforms of uniforms[k]; the caller scales the shadowing.
     """
     noisy = cfg.noise_std_db > 0
     for k, gen in enumerate(rng.fresh_gens_at(ids)):
@@ -705,15 +486,10 @@ def _broadcast_time(m, r, gain, cfg):
 
 
 def _one_batch(world, lay, p, m, terms, cfg, noise):
-    """Receipts of a task whose loaded workers each send their load as one batch.
+    """(ReceiptLog, rows received at completion) of a task whose workers send one batch each.
 
-    Returns (ReceiptLog, rows received at completion).  The arrays are
-    flat, one entry per loaded worker (see _loaded), and the sizes are the
-    loads, laid out by check_loads (lay).  noise is the task's
-    one_batch_terms, over every worker, whose loaded workers' entries are
-    gathered when a worker is idle.  Each batch begins once computed, so
-    one evaluation of the link gives the arrivals, and the log is read off
-    their sorted order.
+    noise is the task's one_batch_terms over every worker.  A batch's link is
+    free once it is computed, so one link evaluation gives the arrivals.
     """
     sizes, float_sizes = lay.sizes, lay.float_sizes
     act, r, rv, head, send, per_row = _loaded(world, lay.active, terms, *noise)
@@ -733,19 +509,10 @@ def _layout_error(index, total, p, batch_size):
 
 
 def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
-    """Receipts of a task in which some worker sends more than one batch.
+    """(ReceiptLog, rows received at completion) of a task in which some worker sends more batches.
 
-    Returns (ReceiptLog, rows received at completion); see run_task.  The
-    batches sit in a flat worker-major layout, one slot per batch, whose
-    draws are made in full, each loaded worker's keyed by its entry of
-    ids, the task's worker_ids, derived here from rng when None.  Each
-    worker's leading batches are computed and solved together (_solve),
-    and the workers whose solved arrivals stop before the completion are
-    extended and solved again, alone; the others keep their arrivals,
-    which are joined up again for the sort to completion (_reach).  A
-    layout that cannot be allocated, a load past int64 among them, is a
-    ValueError naming task index, its size and the settings it grows
-    with, p and the batch size.
+    ids are the task's worker_ids, derived from rng when None.  A layout that
+    cannot be allocated is a ValueError naming task index (_layout_error).
     """
     loads, active = lay.loads, lay.active
     try:
@@ -784,6 +551,8 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
     draws = (us, omega, sizes)
     todo = range(len(counts))  # the workers to solve
     arrivals, batches = [None] * len(counts), [None] * len(counts)  # each worker's latest
+    # a slot depends only on the slots before it, so each worker's leading batches solve exactly;
+    # a worker whose last solved arrival precedes the completion T' is extended and solved alone
     while True:
         arrival, sizes, solved = _solve(draws, [(segments[i].start, segments[i].start + extent[i])
                                                 for i in todo], profile[:, todo], cfg)
@@ -811,42 +580,22 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
 
 
 def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=None, ids=None):
-    """Simulate one task; returns (TaskRecord, advanced WorldState).
+    """Simulate one task; returns (TaskRecord, the world advanced to its completion).
 
-    loads holds one non-negative integer per worker, each at most p, the
-    rows needed to decode; check_loads checks and lays them out, and any
-    other loads are a ValueError that names task index.  Loads that
-    check_loads returned for this world's worker count and this p, what
-    run_episode passes for a baseline, are taken as they are.  m is the
-    length of the broadcast payload.  batch_size is an int: a worker sends
-    its load in batches of that many rows, so any batch size >= the
-    largest load, p among them, sends one batch per worker.  terms is
-    episode_terms of this world's episode: the workers' velocities
-    relative to the master and their compute coefficients, which no task
-    changes.  rng is the task's stream, cfg the link's CommConfig.
-    Worker i draws its noise from rng's substream ("worker", i).  noise,
-    when given, is the task's row of what its one-batch episode derived
-    once (one_batch_terms of one_batch_noise, over every worker): three
-    (N,) arrays, the link gains of each worker's broadcast and of its
-    batch and its compute time per row.  A one-batch task then draws
-    nothing and reads no rng (None will do), and its compute times are
-    its loads times the per-row times; without noise, it derives the same
-    bits here, through one_batch_terms(*one_batch_noise(rng, ids, cfg),
-    terms).  ids, when given, is the task's row of its multi-batch
-    episode's worker_ids, the (N,) stream ids of rng's substreams
-    ("worker", i), from which the task keys its workers' draws; without
-    it, it derives them from rng (worker_ids(rng, N)).  A multi-batch
-    task ignores noise.
-    The task completes at the first arrival, in (arrival, worker, batch)
-    order, at which the received rows reach p; an infeasible task keeps
-    every batch.  The module docstring describes how it is computed.
-    All-zero loads dispatch nothing: the record is infeasible, takes 0 s,
-    has an empty receipt log and 0 rows received, and the world is
-    returned unchanged.
-    A link whose capacity underflows to zero makes the completion infinite,
-    which raises ValueError rather than moving the world to an infinite
-    clock, and a batch layout that cannot be allocated is a ValueError
-    naming the task (_layout_error).
+    loads holds one non-negative integer per worker, each at most p, the rows
+    to decode (check_loads), or is the Loads check_loads returned for this
+    world and p.  A worker sends its load in batches of batch_size rows; m is
+    the payload's length, terms the episode's EpisodeTerms, rng the task's
+    stream, whose substream ("worker", i) worker i draws from, and cfg the
+    link's CommConfig.  noise is a one-batch task's row of its episode's
+    one_batch_terms, three (N,) arrays: given, the task draws nothing and
+    rng may be None.  ids is a multi-batch task's row of its episode's
+    worker_ids.  Either, when None, is derived from rng; a multi-batch task
+    ignores noise.  An infeasible task's log keeps every batch.  All-zero
+    loads dispatch nothing: the record is infeasible, takes 0 s and
+    receives nothing, and the world is returned unchanged.
+    Raises ValueError for loads check_loads rejects, a batch layout that
+    cannot be allocated, and a link whose capacity falls to zero.
     """
     lay = loads if type(loads) is Loads else check_loads(loads, len(world.beta), p, index)
     if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing
@@ -871,13 +620,10 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
 
 
 def sample_world(scenario, rng):
-    """Draw the initial world for an episode from the scenario ranges.
+    """Draw (WorldState, victim) from the scenario ranges, with alpha = 1 / beta.
 
-    Returns (WorldState, victim), with alpha = 1 / beta for every worker.
-    The straggler victim index is always drawn, so the environment is
-    identical with and without straggler injection (paired comparisons).
-    rng is the episode's "env" stream, which makes all its draws here
-    before any other stream draws, so they go through rng.fresh_gen().
+    The victim is drawn with the straggler on or off, so paired runs share a
+    world.  rng is the episode's "env" stream, read through rng.fresh_gen().
     """
     n = scenario.n_workers
     gen = rng.fresh_gen()
@@ -912,22 +658,15 @@ def state_scales(scenario):
 def build_state(world, scales, like=None):
     """Scaled joint observation of the N agents, one row each: shape (N, 3N+2).
 
-    Row i is agent i's [d_i, d_-i, v_i, v_-i, v_m]: its own distance to the
-    master, the other workers' distances, its own velocity, the others'
-    velocities (the others in worker order) and the master's velocity.
-    scales is (d_scale, v_scale), from state_scales: distances are divided
-    by d_scale and velocities by v_scale, so (1.0, 1.0) gives the raw
-    values.  Distances use math.hypot: np.hypot differs from it in the last
-    bit on some inputs, which would change the recorded states.
-
-    like, when given, is an observation built with the same scales from a
-    world with the same velocities, such as the previous task's in one
-    episode (velocities never change within an episode): its velocity
-    columns are copied, and only the distances are computed.
+    Row i is [d_i, d_-i, v_i, v_-i, v_m]: worker i's distance to the master, the
+    others' in worker order, its velocity, the others' and the master's, divided
+    by scales = (d_scale, v_scale) from state_scales.  like, an observation of a
+    world with the same velocities and scales, lends its velocity columns.
     """
     n = world.n_workers
     d_scale, v_scale = scales
     order = _state_order(n)
+    # math.hypot: np.hypot differs from it in the last bit on some inputs
     dists = np.array([math.hypot(dx, dy) for dx, dy in (world.pos[1:] - world.pos[0]).tolist()])
     if like is None:
         states = np.empty((n, state_dim(n)))
@@ -940,26 +679,18 @@ def build_state(world, scales, like=None):
 
 
 def reward(rec, c=200.0):
-    """Shared reward -T_j, less c when the task's rows fall short of p.
-
-    run_task alone decides decodability: rec.feasible is sum(l) >= p, so
-    the all-zero record is infeasible.
-    """
+    """Shared reward -T_j, less c when the task is infeasible (as run_task set rec.feasible)."""
     return -rec.t_complete - (0.0 if rec.feasible else c)
 
 
 class EpisodeEnv(NamedTuple):
-    """All that an episode fixes before task 0, derived once by episode_env.
+    """All that an episode fixes before task 0 (episode_env); every array is read-only.
 
-    scenario is the scenario it was derived for, and seed and stream
-    those of the episode's stream.  world is the first world, whose pos,
-    vel, alpha and beta arrays are read-only, victim the straggler victim
-    and terms the episode's EpisodeTerms.  tasks is the episode's "task"
-    stream.  An episode of one-batch tasks (batch_size >= p) holds its
-    tasks' draws as noise, the (head, send, per_row) arrays of
-    one_batch_terms, each (K, N), and ids is None; any other holds
-    noise None and ids, the (K, N) grid of its workers' stream ids
-    (worker_ids).  Every array is read-only, so runs under several
+    scenario, seed and stream are what it was derived from; world is the first
+    world, victim the straggler victim, terms the EpisodeTerms and tasks the
+    "task" stream.  A one-batch episode (batch_size >= p) holds noise,
+    one_batch_terms' (head, send, per_row), each (K, N), and ids None; any
+    other holds noise None and ids, the (K, N) worker_ids.  Runs under several
     allocators may share one env.
     """
 
@@ -975,18 +706,7 @@ class EpisodeEnv(NamedTuple):
 
 
 def episode_env(scenario, rng):
-    """The EpisodeEnv of the episode of scenario that draws from rng.
-
-    The first world is drawn from rng.substream("env") (sample_world),
-    the time factors and the terms derived from them and it
-    (episode_terms), and the tasks' draws keyed from rng.substream("task"):
-    task j draws from its substream (j, "worker", i), whose ids are folded
-    for every task at once (worker_ids).  When scenario.batch_size >= p,
-    every task sends one batch per worker, so every task's and worker's
-    noise is drawn here (one_batch_noise) and the broadcast gains, the
-    transmission gains and the compute times per row derived from it
-    (one_batch_terms).
-    """
+    """The EpisodeEnv of scenario's episode that draws from rng; see the module's noise keying."""
     n, k = scenario.n_workers, scenario.k_tasks
     world, victim = sample_world(scenario, rng.substream("env"))
     for a in world[:4]:
@@ -1015,37 +735,19 @@ def _check_env(env, scenario, rng):
 
 
 def run_episode(scenario, allocator, rng, penalty=200.0, env=None):
-    """Run K sequential tasks under one sampled environment.
+    """Run K sequential tasks under one sampled environment; returns an EpisodeRecord.
 
-    allocator is a callable (world, states) -> iterable of N raw loads,
-    where states is build_state(world, state_scales(scenario)), the
-    scales taken once per episode; from task 1 on, the velocity columns
-    are copied from the previous task's states (build_state's like).  A
-    non-finite load raises NonFiniteLoadError; the others are rounded to
-    the nearest integers and checked (check_loads), whose ValueError names
-    the task of a rounded load below 0 or above p.  An allocator whose
-    attribute per_episode is True (the baselines of
-    experiments.make_allocator) promises loads that depend only on the
-    workers' compute profiles, which are fixed for the episode: it is
-    called once, at task 0, with states=None, its loads are checked and
-    laid out once and serve all K tasks, no state is built, and the
-    record's states is ().  Any other allocator is called, gets states and
-    has its loads read, and checked by run_task, anew on every task.
-    env is the episode's EpisodeEnv: the first world, the victim, the
-    terms and the tasks' draws.  When None, it is derived here
-    (episode_env(scenario, rng)); when given, it must have been derived
-    from this scenario and from a stream of rng's seed and id, or a
-    ValueError names what differs.  A given env is how runs under several
-    allocators share one episode (experiments.compare_schemes): its
-    arrays are read-only, so no run changes another's, and an allocator
-    that writes into the first world's arrays raises ValueError.
-    Task j draws from rng.substream("task", j).  In a one-batch episode
-    (scenario.batch_size >= p) each task is handed its row of the env's
-    noise, with no stream of its own; otherwise its stream and its row of
-    the env's ids.  Every task runs at scenario.batch_size, the victim is
-    slowed when scenario.straggler_enabled is set, and each task is
-    scored by reward(rec, penalty).  Same (scenario, allocator, rng)
-    reproduces the record bit for bit, with or without a given env.
+    allocator(world, states) returns N raw loads, states being build_state
+    under state_scales(scenario).  A non-finite load raises NonFiniteLoadError;
+    the others are rounded to integers and checked (check_loads's ValueError).
+    An allocator whose per_episode is True promises loads that depend only on
+    the fixed compute profiles: it is called once, with states None, and the
+    record's states is ().  env, when given, must come from
+    episode_env(scenario, rng), or a ValueError names what differs; its arrays
+    are read-only, so runs under several allocators share it, and an allocator
+    that writes into the first world raises ValueError.  Each task is scored
+    by reward(rec, penalty).  The same inputs give the same record bit for
+    bit, with or without env.
     """
     if env is None:
         env = episode_env(scenario, rng)
