@@ -278,7 +278,9 @@ def train(scenario, cfg, rng, progress=None):
     to find why and to make such a collapse loud.
 
     The replay buffer of cfg.replay_capacity is allocated before the first
-    episode, so a capacity too large to allocate fails at once.
+    episode, so a capacity too large to allocate fails at once.  Training
+    holds one episode's record at a time: each is dropped once its states,
+    loads and rewards are in the buffer.
     """
     n = scenario.n_workers
     sdim = state_dim(n)
@@ -313,6 +315,7 @@ def train(scenario, cfg, rng, progress=None):
             norm_actions = np.array([t.loads for t in rec.tasks], dtype=np.float64) / scenario.p_rows
             buffer.push(np.stack(rec.states), norm_actions, rec.rewards)
             totals.append(sum(rec.rewards))
+            del rec  # so the next episode's receipt logs are not held beside this one's
         curve.append(float(np.mean(totals)))
 
         if buffer.size >= cfg.minibatch:

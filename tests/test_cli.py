@@ -1,8 +1,11 @@
+import ctypes
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from macc import marl
 from macc.cli import build_parser, main
 from macc.config import load_config
 from macc.marl import load_checkpoint, make_agents, save_checkpoint
@@ -156,6 +159,52 @@ class TestTrainCommand:
             assert err.endswith(f"from scenario.p_rows = {p} and scenario.batch_size = 1\n")
             assert "Traceback" not in err
             assert not (tmp_path / "x").exists()  # --out is made only for the first output
+
+
+class TestHeapThresholds:
+    """train fixes glibc's heap thresholds before training, where libc allows; no other command does.
+
+    The pytest process may already run under the real setting, so these tests stub the libc
+    loader; CI compares a fresh `macc train` checkpoint with one trained at glibc's defaults.
+    """
+
+    @staticmethod
+    def recording_loader(calls):
+        return lambda name: SimpleNamespace(mallopt=lambda *args: calls.append(args))
+
+    def test_set_before_training_runs(self, ini, tmp_path, monkeypatch):
+        calls, seen, train = [], [], marl.train
+        monkeypatch.setattr(ctypes, "CDLL", self.recording_loader(calls))
+
+        def watched(*args, **kwargs):
+            seen.append(list(calls))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(marl, "train", watched)
+        assert main(["train", "--config", ini, "--out", str(tmp_path / "out")]) == 0
+        assert seen == [[(-3, 4 << 20), (-1, 8 << 20)]]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_other_commands_leave_them(self, ini, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", self.recording_loader(calls))
+        assert main(["evaluate", "--config", ini, "--scheme", "uniform", "--episodes", "1",
+                     "--out", str(tmp_path / "ev")]) == 0
+        assert main(["compare", "--config", ini, "--episodes", "1", "--out", str(tmp_path / "cmp")]) == 0
+        assert main(["sweep-batch", "--config", ini, "--episodes", "1", "--batch-sizes", "1",
+                     "--out", str(tmp_path / "sw")]) == 0
+        assert calls == []
+
+    def test_skipped_where_libc_has_no_mallopt(self, ini, tmp_path, monkeypatch):
+        def unloadable(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", self.recording_loader([]))
+        assert main(["train", "--config", ini, "--out", str(tmp_path / "stub")]) == 0
+        for name, loader in (("no-libc", unloadable), ("no-mallopt", lambda name: SimpleNamespace())):
+            monkeypatch.setattr(ctypes, "CDLL", loader)
+            assert main(["train", "--config", ini, "--out", str(tmp_path / name)]) == 0
+            for path in (tmp_path / "stub").iterdir():
+                assert (tmp_path / name / path.name).read_bytes() == path.read_bytes()
 
 
 class TestEvaluateCommand:

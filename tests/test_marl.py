@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from macc import marl
+from macc import marl, simcore
 from macc.config import ConfigError, ScenarioConfig, TrainConfig, preset_scenario
 from macc.marl import (
     NETS,
@@ -407,6 +408,21 @@ class TestTrain:
         train(TINY, SHORT_TRAIN, RngStream(15),
               progress=lambda it, val: seen.append((it, val)))
         assert [it for it, _ in seen] == [0, 1, 2]
+
+    def test_no_episode_record_outlives_its_push(self, monkeypatch):
+        run = simcore.run_episode
+        records = []
+
+        def run_episode(*args, **kwargs):
+            alive = [k for k, ref in enumerate(records) if ref() is not None]
+            assert not alive, f"the records of episodes {alive} are still alive"
+            rec = run(*args, **kwargs)
+            records.append(weakref.ref(rec))
+            return rec
+
+        monkeypatch.setattr(simcore, "run_episode", run_episode)
+        train(preset_scenario("desk"), SHORT_TRAIN, RngStream(17))
+        assert len(records) == 6
 
 
     @pytest.mark.parametrize("update", ["critic", "actor"])
