@@ -63,7 +63,7 @@ def build_parser():
     p_cmp = sub.add_parser("compare", help="paired comparison of several schemes")
     add_common(p_cmp)
     p_cmp.add_argument("--scheme", default="uniform,load-balanced,hcmm",
-                       help="comma-separated scheme list")
+                       help="comma-separated list of two or more schemes")
     p_cmp.add_argument("--episodes", type=int, default=20)
     p_cmp.add_argument("--checkpoint", default=None)
 
@@ -162,6 +162,8 @@ def cmd_evaluate(args):
 
 def cmd_compare(args):
     schemes = [s.strip() for s in args.scheme.split(",") if s.strip()]
+    if len(schemes) < 2:  # evaluate runs one scheme
+        raise ValueError("compare needs at least two schemes")
     scenario, _, seed, agents = _setup(args, schemes)
     digest = experiments.run_digest(scenario)
     results = experiments.compare_schemes(scenario, schemes, args.episodes, seed, agents=agents)

@@ -52,9 +52,7 @@ def check_episodes(episodes):
 
 
 def check_schemes(schemes):
-    """Reject a comparison of fewer than two schemes, or of a repeated or unknown one."""
-    if len(schemes) < 2:
-        raise ValueError("compare needs at least two schemes")
+    """Reject a repeated or unknown scheme."""
     _reject_duplicates("schemes", schemes)
     for scheme in schemes:
         check_scheme(scheme)
@@ -103,11 +101,11 @@ def _per_profiles(loads_of):
 def evaluate_scheme(scenario, scheme, episodes, seed, agents=None):
     """Run paired-seed episodes under one scheme; returns EpisodeRecords.
 
-    The scheme runs on _as_run's scenario: a baseline at batch_size =
-    p_rows, one batch per worker, and marl at the scenario's own batch
-    size, or at p_rows when that is smaller.
+    It is compare_schemes of the one scheme, which runs on _as_run's
+    scenario: a baseline at batch_size = p_rows, one batch per worker, and
+    marl at the scenario's own batch size, or at p_rows when that is smaller.
     """
-    return _episodes(_as_run(scenario, scheme), scheme, episodes, seed, agents)
+    return compare_schemes(scenario, [scheme], episodes, seed, agents=agents)[scheme]
 
 
 def _as_run(scenario, scheme):
@@ -180,11 +178,10 @@ def summarize(records):
 
 
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):
-    """Evaluate several schemes against identical per-episode environments.
+    """Evaluate one or more schemes against identical per-episode environments.
 
-    Each scheme runs as evaluate_scheme runs it, and its records equal
-    evaluate_scheme's, bit for bit; the schemes run one after another,
-    in the given order.  Each episode's environment (simcore.episode_env)
+    The schemes run one after another, in the given order, each on
+    _as_run's scenario.  Each episode's environment (simcore.episode_env)
     is derived once per scenario as run and episode, and every scheme
     that runs that scenario gets it: all the baselines, and marl when its
     batch size is p_rows or more.  The envs are read-only, so no scheme's

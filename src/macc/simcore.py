@@ -34,7 +34,6 @@ from .envmodels import (advance, channel_capacity, comp_coefficients, comp_time_
                         time_factors)
 
 _new = object.__new__
-_INT = {int}
 
 
 class NonFiniteLoadError(ValueError):
@@ -108,18 +107,20 @@ class Loads(NamedTuple):
 def check_loads(loads, n, p, index=0):
     """The Loads of n raw loads at p rows to decode.
 
-    Each load must be a non-negative integer, as an int or an integral float,
-    of at most p; any other is a ValueError naming task index.
+    Each load must be a non-negative integer, an int or anything operator.index
+    takes (a numpy integer, a bool, never a float), of at most p; any other is
+    a ValueError naming task index.
     """
-    loads = tuple(loads)
-    if len(loads) != n:
-        raise ValueError(f"task {index}: allocation covers {len(loads)} workers, world has {n}")
-    exact = {*map(type, loads)} == _INT  # no float round trip for plain ints
-    low = min(loads)
-    if low < 0 or not (exact or all(float(l).is_integer() for l in loads)):
-        raise ValueError(f"task {index}: loads must be non-negative integers, got {loads}")
-    if not exact:
-        loads = tuple(map(int, loads))
+    raw = tuple(loads)
+    if len(raw) != n:
+        raise ValueError(f"task {index}: allocation covers {len(raw)} workers, world has {n}")
+    try:
+        loads = tuple(map(operator.index, raw))
+    except TypeError:
+        loads = ()
+    low = min(loads, default=-1)  # no loads: a load was no integer
+    if low < 0:
+        raise ValueError(f"task {index}: loads must be non-negative integers, got {raw}")
     top = max(loads)
     if top > p:
         raise ValueError(f"task {index}: loads may not exceed p={p}, got {loads}")
@@ -428,13 +429,15 @@ def worker_ids(rng, n, k=None):
     return rng.substream_ids(*tokens)
 
 
-def one_batch_noise(rng, ids, cfg):
-    """The read-only (gain, us) of one-batch tasks' workers, each keyed by its id in ids.
+def one_batch_terms(rng, ids, cfg, terms):
+    """(head, send, per_row) of one-batch tasks' workers, each keyed by its id in ids.
 
     ids, from worker_ids, are a task's (N,) or an episode's (K, N).  Each worker
     draws, when noise_std_db > 0, two standard normals, its broadcast's and its
-    batch's shadowing, then one compute uniform.  gain, the link gains, has
-    ids' shape plus a last axis of 2; us has ids' shape.
+    batch's shadowing, then one compute uniform.  head and send are the link
+    gains of the broadcast and of the batch, and per_row the compute time per
+    row: loads * per_row is comp_time_with of the loads, bit for bit.  All three
+    are read-only, of ids' shape.
     """
     omega = np.zeros((ids.size, 2))  # per worker: the broadcast of x, then the batch
     us = []
@@ -445,20 +448,9 @@ def one_batch_noise(rng, ids, cfg):
         us.append(gen.random())
     if noisy:
         omega *= cfg.noise_std_db
-    gain, us = link_gain(omega, cfg).reshape(*ids.shape, 2), np.array(us).reshape(ids.shape)
-    gain.setflags(write=False)
-    us.setflags(write=False)
-    return gain, us
-
-
-def one_batch_terms(gain, us, terms):
-    """(head, send, per_row) of one_batch_noise's (gain, us): read-only, of us's shape.
-
-    head and send are the link gains of the broadcast and of the batch, and
-    per_row the compute time per row: loads * per_row is comp_time_with of the
-    loads, bit for bit.
-    """
-    head, send = gain[..., 0].copy(), gain[..., 1].copy()
+    omega = omega.reshape(*ids.shape, 2)
+    head, send = link_gain(omega[..., 0], cfg), link_gain(omega[..., 1], cfg)
+    us = np.array(us).reshape(ids.shape)
     per_row = comp_time_with(1.0, us, terms.floor, terms.tail)  # x 1.0 is exact
     for a in (head, send, per_row):
         a.setflags(write=False)
@@ -509,7 +501,7 @@ def _layout_error(index, total, p, batch_size):
 
 
 def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
-    """(ReceiptLog, rows received at completion) of a task in which some worker sends more batches.
+    """(ReceiptLog, rows received at completion) of any task not handed its one-batch noise row.
 
     ids are the task's worker_ids, derived from rng when None.  A layout that
     cannot be allocated is a ValueError naming task index (_layout_error).
@@ -588,12 +580,13 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     the payload's length, terms the episode's EpisodeTerms, rng the task's
     stream, whose substream ("worker", i) worker i draws from, and cfg the
     link's CommConfig.  noise is a one-batch task's row of its episode's
-    one_batch_terms, three (N,) arrays: given, the task draws nothing and
-    rng may be None.  ids is a multi-batch task's row of its episode's
-    worker_ids.  Either, when None, is derived from rng; a multi-batch task
-    ignores noise.  An infeasible task's log keeps every batch.  All-zero
-    loads dispatch nothing: the record is infeasible, takes 0 s and
-    receives nothing, and the world is returned unchanged.
+    one_batch_terms, three (N,) arrays: given, with no load above batch_size,
+    the task draws nothing and rng may be None.  Any other task draws its
+    loaded workers' noise from rng, ids being its row of its episode's
+    worker_ids, derived from rng when None; a one-batch task's record is the
+    same either way, bit for bit.  An infeasible task's log keeps every
+    batch.  All-zero loads dispatch nothing: the record is infeasible, takes
+    0 s and receives nothing, and the world is returned unchanged.
     Raises ValueError for loads check_loads rejects, a batch layout that
     cannot be allocated, and a link whose capacity falls to zero.
     """
@@ -601,14 +594,11 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing
         return TaskRecord._of(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
 
-    if batch_size >= lay.top:  # each worker's one batch is its whole load
-        if noise is None:
-            if ids is None:  # a task run alone
-                ids = worker_ids(rng, len(world.beta))
-            noise = one_batch_terms(*one_batch_noise(rng, ids, cfg), terms)
+    if noise is not None and batch_size >= lay.top:  # each worker's one batch is its whole load
         receipt_log, rows = _one_batch(world, lay, p, m, terms, cfg, noise)
-    else:
-        receipt_log, rows = _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids)
+    else:  # a batch size past the top load sends one batch per worker, as the top load does
+        receipt_log, rows = _batched(world, lay, min(batch_size, lay.top), p, m, terms, rng, cfg,
+                                     index, ids)
     t_done = float(receipt_log.arrivals[-1])
     if not math.isfinite(t_done):
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
@@ -717,7 +707,7 @@ def episode_env(scenario, rng):
     ids, noise = worker_ids(tasks, n, k), None
     ids.setflags(write=False)
     if scenario.batch_size >= scenario.p_rows:  # every task sends one batch per worker
-        noise = one_batch_terms(*one_batch_noise(tasks, ids, scenario.comm), terms)
+        noise = one_batch_terms(tasks, ids, scenario.comm, terms)
         ids = None
     return EpisodeEnv(scenario, rng.seed, rng.stream, world, victim, terms, tasks, noise, ids)
 

@@ -287,7 +287,9 @@ class TestEvaluateCommand:
                      "--episodes", "1", "--checkpoint", str(out / "checkpoint.bin"),
                      "--out", str(tmp_path / "ev")])
         assert code == 1
-        assert "checkpoint has 2 agents, scenario has 4 workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint has 2 agents, scenario has 4 workers")
+        assert not (tmp_path / "ev").exists()  # refused before any output is written
 
     def test_marl_checkpoint_for_another_p(self, ini, tmp_path, capsys):
         out = tmp_path / "train"

@@ -122,14 +122,19 @@ class TestAgainstScalarOracle:
         def unused(*args):
             raise AssertionError("a one-batch task entered the batch solve")
 
+        world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
+        straggler, cfg = (True, victim, 10.0), CommConfig()
+        terms = terms_of(world, straggler)
+        task = RngStream(3).substream("task")
+        row = simcore.one_batch_terms(task, simcore.worker_ids(task, 4), cfg, terms)
         monkeypatch.setattr(simcore, "_scan", unused)
         monkeypatch.setattr(simcore, "_fixed_point", unused)
-        world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
-        # feasible and infeasible at batch size p, and a batch size no load exceeds
+        # handed its drawn row: feasible and infeasible at batch size p, and a batch size
+        # no load exceeds
         for loads, p, batch_size in (([50, 60, 0, 70], 120, 120), ([10, 0, 0, 20], 200, 200),
                                      ([50, 60, 0, 70], 120, 70)):
-            got, want = run_both(world, loads, p, 50, batch_size, (True, victim, 10.0),
-                                 CommConfig(), 3)
+            got, _ = run_task(world, loads, batch_size, p, 50, terms, None, cfg, noise=row)
+            want = run_task_scalar(world, loads, batch_size, p, 50, straggler, task, cfg)
             assert len(got.receipt_log) <= 3
             assert_matches_oracle(got, want)
 
@@ -199,17 +204,23 @@ class TestAgainstScalarOracle:
             return substream(self, *tokens)
 
         world, victim = sample_world(ScenarioConfig(n_workers=4), RngStream(3).substream("env"))
+        terms = terms_of(world, (True, victim, 10.0))
         task_rng = RngStream(3).substream("task")
+        row = simcore.one_batch_terms(task_rng, simcore.worker_ids(task_rng, 4), CommConfig(),
+                                      terms)
         monkeypatch.setattr(simcore, "plan_batches", counted_plan)
         monkeypatch.setattr(RngStream, "substream", counted_substream)
-        # two one-batch tasks plan nothing; a multi-batch task plans every worker at once.
-        # Each worker's stream id is folded from the task's own (RngStream.substream_ids),
-        # and re-keys the shared generator
-        for loads, batch_size, plans in (([50, 60, 0, 70], 120, 0), ([50, 60, 0, 70], 70, 0),
-                                         ([50, 60, 0, 70], 20, 1)):
+        # two one-batch tasks handed their drawn row plan nothing; a multi-batch task, and a
+        # one-batch task handed no row, plan every worker at once.  Each worker's stream id
+        # is folded from the task's own (RngStream.substream_ids), and re-keys the shared
+        # generator
+        for loads, batch_size, noise, plans in (([50, 60, 0, 70], 120, row, 0),
+                                                ([50, 60, 0, 70], 70, row, 0),
+                                                ([50, 60, 0, 70], 20, None, 1),
+                                                ([50, 60, 0, 70], 120, None, 1)):
             calls.update(plan_batches=0, substream=0)
-            run_task(world, loads, batch_size, 120, 50, terms_of(world, (True, victim, 10.0)),
-                     task_rng, CommConfig())
+            run_task(world, loads, batch_size, 120, 50, terms, task_rng, CommConfig(),
+                     noise=noise)
             assert calls["plan_batches"] == plans
             assert calls["substream"] == 0
 
@@ -1008,17 +1019,14 @@ class TestSameBitsAsBefore:
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_one_batch_draws_match_each_workers_substream(self, seed, noise_std_db):
-        # an episode's (task, worker) streams, each two normals, then a uniform, as the
-        # link gain of the scaled shadowing and the uniform; and what a task reads of
-        # them, the broadcast's and the batch's gains and the compute time per row
+        # an episode's (task, worker) streams, each two normals, then a uniform, as what a
+        # task reads of them: the link gains of the broadcast's and the batch's scaled
+        # shadowing, and the compute time per row of the uniform
         cfg = CommConfig(noise_std_db=noise_std_db)
         tasks = RngStream(seed).substream("task")
-        gain, us = simcore.one_batch_noise(tasks, simcore.worker_ids(tasks, 5, k=3), cfg)
-        assert gain.shape == (3, 5, 2) and us.shape == (3, 5)
-        assert not gain.flags.writeable and not us.flags.writeable
         world, victim = sample_world(ScenarioConfig(n_workers=5), RngStream(seed).substream("env"))
         terms = terms_of(world, (True, victim, 10.0))
-        rows = simcore.one_batch_terms(gain, us, terms)
+        rows = simcore.one_batch_terms(tasks, simcore.worker_ids(tasks, 5, k=3), cfg, terms)
         for a in rows:
             assert a.shape == (3, 5) and a.flags.c_contiguous and not a.flags.writeable
         head, send, per_row = rows
@@ -1028,10 +1036,9 @@ class TestSameBitsAsBefore:
                 gen = tasks.substream(j, "worker", i).gen
                 omega = noise_std_db * gen.standard_normal(2) if noise_std_db > 0 else np.zeros(2)
                 want = link_gain(omega, cfg)
-                assert gain[j, i].tobytes() == want.tobytes()
-                assert (head[j, i], send[j, i]) == tuple(want.tolist())
+                assert (head[j, i:i + 1].tobytes() + send[j, i:i + 1].tobytes()
+                        == want.tobytes())
                 u = gen.random(1)
-                assert us[j, i:i + 1].tobytes() == u.tobytes()
                 # the time per row is comp_time_with of one row, so the loads' times are
                 floor, tail = terms.floor[i:i + 1], terms.tail[i:i + 1]
                 assert per_row[j, i:i + 1].tobytes() == comp_time_with(1.0, u, floor,
@@ -1039,14 +1046,12 @@ class TestSameBitsAsBefore:
                 rows_i = np.array([float(loads[i])])
                 assert (rows_i * per_row[j, i:i + 1]).tobytes() == comp_time_with(
                     rows_i, u, floor, tail).tobytes()
-            # a task alone draws its own row, from its stream's substreams ("worker", i)
+            # a task's own row, from its stream's substreams ("worker", i), is its episode's
             task = tasks.substream(j)
-            alone = simcore.one_batch_noise(task, simcore.worker_ids(task, 5), cfg)
-            assert alone[0].tobytes() == gain[j].tobytes()
-            assert alone[1].tobytes() == us[j].tobytes()
-            for a, b in zip(simcore.one_batch_terms(*alone, terms), rows):
+            alone = simcore.one_batch_terms(task, simcore.worker_ids(task, 5), cfg, terms)
+            for a, b in zip(alone, rows):
                 assert a.shape == (5,) and a.tobytes() == b[j].tobytes()
-            # so a task run without noise records what its episode row gives, bit for bit
+            # a task run without noise records what its episode row gives, bit for bit
             drawn, nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, tasks.substream(j),
                                   cfg, index=j)
             given, given_nxt = run_task(world, loads, DESK_P, DESK_P, 50, terms, None, cfg,
@@ -1067,6 +1072,36 @@ class TestSameBitsAsBefore:
             assert task_digest(*keyed) == task_digest(*run_task(
                 world, loads, DESK_P, DESK_P, 50, terms, None, cfg, index=j,
                 noise=(head[other], send[other], per_row[other])))
+
+    @pytest.mark.parametrize("noise_std_db", [0.0, 1.0])
+    @pytest.mark.parametrize("preset", ["desk", "scenario3"])
+    def test_one_batch_tasks_record_the_same_bits_with_or_without_their_drawn_row(
+            self, preset, noise_std_db):
+        # loads whose top is at most a batch size b below p: handed its episode's drawn row a
+        # task takes the direct path, handed none the general solve, with every worker loaded,
+        # one idle, and a total short of p
+        scenario = preset_scenario(preset)
+        scenario = replace(scenario, batch_size=scenario.p_rows, straggler_enabled=True,
+                           comm=replace(scenario.comm, noise_std_db=noise_std_db))
+        n, p, m, b = scenario.n_workers, scenario.p_rows, scenario.m_cols, scenario.p_rows // 2
+        env = simcore.episode_env(scenario, RngStream(5))
+        world = env.world
+        for j, loads in enumerate([[b] * n, [0] + [b] * (n - 1), [b // n] * n,
+                                   [0] + [b // n] * (n - 1)]):
+            assert max(loads) <= b < p and (sum(loads) >= p) == (j < 2)
+            drawn, nxt = run_task(world, loads, b, p, m, env.terms, env.tasks.substream(j),
+                                  scenario.comm, index=j)
+            given, given_nxt = run_task(world, loads, b, p, m, env.terms, None, scenario.comm,
+                                        index=j, noise=tuple(a[j] for a in env.noise))
+            assert drawn == given and drawn.t_complete.hex() == given.t_complete.hex()
+            assert task_digest(drawn, nxt) == task_digest(given, given_nxt)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(nxt[:4], given_nxt[:4]))
+            assert nxt.clock.hex() == given_nxt.clock.hex()
+            # so does a batch size past int64, which sends each load as one batch too
+            huge = run_task(world, loads, 2**70, p, m, env.terms, env.tasks.substream(j),
+                            scenario.comm, index=j)
+            assert task_digest(*huge) == task_digest(drawn, nxt)
+            world = nxt
 
     @pytest.mark.parametrize("noise_std_db", [1.0, 0.0])
     @pytest.mark.parametrize("seed", range(4))

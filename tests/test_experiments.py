@@ -143,9 +143,17 @@ class TestSummaries:
 
 
 class TestCompare:
-    def test_needs_two_schemes(self):
-        with pytest.raises(ValueError):
-            compare_schemes(TINY, ["uniform"], 2, seed=1)
+    def test_one_scheme_is_evaluate_scheme(self):
+        # evaluate_scheme is a one-scheme comparison (the CLI's compare asks for two or
+        # more); its records are those of each episode run on its own, one batch per worker
+        one = compare_schemes(TINY, ["hcmm"], 3, seed=1)
+        assert list(one) == ["hcmm"]
+        assert one["hcmm"] == evaluate_scheme(TINY, "hcmm", 3, seed=1)
+        scenario = replace(TINY, batch_size=TINY.p_rows)
+        allocator = make_allocator("hcmm", scenario)
+        own = [simcore.run_episode(scenario, allocator, RngStream(1).substream("episode", e))
+               for e in range(3)]
+        assert [episode_fields(r) for r in one["hcmm"]] == [episode_fields(r) for r in own]
 
     def test_duplicate_schemes_rejected(self):
         with pytest.raises(ConfigError, match="duplicate schemes"):

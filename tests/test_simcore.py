@@ -127,10 +127,19 @@ class TestLoadAllocation:
                      index=5)
         assert str(err.value) == f"task 5: {message}"
 
-    def test_integral_floats_accepted_as_ints(self):
+    @pytest.mark.parametrize("load", [4.0, np.float64(4.0)])
+    def test_float_loads_refused_naming_the_task(self, load):
+        # run_episode rounds an allocator's floats; run_task takes integers alone
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)
-        rec, _ = run_deterministic(world, (4.0, np.int64(6)), p=10, m=5, batch_size=10)
-        assert rec.loads == (4, 6)
+        with pytest.raises(ValueError) as err:
+            run_task(world, (load, 6), 10, 10, 5, no_straggler(world), RngStream(0), NOISELESS,
+                     index=5)
+        assert str(err.value) == f"task 5: loads must be non-negative integers, got {(load, 6)}"
+
+    def test_numpy_ints_and_bools_accepted_as_ints(self):
+        world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 3)
+        rec, _ = run_deterministic(world, (np.int64(4), 6, True), p=10, m=5, batch_size=10)
+        assert rec.loads == (4, 6, 1)
         assert all(type(l) is int for l in rec.loads)
 
 
@@ -342,7 +351,7 @@ class TestRunTaskValidation:
 
     def test_all_zero_loads_record_an_infeasible_zero_time_task(self):
         world = make_world([((1.0, 0.0), (0.0, 0.0), 1.0, 1e4)] * 2)._replace(clock=2.5)
-        rec, after = run_task(world, [0, 0.0], 10, 10, 5, no_straggler(world), RngStream(0),
+        rec, after = run_task(world, [0, 0], 10, 10, 5, no_straggler(world), RngStream(0),
                               NOISELESS, index=4)
         assert rec == TaskRecord(index=4, dispatch_time=2.5, t_complete=0.0,
                                  receipt_log=ReceiptLog(), rows_received_at_completion=0,

@@ -112,11 +112,10 @@ def test_one_batch_training_tasks_take_their_episodes_rows(monkeypatch):
             world, loads, batch_size, p, m, terms, rng, _ = args
             assert (batch_size, p, rng) == (200, 200, None)
             assert type(loads) is not simcore.Loads
-            rows = simcore.one_batch_terms(
-                *simcore.one_batch_noise(tasks, simcore.worker_ids(tasks, 4, 5), cfg), terms)
+            rows = simcore.one_batch_terms(tasks, simcore.worker_ids(tasks, 4, 5), cfg, terms)
             assert all(np.array_equal(given, row[j])
                        for given, row in zip(kwargs["noise"], rows))
-            # run alone from its own stream, the task draws the same row
+            # run alone from its own stream, with no row, the task draws the same noise
             _same_task(simcore.run_task(world, loads, batch_size, p, m, terms,
                                         tasks.substream(j), cfg, index=j), out)
     _rerun_alone(calls)
@@ -159,6 +158,6 @@ def test_a_lone_one_batch_task_below_batch_size_p_draws_its_own_row():
     # given ids, another stream of the same seed draws task 0's row
     ids = simcore.worker_ids(task, 4)
     _same_task(simcore.run_task(world, (50,) * 4, 50, 200, 50, terms, other, cfg, ids=ids), alone)
-    noise = simcore.one_batch_terms(*simcore.one_batch_noise(task, ids, cfg), terms)
+    noise = simcore.one_batch_terms(task, ids, cfg, terms)
     _same_task(simcore.run_task(world, (50,) * 4, 50, 200, 50, terms, None, cfg, noise=noise),
                alone)

@@ -38,7 +38,8 @@ The runs, for each seed:
   sizes 1 and 10, 3 episodes: paper-scale tasks of many batches per worker;
 * sweep-batch-uniform-one-batch: ``macc sweep-batch`` of uniform at desk at
   batch size 50, each of its loads: one-batch tasks in an episode whose
-  batch size is below p, so each task draws its own noise.
+  batch size is below p, so they hold no drawn row and the general solver
+  runs them at one batch per worker.
 
 So every CLI command is covered.
 
