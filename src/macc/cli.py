@@ -8,8 +8,8 @@
 Every command is a pure function of (config file, seed): reruns produce
 byte-identical outputs.  train --progress adds one line per iteration on
 stderr (iteration, mean reward, elapsed seconds) and changes nothing else.
-train also fixes glibc's heap thresholds for the rest of the process, a
-process-wide allocator setting that moves no output byte.
+Every command first fixes glibc's heap thresholds for the rest of the
+process, a process-wide allocator setting that moves no output byte.
 evaluate and compare print each scheme's mean total time, followed by
 its count of infeasible tasks when any task fell short of p rows.
 
@@ -113,7 +113,8 @@ def _fix_heap_thresholds():
     """Fix glibc's mmap and trim thresholds at 4 and 8 MiB for the rest of the process.
 
     A no-op where libc has no mallopt.  glibc raises both only after a large mapped block
-    is freed, so until then each training iteration's 128 KiB temporaries are refaulted.
+    is freed, so until then each training iteration's 128 KiB temporaries, and each
+    episode's dropped receipt logs, are trimmed and refaulted.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -124,7 +125,6 @@ def _fix_heap_thresholds():
 
 
 def cmd_train(args):
-    _fix_heap_thresholds()
     scenario, train_cfg, seed, _ = _setup(args)
     digest = experiments.run_digest(scenario, train_cfg)
     progress = None
@@ -206,6 +206,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    _fix_heap_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

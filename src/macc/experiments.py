@@ -7,6 +7,12 @@ straggler victim) and differ only in their allocation decisions.
 compare_schemes derives each episode's environment (simcore.episode_env)
 once and hands it to every scheme that runs the same scenario.
 
+The records these drivers return hold what the writers read: totals,
+betas, victim and each task's fields, but no receipt logs (each task's
+receipt_log is None) and no states (()).  Both are dropped as each
+episode returns (simcore.without_logs), so a run holds them for one
+episode at a time.
+
 An episode's settings come from its scenario alone.  Baselines dispatch
 each task as a single batch per worker (the classical one-shot protocol),
 so evaluate_scheme runs them at batch size p_rows, which no load exceeds;
@@ -29,7 +35,7 @@ from . import marl
 from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
 from .config import ConfigError, config_digest
 from .numerics import RngStream
-from .simcore import episode_env, run_episode
+from .simcore import episode_env, run_episode, without_logs
 
 SCHEMES = ("uniform", "load-balanced", "hcmm", "marl")
 
@@ -99,7 +105,7 @@ def _per_profiles(loads_of):
 
 
 def evaluate_scheme(scenario, scheme, episodes, seed, agents=None):
-    """Run paired-seed episodes under one scheme; returns EpisodeRecords.
+    """Run paired-seed episodes under one scheme; returns EpisodeRecords with no logs or states.
 
     It is compare_schemes of the one scheme, which runs on _as_run's
     scenario: a baseline at batch_size = p_rows, one batch per worker, and
@@ -123,6 +129,9 @@ def _as_run(scenario, scheme):
 def _episodes(scenario, scheme, episodes, seed, agents, envs=None):
     """Episodes 0..episodes-1 of seed under one scheme, every setting read off the scenario.
 
+    Each record run_episode returns is kept as simcore.without_logs's copy,
+    with no receipt logs and no states; the returned record is not changed.
+
     envs, when given, holds each episode's EpisodeEnv, derived from the
     same scenario and episode stream (compare_schemes shares them between
     schemes); otherwise run_episode derives each.  run_episode is looked
@@ -132,8 +141,8 @@ def _episodes(scenario, scheme, episodes, seed, agents, envs=None):
     check_episodes(episodes)
     allocator = make_allocator(scheme, scenario, agents=agents)
     root = RngStream(seed)
-    return [run_episode(scenario, allocator, root.substream("episode", e),
-                        env=None if envs is None else envs[e])
+    return [without_logs(run_episode(scenario, allocator, root.substream("episode", e),
+                                     env=None if envs is None else envs[e]))
             for e in range(episodes)]
 
 
@@ -180,6 +189,7 @@ def summarize(records):
 def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=None):
     """Evaluate one or more schemes against identical per-episode environments.
 
+    Returns each scheme's EpisodeRecords, with no receipt logs or states.
     The schemes run one after another, in the given order, each on
     _as_run's scenario.  Each episode's environment (simcore.episode_env)
     is derived once per scenario as run and episode, and every scheme
@@ -210,6 +220,7 @@ def compare_schemes(scenario, schemes, episodes, seed, agents=None, straggler=No
 def sweep_batch(scenario, scheme, batch_sizes, episodes, seed, agents=None):
     """Evaluate one scheme at several batch sizes with paired seeds.
 
+    Returns each batch size's EpisodeRecords, with no receipt logs or states.
     Each batch size b runs on the scenario with batch_size = b, baselines
     included, so an engine error about it names scenario.batch_size = b.
     """

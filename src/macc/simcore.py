@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -188,7 +188,8 @@ class TaskRecord:
     index: int
     dispatch_time: float
     t_complete: float              # T_j, seconds since dispatch
-    receipt_log: ReceiptLog        # (worker, rows, arrival) in completion order
+    receipt_log: ReceiptLog        # (worker, rows, arrival) in completion order;
+                                   # None in the records experiments returns, see without_logs
     rows_received_at_completion: int
     feasible: bool
     loads: tuple
@@ -216,7 +217,8 @@ _RECORD_SLOTS = tuple(TaskRecord.__dict__[f.name].__set__ for f in fields(TaskRe
 class EpisodeRecord:
     tasks: tuple
     states: tuple                  # per task: the (N, 3N+2) scaled observation, see build_state;
-                                   # () when the allocator does not read states
+                                   # () when the allocator does not read states, and in the
+                                   # records experiments returns
     rewards: tuple                 # per task scalar (identical across agents)
     total_time: float
     betas: tuple
@@ -226,6 +228,17 @@ class EpisodeRecord:
     @property
     def infeasible_count(self):
         return sum(1 for t in self.tasks if not t.feasible)
+
+
+def without_logs(record):
+    """A copy of record whose tasks hold no receipt_log (None) and which holds no states (()).
+
+    Every other field is record's own object; record itself is left as it is.
+    """
+    tasks = tuple([TaskRecord._of(t.index, t.dispatch_time, t.t_complete, None,
+                                  t.rows_received_at_completion, t.feasible, t.loads)
+                   for t in record.tasks])
+    return replace(record, tasks=tasks, states=())
 
 
 def _dist2(r, rv, t):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from macc import marl
+from macc import experiments, marl
 from macc.cli import build_parser, main
 from macc.config import load_config
 from macc.marl import load_checkpoint, make_agents, save_checkpoint
@@ -162,10 +162,12 @@ class TestTrainCommand:
 
 
 class TestHeapThresholds:
-    """train fixes glibc's heap thresholds before training, where libc allows; no other command does.
+    """Every command fixes glibc's heap thresholds before it trains or runs an episode, where
+    libc allows.
 
     The pytest process may already run under the real setting, so these tests stub the libc
-    loader; CI compares a fresh `macc train` checkpoint with one trained at glibc's defaults.
+    loader; CI compares a fresh `macc train` checkpoint, and a fresh marl `macc evaluate`'s
+    outputs, with those written at glibc's defaults.
     """
 
     @staticmethod
@@ -184,15 +186,19 @@ class TestHeapThresholds:
         assert main(["train", "--config", ini, "--out", str(tmp_path / "out")]) == 0
         assert seen == [[(-3, 4 << 20), (-1, 8 << 20)]]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
-    def test_other_commands_leave_them(self, ini, tmp_path, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--scheme", "uniform", "--episodes", "1"],
+        ["compare", "--episodes", "1"],
+        ["sweep-batch", "--episodes", "1", "--batch-sizes", "1"],
+    ])
+    def test_set_before_the_first_episode(self, ini, tmp_path, monkeypatch, argv):
+        calls, seen, run = [], [], experiments.run_episode
         monkeypatch.setattr(ctypes, "CDLL", self.recording_loader(calls))
-        assert main(["evaluate", "--config", ini, "--scheme", "uniform", "--episodes", "1",
-                     "--out", str(tmp_path / "ev")]) == 0
-        assert main(["compare", "--config", ini, "--episodes", "1", "--out", str(tmp_path / "cmp")]) == 0
-        assert main(["sweep-batch", "--config", ini, "--episodes", "1", "--batch-sizes", "1",
-                     "--out", str(tmp_path / "sw")]) == 0
-        assert calls == []
+        monkeypatch.setattr(experiments, "run_episode",
+                            lambda *args, **kwargs: seen.append(list(calls)) or run(*args, **kwargs))
+        assert main(argv + ["--config", ini, "--out", str(tmp_path / "out")]) == 0
+        assert seen and seen[0] == [(-3, 4 << 20), (-1, 8 << 20)]
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]  # once per command, not per episode
 
     def test_skipped_where_libc_has_no_mallopt(self, ini, tmp_path, monkeypatch):
         def unloadable(name):

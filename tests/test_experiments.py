@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,10 +23,27 @@ from macc.experiments import (
     write_episodes_jsonl,
     write_metrics_csv,
 )
+from macc.simcore import EpisodeRecord, ReceiptLog, TaskRecord
 from test_simcore import episode_fields
 
 TINY = ScenarioConfig(name="tiny", n_workers=2, p_rows=8, m_cols=6, k_tasks=2,
                       beta_range=(1.0e3, 2.0e3), batch_size=3)
+
+
+def capture_episodes(monkeypatch):
+    """The list that each record run_episode returns to experiments is appended to.
+
+    The drivers keep copies with no receipt logs or states; these are the records as run.
+    """
+    captured, run = [], experiments.run_episode
+
+    def capturing(*args, **kwargs):
+        rec = run(*args, **kwargs)
+        captured.append(rec)
+        return rec
+
+    monkeypatch.setattr(experiments, "run_episode", capturing)
+    return captured
 
 
 class TestAllocatorFactory:
@@ -143,17 +161,19 @@ class TestSummaries:
 
 
 class TestCompare:
-    def test_one_scheme_is_evaluate_scheme(self):
+    def test_one_scheme_is_evaluate_scheme(self, monkeypatch):
         # evaluate_scheme is a one-scheme comparison (the CLI's compare asks for two or
         # more); its records are those of each episode run on its own, one batch per worker
+        captured = capture_episodes(monkeypatch)
         one = compare_schemes(TINY, ["hcmm"], 3, seed=1)
+        ran = list(captured)
         assert list(one) == ["hcmm"]
         assert one["hcmm"] == evaluate_scheme(TINY, "hcmm", 3, seed=1)
         scenario = replace(TINY, batch_size=TINY.p_rows)
         allocator = make_allocator("hcmm", scenario)
         own = [simcore.run_episode(scenario, allocator, RngStream(1).substream("episode", e))
                for e in range(3)]
-        assert [episode_fields(r) for r in one["hcmm"]] == [episode_fields(r) for r in own]
+        assert [episode_fields(r) for r in ran] == [episode_fields(r) for r in own]
 
     def test_duplicate_schemes_rejected(self):
         with pytest.raises(ConfigError, match="duplicate schemes"):
@@ -184,14 +204,18 @@ class TestSharedEnvs:
 
     def test_each_baseline_records_what_it_records_alone(self, monkeypatch):
         derived = self.counted_envs(monkeypatch)
+        captured = capture_episodes(monkeypatch)
         schemes = ["uniform", "load-balanced", "hcmm"]
         results = compare_schemes(self.DESK, schemes, 3, seed=2, straggler=True)
+        shared = list(captured)  # the schemes' episodes in order, as run
         assert len(derived) == 3  # one env per episode, for all three schemes
         on = replace(self.DESK, straggler_enabled=True)
-        for scheme in schemes:
+        for s, scheme in enumerate(schemes):
+            captured.clear()
             alone = evaluate_scheme(on, scheme, 3, seed=2)
-            assert [episode_fields(r) for r in results[scheme]] == [
-                episode_fields(r) for r in alone]
+            assert results[scheme] == alone
+            assert [episode_fields(r) for r in shared[3 * s:3 * s + 3]] == [
+                episode_fields(r) for r in captured]
         assert all(r.straggler_enabled for recs in results.values() for r in recs)
 
     @pytest.mark.parametrize("batch_size, envs", [(200, 2), (400, 2), (1, 4)])
@@ -199,19 +223,85 @@ class TestSharedEnvs:
                                                                     batch_size, envs):
         # at batch size p_rows or more marl runs the baselines' scenario, and below it its own
         derived = self.counted_envs(monkeypatch)
+        captured = capture_episodes(monkeypatch)
         agents = marl.make_agents(4, RngStream(0), hidden=(8,))
         scenario = replace(self.DESK, batch_size=batch_size, straggler_enabled=True)
         results = compare_schemes(scenario, ["uniform", "hcmm", "marl"], 2, seed=2,
                                   agents=agents)
+        shared = list(captured)  # the schemes' episodes in order, as run
         assert len(derived) == envs
-        for scheme, records in results.items():
+        for s, (scheme, records) in enumerate(results.items()):
+            captured.clear()
             alone = evaluate_scheme(scenario, scheme, 2, seed=2, agents=agents)
-            assert [episode_fields(r) for r in records] == [episode_fields(r) for r in alone]
+            assert records == alone
+            assert [episode_fields(r) for r in shared[2 * s:2 * s + 2]] == [
+                episode_fields(r) for r in captured]
         # marl run at the scenario's own batch size, above p_rows, records the same
         allocator = make_allocator("marl", scenario, agents=agents)
         own = [simcore.run_episode(scenario, allocator, RngStream(2).substream("episode", e))
                for e in range(2)]
-        assert [episode_fields(r) for r in results["marl"]] == [episode_fields(r) for r in own]
+        assert [episode_fields(r) for r in shared[4:]] == [episode_fields(r) for r in own]
+
+
+class TestKeptRecords:
+    """The drivers keep each episode's record without its receipt logs and states."""
+
+    AGENTS = marl.make_agents(TINY.n_workers, RngStream(0), hidden=(4,))
+
+    # each run, and how many marl episodes it runs last
+    RUNS = {
+        "evaluate-hcmm": (lambda: evaluate_scheme(TINY, "hcmm", 3, seed=1), 0),
+        "compare-b1": (lambda: compare_schemes(
+            replace(TINY, batch_size=1), ["uniform", "marl"], 2, seed=1,
+            agents=TestKeptRecords.AGENTS), 2),
+        "compare-bp": (lambda: compare_schemes(
+            replace(TINY, batch_size=TINY.p_rows), ["hcmm", "marl"], 2, seed=1,
+            agents=TestKeptRecords.AGENTS), 2),
+        "sweep-uniform": (lambda: sweep_batch(TINY, "uniform", [1, TINY.p_rows], 2, seed=1), 0),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_kept_records_drop_logs_and_states_alone(self, monkeypatch, run):
+        captured = capture_episodes(monkeypatch)
+        out = self.RUNS[run][0]()
+        kept = out if isinstance(out, list) else [r for recs in out.values() for r in recs]
+        assert len(kept) == len(captured) > 0
+        for rec, ran in zip(kept, captured):
+            assert rec.states == ()
+            assert len(rec.tasks) == len(ran.tasks) == TINY.k_tasks
+            for f in fields(EpisodeRecord):
+                if f.name not in ("tasks", "states"):
+                    assert getattr(rec, f.name) == getattr(ran, f.name), f.name
+            for task, ran_task in zip(rec.tasks, ran.tasks):
+                assert task.receipt_log is None
+                for f in fields(TaskRecord):
+                    if f.name != "receipt_log":
+                        assert getattr(task, f.name) == getattr(ran_task, f.name), f.name
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_records_as_run_keep_their_logs_and_states(self, monkeypatch, run):
+        captured = capture_episodes(monkeypatch)
+        execute, marl_episodes = self.RUNS[run]
+        execute()
+        for ran in captured:
+            assert all(type(t.receipt_log) is ReceiptLog for t in ran.tasks)
+            assert sum(len(t.receipt_log) for t in ran.tasks) > 0
+        # marl reads states; the baselines' per-episode allocators do not
+        baselines = len(captured) - marl_episodes
+        assert [len(ran.states) for ran in captured] == [0] * baselines + [TINY.k_tasks] * marl_episodes
+
+    def test_a_paper_scale_evaluation_holds_little_once_it_returns(self):
+        # b = 1 scenario1 marl, 30 tasks per episode: the logs came to about 4 MB an episode
+        scenario = preset_scenario("scenario1")
+        agents = marl.make_agents(scenario.n_workers, RngStream(0))
+        tracemalloc.start()
+        try:
+            records = evaluate_scheme(scenario, "marl", 3, 0, agents=agents)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 3
+        assert held < 1 << 20
 
 
 class TestStragglerKeyword:
