@@ -38,7 +38,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_new = object.__new__
 _INT_TOKENS = (int, np.integer)  # a bool is an int too, and is refused
 
 
@@ -232,9 +231,7 @@ class RngStream:
     def substream(self, *tokens):
         if not tokens:
             raise ValueError("substream requires at least one token")
-        child = _new(RngStream)  # seed and the folded id are already 64-bit: no masking
-        child.seed, child.stream, child._gen = self.seed, _fold(self.stream, tokens), None
-        return child
+        return RngStream(self.seed, _fold(self.stream, tokens))
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -33,8 +33,6 @@ from .coding import plan_batches
 from .envmodels import (advance, channel_capacity, comp_coefficients, comp_time_with, link_gain,
                         time_factors)
 
-_new = object.__new__
-
 
 class NonFiniteLoadError(ValueError):
     """An allocator returned a non-finite load: holds task, loads as floats, and its worker."""
@@ -136,41 +134,32 @@ def check_loads(loads, n, p, index=0):
     return Loads(loads, active, top, sum(loads) >= p, sizes, float_sizes)
 
 
+@dataclass(slots=True)
 class ReceiptLog:
     """Receipts of one task in completion order, as three read-only arrays.
 
     workers and rows are int64, arrivals float64 (seconds since dispatch).
-    Arrays of those dtypes are taken over, not copied, and made read-only.  An
-    index gives a (worker, rows, arrival) triple of Python numbers, a slice
-    another log, iteration the triples in order; two logs are equal when their
-    arrays are.
+    Its one constructor takes arrays of those dtypes as given, neither copied
+    nor converted, and makes them read-only.  An index gives a (worker, rows,
+    arrival) triple of Python numbers, a slice another log, iteration the
+    triples in order; two logs are equal when their arrays are.
     """
 
-    __slots__ = ("workers", "rows", "arrivals")
+    workers: np.ndarray
+    rows: np.ndarray
+    arrivals: np.ndarray
 
-    def __init__(self, workers=(), rows=(), arrivals=()):
-        self._hold(np.asarray(workers, dtype=np.int64), np.asarray(rows, dtype=np.int64),
-                   np.asarray(arrivals, dtype=np.float64))
-
-    @classmethod
-    def _of(cls, workers, rows, arrivals):
-        """The log of arrays that are already int64, int64 and float64, taken as they are."""
-        log = _new(cls)
-        log._hold(workers, rows, arrivals)
-        return log
-
-    def _hold(self, workers, rows, arrivals):
-        self.workers, self.rows, self.arrivals = workers, rows, arrivals
-        workers.setflags(write=False)  # about half the cost of assigning flags.writeable
-        rows.setflags(write=False)
-        arrivals.setflags(write=False)
+    def __post_init__(self):
+        self.workers.setflags(write=False)
+        self.rows.setflags(write=False)
+        self.arrivals.setflags(write=False)
 
     def __len__(self):
         return len(self.arrivals)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ReceiptLog._of(self.workers[i], self.rows[i], self.arrivals[i])
+            return ReceiptLog(self.workers[i], self.rows[i], self.arrivals[i])
         i = operator.index(i)
         return int(self.workers[i]), int(self.rows[i]), float(self.arrivals[i])
 
@@ -183,8 +172,10 @@ class ReceiptLog:
         return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TaskRecord:
+    """One task's outcome, as run_task builds it; not frozen, and nothing assigns to it."""
+
     index: int
     dispatch_time: float
     t_complete: float              # T_j, seconds since dispatch
@@ -193,24 +184,6 @@ class TaskRecord:
     rows_received_at_completion: int
     feasible: bool
     loads: tuple
-
-    @classmethod
-    def _of(cls, index, dispatch_time, t_complete, receipt_log, rows, feasible, loads):
-        """The record of these fields, each set by its slot's setter, at half __init__'s cost."""
-        rec = _new(cls)
-        s_index, s_dispatch, s_complete, s_log, s_rows, s_feasible, s_loads = _RECORD_SLOTS
-        s_index(rec, index)
-        s_dispatch(rec, dispatch_time)
-        s_complete(rec, t_complete)
-        s_log(rec, receipt_log)
-        s_rows(rec, rows)
-        s_feasible(rec, feasible)
-        s_loads(rec, loads)
-        return rec
-
-
-# each field's slot setter, in field order, for TaskRecord._of
-_RECORD_SLOTS = tuple(TaskRecord.__dict__[f.name].__set__ for f in fields(TaskRecord))
 
 
 @dataclass(frozen=True)
@@ -225,6 +198,15 @@ class EpisodeRecord:
     victim: int
     straggler_enabled: bool
 
+    def __eq__(self, other):
+        """Field by field, as a dataclass compares, but states array by array."""
+        if not isinstance(other, EpisodeRecord):
+            return NotImplemented
+        return (len(self.states) == len(other.states)
+                and all(map(np.array_equal, self.states, other.states))
+                and all(getattr(self, f.name) == getattr(other, f.name)
+                        for f in fields(self) if f.name != "states"))
+
     @property
     def infeasible_count(self):
         return sum(1 for t in self.tasks if not t.feasible)
@@ -235,8 +217,8 @@ def without_logs(record):
 
     Every other field is record's own object; record itself is left as it is.
     """
-    tasks = tuple([TaskRecord._of(t.index, t.dispatch_time, t.t_complete, None,
-                                  t.rows_received_at_completion, t.feasible, t.loads)
+    tasks = tuple([TaskRecord(t.index, t.dispatch_time, t.t_complete, None,
+                              t.rows_received_at_completion, t.feasible, t.loads)
                    for t in record.tasks])
     return replace(record, tasks=tasks, states=())
 
@@ -503,7 +485,7 @@ def _one_batch(world, lay, p, m, terms, cfg, noise):
     arrival += _send_time(float_sizes * cfg.bits_per_element, _dist2(r, rv, arrival), send, cfg)
     order, received, n_kept = _reach(arrival, sizes, p)
     kept = order[: min(n_kept, len(act))]  # an infeasible task keeps every batch
-    return ReceiptLog._of(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
+    return ReceiptLog(act[kept], sizes[kept], arrival[kept]), int(received[len(kept) - 1])
 
 
 def _layout_error(index, total, p, batch_size):
@@ -580,7 +562,7 @@ def _batched(world, lay, batch_size, p, m, terms, rng, cfg, index, ids):
             extent[i] = _further(t, float(arrivals[i][0]), float(arrivals[i][-1]), extent[i],
                                  counts[i])
     kept = order[:n_kept]
-    return (ReceiptLog._of(np.repeat(act, extent)[kept], sizes[kept], arrival[kept]),
+    return (ReceiptLog(np.repeat(act, extent)[kept], sizes[kept], arrival[kept]),
             int(received[n_kept - 1]))
 
 
@@ -605,7 +587,8 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
     """
     lay = loads if type(loads) is Loads else check_loads(loads, len(world.beta), p, index)
     if lay.top == 0:  # nothing dispatched: the task takes no time and completes nothing
-        return TaskRecord._of(index, world.clock, 0.0, ReceiptLog(), 0, False, lay.loads), world
+        empty = ReceiptLog(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        return TaskRecord(index, world.clock, 0.0, empty, 0, False, lay.loads), world
 
     if noise is not None and batch_size >= lay.top:  # each worker's one batch is its whole load
         receipt_log, rows = _one_batch(world, lay, p, m, terms, cfg, noise)
@@ -617,7 +600,7 @@ def run_task(world, loads, batch_size, p, m, terms, rng, cfg, index=0, noise=Non
         raise ValueError(f"task {index}: a link's capacity fell to zero, "
                          "so the task never completes")
 
-    record = TaskRecord._of(index, world.clock, t_done, receipt_log, rows, lay.feasible, lay.loads)
+    record = TaskRecord(index, world.clock, t_done, receipt_log, rows, lay.feasible, lay.loads)
     pos = advance(world.pos, world.vel, t_done)
     return record, WorldState(pos, world.vel, world.alpha, world.beta, world.clock + t_done)
 

@@ -33,6 +33,11 @@ from macc.simcore import (
 NOISELESS = CommConfig(noise_std_db=0.0)
 
 
+def empty_log():
+    """The ReceiptLog of a task that receives nothing."""
+    return ReceiptLog(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+
+
 def no_straggler(world):
     """run_task's episode terms of world with the straggler off: time factors of 1.0 each."""
     return episode_terms(world, time_factors(world.n_workers, 0, False, 10.0))
@@ -281,7 +286,10 @@ class TestReceiptLog:
     def test_equality_by_value(self):
         log = self.noisy_task()
         triples = tuple(log)
-        assert log == self.noisy_task() == ReceiptLog(*map(list, zip(*triples)))
+        workers, rows, arrivals = zip(*triples)
+        rebuilt = ReceiptLog(np.array(workers, np.int64), np.array(rows, np.int64),
+                             np.array(arrivals))
+        assert log == self.noisy_task() == rebuilt
         assert log[:-1] != log and log != log[:-1]
         changed = log.arrivals.copy()
         changed[-1] *= 2
@@ -292,8 +300,11 @@ class TestReceiptLog:
         log = run_episode(TINY, lambda w, s: (0, 0), RngStream(4)).tasks[0].receipt_log
         assert type(log) is ReceiptLog
         assert not log and len(log) == 0
-        assert log == ReceiptLog()
-        assert list(log) == [] and log[-1:] == ReceiptLog()
+        assert log == empty_log()
+        assert list(log) == [] and log[-1:] == empty_log()
+        assert (log.workers.dtype, log.rows.dtype, log.arrivals.dtype) == (
+            np.int64, np.int64, np.float64)
+        assert not any(a.flags.writeable for a in (log.workers, log.rows, log.arrivals))
 
     def test_arrays_are_read_only(self):
         log = self.noisy_task()
@@ -354,7 +365,7 @@ class TestRunTaskValidation:
         rec, after = run_task(world, [0, 0], 10, 10, 5, no_straggler(world), RngStream(0),
                               NOISELESS, index=4)
         assert rec == TaskRecord(index=4, dispatch_time=2.5, t_complete=0.0,
-                                 receipt_log=ReceiptLog(), rows_received_at_completion=0,
+                                 receipt_log=empty_log(), rows_received_at_completion=0,
                                  feasible=False, loads=(0, 0))
         assert type(rec.receipt_log) is ReceiptLog and len(rec.receipt_log) == 0
         assert after is world
@@ -797,7 +808,7 @@ class TestRunEpisode:
         assert ep.total_time == 0.0
         assert ep.infeasible_count == 2
         assert ep.rewards == (-200.0, -200.0)
-        assert ep.tasks[0].receipt_log == ReceiptLog()
+        assert ep.tasks[0].receipt_log == empty_log()
 
     def test_infeasible_allocation_penalized_on_top_of_time(self):
         ep = run_episode(TINY, lambda w, s: (4, 3), RngStream(4))
@@ -908,6 +919,21 @@ class TestEpisodeEnv:
         # an equal scenario built anew is the same scenario
         assert episode_fields(run_episode(replace(TINY), full_loads, rng, env=env)) == \
             episode_fields(run_episode(TINY, full_loads, rng))
+
+    def test_records_of_a_per_task_allocator_compare_their_states_array_by_array(self):
+        # a marl episode's states hold arrays, whose == a dataclass's == cannot read as a bool
+        agents = marl.make_agents(TINY.n_workers, RngStream(9), hidden=(4,))
+        policy = marl.policy_allocator(agents, TINY)
+        rng = RngStream(4).substream("episode", 0)
+        env = episode_env(TINY, rng)
+        first, second = (run_episode(TINY, policy, rng, env=env) for _ in range(2))
+        assert len(first.states) == TINY.k_tasks
+        assert first.states[0] is not second.states[0]
+        assert first == second and not first != second
+        states = [a.copy() for a in second.states]
+        states[-1][0, 0] += 1.0
+        changed = replace(second, states=tuple(states))
+        assert first != changed and changed != first
 
     @pytest.mark.parametrize("per_episode", [False, True])
     @pytest.mark.parametrize("name", ["pos", "vel", "alpha", "beta"])
