@@ -4,15 +4,18 @@ Three ways to split p rows: uniform, load-balanced, HCMM
 
 Uniform ignores heterogeneity.  Load-balanced splits exactly p rows in
 proportion to expected speed, so one straggler can still sink the task.
+Both are allocators.split_rows, the one exact-p split (largest remainder):
+uniform of equal weights, load-balanced of weights beta / (alpha beta + 1).
 HCMM gives worker i p / (h lambda_i) rows with deliberate redundancy:
-the sum exceeds p and the slowest results become droppable.
+its ceilings make the sum exceed p, so it is separate by design, and the
+slowest results become droppable.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from macc.allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
+from macc.allocators import hcmm_alloc, load_balanced_alloc, split_rows
 from macc.config import preset_scenario
 from macc import experiments
 
@@ -23,7 +26,7 @@ p = 6000
 betas = (1e4, 2e4, 4e4)
 alphas = [1.0 / b for b in betas]
 
-uni = uniform_alloc(p, 3)
+uni = split_rows(p, np.ones(3))
 bal = load_balanced_alloc(p, alphas, betas)
 hc = hcmm_alloc(p, alphas, betas)
 

@@ -3,9 +3,12 @@
 Three baselines: uniform (equal split of exactly p rows), load-balanced
 (split of exactly p rows proportional to beta / (alpha beta + 1)), and HCMM
 (per-worker loads p / (h lambda_i) with redundancy, lambda_i solving
-e^(beta lambda) = e^(alpha beta) (beta lambda + 1)).  The trained policy's
-allocator is marl.policy_allocator; simcore.run_episode turns every
-allocator's output into integer loads.
+e^(beta lambda) = e^(alpha beta) (beta lambda + 1)).  split_rows is the one
+exact-p split: uniform is split_rows of equal weights and load-balanced
+split_rows of its weights.  HCMM's loads are ceilings that cover p with
+redundancy, so they do not go through it, by design.  The trained
+policy's allocator is marl.policy_allocator; simcore.run_episode turns
+every allocator's output into integer loads.
 """
 
 import math
@@ -21,30 +24,50 @@ class HcmmSolution:
     loads: tuple
 
 
-def uniform_alloc(p, n_workers):
-    """Split exactly p rows as evenly as possible (first p mod N get one extra); a tuple."""
-    if n_workers < 1:
-        raise ValueError(f"need at least one worker, got {n_workers}")
-    base, extra = divmod(int(p), int(n_workers))
-    return tuple(base + 1 if i < extra else base for i in range(n_workers))
+def split_rows(p, weights):
+    """Split exactly p rows in proportion to the weights; a tuple of ints.
+
+    Worker i's share is p w_i / sum(w); each gets its share's floor, and the
+    rows left over go one each by descending remainder, ties to the lower
+    index.  A weight that is negative or not finite, an empty weight vector,
+    weights whose sum is zero or overflows, and p outside [0, 2^53), where
+    float64 shares stop holding every integer, are a ValueError naming them.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.size == 0:
+        raise ValueError("split_rows: need at least one worker, got no weights")
+    bad = np.flatnonzero(~((w >= 0.0) & (w < math.inf)))  # NaN fails both
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"split_rows: worker {i}'s weight must be finite and >= 0, got {w[i]}")
+    total = w.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"split_rows: the {w.size} workers' weights sum to {total}, "
+                         "not to a positive finite number")
+    if not 0 <= p < 2**53:
+        raise ValueError(f"split_rows: p = {p} rows is outside [0, 2^53), where float64 "
+                         "shares hold every integer")
+    shares = p * w / total
+    loads = np.floor(shares).astype(int)
+    short = int(p - loads.sum())
+    if not 0 <= short <= w.size:  # p w_i overflowed: a weight near float64's largest
+        raise ValueError(f"split_rows: {p} rows in shares of weights summing to {total} "
+                         f"do not round to exactly {p}")
+    loads[np.argsort(-(shares - loads), kind="stable")[:short]] += 1
+    return tuple(int(l) for l in loads)
 
 
 def load_balanced_alloc(p, alpha, beta):
-    """Split exactly p rows proportionally to w_i = beta_i / (alpha_i beta_i + 1).
+    """split_rows of p with weights w_i = beta_i / (alpha_i beta_i + 1).
 
     alpha and beta are the workers' compute profiles (sequences or arrays).
-    Real-valued shares are rounded by largest remainder so the sum stays
-    exactly p.  Returns the loads as a tuple of ints.
+    A profile whose weight is not finite and non-negative is split_rows's
+    ValueError naming the worker.
     """
     beta = np.asarray(beta)
-    w = beta / (np.asarray(alpha) * beta + 1.0)
-    shares = p * w / w.sum()
-    loads = np.floor(shares).astype(int)
-    short = int(p - loads.sum())
-    order = np.argsort(-(shares - loads), kind="stable")
-    for i in order[:short]:
-        loads[i] += 1
-    return tuple(int(l) for l in loads)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a bad weight is split_rows's error
+        w = beta / (np.asarray(alpha) * beta + 1.0)
+    return split_rows(p, w)
 
 
 def solve_hcmm_lambda(alpha, beta, tol=1.0e-12):
@@ -88,10 +111,15 @@ def hcmm_alloc(p, alpha, beta):
     h = sum_i beta_i / (1 + beta_i lambda_i).  Each term of h is below
     1 / lambda_i, so sum_i p / (h lambda_i) > p and the ceilings (or a load
     capped at p) cover p.  Returns an HcmmSolution; the loads are in
-    .loads.
+    .loads.  A profile with alpha or beta not finite, alpha < 0 or beta <= 0
+    is a ValueError naming the worker.
     """
     alpha = np.asarray(alpha, dtype=float).tolist()
     beta = np.asarray(beta, dtype=float).tolist()
+    for i, (a, b) in enumerate(zip(alpha, beta)):
+        if not (0.0 <= a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"hcmm_alloc: worker {i}'s profile needs finite alpha >= 0 and "
+                             f"beta > 0, got alpha = {a}, beta = {b}")
     lam = [solve_hcmm_lambda(a, b) for a, b in zip(alpha, beta)]
     h = sum(b / (1.0 + b * l) for b, l in zip(beta, lam))
     loads = [min(int(math.ceil(p / (h * l))), int(p)) for l in lam]

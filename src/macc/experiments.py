@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import marl
-from .allocators import hcmm_alloc, load_balanced_alloc, uniform_alloc
+from .allocators import hcmm_alloc, load_balanced_alloc, split_rows
 from .config import ConfigError, config_digest
 from .numerics import RngStream
 from .simcore import episode_env, run_episode, without_logs
@@ -72,12 +72,17 @@ def check_batch_sizes(batch_sizes):
 
 
 def make_allocator(scheme, scenario, agents=None):
-    """Allocator callable for run_episode; baselines read the profiles off the world."""
+    """Allocator callable for run_episode; baselines read the profiles off the world.
+
+    uniform and load-balanced split exactly p rows with allocators.split_rows,
+    of equal weights and of the profiles' weights; hcmm's ceilings cover p
+    with redundancy and are separate by design.
+    """
     check_scheme(scheme)
     p = scenario.p_rows
     n = scenario.n_workers
     if scheme == "uniform":
-        loads = uniform_alloc(p, n)
+        loads = split_rows(p, np.ones(n))
         return _per_profiles(lambda alpha, beta: loads)
     if scheme == "load-balanced":
         return _per_profiles(lambda alpha, beta: load_balanced_alloc(p, alpha, beta))

@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coding import plan_batches
-from .envmodels import (advance, channel_capacity, comp_coefficients, comp_time_with, link_gain,
-                        time_factors)
+from .envmodels import (ConfigError, advance, channel_capacity, comp_coefficients, comp_time_with,
+                        link_gain, time_factors)
 
 
 class NonFiniteLoadError(ValueError):
@@ -692,7 +692,11 @@ class EpisodeEnv(NamedTuple):
 
 
 def episode_env(scenario, rng):
-    """The EpisodeEnv of scenario's episode that draws from rng; see the module's noise keying."""
+    """The EpisodeEnv of scenario's episode that draws from rng; see the module's noise keying.
+
+    (K, N) worker ids or one-batch noise that cannot be allocated are a ConfigError naming
+    scenario.k_tasks, scenario.n_workers and the bytes they ask for.
+    """
     n, k = scenario.n_workers, scenario.k_tasks
     world, victim = sample_world(scenario, rng.substream("env"))
     for a in world[:4]:
@@ -700,11 +704,22 @@ def episode_env(scenario, rng):
     terms = episode_terms(world, time_factors(n, victim, scenario.straggler_enabled,
                                               scenario.straggler_slowdown))
     tasks = rng.substream("task")  # task j draws from rng.substream("task", j)
-    ids, noise = worker_ids(tasks, n, k), None
-    ids.setflags(write=False)
-    if scenario.batch_size >= scenario.p_rows:  # every task sends one batch per worker
-        noise = one_batch_terms(tasks, ids, scenario.comm, terms)
-        ids = None
+    one_batch = scenario.batch_size >= scenario.p_rows  # every task sends one batch per worker
+    try:
+        ids, noise = worker_ids(tasks, n, k), None
+        ids.setflags(write=False)
+        if one_batch:
+            noise = one_batch_terms(tasks, ids, scenario.comm, terms)
+            ids = None
+    except (MemoryError, ValueError):  # numpy raises ValueError for sizes past its index range
+        # 8 bytes per task and worker for the ids; one-batch noise adds omega's 16 and 24 for
+        # head, send and per_row
+        wanted = k * n * (48 if one_batch else 8)
+        raise ConfigError(
+            f"scenario.k_tasks: an episode of {k} tasks on scenario.n_workers = {n} workers "
+            f"needs {wanted} bytes of worker ids{' and noise' if one_batch else ''}, "
+            "which cannot be allocated"
+        ) from None
     return EpisodeEnv(scenario, rng.seed, rng.stream, world, victim, terms, tasks, noise, ids)
 
 

@@ -7,34 +7,117 @@ from macc.allocators import (
     hcmm_alloc,
     load_balanced_alloc,
     solve_hcmm_lambda,
-    uniform_alloc,
+    split_rows,
 )
 from macc.numerics import RngStream
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # a test extra: without it the seeded loop alone checks the split
+    given = None
 
 # root of z - 1 - ln(1 + z) = 0, i.e. lambda beta at alpha beta = 1,
 # computed independently to 50 digits and frozen
 Z_STAR_AB1 = 2.14619322062058
 
 
+def uniform(p, n):
+    """The uniform scheme's loads: split_rows of n equal weights."""
+    return split_rows(p, np.ones(n))
+
+
+def check_split(p, weights):
+    """split_rows's contract: loads sum to p, each within 1 of its share, ties to the lower index."""
+    loads = split_rows(p, weights)
+    w = np.asarray(weights, dtype=float)
+    assert len(loads) == len(w) and all(type(l) is int and l >= 0 for l in loads)
+    assert sum(loads) == p
+    shares = p * w / w.sum()
+    assert all(abs(l - s) <= 1 for l, s in zip(loads, shares))
+    assert all(l == 0 for l, wi in zip(loads, w) if wi == 0.0)
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if w[i] == w[j]:
+                assert loads[i] in (loads[j], loads[j] + 1)
+
+
+class TestSplitRows:
+    def test_properties_on_seeded_weights(self):
+        gen = np.random.default_rng(46)
+        for _ in range(400):
+            n = int(gen.integers(1, 9))
+            kind = gen.integers(3)
+            if kind == 0:  # random
+                w = gen.uniform(0.0, 10.0, n)
+            elif kind == 1:  # tied: a few distinct values
+                w = gen.choice([0.5, 1.0, 3.0], n)
+            else:  # zero-including
+                w = np.where(gen.random(n) < 0.4, 0.0, gen.uniform(1e-3, 1e3, n))
+                w[gen.integers(n)] = 1.0
+            check_split(int(gen.integers(0, 10**6)), w)
+
+    if given is not None:
+        @given(st.integers(0, 10**9),
+               st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(1e-6, 1e6),
+                        min_size=1, max_size=8).filter(lambda w: sum(w) > 0))
+        def test_properties_on_drawn_weights(self, p, w):
+            check_split(p, w)
+
+    def test_single_worker_takes_every_row(self):
+        for p in (0, 1, 7, 10**6):
+            assert split_rows(p, [2.5]) == (p,)
+
+    def test_equal_weights_give_the_divmod_rule(self):
+        def divmod_rule(p, n):  # the first p mod n workers take one row more
+            base, extra = divmod(p, n)
+            return tuple(base + 1 if i < extra else base for i in range(n))
+
+        for p in range(1, 301):
+            for n in range(1, 9):
+                assert uniform(p, n) == divmod_rule(p, n)
+
+    def test_ties_go_to_the_lower_index(self):
+        assert split_rows(7, [1.0, 2.0, 1.0, 2.0]) == (1, 3, 1, 2)
+        assert split_rows(1, [0.0, 1.0, 1.0]) == (0, 1, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_a_bad_weight_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"worker 2's weight must be finite and >= 0, got {bad}$"):
+            split_rows(10, [1.0, 1.0, bad])
+
+    @pytest.mark.parametrize("weights, total", [(np.zeros(3), "0.0"), ([1e308, 1e308, 1.0], "inf")])
+    def test_weights_summing_to_zero_or_past_float64_are_refused(self, weights, total):
+        with np.errstate(over="ignore"), pytest.raises(  # numpy warns of the sum's overflow
+                ValueError, match=rf"the 3 workers' weights sum to {total}, not to a "):
+            split_rows(10, weights)
+
+    @pytest.mark.parametrize("p", [-1, 2**53, 2**63])
+    def test_p_outside_float64s_integers_is_refused(self, p):
+        with pytest.raises(ValueError, match=rf"p = {p} rows is outside \[0, 2\^53\)"):
+            split_rows(p, np.ones(4))
+        assert sum(split_rows(2**53 - 1, np.ones(4))) == 2**53 - 1
+
+
 class TestUniform:
     def test_even_split(self):
-        assert uniform_alloc(12, 4) == (3, 3, 3, 3)
+        assert uniform(12, 4) == (3, 3, 3, 3)
 
     def test_remainder_goes_to_first_workers(self):
-        assert uniform_alloc(11, 4) == (3, 3, 3, 2)
-        assert uniform_alloc(10, 4) == (3, 3, 2, 2)
+        assert uniform(11, 4) == (3, 3, 3, 2)
+        assert uniform(10, 4) == (3, 3, 2, 2)
 
     def test_fewer_rows_than_workers(self):
-        assert uniform_alloc(2, 4) == (1, 1, 0, 0)
+        assert uniform(2, 4) == (1, 1, 0, 0)
 
     def test_sum_is_exactly_p(self):
         for p in range(1, 40):
             for n in range(1, 7):
-                assert sum(uniform_alloc(p, n)) == p
+                assert sum(uniform(p, n)) == p
 
     def test_no_workers_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_alloc(10, 0)
+        with pytest.raises(ValueError, match="need at least one worker"):
+            uniform(10, 0)
 
 
 class TestLoadBalanced:
@@ -61,6 +144,19 @@ class TestLoadBalanced:
             loads = load_balanced_alloc(p, 1.0 / betas, betas)
             assert sum(loads) == p
             assert all(l >= 0 for l in loads)
+
+    @pytest.mark.parametrize("alpha, beta, weight", [
+        ([1e-4, math.nan], [1e4, 1e4], "nan"),  # alpha NaN
+        ([1e-4, 1e-4], [1e4, math.inf], "nan"),  # beta / (alpha beta + 1) = inf / inf
+    ])
+    def test_a_bad_profile_is_named(self, alpha, beta, weight):
+        with pytest.raises(ValueError, match=rf"worker 1's weight must be finite and >= 0, "
+                                             rf"got {weight}$"):
+            load_balanced_alloc(100, alpha, beta)
+
+    def test_all_zero_betas_are_refused(self):
+        with pytest.raises(ValueError, match="weights sum to 0.0"):
+            load_balanced_alloc(100, [1e-4, 1e-4], [0.0, 0.0])
 
 
 class TestHcmmLambda:
@@ -137,3 +233,15 @@ class TestHcmmAlloc:
         arrays = np.array(alpha), np.array(beta)
         assert hcmm_alloc(6000, *arrays) == hcmm_alloc(6000, alpha, beta)
         assert load_balanced_alloc(99, *arrays) == load_balanced_alloc(99, alpha, beta)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1e4),
+        (1e-4, math.inf),
+        (1e-4, 0.0),
+        (1e-4, -1e4),
+        (-1e-4, 1e4),
+    ])
+    def test_a_bad_profile_is_named(self, alpha, beta):
+        with pytest.raises(ValueError, match=rf"worker 1's profile needs finite alpha >= 0 and "
+                                             rf"beta > 0, got alpha = {alpha}, beta = {beta}"):
+            hcmm_alloc(100, [1e-4, alpha], [1e4, beta])

@@ -368,6 +368,18 @@ class TestCompareCommand:
         assert "error: duplicate schemes in ['hcmm', 'uniform', 'hcmm']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_an_episode_past_numpys_index_range_names_its_keys(self, tmp_path, capsys):
+        # 2^62 tasks: numpy refuses the episode's (K, N) ids before it asks for any memory
+        path = tmp_path / "huge.ini"
+        path.write_text("[scenario]\npreset = desk\nk_tasks = 4611686018427387904\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(path), "--episodes", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.k_tasks: an episode of 4611686018427387904 tasks "
+                              "on scenario.n_workers = 4 workers needs ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_rows(self, ini, tmp_path):

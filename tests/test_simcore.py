@@ -10,7 +10,7 @@ import pytest
 from macc import experiments, marl, simcore
 from macc.allocators import hcmm_alloc
 from macc.coding import decode, encode, generate_encoding_matrix
-from macc.config import ScenarioConfig, preset_scenario
+from macc.config import ConfigError, ScenarioConfig, preset_scenario
 from macc.envmodels import CommConfig, channel_capacity, link_gain, time_factors
 from macc.experiments import episode_to_json
 from macc.numerics import RngStream
@@ -906,6 +906,17 @@ class TestEpisodeEnv:
         for a in (*world_arrays(env.world), *env.terms, *draws):
             assert not a.flags.writeable
         assert all(a.shape == (TINY.k_tasks, TINY.n_workers) for a in draws)
+
+    @pytest.mark.parametrize("batch_size, wanted, what", [
+        (1, 2**62 * 2 * 8, "worker ids"), (8, 2**62 * 2 * 48, "worker ids and noise")])
+    def test_an_episode_past_numpys_index_range_is_a_config_error(self, batch_size, wanted, what):
+        # 2^62 tasks: numpy refuses the (K, N) ids before it asks for any memory
+        scenario = replace(TINY, k_tasks=2**62, batch_size=batch_size)
+        with pytest.raises(ConfigError, match=rf"^scenario\.k_tasks: an episode of {2**62} "
+                                              rf"tasks on scenario\.n_workers = 2 workers needs "
+                                              rf"{wanted} bytes of {what}, which cannot be "
+                                              "allocated$"):
+            episode_env(scenario, RngStream(4).substream("episode", 0))
 
     def test_an_env_of_another_stream_or_scenario_is_refused(self):
         rng = RngStream(4).substream("episode", 0)

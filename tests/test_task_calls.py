@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from macc import experiments, marl, simcore
-from macc.allocators import uniform_alloc
+from macc.allocators import split_rows
 from macc.config import TrainConfig, preset_scenario
 from macc.envmodels import CommConfig, time_factors
 from macc.numerics import RngStream
@@ -130,7 +130,7 @@ def test_compare_tasks_of_each_scheme_share_their_episodes_draws(monkeypatch):
     # baselines send one batch per worker, with loads checked once per episode
     assert all(args[2] == args[3] == 200 for args, _, _ in calls)
     assert all(type(args[1]) is simcore.Loads for args, _, _ in calls)
-    assert [args[1].loads for args, _, _ in calls[:10]] == [uniform_alloc(200, 4)] * 10
+    assert [args[1].loads for args, _, _ in calls[:10]] == [split_rows(200, np.ones(4))] * 10
     # the straggler victim is slowed: one worker's compute floor above what it is unslowed
     for args, _, _ in calls[::5]:
         world, terms = args[0], args[5]
